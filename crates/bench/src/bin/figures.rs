@@ -19,7 +19,6 @@
 //! figures --json           # write the bench-out/BENCH_pipeline.json run manifest
 //! figures --json --opt-level O2   # … with entries executed at O2
 //! figures --json --cache-dir DIR  # … over a persistent artifact store
-//! figures --host-timing    # write bench-out/BENCH_interp.json (steps/sec)
 //! figures --predict        # predicted vs simulated surfaces (BENCH_predict.json)
 //! figures --check-sharing  # run the corpus under the soundness oracle
 //! figures --client ADDR    # sweep the corpus on a running hsmd server
@@ -58,12 +57,6 @@
 //! — the rows are deterministic and identical whether the sweep runs
 //! in-process or via `--client`, which CI diffs byte-for-byte.
 //!
-//! `--host-timing` measures interpreter throughput (VM steps per host
-//! second) for every corpus program × mode × model, prints the table and
-//! writes `bench-out/BENCH_interp.json`; `--timing-runs N` overrides the
-//! repetition count. `scripts/check_bench.py` diffs that file against the
-//! committed `BENCH_interp.json` baseline in CI.
-//!
 //! All machine-readable artifacts land under `bench-out/` (gitignored;
 //! created on demand) so repeated runs never dirty the work tree.
 //!
@@ -77,9 +70,6 @@ use std::process::ExitCode;
 
 /// Output file of `--json`.
 const MANIFEST_FILE: &str = "bench-out/BENCH_pipeline.json";
-
-/// Output file of `--host-timing`.
-const INTERP_FILE: &str = "bench-out/BENCH_interp.json";
 
 /// Output file of `--predict`.
 const PREDICT_FILE: &str = "bench-out/BENCH_predict.json";
@@ -106,18 +96,7 @@ fn main() -> ExitCode {
     let mut args: Vec<String> = env::args().skip(1).collect();
     let emit_json = args.iter().any(|a| a == "--json");
     let check_sharing = args.iter().any(|a| a == "--check-sharing");
-    let host_timing = args.iter().any(|a| a == "--host-timing");
     let predict = args.iter().any(|a| a == "--predict");
-    let mut timing_runs = 0usize;
-    if let Some(i) = args.iter().position(|a| a == "--timing-runs") {
-        let value = args.get(i + 1).and_then(|v| v.parse().ok());
-        let Some(value) = value else {
-            eprintln!("figures: --timing-runs needs a number");
-            return ExitCode::FAILURE;
-        };
-        timing_runs = value;
-        args.drain(i..=i + 1);
-    }
     // The execution axes (--workers, --exec-model, --opt-level,
     // --cache-dir) all live in one SweepSpec — the value the manifest
     // consumes and a `--client` sweep job ships.
@@ -150,11 +129,7 @@ fn main() -> ExitCode {
     }
     let client_shutdown = args.iter().any(|a| a == "--shutdown");
     args.retain(|a| {
-        a != "--json"
-            && a != "--check-sharing"
-            && a != "--host-timing"
-            && a != "--predict"
-            && a != "--shutdown"
+        a != "--json" && a != "--check-sharing" && a != "--predict" && a != "--shutdown"
     });
 
     if let Some(addr) = client_addr {
@@ -176,7 +151,7 @@ fn main() -> ExitCode {
         };
     }
     let workers = spec.workers;
-    let all = args.is_empty() && !emit_json && !check_sharing && !host_timing && !predict;
+    let all = args.is_empty() && !emit_json && !check_sharing && !predict;
     let want = |name: &str| all || args.iter().any(|a| a == name);
     let mut failed = false;
 
@@ -231,22 +206,6 @@ fn main() -> ExitCode {
             }
             Err(e) => {
                 eprintln!("predict validation failed: {e}");
-                failed = true;
-            }
-        }
-    }
-
-    if host_timing {
-        match hsm_bench::interp::interp_points(timing_runs) {
-            Ok(points) => {
-                println!("{}", hsm_bench::interp::render_interp_table(&points));
-                let doc = hsm_bench::interp::interp_json(&points);
-                if write_artifact(INTERP_FILE, &doc.render()).is_err() {
-                    failed = true;
-                }
-            }
-            Err(e) => {
-                eprintln!("host-timing sweep failed: {e}");
                 failed = true;
             }
         }

@@ -1,14 +1,12 @@
-//! # hsm-bench — experiment harness shared by the benches and the
-//! `figures` binary.
+//! # hsm-bench — experiment harness behind the `figures` binary.
 //!
 //! Each function regenerates the data behind one table or figure of the
 //! paper; the `figures` binary prints them (and with `--json` writes the
-//! versioned run manifest from [`manifest`]), and `benches/` wraps the
-//! same entry points in `testkit` timing loops.
+//! versioned run manifest from [`manifest`]). Host wall-clock is measured
+//! from outside, by the repo-root `benchmark/` harness.
 
 #![warn(missing_docs)]
 
-pub mod interp;
 /// The order-preserving JSON value (now shared with the core crate's
 /// spec/protocol layer; re-exported so `hsm_bench::json` keeps working).
 pub use hsm_core::json;
@@ -17,7 +15,7 @@ pub mod predict;
 pub mod sharing;
 
 use hsm_core::experiment::{self, BenchResult, Mode, SweepMatrix};
-use hsm_core::{Pipeline, PipelineError, Policy};
+use hsm_core::{Pipeline, PipelineError};
 use hsm_workloads::Bench;
 use scc_sim::SccConfig;
 use std::fmt::Write as _;
@@ -296,10 +294,13 @@ pub fn thread_folding(thread_counts: &[usize]) -> Result<String, PipelineError> 
         params.threads = threads;
         let src = hsm_workloads::source(Bench::PiApprox, &params);
         let session = Pipeline::new(src).cores(cores).config(config.clone());
-        let base = session.run_baseline()?;
+        let base = session
+            .clone()
+            .scenario(Mode::PthreadBaseline.into())
+            .run_scenario()?;
         // Translating a T-thread program for C < T cores triggers the
         // translator's many-to-one fold loop.
-        let hsm = session.run()?;
+        let hsm = session.run_scenario()?;
         let _ = writeln!(
             out,
             "{:<10}{:>10}{:>10.1}x",
@@ -385,9 +386,15 @@ pub fn stream_kernel_table(units: usize) -> Result<String, PipelineError> {
         // One session per kernel: the three configurations share its
         // parsed unit and analysis through the session cache.
         let session = Pipeline::new(src).cores(units).config(config.clone());
-        let base = session.run_baseline()?;
-        let off = session.clone().policy(Policy::OffChipOnly).run()?;
-        let mpb = session.run()?;
+        let base = session
+            .clone()
+            .scenario(Mode::PthreadBaseline.into())
+            .run_scenario()?;
+        let off = session
+            .clone()
+            .scenario(Mode::RcceOffChip.into())
+            .run_scenario()?;
+        let mpb = session.run_scenario()?;
         let _ = writeln!(
             out,
             "{:<8}{:>16.0}{:>16.0}{:>16.0}",
@@ -456,8 +463,11 @@ pub fn jacobi_extension(core_counts: &[usize]) -> Result<String, PipelineError> 
         };
         let src = jacobi_source(&p);
         let session = Pipeline::new(src).cores(cores).config(config.clone());
-        let base = session.run_baseline()?;
-        let hsm = session.run()?;
+        let base = session
+            .clone()
+            .scenario(Mode::PthreadBaseline.into())
+            .run_scenario()?;
+        let hsm = session.run_scenario()?;
         let _ = writeln!(
             out,
             "{:<10}{:>10.1}x{:>14.2}",

@@ -17,11 +17,11 @@
 
 use crate::json::Json;
 use hsm_core::experiment::{
-    outputs_equivalent, sweep, Mode, Scenario, SweepMatrix, SweepReport, SweepTask, TimingStats,
+    outputs_equivalent, sweep, Mode, Scenario, SweepMatrix, SweepReport, SweepTask,
 };
 use hsm_core::metrics::PipelineMetrics;
 use hsm_core::spec::SweepSpec;
-use hsm_core::{ArtifactCache, OptLevel, Pipeline, PipelineError, StageCounters};
+use hsm_core::{ArtifactCache, OptLevel, Pipeline, PipelineError, Stage};
 use hsm_exec::{ExecModel, RunResult};
 use scc_sim::{Region, SccConfig};
 use std::path::PathBuf;
@@ -29,10 +29,9 @@ use std::sync::Arc;
 
 /// Version of the manifest layout. Bump when renaming or moving fields so
 /// downstream consumers can dispatch. Version 2 added the `sweep` section
-/// (artifact-cache counters plus host parallelism figures) and moved the
-/// per-entry `host_timing` block onto the sweep's cache-hot re-runs.
-/// Version 3 records the memory model each entry executed under in a
-/// per-entry `exec_model` field. Version 4 records the bytecode
+/// (artifact-cache counters plus host parallelism figures). Version 3
+/// records the memory model each entry executed under in a per-entry
+/// `exec_model` field. Version 4 records the bytecode
 /// optimization level in a per-entry `opt_level` field and adds the
 /// top-level `opt` section with per-program `O0`-vs-`O2` instruction and
 /// simulated-cycle deltas. Version 5 adds the top-level `tasks` section:
@@ -68,9 +67,6 @@ pub const TASK_PROGRAMS: [(&str, &str, usize); 2] = [
 /// The subset of [`MANIFEST_PROGRAMS`] covered by the checked-in goldens
 /// (kept small so the debug-mode regression test stays fast).
 pub const GOLDEN_PROGRAMS: [(&str, usize); 2] = [("example_4_1", 3), ("matrix_vector", 4)];
-
-/// Timed runs behind each entry's `host_timing` block.
-const HOST_TIMING_RUNS: usize = 3;
 
 /// Manifest generation knobs. The execution axes — worker threads, the
 /// memory model and optimization level every entry executes under, and
@@ -244,7 +240,7 @@ pub fn metrics_json(m: &PipelineMetrics, opts: &ManifestOptions) -> Json {
             .iter()
             .map(|s| {
                 let mut pairs = vec![
-                    ("stage", Json::str(s.stage)),
+                    ("stage", Json::str(s.stage.label())),
                     ("ir_size", Json::UInt(s.ir_size as u64)),
                 ];
                 if opts.include_host_timings {
@@ -256,14 +252,6 @@ pub fn metrics_json(m: &PipelineMetrics, opts: &ManifestOptions) -> Json {
     )
 }
 
-/// One cache stage's hit/miss counter pair.
-fn counters_json(c: StageCounters) -> Json {
-    Json::obj(vec![
-        ("hits", Json::UInt(c.hits)),
-        ("misses", Json::UInt(c.misses)),
-    ])
-}
-
 /// The `sweep` section: the shared artifact cache's hit/miss counters
 /// (deterministic — identical for every worker count, and unchanged by a
 /// persistent store, which only intercepts misses) plus, when host
@@ -271,18 +259,22 @@ fn counters_json(c: StageCounters) -> Json {
 /// `host_store` disk-traffic block (present only with a `--cache-dir`).
 pub fn sweep_json(report: &SweepReport, opts: &ManifestOptions) -> Json {
     let c = report.cache;
-    let mut pairs = vec![(
-        "cache",
-        Json::obj(vec![
-            ("parse", counters_json(c.parse)),
-            ("analyze", counters_json(c.analyze)),
-            ("partition", counters_json(c.partition)),
-            ("translate", counters_json(c.translate)),
-            ("compile", counters_json(c.compile)),
-            ("total_hits", Json::UInt(c.total_hits())),
-            ("total_misses", Json::UInt(c.total_misses())),
-        ]),
-    )];
+    // One hit/miss pair per compile-side stage; the `profile` shelf is
+    // not part of the manifest layout.
+    let mut cache: Vec<(&str, Json)> = Stage::ALL
+        .into_iter()
+        .filter(|&stage| stage != Stage::Profile)
+        .map(|stage| {
+            let counters = Json::obj(vec![
+                ("hits", Json::UInt(c[stage].hits)),
+                ("misses", Json::UInt(c[stage].misses)),
+            ]);
+            (stage.label(), counters)
+        })
+        .collect();
+    cache.push(("total_hits", Json::UInt(c.total_hits())));
+    cache.push(("total_misses", Json::UInt(c.total_misses())));
+    let mut pairs = vec![("cache", Json::obj(cache))];
     if opts.include_host_timings {
         pairs.push(("host_workers", Json::UInt(report.workers as u64)));
         pairs.push(("host_points", Json::UInt(report.outcomes.len() as u64)));
@@ -306,39 +298,14 @@ pub fn sweep_json(report: &SweepReport, opts: &ManifestOptions) -> Json {
     Json::obj(pairs)
 }
 
-/// A `host_timing` block from the sweep's cache-hot re-run statistics.
-fn timing_json(t: TimingStats) -> Json {
-    Json::obj(vec![
-        ("runs", Json::UInt(t.runs as u64)),
-        (
-            "median_nanos",
-            Json::UInt(u64::try_from(t.median_nanos).unwrap_or(u64::MAX)),
-        ),
-        (
-            "min_nanos",
-            Json::UInt(u64::try_from(t.min_nanos).unwrap_or(u64::MAX)),
-        ),
-        (
-            "max_nanos",
-            Json::UInt(u64::try_from(t.max_nanos).unwrap_or(u64::MAX)),
-        ),
-    ])
-}
-
 /// The sweep matrix behind a manifest: per program, one metered baseline
-/// point and one metered HSM point (the latter carrying the cache-hot
-/// timing re-runs when host timings are requested).
+/// point and one metered HSM point.
 fn manifest_matrix(
     programs: &[(&str, usize)],
     opts: &ManifestOptions,
     config: &SccConfig,
     cache: &Arc<ArtifactCache>,
 ) -> SweepMatrix {
-    let timing_runs = if opts.include_host_timings {
-        HOST_TIMING_RUNS
-    } else {
-        0
-    };
     let mut matrix = SweepMatrix::new(config.clone())
         .workers(opts.spec.workers)
         .cache(Arc::clone(cache));
@@ -351,12 +318,11 @@ fn manifest_matrix(
                 SweepTask::RunMetered(opts.scenario(Mode::PthreadBaseline)),
                 cores,
             )
-            .timed_point(
+            .point(
                 format!("{name}/hsm"),
                 src,
                 SweepTask::RunMetered(opts.scenario(Mode::RcceHsm)),
                 cores,
-                timing_runs,
             );
     }
     matrix
@@ -365,11 +331,9 @@ fn manifest_matrix(
 /// Unwraps a metered sweep payload.
 fn metered_run(
     outcome: hsm_core::experiment::SweepOutcome,
-) -> Result<(RunResult, PipelineMetrics, Option<TimingStats>), PipelineError> {
-    let timing = outcome.timing;
-    let payload = outcome.result?;
-    match payload {
-        hsm_core::experiment::SweepPayload::Run(r, Some(m)) => Ok((r, m, timing)),
+) -> Result<(RunResult, PipelineMetrics), PipelineError> {
+    match outcome.result? {
+        hsm_core::experiment::SweepPayload::Run(r, Some(m)) => Ok((r, m)),
         _ => unreachable!("manifest points are always metered runs"),
     }
 }
@@ -378,11 +342,11 @@ fn metered_run(
 fn entry_json(
     name: &str,
     cores: usize,
-    base: (RunResult, PipelineMetrics, Option<TimingStats>),
-    hsm: (RunResult, PipelineMetrics, Option<TimingStats>),
+    base: (RunResult, PipelineMetrics),
+    hsm: (RunResult, PipelineMetrics),
     opts: &ManifestOptions,
 ) -> Json {
-    let mut pairs = vec![
+    Json::obj(vec![
         ("name", Json::str(name)),
         ("cores", Json::UInt(cores as u64)),
         ("exec_model", Json::str(opts.exec_model().label())),
@@ -391,11 +355,7 @@ fn entry_json(
         ("baseline_pipeline", metrics_json(&base.1, opts)),
         ("baseline", run_json(&base.0)),
         ("hsm", run_json(&hsm.0)),
-    ];
-    if let Some(timing) = hsm.2 {
-        pairs.push(("host_timing", timing_json(timing)));
-    }
-    Json::obj(pairs)
+    ])
 }
 
 /// Replays one corpus program (baseline + HSM) through a single-program
@@ -677,9 +637,7 @@ mod tests {
         let without = program_entry("example_4_1", 3, &SccConfig::table_6_1(), &quiet_opts(1))
             .expect("entry");
         assert!(with.render().contains("host_wall_nanos"));
-        assert!(with.render().contains("host_timing"));
         assert!(!without.render().contains("host_wall_nanos"));
-        assert!(!without.render().contains("host_timing"));
     }
 
     /// The tentpole's determinism guarantee at the manifest level: a

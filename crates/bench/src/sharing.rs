@@ -21,7 +21,7 @@
 
 use crate::json::Json;
 use crate::manifest::corpus_source;
-use hsm_core::experiment::{sweep, SweepMatrix, SweepOutcome, SweepPayload, SweepTask};
+use hsm_core::experiment::{sweep, Mode, SweepMatrix, SweepOutcome, SweepPayload, SweepTask};
 use hsm_core::{Pipeline, PipelineError, SharingCheck};
 use hsm_exec::{Violation, ViolationClass};
 use scc_sim::SccConfig;
@@ -138,12 +138,15 @@ pub fn program_sharing_entry(
     let session = Pipeline::new(corpus_source(name))
         .cores(cores)
         .config(config.clone());
-    let check = session.check_sharing()?;
+    let check = session
+        .clone()
+        .scenario(Mode::PthreadBaseline.into())
+        .check_sharing()?;
     let rcce = if expected.is_none() {
         // A clean pthread program must also stay race-free once
         // translated: the RCCE-mode oracle audits the inserted barriers
         // and locks. The session's cache hands it the already-parsed unit.
-        Some(session.check_sharing_rcce()?)
+        Some(session.scenario(Mode::RcceHsm.into()).check_sharing()?)
     } else {
         None
     };
@@ -176,14 +179,14 @@ pub fn sharing_manifest_with(workers: usize) -> Result<Json, PipelineError> {
         matrix = matrix.point(
             format!("{name}/check"),
             Arc::clone(&src),
-            SweepTask::CheckSharing,
+            SweepTask::CheckSharing(Mode::PthreadBaseline.into()),
             cores,
         );
         if expected.is_none() {
             matrix = matrix.point(
                 format!("{name}/rcce"),
                 src,
-                SweepTask::CheckSharingRcce,
+                SweepTask::CheckSharing(Mode::RcceHsm.into()),
                 cores,
             );
         }

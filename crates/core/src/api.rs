@@ -11,7 +11,7 @@
 //! let cache = ArtifactCache::shared();
 //! let run = Pipeline::new("int main() { return 7; }")
 //!     .cache(cache)
-//!     .run_baseline()
+//!     .run_scenario()
 //!     .expect("runs");
 //! assert_eq!(run.exit_code, 7);
 //! let _ = SweepSpec::default();
@@ -22,10 +22,10 @@ pub use crate::cache::{
 };
 pub use crate::experiment::{
     sweep, sweep_with, Mode, Scenario, SweepMatrix, SweepOptions, SweepOutcome, SweepPayload,
-    SweepPoint, SweepReport, SweepTask, TimingStats,
+    SweepPoint, SweepReport, SweepTask,
 };
 pub use crate::json::{Json, JsonError};
-pub use crate::metrics::{PipelineMetrics, StageMetric, STAGE_NAMES};
+pub use crate::metrics::{PipelineMetrics, Stage, StageMetric};
 pub use crate::protocol::{
     encode_job, encode_response, parse_job, parse_response, Job, JobRequest, JobResponse,
     ProtocolError, SweepRow,

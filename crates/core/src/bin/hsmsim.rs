@@ -8,20 +8,15 @@
 //! hsmsim prog.c --stats                  # print memory-system statistics
 //! ```
 
-use hsm_core::{Pipeline, Policy};
+use hsm_core::{Mode, Pipeline, Policy};
 use scc_sim::SccConfig;
 use std::process::ExitCode;
 
-#[derive(PartialEq)]
-enum Mode {
-    Pthread,
-    Rcce,
-    Native,
-}
-
 fn main() -> ExitCode {
     let mut input: Option<String> = None;
-    let mut mode = Mode::Pthread;
+    // `None` is `native`: hand-written RCCE source, run without the
+    // pipeline — the one way of running a `Scenario` cannot express.
+    let mut mode = Some(Mode::PthreadBaseline);
     let mut cores = 32usize;
     let mut policy = Policy::SizeAscending;
     let mut stats = false;
@@ -29,9 +24,9 @@ fn main() -> ExitCode {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--mode" => match it.next().as_deref() {
-                Some("pthread") => mode = Mode::Pthread,
-                Some("rcce") => mode = Mode::Rcce,
-                Some("native") => mode = Mode::Native,
+                Some("pthread") => mode = Some(Mode::PthreadBaseline),
+                Some("rcce") => mode = Some(Mode::RcceHsm),
+                Some("native") => mode = None,
                 other => {
                     eprintln!("hsmsim: bad mode {other:?} (pthread|rcce|native)");
                     return ExitCode::FAILURE;
@@ -75,14 +70,14 @@ fn main() -> ExitCode {
     };
     let config = SccConfig::table_6_1();
 
-    let pipeline = Pipeline::new(source.as_str())
-        .cores(cores)
-        .policy(policy)
-        .config(config.clone());
     let result = match mode {
-        Mode::Pthread => pipeline.run_baseline(),
-        Mode::Rcce => pipeline.run(),
-        Mode::Native => (|| {
+        Some(mode) => Pipeline::new(source.as_str())
+            .cores(cores)
+            .scenario(mode.into())
+            .policy(policy)
+            .config(config.clone())
+            .run_scenario(),
+        None => (|| {
             let tu = hsm_cir::parse(&source)?;
             let program = hsm_vm::compile(&tu)?;
             Ok(hsm_exec::run_rcce(&program, cores, &config)?)

@@ -40,6 +40,7 @@
 //! **corrupt**, are removed, and fall back to a plain recompute; errors
 //! are never cached, in memory or on disk.
 
+use crate::metrics::Stage;
 use crate::store::{DiskStore, LoadOutcome};
 use hsm_analysis::ProgramAnalysis;
 use hsm_cir::TranslationUnit;
@@ -146,19 +147,18 @@ pub enum ArtifactKey {
 
 impl ArtifactKey {
     /// The pipeline stage this key's artifact belongs to — the stats
-    /// bucket it counts under and the store subdirectory it lives in
-    /// (`"parse"`, `"analyze"`, `"partition"`, `"translate"` or
-    /// `"compile"`).
-    pub fn stage(&self) -> &'static str {
+    /// bucket it counts under and (by its [`Stage::label`]) the store
+    /// subdirectory it lives in.
+    pub fn stage(&self) -> Stage {
         match self {
-            ArtifactKey::Parse { .. } => "parse",
-            ArtifactKey::Analysis { .. } => "analyze",
-            ArtifactKey::Plan { .. } => "partition",
-            ArtifactKey::Translation { .. } => "translate",
+            ArtifactKey::Parse { .. } => Stage::Parse,
+            ArtifactKey::Analysis { .. } => Stage::Analyze,
+            ArtifactKey::Plan { .. } => Stage::Partition,
+            ArtifactKey::Translation { .. } => Stage::Translate,
             ArtifactKey::BaselineProgram { .. } | ArtifactKey::TranslatedProgram { .. } => {
-                "compile"
+                Stage::Compile
             }
-            ArtifactKey::Profile { .. } => "profile",
+            ArtifactKey::Profile { .. } => Stage::Profile,
         }
     }
 
@@ -167,11 +167,10 @@ impl ArtifactKey {
     /// always produce the same string, which is what makes the
     /// [`DiskStore`] content-addressed.
     pub fn path(&self) -> String {
-        match self {
-            ArtifactKey::Parse { src } => format!("parse/{src:016x}"),
-            ArtifactKey::Analysis { src } => format!("analyze/{src:016x}"),
+        let fields = match self {
+            ArtifactKey::Parse { src } | ArtifactKey::Analysis { src } => format!("{src:016x}"),
             ArtifactKey::Plan { src, policy, spec } => format!(
-                "partition/{src:016x}-{}-m{}x{}",
+                "{src:016x}-{}-m{}x{}",
                 policy.label(),
                 spec.on_chip_capacity,
                 spec.off_chip_capacity
@@ -182,13 +181,13 @@ impl ArtifactKey {
                 policy,
                 spec,
             } => format!(
-                "translate/{src:016x}-c{cores}-{}-m{}x{}",
+                "{src:016x}-c{cores}-{}-m{}x{}",
                 policy.label(),
                 spec.on_chip_capacity,
                 spec.off_chip_capacity
             ),
             ArtifactKey::BaselineProgram { src, opt } => {
-                format!("compile/{src:016x}-base-{}", opt.label())
+                format!("{src:016x}-base-{}", opt.label())
             }
             ArtifactKey::TranslatedProgram {
                 src,
@@ -197,7 +196,7 @@ impl ArtifactKey {
                 spec,
                 opt,
             } => format!(
-                "compile/{src:016x}-c{cores}-{}-m{}x{}-{}",
+                "{src:016x}-c{cores}-{}-m{}x{}-{}",
                 policy.label(),
                 spec.on_chip_capacity,
                 spec.off_chip_capacity,
@@ -210,7 +209,7 @@ impl ArtifactKey {
                 spec,
                 scenario,
             } => format!(
-                "profile/{src:016x}-c{cores}-{}-m{}x{}-{}-{}-{}",
+                "{src:016x}-c{cores}-{}-m{}x{}-{}-{}-{}",
                 policy.label(),
                 spec.on_chip_capacity,
                 spec.off_chip_capacity,
@@ -218,7 +217,8 @@ impl ArtifactKey {
                 scenario.exec_model.label(),
                 scenario.opt_level.label()
             ),
-        }
+        };
+        format!("{}/{fields}", self.stage().label())
     }
 }
 
@@ -247,86 +247,63 @@ pub struct StoreCounters {
 }
 
 /// A snapshot of every shelf's disk-store counters, plus the store-wide
-/// eviction count.
+/// eviction count. Index it by [`Stage`]: `stats[Stage::Compile].loads`.
+///
+/// What each shelf's payload is: `parse` stores the original C source,
+/// `analyze` a witness marker (the analysis is re-derived from the cached
+/// unit on load), `partition` the plan text codec, `translate` the RCCE
+/// source plus pass trace, `compile` the versioned `hsm_vm` serial
+/// format, `profile` the `hsmprofile` text codec.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Parsed translation units (payload: the original C source).
-    pub parse: StoreCounters,
-    /// Stage 1–3 analyses (payload: a witness marker; the analysis is
-    /// re-derived from the cached unit on load).
-    pub analyze: StoreCounters,
-    /// Stage 4 partition plans (payload: the plan text codec).
-    pub partition: StoreCounters,
-    /// Stage 5 translations (payload: RCCE source plus pass trace).
-    pub translate: StoreCounters,
-    /// Compiled bytecode programs (payload: the versioned `hsm_vm`
-    /// serial format).
-    pub compile: StoreCounters,
-    /// Run profiles (payload: the `hsmprofile` text codec).
-    pub profile: StoreCounters,
+    /// Per-stage counters, in [`Stage::ALL`] order.
+    pub stages: [StoreCounters; 6],
     /// Entries evicted to enforce the store's byte capacity.
     pub evictions: u64,
 }
 
 impl StoreStats {
+    fn total(&self, field: impl Fn(&StoreCounters) -> u64) -> u64 {
+        self.stages.iter().map(field).sum()
+    }
+
     /// Total entries loaded from disk across all artifact kinds.
     pub fn total_loads(&self) -> u64 {
-        self.parse.loads
-            + self.analyze.loads
-            + self.partition.loads
-            + self.translate.loads
-            + self.compile.loads
-            + self.profile.loads
+        self.total(|c| c.loads)
     }
 
     /// Total on-disk misses across all artifact kinds.
     pub fn total_misses(&self) -> u64 {
-        self.parse.misses
-            + self.analyze.misses
-            + self.partition.misses
-            + self.translate.misses
-            + self.compile.misses
-            + self.profile.misses
+        self.total(|c| c.misses)
     }
 
     /// Total entries written back across all artifact kinds.
     pub fn total_writes(&self) -> u64 {
-        self.parse.writes
-            + self.analyze.writes
-            + self.partition.writes
-            + self.translate.writes
-            + self.compile.writes
-            + self.profile.writes
+        self.total(|c| c.writes)
     }
 
     /// Total corrupt entries encountered across all artifact kinds.
     pub fn total_corrupt(&self) -> u64 {
-        self.parse.corrupt
-            + self.analyze.corrupt
-            + self.partition.corrupt
-            + self.translate.corrupt
-            + self.compile.corrupt
-            + self.profile.corrupt
+        self.total(|c| c.corrupt)
     }
 }
 
-/// A snapshot of every shelf's counters. The in-memory hit/miss counters
-/// are process-local and schedule-independent; `store` is present only
-/// when a [`DiskStore`] is attached and reflects host disk state.
+impl std::ops::Index<Stage> for StoreStats {
+    type Output = StoreCounters;
+
+    fn index(&self, stage: Stage) -> &StoreCounters {
+        &self.stages[stage as usize]
+    }
+}
+
+/// A snapshot of every shelf's counters. Index it by [`Stage`]:
+/// `stats[Stage::Parse].misses`. The in-memory hit/miss counters are
+/// process-local and schedule-independent; `store` is present only when
+/// a [`DiskStore`] is attached and reflects host disk state.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Parsed translation units.
-    pub parse: StageCounters,
-    /// Stage 1–3 analyses.
-    pub analyze: StageCounters,
-    /// Stage 4 partition plans.
-    pub partition: StageCounters,
-    /// Stage 5 translations.
-    pub translate: StageCounters,
-    /// Compiled bytecode programs.
-    pub compile: StageCounters,
-    /// Run profiles.
-    pub profile: StageCounters,
+    /// Per-stage hit/miss counters, in [`Stage::ALL`] order.
+    pub stages: [StageCounters; 6],
     /// Persistent-store counters, when a store is attached.
     pub store: Option<StoreStats>,
 }
@@ -334,22 +311,20 @@ pub struct CacheStats {
 impl CacheStats {
     /// Total hits across all artifact kinds.
     pub fn total_hits(&self) -> u64 {
-        self.parse.hits
-            + self.analyze.hits
-            + self.partition.hits
-            + self.translate.hits
-            + self.compile.hits
-            + self.profile.hits
+        self.stages.iter().map(|c| c.hits).sum()
     }
 
     /// Total misses across all artifact kinds.
     pub fn total_misses(&self) -> u64 {
-        self.parse.misses
-            + self.analyze.misses
-            + self.partition.misses
-            + self.translate.misses
-            + self.compile.misses
-            + self.profile.misses
+        self.stages.iter().map(|c| c.misses).sum()
+    }
+}
+
+impl std::ops::Index<Stage> for CacheStats {
+    type Output = StageCounters;
+
+    fn index(&self, stage: Stage) -> &StageCounters {
+        &self.stages[stage as usize]
     }
 }
 
@@ -461,20 +436,19 @@ impl<V> Shelf<V> {
         }
     }
 
-    fn counters(&self) -> StageCounters {
-        StageCounters {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-        }
-    }
-
-    fn store_counters(&self) -> StoreCounters {
-        StoreCounters {
-            loads: self.loads.load(Ordering::Relaxed),
-            misses: self.store_misses.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            corrupt: self.corrupt.load(Ordering::Relaxed),
-        }
+    fn counters(&self) -> (StageCounters, StoreCounters) {
+        (
+            StageCounters {
+                hits: self.hits.load(Ordering::Relaxed),
+                misses: self.misses.load(Ordering::Relaxed),
+            },
+            StoreCounters {
+                loads: self.loads.load(Ordering::Relaxed),
+                misses: self.store_misses.load(Ordering::Relaxed),
+                writes: self.writes.load(Ordering::Relaxed),
+                corrupt: self.corrupt.load(Ordering::Relaxed),
+            },
+        )
     }
 }
 
@@ -528,20 +502,18 @@ impl ArtifactCache {
     /// A snapshot of the counters of every shelf (plus the store block
     /// when a [`DiskStore`] is attached).
     pub fn stats(&self) -> CacheStats {
+        let shelves = Stage::ALL.map(|stage| match stage {
+            Stage::Parse => self.parse.counters(),
+            Stage::Analyze => self.analyze.counters(),
+            Stage::Partition => self.partition.counters(),
+            Stage::Translate => self.translate.counters(),
+            Stage::Compile => self.compile.counters(),
+            Stage::Profile => self.profile.counters(),
+        });
         CacheStats {
-            parse: self.parse.counters(),
-            analyze: self.analyze.counters(),
-            partition: self.partition.counters(),
-            translate: self.translate.counters(),
-            compile: self.compile.counters(),
-            profile: self.profile.counters(),
+            stages: shelves.map(|(memory, _)| memory),
             store: self.store.as_ref().map(|s| StoreStats {
-                parse: self.parse.store_counters(),
-                analyze: self.analyze.store_counters(),
-                partition: self.partition.store_counters(),
-                translate: self.translate.store_counters(),
-                compile: self.compile.store_counters(),
-                profile: self.profile.store_counters(),
+                stages: shelves.map(|(_, disk)| disk),
                 evictions: s.evictions(),
             }),
         }
@@ -794,7 +766,7 @@ mod tests {
             .expect("hit");
         assert_eq!(*a, 10);
         assert!(Arc::ptr_eq(&a, &b));
-        let c = shelf.counters();
+        let (c, _) = shelf.counters();
         assert_eq!((c.hits, c.misses), (1, 1));
     }
 
@@ -811,7 +783,7 @@ mod tests {
             .get_or_try_insert::<&str>(key, None, no_decode, no_encode, || Ok(3))
             .expect("retry");
         assert_eq!(*ok, 3);
-        assert_eq!(shelf.counters().misses, 2);
+        assert_eq!(shelf.counters().0.misses, 2);
     }
 
     #[test]
@@ -835,7 +807,7 @@ mod tests {
             }
         });
         assert_eq!(computed.load(Ordering::Relaxed), 1, "computed exactly once");
-        let c = shelf.counters();
+        let (c, _) = shelf.counters();
         assert_eq!(c.hits + c.misses, 8);
         assert_eq!(c.misses, 1);
     }
@@ -878,7 +850,10 @@ mod tests {
         ];
         let paths: Vec<String> = keys.iter().map(ArtifactKey::path).collect();
         for (i, p) in paths.iter().enumerate() {
-            assert!(p.starts_with(keys[i].stage()), "{p} under its stage dir");
+            assert!(
+                p.starts_with(keys[i].stage().label()),
+                "{p} under its stage dir"
+            );
             for (j, q) in paths.iter().enumerate() {
                 if i != j {
                     assert_ne!(p, q, "distinct keys, distinct paths");

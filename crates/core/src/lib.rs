@@ -39,7 +39,6 @@ pub mod sweep;
 use hsm_exec::{ExecError, RunResult};
 use hsm_translate::TranslateError;
 use hsm_workloads::{Bench, Params};
-use metrics::PipelineMetrics;
 use scc_sim::SccConfig;
 use std::fmt;
 
@@ -47,7 +46,7 @@ pub use cache::{ArtifactCache, ArtifactKey, CacheStats, StageCounters, StoreCoun
 pub use hsm_exec::{ExecModel, Profile};
 pub use hsm_partition::{MemorySpec, Policy};
 pub use hsm_vm::OptLevel;
-pub use metrics::{StageMetric, STAGE_NAMES};
+pub use metrics::{Stage, StageMetric};
 pub use pipeline::Pipeline;
 pub use scenario::{Mode, Scenario};
 
@@ -155,24 +154,11 @@ pub mod experiment {
     pub use crate::scenario::{Mode, Scenario};
     pub use crate::sweep::{
         fit_options_for, sweep, sweep_with, Prediction, SweepMatrix, SweepOptions, SweepOutcome,
-        SweepPayload, SweepPoint, SweepReport, SweepTask, TimingStats,
+        SweepPayload, SweepPoint, SweepReport, SweepTask,
     };
     pub use hsm_predict::{
         absolute_error, relative_error, CacheModel, CyclePredictor, FitOptions, WorkScaling,
     };
-
-    /// The session for one benchmark × mode point.
-    fn point_pipeline(
-        src: impl Into<Arc<str>>,
-        cores: usize,
-        mode: Mode,
-        config: &SccConfig,
-    ) -> Pipeline {
-        Pipeline::new(src)
-            .cores(cores)
-            .scenario(Scenario::new(mode))
-            .config(config.clone())
-    }
 
     /// Runs one benchmark in one mode. A [`Mode::TaskDataflow`] run
     /// expects the source to use the `task_spawn` API.
@@ -186,25 +172,11 @@ pub mod experiment {
         mode: Mode,
         config: &SccConfig,
     ) -> Result<RunResult, PipelineError> {
-        let src = hsm_workloads::source(bench, params);
-        point_pipeline(src, params.threads, mode, config).run_scenario()
-    }
-
-    /// [`run`] with per-stage pipeline instrumentation: the baseline and
-    /// task modes meter their two stages (parse, compile), the RCCE modes
-    /// all five.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pipeline failures.
-    pub fn run_metered(
-        bench: Bench,
-        params: &Params,
-        mode: Mode,
-        config: &SccConfig,
-    ) -> Result<(RunResult, PipelineMetrics), PipelineError> {
-        let src = hsm_workloads::source(bench, params);
-        point_pipeline(src, params.threads, mode, config).run_scenario_metered()
+        Pipeline::new(hsm_workloads::source(bench, params))
+            .cores(params.threads)
+            .scenario(Scenario::new(mode))
+            .config(config.clone())
+            .run_scenario()
     }
 
     /// One bar of Figure 6.1 (or one pair of Figure 6.2).
@@ -425,7 +397,7 @@ mod tests {
 
     #[test]
     fn parse_errors_surface_with_stage_and_source() {
-        let err = Pipeline::new("int main( {").run_baseline().unwrap_err();
+        let err = Pipeline::new("int main( {").run_scenario().unwrap_err();
         assert!(matches!(err, PipelineError::Parse(_)));
         assert_eq!(err.stage(), "parse");
         let source = std::error::Error::source(&err).expect("source chain");
@@ -437,33 +409,24 @@ mod tests {
     fn metered_pipeline_reports_all_five_stages() {
         let p = tiny(Bench::PiApprox, 4);
         let src = hsm_workloads::source(Bench::PiApprox, &p);
-        let (translation, program, m) = Pipeline::new(src)
-            .cores(4)
-            .compile_metered()
-            .expect("pipeline");
-        let names: Vec<&str> = m.stages.iter().map(|s| s.stage).collect();
-        assert_eq!(names, STAGE_NAMES);
+        let session = Pipeline::new(src).cores(4);
+        let m = session.stage_metrics().expect("pipeline");
+        let stages: Vec<Stage> = m.stages.iter().map(|s| s.stage).collect();
+        assert_eq!(stages, Stage::ALL[..5]);
         assert!(m.stages.iter().all(|s| s.ir_size > 0));
         assert_eq!(
-            m.stage("compile").unwrap().ir_size,
-            program.code_len(),
+            m.stage(Stage::Compile).unwrap().ir_size,
+            session.program().expect("program").code_len(),
             "compile stage size is the instruction count"
         );
         assert_eq!(
-            m.stage("translate").unwrap().ir_size,
-            translation.to_source().len()
+            m.stage(Stage::Translate).unwrap().ir_size,
+            session
+                .translation()
+                .expect("translation")
+                .to_source()
+                .len()
         );
-    }
-
-    #[test]
-    fn metered_run_matches_unmetered() {
-        let p = tiny(Bench::Sum35, 4);
-        let plain = experiment::run(Bench::Sum35, &p, Mode::RcceHsm, &cfg()).expect("plain");
-        let (metered, m) =
-            experiment::run_metered(Bench::Sum35, &p, Mode::RcceHsm, &cfg()).expect("metered");
-        assert_eq!(plain.total_cycles, metered.total_cycles);
-        assert_eq!(plain.exit_code, metered.exit_code);
-        assert_eq!(m.stages.len(), 5);
     }
 
     #[test]
@@ -471,28 +434,36 @@ mod tests {
         let p = tiny(Bench::PiApprox, 4);
         let src = hsm_workloads::source(Bench::PiApprox, &p);
         let session = Pipeline::new(src).cores(4).config(cfg());
-        session.run_baseline().expect("baseline");
-        session
-            .clone()
-            .policy(Policy::OffChipOnly)
-            .run()
-            .expect("off-chip");
-        session
-            .clone()
-            .policy(Policy::SizeAscending)
-            .run()
-            .expect("hsm");
+        for mode in [Mode::PthreadBaseline, Mode::RcceOffChip, Mode::RcceHsm] {
+            session
+                .clone()
+                .scenario(mode.into())
+                .run_scenario()
+                .unwrap_or_else(|e| panic!("{}: {e}", mode.label()));
+        }
         let stats = session.cache_handle().stats();
-        assert_eq!(stats.parse.misses, 1, "exactly one parse artifact");
-        assert_eq!(stats.analyze.misses, 1, "exactly one analysis artifact");
-        assert!(stats.parse.hits >= 2, "both RCCE modes reused the parse");
-        assert!(stats.analyze.hits >= 1, "HSM mode reused the analysis");
+        assert_eq!(stats[Stage::Parse].misses, 1, "exactly one parse artifact");
         assert_eq!(
-            stats.translate.misses, 2,
+            stats[Stage::Analyze].misses,
+            1,
+            "exactly one analysis artifact"
+        );
+        assert!(
+            stats[Stage::Parse].hits >= 2,
+            "both RCCE modes reused the parse"
+        );
+        assert!(
+            stats[Stage::Analyze].hits >= 1,
+            "HSM mode reused the analysis"
+        );
+        assert_eq!(
+            stats[Stage::Translate].misses,
+            2,
             "off-chip and HSM translations are distinct artifacts"
         );
         assert_eq!(
-            stats.compile.misses, 3,
+            stats[Stage::Compile].misses,
+            3,
             "baseline + two translations compile separately"
         );
     }
@@ -511,6 +482,7 @@ int main() {
 }
 "#;
         let check = Pipeline::new(src)
+            .scenario(Mode::PthreadBaseline.into())
             .config(cfg())
             .check_sharing()
             .expect("pipeline");
@@ -535,6 +507,7 @@ int main() {
 }
 "#;
         let check = Pipeline::new(src)
+            .scenario(Mode::PthreadBaseline.into())
             .config(cfg())
             .check_sharing()
             .expect("pipeline");
@@ -569,6 +542,7 @@ int main() {
 }
 "#;
         let check = Pipeline::new(src)
+            .scenario(Mode::PthreadBaseline.into())
             .config(cfg())
             .check_sharing()
             .expect("pipeline");
@@ -593,7 +567,7 @@ int main() {
         let check = Pipeline::new(src)
             .cores(4)
             .config(cfg())
-            .check_sharing_rcce()
+            .check_sharing()
             .expect("pipeline");
         assert!(check.report.is_clean(), "{:?}", check.report.violations);
         assert!(check.report.sync_events > 0, "barriers observed");
@@ -602,10 +576,12 @@ int main() {
     #[test]
     fn baseline_metering_has_two_stages() {
         let p = tiny(Bench::PiApprox, 4);
-        let (_, m) = experiment::run_metered(Bench::PiApprox, &p, Mode::PthreadBaseline, &cfg())
+        let m = Pipeline::new(hsm_workloads::source(Bench::PiApprox, &p))
+            .scenario(Mode::PthreadBaseline.into())
+            .stage_metrics()
             .expect("baseline");
-        let names: Vec<&str> = m.stages.iter().map(|s| s.stage).collect();
-        assert_eq!(names, ["parse", "compile"]);
+        let stages: Vec<Stage> = m.stages.iter().map(|s| s.stage).collect();
+        assert_eq!(stages, [Stage::Parse, Stage::Compile]);
     }
 
     /// The sweep engine at 1 worker and at 4 workers must agree on every

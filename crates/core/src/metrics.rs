@@ -9,14 +9,59 @@
 
 use std::time::Instant;
 
-/// Canonical stage names, in pipeline order.
-pub const STAGE_NAMES: [&str; 5] = ["parse", "analyze", "partition", "translate", "compile"];
+/// The pipeline stages, in execution order: the five compile-side stages
+/// plus the profiled run. One table for everything kept per stage — the
+/// metered stages of a [`PipelineMetrics`], the [`ArtifactCache`] shelves
+/// and their counters, the [`DiskStore`] subdirectories.
+///
+/// [`ArtifactCache`]: crate::ArtifactCache
+/// [`DiskStore`]: crate::store::DiskStore
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Stage {
+    /// Source text → translation unit.
+    Parse,
+    /// Stages 1–3: scope, inter-thread and points-to analysis.
+    Analyze,
+    /// Stage 4: MPB placement (Algorithm 3).
+    Partition,
+    /// Stage 5: pthread → RCCE source translation.
+    Translate,
+    /// Translation unit → (optimized) bytecode.
+    Compile,
+    /// A profiled simulated run.
+    Profile,
+}
+
+impl Stage {
+    /// Every stage, in execution order; `stage as usize` indexes it.
+    pub const ALL: [Stage; 6] = [
+        Stage::Parse,
+        Stage::Analyze,
+        Stage::Partition,
+        Stage::Translate,
+        Stage::Compile,
+        Stage::Profile,
+    ];
+
+    /// The stable spelling: manifest key, store directory and store-entry
+    /// header field.
+    pub fn label(self) -> &'static str {
+        match self {
+            Stage::Parse => "parse",
+            Stage::Analyze => "analyze",
+            Stage::Partition => "partition",
+            Stage::Translate => "translate",
+            Stage::Compile => "compile",
+            Stage::Profile => "profile",
+        }
+    }
+}
 
 /// One stage's measurements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageMetric {
-    /// Stage name (one of [`STAGE_NAMES`]).
-    pub stage: &'static str,
+    /// Which stage.
+    pub stage: Stage,
     /// Host wall time the stage took, in nanoseconds (not simulated time;
     /// varies run to run).
     pub wall_nanos: u128,
@@ -29,7 +74,7 @@ pub struct StageMetric {
     pub ir_size: usize,
 }
 
-/// All five stages of one pipeline run.
+/// The metered stages of one pipeline walk.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineMetrics {
     /// Stage measurements in execution order.
@@ -37,9 +82,9 @@ pub struct PipelineMetrics {
 }
 
 impl PipelineMetrics {
-    /// Looks up a stage by name.
-    pub fn stage(&self, name: &str) -> Option<&StageMetric> {
-        self.stages.iter().find(|s| s.stage == name)
+    /// Looks up a stage's measurement.
+    pub fn stage(&self, stage: Stage) -> Option<&StageMetric> {
+        self.stages.iter().find(|s| s.stage == stage)
     }
 
     /// Total host wall time across all recorded stages.
@@ -50,7 +95,7 @@ impl PipelineMetrics {
     /// Times `body` and records it as `stage` with the IR size it reports.
     pub(crate) fn measure<T, E>(
         &mut self,
-        stage: &'static str,
+        stage: Stage,
         body: impl FnOnce() -> Result<(T, usize), E>,
     ) -> Result<T, E> {
         let start = Instant::now();
@@ -71,21 +116,40 @@ mod tests {
     #[test]
     fn measure_records_in_order() {
         let mut m = PipelineMetrics::default();
-        let v: Result<i32, ()> = m.measure("parse", || Ok((41, 7)));
+        let v: Result<i32, ()> = m.measure(Stage::Parse, || Ok((41, 7)));
         assert_eq!(v, Ok(41));
-        let _: Result<(), ()> = m.measure("analyze", || Ok(((), 3)));
+        let _: Result<(), ()> = m.measure(Stage::Analyze, || Ok(((), 3)));
         assert_eq!(m.stages.len(), 2);
-        assert_eq!(m.stages[0].stage, "parse");
+        assert_eq!(m.stages[0].stage, Stage::Parse);
         assert_eq!(m.stages[0].ir_size, 7);
-        assert_eq!(m.stage("analyze").unwrap().ir_size, 3);
-        assert!(m.stage("compile").is_none());
+        assert_eq!(m.stage(Stage::Analyze).unwrap().ir_size, 3);
+        assert!(m.stage(Stage::Compile).is_none());
         assert_eq!(m.total_nanos(), m.stages.iter().map(|s| s.wall_nanos).sum());
+    }
+
+    #[test]
+    fn stage_table_is_indexable_and_spelt_stably() {
+        for (i, stage) in Stage::ALL.into_iter().enumerate() {
+            assert_eq!(stage as usize, i);
+        }
+        let labels: Vec<&str> = Stage::ALL.iter().map(|s| s.label()).collect();
+        assert_eq!(
+            labels,
+            [
+                "parse",
+                "analyze",
+                "partition",
+                "translate",
+                "compile",
+                "profile"
+            ]
+        );
     }
 
     #[test]
     fn measure_propagates_errors_without_recording() {
         let mut m = PipelineMetrics::default();
-        let v: Result<(), &str> = m.measure("parse", || Err("boom"));
+        let v: Result<(), &str> = m.measure(Stage::Parse, || Err("boom"));
         assert_eq!(v, Err("boom"));
         assert!(m.stages.is_empty());
     }

@@ -6,11 +6,11 @@
 //! builder —
 //!
 //! ```
-//! use hsm_core::{Pipeline, Policy};
+//! use hsm_core::{Mode, Pipeline};
 //!
 //! let src = "int main() { return 7; }";
-//! let session = Pipeline::new(src).cores(4).policy(Policy::SizeAscending);
-//! let result = session.run_baseline().expect("runs");
+//! let session = Pipeline::new(src).cores(4).scenario(Mode::PthreadBaseline.into());
+//! let result = session.run_scenario().expect("runs");
 //! assert_eq!(result.exit_code, 7);
 //! ```
 //!
@@ -28,19 +28,25 @@
 //!
 //! [`Pipeline::scenario`] configures every execution axis — the mode
 //! (baseline / RCCE / task-dataflow), the memory model and the opt level
-//! — from one [`Scenario`] value; [`Pipeline::run_scenario`] dispatches
-//! on it. The memory model is deliberately *not* part of any artifact
+//! — from one [`Scenario`] value. A run is then (program, scenario,
+//! sink): [`Pipeline::run_traced`] is the single run path, and
+//! [`Pipeline::run_scenario`], [`Pipeline::run_profiled`] /
+//! [`Pipeline::profile`] and [`Pipeline::check_sharing`] are that call
+//! with nothing, a profile collector or the sharing oracle attached. The
+//! memory model is deliberately *not* part of any artifact
 //! key: it changes what a run observes, not what the translator
 //! produces, so a multi-model sweep of one benchmark still parses,
 //! analyzes, translates and compiles exactly once.
 
 use crate::cache::{source_hash, ArtifactCache, ArtifactKey};
-use crate::metrics::PipelineMetrics;
+use crate::metrics::{PipelineMetrics, Stage};
 use crate::scenario::{Mode, Scenario};
 use crate::{PipelineError, SharingCheck};
-use hsm_analysis::ProgramAnalysis;
+use hsm_analysis::{ClassificationManifest, ProgramAnalysis};
 use hsm_cir::TranslationUnit;
-use hsm_exec::{ExecModel, RunResult};
+use hsm_exec::{
+    ExecModel, NullSink, Oracle, OracleMode, Profile, ProfileCollector, RunResult, TraceSink,
+};
 use hsm_partition::{MemorySpec, PartitionPlan, Policy};
 use hsm_translate::{TranslateOptions, Translation};
 use hsm_vm::OptLevel;
@@ -357,84 +363,67 @@ impl Pipeline {
     }
 
     // ----------------------------------------------------------- runs --
+    //
+    // A run is (program, scenario, sink). `run_traced` is the one place
+    // that turns the configured mode into a compiled program and an
+    // `hsm_exec` entry point; everything else is that call with a
+    // different sink attached.
 
-    /// Runs the program the way the configured [`Scenario`] selects:
-    /// the pthread interpreter, the translated RCCE program, or the
-    /// task-dataflow runtime.
+    /// Runs the program the way the configured [`Scenario`] selects — the
+    /// pthread interpreter on one core, the translated RCCE program, or
+    /// the task-dataflow runtime on the source compiled directly — with
+    /// every memory access and sync event streamed to `sink`. Sinks
+    /// observe; they never perturb the run.
+    ///
+    /// # Errors
+    ///
+    /// Propagates failures from any stage.
+    pub fn run_traced<S: TraceSink>(&self, sink: &mut S) -> Result<RunResult, PipelineError> {
+        let (cores, config, model) = (self.cores, &self.config, self.exec_model);
+        Ok(match self.mode {
+            Mode::PthreadBaseline => {
+                hsm_exec::run_pthread_model_traced(&*self.baseline_program()?, config, model, sink)
+            }
+            Mode::RcceOffChip | Mode::RcceHsm => {
+                hsm_exec::run_rcce_model_traced(&*self.program()?, cores, config, model, sink)
+            }
+            Mode::TaskDataflow => hsm_exec::run_task_model_traced(
+                &*self.baseline_program()?,
+                cores,
+                config,
+                model,
+                sink,
+            ),
+        }?)
+    }
+
+    /// [`Pipeline::run_traced`] with nothing watching.
     ///
     /// # Errors
     ///
     /// Propagates failures from any stage.
     pub fn run_scenario(&self) -> Result<RunResult, PipelineError> {
-        match self.mode {
-            Mode::PthreadBaseline => self.run_baseline(),
-            Mode::RcceOffChip | Mode::RcceHsm => self.run(),
-            Mode::TaskDataflow => self.run_task(),
-        }
+        self.run_traced(&mut NullSink)
     }
 
-    /// [`Pipeline::run_scenario`] with per-stage metering: the RCCE modes
-    /// meter all five stages, the baseline and task modes their two
-    /// (parse, compile).
-    ///
-    /// # Errors
-    ///
-    /// Propagates failures from any stage.
-    pub fn run_scenario_metered(&self) -> Result<(RunResult, PipelineMetrics), PipelineError> {
-        match self.mode {
-            Mode::PthreadBaseline => self.run_baseline_metered(),
-            Mode::RcceOffChip | Mode::RcceHsm => self.run_metered(),
-            Mode::TaskDataflow => {
-                let (program, metrics) = self.task_program_metered()?;
-                Ok((
-                    hsm_exec::run_task_model(&program, self.cores, &self.config, self.exec_model)?,
-                    metrics,
-                ))
-            }
-        }
-    }
-
-    /// The mode-matched profiled execution, without cache interaction.
-    fn compute_profiled(&self) -> Result<(RunResult, hsm_exec::Profile), PipelineError> {
-        Ok(match self.mode {
-            Mode::PthreadBaseline => {
-                let program = self.baseline_program()?;
-                hsm_exec::run_pthread_model_profiled(&program, &self.config, self.exec_model)?
-            }
-            Mode::RcceOffChip | Mode::RcceHsm => {
-                let program = self.program()?;
-                hsm_exec::run_rcce_model_profiled(
-                    &program,
-                    self.cores,
-                    &self.config,
-                    self.exec_model,
-                )?
-            }
-            Mode::TaskDataflow => {
-                let program = self.baseline_program()?;
-                hsm_exec::run_task_model_profiled(
-                    &program,
-                    self.cores,
-                    &self.config,
-                    self.exec_model,
-                )?
-            }
-        })
+    /// [`Pipeline::run_traced`] with a profile collector attached.
+    fn collect_profile(&self) -> Result<(RunResult, Profile), PipelineError> {
+        let mut collector = ProfileCollector::new(self.config.line_bytes);
+        let result = self.run_traced(&mut collector)?;
+        let profile = collector.into_profile(&result);
+        Ok((result, profile))
     }
 
     /// [`Pipeline::run_scenario`] with profiling: always simulates, and
-    /// deposits the resulting [`Profile`](hsm_exec::Profile) in the
-    /// cache's `profile` shelf (keyed like any other stage artifact, so
-    /// a warm sweep can reuse it without re-running) as a side effect.
-    ///
-    /// Profiling never perturbs timing — the returned [`RunResult`] is
-    /// identical to what [`Pipeline::run_scenario`] reports.
+    /// deposits the resulting [`Profile`] in the cache's `profile` shelf
+    /// (keyed like any other stage artifact, so a warm sweep can reuse it
+    /// without re-running) as a side effect.
     ///
     /// # Errors
     ///
     /// Propagates failures from any stage.
-    pub fn run_profiled(&self) -> Result<(RunResult, hsm_exec::Profile), PipelineError> {
-        let (result, profile) = self.compute_profiled()?;
+    pub fn run_profiled(&self) -> Result<(RunResult, Profile), PipelineError> {
+        let (result, profile) = self.collect_profile()?;
         let stored = profile.clone();
         self.cache
             .profile_with(self.profile_key(), move || Ok::<_, PipelineError>(stored))?;
@@ -444,197 +433,68 @@ impl Pipeline {
     /// The run profile for the configured scenario (memoized per source
     /// × cores × policy × spec × scenario). A cache hit — in memory or
     /// through the persistent store — skips simulation entirely; a miss
-    /// simulates once via the mode-matched profiled entry point.
+    /// simulates once.
     ///
     /// # Errors
     ///
     /// Propagates failures from any stage.
-    pub fn profile(&self) -> Result<Arc<hsm_exec::Profile>, PipelineError> {
+    pub fn profile(&self) -> Result<Arc<Profile>, PipelineError> {
         self.cache.profile_with(self.profile_key(), || {
-            self.compute_profiled().map(|(_, profile)| profile)
+            self.collect_profile().map(|(_, profile)| profile)
         })
     }
 
-    /// Runs the task-annotated program (`task_spawn`/`task_wait_all`)
-    /// under the dependence-tracking task scheduler. The source is
-    /// compiled directly — the pthread→RCCE translation stages do not
-    /// apply to task programs.
+    /// [`Pipeline::run_traced`] with the sharing-soundness [`Oracle`]
+    /// attached. The configured mode decides what the oracle audits:
+    ///
+    /// * baseline — the Stage 1–3 classification (plus the Stage 4
+    ///   placement annotations from the session's policy and spec)
+    ///   against the ground-truth thread semantics;
+    /// * RCCE modes — pure happens-before race detection over the shared
+    ///   regions of the translated program, i.e. the synchronization the
+    ///   translator inserted (empty manifest);
+    /// * task — pure race detection over the spawn/dependence/wait edges
+    ///   the task runtime emits: a task program whose in/out annotations
+    ///   cover its sharing is clean, undeclared sharing is a data race.
+    ///
+    /// The oracle reads the program's symbol tables before the run
+    /// starts, so a check looks its program up once more than a plain
+    /// run does (a cache hit).
     ///
     /// # Errors
     ///
     /// Propagates failures from any stage.
-    pub fn run_task(&self) -> Result<RunResult, PipelineError> {
-        let program = self.baseline_program()?;
-        Ok(hsm_exec::run_task_model(
-            &program,
-            self.cores,
-            &self.config,
-            self.exec_model,
-        )?)
-    }
-
-    /// Parses and compiles a task program with the two stages metered.
-    fn task_program_metered(
-        &self,
-    ) -> Result<(Arc<hsm_vm::Program>, PipelineMetrics), PipelineError> {
-        let mut metrics = PipelineMetrics::default();
-        let unit = metrics.measure("parse", || {
-            self.unit().map(|u| {
-                let size = hsm_cir::print_unit(&u).len();
-                (u, size)
-            })
-        })?;
-        let program = metrics.measure("compile", || {
-            self.baseline_program_of(&unit).map(|p| {
-                let len = p.code_len();
-                (p, len)
-            })
-        })?;
-        Ok((program, metrics))
-    }
-
-    /// Translates (reusing cached artifacts) and runs the RCCE program on
-    /// the configured cores.
-    ///
-    /// # Errors
-    ///
-    /// Propagates failures from any stage.
-    pub fn run(&self) -> Result<RunResult, PipelineError> {
-        let program = self.program()?;
-        Ok(hsm_exec::run_rcce_model(
-            &program,
-            self.cores,
-            &self.config,
-            self.exec_model,
-        )?)
-    }
-
-    /// Runs the unmodified pthread program on one simulated core.
-    ///
-    /// # Errors
-    ///
-    /// Propagates failures from any stage.
-    pub fn run_baseline(&self) -> Result<RunResult, PipelineError> {
-        let program = self.baseline_program()?;
-        Ok(hsm_exec::run_pthread_model(
-            &program,
-            &self.config,
-            self.exec_model,
-        )?)
-    }
-
-    /// [`Pipeline::run`] with per-stage metering of all five stages.
-    ///
-    /// # Errors
-    ///
-    /// Propagates failures from any stage.
-    pub fn run_metered(&self) -> Result<(RunResult, PipelineMetrics), PipelineError> {
-        let (_, program, metrics) = self.compile_metered()?;
-        Ok((
-            hsm_exec::run_rcce_model(&program, self.cores, &self.config, self.exec_model)?,
-            metrics,
-        ))
-    }
-
-    /// [`Pipeline::run_baseline`] with metering of the baseline's two
-    /// stages (parse, compile).
-    ///
-    /// # Errors
-    ///
-    /// Propagates failures from any stage.
-    pub fn run_baseline_metered(&self) -> Result<(RunResult, PipelineMetrics), PipelineError> {
-        let mut metrics = PipelineMetrics::default();
-        let unit = metrics.measure("parse", || {
-            self.unit().map(|u| {
-                let size = hsm_cir::print_unit(&u).len();
-                (u, size)
-            })
-        })?;
-        let program = metrics.measure("compile", || {
-            self.baseline_program_of(&unit).map(|p| {
-                let len = p.code_len();
-                (p, len)
-            })
-        })?;
-        Ok((
-            hsm_exec::run_pthread_model(&program, &self.config, self.exec_model)?,
-            metrics,
-        ))
-    }
-
-    /// Drives the five stages one at a time so each gets its own
-    /// [`StageMetric`](crate::StageMetric). Cached stages still report
-    /// their deterministic IR sizes; only the wall times shrink.
-    ///
-    /// # Errors
-    ///
-    /// Propagates parse, translation and compilation failures.
-    pub fn compile_metered(
-        &self,
-    ) -> Result<(Arc<Translation>, Arc<hsm_vm::Program>, PipelineMetrics), PipelineError> {
-        let mut metrics = PipelineMetrics::default();
-        let unit = metrics.measure("parse", || {
-            self.unit().map(|u| {
-                let size = hsm_cir::print_unit(&u).len();
-                (u, size)
-            })
-        })?;
-        let analysis = metrics.measure("analyze", || {
-            self.analysis_of(&unit).map(|a| {
-                let vars = a.sharing.variables().count();
-                (a, vars)
-            })
-        })?;
-        let plan = metrics.measure("partition", || {
-            self.plan_of(&analysis).map(|p| {
-                let placements = p.placements.len();
-                (p, placements)
-            })
-        })?;
-        let translation = metrics.measure("translate", || {
-            self.translation_of(&unit, &analysis, &plan).map(|t| {
-                let size = t.to_source().len();
-                (t, size)
-            })
-        })?;
-        let program = metrics.measure("compile", || {
-            self.program_of(&translation).map(|p| {
-                let len = p.code_len();
-                (p, len)
-            })
-        })?;
-        Ok((translation, program, metrics))
-    }
-
-    // --------------------------------------------------------- oracle --
-
-    /// Runs the pthread program under the sharing-soundness oracle,
-    /// validating the Stage 1–3 classification (and the Stage 4 placement
-    /// annotations, derived from the session's policy and spec) against
-    /// the ground-truth thread semantics.
-    ///
-    /// # Errors
-    ///
-    /// Propagates parse, compile and execution failures.
     pub fn check_sharing(&self) -> Result<SharingCheck, PipelineError> {
-        let unit = self.unit()?;
-        let analysis = self.analysis_of(&unit)?;
-        let mut manifest = hsm_analysis::ClassificationManifest::from_analysis(&analysis);
-        let plan = self.plan_of(&analysis)?;
-        hsm_partition::annotate_manifest(&plan, &mut manifest);
-        let program = self.baseline_program_of(&unit)?;
-        let mut oracle = hsm_exec::Oracle::new(
+        let (oracle_mode, manifest, program) = match self.mode {
+            Mode::PthreadBaseline => {
+                let unit = self.unit()?;
+                let analysis = self.analysis_of(&unit)?;
+                let mut manifest = ClassificationManifest::from_analysis(&analysis);
+                hsm_partition::annotate_manifest(&*self.plan_of(&analysis)?, &mut manifest);
+                (
+                    OracleMode::Pthread,
+                    manifest,
+                    self.baseline_program_of(&unit)?,
+                )
+            }
+            Mode::RcceOffChip | Mode::RcceHsm => (
+                OracleMode::Rcce,
+                ClassificationManifest::empty(),
+                self.program()?,
+            ),
+            Mode::TaskDataflow => (
+                OracleMode::Pthread,
+                ClassificationManifest::empty(),
+                self.baseline_program()?,
+            ),
+        };
+        let mut oracle = Oracle::new(
             &program,
             manifest.clone(),
-            hsm_exec::OracleMode::Pthread,
+            oracle_mode,
             self.config.line_bytes,
         );
-        let result = hsm_exec::run_pthread_model_traced(
-            &program,
-            &self.config,
-            self.exec_model,
-            &mut oracle,
-        )?;
+        let result = self.run_traced(&mut oracle)?;
         Ok(SharingCheck {
             manifest,
             report: oracle.finish(),
@@ -642,64 +502,56 @@ impl Pipeline {
         })
     }
 
-    /// Translates and runs the RCCE program under the oracle in RCCE
-    /// mode: pure happens-before race detection over the shared regions,
-    /// validating the synchronization the translator inserted.
+    /// Walks the stages the configured mode's program goes through — all
+    /// five for the RCCE modes, parse and compile for the baseline and
+    /// task modes, which run the source directly — one at a time, so each
+    /// gets its own [`StageMetric`](crate::StageMetric): host wall time
+    /// plus a deterministic IR size. The walk goes through the session's
+    /// cache like any other lookup: cached stages report the same sizes,
+    /// only their wall times shrink.
     ///
     /// # Errors
     ///
-    /// Propagates parse, translation, compile and execution failures.
-    pub fn check_sharing_rcce(&self) -> Result<SharingCheck, PipelineError> {
-        let program = self.program()?;
-        let mut oracle = hsm_exec::Oracle::new(
-            &program,
-            hsm_analysis::ClassificationManifest::empty(),
-            hsm_exec::OracleMode::Rcce,
-            self.config.line_bytes,
-        );
-        let result = hsm_exec::run_rcce_model_traced(
-            &program,
-            self.cores,
-            &self.config,
-            self.exec_model,
-            &mut oracle,
-        )?;
-        Ok(SharingCheck {
-            manifest: hsm_analysis::ClassificationManifest::empty(),
-            report: oracle.finish(),
-            result,
-        })
-    }
-
-    /// Runs the task program under the oracle in pthread mode with an
-    /// empty classification manifest: pure happens-before race detection
-    /// over the spawn/dependence/wait edges the task runtime emits. A
-    /// task program whose in/out annotations cover its sharing is clean;
-    /// undeclared sharing shows up as a data race.
-    ///
-    /// # Errors
-    ///
-    /// Propagates parse, compile and execution failures.
-    pub fn check_sharing_task(&self) -> Result<SharingCheck, PipelineError> {
-        let program = self.baseline_program()?;
-        let mut oracle = hsm_exec::Oracle::new(
-            &program,
-            hsm_analysis::ClassificationManifest::empty(),
-            hsm_exec::OracleMode::Pthread,
-            self.config.line_bytes,
-        );
-        let result = hsm_exec::run_task_model_traced(
-            &program,
-            self.cores,
-            &self.config,
-            self.exec_model,
-            &mut oracle,
-        )?;
-        Ok(SharingCheck {
-            manifest: hsm_analysis::ClassificationManifest::empty(),
-            report: oracle.finish(),
-            result,
-        })
+    /// Propagates parse, translation and compilation failures.
+    pub fn stage_metrics(&self) -> Result<PipelineMetrics, PipelineError> {
+        let mut metrics = PipelineMetrics::default();
+        let unit = metrics.measure(Stage::Parse, || {
+            self.unit().map(|u| {
+                let size = hsm_cir::print_unit(&u).len();
+                (u, size)
+            })
+        })?;
+        let translation = match self.mode {
+            Mode::PthreadBaseline | Mode::TaskDataflow => None,
+            Mode::RcceOffChip | Mode::RcceHsm => {
+                let analysis = metrics.measure(Stage::Analyze, || {
+                    self.analysis_of(&unit).map(|a| {
+                        let vars = a.sharing.variables().count();
+                        (a, vars)
+                    })
+                })?;
+                let plan = metrics.measure(Stage::Partition, || {
+                    self.plan_of(&analysis).map(|p| {
+                        let placements = p.placements.len();
+                        (p, placements)
+                    })
+                })?;
+                Some(metrics.measure(Stage::Translate, || {
+                    self.translation_of(&unit, &analysis, &plan).map(|t| {
+                        let size = t.to_source().len();
+                        (t, size)
+                    })
+                })?)
+            }
+        };
+        metrics.measure(Stage::Compile, || {
+            match &translation {
+                Some(translation) => self.program_of(translation),
+                None => self.baseline_program_of(&unit),
+            }
+            .map(|p| ((), p.code_len()))
+        })?;
+        Ok(metrics)
     }
 }
 
@@ -732,11 +584,15 @@ int main() {
     fn cloned_sessions_share_artifacts() {
         let base = Pipeline::new(SRC).cores(2);
         let off = base.clone().policy(Policy::OffChipOnly);
-        let _ = base.run_baseline().expect("baseline");
-        let _ = off.run().expect("off-chip");
+        let _ = base
+            .clone()
+            .scenario(Mode::PthreadBaseline.into())
+            .run_scenario()
+            .expect("baseline");
+        let _ = off.run_scenario().expect("off-chip");
         let stats = base.cache_handle().stats();
-        assert_eq!(stats.parse.misses, 1, "one parse for both sessions");
-        assert!(stats.parse.hits > 0, "the clone reused the parse");
+        assert_eq!(stats[Stage::Parse].misses, 1, "one parse for both sessions");
+        assert!(stats[Stage::Parse].hits > 0, "the clone reused the parse");
     }
 
     #[test]
@@ -745,14 +601,18 @@ int main() {
         let a = p.translation().expect("first");
         let b = p.translation().expect("second");
         assert!(Arc::ptr_eq(&a, &b), "same memoized artifact");
-        assert_eq!(p.cache_handle().stats().translate.misses, 1);
+        assert_eq!(p.cache_handle().stats()[Stage::Translate].misses, 1);
     }
 
     #[test]
     fn baseline_and_translated_agree() {
         let p = Pipeline::new(SRC).cores(2);
-        let base = p.run_baseline().expect("baseline");
-        let hsm = p.run().expect("hsm");
+        let base = p
+            .clone()
+            .scenario(Mode::PthreadBaseline.into())
+            .run_scenario()
+            .expect("baseline");
+        let hsm = p.run_scenario().expect("hsm");
         assert_eq!(base.exit_code, 3);
         assert_eq!(hsm.exit_code, 3);
     }
@@ -760,18 +620,25 @@ int main() {
     #[test]
     fn exec_models_share_every_artifact() {
         let p = Pipeline::new(SRC).cores(2);
-        let coherent = p.run().expect("coherent");
+        let coherent = p.run_scenario().expect("coherent");
         let stale = p
             .clone()
             .scenario(Scenario::default().exec_model(ExecModel::NonCoherentWriteBack))
-            .run()
+            .run_scenario()
             .expect("non-coherent");
         // The translated program is staleness-immune by construction.
         assert_eq!(coherent.exit_code, stale.exit_code);
         let stats = p.cache_handle().stats();
-        assert_eq!(stats.translate.misses, 1, "model is not an artifact key");
-        assert_eq!(stats.compile.misses, 1);
-        assert!(stats.compile.hits > 0, "second model reused the bytecode");
+        assert_eq!(
+            stats[Stage::Translate].misses,
+            1,
+            "model is not an artifact key"
+        );
+        assert_eq!(stats[Stage::Compile].misses, 1);
+        assert!(
+            stats[Stage::Compile].hits > 0,
+            "second model reused the bytecode"
+        );
     }
 
     /// Ported from the deprecated-setter migration check (the per-axis
@@ -792,7 +659,7 @@ int main() {
     #[test]
     fn profiles_are_cached_and_match_the_plain_run() {
         let p = Pipeline::new(SRC).cores(2);
-        let plain = p.run().expect("plain run");
+        let plain = p.run_scenario().expect("plain run");
         let (profiled, profile) = p.run_profiled().expect("profiled run");
         assert_eq!(plain.total_cycles, profiled.total_cycles);
         assert_eq!(profile.total_cycles, plain.total_cycles);
@@ -801,8 +668,8 @@ int main() {
         let cached = p.profile().expect("cached profile");
         assert_eq!(cached.total_cycles, profile.total_cycles);
         let stats = p.cache_handle().stats();
-        assert_eq!(stats.profile.misses, 1, "one profile computed");
-        assert!(stats.profile.hits > 0, "the lookup reused it");
+        assert_eq!(stats[Stage::Profile].misses, 1, "one profile computed");
+        assert!(stats[Stage::Profile].hits > 0, "the lookup reused it");
     }
 
     #[test]
@@ -816,6 +683,6 @@ int main() {
             .expect("baseline profile");
         assert_eq!(hsm.exit_code, base.exit_code);
         assert!(base.active_cores() <= hsm.active_cores());
-        assert_eq!(p.cache_handle().stats().profile.misses, 2);
+        assert_eq!(p.cache_handle().stats()[Stage::Profile].misses, 2);
     }
 }

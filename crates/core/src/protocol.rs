@@ -13,13 +13,11 @@
 //! so the protocol needs no external dependency and both directions are
 //! parsed by the same code the manifests are written with.
 
-use crate::experiment::Mode;
 use crate::json::{Json, JsonError};
 use crate::scenario::Scenario;
 use crate::spec::SweepSpec;
 use crate::store::fnv1a_bytes;
 use crate::sweep::{Prediction, SweepOutcome};
-use crate::{ExecModel, OptLevel};
 use hsm_exec::RunResult;
 use std::fmt;
 
@@ -170,10 +168,9 @@ impl SweepRow {
 
     /// Builds the row of one completed sweep point. The axis labels come
     /// from the scenario the point's task carries — nothing is
-    /// re-supplied (or silently defaulted) at the call site. Oracle-check
-    /// points run under the pipeline defaults and report them.
+    /// re-supplied (or silently defaulted) at the call site.
     pub fn from_outcome(outcome: &SweepOutcome) -> Self {
-        let scenario = outcome.task.scenario().unwrap_or_default();
+        let scenario = outcome.task.scenario();
         let mut row = SweepRow {
             name: outcome.name.clone(),
             task: outcome.task.label().to_string(),
@@ -419,6 +416,22 @@ pub fn parse_job(line: &str) -> Result<Job, ProtocolError> {
             .map(|n| n as usize)
             .ok_or_else(|| ProtocolError::new(format!("`{op}` job needs a positive `cores`")))
     };
+    // Axes travel in the nested `scenario` object only; a flat
+    // pre-`Scenario` axis field is an error, never a silent default.
+    let field_scenario = || {
+        for flat in ["mode", "exec_model", "opt_level"] {
+            if doc.get(flat).is_some() {
+                return Err(ProtocolError::new(format!(
+                    "`{op}` job: `{flat}` belongs inside the `scenario` object"
+                )));
+            }
+        }
+        doc.get("scenario")
+            .map(|nested| {
+                Scenario::from_json(nested).map_err(|e| ProtocolError::new(e.to_string()))
+            })
+            .transpose()
+    };
     let request = match op {
         "ping" => JobRequest::Ping,
         "shutdown" => JobRequest::Shutdown,
@@ -428,36 +441,8 @@ pub fn parse_job(line: &str) -> Result<Job, ProtocolError> {
             cores: field_cores()?,
         },
         "simulate" => {
-            let scenario = match doc.get("scenario") {
-                Some(nested) => {
-                    Scenario::from_json(nested).map_err(|e| ProtocolError::new(e.to_string()))?
-                }
-                // Legacy flat form: a required `mode` label plus optional
-                // `exec_model`/`opt_level` sibling fields.
-                None => {
-                    let mode_label = field_str("mode")?;
-                    let mode = Mode::parse(&mode_label).ok_or_else(|| {
-                        ProtocolError::new(format!("unknown mode `{mode_label}`"))
-                    })?;
-                    let exec_model = match doc.get("exec_model") {
-                        None => ExecModel::Coherent,
-                        Some(Json::Str(s)) => ExecModel::parse(s).ok_or_else(|| {
-                            ProtocolError::new(format!("unknown exec model `{s}`"))
-                        })?,
-                        Some(_) => return Err(ProtocolError::new("`exec_model` must be a string")),
-                    };
-                    let opt_level = match doc.get("opt_level") {
-                        None => OptLevel::O0,
-                        Some(Json::Str(s)) => OptLevel::parse(s).ok_or_else(|| {
-                            ProtocolError::new(format!("unknown opt level `{s}`"))
-                        })?,
-                        Some(_) => return Err(ProtocolError::new("`opt_level` must be a string")),
-                    };
-                    Scenario::new(mode)
-                        .exec_model(exec_model)
-                        .opt_level(opt_level)
-                }
-            };
+            let scenario = field_scenario()?
+                .ok_or_else(|| ProtocolError::new("`simulate` job missing `scenario`"))?;
             JobRequest::Simulate {
                 name: field_str("name")?,
                 source: field_str("source")?,
@@ -474,12 +459,7 @@ pub fn parse_job(line: &str) -> Result<Job, ProtocolError> {
             }
         }
         "profile" => {
-            let scenario = match doc.get("scenario") {
-                Some(nested) => {
-                    Scenario::from_json(nested).map_err(|e| ProtocolError::new(e.to_string()))?
-                }
-                None => Scenario::default(),
-            };
+            let scenario = field_scenario()?.unwrap_or_default();
             JobRequest::Profile {
                 name: field_str("name")?,
                 source: field_str("source")?,
@@ -573,6 +553,7 @@ pub fn parse_response(line: &str) -> Result<(u64, JobResponse), ProtocolError> {
 mod tests {
     use super::*;
     use crate::spec::SpecProgram;
+    use crate::{ExecModel, Mode, OptLevel};
 
     #[test]
     fn jobs_round_trip_through_the_wire_form() {
@@ -728,31 +709,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_flat_simulate_jobs_still_parse() {
-        let line = r#"{"id": 7, "op": "simulate", "name": "tiny",
-            "source": "int main() { return 1; }", "cores": 2,
-            "mode": "hsm", "opt_level": "O2"}"#;
-        let job = parse_job(line).expect("parses");
-        assert_eq!(
-            job.request,
-            JobRequest::Simulate {
-                name: "tiny".to_string(),
-                source: "int main() { return 1; }".to_string(),
-                cores: 2,
-                scenario: Scenario::new(Mode::RcceHsm).opt_level(OptLevel::O2),
-            }
-        );
-        // But the encoder only ever emits the nested scenario object —
-        // re-encoding a legacy job normalizes it, and it still parses.
-        let encoded = encode_job(&job);
-        assert!(
-            encoded.contains("\"scenario\":{\"mode\":\"hsm\""),
-            "{encoded}"
-        );
-        assert_eq!(parse_job(&encoded).expect("reparses"), job);
-    }
-
-    #[test]
     fn malformed_lines_are_rejected_with_context() {
         assert!(parse_job("not json").is_err());
         let err = parse_job(r#"{"id": 1, "op": "warp"}"#).unwrap_err();
@@ -761,5 +717,10 @@ mod tests {
         assert!(err.to_string().contains("missing `id`"), "{err}");
         let err = parse_response(r#"{"id": 1, "kind": "???"}"#).unwrap_err();
         assert!(err.to_string().contains("unknown kind"), "{err}");
+        // The flat pre-`Scenario` job form is rejected, not defaulted.
+        let flat = r#"{"id": 7, "op": "simulate", "name": "tiny",
+            "source": "int main() { return 1; }", "cores": 2, "mode": "hsm"}"#;
+        let err = parse_job(flat).unwrap_err();
+        assert!(err.to_string().contains("`scenario`"), "{err}");
     }
 }

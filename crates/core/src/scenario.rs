@@ -85,8 +85,8 @@ pub struct Scenario {
 
 impl Default for Scenario {
     /// The evaluation default: the HSM configuration under the coherent
-    /// ground-truth model at `O0` — what a bare
-    /// [`Pipeline::run`](crate::Pipeline::run) executes.
+    /// ground-truth model at `O0` — what a freshly built
+    /// [`Pipeline`](crate::Pipeline) runs.
     fn default() -> Self {
         Scenario::new(Mode::RcceHsm)
     }

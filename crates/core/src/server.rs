@@ -179,6 +179,10 @@ fn serve_connection(
     stop: &Arc<AtomicBool>,
 ) {
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
+    // Answers are small lines written one `write_all` each; without
+    // TCP_NODELAY every line after the first of a multi-line answer
+    // (`row`… `sweep_done`) waits out the client's delayed ACK.
+    let _ = stream.set_nodelay(true);
     let writer = match stream.try_clone() {
         Ok(w) => Mutex::new(w),
         Err(_) => return,
@@ -438,6 +442,7 @@ impl Client {
     /// Propagates connection failures.
     pub fn connect(addr: &str) -> io::Result<Client> {
         let writer = TcpStream::connect(addr)?;
+        writer.set_nodelay(true)?;
         let reader = BufReader::new(writer.try_clone()?);
         Ok(Client {
             writer,

@@ -213,51 +213,14 @@ impl SweepSpec {
                 .iter()
                 .map(Scenario::from_json)
                 .collect::<Result<_, _>>()?;
-        } else {
-            // Legacy flat form: a `modes` list plus spec-wide
-            // `exec_model`/`opt_level` fields expand to one scenario per
-            // mode carrying the shared axes.
-            let mut exec_model = ExecModel::Coherent;
-            let mut opt_level = OptLevel::O0;
-            if let Some(model) = doc.get("exec_model") {
-                exec_model = match model {
-                    Json::Str(label) => ExecModel::parse(label)
-                        .ok_or_else(|| SpecError::new(format!("unknown exec model `{label}`")))?,
-                    _ => return Err(SpecError::new("`exec_model` must be a string")),
-                };
-            }
-            if let Some(level) = doc.get("opt_level") {
-                opt_level = match level {
-                    Json::Str(label) => OptLevel::parse(label)
-                        .ok_or_else(|| SpecError::new(format!("unknown opt level `{label}`")))?,
-                    _ => return Err(SpecError::new("`opt_level` must be a string")),
-                };
-            }
-            if let Some(modes) = doc.get("modes") {
-                let Json::Arr(items) = modes else {
-                    return Err(SpecError::new("`modes` must be an array"));
-                };
-                spec.scenarios = items
-                    .iter()
-                    .map(|item| match item {
-                        Json::Str(label) => Mode::parse(label)
-                            .ok_or_else(|| SpecError::new(format!("unknown mode `{label}`"))),
-                        _ => Err(SpecError::new("`modes` entries must be strings")),
-                    })
-                    .collect::<Result<Vec<_>, _>>()?
-                    .into_iter()
-                    .map(|mode| {
-                        Scenario::new(mode)
-                            .exec_model(exec_model)
-                            .opt_level(opt_level)
-                    })
-                    .collect();
-            } else {
-                spec.scenarios = spec
-                    .scenarios
-                    .iter()
-                    .map(|s| s.exec_model(exec_model).opt_level(opt_level))
-                    .collect();
+        }
+        // Axes travel in `scenarios` only; a flat pre-`Scenario` axis
+        // field is an error, never a silent default.
+        for flat in ["modes", "exec_model", "opt_level"] {
+            if doc.get(flat).is_some() {
+                return Err(SpecError::new(format!(
+                    "`{flat}` is not a spec field: list the axes in `scenarios`"
+                )));
             }
         }
         if let Some(workers) = doc.get("workers") {
@@ -484,6 +447,11 @@ mod tests {
         let wire = doc.render_compact();
         let reparsed = Json::parse(&wire).expect("wire parses");
         assert_eq!(SweepSpec::from_json(&reparsed).expect("spec"), spec);
+        // The flat pre-`Scenario` form is rejected, not defaulted.
+        for flat in [r#"{"modes": ["hsm"]}"#, r#"{"opt_level": "O2"}"#] {
+            let err = SweepSpec::from_json(&Json::parse(flat).expect("parses")).unwrap_err();
+            assert!(err.to_string().contains("`scenarios`"), "{flat}: {err}");
+        }
     }
 
     /// Satellite coverage: every Scenario value survives the JSON wire
@@ -523,37 +491,12 @@ mod tests {
     }
 
     #[test]
-    fn legacy_flat_documents_expand_to_scenarios() {
-        let doc = Json::parse(
-            r#"{"programs": [{"name": "example_4_1", "cores": 3}],
-                "modes": ["hsm", "task"], "exec_model": "non_coherent_wb",
-                "opt_level": "O2"}"#,
-        )
-        .expect("parses");
-        let spec = SweepSpec::from_json(&doc).expect("spec");
-        assert_eq!(
-            spec.scenarios,
-            vec![
-                Scenario::new(Mode::RcceHsm)
-                    .exec_model(ExecModel::NonCoherentWriteBack)
-                    .opt_level(OptLevel::O2),
-                Scenario::new(Mode::TaskDataflow)
-                    .exec_model(ExecModel::NonCoherentWriteBack)
-                    .opt_level(OptLevel::O2),
-            ]
-        );
-        // Flat axes without a mode list still apply to the defaults.
-        let doc = Json::parse(r#"{"opt_level": "O1"}"#).expect("parses");
-        let spec = SweepSpec::from_json(&doc).expect("spec");
-        assert!(spec.scenarios.iter().all(|s| s.opt_level == OptLevel::O1));
-    }
-
-    #[test]
     fn bad_labels_are_rejected_with_context() {
-        let doc = Json::parse(r#"{"modes": ["warp"]}"#).expect("parses");
+        let doc = Json::parse(r#"{"scenarios": [{"mode": "warp"}]}"#).expect("parses");
         let err = SweepSpec::from_json(&doc).unwrap_err();
         assert!(err.to_string().contains("unknown mode `warp`"), "{err}");
-        let doc = Json::parse(r#"{"opt_level": "O9"}"#).expect("parses");
+        let doc =
+            Json::parse(r#"{"scenarios": [{"mode": "hsm", "opt_level": "O9"}]}"#).expect("parses");
         let err = SweepSpec::from_json(&doc).unwrap_err();
         assert!(err.to_string().contains("unknown opt level"), "{err}");
     }
@@ -574,7 +517,7 @@ mod tests {
             ]
         );
         assert!(matrix.points.iter().all(|p| {
-            let s = p.task.scenario().expect("run point");
+            let s = p.task.scenario();
             s.opt_level == OptLevel::O2 && s.exec_model == ExecModel::Coherent
         }));
         assert_eq!(matrix.workers, 2);

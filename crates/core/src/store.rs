@@ -175,7 +175,7 @@ impl DiskStore {
         let mut entry = format!(
             "hsmstore {} {} {:016x} {}\n",
             STORE_FORMAT_VERSION,
-            key.stage(),
+            key.stage().label(),
             fnv1a_bytes(payload),
             payload.len()
         )
@@ -262,7 +262,7 @@ fn parse_entry(bytes: &[u8], key: &ArtifactKey) -> Option<Vec<u8>> {
     if toks.next()?.parse::<u32>().ok()? != STORE_FORMAT_VERSION {
         return None;
     }
-    if toks.next()? != key.stage() {
+    if toks.next()? != key.stage().label() {
         return None;
     }
     let checksum = u64::from_str_radix(toks.next()?, 16).ok()?;

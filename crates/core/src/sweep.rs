@@ -28,18 +28,18 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// What one sweep point executes. Run tasks carry their full
+/// What one sweep point executes. Every task carries its full
 /// [`Scenario`] — mode, memory model and opt level travel together.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SweepTask {
     /// A plain run of the given scenario.
     Run(Scenario),
-    /// A run of the given scenario with per-stage pipeline metering.
+    /// A run of the given scenario plus its per-stage pipeline metrics.
     RunMetered(Scenario),
-    /// The pthread-mode sharing-soundness oracle check.
-    CheckSharing,
-    /// The RCCE-mode oracle check of the translated program.
-    CheckSharingRcce,
+    /// A run of the given scenario under the sharing-soundness oracle
+    /// (what it audits follows the mode; see
+    /// [`Pipeline::check_sharing`]).
+    CheckSharing(Scenario),
 }
 
 impl SweepTask {
@@ -47,25 +47,18 @@ impl SweepTask {
     pub fn label(self) -> &'static str {
         match self {
             SweepTask::Run(s) | SweepTask::RunMetered(s) => s.label(),
-            SweepTask::CheckSharing => "check_sharing",
-            SweepTask::CheckSharingRcce => "check_sharing_rcce",
+            SweepTask::CheckSharing(s) => match s.mode {
+                Mode::PthreadBaseline => "check_sharing",
+                Mode::RcceOffChip | Mode::RcceHsm => "check_sharing_rcce",
+                Mode::TaskDataflow => "check_sharing_task",
+            },
         }
     }
 
-    /// The scenario a run task carries (oracle checks run with the
-    /// pipeline defaults and have none).
-    pub fn scenario(self) -> Option<Scenario> {
+    /// The scenario the task carries.
+    pub fn scenario(self) -> Scenario {
         match self {
-            SweepTask::Run(s) | SweepTask::RunMetered(s) => Some(s),
-            SweepTask::CheckSharing | SweepTask::CheckSharingRcce => None,
-        }
-    }
-
-    /// The placement policy the task's mode implies.
-    fn default_policy(self) -> Policy {
-        match self.scenario() {
-            Some(s) => s.mode.policy(),
-            None => Policy::SizeAscending,
+            SweepTask::Run(s) | SweepTask::RunMetered(s) | SweepTask::CheckSharing(s) => s,
         }
     }
 }
@@ -77,16 +70,13 @@ pub struct SweepPoint {
     pub name: String,
     /// The program source (shared, not cloned, across points).
     pub src: Arc<str>,
-    /// What to execute (a run task carries its [`Scenario`]: mode,
-    /// memory model and opt level).
+    /// What to execute (the task carries its [`Scenario`]: mode, memory
+    /// model and opt level).
     pub task: SweepTask,
     /// Participating core count.
     pub cores: usize,
     /// Placement policy (defaults from the task's mode).
     pub policy: Policy,
-    /// Extra cache-hot re-runs to time after the point completes
-    /// (0 = none). Feeds the manifest's `host_timing` block.
-    pub timing_runs: usize,
 }
 
 /// A benchmark × mode × core-count matrix plus execution knobs.
@@ -130,50 +120,19 @@ impl SweepMatrix {
     /// Appends a point with the task's default policy.
     #[must_use]
     pub fn point(
-        self,
-        name: impl Into<String>,
-        src: Arc<str>,
-        task: SweepTask,
-        cores: usize,
-    ) -> Self {
-        self.timed_point(name, src, task, cores, 0)
-    }
-
-    /// Appends a point that additionally times `timing_runs` cache-hot
-    /// re-runs.
-    #[must_use]
-    pub fn timed_point(
         mut self,
         name: impl Into<String>,
         src: Arc<str>,
         task: SweepTask,
         cores: usize,
-        timing_runs: usize,
     ) -> Self {
         self.points.push(SweepPoint {
             name: name.into(),
             src,
             task,
             cores,
-            policy: task.default_policy(),
-            timing_runs,
+            policy: task.scenario().mode.policy(),
         });
-        self
-    }
-
-    /// Replaces the scenario of the most recently appended point (and
-    /// re-derives its default policy). No-op on an empty matrix or an
-    /// oracle-check point.
-    #[must_use]
-    pub fn scenario(mut self, scenario: Scenario) -> Self {
-        if let Some(point) = self.points.last_mut() {
-            point.task = match point.task {
-                SweepTask::Run(_) => SweepTask::Run(scenario),
-                SweepTask::RunMetered(_) => SweepTask::RunMetered(scenario),
-                other => other,
-            };
-            point.policy = point.task.default_policy();
-        }
         self
     }
 
@@ -255,19 +214,6 @@ impl SweepPayload {
     }
 }
 
-/// Distribution of the cache-hot re-run timings of one point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimingStats {
-    /// Number of timed re-runs.
-    pub runs: usize,
-    /// Median wall time in nanoseconds.
-    pub median_nanos: u128,
-    /// Fastest re-run in nanoseconds.
-    pub min_nanos: u128,
-    /// Slowest re-run in nanoseconds.
-    pub max_nanos: u128,
-}
-
 /// One executed point of a sweep.
 #[derive(Debug)]
 pub struct SweepOutcome {
@@ -281,8 +227,6 @@ pub struct SweepOutcome {
     pub result: Result<SweepPayload, PipelineError>,
     /// Host wall time of this point, in nanoseconds.
     pub host_wall_nanos: u128,
-    /// Cache-hot re-run timing, when the point requested it.
-    pub timing: Option<TimingStats>,
     /// The analytical prediction a predict-first sweep attached: set on
     /// predicted points (mirroring the payload) and on the simulated
     /// seed and validation points of each group, so ground-truth error
@@ -346,11 +290,9 @@ fn effective_workers(requested: usize, points: usize) -> usize {
 
 /// The configured session for one point.
 fn point_pipeline(point: &SweepPoint, config: &SccConfig, cache: &Arc<ArtifactCache>) -> Pipeline {
-    let mut pipeline = Pipeline::new(Arc::clone(&point.src)).cores(point.cores);
-    if let Some(scenario) = point.task.scenario() {
-        pipeline = pipeline.scenario(scenario);
-    }
-    pipeline
+    Pipeline::new(Arc::clone(&point.src))
+        .cores(point.cores)
+        .scenario(point.task.scenario())
         .policy(point.policy)
         .config(config.clone())
         .cache(Arc::clone(cache))
@@ -362,20 +304,17 @@ fn run_point(point: &SweepPoint, config: &SccConfig, cache: &Arc<ArtifactCache>)
     let pipeline = point_pipeline(point, config, cache);
     let result = match point.task {
         SweepTask::Run(_) => pipeline.run_scenario().map(|r| SweepPayload::Run(r, None)),
+        // The stages are metered against a scratch cache, so their wall
+        // times are the cold stage costs and the shared cache still sees
+        // one lookup per shelf for the point.
         SweepTask::RunMetered(_) => pipeline
-            .run_scenario_metered()
-            .map(|(r, m)| SweepPayload::Run(r, Some(m))),
-        SweepTask::CheckSharing => pipeline
+            .clone()
+            .cache(ArtifactCache::shared())
+            .stage_metrics()
+            .and_then(|m| Ok(SweepPayload::Run(pipeline.run_scenario()?, Some(m)))),
+        SweepTask::CheckSharing(_) => pipeline
             .check_sharing()
             .map(|c| SweepPayload::Sharing(Box::new(c))),
-        SweepTask::CheckSharingRcce => pipeline
-            .check_sharing_rcce()
-            .map(|c| SweepPayload::Sharing(Box::new(c))),
-    };
-    let timing = if point.timing_runs > 0 && result.is_ok() {
-        Some(time_reruns(&pipeline, point.task, point.timing_runs))
-    } else {
-        None
     };
     SweepOutcome {
         name: point.name.clone(),
@@ -383,7 +322,6 @@ fn run_point(point: &SweepPoint, config: &SccConfig, cache: &Arc<ArtifactCache>)
         cores: point.cores,
         result,
         host_wall_nanos: started.elapsed().as_nanos(),
-        timing,
         predicted: None,
     }
 }
@@ -408,32 +346,9 @@ fn run_point_profiled(
         cores: point.cores,
         result,
         host_wall_nanos: started.elapsed().as_nanos(),
-        timing: None,
         predicted: None,
     };
     (outcome, profile)
-}
-
-/// Times `runs` cache-hot repeats of the point's run path.
-fn time_reruns(pipeline: &Pipeline, task: SweepTask, runs: usize) -> TimingStats {
-    let mut samples = Vec::with_capacity(runs);
-    for _ in 0..runs {
-        let started = Instant::now();
-        let result = match task {
-            SweepTask::Run(_) | SweepTask::RunMetered(_) => pipeline.run_scenario(),
-            SweepTask::CheckSharing => pipeline.check_sharing().map(|c| c.result),
-            SweepTask::CheckSharingRcce => pipeline.check_sharing_rcce().map(|c| c.result),
-        };
-        let _ = std::hint::black_box(result);
-        samples.push(started.elapsed().as_nanos());
-    }
-    samples.sort_unstable();
-    TimingStats {
-        runs,
-        median_nanos: samples[runs / 2],
-        min_nanos: samples[0],
-        max_nanos: samples[runs - 1],
-    }
 }
 
 /// Controls and callbacks for [`sweep_with`]. The plain [`sweep`] is
@@ -460,7 +375,7 @@ pub struct SweepOptions<'a> {
     /// farthest-extrapolated **validation** point (ground truth for the
     /// error bound), and satisfy the rest analytically with a fitted
     /// [`CyclePredictor`]. Groups too small to save work (fewer than
-    /// three points) and metered/oracle/timed points simulate normally,
+    /// three points) and metered/oracle points simulate normally,
     /// so a predict-first sweep runs strictly fewer simulations than the
     /// full matrix whenever any group has three or more points. See
     /// [`SweepPayload::Predicted`] and [`SweepOutcome::predicted`].
@@ -525,7 +440,6 @@ pub fn sweep_with(matrix: &SweepMatrix, opts: SweepOptions<'_>) -> SweepReport {
                         cores: point.cores,
                         result: Err(PipelineError::Cancelled),
                         host_wall_nanos: 0,
-                        timing: None,
                         predicted: None,
                     }
                 } else {
@@ -611,20 +525,17 @@ fn sweep_predict_first(matrix: &SweepMatrix, opts: SweepOptions<'_>) -> SweepRep
         cores: point.cores,
         result: Err(PipelineError::Cancelled),
         host_wall_nanos: 0,
-        timing: None,
         predicted: None,
     };
 
-    // Group the plain, untimed run points by (source, scenario, policy).
+    // Group the plain run points by (source, scenario, policy).
     let mut groups: HashMap<GroupKey, Vec<usize>> = HashMap::new();
     for (i, point) in matrix.points.iter().enumerate() {
         if let SweepTask::Run(scenario) = point.task {
-            if point.timing_runs == 0 {
-                groups
-                    .entry((source_hash(&point.src), scenario, point.policy))
-                    .or_default()
-                    .push(i);
-            }
+            groups
+                .entry((source_hash(&point.src), scenario, point.policy))
+                .or_default()
+                .push(i);
         }
     }
 
@@ -705,7 +616,6 @@ fn sweep_predict_first(matrix: &SweepMatrix, opts: SweepOptions<'_>) -> SweepRep
                     cores: point.cores,
                     result: Ok(SweepPayload::Predicted(prediction)),
                     host_wall_nanos: 0,
-                    timing: None,
                     predicted: Some(prediction),
                 }
             });
@@ -744,6 +654,7 @@ fn sweep_predict_first(matrix: &SweepMatrix, opts: SweepOptions<'_>) -> SweepRep
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Stage;
 
     fn tiny_pi_matrix(workers: usize) -> SweepMatrix {
         let mut params = Bench::PiApprox.default_params(4);
@@ -792,8 +703,11 @@ mod tests {
             serial.cache, parallel.cache,
             "counters schedule-independent"
         );
-        assert!(serial.cache.parse.hits > 0, "modes shared the parse");
-        assert_eq!(serial.cache.parse.misses, 1);
+        assert!(
+            serial.cache[Stage::Parse].hits > 0,
+            "modes shared the parse"
+        );
+        assert_eq!(serial.cache[Stage::Parse].misses, 1);
     }
 
     #[test]
@@ -953,18 +867,10 @@ mod tests {
                 ..SweepOptions::default()
             },
         );
-        assert_eq!(report.cache.profile.misses, 1, "one profiled seed run");
-    }
-
-    #[test]
-    fn timed_points_record_cache_hot_reruns() {
-        let mut matrix = tiny_pi_matrix(2);
-        matrix.points[2].timing_runs = 3;
-        let report = sweep(&matrix);
-        let timing = report.outcomes[2].timing.expect("timing recorded");
-        assert_eq!(timing.runs, 3);
-        assert!(timing.min_nanos <= timing.median_nanos);
-        assert!(timing.median_nanos <= timing.max_nanos);
-        assert!(report.outcomes[0].timing.is_none());
+        assert_eq!(
+            report.cache[Stage::Profile].misses,
+            1,
+            "one profiled seed run"
+        );
     }
 }

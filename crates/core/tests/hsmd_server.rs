@@ -3,7 +3,7 @@
 //! of overlapping corpora, malformed-line handling, per-job deadlines,
 //! and graceful shutdown.
 
-use hsm_core::api::{Client, Mode, Scenario, Server, ServerOptions, SpecProgram, SweepSpec};
+use hsm_core::api::{Client, Mode, Scenario, Server, ServerOptions, SpecProgram, Stage, SweepSpec};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -111,8 +111,15 @@ fn two_concurrent_clients_stream_identical_ordered_rows() {
     // The shared cache parsed each distinct source once even though two
     // clients swept concurrently (the pending-slot discipline).
     let stats = cache.stats();
-    assert_eq!(stats.parse.misses, 2, "two distinct sources: {stats:?}");
-    assert!(stats.parse.hits >= 2, "the second client hit: {stats:?}");
+    assert_eq!(
+        stats[Stage::Parse].misses,
+        2,
+        "two distinct sources: {stats:?}"
+    );
+    assert!(
+        stats[Stage::Parse].hits >= 2,
+        "the second client hit: {stats:?}"
+    );
 
     handle.stop();
     run.join().expect("run thread").expect("clean exit");

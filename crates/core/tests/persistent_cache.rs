@@ -3,7 +3,7 @@
 //! reloads every artifact with zero store misses, corruption falls back
 //! to recompute, and capacity eviction surfaces in the stats.
 
-use hsm_core::api::{ArtifactCache, DiskStore, Pipeline, Policy};
+use hsm_core::api::{ArtifactCache, DiskStore, Mode, Pipeline, Stage};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -37,13 +37,17 @@ fn temp_store(tag: &str) -> PathBuf {
 /// given cache, returning the three exit codes and timed cycles.
 fn run_all(cache: &Arc<ArtifactCache>) -> Vec<(i64, u64)> {
     let session = Pipeline::new(SRC).cores(2).cache(Arc::clone(cache));
-    let base = session.run_baseline().expect("baseline");
+    let base = session
+        .clone()
+        .scenario(Mode::PthreadBaseline.into())
+        .run_scenario()
+        .expect("baseline");
     let off = session
         .clone()
-        .policy(Policy::OffChipOnly)
-        .run()
+        .scenario(Mode::RcceOffChip.into())
+        .run_scenario()
         .expect("off-chip");
-    let hsm = session.run().expect("hsm");
+    let hsm = session.run_scenario().expect("hsm");
     vec![
         (base.exit_code, base.timed_cycles),
         (off.exit_code, off.timed_cycles),
@@ -60,7 +64,10 @@ fn cold_run_populates_warm_run_loads_with_zero_misses() {
     let cold_store = cold.store.expect("store stats present");
     assert!(cold_store.total_misses() > 0, "cold run misses the disk");
     assert_eq!(cold_store.total_loads(), 0, "nothing to load cold");
-    assert!(cold_store.compile.writes >= 3, "programs written back");
+    assert!(
+        cold_store[Stage::Compile].writes >= 3,
+        "programs written back"
+    );
 
     // A brand-new cache over the same directory: every artifact loads.
     let warm_cache = ArtifactCache::persistent(&dir).expect("reopen store");
@@ -71,18 +78,15 @@ fn cold_run_populates_warm_run_loads_with_zero_misses() {
     assert_eq!(warm_store.total_corrupt(), 0);
     assert!(warm_store.total_loads() > 0, "artifacts came from disk");
     assert_eq!(
-        warm_store.compile.writes, 0,
+        warm_store[Stage::Compile].writes,
+        0,
         "nothing recomputed, nothing rewritten"
     );
     assert_eq!(cold_runs, warm_runs, "identical results cold vs warm");
 
     // The in-memory hit/miss counters are process-local and identical
     // cold vs warm — what keeps manifests byte-identical across runs.
-    assert_eq!(cold.parse, warm.parse);
-    assert_eq!(cold.analyze, warm.analyze);
-    assert_eq!(cold.partition, warm.partition);
-    assert_eq!(cold.translate, warm.translate);
-    assert_eq!(cold.compile, warm.compile);
+    assert_eq!(cold.stages, warm.stages);
 }
 
 #[test]
@@ -103,7 +107,10 @@ fn warm_programs_are_bit_identical_to_cold() {
     assert_eq!(*cold, *warm, "decoded bytecode identical to compiled");
     let store = warm_cache.stats().store.expect("store stats");
     assert_eq!(store.total_misses(), 0);
-    assert!(store.compile.loads >= 1, "the program came from disk");
+    assert!(
+        store[Stage::Compile].loads >= 1,
+        "the program came from disk"
+    );
 }
 
 #[test]
@@ -130,14 +137,20 @@ fn corrupted_entry_falls_back_to_recompute() {
     assert_eq!(cold_runs, warm_runs, "corruption never changes results");
     let store = warm_cache.stats().store.expect("store stats");
     assert_eq!(
-        store.compile.corrupt, corrupted,
+        store[Stage::Compile].corrupt,
+        corrupted,
         "every tampered entry detected"
     );
     assert_eq!(
-        store.compile.writes, corrupted,
+        store[Stage::Compile].writes,
+        corrupted,
         "recomputed programs written back"
     );
-    assert_eq!(store.parse.corrupt, 0, "untouched shelves unaffected");
+    assert_eq!(
+        store[Stage::Parse].corrupt,
+        0,
+        "untouched shelves unaffected"
+    );
 
     // Third pass: the rewritten entries verify again.
     let healed_cache = ArtifactCache::persistent(&dir).expect("reopen store");

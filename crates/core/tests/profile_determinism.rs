@@ -7,7 +7,7 @@
 use hsm_core::api::{
     sweep_with, ArtifactCache, Mode, Scenario, SweepMatrix, SweepOptions, SweepTask,
 };
-use hsm_core::Pipeline;
+use hsm_core::{Pipeline, Stage};
 use scc_sim::SccConfig;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -119,10 +119,10 @@ fn sweep_worker_count_does_not_change_the_profile_text() {
     // The sweeps themselves computed the seed profile; reading it back
     // through an identically-keyed pipeline must be a pure cache hit.
     for cache in [&serial_cache, &parallel_cache] {
-        let before = cache.stats().profile;
+        let before = cache.stats()[Stage::Profile];
         assert!(before.misses > 0, "predict-first profiled the seed");
         seed_pipeline(cache).profile().expect("profile lookup");
-        let after = cache.stats().profile;
+        let after = cache.stats()[Stage::Profile];
         assert_eq!(after.misses, before.misses, "lookup recomputed nothing");
         assert!(after.hits > before.hits, "lookup hit the sweep's artifact");
     }
@@ -148,15 +148,25 @@ fn profile_is_byte_identical_cold_vs_warm_store() {
     let cold_cache = ArtifactCache::persistent(&dir).expect("open store");
     let cold = seed_pipeline(&cold_cache).profile().expect("cold profile");
     let cold_stats = cold_cache.stats().store.expect("store stats present");
-    assert!(cold_stats.profile.writes > 0, "cold profile written back");
+    assert!(
+        cold_stats[Stage::Profile].writes > 0,
+        "cold profile written back"
+    );
 
     // A brand-new cache over the same directory: the profile loads from
     // disk through the text codec instead of re-simulating.
     let warm_cache = ArtifactCache::persistent(&dir).expect("reopen store");
     let warm = seed_pipeline(&warm_cache).profile().expect("warm profile");
     let warm_stats = warm_cache.stats().store.expect("store stats present");
-    assert!(warm_stats.profile.loads > 0, "profile came from disk");
-    assert_eq!(warm_stats.profile.misses, 0, "warm run never misses");
+    assert!(
+        warm_stats[Stage::Profile].loads > 0,
+        "profile came from disk"
+    );
+    assert_eq!(
+        warm_stats[Stage::Profile].misses,
+        0,
+        "warm run never misses"
+    );
     assert_eq!(
         cold.to_text(),
         warm.to_text(),

@@ -68,14 +68,9 @@ pub use profile::{
 };
 pub use pthread::{
     run_pthread, run_pthread_model, run_pthread_model_profiled, run_pthread_model_traced,
-    run_pthread_traced,
 };
-pub use rcce::{
-    run_rcce, run_rcce_model, run_rcce_model_profiled, run_rcce_model_traced, run_rcce_traced,
-};
-pub use taskflow::{
-    run_task, run_task_model, run_task_model_profiled, run_task_model_traced, run_task_traced,
-};
+pub use rcce::{run_rcce, run_rcce_model, run_rcce_model_profiled, run_rcce_model_traced};
+pub use taskflow::{run_task, run_task_model, run_task_model_profiled, run_task_model_traced};
 pub use trace::{NullSink, RingTrace, SyncEvent, TraceEvent, TraceSink};
 
 /// Fixed syscall overheads in core cycles (single place to tune).
@@ -692,7 +687,7 @@ int RCCE_APP(int *argc, char **argv) {{
         use crate::trace::RingTrace;
         let p = compile_src(RCCE_SUM);
         let mut ring = RingTrace::new(100_000);
-        let r = run_rcce_traced(&p, 4, &cfg(), &mut ring).expect("run");
+        let r = run_rcce_model_traced(&p, 4, &cfg(), ExecModel::Coherent, &mut ring).expect("run");
         assert!(!ring.is_empty(), "a real program performs memory accesses");
         assert_eq!(ring.dropped(), 0, "capacity is ample for this program");
         // Every traced event is attributed in the counter matrix: totals
@@ -722,7 +717,8 @@ int RCCE_APP(int *argc, char **argv) {{
         let p = compile_src(RCCE_SUM);
         let plain = run_rcce(&p, 4, &cfg()).expect("plain");
         let mut ring = RingTrace::new(64);
-        let traced = run_rcce_traced(&p, 4, &cfg(), &mut ring).expect("traced");
+        let traced =
+            run_rcce_model_traced(&p, 4, &cfg(), ExecModel::Coherent, &mut ring).expect("traced");
         assert_eq!(plain.total_cycles, traced.total_cycles);
         assert_eq!(plain.exit_code, traced.exit_code);
         assert_eq!(plain.mem_stats, traced.mem_stats);
@@ -774,7 +770,7 @@ int RCCE_APP(int *argc, char **argv) {{
         use crate::trace::RingTrace;
         let p = compile_src(PTHREAD_SUM);
         let mut ring = RingTrace::new(1_000_000);
-        let r = run_pthread_traced(&p, &cfg(), &mut ring).expect("run");
+        let r = run_pthread_model_traced(&p, &cfg(), ExecModel::Coherent, &mut ring).expect("run");
         assert!(ring.events().iter().all(|e| e.core == 0));
         assert_eq!(r.stats_matrix.active_cores(), 1, "baseline uses one core");
         assert_eq!(r.exit_code, 400);

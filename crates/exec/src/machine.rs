@@ -159,9 +159,9 @@ pub struct RunResult {
     /// Final local clock per core (RCCE mode) or busy cycles per thread
     /// (pthread mode) — the load-balance picture.
     pub per_unit_cycles: Vec<u64>,
-    /// Bytecode instructions retired across all units — the denominator
-    /// of the host-performance steps/sec metric (`figures --host-timing`).
-    /// Deterministic, but not part of the simulated timing model.
+    /// Bytecode instructions retired across all units — the numerator of
+    /// the benchmark's `sim_mips` host-throughput metric. Deterministic,
+    /// but not part of the simulated timing model.
     pub instructions: u64,
     /// Scheduler events processed (VM resumptions) by the execution core.
     pub events: u64,

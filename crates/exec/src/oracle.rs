@@ -167,7 +167,7 @@ struct Loc {
 }
 
 /// The dynamic sharing-soundness checker. Implements [`TraceSink`]; feed
-/// it to `run_pthread_traced` / `run_rcce_traced` and call
+/// it to `run_pthread_model_traced` / `run_rcce_model_traced` and call
 /// [`Oracle::finish`] afterwards.
 #[derive(Debug)]
 pub struct Oracle {

@@ -395,23 +395,7 @@ impl SyncModel for PthreadSync {
 /// Returns [`ExecError`] on VM faults, deadlock, joins of unknown thread
 /// ids, or RCCE calls appearing in a pthread program.
 pub fn run_pthread(program: &Program, config: &SccConfig) -> Result<RunResult, ExecError> {
-    run_pthread_traced(program, config, &mut NullSink)
-}
-
-/// [`run_pthread`] with every memory access streamed to `sink`.
-///
-/// The loop is monomorphized over the sink type; with [`NullSink`] this is
-/// exactly [`run_pthread`].
-///
-/// # Errors
-///
-/// Same failure modes as [`run_pthread`].
-pub fn run_pthread_traced<S: TraceSink>(
-    program: &Program,
-    config: &SccConfig,
-    sink: &mut S,
-) -> Result<RunResult, ExecError> {
-    run_pthread_model_traced(program, config, ExecModel::Coherent, sink)
+    run_pthread_model(program, config, ExecModel::Coherent)
 }
 
 /// Runs `program` in pthread mode under an explicit [`ExecModel`].
@@ -447,6 +431,9 @@ pub fn run_pthread_model_profiled(
 }
 
 /// [`run_pthread_model`] with every memory access streamed to `sink`.
+///
+/// The loop is monomorphized over the sink type; with [`NullSink`] this is
+/// exactly [`run_pthread_model`].
 ///
 /// # Errors
 ///

@@ -610,24 +610,7 @@ pub fn run_rcce(
     cores: usize,
     config: &SccConfig,
 ) -> Result<RunResult, ExecError> {
-    run_rcce_traced(program, cores, config, &mut NullSink)
-}
-
-/// [`run_rcce`] with every memory access streamed to `sink`.
-///
-/// The loop is monomorphized over the sink type; with [`NullSink`] this is
-/// exactly [`run_rcce`].
-///
-/// # Errors
-///
-/// Same failure modes as [`run_rcce`].
-pub fn run_rcce_traced<S: TraceSink>(
-    program: &Program,
-    cores: usize,
-    config: &SccConfig,
-    sink: &mut S,
-) -> Result<RunResult, ExecError> {
-    run_rcce_model_traced(program, cores, config, ExecModel::Coherent, sink)
+    run_rcce_model(program, cores, config, ExecModel::Coherent)
 }
 
 /// Runs `program` in RCCE mode under an explicit [`ExecModel`].
@@ -665,6 +648,9 @@ pub fn run_rcce_model_profiled(
 }
 
 /// [`run_rcce_model`] with every memory access streamed to `sink`.
+///
+/// The loop is monomorphized over the sink type; with [`NullSink`] this is
+/// exactly [`run_rcce_model`].
 ///
 /// # Errors
 ///

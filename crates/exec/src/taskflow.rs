@@ -549,21 +549,7 @@ pub fn run_task(
     cores: usize,
     config: &SccConfig,
 ) -> Result<RunResult, ExecError> {
-    run_task_traced(program, cores, config, &mut NullSink)
-}
-
-/// [`run_task`] with every memory access streamed to `sink`.
-///
-/// # Errors
-///
-/// Same failure modes as [`run_task`].
-pub fn run_task_traced<S: TraceSink>(
-    program: &Program,
-    cores: usize,
-    config: &SccConfig,
-    sink: &mut S,
-) -> Result<RunResult, ExecError> {
-    run_task_model_traced(program, cores, config, ExecModel::Coherent, sink)
+    run_task_model(program, cores, config, ExecModel::Coherent)
 }
 
 /// Runs `program` in task-dataflow mode under an explicit [`ExecModel`].

@@ -1,16 +1,14 @@
 //! # testkit — hermetic, dependency-free test support
 //!
 //! The repository must build and test with **zero** external crates (the
-//! CI environment has no network), so this crate supplies the three
+//! CI environment has no network), so this crate supplies the two
 //! capabilities the workspace previously pulled from crates.io:
 //!
 //! * [`SplitMix64`] — a tiny, deterministic PRNG (the `rand` replacement);
 //! * [`check`] / [`check_seeded`] — a shrink-free property runner (the
 //!   `proptest` replacement): every case derives from a reported seed, so
 //!   a failure is reproduced by pinning that seed in a named regression
-//!   test rather than by shrinking;
-//! * [`time_median`] — a median-of-N timing loop (the `criterion`
-//!   replacement) whose results feed the JSON run manifest.
+//!   test rather than by shrinking.
 //!
 //! ```
 //! use testkit::{check, SplitMix64};
@@ -26,8 +24,6 @@
 
 pub mod prop;
 pub mod rng;
-pub mod timing;
 
 pub use prop::{check, check_seeded, default_cases};
 pub use rng::SplitMix64;
-pub use timing::{time_median, TimingReport};

@@ -9,7 +9,7 @@
 //! cargo run --example partition_explorer
 //! ```
 
-use hsm_core::Pipeline;
+use hsm_core::{Pipeline, Stage};
 use hsm_partition::{partition, partition_with_split, MemorySpec, Policy, SharedVar};
 use hsm_workloads::Bench;
 
@@ -74,11 +74,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stats = session.cache_handle().stats();
     println!(
         "session cache: parse {} hit(s)/{} miss(es), analyze {} hit(s)/{} miss(es), partition {} miss(es)",
-        stats.parse.hits,
-        stats.parse.misses,
-        stats.analyze.hits,
-        stats.analyze.misses,
-        stats.partition.misses
+        stats[Stage::Parse].hits,
+        stats[Stage::Parse].misses,
+        stats[Stage::Analyze].hits,
+        stats[Stage::Analyze].misses,
+        stats[Stage::Partition].misses
     );
     Ok(())
 }

@@ -8,7 +8,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use hsm_core::{experiment, Pipeline};
+use hsm_core::{experiment, Mode, Pipeline};
 
 const EXAMPLE_4_1: &str = r#"
 #include <stdio.h>
@@ -72,8 +72,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Example Code 4.2 — translated RCCE source:\n{translated}");
 
     // 4. Execute both versions on the simulated SCC (3 threads vs 3 cores).
-    let baseline = session.run_baseline()?;
-    let rcce = session.run()?;
+    let baseline = session
+        .clone()
+        .scenario(Mode::PthreadBaseline.into())
+        .run_scenario()?;
+    let rcce = session.run_scenario()?;
     println!(
         "pthread (1 core, 3 threads): {} cycles",
         baseline.total_cycles

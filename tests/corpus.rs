@@ -4,7 +4,7 @@
 //! prints per core) and exit codes must agree across all three.
 
 use hsm_core::experiment::outputs_equivalent;
-use hsm_core::{Pipeline, Policy};
+use hsm_core::{Mode, Pipeline};
 use std::path::PathBuf;
 
 fn corpus_dir() -> PathBuf {
@@ -20,14 +20,18 @@ fn check_program(name: &str, cores: usize) {
     // unit and analysis through the session cache.
     let session = Pipeline::new(src).cores(cores);
     let base = session
-        .run_baseline()
+        .clone()
+        .scenario(Mode::PthreadBaseline.into())
+        .run_scenario()
         .unwrap_or_else(|e| panic!("{name} baseline: {e}"));
     let off = session
         .clone()
-        .policy(Policy::OffChipOnly)
-        .run()
+        .scenario(Mode::RcceOffChip.into())
+        .run_scenario()
         .unwrap_or_else(|e| panic!("{name} off-chip: {e}"));
-    let hsm = session.run().unwrap_or_else(|e| panic!("{name} hsm: {e}"));
+    let hsm = session
+        .run_scenario()
+        .unwrap_or_else(|e| panic!("{name} hsm: {e}"));
 
     assert_eq!(
         base.exit_code, off.exit_code,

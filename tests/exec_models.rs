@@ -15,7 +15,7 @@
 //!   whose threads share memory without synchronization — visibly breaks.
 
 use hsm_core::experiment::{outputs_equivalent, sweep, Mode, SweepMatrix, SweepTask};
-use hsm_core::{ExecModel, Pipeline, Scenario};
+use hsm_core::{ExecModel, Pipeline, Scenario, Stage};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -46,11 +46,13 @@ fn coherent_is_deterministic_and_seq_cst_agrees() {
         let session = Pipeline::new(read(name)).cores(cores);
         let a = session
             .clone()
-            .run_baseline()
+            .scenario(Mode::PthreadBaseline.into())
+            .run_scenario()
             .unwrap_or_else(|e| panic!("{name} coherent: {e}"));
         let b = session
             .clone()
-            .run_baseline()
+            .scenario(Mode::PthreadBaseline.into())
+            .run_scenario()
             .unwrap_or_else(|e| panic!("{name} coherent replay: {e}"));
         assert_eq!(
             format!("{a:?}"),
@@ -60,8 +62,8 @@ fn coherent_is_deterministic_and_seq_cst_agrees() {
 
         let seq = session
             .clone()
-            .scenario(Scenario::default().exec_model(ExecModel::SeqCstReference))
-            .run_baseline()
+            .scenario(Scenario::new(Mode::PthreadBaseline).exec_model(ExecModel::SeqCstReference))
+            .run_scenario()
             .unwrap_or_else(|e| panic!("{name} seq_cst_ref: {e}"));
         assert_eq!(a.exit_code, seq.exit_code, "{name}: seq_cst_ref exit");
         assert_eq!(
@@ -81,11 +83,11 @@ fn translated_corpus_survives_non_coherent_caches() {
         let session = Pipeline::new(read(name)).cores(cores);
         let coherent = session
             .clone()
-            .run()
+            .run_scenario()
             .unwrap_or_else(|e| panic!("{name} hsm coherent: {e}"));
         let wb = session
             .scenario(Scenario::default().exec_model(ExecModel::NonCoherentWriteBack))
-            .run()
+            .run_scenario()
             .unwrap_or_else(|e| panic!("{name} hsm non-coherent: {e}"));
         assert_eq!(coherent.exit_code, wb.exit_code, "{name}: exit differs");
         assert!(
@@ -124,11 +126,14 @@ fn adversarial_corpus_breaks_without_coherence() {
         let session = Pipeline::new(read(name)).cores(cores);
         let coherent = session
             .clone()
-            .run_baseline()
+            .scenario(Mode::PthreadBaseline.into())
+            .run_scenario()
             .unwrap_or_else(|e| panic!("{name} coherent: {e}"));
         let wb = session
-            .scenario(Scenario::default().exec_model(ExecModel::NonCoherentWriteBack))
-            .run_baseline()
+            .scenario(
+                Scenario::new(Mode::PthreadBaseline).exec_model(ExecModel::NonCoherentWriteBack),
+            )
+            .run_scenario()
             .unwrap_or_else(|e| panic!("{name} non-coherent: {e}"));
         assert_eq!(coherent.exit_code, good_exit, "{name}: coherent exit");
         assert!(
@@ -186,7 +191,19 @@ fn multi_model_sweep_shares_artifacts() {
         c.total_hits() > 0,
         "multi-model sweep should reuse artifacts: {c:?}"
     );
-    assert_eq!(c.translate.misses, 1, "one translation for both models");
-    assert_eq!(c.compile.misses, 1, "one compile for both models: {c:?}");
-    assert_eq!(c.compile.hits, 1, "second model reuses the binary: {c:?}");
+    assert_eq!(
+        c[Stage::Translate].misses,
+        1,
+        "one translation for both models"
+    );
+    assert_eq!(
+        c[Stage::Compile].misses,
+        1,
+        "one compile for both models: {c:?}"
+    );
+    assert_eq!(
+        c[Stage::Compile].hits,
+        1,
+        "second model reuses the binary: {c:?}"
+    );
 }

@@ -3,7 +3,7 @@
 //! `RCCE_barrier`s, and both execution modes must compute the reference
 //! result.
 
-use hsm_core::Pipeline;
+use hsm_core::{Mode, Pipeline};
 use hsm_workloads::{jacobi_reference_exit, jacobi_source, Params};
 use scc_sim::SccConfig;
 
@@ -19,7 +19,10 @@ fn params() -> Params {
 fn jacobi_baseline_matches_reference() {
     let p = params();
     let src = jacobi_source(&p);
-    let r = Pipeline::new(src).run_baseline().expect("baseline");
+    let r = Pipeline::new(src)
+        .scenario(Mode::PthreadBaseline.into())
+        .run_scenario()
+        .expect("baseline");
     assert_eq!(r.exit_code, jacobi_reference_exit(&p));
 }
 
@@ -36,7 +39,7 @@ fn jacobi_translates_barriers_and_matches_reference() {
     );
     assert!(!out.contains("pthread_barrier"), "{out}");
 
-    let r = session.run().expect("rcce run");
+    let r = session.run_scenario().expect("rcce run");
     assert_eq!(r.exit_code, jacobi_reference_exit(&p));
 }
 
@@ -47,8 +50,12 @@ fn jacobi_scales_with_cores() {
     p.reps = 16;
     let src = jacobi_source(&p);
     let session = Pipeline::new(src).cores(p.threads);
-    let base = session.run_baseline().expect("baseline");
-    let rcce = session.run().expect("rcce");
+    let base = session
+        .clone()
+        .scenario(Mode::PthreadBaseline.into())
+        .run_scenario()
+        .expect("baseline");
+    let rcce = session.run_scenario().expect("rcce");
     let speedup = base.timed_cycles as f64 / rcce.timed_cycles as f64;
     // Barrier-per-iteration overhead keeps it well below linear, but the
     // conversion must still win.

@@ -9,17 +9,15 @@
 //! contract. This suite is the optimizer's safety net; `exec_models.rs`
 //! is its template on the model axis.
 
-use hsm_core::{ExecModel, OptLevel, Pipeline, Scenario};
+use hsm_core::{ExecModel, Mode, OptLevel, Pipeline, Scenario, Stage};
 use hsm_exec::{SyncEvent, TraceEvent, TraceSink};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// The default-mode scenario at the given memory model and level (the
-/// mode field is irrelevant to the direct `run_*` entry points these
-/// tests drive).
-fn at(model: ExecModel, level: OptLevel) -> Scenario {
-    Scenario::default().exec_model(model).opt_level(level)
+/// The scenario in `mode` at the given memory model and level.
+fn at(mode: Mode, model: ExecModel, level: OptLevel) -> Scenario {
+    Scenario::new(mode).exec_model(model).opt_level(level)
 }
 
 fn corpus_dir() -> PathBuf {
@@ -68,14 +66,14 @@ fn translated_corpus_is_level_invariant_under_every_model() {
             let session = Pipeline::new(read(name)).cores(cores);
             let o0 = session
                 .clone()
-                .scenario(at(model, OptLevel::O0))
-                .run()
+                .scenario(at(Mode::RcceHsm, model, OptLevel::O0))
+                .run_scenario()
                 .unwrap_or_else(|e| panic!("{name} {model:?} O0: {e}"));
             for level in [OptLevel::O1, OptLevel::O2] {
                 let opt = session
                     .clone()
-                    .scenario(at(model, level))
-                    .run()
+                    .scenario(at(Mode::RcceHsm, model, level))
+                    .run_scenario()
                     .unwrap_or_else(|e| panic!("{name} {model:?} {level}: {e}"));
                 assert_eq!(
                     observed(&o0),
@@ -98,14 +96,14 @@ fn baseline_corpus_is_level_invariant_under_every_model() {
             let session = Pipeline::new(read(name)).cores(cores);
             let o0 = session
                 .clone()
-                .scenario(at(model, OptLevel::O0))
-                .run_baseline()
+                .scenario(at(Mode::PthreadBaseline, model, OptLevel::O0))
+                .run_scenario()
                 .unwrap_or_else(|e| panic!("{name} {model:?} O0: {e}"));
             for level in [OptLevel::O1, OptLevel::O2] {
                 let opt = session
                     .clone()
-                    .scenario(at(model, level))
-                    .run_baseline()
+                    .scenario(at(Mode::PthreadBaseline, model, level))
+                    .run_scenario()
                     .unwrap_or_else(|e| panic!("{name} {model:?} {level}: {e}"));
                 assert_eq!(
                     observed(&o0),
@@ -128,14 +126,14 @@ fn adversarial_corpus_is_level_invariant_under_every_model() {
             let session = Pipeline::new(read(name)).cores(cores);
             let o0 = session
                 .clone()
-                .scenario(at(model, OptLevel::O0))
-                .run_baseline()
+                .scenario(at(Mode::PthreadBaseline, model, OptLevel::O0))
+                .run_scenario()
                 .unwrap_or_else(|e| panic!("{name} {model:?} O0: {e}"));
             for level in [OptLevel::O1, OptLevel::O2] {
                 let opt = session
                     .clone()
-                    .scenario(at(model, level))
-                    .run_baseline()
+                    .scenario(at(Mode::PthreadBaseline, model, level))
+                    .run_scenario()
                     .unwrap_or_else(|e| panic!("{name} {model:?} {level}: {e}"));
                 assert_eq!(
                     observed(&o0),
@@ -158,12 +156,13 @@ fn oracle_verdicts_are_level_invariant() {
         let session = Pipeline::new(read(name)).cores(cores);
         let o0 = session
             .clone()
+            .scenario(Mode::PthreadBaseline.into())
             .check_sharing()
             .unwrap_or_else(|e| panic!("{name} O0 oracle: {e}"));
         for level in [OptLevel::O1, OptLevel::O2] {
             let opt = session
                 .clone()
-                .scenario(at(ExecModel::Coherent, level))
+                .scenario(at(Mode::PthreadBaseline, ExecModel::Coherent, level))
                 .check_sharing()
                 .unwrap_or_else(|e| panic!("{name} {level} oracle: {e}"));
             assert_eq!(
@@ -182,13 +181,13 @@ fn oracle_verdicts_are_level_invariant() {
         let session = Pipeline::new(read(name)).cores(cores);
         let o0 = session
             .clone()
-            .check_sharing_rcce()
+            .check_sharing()
             .unwrap_or_else(|e| panic!("{name} O0 rcce oracle: {e}"));
         for level in [OptLevel::O1, OptLevel::O2] {
             let opt = session
                 .clone()
-                .scenario(at(ExecModel::Coherent, level))
-                .check_sharing_rcce()
+                .scenario(at(Mode::RcceHsm, ExecModel::Coherent, level))
+                .check_sharing()
                 .unwrap_or_else(|e| panic!("{name} {level} rcce oracle: {e}"));
             assert_eq!(
                 o0.report.classes(),
@@ -246,37 +245,18 @@ fn sync_event_streams_are_level_invariant() {
     for (name, cores) in CLEAN {
         let session = Pipeline::new(read(name)).cores(cores);
         let streams = |level: OptLevel| {
-            let s = session.clone().scenario(at(ExecModel::Coherent, level));
-            let mut pthread_log = EventLog::default();
-            let baseline = s
-                .baseline_program()
-                .unwrap_or_else(|e| panic!("{name} {level} baseline: {e}"));
-            hsm_exec::run_pthread_model_traced(
-                &baseline,
-                s.chip(),
-                ExecModel::Coherent,
-                &mut pthread_log,
-            )
-            .unwrap_or_else(|e| panic!("{name} {level} pthread traced: {e}"));
-            let mut rcce_log = EventLog::default();
-            let hsm = s
-                .program()
-                .unwrap_or_else(|e| panic!("{name} {level} program: {e}"));
-            hsm_exec::run_rcce_model_traced(
-                &hsm,
-                cores,
-                s.chip(),
-                ExecModel::Coherent,
-                &mut rcce_log,
-            )
-            .unwrap_or_else(|e| panic!("{name} {level} rcce traced: {e}"));
-            (
-                per_unit_streams(&pthread_log.events),
-                per_unit_streams(&rcce_log.events),
-            )
+            [Mode::PthreadBaseline, Mode::RcceHsm].map(|mode| {
+                let mut log = EventLog::default();
+                session
+                    .clone()
+                    .scenario(at(mode, ExecModel::Coherent, level))
+                    .run_traced(&mut log)
+                    .unwrap_or_else(|e| panic!("{name} {level} {} traced: {e}", mode.label()));
+                per_unit_streams(&log.events)
+            })
         };
-        let (pthread_o0, rcce_o0) = streams(OptLevel::O0);
-        let (pthread_o2, rcce_o2) = streams(OptLevel::O2);
+        let [pthread_o0, rcce_o0] = streams(OptLevel::O0);
+        let [pthread_o2, rcce_o2] = streams(OptLevel::O2);
         assert_eq!(
             pthread_o0, pthread_o2,
             "{name}: O2 changed the pthread sync-event streams"
@@ -293,7 +273,7 @@ fn sync_event_streams_are_level_invariant() {
 /// of the compiled program's cache key.
 #[test]
 fn multi_level_sweep_shares_artifacts_up_to_translation() {
-    use hsm_core::experiment::{sweep, Mode, SweepMatrix, SweepTask};
+    use hsm_core::experiment::{sweep, SweepMatrix, SweepTask};
     let src: Arc<str> = read("example_4_1.c").into();
     let matrix = SweepMatrix::new(scc_sim::SccConfig::table_6_1())
         .workers(2)
@@ -319,9 +299,17 @@ fn multi_level_sweep_shares_artifacts_up_to_translation() {
         );
     }
     let c = report.cache;
-    assert_eq!(c.translate.misses, 1, "one translation for both levels");
-    assert_eq!(c.translate.hits, 1, "O2 reuses the O0 translation");
-    assert_eq!(c.compile.misses, 2, "levels compile separately: {c:?}");
+    assert_eq!(
+        c[Stage::Translate].misses,
+        1,
+        "one translation for both levels"
+    );
+    assert_eq!(c[Stage::Translate].hits, 1, "O2 reuses the O0 translation");
+    assert_eq!(
+        c[Stage::Compile].misses,
+        2,
+        "levels compile separately: {c:?}"
+    );
 }
 
 /// Property test: random corpus program × random core count × random
@@ -335,25 +323,24 @@ fn random_points_agree_across_levels() {
         let cores = rng.gen_range_usize(2, 17);
         let model = MODELS[rng.gen_range_usize(0, MODELS.len())];
         let session = Pipeline::new(src.as_str()).cores(cores);
-        let o0 = session.clone().scenario(at(model, OptLevel::O0));
-        let o2 = session.scenario(at(model, OptLevel::O2));
-        let base0 = o0
-            .run_baseline()
-            .unwrap_or_else(|e| panic!("{name}@{cores} {model:?} O0 baseline: {e}"));
-        let base2 = o2
-            .run_baseline()
-            .unwrap_or_else(|e| panic!("{name}@{cores} {model:?} O2 baseline: {e}"));
+        let run = |mode: Mode, level: OptLevel| {
+            session
+                .clone()
+                .scenario(at(mode, model, level))
+                .run_scenario()
+                .unwrap_or_else(|e| {
+                    panic!("{name}@{cores} {model:?} {level} {}: {e}", mode.label())
+                })
+        };
+        let base0 = run(Mode::PthreadBaseline, OptLevel::O0);
+        let base2 = run(Mode::PthreadBaseline, OptLevel::O2);
         assert_eq!(
             observed(&base0),
             observed(&base2),
             "{name}@{cores} {model:?}: baseline diverged"
         );
-        let hsm0 = o0
-            .run()
-            .unwrap_or_else(|e| panic!("{name}@{cores} {model:?} O0 hsm: {e}"));
-        let hsm2 = o2
-            .run()
-            .unwrap_or_else(|e| panic!("{name}@{cores} {model:?} O2 hsm: {e}"));
+        let hsm0 = run(Mode::RcceHsm, OptLevel::O0);
+        let hsm2 = run(Mode::RcceHsm, OptLevel::O2);
         assert_eq!(
             observed(&hsm0),
             observed(&hsm2),

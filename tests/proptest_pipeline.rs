@@ -355,14 +355,18 @@ int main() {{
         );
         let session = hsm_core::Pipeline::new(src.as_str()).cores(threads);
         let base = session
-            .run_baseline()
+            .clone()
+            .scenario(hsm_core::Mode::PthreadBaseline.into())
+            .run_scenario()
             .unwrap_or_else(|e| panic!("baseline: {e}\n{src}"));
         let off = session
             .clone()
-            .policy(hsm_core::Policy::OffChipOnly)
-            .run()
+            .scenario(hsm_core::Mode::RcceOffChip.into())
+            .run_scenario()
             .unwrap_or_else(|e| panic!("off-chip: {e}\n{src}"));
-        let hsm = session.run().unwrap_or_else(|e| panic!("hsm: {e}\n{src}"));
+        let hsm = session
+            .run_scenario()
+            .unwrap_or_else(|e| panic!("hsm: {e}\n{src}"));
         assert_eq!(
             base.exit_code, off.exit_code,
             "off-chip diverged for\n{src}"

@@ -1,0 +1,145 @@
+//! The run surface's one invariant: a run is (program, scenario, sink),
+//! and a sink never perturbs the run it watches.
+//!
+//! `Pipeline::run_traced` is the single run path; `run_scenario`,
+//! `run_profiled` and `check_sharing` are that call with nothing, the
+//! profile collector or the sharing oracle attached. For every corpus
+//! program under every mode it supports, all four must report the same
+//! run. A second test drives the same path from the far end — a
+//! `simulate` job through an in-process `hsmd` with a disk store — and
+//! requires the wire row to equal the in-process sweep's.
+
+use hsm_core::api::{
+    encode_job, parse_response, sweep, Job, JobRequest, JobResponse, Mode, Pipeline, Scenario,
+    Server, ServerOptions, SpecProgram, SweepRow, SweepSpec,
+};
+use hsm_exec::{NullSink, RunResult};
+use scc_sim::SccConfig;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
+use std::path::PathBuf;
+
+const BARRIER: [Mode; 3] = [Mode::PthreadBaseline, Mode::RcceOffChip, Mode::RcceHsm];
+
+/// Every corpus program with its core count and the modes it supports:
+/// pthread programs run as the baseline and translated, the adversarial
+/// ones only as written, the task ports only under the task runtime.
+const CORPUS: [(&str, usize, &[Mode]); 11] = [
+    ("example_4_1", 3, &BARRIER),
+    ("matrix_vector", 4, &BARRIER),
+    ("mutex_histogram", 4, &BARRIER),
+    ("switch_classifier", 2, &BARRIER),
+    ("escaping_local", 4, &BARRIER),
+    ("dot_product", 8, &BARRIER),
+    ("adversarial/escaping_arg", 2, &[Mode::PthreadBaseline]),
+    ("adversarial/unlocked_counter", 2, &[Mode::PthreadBaseline]),
+    ("task_matrix_vector", 4, &[Mode::TaskDataflow]),
+    ("task_histogram", 4, &[Mode::TaskDataflow]),
+    ("task_dot_product", 8, &[Mode::TaskDataflow]),
+];
+
+fn read(name: &str) -> String {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("corpus")
+        .join(format!("{name}.c"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+}
+
+/// What a sink must leave alone.
+fn facts(r: &RunResult) -> (i64, u64, u64, u64, u64, Vec<String>) {
+    (
+        r.exit_code,
+        r.timed_cycles,
+        r.total_cycles,
+        r.instructions,
+        r.events,
+        r.output_sorted(),
+    )
+}
+
+#[test]
+fn sinks_never_perturb_a_run() {
+    for (name, cores, modes) in CORPUS {
+        let session = Pipeline::new(read(name)).cores(cores);
+        for &mode in modes {
+            let tag = format!("{name}/{}", mode.label());
+            let s = session.clone().scenario(mode.into());
+            let plain = s
+                .run_scenario()
+                .unwrap_or_else(|e| panic!("{tag}: run_scenario: {e}"));
+            let traced = s
+                .run_traced(&mut NullSink)
+                .unwrap_or_else(|e| panic!("{tag}: run_traced: {e}"));
+            let (profiled, profile) = s
+                .run_profiled()
+                .unwrap_or_else(|e| panic!("{tag}: run_profiled: {e}"));
+            let checked = s
+                .check_sharing()
+                .unwrap_or_else(|e| panic!("{tag}: check_sharing: {e}"));
+            assert_eq!(facts(&plain), facts(&traced), "{tag}: NullSink");
+            assert_eq!(facts(&plain), facts(&profiled), "{tag}: profile collector");
+            assert_eq!(facts(&plain), facts(&checked.result), "{tag}: oracle");
+            assert_eq!(profile.total_cycles, plain.total_cycles, "{tag}: profile");
+            assert!(
+                checked.report.data_accesses > 0,
+                "{tag}: oracle saw the run"
+            );
+        }
+    }
+}
+
+#[test]
+fn simulate_job_row_equals_the_in_process_row() {
+    let dir = std::env::temp_dir().join(format!("hsm-run-surface-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let source = read("matrix_vector");
+    let scenario = Scenario::new(Mode::RcceHsm);
+
+    let spec = SweepSpec {
+        programs: vec![SpecProgram::inline("matrix_vector", 4, source.clone())],
+        scenarios: vec![scenario],
+        workers: 1,
+        ..SweepSpec::default()
+    };
+    let matrix = spec.to_matrix(&SccConfig::table_6_1()).expect("matrix");
+    let local = SweepRow::from_outcome(&sweep(&matrix).outcomes[0]);
+    assert_eq!(local.error, None);
+
+    let options = ServerOptions {
+        cache_dir: Some(dir.to_string_lossy().into_owned()),
+        ..ServerOptions::default()
+    };
+    let server = Server::bind("127.0.0.1:0", options).expect("bind");
+    let addr = server.local_addr();
+    let cache = server.cache();
+    let handle = server.handle();
+    let thread = std::thread::spawn(move || server.run());
+
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let job = Job {
+        id: 7,
+        timeout_ms: None,
+        request: JobRequest::Simulate {
+            name: "matrix_vector".to_string(),
+            source,
+            cores: 4,
+            scenario,
+        },
+    };
+    stream
+        .write_all(format!("{}\n", encode_job(&job)).as_bytes())
+        .expect("send");
+    let mut line = String::new();
+    BufReader::new(&stream)
+        .read_line(&mut line)
+        .expect("receive");
+    let (id, response) = parse_response(line.trim_end()).expect("response parses");
+    assert_eq!(id, 7);
+    assert_eq!(response, JobResponse::Row(local));
+
+    let store = cache.stats().store.expect("server cache has a store");
+    assert!(store.total_writes() > 0, "artifacts written through");
+    handle.stop();
+    thread.join().expect("server thread").expect("clean exit");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -9,7 +9,7 @@
 //!   trigger, naming the culprit variable. A detector that goes quiet
 //!   fails these, so the clean runs above stay meaningful.
 
-use hsm_core::{Pipeline, Policy};
+use hsm_core::{Mode, Pipeline};
 use hsm_exec::ViolationClass;
 use scc_sim::SccConfig;
 use std::path::PathBuf;
@@ -36,6 +36,7 @@ fn race_free_corpus_is_clean_under_pthread_oracle() {
     let config = SccConfig::table_6_1();
     for name in RACE_FREE {
         let report = Pipeline::new(corpus_source(name))
+            .scenario(Mode::PthreadBaseline.into())
             .config(config.clone())
             .check_sharing()
             .unwrap_or_else(|e| panic!("{name}: {e}"))
@@ -60,21 +61,21 @@ fn race_free_corpus_is_clean_translated_at_random_core_counts() {
     check("rcce_oracle_clean", 6, |rng| {
         let (name, src) = &sources[rng.gen_range_usize(0, sources.len())];
         let cores = rng.gen_range_usize(2, 33);
-        let policy = if rng.gen_bool() {
-            Policy::SizeAscending
+        let mode = if rng.gen_bool() {
+            Mode::RcceHsm
         } else {
-            Policy::OffChipOnly
+            Mode::RcceOffChip
         };
         let report = Pipeline::new(src.as_str())
             .cores(cores)
-            .policy(policy)
+            .scenario(mode.into())
             .config(config.clone())
-            .check_sharing_rcce()
-            .unwrap_or_else(|e| panic!("{name} at {cores} cores ({policy:?}): {e}"))
+            .check_sharing()
+            .unwrap_or_else(|e| panic!("{name} at {cores} cores ({mode:?}): {e}"))
             .report;
         assert!(
             report.is_clean(),
-            "{name} at {cores} cores ({policy:?}) must be race-free: {:?}",
+            "{name} at {cores} cores ({mode:?}) must be race-free: {:?}",
             report.violations
         );
     });
@@ -85,6 +86,7 @@ fn race_free_corpus_is_clean_translated_at_random_core_counts() {
 #[test]
 fn escaping_stack_pointer_is_flagged_as_unsoundness() {
     let check = Pipeline::new(corpus_source("adversarial/escaping_arg"))
+        .scenario(Mode::PthreadBaseline.into())
         .check_sharing()
         .expect("pipeline");
     assert_eq!(
@@ -106,6 +108,7 @@ fn escaping_stack_pointer_is_flagged_as_unsoundness() {
 #[test]
 fn unlocked_shared_counter_is_flagged_as_data_race() {
     let check = Pipeline::new(corpus_source("adversarial/unlocked_counter"))
+        .scenario(Mode::PthreadBaseline.into())
         .check_sharing()
         .expect("pipeline");
     assert_eq!(

@@ -93,7 +93,7 @@ fn task_ports_are_oracle_clean() {
         let check = Pipeline::new(read(task_name))
             .cores(cores)
             .scenario(Scenario::new(Mode::TaskDataflow))
-            .check_sharing_task()
+            .check_sharing()
             .unwrap_or_else(|e| panic!("{task_name}: oracle run: {e}"));
         assert!(
             check.report.is_clean(),

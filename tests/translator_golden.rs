@@ -75,8 +75,12 @@ fn translated_source_is_valid_and_stable() {
 #[test]
 fn translated_example_runs_and_matches_baseline() {
     let session = hsm_core::Pipeline::new(EXAMPLE_4_1).cores(3);
-    let base = session.run_baseline().expect("baseline");
-    let rcce = session.run().expect("rcce run");
+    let base = session
+        .clone()
+        .scenario(hsm_core::Mode::PthreadBaseline.into())
+        .run_scenario()
+        .expect("baseline");
+    let rcce = session.run_scenario().expect("rcce run");
     // tf on core k adds k (its id) plus *ptr (== 1) into sum[k]:
     // the printed lines are "Sum Array: 1", "Sum Array: 3", "Sum Array: 5"
     // in the baseline (sum[k] = k + 1... with += tLocal then += *ptr).
