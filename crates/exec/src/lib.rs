@@ -485,6 +485,84 @@ int RCCE_APP(int *argc, char **argv) {
     }
 
     #[test]
+    fn rcce_barrier_after_a_core_exited_is_a_barrier_deadlock() {
+        // Core 0 leaves at once; the others work first, so they reach the
+        // barrier after it is already gone.
+        let src = r#"
+int RCCE_APP(int *argc, char **argv) {
+    RCCE_init(&argc, &argv);
+    int myID;
+    myID = RCCE_ue();
+    if (myID == 0) return 0;
+    int i;
+    int acc = 0;
+    for (i = 0; i < 500; i++) acc += i % 3;
+    RCCE_barrier(&RCCE_COMM_WORLD);
+    RCCE_finalize();
+    return acc;
+}
+"#;
+        let err = run_rcce(&compile_src(src), 4, &cfg()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "execution error: barrier deadlock: some cores exited before the barrier"
+        );
+    }
+
+    /// 32 cores running the same code tie on their clocks at every step;
+    /// the schedule is "smallest clock, lowest core id on ties", and the
+    /// order in which tied cores reach the memory controllers decides who
+    /// queues behind whom. The numbers are the parent commit's (PR 13).
+    #[test]
+    fn rcce_clock_ties_resolve_to_the_lowest_core_id() {
+        const BEFORE: [usize; 32] = [
+            24, 30, 25, 31, 26, 27, 28, 29, 0, 1, 2, 3, 4, 5, 12, 13, 6, 14, 7, 15, 8, 9, 16, 17,
+            10, 11, 18, 19, 20, 21, 22, 23,
+        ];
+        const AFTER: [usize; 32] = [
+            24, 25, 26, 27, 0, 6, 1, 7, 2, 8, 3, 9, 4, 10, 5, 11, 12, 13, 14, 30, 15, 31, 28, 29,
+            18, 19, 20, 21, 16, 22, 17, 23,
+        ];
+        const PER_CORE: [u64; 32] = [
+            14400, 14410, 14432, 14452, 14478, 14498, 14563, 14573, 14591, 14601, 14640, 14663,
+            14516, 14540, 14569, 14589, 14615, 14635, 14679, 14699, 14708, 14741, 14770, 14803,
+            14038, 14179, 14191, 14201, 14217, 14227, 14173, 14183,
+        ];
+        let src = r#"
+int *cells;
+int RCCE_APP(int *argc, char **argv) {
+    RCCE_init(&argc, &argv);
+    cells = (int *)RCCE_shmalloc(sizeof(int) * 64);
+    int me;
+    me = RCCE_ue();
+    int i;
+    int acc = 0;
+    for (i = 0; i < 40; i++) {
+        cells[(me + i) % 64] = i;
+        acc += cells[(me + 2 * i) % 64] % 5;
+    }
+    printf("core %d before\n", me);
+    RCCE_barrier(&RCCE_COMM_WORLD);
+    for (i = 0; i < 40; i++) acc += cells[(me * 3 + i) % 64] % 7;
+    printf("core %d after\n", me);
+    RCCE_finalize();
+    return 0;
+}
+"#;
+        let r = run_rcce(&compile_src(src), 32, &cfg()).expect("run");
+        // Output is ordered by (cycle, core): who printed when.
+        let printed: Vec<usize> = r.output.iter().map(|l| l.who).collect();
+        assert_eq!(printed[..32], BEFORE, "order of the first print");
+        assert_eq!(printed[32..], AFTER, "order of the second print");
+        assert_eq!(
+            (r.total_cycles, r.events, r.instructions),
+            (25937, 8032, 85984),
+            "totals"
+        );
+        assert_eq!(r.per_unit_cycles, PER_CORE, "per-core cycles");
+    }
+
+    #[test]
     fn rcce_pthread_leftovers_are_rejected() {
         let src = r#"
 int RCCE_APP(int *argc, char **argv) {

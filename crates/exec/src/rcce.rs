@@ -77,7 +77,20 @@ struct RcceSync {
     /// waiters block instead of spinning the DES).
     lock_owner: Vec<Option<usize>>,
     lock_waiters: Vec<VecDeque<usize>>,
+    /// What the scheduler compares, contiguous: core `i`'s clock while it
+    /// is `Running`, [`BLOCKED`] otherwise.
+    keys: Vec<u64>,
+    /// The core `schedule` handed out last — the only one whose clock an
+    /// event other than a syscall or a finish can have moved.
+    last: usize,
+    /// A syscall or a finish happened since the last `schedule`. Only
+    /// those change a core's state or another core's clock, so only then
+    /// does the barrier need a look and every key a refresh.
+    resync: bool,
 }
+
+/// Schedule key of a core that is not `Running`.
+const BLOCKED: u64 = u64::MAX;
 
 impl RcceSync {
     fn new(cores: usize, config: &SccConfig) -> Self {
@@ -93,6 +106,9 @@ impl RcceSync {
             flag_writer: Vec::new(),
             lock_owner: vec![None; config.cores],
             lock_waiters: vec![VecDeque::new(); config.cores],
+            keys: vec![0; cores],
+            last: 0,
+            resync: true,
         }
     }
 
@@ -184,29 +200,40 @@ impl SyncModel for RcceSync {
         &mut self,
         env: &mut ExecEnv<C>,
     ) -> Result<Option<usize>, ExecError> {
-        // Pick the running core with the smallest clock.
-        let next = self
+        if self.resync {
+            for (key, (state, unit)) in self.keys.iter_mut().zip(self.states.iter().zip(&env.units))
+            {
+                *key = match state {
+                    CoreState::Running => unit.clock,
+                    _ => BLOCKED,
+                };
+            }
+            self.resync = false;
+        } else {
+            self.keys[self.last] = env.units[self.last].clock;
+        }
+        // Pick the running core with the smallest clock; the strict `<`
+        // resolves ties to the lowest core id.
+        let (mut next, mut smallest) = (0, BLOCKED);
+        for (core, &key) in self.keys.iter().enumerate() {
+            if key < smallest {
+                (next, smallest) = (core, key);
+            }
+        }
+        if smallest != BLOCKED {
+            self.last = next;
+            return Ok(Some(next));
+        }
+        if self
             .states
             .iter()
-            .enumerate()
-            .filter(|(_, s)| **s == CoreState::Running)
-            .min_by_key(|(i, _)| (env.units[*i].clock, *i))
-            .map(|(i, _)| i);
-        match next {
-            Some(core) => Ok(Some(core)),
-            None => {
-                if self
-                    .states
-                    .iter()
-                    .all(|s| matches!(s, CoreState::Done { .. }))
-                {
-                    Ok(None)
-                } else {
-                    Err(ExecError::new(
-                        "deadlock: no runnable core but not all cores finished",
-                    ))
-                }
-            }
+            .all(|s| matches!(s, CoreState::Done { .. }))
+        {
+            Ok(None)
+        } else {
+            Err(ExecError::new(
+                "deadlock: no runnable core but not all cores finished",
+            ))
         }
     }
 
@@ -226,6 +253,7 @@ impl SyncModel for RcceSync {
     ) -> Result<Flow, ExecError> {
         let core = unit;
         let cores = self.cores;
+        self.resync = true;
         let ret = match intr {
             Intrinsic::RcceInit => {
                 env.units[core].clock += syscall_cost::RCCE_INIT;
@@ -500,6 +528,7 @@ impl SyncModel for RcceSync {
         exit: i64,
     ) -> Result<Flow, ExecError> {
         self.states[unit] = CoreState::Done { exit };
+        self.resync = true;
         // The run ends when the scheduler finds every core Done.
         Ok(Flow::Continue)
     }
@@ -509,7 +538,12 @@ impl SyncModel for RcceSync {
         env: &mut ExecEnv<C>,
         sink: &mut S,
     ) -> Result<(), ExecError> {
-        // Barrier release check: all live cores waiting?
+        // Barrier release check: all live cores waiting? States change only
+        // inside `syscall`/`finished`, so after any other event the answer
+        // is the one the previous check gave.
+        if !self.resync {
+            return Ok(());
+        }
         let total = self.states.len();
         let in_barrier = self
             .states

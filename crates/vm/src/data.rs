@@ -6,14 +6,41 @@
 
 use crate::value::{MemKind, Value};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 
+/// Hashes a page number with one multiply. The page map is looked up on
+/// every simulated load and store, nothing iterates it, and its keys are
+/// page numbers of the simulated address space rather than attacker-chosen
+/// input, so the default SipHash buys nothing here.
+#[derive(Debug, Clone, Copy, Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, page: u64) {
+        // Fibonacci hashing; the fold brings the well-mixed high half down
+        // to the bits the table indexes with.
+        let h = (self.0 ^ page).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+}
+
 /// A sparse byte-addressable memory.
 #[derive(Debug, Clone, Default)]
 pub struct ByteMemory {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>, BuildHasherDefault<PageHasher>>,
 }
 
 impl ByteMemory {
@@ -209,6 +236,36 @@ mod tests {
         m.write_bytes(0x100, b"Sum Array: %d\n\0");
         assert_eq!(m.read_cstr(0x100), "Sum Array: %d\n");
         assert_eq!(m.read_cstr(0x10_000), "");
+    }
+
+    #[test]
+    fn distant_pages_do_not_alias() {
+        // First page, its neighbour, page 2^20, and the last page of the
+        // MPB window (the highest address the simulated chip maps).
+        let pages = [0u64, 1, 1 << 20, (0xC006_0000u64 >> PAGE_SHIFT) - 1];
+        let mut m = ByteMemory::new();
+        for (i, page) in pages.iter().enumerate() {
+            let base = page << PAGE_SHIFT;
+            m.store(base, MemKind::I64, Value::I(1000 + i as i64));
+            m.store(
+                base + PAGE_SIZE as u64 - 8,
+                MemKind::F64,
+                Value::F(i as f64),
+            );
+        }
+        assert_eq!(m.resident_pages(), pages.len());
+        for (i, page) in pages.iter().enumerate() {
+            let base = page << PAGE_SHIFT;
+            assert_eq!(m.load(base, MemKind::I64), Value::I(1000 + i as i64));
+            assert_eq!(
+                m.load(base + PAGE_SIZE as u64 - 8, MemKind::F64),
+                Value::F(i as f64)
+            );
+            assert_eq!(m.load(base + 8, MemKind::I64), Value::I(0));
+        }
+        // An untouched page between them still reads as zero.
+        assert_eq!(m.load(2 << PAGE_SHIFT, MemKind::I64), Value::I(0));
+        assert_eq!(m.resident_pages(), pages.len());
     }
 
     #[test]

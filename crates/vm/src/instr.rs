@@ -1,9 +1,10 @@
 //! The stack-machine instruction set.
 //!
-//! The compiler lowers CIR to this bytecode; the VM executes one
-//! instruction per [`crate::vm::Vm::run_until_event`], which is what makes execution
-//! suspendable — the discrete-event engine can interleave 48 cores at
-//! instruction granularity.
+//! The compiler lowers CIR to this bytecode; [`crate::vm::Vm::run_until_event`]
+//! executes it up to the next load, store or library call and hands that
+//! to the engine, which is what makes execution suspendable — the
+//! discrete-event engine can interleave 48 cores at memory-access
+//! granularity.
 
 use crate::value::MemKind;
 use std::fmt;
@@ -289,11 +290,12 @@ pub enum Instr {
 
 /// The fieldless opcode of each [`Instr`] variant.
 ///
-/// `Op` is the index space of the VM's jump-table dispatch: discriminants
-/// are dense (`0..Op::COUNT`), so `table[instr.op() as usize]` is a single
-/// bounds-free load. [`Op::ALL`] lists every opcode in discriminant order;
-/// `tests/dispatch.rs` uses it to prove the table covers the instruction
-/// set and agrees with the reference match-based dispatch.
+/// `Op` names an instruction without its payload: the optimizer's value
+/// numbering keys on it, and `tests/vm_dispatch.rs` draws from
+/// [`Op::ALL`] to prove its generated corpus covers the instruction set.
+/// Discriminants are dense (`0..Op::COUNT`) and [`Op::ALL`] lists every
+/// opcode in discriminant order. The VM itself dispatches on [`Instr`]
+/// directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Op {
@@ -380,7 +382,7 @@ pub enum Op {
 }
 
 impl Op {
-    /// Number of opcodes (the jump table's length).
+    /// Number of opcodes.
     pub const COUNT: usize = 40;
 
     /// Every opcode, in discriminant order (`ALL[i] as usize == i`).
@@ -429,7 +431,7 @@ impl Op {
 }
 
 impl Instr {
-    /// The fieldless opcode of this instruction (jump-table index).
+    /// The fieldless opcode of this instruction.
     #[inline(always)]
     pub fn op(self) -> Op {
         match self {

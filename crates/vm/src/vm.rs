@@ -84,8 +84,9 @@ pub enum StepOutcome {
 /// One call record. Registers live in the [`Vm`]'s flat arena (`regs`);
 /// a frame owns the suffix starting at `reg_base`, so calls never allocate
 /// and returns are a truncate. `pc` is only authoritative while the frame
-/// is *not* the running one: the interpreter caches the top frame's state
-/// in [`Hot`] and writes `pc` back at calls and suspension points.
+/// is *not* running: [`Vm::run_until_event`] keeps the running frame's
+/// `pc` in a local and writes it back at calls, returns, suspension points
+/// and faults.
 #[derive(Debug, Clone)]
 struct Frame {
     func: u32,
@@ -97,7 +98,7 @@ struct Frame {
 
 #[derive(Debug, Clone, PartialEq)]
 enum Pending {
-    Load { keep_float: bool },
+    Load,
     Store { repush: Option<Value> },
     Syscall,
 }
@@ -167,12 +168,6 @@ impl Vm {
         self.frames.len()
     }
 
-    fn pop(&mut self) -> Result<Value, VmError> {
-        self.stack
-            .pop()
-            .ok_or_else(|| VmError::new("value stack underflow"))
-    }
-
     /// Completes a pending load.
     ///
     /// # Panics
@@ -180,7 +175,7 @@ impl Vm {
     /// Panics if no load is pending.
     pub fn provide_load(&mut self, v: Value) {
         match self.pending.take() {
-            Some(Pending::Load { .. }) => self.stack.push(v),
+            Some(Pending::Load) => self.stack.push(v),
             other => panic!("provide_load without pending load: {other:?}"),
         }
     }
@@ -215,39 +210,20 @@ impl Vm {
 
     /// Runs instructions until something needs the engine (memory access,
     /// syscall, or completion), accumulating plain-instruction cycles into
-    /// the returned outcome. Instructions dispatch through the jump table
-    /// indexed by [`crate::instr::Op`].
+    /// the returned outcome.
+    ///
+    /// One fetch loop, one inline arm per opcode. The running frame's code,
+    /// `pc`, register window and memory base, `cycles` and `retired` stay in
+    /// locals; `pc` and `retired` go back to memory only where someone else
+    /// can see them: suspension points, calls, returns and faults.
     ///
     /// # Errors
     ///
-    /// Returns a [`VmError`] on stack underflow or malformed bytecode —
-    /// both indicate internal bugs.
+    /// Returns a [`VmError`] on stack underflow, malformed bytecode, or a
+    /// run-time error of the simulated program (integer division by zero,
+    /// negative effective address, simulated stack overflow).
     pub fn run_until_event(&mut self, program: &Program) -> Result<StepOutcome, VmError> {
-        self.run_loop(program, dispatch_table)
-    }
-
-    /// [`Vm::run_until_event`] resolved through an explicit structural
-    /// `match` on [`Instr`] instead of the jump table — the pre-table
-    /// dispatch shape, kept as the reference arm of the differential
-    /// dispatch test (`tests/dispatch.rs`). Behaviour must be identical.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`VmError`] on stack underflow or malformed bytecode.
-    pub fn run_until_event_matched(&mut self, program: &Program) -> Result<StepOutcome, VmError> {
-        self.run_loop(program, dispatch_matched)
-    }
-
-    /// The shared fetch/decode loop: caches the top frame's state in a
-    /// [`Hot`] so the per-instruction path never re-derives it, and defers
-    /// per-opcode semantics to `step` (table- or match-resolved; both
-    /// monomorphize, so the production build pays no indirection beyond
-    /// the table load itself).
-    #[inline(always)]
-    fn run_loop<'p, F>(&mut self, program: &'p Program, step: F) -> Result<StepOutcome, VmError>
-    where
-        F: Fn(&mut Vm, &mut Hot<'p>, &'p Program, Instr) -> Result<Ctl, VmError>,
-    {
+        use Instr::*;
         assert!(
             self.pending.is_none(),
             "resuming a VM with an unresolved pending operation"
@@ -255,691 +231,507 @@ impl Vm {
         if let Some(exit) = self.finished {
             return Ok(StepOutcome::Finished { exit });
         }
-        let mut hot = {
-            let frame = self
-                .frames
-                .last()
-                .ok_or_else(|| VmError::new("no active frame"))?;
-            Hot::of(program, frame)
-        };
-        loop {
-            let Some(&instr) = hot.code.get(hot.pc as usize) else {
-                let func = &program.funcs[self.frames.last().expect("frame").func as usize];
-                self.sync_pc(&hot);
-                return Err(VmError::new(format!(
-                    "pc {} out of bounds in `{}`",
-                    hot.pc, func.name
-                )));
-            };
-            hot.pc += 1;
-            hot.cycles += instr.base_cost();
-            self.retired += 1;
-
-            match step(self, &mut hot, program, instr) {
-                Ok(Ctl::Next) => {}
-                Ok(Ctl::Event(out)) => return Ok(out),
-                Err(e) => {
-                    self.sync_pc(&hot);
-                    return Err(e);
+        if self.frames.is_empty() {
+            return Err(VmError::new("no active frame"));
+        }
+        let (mut code, mut pc, mut mem_base, mut regs) =
+            top_frame(program, &self.frames, &mut self.regs);
+        let mut cycles = 0u64;
+        let mut retired = self.retired;
+        macro_rules! park {
+            () => {
+                self.retired = retired;
+                if let Some(f) = self.frames.last_mut() {
+                    f.pc = pc as u32;
                 }
+            };
+        }
+        macro_rules! fault {
+            ($e:expr) => {{
+                park!();
+                return Err($e);
+            }};
+        }
+        macro_rules! pop {
+            () => {
+                match self.stack.pop() {
+                    Some(v) => v,
+                    None => fault!(underflow(&mut self.stack)),
+                }
+            };
+        }
+        // Naming the opcode lets `binary` fold down to that one operator.
+        macro_rules! binop {
+            ($op:expr) => {
+                if let Err(e) = binop(&mut self.stack, |l, r| binary($op, l, r)) {
+                    fault!(e)
+                }
+            };
+        }
+        loop {
+            let Some(&instr) = code.get(pc) else {
+                let name = &program.funcs[self.frames.last().expect("frame").func as usize].name;
+                fault!(VmError::new(format!("pc {pc} out of bounds in `{name}`")))
+            };
+            pc += 1;
+            cycles += instr.base_cost();
+            retired += 1;
+            match instr {
+                PushI(v) => self.stack.push(Value::I(v)),
+                PushF(v) => self.stack.push(Value::F(v)),
+                LocalGet(slot) => match regs.get(slot as usize) {
+                    Some(&v) => self.stack.push(v),
+                    None => fault!(VmError::new("register slot out of range")),
+                },
+                LocalSet(slot) => {
+                    let v = pop!();
+                    match regs.get_mut(slot as usize) {
+                        Some(r) => *r = v,
+                        None => fault!(VmError::new("register slot out of range")),
+                    }
+                }
+                LocalMemAddr(off) => self.stack.push(local_addr(mem_base, off)),
+                Load(kind) => {
+                    let addr = match address(pop!()) {
+                        Ok(a) => a,
+                        Err(e) => fault!(e),
+                    };
+                    self.pending = Some(Pending::Load);
+                    park!();
+                    return Ok(StepOutcome::Load { addr, kind, cycles });
+                }
+                Store(kind, keep) => {
+                    let value = pop!();
+                    let addr = match address(pop!()) {
+                        Ok(a) => a,
+                        Err(e) => fault!(e),
+                    };
+                    let repush = keep.then_some(value);
+                    self.pending = Some(Pending::Store { repush });
+                    park!();
+                    #[rustfmt::skip]
+                    return Ok(StepOutcome::Store { addr, kind, value, cycles });
+                }
+                Dup => match self.stack.last() {
+                    Some(&v) => self.stack.push(v),
+                    None => fault!(VmError::new("dup on empty stack")),
+                },
+                Pop => {
+                    pop!();
+                }
+                Swap => match self.stack.as_mut_slice() {
+                    [.., a, b] => std::mem::swap(a, b),
+                    _ => fault!(underflow(&mut self.stack)),
+                },
+                Rot3 => match self.stack.as_mut_slice() {
+                    [.., a, b, c] => (*a, *b, *c) = (*b, *c, *a),
+                    _ => fault!(underflow(&mut self.stack)),
+                },
+                Add => binop!(Add),
+                Sub => binop!(Sub),
+                Mul => binop!(Mul),
+                Div => binop!(Div),
+                Rem => binop!(Rem),
+                Shl | Shr | BitAnd | BitOr | BitXor => binop!(instr),
+                CmpLt => binop!(CmpLt),
+                CmpLe => binop!(CmpLe),
+                CmpGt => binop!(CmpGt),
+                CmpGe => binop!(CmpGe),
+                CmpEq => binop!(CmpEq),
+                CmpNe => binop!(CmpNe),
+                Neg | Not | BitNot | I2F | F2I => match self.stack.last_mut() {
+                    Some(top) => *top = unary(instr, *top),
+                    None => fault!(underflow(&mut self.stack)),
+                },
+                Jump(t) => pc = t as usize,
+                JumpIfZero(t) => {
+                    if !pop!().is_truthy() {
+                        pc = t as usize;
+                    }
+                }
+                JumpIfNotZero(t) => {
+                    if pop!().is_truthy() {
+                        pc = t as usize;
+                    }
+                }
+                Call(idx, nargs) => {
+                    park!(); // `pc` is the return address
+                    self.enter(program, idx, nargs)?;
+                    (code, pc, mem_base, regs) = top_frame(program, &self.frames, &mut self.regs);
+                }
+                CallIntrinsic(intrinsic, nargs) => {
+                    park!();
+                    let (stack, pending) = (&mut self.stack, &mut self.pending);
+                    match call_intrinsic(stack, pending, intrinsic, nargs, cycles)? {
+                        Some(syscall) => return Ok(syscall),
+                        None => cycles += PURE_INTRINSIC_CYCLES,
+                    }
+                }
+                Ret | RetVoid => {
+                    park!();
+                    if let Some(exit) = self.leave(instr == Ret)? {
+                        return Ok(StepOutcome::Finished { exit });
+                    }
+                    (code, pc, mem_base, regs) = top_frame(program, &self.frames, &mut self.regs);
+                }
+                Nop => {}
             }
             // Safety valve: surface control periodically so the engine can
             // interleave cores even through long register-only stretches.
-            if hot.cycles >= 4096 {
-                self.sync_pc(&hot);
-                return Ok(StepOutcome::Ran { cycles: hot.cycles });
+            // Tested after every instruction: where a `Ran` slice ends
+            // decides pthread quantum expiry and RCCE event order.
+            if cycles >= SLICE_CYCLES {
+                park!();
+                return Ok(StepOutcome::Ran { cycles });
             }
         }
     }
 
-    /// Writes the cached program counter back into the top frame (at
-    /// suspension points and on faults).
-    fn sync_pc(&mut self, hot: &Hot<'_>) {
-        if let Some(f) = self.frames.last_mut() {
-            f.pc = hot.pc;
+    /// [`Vm::run_until_event`] as the plainest interpreter that can be
+    /// written: one `match`, every access through `self`'s fields, nothing
+    /// cached. It exists so `tests/vm_dispatch.rs` has something to hold
+    /// the production loop against; behaviour must be identical.
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`Vm::run_until_event`].
+    #[doc(hidden)]
+    pub fn run_until_event_matched(&mut self, program: &Program) -> Result<StepOutcome, VmError> {
+        use Instr::*;
+        assert!(
+            self.pending.is_none(),
+            "resuming a VM with an unresolved pending operation"
+        );
+        if let Some(exit) = self.finished {
+            return Ok(StepOutcome::Finished { exit });
         }
-    }
-}
-
-/// Cached execution state of the topmost frame, held in locals across the
-/// fetch/decode loop so the per-instruction path touches no `Vec` lookups.
-/// `cycles` accumulates across frame switches within one engine slice;
-/// everything else is refreshed by [`Hot::switch_frame`] on call/return.
-struct Hot<'p> {
-    code: &'p [Instr],
-    pc: u32,
-    reg_base: usize,
-    reg_len: usize,
-    mem_base: u64,
-    cycles: u64,
-}
-
-impl<'p> Hot<'p> {
-    fn of(program: &'p Program, frame: &Frame) -> Hot<'p> {
-        let f = &program.funcs[frame.func as usize];
-        Hot {
-            code: &f.code,
-            pc: frame.pc,
-            reg_base: frame.reg_base,
-            reg_len: f.n_regs as usize,
-            mem_base: frame.mem_base,
-            cycles: 0,
-        }
-    }
-
-    /// Re-targets the cache at `frame` (after a call or return), keeping
-    /// the accumulated cycle count.
-    fn switch_frame(&mut self, program: &'p Program, frame: &Frame) {
-        let f = &program.funcs[frame.func as usize];
-        self.code = &f.code;
-        self.pc = frame.pc;
-        self.reg_base = frame.reg_base;
-        self.reg_len = f.n_regs as usize;
-        self.mem_base = frame.mem_base;
-    }
-}
-
-/// What an opcode handler tells the fetch loop.
-enum Ctl {
-    /// Fall through to the next instruction.
-    Next,
-    /// Suspend (or finish): hand `StepOutcome` to the engine.
-    Event(StepOutcome),
-}
-
-/// One opcode's semantics. Handlers trust that `instr`'s payload matches
-/// the opcode they are registered for; [`DISPATCH`] and `Instr::op` keep
-/// that true, and `tests/dispatch.rs` proves it differentially.
-type Handler = for<'p> fn(&mut Vm, &mut Hot<'p>, &'p Program, Instr) -> Result<Ctl, VmError>;
-
-/// The jump table: direct-threaded-style dispatch, indexed by
-/// [`crate::instr::Op`] discriminant. Entries appear in `Op` order; the
-/// array length is checked against [`Op::COUNT`] at compile time, so a new
-/// opcode without a table entry fails the build.
-static DISPATCH: [Handler; crate::instr::Op::COUNT] = [
-    op_push_i,          // Op::PushI
-    op_push_f,          // Op::PushF
-    op_local_get,       // Op::LocalGet
-    op_local_set,       // Op::LocalSet
-    op_local_mem_addr,  // Op::LocalMemAddr
-    op_load,            // Op::Load
-    op_store,           // Op::Store
-    op_dup,             // Op::Dup
-    op_pop,             // Op::Pop
-    op_swap,            // Op::Swap
-    op_rot3,            // Op::Rot3
-    op_arith,           // Op::Add
-    op_arith,           // Op::Sub
-    op_arith,           // Op::Mul
-    op_arith,           // Op::Div
-    op_arith,           // Op::Rem
-    op_bitop,           // Op::Shl
-    op_bitop,           // Op::Shr
-    op_bitop,           // Op::BitAnd
-    op_bitop,           // Op::BitOr
-    op_bitop,           // Op::BitXor
-    op_neg,             // Op::Neg
-    op_not,             // Op::Not
-    op_bitnot,          // Op::BitNot
-    op_compare,         // Op::CmpLt
-    op_compare,         // Op::CmpLe
-    op_compare,         // Op::CmpGt
-    op_compare,         // Op::CmpGe
-    op_compare,         // Op::CmpEq
-    op_compare,         // Op::CmpNe
-    op_i2f,             // Op::I2F
-    op_f2i,             // Op::F2I
-    op_jump,            // Op::Jump
-    op_jump_if_zero,    // Op::JumpIfZero
-    op_jump_if_nonzero, // Op::JumpIfNotZero
-    op_call,            // Op::Call
-    op_call_intrinsic,  // Op::CallIntrinsic
-    op_ret,             // Op::Ret
-    op_ret,             // Op::RetVoid
-    op_nop,             // Op::Nop
-];
-
-/// Production dispatch: one table load, one indirect call.
-#[inline(always)]
-fn dispatch_table<'p>(
-    vm: &mut Vm,
-    hot: &mut Hot<'p>,
-    program: &'p Program,
-    instr: Instr,
-) -> Result<Ctl, VmError> {
-    DISPATCH[instr.op() as usize](vm, hot, program, instr)
-}
-
-/// Reference dispatch: structural match on [`Instr`] (the pre-jump-table
-/// shape). Resolves to the same handlers without going through `Instr::op`
-/// or the table, so a differential run catches a mis-mapped opcode or a
-/// mis-ordered table entry.
-fn dispatch_matched<'p>(
-    vm: &mut Vm,
-    hot: &mut Hot<'p>,
-    program: &'p Program,
-    instr: Instr,
-) -> Result<Ctl, VmError> {
-    match instr {
-        Instr::PushI(_) => op_push_i(vm, hot, program, instr),
-        Instr::PushF(_) => op_push_f(vm, hot, program, instr),
-        Instr::LocalGet(_) => op_local_get(vm, hot, program, instr),
-        Instr::LocalSet(_) => op_local_set(vm, hot, program, instr),
-        Instr::LocalMemAddr(_) => op_local_mem_addr(vm, hot, program, instr),
-        Instr::Load(_) => op_load(vm, hot, program, instr),
-        Instr::Store(..) => op_store(vm, hot, program, instr),
-        Instr::Dup => op_dup(vm, hot, program, instr),
-        Instr::Pop => op_pop(vm, hot, program, instr),
-        Instr::Swap => op_swap(vm, hot, program, instr),
-        Instr::Rot3 => op_rot3(vm, hot, program, instr),
-        Instr::Add | Instr::Sub | Instr::Mul | Instr::Div | Instr::Rem => {
-            op_arith(vm, hot, program, instr)
-        }
-        Instr::Shl | Instr::Shr | Instr::BitAnd | Instr::BitOr | Instr::BitXor => {
-            op_bitop(vm, hot, program, instr)
-        }
-        Instr::Neg => op_neg(vm, hot, program, instr),
-        Instr::Not => op_not(vm, hot, program, instr),
-        Instr::BitNot => op_bitnot(vm, hot, program, instr),
-        Instr::CmpLt | Instr::CmpLe | Instr::CmpGt | Instr::CmpGe | Instr::CmpEq | Instr::CmpNe => {
-            op_compare(vm, hot, program, instr)
-        }
-        Instr::I2F => op_i2f(vm, hot, program, instr),
-        Instr::F2I => op_f2i(vm, hot, program, instr),
-        Instr::Jump(_) => op_jump(vm, hot, program, instr),
-        Instr::JumpIfZero(_) => op_jump_if_zero(vm, hot, program, instr),
-        Instr::JumpIfNotZero(_) => op_jump_if_nonzero(vm, hot, program, instr),
-        Instr::Call(..) => op_call(vm, hot, program, instr),
-        Instr::CallIntrinsic(..) => op_call_intrinsic(vm, hot, program, instr),
-        Instr::Ret | Instr::RetVoid => op_ret(vm, hot, program, instr),
-        Instr::Nop => op_nop(vm, hot, program, instr),
-    }
-}
-
-fn op_push_i<'p>(
-    vm: &mut Vm,
-    _hot: &mut Hot<'p>,
-    _p: &'p Program,
-    instr: Instr,
-) -> Result<Ctl, VmError> {
-    let Instr::PushI(v) = instr else {
-        unreachable!("dispatch mismatch: {instr:?}")
-    };
-    vm.stack.push(Value::I(v));
-    Ok(Ctl::Next)
-}
-
-fn op_push_f<'p>(
-    vm: &mut Vm,
-    _hot: &mut Hot<'p>,
-    _p: &'p Program,
-    instr: Instr,
-) -> Result<Ctl, VmError> {
-    let Instr::PushF(v) = instr else {
-        unreachable!("dispatch mismatch: {instr:?}")
-    };
-    vm.stack.push(Value::F(v));
-    Ok(Ctl::Next)
-}
-
-fn op_local_get<'p>(
-    vm: &mut Vm,
-    hot: &mut Hot<'p>,
-    _p: &'p Program,
-    instr: Instr,
-) -> Result<Ctl, VmError> {
-    let Instr::LocalGet(slot) = instr else {
-        unreachable!("dispatch mismatch: {instr:?}")
-    };
-    if slot as usize >= hot.reg_len {
-        return Err(VmError::new("register slot out of range"));
-    }
-    let v = vm.regs[hot.reg_base + slot as usize];
-    vm.stack.push(v);
-    Ok(Ctl::Next)
-}
-
-fn op_local_set<'p>(
-    vm: &mut Vm,
-    hot: &mut Hot<'p>,
-    _p: &'p Program,
-    instr: Instr,
-) -> Result<Ctl, VmError> {
-    let Instr::LocalSet(slot) = instr else {
-        unreachable!("dispatch mismatch: {instr:?}")
-    };
-    let v = vm.pop()?;
-    if slot as usize >= hot.reg_len {
-        return Err(VmError::new("register slot out of range"));
-    }
-    vm.regs[hot.reg_base + slot as usize] = v;
-    Ok(Ctl::Next)
-}
-
-fn op_local_mem_addr<'p>(
-    vm: &mut Vm,
-    hot: &mut Hot<'p>,
-    _p: &'p Program,
-    instr: Instr,
-) -> Result<Ctl, VmError> {
-    let Instr::LocalMemAddr(off) = instr else {
-        unreachable!("dispatch mismatch: {instr:?}")
-    };
-    vm.stack
-        .push(Value::I((hot.mem_base + u64::from(off)) as i64));
-    Ok(Ctl::Next)
-}
-
-fn op_load<'p>(
-    vm: &mut Vm,
-    hot: &mut Hot<'p>,
-    _p: &'p Program,
-    instr: Instr,
-) -> Result<Ctl, VmError> {
-    let Instr::Load(kind) = instr else {
-        unreachable!("dispatch mismatch: {instr:?}")
-    };
-    let addr = vm.pop()?.as_addr();
-    vm.pending = Some(Pending::Load {
-        keep_float: kind.is_float(),
-    });
-    vm.sync_pc(hot);
-    Ok(Ctl::Event(StepOutcome::Load {
-        addr,
-        kind,
-        cycles: hot.cycles,
-    }))
-}
-
-fn op_store<'p>(
-    vm: &mut Vm,
-    hot: &mut Hot<'p>,
-    _p: &'p Program,
-    instr: Instr,
-) -> Result<Ctl, VmError> {
-    let Instr::Store(kind, keep) = instr else {
-        unreachable!("dispatch mismatch: {instr:?}")
-    };
-    let value = vm.pop()?;
-    let addr = vm.pop()?.as_addr();
-    vm.pending = Some(Pending::Store {
-        repush: keep.then_some(value),
-    });
-    vm.sync_pc(hot);
-    Ok(Ctl::Event(StepOutcome::Store {
-        addr,
-        kind,
-        value,
-        cycles: hot.cycles,
-    }))
-}
-
-fn op_dup<'p>(
-    vm: &mut Vm,
-    _hot: &mut Hot<'p>,
-    _p: &'p Program,
-    _instr: Instr,
-) -> Result<Ctl, VmError> {
-    let v = *vm
-        .stack
-        .last()
-        .ok_or_else(|| VmError::new("dup on empty stack"))?;
-    vm.stack.push(v);
-    Ok(Ctl::Next)
-}
-
-fn op_pop<'p>(
-    vm: &mut Vm,
-    _hot: &mut Hot<'p>,
-    _p: &'p Program,
-    _instr: Instr,
-) -> Result<Ctl, VmError> {
-    vm.pop()?;
-    Ok(Ctl::Next)
-}
-
-fn op_swap<'p>(
-    vm: &mut Vm,
-    _hot: &mut Hot<'p>,
-    _p: &'p Program,
-    _instr: Instr,
-) -> Result<Ctl, VmError> {
-    let b = vm.pop()?;
-    let a = vm.pop()?;
-    vm.stack.push(b);
-    vm.stack.push(a);
-    Ok(Ctl::Next)
-}
-
-fn op_rot3<'p>(
-    vm: &mut Vm,
-    _hot: &mut Hot<'p>,
-    _p: &'p Program,
-    _instr: Instr,
-) -> Result<Ctl, VmError> {
-    let c = vm.pop()?;
-    let b = vm.pop()?;
-    let a = vm.pop()?;
-    vm.stack.push(b);
-    vm.stack.push(c);
-    vm.stack.push(a);
-    Ok(Ctl::Next)
-}
-
-fn op_arith<'p>(
-    vm: &mut Vm,
-    _hot: &mut Hot<'p>,
-    _p: &'p Program,
-    instr: Instr,
-) -> Result<Ctl, VmError> {
-    let r = vm.pop()?;
-    let l = vm.pop()?;
-    vm.stack.push(arith(instr, l, r)?);
-    Ok(Ctl::Next)
-}
-
-fn op_bitop<'p>(
-    vm: &mut Vm,
-    _hot: &mut Hot<'p>,
-    _p: &'p Program,
-    instr: Instr,
-) -> Result<Ctl, VmError> {
-    let r = vm.pop()?.as_i();
-    let l = vm.pop()?.as_i();
-    let v = match instr {
-        Instr::Shl => l.wrapping_shl(r as u32),
-        Instr::Shr => l.wrapping_shr(r as u32),
-        Instr::BitAnd => l & r,
-        Instr::BitOr => l | r,
-        Instr::BitXor => l ^ r,
-        _ => unreachable!("dispatch mismatch: {instr:?}"),
-    };
-    vm.stack.push(Value::I(v));
-    Ok(Ctl::Next)
-}
-
-fn op_neg<'p>(
-    vm: &mut Vm,
-    _hot: &mut Hot<'p>,
-    _p: &'p Program,
-    _instr: Instr,
-) -> Result<Ctl, VmError> {
-    let v = vm.pop()?;
-    vm.stack.push(match v {
-        Value::I(i) => Value::I(i.wrapping_neg()),
-        Value::F(f) => Value::F(-f),
-    });
-    Ok(Ctl::Next)
-}
-
-fn op_not<'p>(
-    vm: &mut Vm,
-    _hot: &mut Hot<'p>,
-    _p: &'p Program,
-    _instr: Instr,
-) -> Result<Ctl, VmError> {
-    let v = vm.pop()?;
-    vm.stack.push(Value::I(i64::from(!v.is_truthy())));
-    Ok(Ctl::Next)
-}
-
-fn op_bitnot<'p>(
-    vm: &mut Vm,
-    _hot: &mut Hot<'p>,
-    _p: &'p Program,
-    _instr: Instr,
-) -> Result<Ctl, VmError> {
-    let v = vm.pop()?.as_i();
-    vm.stack.push(Value::I(!v));
-    Ok(Ctl::Next)
-}
-
-fn op_compare<'p>(
-    vm: &mut Vm,
-    _hot: &mut Hot<'p>,
-    _p: &'p Program,
-    instr: Instr,
-) -> Result<Ctl, VmError> {
-    let r = vm.pop()?;
-    let l = vm.pop()?;
-    vm.stack.push(compare(instr, l, r));
-    Ok(Ctl::Next)
-}
-
-fn op_i2f<'p>(
-    vm: &mut Vm,
-    _hot: &mut Hot<'p>,
-    _p: &'p Program,
-    _instr: Instr,
-) -> Result<Ctl, VmError> {
-    let v = vm.pop()?;
-    vm.stack.push(Value::F(v.as_f()));
-    Ok(Ctl::Next)
-}
-
-fn op_f2i<'p>(
-    vm: &mut Vm,
-    _hot: &mut Hot<'p>,
-    _p: &'p Program,
-    _instr: Instr,
-) -> Result<Ctl, VmError> {
-    let v = vm.pop()?;
-    vm.stack.push(Value::I(v.as_i()));
-    Ok(Ctl::Next)
-}
-
-fn op_jump<'p>(
-    _vm: &mut Vm,
-    hot: &mut Hot<'p>,
-    _p: &'p Program,
-    instr: Instr,
-) -> Result<Ctl, VmError> {
-    let Instr::Jump(t) = instr else {
-        unreachable!("dispatch mismatch: {instr:?}")
-    };
-    hot.pc = t;
-    Ok(Ctl::Next)
-}
-
-fn op_jump_if_zero<'p>(
-    vm: &mut Vm,
-    hot: &mut Hot<'p>,
-    _p: &'p Program,
-    instr: Instr,
-) -> Result<Ctl, VmError> {
-    let Instr::JumpIfZero(t) = instr else {
-        unreachable!("dispatch mismatch: {instr:?}")
-    };
-    let v = vm.pop()?;
-    if !v.is_truthy() {
-        hot.pc = t;
-    }
-    Ok(Ctl::Next)
-}
-
-fn op_jump_if_nonzero<'p>(
-    vm: &mut Vm,
-    hot: &mut Hot<'p>,
-    _p: &'p Program,
-    instr: Instr,
-) -> Result<Ctl, VmError> {
-    let Instr::JumpIfNotZero(t) = instr else {
-        unreachable!("dispatch mismatch: {instr:?}")
-    };
-    let v = vm.pop()?;
-    if v.is_truthy() {
-        hot.pc = t;
-    }
-    Ok(Ctl::Next)
-}
-
-fn op_call<'p>(
-    vm: &mut Vm,
-    hot: &mut Hot<'p>,
-    program: &'p Program,
-    instr: Instr,
-) -> Result<Ctl, VmError> {
-    let Instr::Call(idx, nargs) = instr else {
-        unreachable!("dispatch mismatch: {instr:?}")
-    };
-    let callee = program
-        .funcs
-        .get(idx as usize)
-        .ok_or_else(|| VmError::new("call target out of range"))?;
-    let reg_base = vm.regs.len();
-    let n_regs = callee.n_regs as usize;
-    vm.regs.resize(reg_base + n_regs, Value::I(0));
-    for i in (0..nargs as usize).rev() {
-        let v = match vm.pop() {
-            Ok(v) => v,
-            Err(e) => {
-                vm.regs.truncate(reg_base);
-                return Err(e);
+        let mut cycles = 0u64;
+        loop {
+            let Some(frame) = self.frames.last_mut() else {
+                return Err(VmError::new("no active frame"));
+            };
+            let func = &program.funcs[frame.func as usize];
+            let Some(&instr) = func.code.get(frame.pc as usize) else {
+                let (pc, name) = (frame.pc, &func.name);
+                return Err(VmError::new(format!("pc {pc} out of bounds in `{name}`")));
+            };
+            frame.pc += 1;
+            let (reg_base, mem_base) = (frame.reg_base, frame.mem_base);
+            cycles += instr.base_cost();
+            self.retired += 1;
+            match instr {
+                PushI(v) => self.stack.push(Value::I(v)),
+                PushF(v) => self.stack.push(Value::F(v)),
+                LocalGet(slot) => {
+                    if slot >= func.n_regs {
+                        return Err(VmError::new("register slot out of range"));
+                    }
+                    self.stack.push(self.regs[reg_base + slot as usize]);
+                }
+                LocalSet(slot) => {
+                    let v = pop(&mut self.stack)?;
+                    if slot >= func.n_regs {
+                        return Err(VmError::new("register slot out of range"));
+                    }
+                    self.regs[reg_base + slot as usize] = v;
+                }
+                LocalMemAddr(off) => self.stack.push(local_addr(mem_base, off)),
+                Load(kind) => {
+                    let addr = address(pop(&mut self.stack)?)?;
+                    self.pending = Some(Pending::Load);
+                    return Ok(StepOutcome::Load { addr, kind, cycles });
+                }
+                Store(kind, keep) => {
+                    let value = pop(&mut self.stack)?;
+                    let addr = address(pop(&mut self.stack)?)?;
+                    let repush = keep.then_some(value);
+                    self.pending = Some(Pending::Store { repush });
+                    #[rustfmt::skip]
+                    return Ok(StepOutcome::Store { addr, kind, value, cycles });
+                }
+                Dup => {
+                    let Some(&v) = self.stack.last() else {
+                        return Err(VmError::new("dup on empty stack"));
+                    };
+                    self.stack.push(v);
+                }
+                Pop => {
+                    pop(&mut self.stack)?;
+                }
+                Swap => {
+                    let b = pop(&mut self.stack)?;
+                    let a = pop(&mut self.stack)?;
+                    self.stack.extend([b, a]);
+                }
+                Rot3 => {
+                    let c = pop(&mut self.stack)?;
+                    let b = pop(&mut self.stack)?;
+                    let a = pop(&mut self.stack)?;
+                    self.stack.extend([b, c, a]);
+                }
+                Add | Sub | Mul | Div | Rem | Shl | Shr | BitAnd | BitOr | BitXor | CmpLt
+                | CmpLe | CmpGt | CmpGe | CmpEq | CmpNe => {
+                    let r = pop(&mut self.stack)?;
+                    let l = pop(&mut self.stack)?;
+                    self.stack.push(binary(instr, l, r)?);
+                }
+                Neg | Not | BitNot | I2F | F2I => {
+                    let v = pop(&mut self.stack)?;
+                    self.stack.push(unary(instr, v));
+                }
+                Jump(t) => self.frames.last_mut().expect("frame").pc = t,
+                JumpIfZero(t) | JumpIfNotZero(t) => {
+                    if pop(&mut self.stack)?.is_truthy() == (instr == JumpIfNotZero(t)) {
+                        self.frames.last_mut().expect("frame").pc = t;
+                    }
+                }
+                Call(idx, nargs) => self.enter(program, idx, nargs)?,
+                CallIntrinsic(intrinsic, nargs) => {
+                    let (stack, pending) = (&mut self.stack, &mut self.pending);
+                    match call_intrinsic(stack, pending, intrinsic, nargs, cycles)? {
+                        Some(syscall) => return Ok(syscall),
+                        None => cycles += PURE_INTRINSIC_CYCLES,
+                    }
+                }
+                Ret | RetVoid => {
+                    if let Some(exit) = self.leave(instr == Ret)? {
+                        return Ok(StepOutcome::Finished { exit });
+                    }
+                }
+                Nop => {}
             }
+            if cycles >= SLICE_CYCLES {
+                return Ok(StepOutcome::Ran { cycles });
+            }
+        }
+    }
+
+    /// `Call`: moves the top `nargs` values into a fresh register window
+    /// at the end of the arena and pushes the callee's frame. The caller's
+    /// `pc` must already be written back (it is the return address).
+    #[inline(never)]
+    fn enter(&mut self, program: &Program, idx: u32, nargs: u8) -> Result<(), VmError> {
+        let callee = program
+            .funcs
+            .get(idx as usize)
+            .ok_or_else(|| VmError::new("call target out of range"))?;
+        let reg_base = self.regs.len();
+        let n_regs = callee.n_regs as usize;
+        self.regs.resize(reg_base + n_regs, Value::I(0));
+        for i in (0..nargs as usize).rev() {
+            let Some(v) = self.stack.pop() else {
+                self.regs.truncate(reg_base);
+                return Err(underflow(&mut self.stack));
+            };
+            if i < n_regs {
+                self.regs[reg_base + i] = v;
+            }
+        }
+        if self.mem_sp + u64::from(callee.frame_mem) > STACK_SIZE {
+            self.regs.truncate(reg_base);
+            return Err(VmError::new(format!(
+                "simulated stack overflow calling `{}`",
+                callee.name
+            )));
+        }
+        self.frames.push(Frame {
+            func: idx,
+            pc: 0,
+            reg_base,
+            mem_base: self.stack_region_base + self.mem_sp,
+            mem_size: callee.frame_mem,
+        });
+        self.mem_sp += u64::from(callee.frame_mem);
+        Ok(())
+    }
+
+    /// `Ret`/`RetVoid`: pops the top frame and hands the return value to
+    /// the caller's stack, or finishes the VM (`Some(exit)`) when the entry
+    /// function returned.
+    #[inline(never)]
+    fn leave(&mut self, has_value: bool) -> Result<Option<Value>, VmError> {
+        let ret = match has_value {
+            true => pop(&mut self.stack)?,
+            false => Value::I(0),
         };
-        if i < n_regs {
-            vm.regs[reg_base + i] = v;
+        let frame = self.frames.pop().expect("frame");
+        self.regs.truncate(frame.reg_base);
+        self.mem_sp -= u64::from(frame.mem_size);
+        if self.frames.is_empty() {
+            self.finished = Some(ret);
+            return Ok(Some(ret));
         }
+        self.stack.push(ret);
+        Ok(None)
     }
-    if vm.mem_sp + u64::from(callee.frame_mem) > STACK_SIZE {
-        vm.regs.truncate(reg_base);
-        return Err(VmError::new(format!(
-            "simulated stack overflow calling `{}`",
-            callee.name
-        )));
-    }
-    vm.sync_pc(hot);
-    let frame = Frame {
-        func: idx,
-        pc: 0,
-        reg_base,
-        mem_base: vm.stack_region_base + vm.mem_sp,
-        mem_size: callee.frame_mem,
-    };
-    vm.mem_sp += u64::from(callee.frame_mem);
-    vm.frames.push(frame);
-    hot.switch_frame(program, vm.frames.last().expect("frame"));
-    Ok(Ctl::Next)
 }
 
-fn op_call_intrinsic<'p>(
-    vm: &mut Vm,
-    hot: &mut Hot<'p>,
-    _p: &'p Program,
-    instr: Instr,
-) -> Result<Ctl, VmError> {
-    let Instr::CallIntrinsic(intr, nargs) = instr else {
-        unreachable!("dispatch mismatch: {instr:?}")
-    };
+/// A slice of plain instructions ends once it has cost this many cycles.
+const SLICE_CYCLES: u64 = 4096;
+/// FP unit latency of the sqrt-class intrinsics the VM evaluates itself.
+const PURE_INTRINSIC_CYCLES: u64 = 30;
+
+/// The running frame's code, `pc`, frame-memory base and register window.
+fn top_frame<'p, 'r>(
+    program: &'p Program,
+    frames: &[Frame],
+    regs: &'r mut [Value],
+) -> (&'p [Instr], usize, u64, &'r mut [Value]) {
+    let frame = frames.last().expect("an active frame");
+    let func = &program.funcs[frame.func as usize];
+    let window = &mut regs[frame.reg_base..][..func.n_regs as usize];
+    (&func.code, frame.pc as usize, frame.mem_base, window)
+}
+
+/// A pop found fewer values than the instruction needs. The instruction
+/// consumed what was there, so the stack ends empty.
+#[cold]
+fn underflow(stack: &mut Vec<Value>) -> VmError {
+    stack.clear();
+    VmError::new("value stack underflow")
+}
+
+fn pop(stack: &mut Vec<Value>) -> Result<Value, VmError> {
+    stack.pop().ok_or_else(|| underflow(stack))
+}
+
+fn local_addr(mem_base: u64, off: u32) -> Value {
+    Value::I((mem_base + u64::from(off)) as i64)
+}
+
+/// The effective address of a load or store. A negative one is a run-time
+/// error of the C program (`*(int *)(0 - 8)`), like its division by zero.
+#[inline(always)]
+fn address(v: Value) -> Result<u64, VmError> {
+    let v = v.as_i();
+    u64::try_from(v).map_err(|_| VmError::new(format!("negative address {v}")))
+}
+
+/// `CallIntrinsic`: pops the arguments; a pure intrinsic is evaluated in
+/// place (`None`), anything else suspends on a syscall for the engine.
+#[inline(never)]
+fn call_intrinsic(
+    stack: &mut Vec<Value>,
+    pending: &mut Option<Pending>,
+    intrinsic: Intrinsic,
+    nargs: u8,
+    cycles: u64,
+) -> Result<Option<StepOutcome>, VmError> {
     let mut args = Vec::with_capacity(nargs as usize);
     for _ in 0..nargs {
-        args.push(vm.pop()?);
+        args.push(pop(stack)?);
     }
     args.reverse();
-    if intr.is_pure() {
-        let v = match intr {
-            Intrinsic::Sqrt => Value::F(args[0].as_f().sqrt()),
-            Intrinsic::Fabs => Value::F(args[0].as_f().abs()),
-            _ => unreachable!("only math intrinsics are pure"),
-        };
-        vm.stack.push(v);
-        hot.cycles += 30; // FP unit latency for sqrt-class ops
-        return Ok(Ctl::Next);
+    let value = match intrinsic {
+        Intrinsic::Sqrt => args[0].as_f().sqrt(),
+        Intrinsic::Fabs => args[0].as_f().abs(),
+        _ => {
+            *pending = Some(Pending::Syscall);
+            #[rustfmt::skip]
+            return Ok(Some(StepOutcome::Syscall { intrinsic, args, cycles }));
+        }
+    };
+    stack.push(Value::F(value));
+    Ok(None)
+}
+
+/// Replaces the top two values `l r` with `f(l, r)`; a fault consumes both.
+#[inline(always)]
+fn binop(
+    stack: &mut Vec<Value>,
+    f: impl FnOnce(Value, Value) -> Result<Value, VmError>,
+) -> Result<(), VmError> {
+    let n = stack.len();
+    if n < 2 {
+        return Err(underflow(stack));
     }
-    vm.pending = Some(Pending::Syscall);
-    vm.sync_pc(hot);
-    Ok(Ctl::Event(StepOutcome::Syscall {
-        intrinsic: intr,
-        args,
-        cycles: hot.cycles,
+    let out = f(stack[n - 2], stack[n - 1]);
+    stack.truncate(n - 2);
+    stack.push(out?);
+    Ok(())
+}
+
+/// `Neg`, `Not`, `BitNot`, `I2F`, `F2I`.
+#[inline(always)]
+fn unary(instr: Instr, v: Value) -> Value {
+    match (instr, v) {
+        (Instr::Neg, Value::I(i)) => Value::I(i.wrapping_neg()),
+        (Instr::Neg, Value::F(f)) => Value::F(-f),
+        (Instr::Not, v) => Value::I(i64::from(!v.is_truthy())),
+        (Instr::BitNot, v) => Value::I(!v.as_i()),
+        (Instr::I2F, v) => Value::F(v.as_f()),
+        (_, v) => Value::I(v.as_i()),
+    }
+}
+
+/// Every two-operand instruction.
+#[inline(always)]
+fn binary(instr: Instr, l: Value, r: Value) -> Result<Value, VmError> {
+    use Instr::*;
+    match instr {
+        Add | Sub | Mul | Div | Rem => arith(instr, l, r),
+        Shl | Shr | BitAnd | BitOr | BitXor => {
+            let (a, b) = (l.as_i(), r.as_i());
+            Ok(Value::I(match instr {
+                Shl => a.wrapping_shl(b as u32),
+                Shr => a.wrapping_shr(b as u32),
+                BitAnd => a & b,
+                BitOr => a | b,
+                _ => a ^ b,
+            }))
+        }
+        _ => Ok(compare(instr, l, r)),
+    }
+}
+
+#[inline(always)]
+fn arith(instr: Instr, l: Value, r: Value) -> Result<Value, VmError> {
+    use Instr::*;
+    // Integer case first: it is what loop counters and indices are.
+    let (Value::I(a), Value::I(b)) = (l, r) else {
+        let (a, b) = (l.as_f(), r.as_f());
+        return Ok(Value::F(match instr {
+            Add => a + b,
+            Sub => a - b,
+            Mul => a * b,
+            Div => a / b,
+            _ => a % b,
+        }));
+    };
+    if matches!(instr, Div | Rem) && b == 0 {
+        return Err(VmError::new("integer division by zero"));
+    }
+    // Same quotient and remainder through the narrow divide, a much
+    // shorter instruction on most hosts, when both operands fit.
+    let narrow = u32::try_from(a).ok().zip(u32::try_from(b).ok());
+    Ok(Value::I(match (instr, narrow) {
+        (Add, _) => a.wrapping_add(b),
+        (Sub, _) => a.wrapping_sub(b),
+        (Mul, _) => a.wrapping_mul(b),
+        (Div, Some((a, b))) => i64::from(a / b),
+        (Div, None) => a.wrapping_div(b),
+        (_, Some((a, b))) => i64::from(a % b),
+        (_, None) => a.wrapping_rem(b),
     }))
 }
 
-fn op_ret<'p>(
-    vm: &mut Vm,
-    hot: &mut Hot<'p>,
-    program: &'p Program,
-    instr: Instr,
-) -> Result<Ctl, VmError> {
-    let ret = if instr == Instr::Ret {
-        vm.pop()?
-    } else {
-        Value::I(0)
-    };
-    let frame = vm.frames.pop().expect("frame");
-    vm.regs.truncate(frame.reg_base);
-    vm.mem_sp -= u64::from(frame.mem_size);
-    if vm.frames.is_empty() {
-        vm.finished = Some(ret);
-        return Ok(Ctl::Event(StepOutcome::Finished { exit: ret }));
-    }
-    vm.stack.push(ret);
-    hot.switch_frame(program, vm.frames.last().expect("frame"));
-    Ok(Ctl::Next)
-}
-
-fn op_nop<'p>(
-    _vm: &mut Vm,
-    _hot: &mut Hot<'p>,
-    _p: &'p Program,
-    _instr: Instr,
-) -> Result<Ctl, VmError> {
-    Ok(Ctl::Next)
-}
-
-fn arith(instr: Instr, l: Value, r: Value) -> Result<Value, VmError> {
-    let float = l.promotes_to_f(r);
-    Ok(if float {
-        let (a, b) = (l.as_f(), r.as_f());
-        Value::F(match instr {
-            Instr::Add => a + b,
-            Instr::Sub => a - b,
-            Instr::Mul => a * b,
-            Instr::Div => a / b,
-            Instr::Rem => a % b,
-            _ => unreachable!(),
-        })
-    } else {
-        let (a, b) = (l.as_i(), r.as_i());
-        if matches!(instr, Instr::Div | Instr::Rem) && b == 0 {
-            return Err(VmError::new("integer division by zero"));
-        }
-        Value::I(match instr {
-            Instr::Add => a.wrapping_add(b),
-            Instr::Sub => a.wrapping_sub(b),
-            Instr::Mul => a.wrapping_mul(b),
-            Instr::Div => a.wrapping_div(b),
-            Instr::Rem => a.wrapping_rem(b),
-            _ => unreachable!(),
-        })
-    })
-}
-
+#[inline(always)]
 fn compare(instr: Instr, l: Value, r: Value) -> Value {
-    let res = if l.promotes_to_f(r) {
-        let (a, b) = (l.as_f(), r.as_f());
+    #[inline(always)]
+    fn holds<T: PartialOrd>(instr: Instr, a: T, b: T) -> bool {
         match instr {
             Instr::CmpLt => a < b,
             Instr::CmpLe => a <= b,
             Instr::CmpGt => a > b,
             Instr::CmpGe => a >= b,
             Instr::CmpEq => a == b,
-            Instr::CmpNe => a != b,
-            _ => unreachable!(),
+            _ => a != b,
         }
-    } else {
-        let (a, b) = (l.as_i(), r.as_i());
-        match instr {
-            Instr::CmpLt => a < b,
-            Instr::CmpLe => a <= b,
-            Instr::CmpGt => a > b,
-            Instr::CmpGe => a >= b,
-            Instr::CmpEq => a == b,
-            Instr::CmpNe => a != b,
-            _ => unreachable!(),
-        }
-    };
-    Value::I(i64::from(res))
+    }
+    Value::I(i64::from(match (l, r) {
+        (Value::I(a), Value::I(b)) => holds(instr, a, b),
+        _ => holds(instr, l.as_f(), r.as_f()),
+    }))
 }
 
 /// The narrowed per-unit interface an execution engine drives: construct a
@@ -1229,6 +1021,95 @@ mod tests {
             }
         };
         assert!(err.to_string().contains("stack overflow"), "{err}");
+    }
+
+    /// The slice boundary is a contract: where a `Ran` slice ends decides
+    /// pthread quantum expiry and RCCE event order, hence simulated cycles.
+    /// Any later fusion of instructions has to keep exactly this.
+    #[test]
+    fn ran_slices_end_at_the_first_instruction_past_the_valve() {
+        use crate::compile::Function;
+        use Instr::*;
+        // r0 = i, r1 = acc: `for (i = 0; i < 3000; i++) acc += i % 7;`
+        const ITERATIONS: i64 = 3000;
+        let head = [LocalGet(0), PushI(ITERATIONS), CmpLt, JumpIfZero(17)];
+        let body = [
+            LocalGet(0),
+            PushI(7),
+            Rem,
+            LocalGet(1),
+            Add,
+            LocalSet(1),
+            LocalGet(0),
+            PushI(1),
+            Add,
+            LocalSet(0),
+            Jump(2),
+        ];
+        let tail = [LocalGet(1), Ret];
+        let prologue = [PushI(0), LocalSet(0)];
+        let code: Vec<Instr> = [&prologue[..], &head, &body, &tail].concat();
+        assert_eq!(code[17], LocalGet(1), "the exit branch targets the tail");
+        // The dynamic instruction stream, known without running anything.
+        let mut stream = prologue.to_vec();
+        for _ in 0..ITERATIONS {
+            stream.extend(head);
+            stream.extend(body);
+        }
+        stream.extend(head);
+        stream.extend(tail);
+        let program = Program {
+            funcs: vec![Function {
+                name: "loop".to_string(),
+                code,
+                n_regs: 2,
+                n_params: 0,
+                frame_mem: 0,
+                ret: hsm_cir::types::CType::Int,
+                frame_vars: Vec::new(),
+            }],
+            globals: Vec::new(),
+            strings: Vec::new(),
+            image: Vec::new(),
+            entry: 0,
+        };
+        let largest = Instr::Div.base_cost();
+        let slices_of = |production: bool| {
+            let mut vm = Vm::new(&program, 0, vec![], STACKS_BASE);
+            let mut slices = Vec::new();
+            loop {
+                let before = vm.instructions_retired() as usize;
+                let outcome = if production {
+                    vm.run_until_event(&program)
+                } else {
+                    vm.run_until_event_matched(&program)
+                };
+                let after = vm.instructions_retired() as usize;
+                match outcome.expect("no faults") {
+                    StepOutcome::Ran { cycles } => {
+                        assert!(
+                            (SLICE_CYCLES..SLICE_CYCLES + largest).contains(&cycles),
+                            "slice of {cycles} cycles"
+                        );
+                        let billed: u64 = stream[before..after].iter().map(|i| i.base_cost()).sum();
+                        assert_eq!(cycles, billed, "instructions {before}..{after}");
+                        slices.push((before, after, cycles));
+                    }
+                    // `Finished` carries no cycles: the partial slice that
+                    // ends the run is dropped, today and after this test.
+                    StepOutcome::Finished { exit } => {
+                        let expected: i64 = (0..ITERATIONS).map(|i| i % 7).sum();
+                        assert_eq!(exit, Value::I(expected));
+                        assert_eq!(after, stream.len(), "every instruction retired once");
+                        return slices;
+                    }
+                    other => panic!("a register-only loop produced {other:?}"),
+                }
+            }
+        };
+        let production = slices_of(true);
+        assert!(production.len() > 20, "{} slices", production.len());
+        assert_eq!(production, slices_of(false), "reference arm slices");
     }
 
     #[test]

@@ -1,0 +1,78 @@
+#!/usr/bin/env bash
+# The paired protocol a performance claim is shown with.
+#
+#   scripts/bench_pairs.sh <parent-ref> [workload...]
+#
+# Checks <parent-ref> out into a git worktree under .bench_build/, builds
+# the benchmark/ package of both sides (each from its own checkout, so
+# identical harness code times two versions of the crates), then runs
+# PAIRS pairs per workload at the benchmark's own run length. Within a
+# pair both sides get the same seed; which side goes first alternates.
+# Seeds start at 1001: development runs use single digits.
+#
+# Every run is appended to .bench_build/parent.runs.jsonl or
+# .bench_build/change.runs.jsonl; the script ends with the per-pair
+# `wall_s` tally and `benchmark compare` over the two logs, whose exit
+# code it returns. A gain is claimed when the change wins at least nine
+# tenths of the pairs and the medians differ by more than the parent's
+# interquartile spread (both are printed).
+set -euo pipefail
+
+PAIRS=10
+FIRST_SEED=1001
+
+[ $# -ge 1 ] || { echo "usage: $0 <parent-ref> [workload...]" >&2; exit 2; }
+root=$(git rev-parse --show-toplevel)
+cd "$root"
+parent_ref=$1
+shift
+workloads=("$@")
+[ ${#workloads[@]} -gt 0 ] || workloads=(paper_compute paper_memory corpus_grid serve_mix)
+seconds=$(sed -n 's/.*"run_seconds": *\([0-9][0-9]*\).*/\1/p' BENCHMARK.json)
+
+build=$root/.bench_build
+tree=$build/parent
+mkdir -p "$build"
+cleanup() {
+    git -C "$root" worktree remove --force "$tree" 2>/dev/null || true
+    git -C "$root" worktree prune
+}
+trap cleanup EXIT
+cleanup
+git worktree add --detach "$tree" "$parent_ref" >/dev/null
+echo "parent $(git -C "$tree" rev-parse --short HEAD), change: working tree at $(git rev-parse --short HEAD)"
+
+cargo build --release --offline --quiet --manifest-path "$tree/benchmark/Cargo.toml"
+cargo build --release --offline --quiet --manifest-path "$root/benchmark/Cargo.toml"
+
+# Runs one side from its own checkout and prints its wall_s.
+run_side() { # <checkout> <log> <workload> <seed>
+    (cd "$1" && ./benchmark/target/release/benchmark \
+        --workload "$3" --seed "$4" --seconds "$seconds" --trace 0 --log "$2") |
+        tail -n 1 | sed -n 's/.*"wall_s": {"value": \([0-9.e+-]*\).*/\1/p'
+}
+
+parent_log=$build/parent.runs.jsonl
+change_log=$build/change.runs.jsonl
+tally=$build/pairs.tsv
+rm -f "$parent_log" "$change_log" "$tally"
+for workload in "${workloads[@]}"; do
+    for ((pair = 0; pair < PAIRS; pair++)); do
+        seed=$((FIRST_SEED + pair))
+        if ((pair % 2 == 0)); then
+            p=$(run_side "$tree" "$parent_log" "$workload" "$seed")
+            c=$(run_side "$root" "$change_log" "$workload" "$seed")
+        else
+            c=$(run_side "$root" "$change_log" "$workload" "$seed")
+            p=$(run_side "$tree" "$parent_log" "$workload" "$seed")
+        fi
+        printf '%s\t%s\t%s\t%s\n' "$workload" "$seed" "$p" "$c" | tee -a "$tally"
+    done
+done
+
+echo
+echo "wall_s pairs won by the change (ties count for neither):"
+awk -F'\t' '{ n[$1]++; if ($4 < $3) w[$1]++; else if ($4 > $3) l[$1]++ }
+    END { for (k in n) printf "  %-14s %d/%d won, %d lost\n", k, w[k], n[k], l[k] }' "$tally"
+echo
+"$root/benchmark/target/release/benchmark" compare "$parent_log" "$change_log"

@@ -115,7 +115,7 @@ fn simulate_job_row_equals_the_in_process_row() {
     let handle = server.handle();
     let thread = std::thread::spawn(move || server.run());
 
-    let mut stream = TcpStream::connect(addr).expect("connect");
+    let stream = TcpStream::connect(addr).expect("connect");
     let job = Job {
         id: 7,
         timeout_ms: None,
@@ -126,20 +126,83 @@ fn simulate_job_row_equals_the_in_process_row() {
             scenario,
         },
     };
-    stream
-        .write_all(format!("{}\n", encode_job(&job)).as_bytes())
-        .expect("send");
-    let mut line = String::new();
-    BufReader::new(&stream)
-        .read_line(&mut line)
-        .expect("receive");
-    let (id, response) = parse_response(line.trim_end()).expect("response parses");
-    assert_eq!(id, 7);
-    assert_eq!(response, JobResponse::Row(local));
+    assert_eq!(ask(&stream, &job), JobResponse::Row(local));
 
     let store = cache.stats().store.expect("server cache has a store");
     assert!(store.total_writes() > 0, "artifacts written through");
     handle.stop();
     thread.join().expect("server thread").expect("clean exit");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A load and a store whose effective address is negative: run-time errors
+/// of the C program, not of the tool.
+const NEGATIVE_LOAD: &str = "int main() { int *p = (int *)(0 - 8); return *p; }";
+const NEGATIVE_STORE: &str =
+    "int a[4]; int main() { int i = 0 - 2000000000; a[i] = 1; return a[0]; }";
+
+#[test]
+fn a_negative_address_is_a_run_error_not_a_host_panic() {
+    for (what, source) in [("load", NEGATIVE_LOAD), ("store", NEGATIVE_STORE)] {
+        for mode in BARRIER {
+            let err = Pipeline::new(source)
+                .cores(2)
+                .scenario(mode.into())
+                .run_scenario()
+                .expect_err("a negative address cannot succeed");
+            let tag = format!("{what}/{}", mode.label());
+            assert_eq!(err.stage(), "exec", "{tag}: {err}");
+            assert!(
+                err.to_string().contains("negative address -"),
+                "{tag}: {err}"
+            );
+        }
+    }
+}
+
+/// Sends one job and reads its single answer off the same connection.
+fn ask(stream: &TcpStream, job: &Job) -> JobResponse {
+    (&*stream)
+        .write_all(format!("{}\n", encode_job(job)).as_bytes())
+        .expect("send");
+    let mut line = String::new();
+    BufReader::new(stream)
+        .read_line(&mut line)
+        .expect("receive");
+    let (id, response) = parse_response(line.trim_end()).expect("response parses");
+    assert_eq!(id, job.id);
+    response
+}
+
+#[test]
+fn a_faulting_simulate_job_leaves_its_connection_usable() {
+    let server = Server::bind("127.0.0.1:0", ServerOptions::default()).expect("bind");
+    let addr = server.local_addr();
+    let handle = server.handle();
+    let thread = std::thread::spawn(move || server.run());
+    let stream = TcpStream::connect(addr).expect("connect");
+    let simulate = |id, source: &str| Job {
+        id,
+        timeout_ms: None,
+        request: JobRequest::Simulate {
+            name: "inline".to_string(),
+            source: source.to_string(),
+            cores: 2,
+            scenario: Scenario::new(Mode::PthreadBaseline),
+        },
+    };
+
+    let JobResponse::Row(faulted) = ask(&stream, &simulate(1, NEGATIVE_LOAD)) else {
+        panic!("a simulate job answers with its row");
+    };
+    let error = faulted.error.expect("the row carries the run error");
+    assert!(error.contains("negative address -8"), "{error}");
+
+    let JobResponse::Row(next) = ask(&stream, &simulate(2, "int main() { return 7; }")) else {
+        panic!("the next job on the same connection is answered");
+    };
+    assert_eq!((next.error, next.exit_code), (None, Some(7)));
+
+    handle.stop();
+    thread.join().expect("server thread").expect("clean exit");
 }

@@ -1,12 +1,15 @@
-//! Differential property: jump-table dispatch ≡ match-based dispatch.
+//! Differential property: the production dispatch loop ≡ the plain
+//! reference interpreter.
 //!
-//! `Vm::run_until_event` resolves opcodes through the `DISPATCH` jump
-//! table (indexed by `Instr::op()`); `Vm::run_until_event_matched` keeps
-//! the pre-table structural `match` on `Instr`. A mis-mapped `op()`, a
-//! mis-ordered table entry, or a handler wired to the wrong opcode shows
-//! up here as a divergence in outcomes, faults, or final VM state on a
-//! generated instruction corpus — including deliberately malformed
-//! programs, because fault messages are part of the contract.
+//! `Vm::run_until_event` keeps the running frame's state in locals and
+//! writes it back only at suspension points, calls, returns and faults;
+//! `Vm::run_until_event_matched` is the same instruction set as one plain
+//! `match` over `self`'s fields. A stale write-back, an in-place stack
+//! edit that leaves the wrong value, or a slice that ends one instruction
+//! early or late shows up here as a divergence in outcomes, faults, or
+//! final VM state on a generated instruction corpus — including
+//! deliberately malformed programs, because fault messages are part of
+//! the contract.
 //!
 //! The corpus generator is itself pinned: a fixed-seed sweep asserts it
 //! emits every opcode, so the differential property cannot silently stop
@@ -127,7 +130,7 @@ fn gen_program(rng: &mut SplitMix64) -> Program {
 }
 
 /// Deterministic stand-in for the engine's memory/syscall answers, so both
-/// dispatch paths observe identical resumption values.
+/// interpreters observe identical resumption values.
 fn pseudo_load(addr: u64, kind: MemKind) -> Value {
     if kind.is_float() {
         Value::F((addr % 251) as f64 / 4.0)
@@ -138,10 +141,10 @@ fn pseudo_load(addr: u64, kind: MemKind) -> Value {
 
 /// Drives one VM to completion (or an event cap), recording every outcome
 /// plus the final `Debug` state — the full observable surface.
-fn drive(vm: &mut Vm, program: &Program, table: bool) -> Vec<String> {
+fn drive(vm: &mut Vm, program: &Program, production: bool) -> Vec<String> {
     let mut trail = Vec::new();
     for _ in 0..60 {
-        let step = if table {
+        let step = if production {
             vm.run_until_event(program)
         } else {
             vm.run_until_event_matched(program)
@@ -162,16 +165,16 @@ fn drive(vm: &mut Vm, program: &Program, table: bool) -> Vec<String> {
 }
 
 #[test]
-fn jump_table_agrees_with_match_dispatch() {
-    testkit::check("jump_table_vs_match", 48, |rng| {
+fn production_loop_agrees_with_reference_interpreter() {
+    testkit::check("production_vs_reference", 48, |rng| {
         let program = gen_program(rng);
-        let mut table_vm = Vm::new(&program, 0, vec![], STACKS_BASE);
-        let mut match_vm = Vm::new(&program, 0, vec![], STACKS_BASE);
-        let table_trail = drive(&mut table_vm, &program, true);
-        let match_trail = drive(&mut match_vm, &program, false);
+        let mut production_vm = Vm::new(&program, 0, vec![], STACKS_BASE);
+        let mut reference_vm = Vm::new(&program, 0, vec![], STACKS_BASE);
+        let production_trail = drive(&mut production_vm, &program, true);
+        let reference_trail = drive(&mut reference_vm, &program, false);
         assert_eq!(
-            table_trail, match_trail,
-            "dispatch paths diverged on {:?}",
+            production_trail, reference_trail,
+            "interpreters diverged on {:?}",
             program.funcs[0].code
         );
     });
@@ -179,7 +182,7 @@ fn jump_table_agrees_with_match_dispatch() {
 
 /// Pins the corpus generator itself: a fixed-seed sweep must emit every
 /// opcode, independent of `TESTKIT_SEED`, so the differential property
-/// above always exercises the whole jump table.
+/// above always exercises the whole instruction set.
 #[test]
 fn generator_covers_every_opcode() {
     let mut rng = SplitMix64::new(0x0DD5_7ACC_ED15_7AC0);
