@@ -18,8 +18,8 @@
 //! | [`NonCoherentWriteBack`] | per-unit write-back views    | caches + mesh + MC  |
 //! | [`SeqCstReference`]      | backing store, always fresh  | flat, no caches     |
 //!
-//! Adding a model means implementing [`CoherenceModel`] (four methods,
-//! two with defaults) and wiring a new [`ExecModel`] variant through the
+//! Adding a model means implementing [`CoherenceModel`] (five methods,
+//! three with defaults) and wiring a new [`ExecModel`] variant through the
 //! `run_*_model` entry points — no engine changes.
 
 use crate::machine::DataSpaces;
@@ -97,6 +97,26 @@ pub trait CoherenceModel {
         now: u64,
     ) -> u64 {
         chip.access(core, addr, write, now)
+    }
+
+    /// [`latency`](CoherenceModel::latency) for an access that stays on
+    /// `core`'s tile — a private address its own L1 or L2 serves — and
+    /// `None`, with nothing changed, for every other access.
+    ///
+    /// Such an access reads and writes nothing another core can observe
+    /// (own cache hierarchy, own statistics row, own private bytes or
+    /// write-back view) and costs the same whenever it happens, so the
+    /// engine may let a core whose units run nowhere else perform it ahead
+    /// of the global event order (see [`SyncModel`](crate::SyncModel)). A
+    /// model whose private accesses leave the tile must answer `None`.
+    fn cached_latency(
+        &mut self,
+        chip: &mut MemorySystem,
+        core: usize,
+        addr: u64,
+        write: bool,
+    ) -> Option<u64> {
+        chip.access_cached(core, addr, write)
     }
 
     /// The value `unit` (scheduled on `core`) observes at `addr`.
@@ -195,6 +215,17 @@ impl CoherenceModel for SeqCstReference {
         now: u64,
     ) -> u64 {
         chip.access_flat(core, addr, write, now)
+    }
+
+    // Flat timing: a private access queues at a memory controller.
+    fn cached_latency(
+        &mut self,
+        _chip: &mut MemorySystem,
+        _core: usize,
+        _addr: u64,
+        _write: bool,
+    ) -> Option<u64> {
+        None
     }
 
     fn load(

@@ -11,13 +11,15 @@
 //! `printf`/`malloc`/`wtime` syscalls, output collection, and result
 //! assembly.
 
-use crate::coherence::CoherenceModel;
+use crate::coherence::{
+    CoherenceModel, Coherent, ExecModel, NonCoherentWriteBack, SeqCstReference,
+};
 use crate::machine::{DataSpaces, ExecError, OutputLine, RunResult, WtimeTracker};
 use crate::printf;
 use crate::syscall_cost;
 use crate::trace::{TraceEvent, TraceSink};
 use hsm_vm::compile::{Program, HEAP_BASE};
-use hsm_vm::{Intrinsic, MemKind, StepOutcome, UnitVm, Value};
+use hsm_vm::{Intrinsic, MemKind, StepOutcome, UnitVm, Value, VmError};
 use scc_sim::{MemorySystem, SccConfig};
 
 /// What a slice of simulated time was spent on, so each sync model can
@@ -57,6 +59,11 @@ pub struct UnitState {
     /// Cycles this unit spent making progress (the pthread load-balance
     /// metric; unused by RCCE, whose balance metric is clock-based).
     pub busy_cycles: u64,
+    /// What the VM is suspended on when the unit ran ahead of the
+    /// scheduler and met something it may not perform out of order (see
+    /// [`SyncModel`]). Nothing of it has been charged or performed; it is
+    /// the first thing the unit does when `schedule` hands it out again.
+    pub held: Option<Result<StepOutcome, VmError>>,
 }
 
 impl UnitState {
@@ -67,6 +74,7 @@ impl UnitState {
             vm: UnitVm::new(program, func, args, stack_base),
             clock: 0,
             busy_cycles: 0,
+            held: None,
         }
     }
 }
@@ -99,7 +107,7 @@ pub struct ExecEnv<'p, C: CoherenceModel> {
 }
 
 impl<'p, C: CoherenceModel> ExecEnv<'p, C> {
-    fn new<M: SyncModel>(
+    pub(crate) fn new<M: SyncModel>(
         program: &'p Program,
         config: &'p SccConfig,
         coherence: C,
@@ -174,7 +182,16 @@ impl<'p, C: CoherenceModel> ExecEnv<'p, C> {
 
     /// Formats a `printf` syscall with the format string and `%s`
     /// arguments resolved through `unit`'s memory view.
-    pub fn format_printf(&mut self, unit: usize, core: usize, args: &[Value]) -> String {
+    ///
+    /// # Errors
+    ///
+    /// A negative string pointer is the program's error.
+    pub fn format_printf(
+        &mut self,
+        unit: usize,
+        core: usize,
+        args: &[Value],
+    ) -> Result<String, ExecError> {
         printf::format_syscall(args, &mut |addr| self.read_cstr(unit, core, addr))
     }
 }
@@ -186,6 +203,38 @@ impl<'p, C: CoherenceModel> ExecEnv<'p, C> {
 /// The core loop handles everything else: VM stepping, memory timing +
 /// value resolution, tracing, and the mode-independent syscalls
 /// (`printf`, `malloc`, `wtime`).
+///
+/// # When the scheduler is visited
+///
+/// [`schedule`](SyncModel::schedule) fixes the order in which events are
+/// performed, and that order is part of the simulated result. The core
+/// asks it only when the answer could be something other than "the same
+/// unit again". Once `schedule` has handed out unit `u`, `u` performs the
+/// event it is suspended on and keeps stepping while one of two rules
+/// holds:
+///
+/// * **The ordered rule** — [`still_due`](SyncModel::still_due): a visit
+///   to `schedule` would hand out `u` again. Nothing changed the order,
+///   so nothing is asked.
+/// * **The local rule** —
+///   [`OWN_EVENTS_ARE_LOCAL`](SyncModel::OWN_EVENTS_ARE_LOCAL): somebody
+///   else is due first, but `u`'s next event touches nothing another unit
+///   can observe and costs the same whenever it happens: a
+///   [`StepOutcome::Ran`] slice, or a load/store the coherence model
+///   serves from the core's own caches
+///   ([`CoherenceModel::cached_latency`]). Performing it early moves
+///   `u`'s clock, cache and statistics row exactly as performing it in
+///   turn would, and nobody looks at those in between. The rule is off
+///   under a recording [`TraceSink`], whose stream lists every event in
+///   the global order.
+///
+/// Anything else — an access that leaves the tile, a syscall, a finish, a
+/// VM fault — is *held* on the unit ([`UnitState::held`]): the VM stays
+/// suspended on it, nothing is charged, and `u` performs it first when
+/// `schedule` hands it out again, which is exactly when a core that
+/// visited `schedule` before every event would have performed it. A
+/// syscall or a finish always ends the hand-out: those are the events
+/// that change other units' states and clocks.
 pub trait SyncModel: Sized {
     /// Number of units at boot (pthread: 1, the main thread; RCCE: one
     /// per core). Units may be added later (`pthread_create`).
@@ -220,6 +269,20 @@ pub trait SyncModel: Sized {
         env: &mut ExecEnv<C>,
     ) -> Result<Option<usize>, ExecError>;
 
+    /// The ordered rule: `unit` is the unit `schedule` handed out last and
+    /// has since performed only loads, stores and `Ran` slices; would
+    /// `schedule` hand it out again? The default never says so, which
+    /// visits `schedule` before every event.
+    fn still_due<C: CoherenceModel>(&self, _env: &ExecEnv<C>, _unit: usize) -> bool {
+        false
+    }
+
+    /// The local rule: whether a unit that is no longer due may go on
+    /// performing events only it can observe. True only for a model whose
+    /// units each own their core: one cache hierarchy, one private space
+    /// and one clock per unit, touched by nobody else while it runs.
+    const OWN_EVENTS_ARE_LOCAL: bool = false;
+
     /// Advances the clocks by `cycles` of the given [`Charge`] kind on
     /// behalf of `unit`.
     fn charge(&mut self, unit: &mut UnitState, cycles: u64, kind: Charge);
@@ -253,8 +316,10 @@ pub trait SyncModel: Sized {
         exit: i64,
     ) -> Result<Flow, ExecError>;
 
-    /// Called after every step outcome (the RCCE model re-checks barrier
-    /// release here; pthread needs nothing).
+    /// Called after every syscall and every finish, before the next
+    /// `schedule`: the only events that can make a blocked unit runnable
+    /// (the RCCE model releases a complete barrier here, the task model
+    /// dispatches ready tasks; pthread needs nothing).
     ///
     /// # Errors
     ///
@@ -278,6 +343,12 @@ pub struct ExecutionCore;
 
 const STEP_LIMIT: u64 = 2_000_000_000;
 
+/// Events a unit may perform under the local rule in one hand-out. The
+/// rule is exact at any length; the bound only keeps a unit that loops on
+/// its own memory forever from hiding an error another unit is about to
+/// report behind [`STEP_LIMIT`] events.
+const RUN_AHEAD_LIMIT: u32 = 1 << 16;
+
 impl ExecutionCore {
     /// Runs `program` under `model` (synchronization semantics) and
     /// `coherence` (memory semantics), streaming accesses to `sink`.
@@ -294,55 +365,76 @@ impl ExecutionCore {
         sink: &mut S,
     ) -> Result<RunResult, ExecError> {
         let mut env = ExecEnv::new(program, config, coherence, &model);
+        let local = M::OWN_EVENTS_ARE_LOCAL && !S::ENABLED;
         let mut steps: u64 = 0;
-        while let Some(u) = model.schedule(&mut env)? {
-            steps += 1;
-            if steps > STEP_LIMIT {
-                return Err(ExecError::new("simulation exceeded the step limit"));
+        'visit: while let Some(u) = model.schedule(&mut env)? {
+            // `u` is due: whatever it is suspended on comes next in the
+            // global order.
+            let mut due = true;
+            let mut ahead = 0;
+            loop {
+                // A binding per event rather than one assigned to: the VM
+                // then writes its answer in place, where reading it back
+                // field by field costs nothing.
+                let outcome = match env.units[u].held.take() {
+                    Some(held) => held,
+                    None => env.units[u].vm.run_until_event(program),
+                };
+                let flow = 'perform: {
+                    match outcome {
+                        Ok(StepOutcome::Ran { cycles }) => {
+                            model.charge(&mut env.units[u], cycles, Charge::Progress);
+                            break 'perform None;
+                        }
+                        Ok(StepOutcome::Load { addr, kind, cycles }) => {
+                            let access = (addr, kind, None, cycles);
+                            if Self::memory_access(&mut model, &mut env, sink, u, access, due) {
+                                break 'perform None;
+                            }
+                        }
+                        #[rustfmt::skip]
+                        Ok(StepOutcome::Store { addr, kind, value, cycles }) => {
+                            let access = (addr, kind, Some(value), cycles);
+                            if Self::memory_access(&mut model, &mut env, sink, u, access, due) {
+                                break 'perform None;
+                            }
+                        }
+                        #[rustfmt::skip]
+                        Ok(StepOutcome::Syscall { intrinsic, ref args, cycles }) if due => {
+                            model.charge(&mut env.units[u], cycles, Charge::Dispatch);
+                            let flow = Self::syscall(&mut model, &mut env, sink, u, intrinsic, args)?;
+                            break 'perform Some(flow);
+                        }
+                        Ok(StepOutcome::Finished { exit }) if due => {
+                            break 'perform Some(model.finished(&mut env, sink, u, exit.as_i())?);
+                        }
+                        Err(fault) if due => return Err(fault.into()),
+                        _ => {}
+                    }
+                    // The rules refused it: it waits for `u`'s turn.
+                    env.units[u].held = Some(outcome);
+                    continue 'visit;
+                };
+                steps += 1;
+                if steps > STEP_LIMIT {
+                    return Err(ExecError::new("simulation exceeded the step limit"));
+                }
+                match flow {
+                    Some(Flow::Stop) => break 'visit,
+                    Some(Flow::Continue) => {
+                        model.post_step(&mut env, sink)?;
+                        continue 'visit;
+                    }
+                    None => {}
+                }
+                due = due && model.still_due(&env, u);
+                if !due {
+                    if !local || ahead == RUN_AHEAD_LIMIT {
+                        continue 'visit;
+                    }
+                    ahead += 1;
+                }
             }
-
-            let outcome = env.units[u].vm.run_until_event(program)?;
-            let flow = match outcome {
-                StepOutcome::Ran { cycles } => {
-                    model.charge(&mut env.units[u], cycles, Charge::Progress);
-                    Flow::Continue
-                }
-                StepOutcome::Load { addr, kind, cycles } => {
-                    Self::memory_access(&mut model, &mut env, sink, u, addr, kind, None, cycles);
-                    Flow::Continue
-                }
-                StepOutcome::Store {
-                    addr,
-                    kind,
-                    value,
-                    cycles,
-                } => {
-                    Self::memory_access(
-                        &mut model,
-                        &mut env,
-                        sink,
-                        u,
-                        addr,
-                        kind,
-                        Some(value),
-                        cycles,
-                    );
-                    Flow::Continue
-                }
-                StepOutcome::Syscall {
-                    intrinsic,
-                    args,
-                    cycles,
-                } => {
-                    model.charge(&mut env.units[u], cycles, Charge::Dispatch);
-                    Self::syscall(&mut model, &mut env, sink, u, intrinsic, &args)?
-                }
-                StepOutcome::Finished { exit } => model.finished(&mut env, sink, u, exit.as_i())?,
-            };
-            if flow == Flow::Stop {
-                break;
-            }
-            model.post_step(&mut env, sink)?;
         }
 
         let (total_cycles, per_unit_cycles, exit_code) = model.finalize(&env);
@@ -363,39 +455,77 @@ impl ExecutionCore {
         })
     }
 
-    /// One VM-issued load or store: charge issue cycles, resolve the
-    /// latency through the coherence model, trace it, charge the latency,
-    /// then move the data and resume the VM.
-    #[allow(clippy::too_many_arguments)]
+    /// [`ExecutionCore::run`] under the [`CoherenceModel`] that `model`
+    /// names.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`ExecutionCore::run`].
+    pub fn run_model<M: SyncModel, S: TraceSink>(
+        program: &Program,
+        config: &SccConfig,
+        sync: M,
+        model: ExecModel,
+        sink: &mut S,
+    ) -> Result<RunResult, ExecError> {
+        match model {
+            ExecModel::Coherent => Self::run(program, config, sync, Coherent, sink),
+            ExecModel::NonCoherentWriteBack => {
+                let views = NonCoherentWriteBack::new(config.line_bytes);
+                Self::run(program, config, sync, views, sink)
+            }
+            ExecModel::SeqCstReference => Self::run(program, config, sync, SeqCstReference, sink),
+        }
+    }
+
+    /// One VM-issued load or store, `(addr, kind, value to store, issue
+    /// cycles)`: charge issue cycles, resolve the latency through the
+    /// coherence model, trace it, charge the latency, then move the data
+    /// and resume the VM.
+    ///
+    /// A unit that is not `due` performs the access only if its core's own
+    /// caches serve it; otherwise nothing happens and the answer is
+    /// `false`.
+    #[inline(always)]
     fn memory_access<M: SyncModel, C: CoherenceModel, S: TraceSink>(
         model: &mut M,
         env: &mut ExecEnv<C>,
         sink: &mut S,
         unit: usize,
-        addr: u64,
-        kind: MemKind,
-        store: Option<Value>,
-        cycles: u64,
-    ) {
+        (addr, kind, store, cycles): (u64, MemKind, Option<Value>, u64),
+        due: bool,
+    ) -> bool {
         let core = model.core_of(unit);
         let write = store.is_some();
-        model.charge(&mut env.units[unit], cycles, Charge::Progress);
-        let now = env.units[unit].clock;
-        let lat = env.coherence.latency(&mut env.chip, core, addr, write, now);
-        // `ENABLED` is a compile-time constant of the sink type: with the
-        // default `NullSink` the event (and its region classification) is
-        // never even built.
-        if S::ENABLED {
-            sink.record(TraceEvent {
-                core,
-                unit,
-                cycle: now,
-                addr,
-                region: MemorySystem::region_of(addr),
-                latency: lat,
-                write,
-            });
-        }
+        let lat = if due {
+            model.charge(&mut env.units[unit], cycles, Charge::Progress);
+            let now = env.units[unit].clock;
+            let lat = env.coherence.latency(&mut env.chip, core, addr, write, now);
+            // `ENABLED` is a compile-time constant of the sink type: with
+            // the default `NullSink` the event (and its region
+            // classification) is never even built.
+            if S::ENABLED {
+                sink.record(TraceEvent {
+                    core,
+                    unit,
+                    cycle: now,
+                    addr,
+                    region: MemorySystem::region_of(addr),
+                    latency: lat,
+                    write,
+                });
+            }
+            lat
+        } else {
+            let Some(lat) = env
+                .coherence
+                .cached_latency(&mut env.chip, core, addr, write)
+            else {
+                return false;
+            };
+            model.charge(&mut env.units[unit], cycles, Charge::Progress);
+            lat
+        };
         model.charge(&mut env.units[unit], lat, Charge::Progress);
         match store {
             Some(value) => {
@@ -407,6 +537,7 @@ impl ExecutionCore {
                 env.units[unit].vm.provide_load(v);
             }
         }
+        true
     }
 
     /// Dispatches a syscall: the mode-independent ones (`printf`,
@@ -424,7 +555,7 @@ impl ExecutionCore {
             Intrinsic::Printf => {
                 model.charge(&mut env.units[unit], syscall_cost::PRINTF, Charge::Service);
                 let core = model.core_of(unit);
-                let text = env.format_printf(unit, core, args);
+                let text = env.format_printf(unit, core, args)?;
                 let at = env.units[unit].clock;
                 env.output.push(OutputLine {
                     at,
@@ -455,5 +586,85 @@ impl ExecutionCore {
             }
             other => model.syscall(env, sink, unit, other, args),
         }
+    }
+}
+
+/// A [`SyncModel`] that is `M` in everything except that it grants no
+/// run-ahead: the core visits `schedule` before every event. Tests hold
+/// the production models against it; nothing else constructs one.
+#[doc(hidden)]
+pub struct VisitEveryEvent<M>(pub M);
+
+impl<M: SyncModel> SyncModel for VisitEveryEvent<M> {
+    fn unit_count(&self) -> usize {
+        self.0.unit_count()
+    }
+
+    fn space_count(&self) -> usize {
+        self.0.space_count()
+    }
+
+    fn heap_slots(&self) -> usize {
+        self.0.heap_slots()
+    }
+
+    fn wtime_slots(&self) -> usize {
+        self.0.wtime_slots()
+    }
+
+    fn core_of(&self, unit: usize) -> usize {
+        self.0.core_of(unit)
+    }
+
+    fn heap_slot(&self, unit: usize) -> usize {
+        self.0.heap_slot(unit)
+    }
+
+    fn stack_base(&self, unit: usize) -> u64 {
+        self.0.stack_base(unit)
+    }
+
+    fn schedule<C: CoherenceModel>(
+        &mut self,
+        env: &mut ExecEnv<C>,
+    ) -> Result<Option<usize>, ExecError> {
+        self.0.schedule(env)
+    }
+
+    fn charge(&mut self, unit: &mut UnitState, cycles: u64, kind: Charge) {
+        self.0.charge(unit, cycles, kind);
+    }
+
+    fn syscall<C: CoherenceModel, S: TraceSink>(
+        &mut self,
+        env: &mut ExecEnv<C>,
+        sink: &mut S,
+        unit: usize,
+        intr: Intrinsic,
+        args: &[Value],
+    ) -> Result<Flow, ExecError> {
+        self.0.syscall(env, sink, unit, intr, args)
+    }
+
+    fn finished<C: CoherenceModel, S: TraceSink>(
+        &mut self,
+        env: &mut ExecEnv<C>,
+        sink: &mut S,
+        unit: usize,
+        exit: i64,
+    ) -> Result<Flow, ExecError> {
+        self.0.finished(env, sink, unit, exit)
+    }
+
+    fn post_step<C: CoherenceModel, S: TraceSink>(
+        &mut self,
+        env: &mut ExecEnv<C>,
+        sink: &mut S,
+    ) -> Result<(), ExecError> {
+        self.0.post_step(env, sink)
+    }
+
+    fn finalize<C: CoherenceModel>(&self, env: &ExecEnv<C>) -> (u64, Vec<u64>, i64) {
+        self.0.finalize(env)
     }
 }

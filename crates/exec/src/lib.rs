@@ -66,9 +66,13 @@ pub use oracle::{Oracle, OracleMode, OracleReport, Violation, ViolationClass};
 pub use profile::{
     CoreProfile, Profile, ProfileCollector, RegionProfile, ReuseHistogram, SyncSummary,
 };
+#[doc(hidden)]
+pub use pthread::run_pthread_visiting_every_event;
 pub use pthread::{
     run_pthread, run_pthread_model, run_pthread_model_profiled, run_pthread_model_traced,
 };
+#[doc(hidden)]
+pub use rcce::run_rcce_visiting_every_event;
 pub use rcce::{run_rcce, run_rcce_model, run_rcce_model_profiled, run_rcce_model_traced};
 pub use taskflow::{run_task, run_task_model, run_task_model_profiled, run_task_model_traced};
 pub use trace::{NullSink, RingTrace, SyncEvent, TraceEvent, TraceSink};
@@ -841,6 +845,36 @@ int RCCE_APP(int *argc, char **argv) {{
             "task DMA volume flows through TraceSink::dma: {:?}",
             profile.sync
         );
+    }
+
+    /// A thread that loses the core at quantum expiry is suspended between
+    /// two events, never inside one: when it gets the core back it goes on
+    /// with the access it would have made next, so the access stream is
+    /// the one of a core that asked the scheduler before every event.
+    #[test]
+    fn pthread_preemption_resumes_at_the_next_event() {
+        use crate::trace::RingTrace;
+        let p = compile_src(PTHREAD_SUM);
+        // A quantum of a few dozen events instead of thousands.
+        let mut tight = cfg();
+        tight.sched_quantum_cycles = 300;
+        let mut ring = RingTrace::new(1_000_000);
+        let run =
+            run_pthread_model_traced(&p, &tight, ExecModel::Coherent, &mut ring).expect("run");
+        let mut expected = RingTrace::new(1_000_000);
+        let reference =
+            run_pthread_visiting_every_event(&p, &tight, ExecModel::Coherent, &mut expected);
+        assert_eq!(run.exit_code, 400);
+        assert_eq!(Ok(&run), reference.as_ref());
+        assert_eq!(ring.events(), expected.events());
+        let switches = ring
+            .events()
+            .windows(2)
+            .filter(|pair| pair[0].unit != pair[1].unit)
+            .count();
+        assert!(switches > 16, "threads interleave mid-loop: {switches}");
+        let plain = run_pthread_model(&p, &tight, ExecModel::Coherent).expect("plain");
+        assert_eq!(plain, run, "and the sink saw the run it did not perturb");
     }
 
     #[test]

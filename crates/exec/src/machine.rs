@@ -40,6 +40,18 @@ impl From<hsm_vm::CompileError> for ExecError {
     }
 }
 
+/// Argument `i` of a syscall as an address; an absent argument reads as 0.
+///
+/// # Errors
+///
+/// A negative value is never an address. The program computed it, so it is
+/// the run's error — reported in the words the VM uses for a negative
+/// effective address — not the host's.
+pub(crate) fn addr_arg(args: &[Value], i: usize) -> Result<u64, ExecError> {
+    let v = args.get(i).map_or(0, |v| v.as_i());
+    u64::try_from(v).map_err(|_| ExecError::new(format!("negative address {v}")))
+}
+
 /// The data contents of the simulated machine (timing lives in
 /// [`MemorySystem`]; bytes live here).
 #[derive(Debug)]
@@ -137,7 +149,7 @@ pub struct OutputLine {
 }
 
 /// The result of one simulated program run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunResult {
     /// Makespan: the largest core/thread clock at completion.
     pub total_cycles: u64,
@@ -163,7 +175,9 @@ pub struct RunResult {
     /// the benchmark's `sim_mips` host-throughput metric. Deterministic,
     /// but not part of the simulated timing model.
     pub instructions: u64,
-    /// Scheduler events processed (VM resumptions) by the execution core.
+    /// Events the execution core performed: `Ran` slices, loads, stores,
+    /// syscalls and finishes, one per VM resumption. How many of them a
+    /// visit to the scheduler preceded is not part of the result.
     pub events: u64,
 }
 

@@ -1,5 +1,6 @@
 //! A `printf` formatter for the simulated C library.
 
+use crate::machine::{addr_arg, ExecError};
 use hsm_vm::Value;
 
 /// Formats `fmt` with `args` following C `printf` conventions for the
@@ -135,18 +136,26 @@ fn pad_int(s: String, width: usize, left: bool, zero: bool) -> String {
 ///
 /// This is the single formatting path both execution modes share; the
 /// coherence model decides what `read_cstr` actually observes.
-pub fn format_syscall(args: &[Value], read_cstr: &mut dyn FnMut(u64) -> String) -> String {
-    let Some(fmt_addr) = args.first() else {
-        return String::new();
-    };
-    let fmt = read_cstr(fmt_addr.as_addr());
+///
+/// # Errors
+///
+/// A negative format or `%s` pointer is the program's error.
+pub fn format_syscall(
+    args: &[Value],
+    read_cstr: &mut dyn FnMut(u64) -> String,
+) -> Result<String, ExecError> {
+    if args.is_empty() {
+        return Ok(String::new());
+    }
+    let fmt = read_cstr(addr_arg(args, 0)?);
     let rest = &args[1..];
-    let strings: Vec<String> = count_string_args(&fmt)
-        .iter()
-        .filter_map(|&i| rest.get(i))
-        .map(|v| read_cstr(v.as_addr()))
-        .collect();
-    format(&fmt, rest, &strings)
+    let mut strings = Vec::new();
+    for i in count_string_args(&fmt) {
+        if i < rest.len() {
+            strings.push(read_cstr(addr_arg(rest, i)?));
+        }
+    }
+    Ok(format(&fmt, rest, &strings))
 }
 
 /// Counts how many `%s` directives `fmt` contains (the engine resolves

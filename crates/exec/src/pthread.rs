@@ -10,11 +10,9 @@
 //! only the pthread semantics as a [`SyncModel`]: the ready queue,
 //! quantum preemption, and the create/join/mutex/barrier syscalls.
 
-use crate::coherence::{
-    CoherenceModel, Coherent, ExecModel, NonCoherentWriteBack, SeqCstReference,
-};
-use crate::engine::{Charge, ExecEnv, ExecutionCore, Flow, SyncModel, UnitState};
-use crate::machine::{ExecError, RunResult};
+use crate::coherence::{CoherenceModel, ExecModel};
+use crate::engine::{Charge, ExecEnv, ExecutionCore, Flow, SyncModel, UnitState, VisitEveryEvent};
+use crate::machine::{addr_arg, ExecError, RunResult};
 use crate::syscall_cost;
 use crate::trace::{NullSink, SyncEvent, TraceSink};
 use hsm_vm::compile::{Program, STACKS_BASE, STACK_SIZE};
@@ -156,6 +154,12 @@ impl SyncModel for PthreadSync {
         }
     }
 
+    fn still_due<C: CoherenceModel>(&self, env: &ExecEnv<C>, _unit: usize) -> bool {
+        // The running thread keeps the core until its quantum is spent
+        // and somebody is waiting for it.
+        self.quantum_used < env.config.sched_quantum_cycles || self.ready.is_empty()
+    }
+
     fn charge(&mut self, unit: &mut UnitState, cycles: u64, kind: Charge) {
         self.clock += cycles;
         unit.clock = self.clock;
@@ -181,7 +185,7 @@ impl SyncModel for PthreadSync {
         match intr {
             Intrinsic::PthreadCreate => {
                 self.clock += syscall_cost::THREAD_CREATE;
-                let handle_addr = args.first().copied().unwrap_or(Value::I(0)).as_addr();
+                let handle_addr = addr_arg(args, 0)?;
                 let func = args.get(2).copied().unwrap_or(Value::I(0)).as_i();
                 let arg = args.get(3).copied().unwrap_or(Value::I(0));
                 if func < 0 || func as usize >= env.program.funcs.len() {
@@ -242,19 +246,19 @@ impl SyncModel for PthreadSync {
             }
             Intrinsic::BarrierInit => {
                 // pthread_barrier_init(&b, attr, count)
-                let key = args.first().copied().unwrap_or(Value::I(0)).as_addr();
+                let key = addr_arg(args, 0)?;
                 let count = args.get(2).copied().unwrap_or(Value::I(1)).as_i().max(1) as usize;
                 self.barriers.insert(key, (count, Vec::new()));
                 env.units[current].vm.syscall_return(Value::I(0));
             }
             Intrinsic::BarrierDestroy => {
-                let key = args.first().copied().unwrap_or(Value::I(0)).as_addr();
+                let key = addr_arg(args, 0)?;
                 self.barriers.remove(&key);
                 env.units[current].vm.syscall_return(Value::I(0));
             }
             Intrinsic::BarrierWait => {
                 self.clock += syscall_cost::MUTEX;
-                let key = args.first().copied().unwrap_or(Value::I(0)).as_addr();
+                let key = addr_arg(args, 0)?;
                 let Some((count, waiting)) = self.barriers.get_mut(&key) else {
                     return Err(ExecError::new(
                         "pthread_barrier_wait on an uninitialized barrier",
@@ -293,7 +297,7 @@ impl SyncModel for PthreadSync {
             }
             Intrinsic::MutexLock => {
                 self.clock += syscall_cost::MUTEX;
-                let key = args.first().copied().unwrap_or(Value::I(0)).as_addr();
+                let key = addr_arg(args, 0)?;
                 if let Some(owner) = self.mutex_owner.get(&key) {
                     if *owner == current {
                         return Err(ExecError::new("recursive mutex lock would self-deadlock"));
@@ -315,7 +319,7 @@ impl SyncModel for PthreadSync {
             }
             Intrinsic::MutexUnlock => {
                 self.clock += syscall_cost::MUTEX;
-                let key = args.first().copied().unwrap_or(Value::I(0)).as_addr();
+                let key = addr_arg(args, 0)?;
                 if self.mutex_owner.get(&key) != Some(&current) {
                     return Err(ExecError::new("unlocking a mutex the thread does not hold"));
                 }
@@ -387,8 +391,8 @@ impl SyncModel for PthreadSync {
 }
 
 /// Runs `program` as a multithreaded process on a single simulated SCC
-/// core (the paper's baseline configuration), under the [`Coherent`]
-/// memory model.
+/// core (the paper's baseline configuration), under the
+/// [`Coherent`](crate::Coherent) memory model.
 ///
 /// # Errors
 ///
@@ -444,19 +448,22 @@ pub fn run_pthread_model_traced<S: TraceSink>(
     model: ExecModel,
     sink: &mut S,
 ) -> Result<RunResult, ExecError> {
-    match model {
-        ExecModel::Coherent => {
-            ExecutionCore::run(program, config, PthreadSync::new(), Coherent, sink)
-        }
-        ExecModel::NonCoherentWriteBack => ExecutionCore::run(
-            program,
-            config,
-            PthreadSync::new(),
-            NonCoherentWriteBack::new(config.line_bytes),
-            sink,
-        ),
-        ExecModel::SeqCstReference => {
-            ExecutionCore::run(program, config, PthreadSync::new(), SeqCstReference, sink)
-        }
-    }
+    ExecutionCore::run_model(program, config, PthreadSync::new(), model, sink)
+}
+
+/// [`run_pthread_model_traced`] visiting the scheduler before every
+/// event: the reference the run-ahead rules are tested against.
+///
+/// # Errors
+///
+/// Same failure modes as [`run_pthread`].
+#[doc(hidden)]
+pub fn run_pthread_visiting_every_event<S: TraceSink>(
+    program: &Program,
+    config: &SccConfig,
+    model: ExecModel,
+    sink: &mut S,
+) -> Result<RunResult, ExecError> {
+    let sync = VisitEveryEvent(PthreadSync::new());
+    ExecutionCore::run_model(program, config, sync, model, sink)
 }

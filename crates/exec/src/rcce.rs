@@ -7,11 +7,9 @@
 //! schedule, the symmetric heap/flag allocation discipline, barriers,
 //! test-and-set locks, flags, and send/recv rendezvous.
 
-use crate::coherence::{
-    CoherenceModel, Coherent, ExecModel, NonCoherentWriteBack, SeqCstReference,
-};
-use crate::engine::{Charge, ExecEnv, ExecutionCore, Flow, SyncModel, UnitState};
-use crate::machine::{ExecError, RunResult};
+use crate::coherence::{CoherenceModel, ExecModel};
+use crate::engine::{Charge, ExecEnv, ExecutionCore, Flow, SyncModel, UnitState, VisitEveryEvent};
+use crate::machine::{addr_arg, ExecError, RunResult};
 use crate::syscall_cost;
 use crate::trace::{NullSink, SyncEvent, TraceSink};
 use hsm_vm::compile::{Program, STACKS_BASE, STACK_SIZE};
@@ -77,20 +75,27 @@ struct RcceSync {
     /// waiters block instead of spinning the DES).
     lock_owner: Vec<Option<usize>>,
     lock_waiters: Vec<VecDeque<usize>>,
-    /// What the scheduler compares, contiguous: core `i`'s clock while it
-    /// is `Running`, [`BLOCKED`] otherwise.
-    keys: Vec<u64>,
-    /// The core `schedule` handed out last — the only one whose clock an
-    /// event other than a syscall or a finish can have moved.
-    last: usize,
+    /// The [`key`]s of the `Running` cores, ascending: the scheduler's pick
+    /// first, and behind it the first core the pick must not overtake.
+    /// Rebuilt when `resync` says so; between rebuilds only the core at
+    /// the front moves, and only backwards.
+    order: Vec<u128>,
+    /// The key the core handed out last has to stay below to be handed out
+    /// again: the second entry of `order` at the time of the pick.
+    limit: u128,
     /// A syscall or a finish happened since the last `schedule`. Only
     /// those change a core's state or another core's clock, so only then
-    /// does the barrier need a look and every key a refresh.
+    /// does the barrier need a look and `order` a rebuild; after any
+    /// other event, only the clock of the core handed out last — still
+    /// `order`'s first entry — has moved.
     resync: bool,
 }
 
-/// Schedule key of a core that is not `Running`.
-const BLOCKED: u64 = u64::MAX;
+/// What the scheduler orders cores by: the local clock, then the core id,
+/// as one integer — ties in the clock fall to the lowest core id.
+fn key(clock: u64, core: usize) -> u128 {
+    u128::from(clock) << 64 | core as u128
+}
 
 impl RcceSync {
     fn new(cores: usize, config: &SccConfig) -> Self {
@@ -106,26 +111,25 @@ impl RcceSync {
             flag_writer: Vec::new(),
             lock_owner: vec![None; config.cores],
             lock_waiters: vec![VecDeque::new(); config.cores],
-            keys: vec![0; cores],
-            last: 0,
+            order: Vec::with_capacity(cores),
+            limit: 0,
             resync: true,
         }
     }
 
-    /// Resolves a flag handle argument to a flag id, through the calling
-    /// unit's memory view.
+    /// Resolves the flag handle a flag call passes first to a flag id,
+    /// through the calling unit's memory view.
     fn flag_id<C: CoherenceModel>(
         &mut self,
         env: &mut ExecEnv<C>,
         core: usize,
-        handle: Option<&Value>,
+        args: &[Value],
     ) -> Result<usize, ExecError> {
-        let Some(handle) = handle else {
+        if args.is_empty() {
             return Err(ExecError::new("flag call without a flag handle"));
-        };
-        let id = env
-            .mem_load(core, core, handle.as_addr(), MemKind::I64)
-            .as_i();
+        }
+        let handle = addr_arg(args, 0)?;
+        let id = env.mem_load(core, core, handle, MemKind::I64).as_i();
         let count = self.flags.len();
         if id < 0 || id as usize >= count {
             return Err(ExecError::new(format!(
@@ -133,6 +137,17 @@ impl RcceSync {
             )));
         }
         Ok(id as usize)
+    }
+
+    /// The [`key`] of every `Running` core, in core order.
+    fn running_keys<'a, C: CoherenceModel>(
+        &'a self,
+        env: &'a ExecEnv<C>,
+    ) -> impl Iterator<Item = u128> + 'a {
+        let cores = self.states.iter().zip(&env.units).enumerate();
+        cores
+            .filter(|(_, (state, _))| **state == CoreState::Running)
+            .map(|(core, (_, unit))| key(unit.clock, core))
     }
 
     /// Performs the rendezvous data movement of one send/recv pair: the
@@ -201,28 +216,34 @@ impl SyncModel for RcceSync {
         env: &mut ExecEnv<C>,
     ) -> Result<Option<usize>, ExecError> {
         if self.resync {
-            for (key, (state, unit)) in self.keys.iter_mut().zip(self.states.iter().zip(&env.units))
-            {
-                *key = match state {
-                    CoreState::Running => unit.clock,
-                    _ => BLOCKED,
-                };
-            }
+            let mut order = std::mem::take(&mut self.order);
+            order.clear();
+            order.extend(self.running_keys(env));
+            order.sort_unstable();
+            self.order = order;
             self.resync = false;
-        } else {
-            self.keys[self.last] = env.units[self.last].clock;
+        } else if let Some((&front, rest)) = self.order.split_first() {
+            // The core handed out last moved its clock forward: put it
+            // back behind every core that is now due before it.
+            let core = front as u64 as usize;
+            let moved = key(env.units[core].clock, core);
+            let behind = rest.partition_point(|&other| other < moved);
+            self.order.copy_within(1..=behind, 0);
+            self.order[behind] = moved;
         }
-        // Pick the running core with the smallest clock; the strict `<`
-        // resolves ties to the lowest core id.
-        let (mut next, mut smallest) = (0, BLOCKED);
-        for (core, &key) in self.keys.iter().enumerate() {
-            if key < smallest {
-                (next, smallest) = (core, key);
-            }
-        }
-        if smallest != BLOCKED {
-            self.last = next;
-            return Ok(Some(next));
+        debug_assert!(
+            {
+                let mut fresh: Vec<u128> = self.running_keys(env).collect();
+                fresh.sort_unstable();
+                fresh == self.order
+            },
+            "the schedule order went stale: {:?}",
+            self.order
+        );
+        // The running core with the smallest clock, lowest core id on ties.
+        if let Some(&next) = self.order.first() {
+            self.limit = self.order.get(1).copied().unwrap_or(u128::MAX);
+            return Ok(Some(next as u64 as usize));
         }
         if self
             .states
@@ -236,6 +257,17 @@ impl SyncModel for RcceSync {
             ))
         }
     }
+
+    fn still_due<C: CoherenceModel>(&self, env: &ExecEnv<C>, unit: usize) -> bool {
+        // No key but `unit`'s has changed since the pick: `unit` is still
+        // the smallest while it stays below the runner-up.
+        key(env.units[unit].clock, unit) < self.limit
+    }
+
+    // One process per core: a core's caches, private space, write-back
+    // view, statistics row and clock are its unit's alone, and the other
+    // cores reach them only through syscalls that find the unit blocked.
+    const OWN_EVENTS_ARE_LOCAL: bool = true;
 
     fn charge(&mut self, unit: &mut UnitState, cycles: u64, _kind: Charge) {
         // RCCE bills everything to the core's local clock; balance is
@@ -350,8 +382,8 @@ impl SyncModel for RcceSync {
                 Value::I(0)
             }
             Intrinsic::RccePut | Intrinsic::RcceGet => {
-                let dst = args.first().copied().unwrap_or(Value::I(0)).as_addr();
-                let src = args.get(1).copied().unwrap_or(Value::I(0)).as_addr();
+                let dst = addr_arg(args, 0)?;
+                let src = addr_arg(args, 1)?;
                 let bytes = args.get(2).copied().unwrap_or(Value::I(0)).as_i().max(0) as usize;
                 let target = args.get(3).copied().unwrap_or(Value::I(0)).as_i().max(0) as usize
                     % cores.max(1);
@@ -372,20 +404,15 @@ impl SyncModel for RcceSync {
                     self.flags.push(vec![0; cores]);
                     self.flag_writer.push(vec![None; cores]);
                 }
-                if let Some(handle) = args.first() {
-                    env.mem_store(
-                        core,
-                        core,
-                        handle.as_addr(),
-                        MemKind::I64,
-                        Value::I(seq as i64),
-                    );
+                if !args.is_empty() {
+                    let handle = addr_arg(args, 0)?;
+                    env.mem_store(core, core, handle, MemKind::I64, Value::I(seq as i64));
                 }
                 Value::I(0)
             }
             Intrinsic::RcceFlagWrite => {
                 // RCCE_flag_write(&flag, value, ue)
-                let id = self.flag_id(env, core, args.first())?;
+                let id = self.flag_id(env, core, args)?;
                 let value = args.get(1).copied().unwrap_or(Value::I(0)).as_i();
                 let ue = args.get(2).copied().unwrap_or(Value::I(0)).as_i().max(0) as usize % cores;
                 env.units[core].clock += env.chip.mesh.mpb_round_trip(core, ue).max(2)
@@ -411,7 +438,7 @@ impl SyncModel for RcceSync {
             }
             Intrinsic::RcceFlagRead => {
                 // RCCE_flag_read(&flag, &out, ue)
-                let id = self.flag_id(env, core, args.first())?;
+                let id = self.flag_id(env, core, args)?;
                 let ue = args.get(2).copied().unwrap_or(Value::I(0)).as_i().max(0) as usize % cores;
                 env.units[core].clock += env.chip.mesh.mpb_round_trip(core, ue).max(2)
                     + env.chip.config.mpb_access_cycles;
@@ -426,16 +453,15 @@ impl SyncModel for RcceSync {
                         });
                     }
                 }
-                if let Some(out) = args.get(1) {
-                    if out.as_i() != 0 {
-                        env.mem_store(core, core, out.as_addr(), MemKind::I64, Value::I(v));
-                    }
+                let out = addr_arg(args, 1)?;
+                if out != 0 {
+                    env.mem_store(core, core, out, MemKind::I64, Value::I(v));
                 }
                 Value::I(v)
             }
             Intrinsic::RcceWaitUntil => {
                 // RCCE_wait_until(&flag, value) — spins on the caller's copy.
-                let id = self.flag_id(env, core, args.first())?;
+                let id = self.flag_id(env, core, args)?;
                 let value = args.get(1).copied().unwrap_or(Value::I(0)).as_i();
                 env.units[core].clock += env.chip.config.mpb_access_cycles;
                 if self.flags[id][core] == value {
@@ -458,7 +484,7 @@ impl SyncModel for RcceSync {
             }
             Intrinsic::RcceSend => {
                 // RCCE_send(buf, size, dest) — synchronous rendezvous.
-                let buf = args.first().copied().unwrap_or(Value::I(0)).as_addr();
+                let buf = addr_arg(args, 0)?;
                 let size = args.get(1).copied().unwrap_or(Value::I(0)).as_i().max(0) as usize;
                 let dst =
                     args.get(2).copied().unwrap_or(Value::I(0)).as_i().max(0) as usize % cores;
@@ -485,7 +511,7 @@ impl SyncModel for RcceSync {
             }
             Intrinsic::RcceRecv => {
                 // RCCE_recv(buf, size, src).
-                let buf = args.first().copied().unwrap_or(Value::I(0)).as_addr();
+                let buf = addr_arg(args, 0)?;
                 let size = args.get(1).copied().unwrap_or(Value::I(0)).as_i().max(0) as usize;
                 let src =
                     args.get(2).copied().unwrap_or(Value::I(0)).as_i().max(0) as usize % cores;
@@ -628,7 +654,7 @@ impl SyncModel for RcceSync {
 }
 
 /// Runs `program` on `cores` simulated SCC cores in RCCE mode, under the
-/// [`Coherent`] memory model.
+/// [`Coherent`](crate::Coherent) memory model.
 ///
 /// Every core executes the whole program (the RCCE model: one binary per
 /// UE); they synchronize through barriers and test-and-set locks and share
@@ -696,33 +722,205 @@ pub fn run_rcce_model_traced<S: TraceSink>(
     model: ExecModel,
     sink: &mut S,
 ) -> Result<RunResult, ExecError> {
+    run_as(program, cores, config, model, sink, |sync| sync)
+}
+
+/// [`run_rcce_model_traced`] visiting the scheduler before every event:
+/// the reference the run-ahead rules are tested against.
+///
+/// # Errors
+///
+/// Same failure modes as [`run_rcce`].
+#[doc(hidden)]
+pub fn run_rcce_visiting_every_event<S: TraceSink>(
+    program: &Program,
+    cores: usize,
+    config: &SccConfig,
+    model: ExecModel,
+    sink: &mut S,
+) -> Result<RunResult, ExecError> {
+    run_as(program, cores, config, model, sink, VisitEveryEvent)
+}
+
+fn run_as<W: SyncModel, S: TraceSink>(
+    program: &Program,
+    cores: usize,
+    config: &SccConfig,
+    model: ExecModel,
+    sink: &mut S,
+    wrap: impl FnOnce(RcceSync) -> W,
+) -> Result<RunResult, ExecError> {
     if cores == 0 || cores > config.cores {
         return Err(ExecError::new(format!(
             "core count {cores} outside 1..={}",
             config.cores
         )));
     }
-    match model {
-        ExecModel::Coherent => ExecutionCore::run(
-            program,
-            config,
-            RcceSync::new(cores, config),
-            Coherent,
-            sink,
-        ),
-        ExecModel::NonCoherentWriteBack => ExecutionCore::run(
-            program,
-            config,
-            RcceSync::new(cores, config),
-            NonCoherentWriteBack::new(config.line_bytes),
-            sink,
-        ),
-        ExecModel::SeqCstReference => ExecutionCore::run(
-            program,
-            config,
-            RcceSync::new(cores, config),
-            SeqCstReference,
-            sink,
-        ),
+    let sync = wrap(RcceSync::new(cores, config));
+    ExecutionCore::run_model(program, config, sync, model, sink)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::coherence::Coherent;
+    use crate::engine::VisitEveryEvent;
+
+    fn native(src: &str) -> Program {
+        hsm_vm::compile(&hsm_cir::parse(src).expect("parse")).expect("compile")
+    }
+
+    /// A scheduler over `clocks.len()` idle cores with the given clocks.
+    fn at_clocks<'p>(
+        program: &'p Program,
+        config: &'p SccConfig,
+        clocks: &[u64],
+    ) -> (RcceSync, ExecEnv<'p, Coherent>) {
+        let sync = RcceSync::new(clocks.len(), config);
+        let mut env = ExecEnv::new(program, config, Coherent, &sync);
+        for (unit, &clock) in env.units.iter_mut().zip(clocks) {
+            unit.clock = clock;
+        }
+        (sync, env)
+    }
+
+    #[test]
+    fn a_core_stays_due_until_it_reaches_the_runner_up() {
+        let (program, config) = (native("int main() { return 0; }"), SccConfig::table_6_1());
+        let (mut sync, mut env) = at_clocks(&program, &config, &[50, 10, 30, 30]);
+        assert_eq!(sync.schedule(&mut env), Ok(Some(1)));
+        // Core 1 runs alone up to the runner-up, core 2 at 30 ...
+        env.units[1].clock = 29;
+        assert!(sync.still_due(&env, 1));
+        // ... and through the tie: it has the lower id.
+        env.units[1].clock = 30;
+        assert!(sync.still_due(&env, 1));
+        env.units[1].clock = 31;
+        assert!(!sync.still_due(&env, 1));
+        // Cores 2 and 3 tie at 30: the lower id goes first, and at the
+        // same clock as core 3 it is still the one `schedule` would pick.
+        assert_eq!(sync.schedule(&mut env), Ok(Some(2)));
+        assert!(sync.still_due(&env, 2));
+        env.units[2].clock = 31;
+        assert!(!sync.still_due(&env, 2));
+        // Core 3 at 30 is bounded by core 1 at 31: a tie with a lower id
+        // is the other core's turn.
+        assert_eq!(sync.schedule(&mut env), Ok(Some(3)));
+        env.units[3].clock = 31;
+        assert!(!sync.still_due(&env, 3));
+        assert_eq!(sync.schedule(&mut env), Ok(Some(1)));
+        let order = [(31, 1), (31, 2), (31, 3), (50, 0)];
+        assert_eq!(sync.order, order.map(|(clock, core)| key(clock, core)));
+    }
+
+    #[test]
+    fn a_blocked_core_never_bounds_the_limit() {
+        let (program, config) = (native("int main() { return 0; }"), SccConfig::table_6_1());
+        let (mut sync, mut env) = at_clocks(&program, &config, &[10, 0, 20, 5]);
+        // The two cores with the smallest clocks are not runnable.
+        sync.states[1] = CoreState::InBarrier { arrived_at: 0 };
+        sync.states[3] = CoreState::WaitingLock { id: 0 };
+        assert_eq!(sync.schedule(&mut env), Ok(Some(0)));
+        env.units[0].clock = 19;
+        assert!(sync.still_due(&env, 0), "bounded by core 2 at 20 only");
+        env.units[0].clock = 21;
+        assert!(!sync.still_due(&env, 0));
+        assert_eq!(sync.schedule(&mut env), Ok(Some(2)));
+        // The last runnable core has nobody to wait for.
+        sync.states[0] = CoreState::Done { exit: 0 };
+        sync.resync = true;
+        assert_eq!(sync.schedule(&mut env), Ok(Some(2)));
+        env.units[2].clock = u64::MAX;
+        assert!(sync.still_due(&env, 2));
+        sync.states[2] = CoreState::Done { exit: 0 };
+        sync.resync = true;
+        let deadlock = sync.schedule(&mut env).expect_err("two cores never wake");
+        assert!(deadlock.message.contains("deadlock"), "{deadlock}");
+    }
+
+    /// A lock hand-off, a flag wake, a rendezvous and a barrier release
+    /// each hand a blocked core a clock somebody else computed. Debug
+    /// builds audit `order` against the states at every `schedule`; every
+    /// build holds the run against the one that asks before each event.
+    #[test]
+    fn every_wake_up_rebuilds_the_order() {
+        let program = native(
+            r#"
+int *counter;
+int RCCE_APP(int *argc, char **argv) {
+    RCCE_init(&argc, &argv);
+    counter = (int *)RCCE_shmalloc(sizeof(int) * 1);
+    int me;
+    me = RCCE_ue();
+    int n;
+    n = RCCE_num_ues();
+    RCCE_FLAG ready;
+    RCCE_flag_alloc(&ready);
+    int out[1];
+    int in[1];
+    int i;
+    out[0] = me;
+    for (i = 0; i < 50 * (n - me); i++) out[0] = out[0] + i % 3;
+    RCCE_acquire_lock(0);
+    counter[0] = counter[0] + 1;
+    RCCE_release_lock(0);
+    if (me % 2 == 0) {
+        RCCE_send(out, 4, me + 1);
+    } else {
+        RCCE_recv(in, 4, me - 1);
+    }
+    if (me == n - 1) RCCE_flag_write(&ready, 1, 0);
+    if (me == 0) RCCE_wait_until(&ready, 1);
+    RCCE_barrier(&RCCE_COMM_WORLD);
+    RCCE_finalize();
+    return counter[0];
+}
+"#,
+        );
+        let config = SccConfig::table_6_1();
+        for cores in [2, 4, 16] {
+            let fast = run_rcce(&program, cores, &config).expect("run");
+            let reference = run_rcce_visiting_every_event(
+                &program,
+                cores,
+                &config,
+                ExecModel::Coherent,
+                &mut NullSink,
+            );
+            assert_eq!(fast.exit_code, cores as i64);
+            assert_eq!(Ok(fast), reference, "{cores} cores");
+        }
+    }
+
+    /// A core that runs ahead into a syscall parks it, and the syscall
+    /// happens once, on the core's turn: every line printed once, every
+    /// lock acquired once, in the reference's order.
+    #[test]
+    fn a_held_syscall_is_dispatched_once() {
+        let program = native(
+            r#"
+int RCCE_APP(int *argc, char **argv) {
+    RCCE_init(&argc, &argv);
+    int me;
+    me = RCCE_ue();
+    int scratch[8];
+    int i;
+    for (i = 0; i < 300 * (4 - me); i++) scratch[i % 8] = scratch[(i + 1) % 8] + i;
+    printf("core %d\n", me);
+    RCCE_acquire_lock(1);
+    RCCE_release_lock(1);
+    RCCE_barrier(&RCCE_COMM_WORLD);
+    return scratch[0] % 2;
+}
+"#,
+        );
+        let config = SccConfig::table_6_1();
+        let run = run_rcce(&program, 4, &config).expect("run");
+        let lines: Vec<&str> = run.output.iter().map(|l| l.text.as_str()).collect();
+        // The shortest loop prints first.
+        assert_eq!(lines, ["core 3\n", "core 2\n", "core 1\n", "core 0\n"]);
+        let sync = VisitEveryEvent(RcceSync::new(4, &config));
+        let reference = ExecutionCore::run(&program, &config, sync, Coherent, &mut NullSink);
+        assert_eq!(Ok(run), reference);
     }
 }

@@ -34,11 +34,9 @@
 //!   `max(ready time, core free time)` plus the dispatch DMA cost, so
 //!   the makespan reflects genuine pipeline parallelism.
 
-use crate::coherence::{
-    CoherenceModel, Coherent, ExecModel, NonCoherentWriteBack, SeqCstReference,
-};
+use crate::coherence::{CoherenceModel, ExecModel};
 use crate::engine::{Charge, ExecEnv, ExecutionCore, Flow, SyncModel, UnitState};
-use crate::machine::{ExecError, RunResult};
+use crate::machine::{addr_arg, ExecError, RunResult};
 use crate::syscall_cost;
 use crate::trace::{NullSink, SyncEvent, TraceSink};
 use hsm_vm::compile::{Program, STACKS_BASE, STACK_SIZE};
@@ -379,20 +377,20 @@ impl SyncModel for TaskDataflowSync {
                     return Err(ExecError::new("too many tasks (max 1023)"));
                 }
                 let arg = args.get(1).copied().unwrap_or(Value::I(0)).as_i();
-                let region = |p: usize| -> Regionspec {
-                    let addr = args.get(p).copied().unwrap_or(Value::I(0)).as_addr();
+                let region = |p: usize| -> Result<Regionspec, ExecError> {
+                    let addr = addr_arg(args, p)?;
                     let len = args.get(p + 1).copied().unwrap_or(Value::I(0)).as_i();
-                    if addr == 0 || len <= 0 {
+                    Ok(if addr == 0 || len <= 0 {
                         (0, 0)
                     } else {
                         (addr, len as u64)
-                    }
+                    })
                 };
-                let ins: Vec<Regionspec> = [region(2), region(4)]
+                let ins: Vec<Regionspec> = [region(2)?, region(4)?]
                     .into_iter()
                     .filter(|&(_, l)| l > 0)
                     .collect();
-                let out = Some(region(6)).filter(|&(_, l)| l > 0);
+                let out = Some(region(6)?).filter(|&(_, l)| l > 0);
                 // Publish everything the spawner wrote so far: the task's
                 // input DMA reads the canonical space.
                 env.coherence
@@ -535,7 +533,7 @@ impl SyncModel for TaskDataflowSync {
 }
 
 /// Runs `program` as a task-dataflow program on `cores` simulated SCC
-/// cores, under the [`Coherent`] memory model.
+/// cores, under the [`Coherent`](crate::Coherent) memory model.
 ///
 /// `main` runs on core 0; spawned tasks run on any free core (core 0
 /// becomes available to tasks while `main` blocks in `task_wait_all`).
@@ -604,27 +602,6 @@ pub fn run_task_model_traced<S: TraceSink>(
             config.cores
         )));
     }
-    match model {
-        ExecModel::Coherent => ExecutionCore::run(
-            program,
-            config,
-            TaskDataflowSync::new(cores, config),
-            Coherent,
-            sink,
-        ),
-        ExecModel::NonCoherentWriteBack => ExecutionCore::run(
-            program,
-            config,
-            TaskDataflowSync::new(cores, config),
-            NonCoherentWriteBack::new(config.line_bytes),
-            sink,
-        ),
-        ExecModel::SeqCstReference => ExecutionCore::run(
-            program,
-            config,
-            TaskDataflowSync::new(cores, config),
-            SeqCstReference,
-            sink,
-        ),
-    }
+    let sync = TaskDataflowSync::new(cores, config);
+    ExecutionCore::run_model(program, config, sync, model, sink)
 }

@@ -29,6 +29,8 @@ pub struct Cache {
     ways: usize,
     line_shift: u32,
     set_mask: u64,
+    /// Width of the set index: what a line address sheds to leave the tag.
+    set_bits: u32,
     hits: u64,
     misses: u64,
     writebacks: u64,
@@ -62,6 +64,7 @@ impl Cache {
             ways,
             line_shift: line_bytes.trailing_zeros(),
             set_mask: (sets - 1) as u64,
+            set_bits: sets.trailing_zeros(),
             hits: 0,
             misses: 0,
             writebacks: 0,
@@ -69,25 +72,51 @@ impl Cache {
         }
     }
 
+    /// The lines of `addr`'s set, and the tag `addr` carries within it.
+    #[inline]
+    fn locate(&self, addr: u64) -> (std::ops::Range<usize>, u64) {
+        let line_addr = addr >> self.line_shift;
+        let set_idx = (line_addr & self.set_mask) as usize;
+        let tag = line_addr >> self.set_bits;
+        (set_idx * self.ways..set_idx * self.ways + self.ways, tag)
+    }
+
+    /// Whether `addr`'s line is resident. Changes nothing.
+    #[inline]
+    pub fn contains(&self, addr: u64) -> bool {
+        let (set, tag) = self.locate(addr);
+        self.lines[set].iter().any(|l| l.valid && l.tag == tag)
+    }
+
+    /// [`Cache::access`] if `addr`'s line is resident — a hit, with the
+    /// LRU, dirty-bit and counter updates of one — and nothing at all
+    /// otherwise.
+    #[inline]
+    pub fn access_resident(&mut self, addr: u64, write: bool) -> bool {
+        let (set, tag) = self.locate(addr);
+        for line in &mut self.lines[set] {
+            if line.valid && line.tag == tag {
+                self.tick += 1;
+                line.lru = self.tick;
+                line.dirty |= write;
+                self.hits += 1;
+                return true;
+            }
+        }
+        false
+    }
+
     /// Looks up `addr`; on a miss the line is filled. `write` marks the
     /// line dirty on hit or fill (write-allocate).
     #[inline]
     pub fn access(&mut self, addr: u64, write: bool) -> CacheOutcome {
-        self.tick += 1;
-        let line_addr = addr >> self.line_shift;
-        let set_idx = (line_addr & self.set_mask) as usize;
-        let tag = line_addr >> self.set_mask.count_ones();
-        let set = &mut self.lines[set_idx * self.ways..set_idx * self.ways + self.ways];
-
-        for line in set.iter_mut() {
-            if line.valid && line.tag == tag {
-                line.lru = self.tick;
-                line.dirty |= write;
-                self.hits += 1;
-                return CacheOutcome::Hit;
-            }
+        if self.access_resident(addr, write) {
+            return CacheOutcome::Hit;
         }
+        self.tick += 1;
         self.misses += 1;
+        let (set, tag) = self.locate(addr);
+        let set = &mut self.lines[set];
         // Victim: invalid line if any, else LRU.
         let victim = (0..self.ways).find(|&w| !set[w].valid).unwrap_or_else(|| {
             (0..self.ways)
@@ -184,6 +213,20 @@ impl CacheHierarchy {
     pub fn invalidate(&mut self) {
         self.l1.invalidate_all();
         self.l2.invalidate_all();
+    }
+
+    /// [`CacheHierarchy::access`] if one of the two levels holds `addr`'s
+    /// line, and nothing at all otherwise: the access a core can make
+    /// without anything leaving its tile.
+    #[inline]
+    pub fn access_resident(&mut self, addr: u64, write: bool) -> Option<(ServiceLevel, u64)> {
+        if self.l1.access_resident(addr, write) {
+            Some((ServiceLevel::L1, self.l1_hit_cycles))
+        } else if self.l2.contains(addr) {
+            Some(self.access(addr, write))
+        } else {
+            None
+        }
     }
 
     /// Performs a private-memory access, returning the level that served

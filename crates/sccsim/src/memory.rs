@@ -130,8 +130,7 @@ impl MemorySystem {
                     }
                     ServiceLevel::Memory { writeback } => {
                         self.stats.per_core[core].private_dram += 1;
-                        let mc = self.mesh.mc_of(core);
-                        let trip = self.mesh.mc_round_trip(core, mc);
+                        let (mc, trip) = self.mesh.home_mc(core);
                         let resp = self.dram.request(mc, now + trip / 2);
                         self.stats.per_core[core].mc_queue_cycles += resp.queued_for;
                         let mut lat =
@@ -148,8 +147,7 @@ impl MemorySystem {
                 }
             }
             Region::SharedDram => {
-                let mc = self.mesh.mc_of(core);
-                let trip = self.mesh.mc_round_trip(core, mc);
+                let (mc, trip) = self.mesh.home_mc(core);
                 let occ = self.config.shared_dram_occupancy_cycles;
                 let resp = self.dram.request_with_occupancy(mc, now + trip / 2, occ);
                 self.stats.per_core[core].mc_queue_cycles += resp.queued_for;
@@ -182,6 +180,34 @@ impl MemorySystem {
         latency
     }
 
+    /// [`MemorySystem::access`] if `addr` is private and `core`'s own L1 or
+    /// L2 holds its line; `None`, with nothing changed, otherwise.
+    ///
+    /// A private hit reads and writes only what belongs to `core` — its
+    /// cache hierarchy and its row of the statistics — and its latency
+    /// does not depend on the time of the access, so a caller may perform
+    /// it without ordering it against the other cores.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is out of range.
+    #[inline]
+    pub fn access_cached(&mut self, core: usize, addr: u64, write: bool) -> Option<u64> {
+        if Self::region_of(addr) != Region::Private {
+            return None;
+        }
+        // An unbuilt hierarchy holds no lines.
+        let (level, cycles) = self.caches[core].as_mut()?.access_resident(addr, write)?;
+        let row = &mut self.stats.per_core[core];
+        match level {
+            ServiceLevel::L1 => row.l1_hits += 1,
+            ServiceLevel::L2 => row.l2_hits += 1,
+            ServiceLevel::Memory { .. } => unreachable!("a resident line is served on the tile"),
+        }
+        self.stats.record(core, Region::Private, write, cycles);
+        Some(cycles)
+    }
+
     /// Performs one access on a hypothetical *flat* machine: private
     /// addresses bypass the caches and pay the full mesh + memory
     /// controller cost on every access, exactly like shared DRAM. Shared
@@ -200,8 +226,7 @@ impl MemorySystem {
             return self.access(core, addr, write, now);
         }
         self.stats.per_core[core].private_dram += 1;
-        let mc = self.mesh.mc_of(core);
-        let trip = self.mesh.mc_round_trip(core, mc);
+        let (mc, trip) = self.mesh.home_mc(core);
         let resp = self.dram.request(mc, now + trip / 2);
         self.stats.per_core[core].mc_queue_cycles += resp.queued_for;
         let latency = if write {
@@ -389,6 +414,71 @@ mod tests {
         m.invalidate_core(0);
         let cold = m.access(0, 0x1000, false, 200);
         assert!(cold > warm, "cold {cold} vs warm {warm}");
+    }
+
+    /// `access_cached` is `access` restricted to private hits: asking first
+    /// on every access changes no latency, no victim and no counter.
+    #[test]
+    fn asking_the_own_caches_first_changes_nothing() {
+        let (mut plain, mut asked) = (sys(), sys());
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let (mut served, mut refused) = (0, 0);
+        for now in 0..60_000u64 {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let core = (rng >> 60) as usize % 3;
+            // Three working sets: one that fits L1, one that fits L2 only,
+            // one that thrashes both; plus the uncacheable windows.
+            let span = [8 << 10, 128 << 10, 4 << 20][(rng >> 40) as usize % 3];
+            let addr = match (rng >> 56) & 15 {
+                0 => SHARED_DRAM_BASE + (rng >> 20) % 4096,
+                1 => MPB_BASE + (rng >> 20) % 4096,
+                _ => (rng >> 8) % span,
+            };
+            let write = (rng >> 36) & 3 == 0;
+            let want = plain.access(core, addr, write, now);
+            let got = match asked.access_cached(core, addr, write) {
+                Some(lat) => {
+                    served += 1;
+                    lat
+                }
+                None => {
+                    refused += 1;
+                    asked.access(core, addr, write, now)
+                }
+            };
+            assert_eq!(got, want, "access {now}: core {core} addr {addr:#x}");
+        }
+        assert!(served > 10_000 && refused > 10_000, "{served} / {refused}");
+        assert_eq!(asked.stats_matrix(), plain.stats_matrix());
+        assert_eq!(asked.stats(), plain.stats());
+        // Tags, dirty bits, LRU stamps and hit/miss/write-back counters of
+        // every cache, and the controllers' queues.
+        assert_eq!(format!("{:?}", asked.caches), format!("{:?}", plain.caches));
+        assert_eq!(format!("{:?}", asked.dram), format!("{:?}", plain.dram));
+    }
+
+    #[test]
+    fn the_own_caches_refuse_what_leaves_the_tile() {
+        let mut m = sys();
+        assert_eq!(m.access_cached(0, 0x1000, false), None, "unbuilt hierarchy");
+        m.access(0, 0x1000, true, 0);
+        assert_eq!(
+            m.access_cached(0, 0x1000, false),
+            Some(m.config.l1_hit_cycles)
+        );
+        assert_eq!(
+            m.access_cached(1, 0x1000, false),
+            None,
+            "another core's line"
+        );
+        assert_eq!(m.access_cached(0, 0x2000, false), None, "a miss");
+        assert_eq!(m.access_cached(0, SHARED_DRAM_BASE, false), None);
+        assert_eq!(m.access_cached(0, MPB_BASE, false), None);
+        // The refusals left no trace: one miss and one hit on core 0.
+        assert_eq!(m.stats_matrix().per_core[0].total_accesses(), 2);
+        assert_eq!(m.stats_matrix().active_cores(), 1);
     }
 
     #[test]

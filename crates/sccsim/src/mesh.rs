@@ -28,6 +28,20 @@ pub struct Mesh {
     hop_cycles: u64,
     /// Memory controller tile positions.
     mc_tiles: Vec<Tile>,
+    /// One [`Route`] per configured core. The geometry never changes
+    /// after construction, and the memory system asks for it on every
+    /// uncached access.
+    routes: Vec<Route>,
+}
+
+/// What the mesh knows about one core.
+#[derive(Debug, Clone, Copy)]
+struct Route {
+    tile: Tile,
+    /// The memory controller serving the core.
+    mc: usize,
+    /// Round trip to that controller, in core cycles.
+    mc_trip: u64,
 }
 
 impl Mesh {
@@ -62,12 +76,44 @@ impl Mesh {
                 })
                 .collect(),
         };
-        Mesh {
+        let mut mesh = Mesh {
             cols,
             rows,
             cores_per_tile: config.cores_per_tile(),
             hop_cycles: config.hop_cycles,
             mc_tiles,
+            routes: Vec::new(),
+        };
+        mesh.routes = (0..config.cores).map(|c| mesh.compute_route(c)).collect();
+        mesh
+    }
+
+    /// The geometry of `core` from first principles: what the table holds
+    /// for a configured core, and the answer for any other index.
+    fn compute_route(&self, core: usize) -> Route {
+        let tile_index = core / self.cores_per_tile;
+        let tile = Tile {
+            x: tile_index % self.cols,
+            y: tile_index / self.cols,
+        };
+        let (mc, mc_tile) = self
+            .mc_tiles
+            .iter()
+            .enumerate()
+            .min_by_key(|(i, mc)| (tile.hops_to(**mc), *i))
+            .expect("at least one memory controller");
+        Route {
+            tile,
+            mc,
+            mc_trip: 2 * self.latency(tile, *mc_tile),
+        }
+    }
+
+    #[inline]
+    fn route(&self, core: usize) -> Route {
+        match self.routes.get(core) {
+            Some(route) => *route,
+            None => self.compute_route(core),
         }
     }
 
@@ -75,25 +121,25 @@ impl Mesh {
     ///
     /// Cores are numbered row-major, two per tile: cores 0 and 1 share tile
     /// (0,0), cores 2 and 3 tile (1,0), and so on.
+    #[inline]
     pub fn tile_of(&self, core: usize) -> Tile {
-        let tile_index = core / self.cores_per_tile;
-        Tile {
-            x: tile_index % self.cols,
-            y: tile_index / self.cols,
-        }
+        self.route(core).tile
     }
 
     /// The memory controller serving `core` (nearest MC, ties broken by
     /// index — this matches the SCC's quadrant assignment for the default
     /// 4-MC layout).
+    #[inline]
     pub fn mc_of(&self, core: usize) -> usize {
-        let tile = self.tile_of(core);
-        self.mc_tiles
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, mc)| (tile.hops_to(**mc), *i))
-            .map(|(i, _)| i)
-            .expect("at least one memory controller")
+        self.route(core).mc
+    }
+
+    /// The memory controller serving `core` together with the round trip
+    /// to it: what every uncached access of `core` needs.
+    #[inline]
+    pub fn home_mc(&self, core: usize) -> (usize, u64) {
+        let route = self.route(core);
+        (route.mc, route.mc_trip)
     }
 
     /// Number of memory controllers.
@@ -113,15 +159,12 @@ impl Mesh {
 
     /// Round-trip core→MC→core latency in core cycles.
     pub fn mc_round_trip(&self, core: usize, mc: usize) -> u64 {
-        let t = self.tile_of(core);
-        2 * self.latency(t, self.mc_tiles[mc])
+        2 * self.latency(self.tile_of(core), self.mc_tiles[mc])
     }
 
     /// Round-trip latency from `core` to the MPB owned by `owner`.
     pub fn mpb_round_trip(&self, core: usize, owner: usize) -> u64 {
-        let a = self.tile_of(core);
-        let b = self.tile_of(owner);
-        2 * self.latency(a, b)
+        2 * self.latency(self.tile_of(core), self.tile_of(owner))
     }
 
     /// Cores per quadrant served by each MC (for diagnostics: the paper's
@@ -202,6 +245,30 @@ mod tests {
         }
         // Same tile = free mesh-wise.
         assert_eq!(m.mpb_round_trip(0, 1), 0);
+    }
+
+    #[test]
+    fn route_table_equals_the_computed_geometry() {
+        for controllers in [1, 2, 4, 6] {
+            let mut cfg = SccConfig::table_6_1();
+            cfg.memory_controllers = controllers;
+            let m = Mesh::new(&cfg);
+            assert_eq!(m.routes.len(), cfg.cores);
+            // One index past the table takes the computed path.
+            for core in 0..=cfg.cores {
+                let want = m.compute_route(core);
+                assert_eq!(m.tile_of(core), want.tile, "{controllers} MCs, core {core}");
+                assert_eq!(m.mc_of(core), want.mc, "{controllers} MCs, core {core}");
+                assert_eq!(m.home_mc(core), (want.mc, want.mc_trip));
+                assert_eq!(m.mc_round_trip(core, want.mc), want.mc_trip);
+                let nearest = (0..controllers)
+                    .min_by_key(|&mc| (m.mc_round_trip(core, mc), mc))
+                    .expect("controllers");
+                assert_eq!(want.mc, nearest, "{controllers} MCs, core {core}");
+            }
+            let past = m.tile_of(cfg.cores);
+            assert_eq!((past.x, past.y), (0, cfg.mesh_rows));
+        }
     }
 
     #[test]

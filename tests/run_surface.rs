@@ -160,6 +160,49 @@ fn a_negative_address_is_a_run_error_not_a_host_panic() {
     }
 }
 
+/// A negative pointer handed to a library call instead of dereferenced:
+/// one call per sync model that takes its argument as an address, and the
+/// `printf` path all three share.
+const NEGATIVE_MUTEX: &str = "\
+int main() { pthread_mutex_lock((pthread_mutex_t *)(0 - 8)); return 0; }";
+const NEGATIVE_PUT: &str = "\
+int main() { int x[1]; RCCE_put((char *)(0 - 8), (char *)x, 4, 0); return 0; }";
+const NEGATIVE_REGION: &str = "\
+void work(int id) { }
+int main() { task_spawn(work, 0, (int *)(0 - 8), 4, 0, 0, 0, 0); task_wait_all(); return 0; }";
+const NEGATIVE_FORMAT: &str = "int main() { printf((char *)(0 - 8)); return 0; }";
+
+#[test]
+fn a_negative_syscall_pointer_is_a_run_error_not_a_host_panic() {
+    let every = [
+        Mode::PthreadBaseline,
+        Mode::RcceOffChip,
+        Mode::RcceHsm,
+        Mode::TaskDataflow,
+    ];
+    let cases: [(&str, &str, &[Mode]); 4] = [
+        ("mutex", NEGATIVE_MUTEX, &[Mode::PthreadBaseline]),
+        ("put", NEGATIVE_PUT, &[Mode::RcceOffChip, Mode::RcceHsm]),
+        ("region", NEGATIVE_REGION, &[Mode::TaskDataflow]),
+        ("format", NEGATIVE_FORMAT, &every),
+    ];
+    for (what, source, modes) in cases {
+        for &mode in modes {
+            let err = Pipeline::new(source)
+                .cores(2)
+                .scenario(mode.into())
+                .run_scenario()
+                .expect_err("a negative address cannot succeed");
+            let tag = format!("{what}/{}", mode.label());
+            assert_eq!(err.stage(), "exec", "{tag}: {err}");
+            assert!(
+                err.to_string().contains("negative address -8"),
+                "{tag}: {err}"
+            );
+        }
+    }
+}
+
 /// Sends one job and reads its single answer off the same connection.
 fn ask(stream: &TcpStream, job: &Job) -> JobResponse {
     (&*stream)
@@ -192,16 +235,20 @@ fn a_faulting_simulate_job_leaves_its_connection_usable() {
         },
     };
 
-    let JobResponse::Row(faulted) = ask(&stream, &simulate(1, NEGATIVE_LOAD)) else {
-        panic!("a simulate job answers with its row");
-    };
-    let error = faulted.error.expect("the row carries the run error");
-    assert!(error.contains("negative address -8"), "{error}");
+    // A fault the VM raises, then one a syscall argument raises.
+    for (id, source) in [(1, NEGATIVE_LOAD), (3, NEGATIVE_MUTEX)] {
+        let JobResponse::Row(faulted) = ask(&stream, &simulate(id, source)) else {
+            panic!("a simulate job answers with its row");
+        };
+        let error = faulted.error.expect("the row carries the run error");
+        assert!(error.contains("negative address -8"), "{error}");
 
-    let JobResponse::Row(next) = ask(&stream, &simulate(2, "int main() { return 7; }")) else {
-        panic!("the next job on the same connection is answered");
-    };
-    assert_eq!((next.error, next.exit_code), (None, Some(7)));
+        let next = simulate(id + 1, "int main() { return 7; }");
+        let JobResponse::Row(next) = ask(&stream, &next) else {
+            panic!("the next job on the same connection is answered");
+        };
+        assert_eq!((next.error, next.exit_code), (None, Some(7)));
+    }
 
     handle.stop();
     thread.join().expect("server thread").expect("clean exit");
