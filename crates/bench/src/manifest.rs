@@ -259,12 +259,13 @@ pub fn metrics_json(m: &PipelineMetrics, opts: &ManifestOptions) -> Json {
 /// `host_store` disk-traffic block (present only with a `--cache-dir`).
 pub fn sweep_json(report: &SweepReport, opts: &ManifestOptions) -> Json {
     let c = report.cache;
-    // One hit/miss pair per compile-side stage; the `profile` shelf is
-    // not part of the manifest layout.
-    let mut cache: Vec<(&str, Json)> = Stage::ALL
-        .into_iter()
-        .filter(|&stage| stage != Stage::Profile)
-        .map(|stage| {
+    // One hit/miss pair per compile-side stage, and their totals; the
+    // `profile` and `run` shelves are not part of the manifest layout (a
+    // run-shelf hit must leave the manifest as it found it).
+    let compile_side = &Stage::ALL[..5];
+    let mut cache: Vec<(&str, Json)> = compile_side
+        .iter()
+        .map(|&stage| {
             let counters = Json::obj(vec![
                 ("hits", Json::UInt(c[stage].hits)),
                 ("misses", Json::UInt(c[stage].misses)),
@@ -272,8 +273,11 @@ pub fn sweep_json(report: &SweepReport, opts: &ManifestOptions) -> Json {
             (stage.label(), counters)
         })
         .collect();
-    cache.push(("total_hits", Json::UInt(c.total_hits())));
-    cache.push(("total_misses", Json::UInt(c.total_misses())));
+    let total = |pick: fn(&hsm_core::StageCounters) -> u64| {
+        Json::UInt(compile_side.iter().map(|&stage| pick(&c[stage])).sum())
+    };
+    cache.push(("total_hits", total(|s| s.hits)));
+    cache.push(("total_misses", total(|s| s.misses)));
     let mut pairs = vec![("cache", Json::obj(cache))];
     if opts.include_host_timings {
         pairs.push(("host_workers", Json::UInt(report.workers as u64)));
@@ -291,6 +295,15 @@ pub fn sweep_json(report: &SweepReport, opts: &ManifestOptions) -> Json {
                     ("writes", Json::UInt(s.total_writes())),
                     ("corrupt", Json::UInt(s.total_corrupt())),
                     ("evictions", Json::UInt(s.evictions)),
+                    // How many of the sweep's points simulated (`misses`)
+                    // and how many were read back (`loads`).
+                    (
+                        "run",
+                        Json::obj(vec![
+                            ("loads", Json::UInt(s[Stage::Run].loads)),
+                            ("misses", Json::UInt(s[Stage::Run].misses)),
+                        ]),
+                    ),
                 ]),
             ));
         }

@@ -11,8 +11,9 @@
 //! `simulate`, `sweep`, `shutdown`) on a TCP socket; see
 //! `hsm_core::protocol` for the wire format and DESIGN.md §12 for the
 //! protocol walkthrough. All connections share one artifact cache, so
-//! concurrent clients sweeping overlapping corpora parse, translate and
-//! compile each program once between them. It prints
+//! concurrent clients sweeping overlapping corpora parse, translate,
+//! compile and simulate each point once between them (with
+//! `--cache-dir`, once across restarts too). It prints
 //! `hsmd listening on <addr>` once ready and exits cleanly on a
 //! `shutdown` job.
 

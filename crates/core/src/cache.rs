@@ -5,13 +5,15 @@
 //! artifacts on the way from C source to a simulated run: the parsed
 //! [`TranslationUnit`], the Stage 1–3 [`ProgramAnalysis`], the Stage 4
 //! [`PartitionPlan`], the Stage 5 [`Translation`] and the compiled
-//! [`hsm_vm::Program`]. Every one of them is a pure function of the
-//! source plus the session's configuration, so an [`ArtifactCache`]
-//! memoizes them behind one [`ArtifactKey`] space of the form *source
-//! hash × cores × policy × spec × opt level* (each stage keyed by exactly
-//! the inputs it depends on — a parse does not care about the core count,
-//! a partition plan does not care how many cores execute it, only how
-//! much MPB the spec grants).
+//! [`hsm_vm::Program`] — and then the run itself, a [`RunResult`] or a
+//! [`Profile`](hsm_exec::Profile). Every one of them is a pure function
+//! of the source plus the session's configuration, so an
+//! [`ArtifactCache`] memoizes them behind one [`ArtifactKey`] space of
+//! the form *source hash × cores × policy × spec × opt level* (each stage
+//! keyed by exactly the inputs it depends on — a parse does not care
+//! about the core count, a partition plan does not care how many cores
+//! execute it, only how much MPB the spec grants, and a run depends on
+//! all of it plus the chip and the simulator version).
 //!
 //! The cache is shared: cloning a `Pipeline`, or handing the same
 //! `Arc<ArtifactCache>` to several sessions (as
@@ -29,8 +31,11 @@
 //!
 //! # Persistence
 //!
-//! [`ArtifactCache::persistent`] attaches a [`DiskStore`]: before a miss
-//! computes, the pending-slot holder tries the key's on-disk entry
+//! [`ArtifactCache::persistent`] attaches a [`DiskStore`] to the shelves
+//! whose artifacts cost more to derive than to load — translations,
+//! bytecode, profiles and run results; a parse, an analysis and a
+//! partition plan are cheaper recomputed and stay in memory. Before a
+//! miss computes, the pending-slot holder tries the key's on-disk entry
 //! (decoding it through the stage's codec); after a successful compute it
 //! writes the entry back. Disk activity is tracked in a separate
 //! [`StoreStats`] block — the in-memory hit/miss counters keep their
@@ -44,10 +49,13 @@ use crate::metrics::Stage;
 use crate::store::{DiskStore, LoadOutcome};
 use hsm_analysis::ProgramAnalysis;
 use hsm_cir::TranslationUnit;
+use hsm_exec::RunResult;
 use hsm_partition::{MemorySpec, PartitionPlan, Policy};
 use hsm_translate::Translation;
 use hsm_vm::OptLevel;
-use std::collections::HashMap;
+use scc_sim::SccConfig;
+use std::cell::Cell;
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,14 +66,75 @@ pub fn source_hash(src: &str) -> u64 {
     crate::store::fnv1a_bytes(src.as_bytes())
 }
 
-/// The key of any cached artifact: one documented enum covering all five
-/// shelves, replacing the former `PlanKey`/`TranslationKey`/`ProgramKey`
-/// trio. Each variant carries exactly the inputs its artifact depends
+/// Fingerprint of a simulated chip — the `chip` component of run and
+/// profile keys: FNV-1a over every parameter. The destructuring is
+/// exhaustive on purpose: a field added to [`SccConfig`] does not compile
+/// until it is hashed here.
+pub fn chip_fingerprint(config: &SccConfig) -> u64 {
+    let SccConfig {
+        cores,
+        mesh_cols,
+        mesh_rows,
+        core_freq_mhz,
+        mesh_freq_mhz,
+        dram_freq_mhz,
+        l1_bytes,
+        l1_ways,
+        l2_bytes,
+        l2_ways,
+        line_bytes,
+        l1_hit_cycles,
+        l2_hit_cycles,
+        dram_service_cycles,
+        dram_occupancy_cycles,
+        shared_dram_occupancy_cycles,
+        posted_write_cycles,
+        shared_dram_overhead_cycles,
+        hop_cycles,
+        mpb_access_cycles,
+        mpb_bytes_per_core,
+        memory_controllers,
+        sched_quantum_cycles,
+        context_switch_cycles,
+    } = *config;
+    let fields = [
+        cores as u64,
+        mesh_cols as u64,
+        mesh_rows as u64,
+        u64::from(core_freq_mhz),
+        u64::from(mesh_freq_mhz),
+        u64::from(dram_freq_mhz),
+        l1_bytes as u64,
+        l1_ways as u64,
+        l2_bytes as u64,
+        l2_ways as u64,
+        line_bytes as u64,
+        l1_hit_cycles,
+        l2_hit_cycles,
+        dram_service_cycles,
+        dram_occupancy_cycles,
+        shared_dram_occupancy_cycles,
+        posted_write_cycles,
+        shared_dram_overhead_cycles,
+        hop_cycles,
+        mpb_access_cycles,
+        mpb_bytes_per_core as u64,
+        memory_controllers as u64,
+        sched_quantum_cycles,
+        context_switch_cycles,
+    ];
+    let bytes: Vec<u8> = fields.into_iter().flat_map(u64::to_le_bytes).collect();
+    crate::store::fnv1a_bytes(&bytes)
+}
+
+/// The key of any cached artifact: one documented enum covering every
+/// shelf. Each variant carries exactly the inputs its artifact depends
 /// on, and [`ArtifactKey::path`] gives a stable string form that doubles
 /// as the entry's relative path in the persistent [`DiskStore`].
 ///
-/// The execution model is deliberately absent everywhere: it changes
-/// what a run observes, not what any pipeline stage produces.
+/// The execution model is deliberately absent from the compile-side
+/// keys: it changes what a run observes, not what any pipeline stage
+/// produces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArtifactKey {
     /// A parsed translation unit — depends only on the source.
@@ -128,9 +197,10 @@ pub enum ArtifactKey {
     },
     /// A [`Profile`](hsm_exec::Profile) of one simulated run. Unlike the
     /// compile-side artifacts, a profile depends on *everything* that
-    /// selects the run — including the full [`Scenario`](crate::Scenario),
-    /// because the execution model changes what the run observes even
-    /// though it changes no compiled artifact.
+    /// selects the run — the full [`Scenario`](crate::Scenario), because
+    /// the execution model changes what the run observes even though it
+    /// changes no compiled artifact; the chip it ran on; and, because the
+    /// entry outlives the process, the simulator that produced it.
     Profile {
         /// [`source_hash`] of the program.
         src: u64,
@@ -142,6 +212,28 @@ pub enum ArtifactKey {
         spec: MemorySpec,
         /// The full scenario (mode × exec model × opt level).
         scenario: crate::Scenario,
+        /// [`chip_fingerprint`] of the simulated chip.
+        chip: u64,
+        /// [`hsm_exec::MODEL_VERSION`] of the simulator.
+        model: u32,
+    },
+    /// The [`RunResult`] of one plain simulated run — the same inputs as
+    /// a [`Profile`](ArtifactKey::Profile), field for field.
+    Run {
+        /// [`source_hash`] of the program.
+        src: u64,
+        /// Simulated core count.
+        cores: usize,
+        /// Placement policy.
+        policy: Policy,
+        /// Memory spec partitioned against.
+        spec: MemorySpec,
+        /// The full scenario (mode × exec model × opt level).
+        scenario: crate::Scenario,
+        /// [`chip_fingerprint`] of the simulated chip.
+        chip: u64,
+        /// [`hsm_exec::MODEL_VERSION`] of the simulator.
+        model: u32,
     },
 }
 
@@ -159,6 +251,7 @@ impl ArtifactKey {
                 Stage::Compile
             }
             ArtifactKey::Profile { .. } => Stage::Profile,
+            ArtifactKey::Run { .. } => Stage::Run,
         }
     }
 
@@ -208,8 +301,19 @@ impl ArtifactKey {
                 policy,
                 spec,
                 scenario,
+                chip,
+                model,
+            }
+            | ArtifactKey::Run {
+                src,
+                cores,
+                policy,
+                spec,
+                scenario,
+                chip,
+                model,
             } => format!(
-                "{src:016x}-c{cores}-{}-m{}x{}-{}-{}-{}",
+                "{src:016x}-c{cores}-{}-m{}x{}-{}-{}-{}-k{chip:016x}-v{model}",
                 policy.label(),
                 spec.on_chip_capacity,
                 spec.off_chip_capacity,
@@ -249,15 +353,15 @@ pub struct StoreCounters {
 /// A snapshot of every shelf's disk-store counters, plus the store-wide
 /// eviction count. Index it by [`Stage`]: `stats[Stage::Compile].loads`.
 ///
-/// What each shelf's payload is: `parse` stores the original C source,
-/// `analyze` a witness marker (the analysis is re-derived from the cached
-/// unit on load), `partition` the plan text codec, `translate` the RCCE
-/// source plus pass trace, `compile` the versioned `hsm_vm` serial
-/// format, `profile` the `hsmprofile` text codec.
+/// What each persisted shelf's payload is: `translate` the RCCE source
+/// plus pass trace, `compile` the versioned `hsm_vm` serial format,
+/// `profile` the `hsmprofile` text codec, `run` the
+/// [`RunResult::encode`] binary form. The `parse`, `analyze` and
+/// `partition` shelves are memory-only; their counters stay zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Per-stage counters, in [`Stage::ALL`] order.
-    pub stages: [StoreCounters; 6],
+    pub stages: [StoreCounters; 7],
     /// Entries evicted to enforce the store's byte capacity.
     pub evictions: u64,
 }
@@ -303,7 +407,7 @@ impl std::ops::Index<Stage> for StoreStats {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Per-stage hit/miss counters, in [`Stage::ALL`] order.
-    pub stages: [StageCounters; 6],
+    pub stages: [StageCounters; 7],
     /// Persistent-store counters, when a store is attached.
     pub store: Option<StoreStats>,
 }
@@ -436,6 +540,15 @@ impl<V> Shelf<V> {
         }
     }
 
+    /// [`Shelf::get_or_try_insert`] for a shelf that is never persisted.
+    fn get_or_try_compute<E>(
+        &self,
+        key: ArtifactKey,
+        compute: impl FnOnce() -> Result<V, E>,
+    ) -> Result<Arc<V>, E> {
+        self.get_or_try_insert(key, None, |_| None, |_| Vec::new(), compute)
+    }
+
     fn counters(&self) -> (StageCounters, StoreCounters) {
         (
             StageCounters {
@@ -464,8 +577,19 @@ pub struct ArtifactCache {
     translate: Shelf<Translation>,
     compile: Shelf<hsm_vm::Program>,
     profile: Shelf<hsm_exec::Profile>,
+    /// Run results in their [`RunResult::encode`] form.
+    run: Shelf<Vec<u8>>,
+    /// The run shelf's filled keys, oldest first, with their sizes.
+    run_resident: Mutex<(VecDeque<(ArtifactKey, usize)>, usize)>,
     store: Option<DiskStore>,
 }
+
+/// Bytes of encoded run results the memory tier keeps before it drops the
+/// oldest. A compact entry is about 1 KB, so this is some thousands of
+/// points — every figure and the whole `hsmd` working set — while a
+/// 10 000-point sweep of distinct points stays bounded. A dropped entry
+/// is still on disk when a store is attached.
+const RUN_SHELF_BYTES: usize = 4 << 20;
 
 impl ArtifactCache {
     /// A fresh in-memory cache behind an [`Arc`], ready to hand to
@@ -509,6 +633,7 @@ impl ArtifactCache {
             Stage::Translate => self.translate.counters(),
             Stage::Compile => self.compile.counters(),
             Stage::Profile => self.profile.counters(),
+            Stage::Run => self.run.counters(),
         });
         CacheStats {
             stages: shelves.map(|(memory, _)| memory),
@@ -520,11 +645,7 @@ impl ArtifactCache {
     }
 
     /// Memoized parse of `source` (whose [`source_hash`] is `src`).
-    ///
-    /// The store payload is the original source text itself — the parse
-    /// re-runs on load, which guarantees a warm unit is identical to a
-    /// cold one and makes a 64-bit hash collision detectable instead of
-    /// silently wrong.
+    /// Memory-only: a parse is cheaper than a store round trip.
     ///
     /// # Errors
     ///
@@ -535,26 +656,14 @@ impl ArtifactCache {
         source: &str,
         compute: impl FnOnce() -> Result<TranslationUnit, E>,
     ) -> Result<Arc<TranslationUnit>, E> {
-        self.parse.get_or_try_insert(
-            ArtifactKey::Parse { src },
-            self.store.as_ref(),
-            |payload| {
-                if payload != source.as_bytes() {
-                    return None; // hash collision or stale entry
-                }
-                hsm_cir::parse(source).ok()
-            },
-            |_| source.as_bytes().to_vec(),
-            compute,
-        )
+        debug_assert_eq!(source_hash(source), src);
+        self.parse
+            .get_or_try_compute(ArtifactKey::Parse { src }, compute)
     }
 
-    /// Memoized Stage 1–3 analysis of the source identified by `src`.
-    ///
-    /// The analysis holds private derivation state that cannot be
-    /// reconstructed field-by-field, so the store entry is a witness
-    /// marker and the artifact is re-derived from `unit` on load (still
-    /// counted as a load: the marker proves a prior run produced it).
+    /// Memoized Stage 1–3 analysis of the source identified by `src`
+    /// (memory-only). `unit` is what `compute` analyzes; it is part of
+    /// the signature `benchmark/` calls and unused here.
     ///
     /// # Errors
     ///
@@ -562,28 +671,16 @@ impl ArtifactCache {
     pub fn analysis_with<E>(
         &self,
         src: u64,
-        unit: &TranslationUnit,
+        _unit: &TranslationUnit,
         compute: impl FnOnce() -> Result<ProgramAnalysis, E>,
     ) -> Result<Arc<ProgramAnalysis>, E> {
-        let marker = format!("hsmanalysis 1 {src:016x}\n");
-        let expected = marker.clone();
-        self.analyze.get_or_try_insert(
-            ArtifactKey::Analysis { src },
-            self.store.as_ref(),
-            move |payload| {
-                if payload != expected.as_bytes() {
-                    return None;
-                }
-                Some(ProgramAnalysis::analyze(unit))
-            },
-            move |_| marker.into_bytes(),
-            compute,
-        )
+        self.analyze
+            .get_or_try_compute(ArtifactKey::Analysis { src }, compute)
     }
 
     /// Memoized Stage 4 partition plan for `key` (a
-    /// [`ArtifactKey::Plan`]). The store payload is the
-    /// [`hsm_partition::serialize_plan`] text codec.
+    /// [`ArtifactKey::Plan`]). Memory-only: Algorithm 3 takes
+    /// microseconds, a store write a hundred times that.
     ///
     /// # Errors
     ///
@@ -594,16 +691,7 @@ impl ArtifactCache {
         compute: impl FnOnce() -> Result<PartitionPlan, E>,
     ) -> Result<Arc<PartitionPlan>, E> {
         debug_assert!(matches!(key, ArtifactKey::Plan { .. }));
-        self.partition.get_or_try_insert(
-            key,
-            self.store.as_ref(),
-            |payload| {
-                let text = std::str::from_utf8(payload).ok()?;
-                hsm_partition::parse_plan(text).ok()
-            },
-            |plan| hsm_partition::serialize_plan(plan).into_bytes(),
-            compute,
-        )
+        self.partition.get_or_try_compute(key, compute)
     }
 
     /// Memoized Stage 5 translation for `key` (a
@@ -686,6 +774,71 @@ impl ArtifactCache {
             |profile| profile.to_text().into_bytes(),
             compute,
         )
+    }
+
+    /// Memoized plain run for `key` (an [`ArtifactKey::Run`]). Both tiers
+    /// hold the [`RunResult::encode`] form, so a hit — in memory or from
+    /// the store — is a decode, and the caller that computes (or loads)
+    /// the entry gets its result without a second copy. The memory tier
+    /// keeps a fixed byte budget (4 MiB) of entries and drops the oldest beyond
+    /// that.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `compute`'s error without caching it.
+    pub fn run_with<E>(
+        &self,
+        key: ArtifactKey,
+        compute: impl FnOnce() -> Result<RunResult, E>,
+    ) -> Result<RunResult, E> {
+        debug_assert!(matches!(key, ArtifactKey::Run { .. }));
+        // Set by whichever closure fills the slot: the result this call
+        // already holds in decoded form.
+        let filled = Cell::new(None);
+        let entry = self.run.get_or_try_insert(
+            key,
+            self.store.as_ref(),
+            |payload| {
+                filled.set(Some(RunResult::decode(payload)?));
+                Some(payload.to_vec())
+            },
+            Vec::clone,
+            || {
+                let result = compute()?;
+                let entry = result.encode();
+                filled.set(Some(result));
+                Ok(entry)
+            },
+        )?;
+        Ok(match filled.take() {
+            Some(result) => {
+                self.note_resident_run(key, entry.len());
+                result
+            }
+            // Resident bytes are this process's own encoding, or decoded
+            // once already when they were loaded.
+            None => RunResult::decode(&entry).expect("a resident run entry decodes"),
+        })
+    }
+
+    /// Books a freshly filled run entry and evicts the oldest entries
+    /// while the shelf is over [`RUN_SHELF_BYTES`].
+    fn note_resident_run(&self, key: ArtifactKey, bytes: usize) {
+        let mut resident = self.run_resident.lock().expect("run shelf ledger lock");
+        let (order, total) = &mut *resident;
+        order.push_back((key, bytes));
+        *total += bytes;
+        while *total > RUN_SHELF_BYTES {
+            let (oldest, size) = order
+                .pop_front()
+                .expect("a non-empty shelf holds the bytes");
+            *total -= size;
+            self.run
+                .slots
+                .lock()
+                .expect("cache map lock")
+                .remove(&oldest);
+        }
     }
 }
 
@@ -846,7 +999,10 @@ mod tests {
                 policy: Policy::SizeAscending,
                 spec,
                 scenario: crate::Scenario::default(),
+                chip: 0x1234,
+                model: 7,
             },
+            run_key(0xabcd),
         ];
         let paths: Vec<String> = keys.iter().map(ArtifactKey::path).collect();
         for (i, p) in paths.iter().enumerate() {
@@ -869,13 +1025,132 @@ mod tests {
                 spec.on_chip_capacity, spec.off_chip_capacity
             )
         );
-        assert_eq!(
-            paths[6],
-            format!(
-                "profile/000000000000abcd-c4-size_ascending-m{}x{}-hsm-coherent-O0",
-                spec.on_chip_capacity, spec.off_chip_capacity
-            )
+        let run_fields = format!(
+            "000000000000abcd-c4-size_ascending-m{}x{}-hsm-coherent-O0-k0000000000001234-v7",
+            spec.on_chip_capacity, spec.off_chip_capacity
         );
+        assert_eq!(paths[6], format!("profile/{run_fields}"));
+        assert_eq!(paths[7], format!("run/{run_fields}"));
+    }
+
+    #[test]
+    fn chip_fingerprint_sees_every_parameter() {
+        let base = SccConfig::table_6_1();
+        assert_eq!(chip_fingerprint(&base), chip_fingerprint(&base.clone()));
+        let mut slower_l2 = base.clone();
+        slower_l2.l2_hit_cycles += 1;
+        let mut fewer_cores = base.clone();
+        fewer_cores.cores = 24;
+        let prints =
+            [&base, &slower_l2, &fewer_cores, &base.with_core_freq(533)].map(chip_fingerprint);
+        for (i, a) in prints.iter().enumerate() {
+            for b in &prints[i + 1..] {
+                assert_ne!(a, b, "{prints:x?}");
+            }
+        }
+    }
+
+    fn run_key(src: u64) -> ArtifactKey {
+        ArtifactKey::Run {
+            src,
+            cores: 4,
+            policy: Policy::SizeAscending,
+            spec: MemorySpec::scc(4),
+            scenario: crate::Scenario::default(),
+            chip: 0x1234,
+            model: 7,
+        }
+    }
+
+    /// A result whose encoding is a little over `bytes` long.
+    fn bulky_result(tag: u64, bytes: usize) -> RunResult {
+        RunResult {
+            total_cycles: tag,
+            timed_cycles: tag,
+            output: vec![hsm_exec::OutputLine {
+                at: tag,
+                who: 0,
+                text: "x".repeat(bytes),
+            }],
+            exit_code: 0,
+            mem_stats: scc_sim::MemStats::default(),
+            stats_matrix: scc_sim::StatsMatrix::new(48),
+            mpb_high_water: 0,
+            per_unit_cycles: vec![tag],
+            instructions: tag,
+            events: tag,
+        }
+    }
+
+    fn never() -> Result<RunResult, ()> {
+        panic!("must not simulate")
+    }
+
+    #[test]
+    fn run_shelf_hands_back_what_was_computed() {
+        let cache = ArtifactCache::shared();
+        let result = bulky_result(9, 10);
+        let cold = cache.run_with::<()>(run_key(1), || Ok(result.clone()));
+        assert_eq!(cold.as_ref(), Ok(&result));
+        assert_eq!(cache.run_with(run_key(1), never).as_ref(), Ok(&result));
+        // An error is handed back and forgotten.
+        assert_eq!(cache.run_with(run_key(2), || Err("boom")), Err("boom"));
+        assert_eq!(
+            cache.run_with::<()>(run_key(2), || Ok(result.clone())),
+            Ok(result)
+        );
+        let run = cache.stats()[Stage::Run];
+        assert_eq!((run.hits, run.misses), (1, 3));
+    }
+
+    /// The memory tier keeps `RUN_SHELF_BYTES` of entries: filling it past
+    /// that drops the oldest first, a dropped key is a memory miss again,
+    /// and with a store attached the miss is served from disk.
+    #[test]
+    fn run_shelf_evicts_oldest_first_and_falls_back_to_the_store() {
+        let dir = std::env::temp_dir().join(format!("hsm-run-shelf-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = ArtifactCache::persistent(&dir).expect("store opens");
+        let each = RUN_SHELF_BYTES / 4;
+        // Five entries of a quarter of the budget (and a bit): the first
+        // two must go to make room for the fifth.
+        for tag in 0..5 {
+            let made = cache.run_with::<()>(run_key(tag), || Ok(bulky_result(tag, each)));
+            assert_eq!(made, Ok(bulky_result(tag, each)));
+        }
+        let resident = |cache: &ArtifactCache| -> Vec<u64> {
+            let ledger = cache.run_resident.lock().unwrap();
+            assert!(ledger.1 <= RUN_SHELF_BYTES, "{} bytes resident", ledger.1);
+            let slots = cache.run.slots.lock().unwrap();
+            assert_eq!(slots.len(), ledger.0.len(), "ledger and map agree");
+            ledger
+                .0
+                .iter()
+                .map(|(key, _)| match key {
+                    ArtifactKey::Run { src, .. } => *src,
+                    other => panic!("{other:?} on the run shelf"),
+                })
+                .collect()
+        };
+        assert_eq!(resident(&cache), [2, 3, 4], "oldest first");
+        let before = cache.stats();
+        assert_eq!(before[Stage::Run].misses, 5);
+        assert_eq!(before.store.unwrap()[Stage::Run].writes, 5);
+
+        // A survivor is a memory hit; an evicted key misses memory and
+        // loads from the store — nothing re-simulates either way.
+        assert_eq!(cache.run_with(run_key(4), never), Ok(bulky_result(4, each)));
+        assert_eq!(cache.run_with(run_key(0), never), Ok(bulky_result(0, each)));
+        let after = cache.stats();
+        assert_eq!(after[Stage::Run].hits, 1);
+        assert_eq!(after[Stage::Run].misses, 6);
+        assert_eq!(after.store.unwrap()[Stage::Run].loads, 1);
+        assert_eq!(
+            resident(&cache),
+            [3, 4, 0],
+            "reloading evicted the next oldest"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -395,13 +395,18 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // char boundaries are valid).
+                    // Copy the whole run up to the next quote or escape
+                    // at once. Both delimiters are ASCII, so the run ends
+                    // on a char boundary of the `&str` it came from.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("empty string"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid utf-8"))?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -522,6 +527,54 @@ mod tests {
         ]);
         assert_eq!(Json::parse(&j.render()).expect("pretty"), j);
         assert_eq!(Json::parse(&j.render_compact()).expect("compact"), j);
+    }
+
+    /// The string reader copies runs between delimiters: every way a run
+    /// can begin and end next to an escape or a multi-byte scalar.
+    #[test]
+    fn strings_parse_run_by_run() {
+        for text in [
+            "",
+            "\n",
+            "\\leading escape",
+            "trailing escape\"",
+            "é\né",
+            "两\"行\\第二\t行",
+            "\u{1}π\u{1f}",
+            "\"\"\\\\",
+            "plain ascii with no delimiter at all",
+        ] {
+            let j = Json::obj(vec![(text, Json::str(text))]);
+            assert_eq!(Json::parse(&j.render()).expect("pretty"), j, "{text:?}");
+            assert_eq!(
+                Json::parse(&j.render_compact()).expect("compact"),
+                j,
+                "{text:?}"
+            );
+        }
+        assert_eq!(
+            Json::parse(r#""aé\/b""#).expect("escapes the writer never emits"),
+            Json::str("aé/b")
+        );
+        let long = format!("\"{}", "x".repeat(10_000));
+        let err = Json::parse(&long).unwrap_err();
+        assert_eq!(err.message, "unterminated string");
+        assert_eq!(err.offset, long.len(), "reported at the end of the run");
+        assert!(Json::parse("\"tail\\").is_err(), "escape cut short");
+    }
+
+    /// A megabyte of string parses in time linear in its length (the
+    /// per-character reader re-validated the whole rest of the input for
+    /// each character: seconds, not milliseconds).
+    #[test]
+    fn a_long_string_parses_in_linear_time() {
+        let body = "int x; /* é */\\n".repeat(70_000);
+        let line = format!("{{\"source\":\"{body}\"}}");
+        let started = std::time::Instant::now();
+        let j = Json::parse(&line).expect("parses");
+        assert!(started.elapsed().as_secs() < 5, "{:?}", started.elapsed());
+        let source = j.get("source").and_then(Json::as_str).expect("source");
+        assert_eq!(source.len(), body.len() - 70_000);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use std::time::Instant;
 
 /// The pipeline stages, in execution order: the five compile-side stages
-/// plus the profiled run. One table for everything kept per stage — the
+/// plus the profiled and the plain run. One table for everything kept per stage — the
 /// metered stages of a [`PipelineMetrics`], the [`ArtifactCache`] shelves
 /// and their counters, the [`DiskStore`] subdirectories.
 ///
@@ -30,17 +30,20 @@ pub enum Stage {
     Compile,
     /// A profiled simulated run.
     Profile,
+    /// A plain simulated run: the memoized [`RunResult`](hsm_exec::RunResult).
+    Run,
 }
 
 impl Stage {
     /// Every stage, in execution order; `stage as usize` indexes it.
-    pub const ALL: [Stage; 6] = [
+    pub const ALL: [Stage; 7] = [
         Stage::Parse,
         Stage::Analyze,
         Stage::Partition,
         Stage::Translate,
         Stage::Compile,
         Stage::Profile,
+        Stage::Run,
     ];
 
     /// The stable spelling: manifest key, store directory and store-entry
@@ -53,6 +56,7 @@ impl Stage {
             Stage::Translate => "translate",
             Stage::Compile => "compile",
             Stage::Profile => "profile",
+            Stage::Run => "run",
         }
     }
 }
@@ -141,7 +145,8 @@ mod tests {
                 "partition",
                 "translate",
                 "compile",
-                "profile"
+                "profile",
+                "run"
             ]
         );
     }

@@ -32,13 +32,16 @@
 //! sink): [`Pipeline::run_traced`] is the single run path, and
 //! [`Pipeline::run_scenario`], [`Pipeline::run_profiled`] /
 //! [`Pipeline::profile`] and [`Pipeline::check_sharing`] are that call
-//! with nothing, a profile collector or the sharing oracle attached. The
-//! memory model is deliberately *not* part of any artifact
-//! key: it changes what a run observes, not what the translator
-//! produces, so a multi-model sweep of one benchmark still parses,
-//! analyzes, translates and compiles exactly once.
+//! with nothing, a profile collector or the sharing oracle attached. With
+//! nothing attached a run is a pure function of its inputs, so
+//! `run_scenario` (like `profile`) is memoized too: the cache's `run`
+//! shelf answers a repeated query without simulating. The memory model
+//! is deliberately *not* part of any compile-side artifact key: it
+//! changes what a run observes, not what the translator produces, so a
+//! multi-model sweep of one benchmark still parses, analyzes, translates
+//! and compiles exactly once.
 
-use crate::cache::{source_hash, ArtifactCache, ArtifactKey};
+use crate::cache::{chip_fingerprint, source_hash, ArtifactCache, ArtifactKey};
 use crate::metrics::{PipelineMetrics, Stage};
 use crate::scenario::{Mode, Scenario};
 use crate::{PipelineError, SharingCheck};
@@ -202,13 +205,33 @@ impl Pipeline {
         }
     }
 
-    fn profile_key(&self) -> ArtifactKey {
-        ArtifactKey::Profile {
-            src: self.src_hash,
-            cores: self.cores,
-            policy: self.policy,
-            spec: self.effective_spec(),
-            scenario: self.configured_scenario(),
+    /// The key of this session's run under `stage`: [`Stage::Profile`]
+    /// for the profiled run's artifact, the plain run's otherwise. One
+    /// builder, so the two can never disagree on what selects a run.
+    fn run_key(&self, stage: Stage) -> ArtifactKey {
+        let (src, cores, policy) = (self.src_hash, self.cores, self.policy);
+        let (spec, scenario) = (self.effective_spec(), self.configured_scenario());
+        let chip = chip_fingerprint(&self.config);
+        let model = hsm_exec::MODEL_VERSION;
+        match stage {
+            Stage::Profile => ArtifactKey::Profile {
+                src,
+                cores,
+                policy,
+                spec,
+                scenario,
+                chip,
+                model,
+            },
+            _ => ArtifactKey::Run {
+                src,
+                cores,
+                policy,
+                spec,
+                scenario,
+                chip,
+                model,
+            },
         }
     }
 
@@ -364,46 +387,73 @@ impl Pipeline {
 
     // ----------------------------------------------------------- runs --
     //
-    // A run is (program, scenario, sink). `run_traced` is the one place
-    // that turns the configured mode into a compiled program and an
-    // `hsm_exec` entry point; everything else is that call with a
-    // different sink attached.
+    // A run is (program, scenario, sink). `simulate` is the one place
+    // that hands a compiled program to an `hsm_exec` entry point;
+    // `run_traced` is that call on the configured mode's program, and
+    // everything else is `run_traced` with a different sink attached —
+    // or, for `run_scenario`, the memoized result of it.
+
+    /// The compiled program the configured mode executes: the baseline
+    /// bytecode for the pthread and task modes (which run the source
+    /// directly), the translated program for the RCCE modes.
+    fn mode_program(&self) -> Result<Arc<hsm_vm::Program>, PipelineError> {
+        match self.mode {
+            Mode::PthreadBaseline | Mode::TaskDataflow => self.baseline_program(),
+            Mode::RcceOffChip | Mode::RcceHsm => self.program(),
+        }
+    }
+
+    /// Simulates `program` the way the configured [`Scenario`] selects.
+    fn simulate<S: TraceSink>(
+        &self,
+        program: &hsm_vm::Program,
+        sink: &mut S,
+    ) -> Result<RunResult, PipelineError> {
+        let (cores, config, model) = (self.cores, &self.config, self.exec_model);
+        Ok(match self.mode {
+            Mode::PthreadBaseline => {
+                hsm_exec::run_pthread_model_traced(program, config, model, sink)
+            }
+            Mode::RcceOffChip | Mode::RcceHsm => {
+                hsm_exec::run_rcce_model_traced(program, cores, config, model, sink)
+            }
+            Mode::TaskDataflow => {
+                hsm_exec::run_task_model_traced(program, cores, config, model, sink)
+            }
+        }?)
+    }
 
     /// Runs the program the way the configured [`Scenario`] selects — the
     /// pthread interpreter on one core, the translated RCCE program, or
     /// the task-dataflow runtime on the source compiled directly — with
     /// every memory access and sync event streamed to `sink`. Sinks
-    /// observe; they never perturb the run.
+    /// observe; they never perturb the run. Always simulates: what a sink
+    /// sees cannot be replayed from a stored result.
     ///
     /// # Errors
     ///
     /// Propagates failures from any stage.
     pub fn run_traced<S: TraceSink>(&self, sink: &mut S) -> Result<RunResult, PipelineError> {
-        let (cores, config, model) = (self.cores, &self.config, self.exec_model);
-        Ok(match self.mode {
-            Mode::PthreadBaseline => {
-                hsm_exec::run_pthread_model_traced(&*self.baseline_program()?, config, model, sink)
-            }
-            Mode::RcceOffChip | Mode::RcceHsm => {
-                hsm_exec::run_rcce_model_traced(&*self.program()?, cores, config, model, sink)
-            }
-            Mode::TaskDataflow => hsm_exec::run_task_model_traced(
-                &*self.baseline_program()?,
-                cores,
-                config,
-                model,
-                sink,
-            ),
-        }?)
+        self.simulate(&*self.mode_program()?, sink)
     }
 
-    /// [`Pipeline::run_traced`] with nothing watching.
+    /// [`Pipeline::run_traced`] with nothing watching — and therefore
+    /// memoized: the result is a pure function of the run key (source ×
+    /// cores × policy × spec × scenario × chip × simulator version), so
+    /// the cache's `run` shelf answers a repeated query, in memory or
+    /// from the persistent store, without simulating. The program is
+    /// resolved through the compile-side shelves *first*, exactly as an
+    /// unmemoized run would: their counters, and any compile-side error,
+    /// are the same whether or not the run hits.
     ///
     /// # Errors
     ///
-    /// Propagates failures from any stage.
+    /// Propagates failures from any stage; a failed run is never stored.
     pub fn run_scenario(&self) -> Result<RunResult, PipelineError> {
-        self.run_traced(&mut NullSink)
+        let program = self.mode_program()?;
+        self.cache.run_with(self.run_key(Stage::Run), || {
+            self.simulate(&program, &mut NullSink)
+        })
     }
 
     /// [`Pipeline::run_traced`] with a profile collector attached.
@@ -426,7 +476,9 @@ impl Pipeline {
         let (result, profile) = self.collect_profile()?;
         let stored = profile.clone();
         self.cache
-            .profile_with(self.profile_key(), move || Ok::<_, PipelineError>(stored))?;
+            .profile_with(self.run_key(Stage::Profile), move || {
+                Ok::<_, PipelineError>(stored)
+            })?;
         Ok((result, profile))
     }
 
@@ -439,7 +491,7 @@ impl Pipeline {
     ///
     /// Propagates failures from any stage.
     pub fn profile(&self) -> Result<Arc<Profile>, PipelineError> {
-        self.cache.profile_with(self.profile_key(), || {
+        self.cache.profile_with(self.run_key(Stage::Profile), || {
             self.collect_profile().map(|(_, profile)| profile)
         })
     }

@@ -4,7 +4,9 @@
 //! [`crate::protocol`]) and serves each connection on its own thread.
 //! All connections share one [`ArtifactCache`] — optionally backed by a
 //! persistent store — so two clients sweeping overlapping corpora
-//! translate and compile each program once between them. Sweep jobs fan
+//! translate and compile each program, and simulate each point, once
+//! between them: a repeated `simulate` or `sweep` query is answered from
+//! the cache's run shelf. Sweep jobs fan
 //! their points out over the sweep engine's worker pool and stream one
 //! row back per point, in matrix order, as points complete; a per-job
 //! deadline cancels a sweep's remaining points cooperatively.

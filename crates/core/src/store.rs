@@ -2,21 +2,26 @@
 //!
 //! A [`DiskStore`] keeps pipeline artifacts on disk between processes so
 //! a warm sweep — or a long-lived `hsmd` server — skips every expensive
-//! stage whose inputs it has seen before. Entries are addressed by the
-//! stable string form of their [`ArtifactKey`] (FNV source hash × cores ×
-//! policy × spec × opt level), so any process that derives the same key
-//! finds the same entry: the store is content-addressed, not
-//! session-scoped.
+//! stage whose inputs it has seen before, the simulation included.
+//! Entries are addressed by the stable string form of their
+//! [`ArtifactKey`] (FNV source hash × cores × policy × spec × opt level,
+//! and for runs the scenario, chip and simulator version), so any process
+//! that derives the same key finds the same entry: the store is
+//! content-addressed, not session-scoped.
 //!
-//! On-disk layout (all under `<root>/v1/`, the format-version directory):
+//! On-disk layout (all under `<root>/v2/`, the format-version directory;
+//! one directory per [`Stage`], created when the store opens):
 //!
 //! ```text
-//! <root>/v1/parse/<src>                      — original C source
-//! <root>/v1/analyze/<src>                    — analysis witness marker
-//! <root>/v1/partition/<src>-<policy>-m...    — partition-plan text codec
-//! <root>/v1/translate/<src>-c<n>-...         — RCCE source + pass trace
-//! <root>/v1/compile/<src>-...-O<n>           — versioned bytecode text
+//! <root>/v2/translate/<src>-c<n>-...            — RCCE source + pass trace
+//! <root>/v2/compile/<src>-...-O<n>              — versioned bytecode text
+//! <root>/v2/profile/<src>-...-k<chip>-v<model>  — `hsmprofile` text
+//! <root>/v2/run/<src>-...-k<chip>-v<model>      — `RunResult::encode` bytes
 //! ```
+//!
+//! The `parse`, `analyze` and `partition` directories exist and stay
+//! empty: [`ArtifactCache`](crate::ArtifactCache) keeps those shelves in
+//! memory, because each is cheaper to recompute than to write.
 //!
 //! Every entry starts with a one-line header carrying the entry format
 //! version, the artifact stage, an FNV-1a checksum of the payload and the
@@ -31,6 +36,7 @@
 //! capacity triggers oldest-first (mtime) eviction after each write.
 
 use crate::cache::ArtifactKey;
+use crate::metrics::Stage;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -40,7 +46,7 @@ use std::sync::Mutex;
 /// On-disk format version: the name of the store's subdirectory and the
 /// first field of every entry header. Bump on any incompatible change —
 /// old entries are then simply never found.
-pub const STORE_FORMAT_VERSION: u32 = 1;
+pub const STORE_FORMAT_VERSION: u32 = 2;
 
 /// FNV-1a over raw bytes (the checksum in every entry header).
 pub fn fnv1a_bytes(bytes: &[u8]) -> u64 {
@@ -103,7 +109,9 @@ impl DiskStore {
 
     fn build(outer: PathBuf, capacity: Option<u64>) -> io::Result<DiskStore> {
         let root = outer.join(format!("v{STORE_FORMAT_VERSION}"));
-        fs::create_dir_all(&root)?;
+        for stage in Stage::ALL {
+            fs::create_dir_all(root.join(stage.label()))?;
+        }
         Ok(DiskStore {
             outer,
             root,
@@ -169,9 +177,6 @@ impl DiskStore {
     /// the store as best-effort and keep the in-memory artifact).
     pub fn save(&self, key: &ArtifactKey, payload: &[u8]) -> io::Result<()> {
         let path = self.entry_path(key);
-        if let Some(parent) = path.parent() {
-            fs::create_dir_all(parent)?;
-        }
         let mut entry = format!(
             "hsmstore {} {} {:016x} {}\n",
             STORE_FORMAT_VERSION,

@@ -425,41 +425,54 @@ pub fn sweep_with(matrix: &SweepMatrix, opts: SweepOptions<'_>) -> SweepReport {
     // `on_row`. Workers advance it under the lock after filling a slot.
     let next_emit = Mutex::new(0usize);
     let slots: Vec<Mutex<Option<SweepOutcome>>> = (0..total).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= total {
-                    break;
-                }
-                let point = &matrix.points[i];
-                let outcome = if opts.cancel.is_some_and(|cancelled| cancelled()) {
-                    SweepOutcome {
-                        name: point.name.clone(),
-                        task: point.task,
-                        cores: point.cores,
-                        result: Err(PipelineError::Cancelled),
-                        host_wall_nanos: 0,
-                        predicted: None,
-                    }
-                } else {
-                    run_point(point, &matrix.config, &cache)
-                };
-                *slots[i].lock().expect("result slot") = Some(outcome);
-                if let Some(on_row) = opts.on_row {
-                    let mut cursor = next_emit.lock().expect("emit cursor");
-                    while *cursor < total {
-                        let slot = slots[*cursor].lock().expect("result slot");
-                        match slot.as_ref() {
-                            Some(done) => on_row(*cursor, done),
-                            None => break,
-                        }
-                        *cursor += 1;
-                    }
-                }
-            });
+    let worker = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= total {
+            break;
         }
-    });
+        let point = &matrix.points[i];
+        let outcome = if opts.cancel.is_some_and(|cancelled| cancelled()) {
+            SweepOutcome {
+                name: point.name.clone(),
+                task: point.task,
+                cores: point.cores,
+                result: Err(PipelineError::Cancelled),
+                host_wall_nanos: 0,
+                predicted: None,
+            }
+        } else {
+            run_point(point, &matrix.config, &cache)
+        };
+        *slots[i].lock().expect("result slot") = Some(outcome);
+        if let Some(on_row) = opts.on_row {
+            let mut cursor = next_emit.lock().expect("emit cursor");
+            while *cursor < total {
+                let slot = slots[*cursor].lock().expect("result slot");
+                match slot.as_ref() {
+                    Some(done) => on_row(*cursor, done),
+                    None => break,
+                }
+                *cursor += 1;
+            }
+        }
+    };
+    if workers == 1 {
+        // One worker is the caller: an `hsmd` `simulate` job or a
+        // `--workers 1` sweep pays for no thread.
+        worker();
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+            // `scope` alone waits for the closures to return, not for the
+            // threads to exit; a sweep started right after would overlap
+            // their teardown.
+            for handle in handles {
+                if let Err(panic) = handle.join() {
+                    std::panic::resume_unwind(panic);
+                }
+            }
+        });
+    }
     let outcomes = slots
         .into_iter()
         .map(|slot| {

@@ -1,9 +1,13 @@
 //! Integration tests of the `hsmd` job server over a real socket:
 //! ping/translate round-trips, two concurrent clients streaming sweeps
-//! of overlapping corpora, malformed-line handling, per-job deadlines,
-//! and graceful shutdown.
+//! of overlapping corpora, a repeated `simulate` job answered from each
+//! cache tier, malformed-line handling, per-job deadlines, and graceful
+//! shutdown.
 
-use hsm_core::api::{Client, Mode, Scenario, Server, ServerOptions, SpecProgram, Stage, SweepSpec};
+use hsm_core::api::{
+    encode_job, ArtifactCache, Client, Job, JobRequest, Mode, Scenario, Server, ServerOptions,
+    SpecProgram, Stage, SweepSpec,
+};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -23,9 +27,7 @@ int main() {
 
 /// Binds a server on an ephemeral port, runs it on its own thread, and
 /// returns the address string plus the run-loop join handle.
-fn start_server(
-    options: ServerOptions,
-) -> (String, Server, std::sync::Arc<hsm_core::api::ArtifactCache>) {
+fn start_server(options: ServerOptions) -> (String, Server, std::sync::Arc<ArtifactCache>) {
     let server = Server::bind("127.0.0.1:0", options).expect("bind");
     let addr = server.local_addr().to_string();
     let cache = server.cache();
@@ -207,4 +209,90 @@ fn shutdown_job_stops_the_accept_loop() {
         Ok(mut client) => client.ping().is_err(),
     };
     assert!(refused, "server kept serving after shutdown");
+}
+
+/// Sends one raw job line and returns the raw answer line.
+fn ask_raw(stream: &TcpStream, line: &str) -> String {
+    (&*stream)
+        .write_all(format!("{line}\n").as_bytes())
+        .expect("send");
+    let mut answer = String::new();
+    BufReader::new(stream)
+        .read_line(&mut answer)
+        .expect("receive");
+    answer
+}
+
+/// The same `simulate` job three times: on a fresh server over an empty
+/// store (simulated and written), on a restarted server over the same
+/// directory (loaded from disk), and again on that server (memory). The
+/// three answers are byte-identical and only the first one simulated.
+#[test]
+fn a_repeated_simulate_job_is_a_lookup() {
+    let dir = std::env::temp_dir().join(format!("hsm-hsmd-repeat-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let options = ServerOptions {
+        cache_dir: Some(dir.to_string_lossy().into_owned()),
+        ..ServerOptions::default()
+    };
+    let job = encode_job(&Job {
+        id: 3,
+        timeout_ms: None,
+        request: JobRequest::Simulate {
+            name: "tiny".to_string(),
+            source: TINY_SRC.to_string(),
+            cores: 2,
+            scenario: Scenario::new(Mode::RcceHsm),
+        },
+    });
+    // (memory hits, memory misses, store loads, store misses, store writes)
+    let run_counters = |cache: &ArtifactCache| {
+        let stats = cache.stats();
+        let (memory, disk) = (stats[Stage::Run], stats.store.expect("store")[Stage::Run]);
+        (
+            memory.hits,
+            memory.misses,
+            disk.loads,
+            disk.misses,
+            disk.writes,
+        )
+    };
+
+    let (addr, server, cache) = start_server(options.clone());
+    let handle = server.handle();
+    let run = std::thread::spawn(move || server.run());
+    let stream = TcpStream::connect(&addr).expect("connect");
+    let cold = ask_raw(&stream, &job);
+    assert!(cold.contains("\"exit_code\":0"), "{cold}");
+    assert_eq!(
+        run_counters(&cache),
+        (0, 1, 0, 1, 1),
+        "simulated and stored"
+    );
+    drop(stream);
+    handle.stop();
+    run.join().expect("run thread").expect("clean exit");
+
+    let (addr, server, cache) = start_server(options);
+    let handle = server.handle();
+    let run = std::thread::spawn(move || server.run());
+    let stream = TcpStream::connect(&addr).expect("connect");
+    let disk_warm = ask_raw(&stream, &job);
+    assert_eq!(
+        run_counters(&cache),
+        (0, 1, 1, 0, 0),
+        "loaded, not simulated"
+    );
+    let hot = ask_raw(&stream, &job);
+    assert_eq!(
+        run_counters(&cache),
+        (1, 1, 1, 0, 0),
+        "answered from memory"
+    );
+    assert_eq!(disk_warm, cold);
+    assert_eq!(hot, cold);
+    drop(stream);
+    handle.stop();
+    run.join().expect("run thread").expect("clean exit");
+    let _ = std::fs::remove_dir_all(&dir);
 }

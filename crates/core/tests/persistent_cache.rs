@@ -1,9 +1,12 @@
 //! Integration tests of the persistent artifact store: a cold run
 //! populates the on-disk store, a warm run over the same directory
-//! reloads every artifact with zero store misses, corruption falls back
-//! to recompute, and capacity eviction surfaces in the stats.
+//! reloads every persisted artifact — run results included — with zero
+//! store misses, corruption falls back to recompute, capacity eviction
+//! surfaces in the stats, and a different chip never hits another chip's
+//! entries.
 
 use hsm_core::api::{ArtifactCache, DiskStore, Mode, Pipeline, Stage};
+use scc_sim::SccConfig;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -83,6 +86,17 @@ fn cold_run_populates_warm_run_loads_with_zero_misses() {
         "nothing recomputed, nothing rewritten"
     );
     assert_eq!(cold_runs, warm_runs, "identical results cold vs warm");
+    assert_eq!(cold_store[Stage::Run].writes, 3, "one entry per run");
+    assert_eq!(warm_store[Stage::Run].loads, 3, "nothing re-simulated");
+
+    // The witness shelves left the disk tier: cheaper recomputed than
+    // stored, they never touch the store and their directories stay empty.
+    for stage in [Stage::Parse, Stage::Analyze, Stage::Partition] {
+        assert_eq!(cold_store[stage], Default::default(), "{stage:?} cold");
+        assert_eq!(warm_store[stage], Default::default(), "{stage:?} warm");
+        let entries = std::fs::read_dir(dir.join("v2").join(stage.label())).expect("stage dir");
+        assert_eq!(entries.count(), 0, "{stage:?} holds no entries");
+    }
 
     // The in-memory hit/miss counters are process-local and identical
     // cold vs warm — what keeps manifests byte-identical across runs.
@@ -120,7 +134,7 @@ fn corrupted_entry_falls_back_to_recompute() {
     let cold_runs = run_all(&cold_cache);
 
     // Flip payload bytes in every compile entry.
-    let compile_dir = dir.join("v1/compile");
+    let compile_dir = dir.join("v2/compile");
     let mut corrupted = 0;
     for entry in std::fs::read_dir(&compile_dir).expect("compile entries") {
         let path = entry.expect("dir entry").path();
@@ -147,7 +161,7 @@ fn corrupted_entry_falls_back_to_recompute() {
         "recomputed programs written back"
     );
     assert_eq!(
-        store[Stage::Parse].corrupt,
+        store[Stage::Translate].corrupt + store[Stage::Run].corrupt,
         0,
         "untouched shelves unaffected"
     );
@@ -169,4 +183,74 @@ fn capacity_eviction_surfaces_in_cache_stats() {
     run_all(&cache);
     let stats = cache.stats().store.expect("store stats");
     assert!(stats.evictions > 0, "tiny cap must evict: {stats:?}");
+}
+
+/// Regression: `ArtifactKey::Profile` ignored the chip (and the simulator
+/// version), so two sessions with different `Pipeline::config(..)` over
+/// one cache — or an `hsmd` restarted with another chip over one
+/// `cache_dir` — were served each other's profile. Runs and profiles are
+/// keyed by both now, in memory and through a store.
+#[test]
+fn a_different_chip_never_hits_another_chips_entries() {
+    let dir = temp_store("chips");
+    let table = SccConfig::table_6_1();
+    let slow_dram = SccConfig {
+        dram_service_cycles: table.dram_service_cycles * 4,
+        ..table.clone()
+    };
+    let observe = |cache: &Arc<ArtifactCache>, chip: &SccConfig| {
+        let session = Pipeline::new(SRC)
+            .cores(2)
+            .config(chip.clone())
+            .cache(Arc::clone(cache));
+        let run = session.run_scenario().expect("run");
+        let profile = session.profile().expect("profile");
+        assert_eq!(
+            profile.total_cycles, run.total_cycles,
+            "one chip, one answer"
+        );
+        (run, profile.to_text())
+    };
+
+    let cache = ArtifactCache::persistent(&dir).expect("open store");
+    let (table_run, table_profile) = observe(&cache, &table);
+    let (slow_run, slow_profile) = observe(&cache, &slow_dram);
+    assert!(
+        slow_run.total_cycles > table_run.total_cycles,
+        "slower DRAM shows"
+    );
+    assert_ne!(table_profile, slow_profile);
+    let stats = cache.stats();
+    for stage in [Stage::Run, Stage::Profile] {
+        assert_eq!(
+            (stats[stage].hits, stats[stage].misses),
+            (0, 2),
+            "{stage:?}"
+        );
+        assert_eq!(stats.store.expect("store")[stage].writes, 2, "{stage:?}");
+    }
+    assert_eq!(stats[Stage::Compile].misses, 1, "the chip compiles nothing");
+    // The same two chips again, in memory: each finds its own entry.
+    assert_eq!(
+        observe(&cache, &table),
+        (table_run.clone(), table_profile.clone())
+    );
+    assert_eq!(
+        observe(&cache, &slow_dram),
+        (slow_run.clone(), slow_profile.clone())
+    );
+    assert_eq!(cache.stats()[Stage::Run].misses, 2, "nothing re-simulated");
+
+    // And through the store, in the opposite order.
+    let warm = ArtifactCache::persistent(&dir).expect("reopen store");
+    assert_eq!(observe(&warm, &slow_dram), (slow_run, slow_profile));
+    assert_eq!(observe(&warm, &table), (table_run, table_profile));
+    let store = warm.stats().store.expect("store");
+    for stage in [Stage::Run, Stage::Profile] {
+        assert_eq!(
+            (store[stage].loads, store[stage].misses),
+            (2, 0),
+            "{stage:?}"
+        );
+    }
 }

@@ -48,6 +48,7 @@
 
 #![warn(missing_docs)]
 
+pub mod codec;
 pub mod coherence;
 pub mod engine;
 pub mod machine;
@@ -76,6 +77,16 @@ pub use rcce::run_rcce_visiting_every_event;
 pub use rcce::{run_rcce, run_rcce_model, run_rcce_model_profiled, run_rcce_model_traced};
 pub use taskflow::{run_task, run_task_model, run_task_model_profiled, run_task_model_traced};
 pub use trace::{NullSink, RingTrace, SyncEvent, TraceEvent, TraceSink};
+
+/// Version of everything that decides a simulated number: the engine,
+/// the three sync models, the coherence overlays, [`syscall_cost`], and
+/// `scc-sim`'s latency model (the chip *parameters* are an input, not
+/// part of the version). A stored [`RunResult`] or [`Profile`] is only
+/// as good as the simulator that produced it, so `hsm-core` keys both by
+/// this number. **Bump it in the change that moves any simulated cycle
+/// count** — `tests/model_version.rs` pins it together with a digest of
+/// the corpus's cycles and fails until you do.
+pub const MODEL_VERSION: u32 = 1;
 
 /// Fixed syscall overheads in core cycles (single place to tune).
 pub mod syscall_cost {

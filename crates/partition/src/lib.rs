@@ -185,11 +185,6 @@ impl Policy {
             Policy::OffChipOnly => "off_chip_only",
         }
     }
-
-    /// Parses a [`Policy::label`] back to the policy.
-    pub fn parse(label: &str) -> Option<Policy> {
-        Policy::ALL.into_iter().find(|p| p.label() == label)
-    }
 }
 
 /// One variable's placement decision.
@@ -423,153 +418,12 @@ pub fn annotate_manifest(
     }
 }
 
-// ------------------------------------------------------------ codec --
-
-/// Plan codec format version; bump on any layout change.
-pub const PLAN_SERIAL_VERSION: u32 = 1;
-
-/// Serializes a plan to the versioned text form the persistent artifact
-/// store keeps on disk. [`parse_plan`] is the exact inverse.
-pub fn serialize_plan(plan: &PartitionPlan) -> String {
-    let mut out = format!(
-        "hsmplan {} {} {} {} {}\n",
-        PLAN_SERIAL_VERSION,
-        plan.policy.label(),
-        plan.spec.on_chip_capacity,
-        plan.spec.off_chip_capacity,
-        plan.on_chip_used
-    );
-    for p in &plan.placements {
-        let placement = match p.placement {
-            Placement::OnChip => "on".to_string(),
-            Placement::OffChip => "off".to_string(),
-            Placement::Split { on_chip_bytes } => format!("split:{on_chip_bytes}"),
-        };
-        out.push_str(&format!(
-            "var {} {} {} {} {} {}\n",
-            p.var.mem_size,
-            p.var.access_weight,
-            u8::from(p.var.splittable),
-            p.var.elem_size,
-            placement,
-            p.var.name
-        ));
-    }
-    out
-}
-
-/// Parses [`serialize_plan`]'s output back into a plan.
-///
-/// # Errors
-///
-/// Returns a human-readable description of the first malformed line —
-/// the store maps any error to "corrupt entry, recompute".
-pub fn parse_plan(text: &str) -> Result<PartitionPlan, String> {
-    let mut lines = text.lines();
-    let header = lines.next().ok_or("empty plan")?;
-    let toks: Vec<&str> = header.split(' ').collect();
-    if toks.len() != 6 || toks[0] != "hsmplan" {
-        return Err(format!("malformed plan header `{header}`"));
-    }
-    if toks[1] != PLAN_SERIAL_VERSION.to_string() {
-        return Err(format!(
-            "plan format version {}, expected {PLAN_SERIAL_VERSION}",
-            toks[1]
-        ));
-    }
-    let policy = Policy::parse(toks[2]).ok_or_else(|| format!("unknown policy `{}`", toks[2]))?;
-    let num = |s: &str| s.parse::<usize>().map_err(|e| format!("bad number: {e}"));
-    let spec = MemorySpec {
-        on_chip_capacity: num(toks[3])?,
-        off_chip_capacity: num(toks[4])?,
-    };
-    let on_chip_used = num(toks[5])?;
-    let mut placements = Vec::new();
-    for line in lines {
-        let rest = line
-            .strip_prefix("var ")
-            .ok_or_else(|| format!("malformed plan line `{line}`"))?;
-        let toks: Vec<&str> = rest.splitn(6, ' ').collect();
-        if toks.len() != 6 {
-            return Err(format!("malformed plan line `{line}`"));
-        }
-        let placement = match toks[4] {
-            "on" => Placement::OnChip,
-            "off" => Placement::OffChip,
-            other => match other.strip_prefix("split:") {
-                Some(n) => Placement::Split {
-                    on_chip_bytes: num(n)?,
-                },
-                None => return Err(format!("unknown placement `{other}`")),
-            },
-        };
-        placements.push(PlacedVar {
-            var: SharedVar {
-                name: toks[5].to_string(),
-                mem_size: num(toks[0])?,
-                access_weight: toks[1]
-                    .parse::<u64>()
-                    .map_err(|e| format!("bad number: {e}"))?,
-                splittable: match toks[2] {
-                    "0" => false,
-                    "1" => true,
-                    other => return Err(format!("bad splittable flag `{other}`")),
-                },
-                elem_size: num(toks[3])?,
-            },
-            placement,
-        });
-    }
-    Ok(PartitionPlan {
-        placements,
-        on_chip_used,
-        spec,
-        policy,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn v(name: &str, size: usize, w: u64) -> SharedVar {
         SharedVar::new(name, size, w)
-    }
-
-    #[test]
-    fn policy_labels_round_trip() {
-        for p in Policy::ALL {
-            assert_eq!(Policy::parse(p.label()), Some(p));
-        }
-        assert_eq!(Policy::parse("nonsense"), None);
-    }
-
-    #[test]
-    fn plan_codec_round_trips() {
-        let vars = vec![
-            v("big", 6000, 10),
-            SharedVar::array("matrix", 4096, 900, 16),
-            v("small", 100, 500),
-        ];
-        for policy in Policy::ALL {
-            let plan = partition_with_split(&vars, &MemorySpec::with_on_chip(4096), policy, true);
-            let text = serialize_plan(&plan);
-            assert_eq!(parse_plan(&text).expect("parses"), plan, "{policy:?}");
-        }
-    }
-
-    #[test]
-    fn plan_codec_rejects_corruption() {
-        let plan = partition(
-            &[v("a", 10, 1)],
-            &MemorySpec::with_on_chip(64),
-            Policy::default(),
-        );
-        let text = serialize_plan(&plan);
-        assert!(parse_plan("").is_err());
-        assert!(parse_plan(&text.replacen("hsmplan 1", "hsmplan 9", 1)).is_err());
-        assert!(parse_plan(&text.replacen("size_ascending", "bogus", 1)).is_err());
-        assert!(parse_plan(&format!("{text}junk line\n")).is_err());
     }
 
     #[test]

@@ -16,6 +16,13 @@
 # code it returns. A gain is claimed when the change wins at least nine
 # tenths of the pairs and the medians differ by more than the parent's
 # interquartile spread (both are printed).
+#
+# `paper_compute` is ~100 % one function, `hsm_vm::vm::Vm::run_until_event`,
+# and where the linker puts it (any edit to a crate linked before hsm-vm
+# moves it) is worth up to 11 % with byte-identical code: address = 0 or
+# 16 (mod 64) is slow, 32 or 48 fast. The script prints the symbol's
+# address on both sides and repeats the warning next to the verdict when
+# they differ mod 64.
 set -euo pipefail
 
 PAIRS=10
@@ -44,6 +51,17 @@ echo "parent $(git -C "$tree" rev-parse --short HEAD), change: working tree at $
 
 cargo build --release --offline --quiet --manifest-path "$tree/benchmark/Cargo.toml"
 cargo build --release --offline --quiet --manifest-path "$root/benchmark/Cargo.toml"
+
+# Address of the dispatch loop in one side's benchmark binary.
+loop_addr() { # <checkout>
+    nm -C "$1/benchmark/target/release/benchmark" |
+        grep ' hsm_vm::vm::Vm::run_until_event$' | cut -d' ' -f1
+}
+parent_addr=$(loop_addr "$tree")
+change_addr=$(loop_addr "$root")
+parent_mod=$((16#$parent_addr % 64))
+change_mod=$((16#$change_addr % 64))
+echo "Vm::run_until_event: parent $parent_addr (= $parent_mod mod 64), change $change_addr (= $change_mod mod 64)"
 
 # Runs one side from its own checkout and prints its wall_s.
 run_side() { # <checkout> <log> <workload> <seed>
@@ -75,4 +93,9 @@ echo "wall_s pairs won by the change (ties count for neither):"
 awk -F'\t' '{ n[$1]++; if ($4 < $3) w[$1]++; else if ($4 > $3) l[$1]++ }
     END { for (k in n) printf "  %-14s %d/%d won, %d lost\n", k, w[k], n[k], l[k] }' "$tally"
 echo
+if ((parent_mod != change_mod)); then
+    echo "NOTE: Vm::run_until_event sits at = $parent_mod (parent) vs = $change_mod (change) mod 64:"
+    echo "      a paper_compute delta of up to ~11 % below is code placement, not the change."
+    echo
+fi
 "$root/benchmark/target/release/benchmark" compare "$parent_log" "$change_log"

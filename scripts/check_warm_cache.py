@@ -5,7 +5,7 @@ Usage: check_warm_cache.py COLD_MANIFEST WARM_MANIFEST
 
 COLD_MANIFEST and WARM_MANIFEST are two `figures --json` manifests
 generated back to back against the same `--cache-dir`. The script checks
-the tentpole's two acceptance properties:
+the store's three acceptance properties:
 
 * determinism — the two manifests are identical once every host-dependent
   `host_*` key is stripped (the persistent store must never leak into the
@@ -13,7 +13,10 @@ the tentpole's two acceptance properties:
 * warm reuse — the warm manifest's `sweep.host_store` block reports
   loads > 0 and zero store misses (nothing was re-parsed, re-analyzed,
   re-translated or re-compiled), while the cold manifest reports
-  misses > 0 and writes > 0 (the store was actually populated).
+  misses > 0 and writes > 0 (the store was actually populated);
+* no simulation — `host_store.run` counts the sweep's points: the cold
+  run simulated every one (`misses` == `host_points`), the warm run read
+  every one back (`loads` == `host_points`, `misses` == 0).
 """
 
 import json
@@ -81,10 +84,23 @@ def main():
     if warm_store.get("loads", 0) <= 0:
         sys.exit(f"{warm_path}: warm run loaded nothing from disk: {warm_store}")
 
+    points = warm["sweep"].get("host_points")
+    cold_runs, warm_runs = cold_store.get("run", {}), warm_store.get("run", {})
+    if cold_runs != {"loads": 0, "misses": points}:
+        sys.exit(
+            f"{cold_path}: cold run should have simulated all {points} "
+            f"points: run shelf {cold_runs}"
+        )
+    if warm_runs != {"loads": points, "misses": 0}:
+        sys.exit(
+            f"{warm_path}: warm run should have read all {points} points "
+            f"back without simulating: run shelf {warm_runs}"
+        )
+
     print(
         f"warm cache ok: manifests identical modulo host_* keys; cold wrote "
         f"{cold_store['writes']} entries, warm loaded {warm_store['loads']} "
-        "with zero misses"
+        f"with zero misses and simulated none of its {points} points"
     )
 
 

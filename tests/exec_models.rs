@@ -49,10 +49,13 @@ fn coherent_is_deterministic_and_seq_cst_agrees() {
             .scenario(Mode::PthreadBaseline.into())
             .run_scenario()
             .unwrap_or_else(|e| panic!("{name} coherent: {e}"));
+        // The replay goes through `run_traced`, which always simulates:
+        // a second `run_scenario` over the same cache would be answered
+        // from the run shelf and compare `a` with itself.
         let b = session
             .clone()
             .scenario(Mode::PthreadBaseline.into())
-            .run_scenario()
+            .run_traced(&mut hsm_exec::NullSink)
             .unwrap_or_else(|e| panic!("{name} coherent replay: {e}"));
         assert_eq!(
             format!("{a:?}"),

@@ -1,11 +1,12 @@
 //! Tier-1 smoke test of the disk tier: what one `Pipeline` session
-//! writes to a `cache_dir`, the next one loads; a damaged entry is
-//! counted, thrown away and recomputed, and the run never notices.
+//! writes to a `cache_dir` — translation, bytecode and the run result —
+//! the next one loads; a damaged entry on either shelf is counted, thrown
+//! away and recomputed, and the run never notices.
 //!
 //! `crates/core` tests the store shelf by shelf; this is the one test of
 //! it that `cargo test -q` at the repository root reaches.
 
-use hsm_core::{ArtifactCache, Mode, Pipeline, StoreStats};
+use hsm_core::{ArtifactCache, Mode, Pipeline, Stage, StoreStats};
 use hsm_exec::RunResult;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -36,10 +37,10 @@ fn session(dir: &Path) -> (RunResult, StoreStats) {
     )
 }
 
-/// The one entry of the `compile` shelf.
-fn compiled_entry(dir: &Path) -> PathBuf {
-    let mut entries: Vec<PathBuf> = fs::read_dir(dir.join("v1/compile"))
-        .expect("compile shelf")
+/// The one entry of `stage`'s shelf.
+fn only_entry(dir: &Path, stage: Stage) -> PathBuf {
+    let mut entries: Vec<PathBuf> = fs::read_dir(dir.join("v2").join(stage.label()))
+        .expect("stage shelf")
         .map(|entry| entry.expect("entry").path())
         .collect();
     assert_eq!(entries.len(), 1, "{entries:?}");
@@ -68,6 +69,11 @@ fn a_second_session_loads_what_the_first_wrote() {
         "{loaded:?}"
     );
     assert_eq!(warm, cold);
+    assert_eq!(
+        loaded[Stage::Run].loads,
+        1,
+        "the run was not simulated again"
+    );
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -82,26 +88,30 @@ fn a_damaged_entry_costs_a_recompute_never_a_panic() {
         bytes[middle] ^= 0x10;
     };
     let damage = [("truncated", truncate), ("bit-flipped", flip_a_bit)];
-    for (what, spoil) in damage {
-        let entry = compiled_entry(&dir);
-        let mut bytes = fs::read(&entry).expect("read entry");
-        spoil(&mut bytes);
-        fs::write(&entry, bytes).expect("rewrite entry");
+    for stage in [Stage::Compile, Stage::Run] {
+        for (what, spoil) in damage {
+            let what = format!("{what} {} entry", stage.label());
+            let entry = only_entry(&dir, stage);
+            let mut bytes = fs::read(&entry).expect("read entry");
+            spoil(&mut bytes);
+            fs::write(&entry, bytes).expect("rewrite entry");
 
-        let (run, stats) = session(&dir);
-        assert_eq!(stats.total_corrupt(), 1, "{what}: {stats:?}");
-        assert!(
-            stats.total_writes() >= 1,
-            "{what}: recomputed and written back"
-        );
-        assert_eq!(run, cold, "{what}");
-        // The rewritten entry is whole again.
-        let (_, healed) = session(&dir);
-        assert_eq!(
-            (healed.total_corrupt(), healed.total_misses()),
-            (0, 0),
-            "{what}"
-        );
+            let (run, stats) = session(&dir);
+            assert_eq!(stats.total_corrupt(), 1, "{what}: {stats:?}");
+            assert_eq!(
+                (stats[stage].corrupt, stats[stage].writes),
+                (1, 1),
+                "{what}: counted, recomputed and written back"
+            );
+            assert_eq!(run, cold, "{what}");
+            // The rewritten entry is whole again.
+            let (_, healed) = session(&dir);
+            assert_eq!(
+                (healed.total_corrupt(), healed.total_misses()),
+                (0, 0),
+                "{what}"
+            );
+        }
     }
     let _ = fs::remove_dir_all(&dir);
 }

@@ -123,8 +123,10 @@ fn task_dataflow_is_deterministic() {
         let a = session
             .run_scenario()
             .unwrap_or_else(|e| panic!("{task_name}: {e}"));
+        // `run_traced` always simulates; a second `run_scenario` would
+        // be the first one's result read back from the run shelf.
         let b = session
-            .run_scenario()
+            .run_traced(&mut hsm_exec::NullSink)
             .unwrap_or_else(|e| panic!("{task_name} replay: {e}"));
         assert_eq!(
             format!("{a:?}"),
