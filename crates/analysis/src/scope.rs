@@ -94,12 +94,6 @@ impl ScopeAnalysis {
         self.variables.iter().find(|v| &v.key == key)
     }
 
-    /// Looks up a variable record by bare name (first match in
-    /// declaration order — globals come before locals of later functions).
-    pub fn variable_named(&self, name: &str) -> Option<&VariableInfo> {
-        self.variables.iter().find(|v| v.key.name == name)
-    }
-
     /// Loop-weighted counts for a variable.
     pub fn weighted_counts(&self, key: &VarKey) -> AccessCounts {
         self.weighted

@@ -21,11 +21,6 @@ pub enum SharingStatus {
 }
 
 impl SharingStatus {
-    /// Whether the status is decided (not `Unknown`).
-    pub fn is_decided(self) -> bool {
-        self != SharingStatus::Unknown
-    }
-
     /// Whether the variable is currently considered shared.
     pub fn is_shared(self) -> bool {
         self == SharingStatus::Shared

@@ -19,7 +19,6 @@
 //! figures --json           # write the bench-out/BENCH_pipeline.json run manifest
 //! figures --json --opt-level O2   # … with entries executed at O2
 //! figures --json --cache-dir DIR  # … over a persistent artifact store
-//! figures --predict        # predicted vs simulated surfaces (BENCH_predict.json)
 //! figures --check-sharing  # run the corpus under the soundness oracle
 //! figures --client ADDR    # sweep the corpus on a running hsmd server
 //! figures --client ADDR --shutdown  # … then stop the server
@@ -65,14 +64,12 @@
 //! `{"schema_version": 3, "error": {"stage": "parse", "message": …}}`.
 
 use hsm_bench::json::Json;
+use hsm_core::spec::{take_bool_flag, take_flag};
 use std::env;
 use std::process::ExitCode;
 
 /// Output file of `--json`.
 const MANIFEST_FILE: &str = "bench-out/BENCH_pipeline.json";
-
-/// Output file of `--predict`.
-const PREDICT_FILE: &str = "bench-out/BENCH_predict.json";
 
 /// The error document `--json` writes when the sweep fails: the failing
 /// stage name (from `PipelineError::stage`) plus the rendered error chain.
@@ -94,43 +91,29 @@ fn error_manifest(e: &hsm_core::PipelineError) -> Json {
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = env::args().skip(1).collect();
-    let emit_json = args.iter().any(|a| a == "--json");
-    let check_sharing = args.iter().any(|a| a == "--check-sharing");
-    let predict = args.iter().any(|a| a == "--predict");
+    let emit_json = take_bool_flag(&mut args, "--json");
+    let check_sharing = take_bool_flag(&mut args, "--check-sharing");
     // The execution axes (--workers, --exec-model, --opt-level,
     // --cache-dir) all live in one SweepSpec — the value the manifest
     // consumes and a `--client` sweep job ships.
     let mut spec = hsm_core::spec::SweepSpec::default();
-    if let Err(e) = spec.take_cli_flags(&mut args) {
-        eprintln!("figures: {e}");
-        return ExitCode::FAILURE;
-    }
+    let flags = spec.take_cli_flags(&mut args).and_then(|()| {
+        let client = take_flag(&mut args, "--client")?;
+        let rows = take_flag(&mut args, "--rows")?;
+        Ok((client, rows))
+    });
+    let (client_addr, rows_file) = match flags {
+        Ok(pair) => pair,
+        Err(e) => {
+            eprintln!("figures: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     if let Err(e) = spec.open_cache() {
         eprintln!("figures: {e}");
         return ExitCode::FAILURE;
     }
-    let mut client_addr = None;
-    if let Some(i) = args.iter().position(|a| a == "--client") {
-        let Some(value) = args.get(i + 1).cloned() else {
-            eprintln!("figures: --client needs a server address");
-            return ExitCode::FAILURE;
-        };
-        client_addr = Some(value);
-        args.drain(i..=i + 1);
-    }
-    let mut rows_file = None;
-    if let Some(i) = args.iter().position(|a| a == "--rows") {
-        let Some(value) = args.get(i + 1).cloned() else {
-            eprintln!("figures: --rows needs an output file");
-            return ExitCode::FAILURE;
-        };
-        rows_file = Some(value);
-        args.drain(i..=i + 1);
-    }
-    let client_shutdown = args.iter().any(|a| a == "--shutdown");
-    args.retain(|a| {
-        a != "--json" && a != "--check-sharing" && a != "--predict" && a != "--shutdown"
-    });
+    let client_shutdown = take_bool_flag(&mut args, "--shutdown");
 
     if let Some(addr) = client_addr {
         return match run_client(&addr, &spec, rows_file.as_deref(), client_shutdown) {
@@ -151,7 +134,7 @@ fn main() -> ExitCode {
         };
     }
     let workers = spec.workers;
-    let all = args.is_empty() && !emit_json && !check_sharing && !predict;
+    let all = args.is_empty() && !emit_json && !check_sharing;
     let want = |name: &str| all || args.iter().any(|a| a == name);
     let mut failed = false;
 
@@ -191,23 +174,9 @@ fn main() -> ExitCode {
                 error_manifest(&e)
             }
         };
-        if write_artifact(MANIFEST_FILE, &manifest.render()).is_err() {
+        if let Err(e) = write_artifact(MANIFEST_FILE, &manifest.render()) {
+            eprintln!("{e}");
             failed = true;
-        }
-    }
-
-    if predict {
-        match hsm_bench::predict::predict_report() {
-            Ok(report) => {
-                println!("{}", hsm_bench::predict::render_predict_table(&report));
-                if write_artifact(PREDICT_FILE, &report.render()).is_err() {
-                    failed = true;
-                }
-            }
-            Err(e) => {
-                eprintln!("predict validation failed: {e}");
-                failed = true;
-            }
         }
     }
 
@@ -331,22 +300,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// Writes a machine-readable artifact under `bench-out/`, creating the
-/// directory on demand (the create-on-demand behaviour itself lives in
-/// and is unit-tested by `hsm_bench::write_artifact`).
-fn write_artifact(path: &str, content: &str) -> Result<(), ()> {
-    match hsm_bench::write_artifact(path, content) {
-        Ok(()) => {
-            println!("wrote {path}");
-            Ok(())
-        }
-        Err(e) => {
-            eprintln!("writing {path} failed: {e}");
-            Err(())
-        }
-    }
-}
-
 /// Fills an empty program list with the manifest corpus, so `--client`
 /// and `--rows` sweep the same default set the manifest reports.
 fn with_default_programs(spec: &hsm_core::spec::SweepSpec) -> hsm_core::spec::SweepSpec {
@@ -372,12 +325,13 @@ fn write_rows(path: &str, rows: &[hsm_core::api::SweepRow]) -> Result<(), String
         .collect::<Vec<_>>()
         .join("\n");
     doc.push('\n');
-    write_artifact_at(path, &doc)
+    write_artifact(path, &doc)
 }
 
-/// [`write_artifact`] without the `bench-out/` convention baked into the
-/// caller's constants: `--rows` takes an explicit destination.
-fn write_artifact_at(path: &str, content: &str) -> Result<(), String> {
+/// Writes a machine-readable artifact, creating its directory on demand
+/// (the create-on-demand behaviour itself lives in and is unit-tested by
+/// `hsm_bench::write_artifact`).
+fn write_artifact(path: &str, content: &str) -> Result<(), String> {
     hsm_bench::write_artifact(path, content)
         .map(|()| println!("wrote {path}"))
         .map_err(|e| format!("writing {path} failed: {e}"))
@@ -387,20 +341,14 @@ fn write_artifact_at(path: &str, content: &str) -> Result<(), String> {
 /// the reference bytes the `--client --rows` transport must reproduce.
 fn run_rows_local(spec: &hsm_core::spec::SweepSpec, path: &str) -> Result<(), String> {
     use hsm_core::api::SweepRow;
-    use hsm_core::experiment::{sweep_with, SweepOptions};
+    use hsm_core::experiment::sweep;
     let spec = with_default_programs(spec);
     let cache = spec.open_cache().map_err(|e| e.to_string())?;
     let matrix = spec
         .to_matrix(&scc_sim::SccConfig::table_6_1())
         .map_err(|e| e.to_string())?
         .cache(cache);
-    let report = sweep_with(
-        &matrix,
-        SweepOptions {
-            predict_first: spec.predict_first,
-            ..SweepOptions::default()
-        },
-    );
+    let report = sweep(&matrix);
     let rows: Vec<SweepRow> = report.outcomes.iter().map(SweepRow::from_outcome).collect();
     write_rows(path, &rows)?;
     let failed = rows.iter().filter(|r| r.error.is_some()).count();

@@ -11,7 +11,6 @@
 /// spec/protocol layer; re-exported so `hsm_bench::json` keeps working).
 pub use hsm_core::json;
 pub mod manifest;
-pub mod predict;
 pub mod sharing;
 
 use hsm_core::experiment::{self, BenchResult, Mode, SweepMatrix};
@@ -22,9 +21,6 @@ use std::fmt::Write as _;
 
 /// The evaluation's core/thread count (Table 6.1: 32).
 pub const EVAL_UNITS: usize = 32;
-
-/// Output directory for machine-readable artifacts (gitignored).
-pub const BENCH_OUT_DIR: &str = "bench-out";
 
 /// Writes a machine-readable artifact, creating its parent directory on
 /// demand — `figures --json` must work in a fresh checkout where

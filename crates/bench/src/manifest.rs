@@ -38,12 +38,10 @@ use std::sync::Arc;
 /// for each ported corpus pair, the barrier (RCCE HSM) run of the
 /// original against the task-dataflow run of the port, with cycle counts
 /// and an output-equivalence verdict; entry axes now come from the
-/// spec's [`Scenario`] list. Version 6 adds the top-level `predict`
-/// section: for the held-out `dot_product`/`task_dot_product` pair, the
-/// cycle predictor's surface (fitted from one profiled seed run) against
-/// full simulation across the 2–32 core axis, with per-point absolute
-/// and relative errors (see [`crate::predict`]).
-pub const MANIFEST_SCHEMA_VERSION: u64 = 6;
+/// spec's [`Scenario`] list. Version 6 added a top-level `predict`
+/// section (the cycle predictor against full simulation); version 7
+/// removes it with the predictor (ISSUE 17).
+pub const MANIFEST_SCHEMA_VERSION: u64 = 7;
 
 /// The corpus programs the manifest replays, with the core counts the
 /// corpus integration tests use.
@@ -536,14 +534,12 @@ pub fn manifest_for(
     }
     let opt_section = opt_json(programs, opts, &config, &cache)?;
     let tasks_section = tasks_json(programs, opts, &config, &cache)?;
-    let predict_section = crate::predict::predict_json(opts.exec_model(), &config, &cache)?;
     Ok(Json::obj(vec![
         ("schema_version", Json::UInt(MANIFEST_SCHEMA_VERSION)),
         ("config", config_json(&config)),
         ("sweep", sweep_section),
         ("opt", opt_section),
         ("tasks", tasks_section),
-        ("predict", predict_section),
         ("programs", Json::Arr(entries)),
     ]))
 }

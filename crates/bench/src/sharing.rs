@@ -116,7 +116,7 @@ fn sharing_payload(outcome: SweepOutcome) -> Result<SharingCheck, PipelineError>
     let payload = outcome.result?;
     match payload {
         SweepPayload::Sharing(check) => Ok(*check),
-        SweepPayload::Run(..) | SweepPayload::Predicted(..) => {
+        SweepPayload::Run(..) => {
             unreachable!("sharing points always run the oracle")
         }
     }

@@ -48,13 +48,6 @@ pub fn print_expr(e: &Expr) -> String {
     p.out
 }
 
-/// Renders a single statement as C source at indent level zero.
-pub fn print_stmt(s: &Stmt) -> String {
-    let mut p = Printer::new();
-    p.stmt(s);
-    p.out
-}
-
 struct Printer {
     out: String,
     indent: usize,

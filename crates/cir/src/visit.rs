@@ -126,29 +126,6 @@ fn exprs_of_stmt_shallow(s: &Stmt, f: &mut impl FnMut(&Expr)) {
     }
 }
 
-/// Calls `f` on every expression in a function definition.
-pub fn walk_exprs_in_function(func: &FunctionDef, f: &mut impl FnMut(&Expr)) {
-    for s in &func.body {
-        walk_exprs_in_stmt(s, f);
-    }
-}
-
-/// Calls `f` on every expression in the unit (global initializers included).
-pub fn walk_exprs_in_unit(tu: &TranslationUnit, f: &mut impl FnMut(&Expr)) {
-    for item in &tu.items {
-        match item {
-            Item::Decl(d) => {
-                for v in &d.vars {
-                    if let Some(init) = &v.init {
-                        walk_expr(init, f);
-                    }
-                }
-            }
-            Item::Func(func) => walk_exprs_in_function(func, f),
-        }
-    }
-}
-
 /// Calls `f` on every declaration in the unit (global and local).
 pub fn walk_decls_in_unit(tu: &TranslationUnit, f: &mut impl FnMut(&Declaration, Option<&str>)) {
     for item in &tu.items {
@@ -272,7 +249,9 @@ mod tests {
         let tu = parse("int main() { int x; x = 1 + 2 * 3; return x; }").unwrap();
         let main = tu.function("main").unwrap();
         let mut count = 0;
-        walk_exprs_in_function(main, &mut |_| count += 1);
+        for s in &main.body {
+            walk_exprs_in_stmt(s, &mut |_| count += 1);
+        }
         // x=..(assign), x(ident), +(bin), 1, *(bin), 2, 3, x(return) = 8
         assert_eq!(count, 8);
     }

@@ -28,7 +28,7 @@ pub use crate::json::{Json, JsonError};
 pub use crate::metrics::{PipelineMetrics, Stage, StageMetric};
 pub use crate::protocol::{
     encode_job, encode_response, parse_job, parse_response, Job, JobRequest, JobResponse,
-    ProtocolError, SweepRow,
+    ProtocolError, SweepRow, MAX_LINE_BYTES,
 };
 pub use crate::server::{Client, ClientError, Server, ServerHandle, ServerOptions};
 pub use crate::spec::{corpus_dir, SpecError, SpecProgram, SweepSpec};

@@ -18,6 +18,7 @@
 //! `shutdown` job.
 
 use hsm_core::api::{Server, ServerOptions};
+use hsm_core::spec::take_flag;
 use std::process::ExitCode;
 
 /// The default listen address.
@@ -29,17 +30,17 @@ fn main() -> ExitCode {
     let mut options = ServerOptions::default();
     if let Some(value) = match take_flag(&mut args, "--listen") {
         Ok(v) => v,
-        Err(e) => return usage(&e),
+        Err(e) => return usage(&e.message),
     } {
         listen = value;
     }
     match take_flag(&mut args, "--cache-dir") {
         Ok(v) => options.cache_dir = v,
-        Err(e) => return usage(&e),
+        Err(e) => return usage(&e.message),
     }
     if let Some(value) = match take_flag(&mut args, "--timeout-ms") {
         Ok(v) => v,
-        Err(e) => return usage(&e),
+        Err(e) => return usage(&e.message),
     } {
         match value.parse() {
             Ok(ms) => options.default_timeout_ms = ms,
@@ -64,19 +65,6 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-/// Removes `flag` and its value from `args`.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
-    let Some(i) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    if i + 1 >= args.len() {
-        return Err(format!("{flag} needs a value"));
-    }
-    let value = args[i + 1].clone();
-    args.drain(i..=i + 1);
-    Ok(Some(value))
 }
 
 /// Prints a usage error.

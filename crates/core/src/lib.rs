@@ -67,9 +67,6 @@ pub enum PipelineError {
     /// The run was cancelled before it completed (a sweep shutting down,
     /// or a job server enforcing a deadline).
     Cancelled,
-    /// The point was satisfied by an analytical prediction in a
-    /// predict-first sweep, so no simulated run exists to extract.
-    PredictedOnly,
 }
 
 impl PipelineError {
@@ -82,7 +79,6 @@ impl PipelineError {
             PipelineError::Compile(_) => "compile",
             PipelineError::Exec(_) => "exec",
             PipelineError::Cancelled => "cancelled",
-            PipelineError::PredictedOnly => "predicted",
         }
     }
 }
@@ -95,7 +91,6 @@ impl fmt::Display for PipelineError {
             PipelineError::Compile(e) => write!(f, "compile stage: {e}"),
             PipelineError::Exec(e) => write!(f, "exec stage: {e}"),
             PipelineError::Cancelled => write!(f, "run cancelled"),
-            PipelineError::PredictedOnly => write!(f, "point predicted, not simulated"),
         }
     }
 }
@@ -107,7 +102,7 @@ impl std::error::Error for PipelineError {
             PipelineError::Translate(e) => Some(e),
             PipelineError::Compile(e) => Some(e),
             PipelineError::Exec(e) => Some(e),
-            PipelineError::Cancelled | PipelineError::PredictedOnly => None,
+            PipelineError::Cancelled => None,
         }
     }
 }
@@ -153,11 +148,8 @@ pub mod experiment {
 
     pub use crate::scenario::{Mode, Scenario};
     pub use crate::sweep::{
-        fit_options_for, sweep, sweep_with, Prediction, SweepMatrix, SweepOptions, SweepOutcome,
-        SweepPayload, SweepPoint, SweepReport, SweepTask,
-    };
-    pub use hsm_predict::{
-        absolute_error, relative_error, CacheModel, CyclePredictor, FitOptions, WorkScaling,
+        sweep, sweep_with, SweepMatrix, SweepOptions, SweepOutcome, SweepPayload, SweepPoint,
+        SweepReport, SweepTask,
     };
 
     /// Runs one benchmark in one mode. A [`Mode::TaskDataflow`] run
@@ -205,16 +197,6 @@ pub mod experiment {
         pub fn hsm_improvement(&self) -> f64 {
             self.offchip_cycles as f64 / self.hsm_cycles.max(1) as f64
         }
-
-        /// Overall speedup of the HSM configuration over the baseline.
-        pub fn hsm_speedup(&self) -> f64 {
-            self.pthread_cycles as f64 / self.hsm_cycles.max(1) as f64
-        }
-    }
-
-    /// Unwraps a run payload out of a sweep outcome.
-    fn into_run(outcome: SweepOutcome) -> Result<RunResult, PipelineError> {
-        outcome.into_run()
     }
 
     /// Runs one benchmark in all three modes — through one shared-cache
@@ -251,9 +233,9 @@ pub mod experiment {
             );
         let report = sweep(&matrix);
         let mut outcomes = report.outcomes.into_iter();
-        let base = into_run(outcomes.next().expect("baseline point"))?;
-        let off = into_run(outcomes.next().expect("offchip point"))?;
-        let hsm = into_run(outcomes.next().expect("hsm point"))?;
+        let base = outcomes.next().expect("baseline point").into_run()?;
+        let off = outcomes.next().expect("offchip point").into_run()?;
+        let hsm = outcomes.next().expect("hsm point").into_run()?;
         let outputs_match = outputs_equivalent(&base, &off)
             && outputs_equivalent(&base, &hsm)
             && base.exit_code == off.exit_code
@@ -300,8 +282,8 @@ pub mod experiment {
         let mut outcomes = report.outcomes.into_iter();
         let mut out = Vec::new();
         for &cores in core_counts {
-            let base = into_run(outcomes.next().expect("baseline point"))?;
-            let hsm = into_run(outcomes.next().expect("hsm point"))?;
+            let base = outcomes.next().expect("baseline point").into_run()?;
+            let hsm = outcomes.next().expect("hsm point").into_run()?;
             out.push((
                 cores,
                 base.timed_cycles as f64 / hsm.timed_cycles.max(1) as f64,

@@ -30,9 +30,9 @@
 //! (baseline / RCCE / task-dataflow), the memory model and the opt level
 //! — from one [`Scenario`] value. A run is then (program, scenario,
 //! sink): [`Pipeline::run_traced`] is the single run path, and
-//! [`Pipeline::run_scenario`], [`Pipeline::run_profiled`] /
-//! [`Pipeline::profile`] and [`Pipeline::check_sharing`] are that call
-//! with nothing, a profile collector or the sharing oracle attached. With
+//! [`Pipeline::run_scenario`], [`Pipeline::profile`] and
+//! [`Pipeline::check_sharing`] are that call with nothing, a profile
+//! collector or the sharing oracle attached. With
 //! nothing attached a run is a pure function of its inputs, so
 //! `run_scenario` (like `profile`) is memoized too: the cache's `run`
 //! shelf answers a repeated query without simulating. The memory model
@@ -148,16 +148,6 @@ impl Pipeline {
     /// The session's source text.
     pub fn source(&self) -> &str {
         &self.src
-    }
-
-    /// The configured core count.
-    pub fn configured_cores(&self) -> usize {
-        self.cores
-    }
-
-    /// The configured placement policy.
-    pub fn configured_policy(&self) -> Policy {
-        self.policy
     }
 
     /// The chip configuration runs execute on.
@@ -456,32 +446,6 @@ impl Pipeline {
         })
     }
 
-    /// [`Pipeline::run_traced`] with a profile collector attached.
-    fn collect_profile(&self) -> Result<(RunResult, Profile), PipelineError> {
-        let mut collector = ProfileCollector::new(self.config.line_bytes);
-        let result = self.run_traced(&mut collector)?;
-        let profile = collector.into_profile(&result);
-        Ok((result, profile))
-    }
-
-    /// [`Pipeline::run_scenario`] with profiling: always simulates, and
-    /// deposits the resulting [`Profile`] in the cache's `profile` shelf
-    /// (keyed like any other stage artifact, so a warm sweep can reuse it
-    /// without re-running) as a side effect.
-    ///
-    /// # Errors
-    ///
-    /// Propagates failures from any stage.
-    pub fn run_profiled(&self) -> Result<(RunResult, Profile), PipelineError> {
-        let (result, profile) = self.collect_profile()?;
-        let stored = profile.clone();
-        self.cache
-            .profile_with(self.run_key(Stage::Profile), move || {
-                Ok::<_, PipelineError>(stored)
-            })?;
-        Ok((result, profile))
-    }
-
     /// The run profile for the configured scenario (memoized per source
     /// × cores × policy × spec × scenario). A cache hit — in memory or
     /// through the persistent store — skips simulation entirely; a miss
@@ -492,7 +456,9 @@ impl Pipeline {
     /// Propagates failures from any stage.
     pub fn profile(&self) -> Result<Arc<Profile>, PipelineError> {
         self.cache.profile_with(self.run_key(Stage::Profile), || {
-            self.collect_profile().map(|(_, profile)| profile)
+            let mut collector = ProfileCollector::new(self.config.line_bytes);
+            let result = self.run_traced(&mut collector)?;
+            Ok(collector.into_profile(&result))
         })
     }
 
@@ -712,11 +678,10 @@ int main() {
     fn profiles_are_cached_and_match_the_plain_run() {
         let p = Pipeline::new(SRC).cores(2);
         let plain = p.run_scenario().expect("plain run");
-        let (profiled, profile) = p.run_profiled().expect("profiled run");
-        assert_eq!(plain.total_cycles, profiled.total_cycles);
+        let profile = p.profile().expect("profile");
         assert_eq!(profile.total_cycles, plain.total_cycles);
         assert_eq!(profile.exit_code, plain.exit_code);
-        // run_profiled deposited the artifact: profile() is now a hit.
+        // The first call deposited the artifact: the second is a hit.
         let cached = p.profile().expect("cached profile");
         assert_eq!(cached.total_cycles, profile.total_cycles);
         let stats = p.cache_handle().stats();

@@ -17,9 +17,16 @@ use crate::json::{Json, JsonError};
 use crate::scenario::Scenario;
 use crate::spec::SweepSpec;
 use crate::store::fnv1a_bytes;
-use crate::sweep::{Prediction, SweepOutcome};
+use crate::sweep::SweepOutcome;
 use hsm_exec::RunResult;
 use std::fmt;
+
+/// The longest line, in bytes, either end of a connection reads before
+/// giving up on it. The largest lines the protocol carries are a `sweep`
+/// job with its programs inline and a `translated`/`profile` answer —
+/// kilobytes each — so 8 MiB is generous; the cap exists so a peer that
+/// never sends a newline costs a typed error, not the process's memory.
+pub const MAX_LINE_BYTES: usize = 8 << 20;
 
 /// A malformed protocol line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,6 +40,11 @@ impl ProtocolError {
         ProtocolError {
             message: message.into(),
         }
+    }
+
+    /// A line that ran past [`MAX_LINE_BYTES`] without a newline.
+    pub(crate) fn line_too_long() -> Self {
+        ProtocolError::new(format!("line exceeds {MAX_LINE_BYTES} bytes"))
     }
 }
 
@@ -94,8 +106,8 @@ pub enum JobRequest {
     },
     /// Run one program profiled and return its serialized
     /// [`Profile`](hsm_exec::Profile) (the `hsmprofile` text form). The
-    /// profile also lands in the server's artifact cache, so later
-    /// predict-first sweeps reuse it.
+    /// profile also lands in the server's artifact cache, so a repeated
+    /// `profile` job is a lookup.
     Profile {
         /// Program name (labels the response).
         name: String,
@@ -152,12 +164,6 @@ pub struct SweepRow {
     pub output_fnv: Option<u64>,
     /// The pipeline error, when the point failed.
     pub error: Option<String>,
-    /// The analytical prediction a predict-first sweep attached. On a
-    /// predicted-only point the run fields above are absent and this is
-    /// the row's substance; on a simulated seed/validation point it
-    /// rides alongside the measured numbers so clients can compute
-    /// ground-truth error.
-    pub predicted: Option<Prediction>,
 }
 
 impl SweepRow {
@@ -183,7 +189,6 @@ impl SweepRow {
             instructions: None,
             output_fnv: None,
             error: None,
-            predicted: outcome.predicted,
         };
         match &outcome.result {
             Ok(payload) => {
@@ -227,15 +232,6 @@ impl SweepRow {
         if let Some(e) = &self.error {
             pairs.push(("error", Json::Str(e.clone())));
         }
-        if let Some(p) = &self.predicted {
-            pairs.push((
-                "predicted",
-                Json::obj(vec![
-                    ("predicted_cycles", Json::UInt(p.predicted_cycles)),
-                    ("seed_cores", Json::UInt(p.seed_cores as u64)),
-                ]),
-            ));
-        }
         Json::obj(pairs)
     }
 
@@ -243,8 +239,15 @@ impl SweepRow {
     ///
     /// # Errors
     ///
-    /// Rejects objects missing the required identity fields.
+    /// Rejects objects missing the required identity fields, and rows
+    /// from a pre-ISSUE-17 server that still carry a `predicted` block (a
+    /// predicted-only row has neither numbers nor an error to show).
     pub fn from_json(doc: &Json) -> Result<Self, ProtocolError> {
+        if doc.get("predicted").is_some() {
+            return Err(ProtocolError::new(
+                "row carries `predicted`: predict-first was retired in ISSUE 17, upgrade the server",
+            ));
+        }
         let field_str = |key: &str| match doc.get(key) {
             Some(Json::Str(s)) => Ok(s.clone()),
             _ => Err(ProtocolError::new(format!("row missing `{key}`"))),
@@ -266,25 +269,6 @@ impl SweepRow {
             error: match doc.get("error") {
                 Some(Json::Str(s)) => Some(s.clone()),
                 _ => None,
-            },
-            predicted: match doc.get("predicted") {
-                Some(obj) => {
-                    let predicted_cycles = obj
-                        .get("predicted_cycles")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| {
-                            ProtocolError::new("`predicted` missing `predicted_cycles`")
-                        })?;
-                    let seed_cores = obj
-                        .get("seed_cores")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| ProtocolError::new("`predicted` missing `seed_cores`"))?;
-                    Some(Prediction {
-                        predicted_cycles,
-                        seed_cores: seed_cores as usize,
-                    })
-                }
-                None => None,
             },
         })
     }
@@ -641,24 +625,6 @@ mod tests {
             instructions: Some(99_000),
             output_fnv: Some(0xdead_beef),
             error: None,
-            predicted: None,
-        };
-        let predicted_row = SweepRow {
-            name: "example_4_1@16/hsm".to_string(),
-            task: "hsm".to_string(),
-            cores: 16,
-            exec_model: "coherent".to_string(),
-            opt_level: "O0".to_string(),
-            exit_code: None,
-            timed_cycles: None,
-            total_cycles: None,
-            instructions: None,
-            output_fnv: None,
-            error: None,
-            predicted: Some(Prediction {
-                predicted_cycles: 654_321,
-                seed_cores: 2,
-            }),
         };
         let responses = vec![
             JobResponse::Pong,
@@ -667,7 +633,6 @@ mod tests {
                 source: "RCCE_APP(int argc, char **argv) { return 0; }".to_string(),
             },
             JobResponse::Row(row),
-            JobResponse::Row(predicted_row),
             JobResponse::SweepDone { rows: 4 },
             JobResponse::Profile {
                 name: "dot".to_string(),
@@ -701,11 +666,21 @@ mod tests {
             instructions: None,
             output_fnv: None,
             error: Some("parse stage: unexpected `{`".to_string()),
-            predicted: None,
         };
         let line = encode_response(1, &JobResponse::Row(row.clone()));
         let (_, back) = parse_response(&line).expect("parses");
         assert_eq!(back, JobResponse::Row(row));
+    }
+
+    /// A row from a pre-ISSUE-17 server: rejected, never shown as a row
+    /// with no numbers.
+    #[test]
+    fn a_row_with_a_predicted_block_is_rejected() {
+        let old = r#"{"id": 3, "kind": "row", "row": {"name": "dot@8/hsm", "task": "hsm",
+            "cores": 8, "exec_model": "coherent", "opt_level": "O0",
+            "predicted": {"predicted_cycles": 654321, "seed_cores": 2}}}"#;
+        let err = parse_response(old).unwrap_err();
+        assert!(err.to_string().contains("retired in ISSUE 17"), "{err}");
     }
 
     #[test]

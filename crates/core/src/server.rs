@@ -20,14 +20,14 @@
 
 use crate::protocol::{
     encode_job, encode_response, parse_job, parse_response, Job, JobRequest, JobResponse,
-    ProtocolError, SweepRow,
+    ProtocolError, SweepRow, MAX_LINE_BYTES,
 };
 use crate::spec::SweepSpec;
 use crate::sweep::{sweep_with, SweepOptions};
 use crate::{ArtifactCache, Pipeline, PipelineError};
 use scc_sim::SccConfig;
 use std::fmt;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -173,6 +173,19 @@ fn send(writer: &Mutex<TcpStream>, id: u64, response: &JobResponse) {
     }
 }
 
+/// One `read_line` against what is left of `line`'s [`MAX_LINE_BYTES`]
+/// allowance plus the one byte that proves it was exceeded, so a peer
+/// that never sends a newline cannot grow `line` without bound.
+fn read_line_bounded(reader: &mut BufReader<TcpStream>, line: &mut String) -> io::Result<usize> {
+    let allowance = (MAX_LINE_BYTES + 1).saturating_sub(line.len());
+    reader.by_ref().take(allowance as u64).read_line(line)
+}
+
+/// Whether `line` used its whole allowance without reaching a newline.
+fn too_long(line: &str) -> bool {
+    line.len() > MAX_LINE_BYTES && !line.ends_with('\n')
+}
+
 /// Serves one connection: read a job line, execute, respond, repeat.
 fn serve_connection(
     stream: TcpStream,
@@ -195,8 +208,15 @@ fn serve_connection(
         if stop.load(Ordering::SeqCst) {
             return;
         }
-        match reader.read_line(&mut line) {
+        match read_line_bounded(&mut reader, &mut line) {
             Ok(0) => return, // client closed the connection
+            Ok(_) if too_long(&line) => {
+                // No id to echo and no way to find the next job in the
+                // stream: answer once and hang up on this client only.
+                let message = ProtocolError::line_too_long().to_string();
+                send(&writer, 0, &JobResponse::Error { message });
+                return;
+            }
             Ok(_) if line.ends_with('\n') => {
                 let trimmed = line.trim();
                 if !trimmed.is_empty() && !handle_line(trimmed, &writer, cache, options, stop) {
@@ -273,8 +293,7 @@ fn handle_line(
                 programs: vec![crate::spec::SpecProgram::inline(name, cores, source)],
                 scenarios: vec![scenario],
                 workers: 1,
-                cache_dir: None,
-                predict_first: false,
+                ..SweepSpec::default()
             };
             run_sweep_job(job.id, &spec, timeout_ms, writer, cache, options, false);
         }
@@ -377,7 +396,7 @@ fn run_sweep_job(
         SweepOptions {
             cancel: Some(&cancel),
             on_row: Some(&on_row),
-            predict_first: spec.predict_first,
+            ..SweepOptions::default()
         },
     );
     if sweep_done {
@@ -471,11 +490,14 @@ impl Client {
     /// Reads the next response line.
     fn receive(&mut self) -> Result<(u64, JobResponse), ClientError> {
         let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
+        if read_line_bounded(&mut self.reader, &mut line)? == 0 {
             return Err(ClientError::Io(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "server closed the connection",
             )));
+        }
+        if too_long(&line) {
+            return Err(ProtocolError::line_too_long().into());
         }
         Ok(parse_response(line.trim())?)
     }

@@ -72,9 +72,10 @@ pub struct SweepSpec {
     /// Persistent artifact-store directory ([`SweepSpec::open_cache`]
     /// attaches it); `None` = in-memory cache only.
     pub cache_dir: Option<String>,
-    /// Predict-first triage: simulate only each prediction group's seed
-    /// and validation points, predict the rest analytically (see
-    /// [`SweepOptions::predict_first`](crate::experiment::SweepOptions)).
+    /// Retired in ISSUE 17 (the predictor lost its trial to a two-point
+    /// fit); must be `false` — [`SweepSpec::to_matrix`] rejects `true`.
+    /// Kept only because `benchmark/` spells it in a struct literal; drop
+    /// with the next benchmark PR.
     pub predict_first: bool,
 }
 
@@ -154,9 +155,6 @@ impl SweepSpec {
         ];
         if let Some(dir) = &self.cache_dir {
             pairs.push(("cache_dir", Json::Str(dir.clone())));
-        }
-        if self.predict_first {
-            pairs.push(("predict_first", Json::Bool(true)));
         }
         Json::obj(pairs)
     }
@@ -273,9 +271,14 @@ impl SweepSpec {
     ///
     /// # Errors
     ///
-    /// Rejects an empty program or scenario list and unresolvable
-    /// sources.
+    /// Rejects an empty program or scenario list, unresolvable sources,
+    /// and the retired `predict_first`.
     pub fn to_matrix(&self, config: &SccConfig) -> Result<SweepMatrix, SpecError> {
+        if self.predict_first {
+            return Err(SpecError::new(
+                "`predict_first` was retired in ISSUE 17: every point is simulated, drop the key",
+            ));
+        }
         if self.programs.is_empty() {
             return Err(SpecError::new("no programs to sweep"));
         }
@@ -314,10 +317,10 @@ impl SweepSpec {
 
     /// Extracts the spec-owned CLI flags out of `args` (removing each
     /// flag and its value): `--workers N`, `--modes A,B,..`,
-    /// `--exec-model NAME`, `--opt-level LEVEL`, `--cache-dir PATH`, the
-    /// valueless `--predict-first`, and repeatable `--program
-    /// NAME:CORES`. Unrelated arguments are left in place. This replaces
-    /// the per-flag parsing the `figures` binary used to duplicate.
+    /// `--exec-model NAME`, `--opt-level LEVEL`, `--cache-dir PATH`, and
+    /// repeatable `--program NAME:CORES`. Unrelated arguments are left in
+    /// place. This replaces the per-flag parsing the `figures` binary used
+    /// to duplicate.
     ///
     /// `--modes` rebuilds the scenario list (one scenario per listed mode
     /// label, inheriting the first current scenario's model and level);
@@ -374,9 +377,6 @@ impl SweepSpec {
         if let Some(value) = take_flag(args, "--cache-dir")? {
             self.cache_dir = Some(value);
         }
-        if take_bool_flag(args, "--predict-first") {
-            self.predict_first = true;
-        }
         while let Some(value) = take_flag(args, "--program")? {
             let (name, cores) = value.split_once(':').ok_or_else(|| {
                 SpecError::new("--program needs NAME:CORES (e.g. matrix_vector:4)")
@@ -394,7 +394,7 @@ impl SweepSpec {
 
 /// Removes a valueless `flag` from `args`, reporting whether it was
 /// present.
-fn take_bool_flag(args: &mut Vec<String>, flag: &str) -> bool {
+pub fn take_bool_flag(args: &mut Vec<String>, flag: &str) -> bool {
     match args.iter().position(|a| a == flag) {
         Some(i) => {
             args.remove(i);
@@ -405,7 +405,11 @@ fn take_bool_flag(args: &mut Vec<String>, flag: &str) -> bool {
 }
 
 /// Removes `flag` and its value from `args`, returning the value.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, SpecError> {
+///
+/// # Errors
+///
+/// Reports a flag that is the last argument.
+pub fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, SpecError> {
     let Some(i) = args.iter().position(|a| a == flag) else {
         return Ok(None);
     };
@@ -433,7 +437,7 @@ mod tests {
             ],
             workers: 2,
             cache_dir: Some("/tmp/hsm-store".to_string()),
-            predict_first: true,
+            predict_first: false,
         }
     }
 
@@ -472,6 +476,26 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The retired field: `false` and an absent key are the same spec
+    /// and the key is never emitted; `true` still parses (an old client)
+    /// and is refused where the matrix is built.
+    #[test]
+    fn retired_predict_first_parses_and_is_rejected_when_true() {
+        let spec = sample();
+        let wire = spec.to_json().render_compact();
+        assert!(!wire.contains("predict_first"), "{wire}");
+        let explicit = wire.replacen('{', r#"{"predict_first": false, "#, 1);
+        for text in [&wire, &explicit] {
+            let back = SweepSpec::from_json(&Json::parse(text).expect("wire")).expect("spec");
+            assert_eq!(back, spec, "{text}");
+        }
+        let old = wire.replacen('{', r#"{"predict_first": true, "#, 1);
+        let mut old = SweepSpec::from_json(&Json::parse(&old).expect("wire")).expect("spec");
+        old.cache_dir = None;
+        let err = old.to_matrix(&SccConfig::table_6_1()).unwrap_err();
+        assert!(err.to_string().contains("retired in ISSUE 17"), "{err}");
     }
 
     #[test]
@@ -543,7 +567,6 @@ mod tests {
             "O2",
             "--cache-dir",
             "/tmp/store",
-            "--predict-first",
             "--json",
         ]
         .iter()
@@ -553,7 +576,6 @@ mod tests {
         assert_eq!(spec.workers, 3);
         assert!(spec.scenarios.iter().all(|s| s.opt_level == OptLevel::O2));
         assert_eq!(spec.cache_dir.as_deref(), Some("/tmp/store"));
-        assert!(spec.predict_first);
         assert_eq!(args, vec!["fig6.1", "--json"]);
     }
 

@@ -15,15 +15,13 @@
 //! inputs, and the cache's pending-slot discipline keeps even the
 //! hit/miss counters schedule-independent.
 
-use crate::cache::{source_hash, ArtifactCache, CacheStats};
+use crate::cache::{ArtifactCache, CacheStats};
 use crate::metrics::PipelineMetrics;
 use crate::scenario::{Mode, Scenario};
 use crate::{Pipeline, PipelineError, Policy, SharingCheck};
-use hsm_exec::{ExecModel, RunResult};
-use hsm_predict::{CacheModel, CyclePredictor, FitOptions, WorkScaling};
+use hsm_exec::RunResult;
 use hsm_workloads::Bench;
 use scc_sim::SccConfig;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -182,16 +180,6 @@ impl SweepMatrix {
     }
 }
 
-/// An analytical cycle prediction for one sweep point, fitted from a
-/// profiled seed run of the same (program, scenario) group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Prediction {
-    /// Predicted makespan cycles at the point's core count.
-    pub predicted_cycles: u64,
-    /// The core count of the profiled seed run the model was fitted at.
-    pub seed_cores: usize,
-}
-
 /// What a completed point produced.
 #[derive(Debug)]
 pub enum SweepPayload {
@@ -199,9 +187,6 @@ pub enum SweepPayload {
     Run(RunResult, Option<PipelineMetrics>),
     /// An oracle check.
     Sharing(Box<SharingCheck>),
-    /// A predict-first sweep satisfied this point analytically instead
-    /// of simulating it.
-    Predicted(Prediction),
 }
 
 impl SweepPayload {
@@ -209,7 +194,7 @@ impl SweepPayload {
     pub fn run_result(&self) -> Option<&RunResult> {
         match self {
             SweepPayload::Run(r, _) => Some(r),
-            SweepPayload::Sharing(_) | SweepPayload::Predicted(_) => None,
+            SweepPayload::Sharing(_) => None,
         }
     }
 }
@@ -227,11 +212,6 @@ pub struct SweepOutcome {
     pub result: Result<SweepPayload, PipelineError>,
     /// Host wall time of this point, in nanoseconds.
     pub host_wall_nanos: u128,
-    /// The analytical prediction a predict-first sweep attached: set on
-    /// predicted points (mirroring the payload) and on the simulated
-    /// seed and validation points of each group, so ground-truth error
-    /// can be computed. `None` in plain sweeps.
-    pub predicted: Option<Prediction>,
 }
 
 impl SweepOutcome {
@@ -240,13 +220,11 @@ impl SweepOutcome {
     ///
     /// # Errors
     ///
-    /// Propagates the point's pipeline failure; a predicted-only point
-    /// has no run and yields [`PipelineError::PredictedOnly`].
+    /// Propagates the point's pipeline failure.
     pub fn into_run(self) -> Result<RunResult, PipelineError> {
-        self.result.and_then(|payload| match payload {
-            SweepPayload::Run(r, _) => Ok(r),
-            SweepPayload::Sharing(check) => Ok(check.result),
-            SweepPayload::Predicted(_) => Err(PipelineError::PredictedOnly),
+        self.result.map(|payload| match payload {
+            SweepPayload::Run(r, _) => r,
+            SweepPayload::Sharing(check) => check.result,
         })
     }
 }
@@ -322,33 +300,7 @@ fn run_point(point: &SweepPoint, config: &SccConfig, cache: &Arc<ArtifactCache>)
         cores: point.cores,
         result,
         host_wall_nanos: started.elapsed().as_nanos(),
-        predicted: None,
     }
-}
-
-/// Executes one point through the profiled run path, returning both the
-/// outcome and the run [`Profile`](hsm_exec::Profile) (deposited in the
-/// cache's `profile` shelf as a side effect).
-fn run_point_profiled(
-    point: &SweepPoint,
-    config: &SccConfig,
-    cache: &Arc<ArtifactCache>,
-) -> (SweepOutcome, Option<hsm_exec::Profile>) {
-    let started = Instant::now();
-    let pipeline = point_pipeline(point, config, cache);
-    let (result, profile) = match pipeline.run_profiled() {
-        Ok((r, profile)) => (Ok(SweepPayload::Run(r, None)), Some(profile)),
-        Err(e) => (Err(e), None),
-    };
-    let outcome = SweepOutcome {
-        name: point.name.clone(),
-        task: point.task,
-        cores: point.cores,
-        result,
-        host_wall_nanos: started.elapsed().as_nanos(),
-        predicted: None,
-    };
-    (outcome, profile)
 }
 
 /// Controls and callbacks for [`sweep_with`]. The plain [`sweep`] is
@@ -368,17 +320,10 @@ pub struct SweepOptions<'a> {
     /// completion). Calls are serialized; the `hsmd` server streams
     /// manifest rows to its client from here.
     pub on_row: Option<RowHook<'a>>,
-    /// Predict-first triage: instead of simulating every point, group
-    /// the plain run points by (source, scenario, policy), simulate only
-    /// each group's smallest-core **seed** (profiled, so its
-    /// [`Profile`](hsm_exec::Profile) lands in the cache) and its
-    /// farthest-extrapolated **validation** point (ground truth for the
-    /// error bound), and satisfy the rest analytically with a fitted
-    /// [`CyclePredictor`]. Groups too small to save work (fewer than
-    /// three points) and metered/oracle points simulate normally,
-    /// so a predict-first sweep runs strictly fewer simulations than the
-    /// full matrix whenever any group has three or more points. See
-    /// [`SweepPayload::Predicted`] and [`SweepOutcome::predicted`].
+    /// Retired in ISSUE 17 (the predictor lost its trial to a two-point
+    /// fit); must be `false`. [`sweep_with`] ignores it — every point is
+    /// simulated. Kept only because `benchmark/` spells it in a struct
+    /// literal; drop with the next benchmark PR.
     pub predict_first: bool,
 }
 
@@ -391,7 +336,6 @@ impl std::fmt::Debug for SweepOptions<'_> {
         f.debug_struct("SweepOptions")
             .field("cancel", &self.cancel.is_some())
             .field("on_row", &self.on_row.is_some())
-            .field("predict_first", &self.predict_first)
             .finish()
     }
 }
@@ -409,13 +353,9 @@ pub fn sweep(matrix: &SweepMatrix) -> SweepReport {
     sweep_with(matrix, SweepOptions::default())
 }
 
-/// [`sweep`] with cooperative cancellation, ordered row streaming and
-/// predict-first triage — the engine behind the `hsmd` job server. See
-/// [`SweepOptions`].
+/// [`sweep`] with cooperative cancellation and ordered row streaming —
+/// the engine behind the `hsmd` job server. See [`SweepOptions`].
 pub fn sweep_with(matrix: &SweepMatrix, opts: SweepOptions<'_>) -> SweepReport {
-    if opts.predict_first {
-        return sweep_predict_first(matrix, opts);
-    }
     let cache = matrix.cache.clone().unwrap_or_else(ArtifactCache::shared);
     let total = matrix.points.len();
     let workers = effective_workers(matrix.workers, total);
@@ -438,7 +378,6 @@ pub fn sweep_with(matrix: &SweepMatrix, opts: SweepOptions<'_>) -> SweepReport {
                 cores: point.cores,
                 result: Err(PipelineError::Cancelled),
                 host_wall_nanos: 0,
-                predicted: None,
             }
         } else {
             run_point(point, &matrix.config, &cache)
@@ -485,181 +424,6 @@ pub fn sweep_with(matrix: &SweepMatrix, opts: SweepOptions<'_>) -> SweepReport {
         outcomes,
         cache: cache.stats(),
         workers,
-        host_wall_nanos: started.elapsed().as_nanos(),
-    }
-}
-
-/// Maps a run scenario onto the predictor's fit options: the mode picks
-/// the work-scaling discipline (and the RCCE library's fixed
-/// init/finalize overhead), the memory model picks the cache treatment.
-pub fn fit_options_for(scenario: Scenario) -> FitOptions {
-    let scaling = match scenario.mode {
-        Mode::PthreadBaseline => WorkScaling::Serialized,
-        Mode::TaskDataflow => WorkScaling::PartitionedWithMaster,
-        Mode::RcceOffChip | Mode::RcceHsm => WorkScaling::Partitioned,
-    };
-    let cache = match scenario.exec_model {
-        ExecModel::SeqCstReference => CacheModel::Flat,
-        _ => CacheModel::Hierarchy,
-    };
-    let fixed_cycles = match scenario.mode {
-        Mode::RcceOffChip | Mode::RcceHsm => {
-            hsm_exec::syscall_cost::RCCE_INIT + hsm_exec::syscall_cost::RCCE_FINALIZE
-        }
-        _ => 0,
-    };
-    FitOptions {
-        scaling,
-        cache,
-        fixed_cycles,
-    }
-}
-
-/// A point's prediction-group key: same program, same scenario, same
-/// policy — only the core count varies along the predicted surface.
-type GroupKey = (u64, Scenario, Policy);
-
-/// The predict-first engine behind [`SweepOptions::predict_first`].
-///
-/// Runs serially (the whole point is to do *less* work than the
-/// fan-out): per group, one profiled seed simulation, one ground-truth
-/// validation simulation at the farthest-extrapolated point, and
-/// constant-time analytical predictions for everything else. Outcomes
-/// land in matrix order and `on_row` fires once per point, in order,
-/// after the sweep completes.
-fn sweep_predict_first(matrix: &SweepMatrix, opts: SweepOptions<'_>) -> SweepReport {
-    let cache = matrix.cache.clone().unwrap_or_else(ArtifactCache::shared);
-    let total = matrix.points.len();
-    let started = Instant::now();
-    let is_cancelled = || opts.cancel.is_some_and(|cancelled| cancelled());
-    let cancel_outcome = |point: &SweepPoint| SweepOutcome {
-        name: point.name.clone(),
-        task: point.task,
-        cores: point.cores,
-        result: Err(PipelineError::Cancelled),
-        host_wall_nanos: 0,
-        predicted: None,
-    };
-
-    // Group the plain run points by (source, scenario, policy).
-    let mut groups: HashMap<GroupKey, Vec<usize>> = HashMap::new();
-    for (i, point) in matrix.points.iter().enumerate() {
-        if let SweepTask::Run(scenario) = point.task {
-            groups
-                .entry((source_hash(&point.src), scenario, point.policy))
-                .or_default()
-                .push(i);
-        }
-    }
-
-    let mut outcomes: Vec<Option<SweepOutcome>> = (0..total).map(|_| None).collect();
-    for ((_, scenario, _), idxs) in groups {
-        if idxs.len() < 3 {
-            continue; // too small to save work: simulate normally below
-        }
-        // Seed: the smallest core count (first on ties — deterministic,
-        // since `idxs` is in matrix order).
-        let seed_idx = *idxs
-            .iter()
-            .min_by_key(|&&i| (matrix.points[i].cores, i))
-            .expect("non-empty group");
-        let seed_point = &matrix.points[seed_idx];
-        if is_cancelled() {
-            for &i in &idxs {
-                outcomes[i] = Some(cancel_outcome(&matrix.points[i]));
-            }
-            continue;
-        }
-        let (mut seed_outcome, profile) = run_point_profiled(seed_point, &matrix.config, &cache);
-        let Some(profile) = profile else {
-            // The seed failed; nothing to fit. Record the failure and
-            // let the rest of the group fall through to full simulation.
-            outcomes[seed_idx] = Some(seed_outcome);
-            continue;
-        };
-        let predictor = CyclePredictor::fit(
-            &profile,
-            seed_point.cores,
-            &matrix.config,
-            fit_options_for(scenario),
-        );
-        seed_outcome.predicted = Some(Prediction {
-            predicted_cycles: predictor.predict(seed_point.cores),
-            seed_cores: seed_point.cores,
-        });
-        outcomes[seed_idx] = Some(seed_outcome);
-        // Validation point: the farthest extrapolation from the seed in
-        // log-space — where the model is least trustworthy.
-        let validate_idx = *idxs
-            .iter()
-            .filter(|&&i| i != seed_idx)
-            .max_by(|&&a, &&b| {
-                let dist = |i: usize| {
-                    (matrix.points[i].cores as f64 / seed_point.cores as f64)
-                        .log2()
-                        .abs()
-                };
-                dist(a)
-                    .partial_cmp(&dist(b))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(b.cmp(&a)) // ties: the earlier point
-            })
-            .expect("group has non-seed points");
-        for &i in &idxs {
-            if i == seed_idx {
-                continue;
-            }
-            let point = &matrix.points[i];
-            let prediction = Prediction {
-                predicted_cycles: predictor.predict(point.cores),
-                seed_cores: seed_point.cores,
-            };
-            outcomes[i] = Some(if i == validate_idx {
-                if is_cancelled() {
-                    cancel_outcome(point)
-                } else {
-                    let mut outcome = run_point(point, &matrix.config, &cache);
-                    outcome.predicted = Some(prediction);
-                    outcome
-                }
-            } else {
-                SweepOutcome {
-                    name: point.name.clone(),
-                    task: point.task,
-                    cores: point.cores,
-                    result: Ok(SweepPayload::Predicted(prediction)),
-                    host_wall_nanos: 0,
-                    predicted: Some(prediction),
-                }
-            });
-        }
-    }
-
-    // Everything left — ungrouped points, undersized groups, failed
-    // seeds' siblings — simulates normally.
-    for (i, point) in matrix.points.iter().enumerate() {
-        if outcomes[i].is_none() {
-            outcomes[i] = Some(if is_cancelled() {
-                cancel_outcome(point)
-            } else {
-                run_point(point, &matrix.config, &cache)
-            });
-        }
-    }
-
-    let outcomes: Vec<SweepOutcome> = outcomes
-        .into_iter()
-        .map(|slot| slot.expect("every point resolved"))
-        .collect();
-    if let Some(on_row) = opts.on_row {
-        for (i, outcome) in outcomes.iter().enumerate() {
-            on_row(i, outcome);
-        }
-    }
-    SweepReport {
-        outcomes,
-        cache: cache.stats(),
-        workers: 1,
         host_wall_nanos: started.elapsed().as_nanos(),
     }
 }
@@ -781,109 +545,5 @@ mod tests {
                 o.name
             );
         }
-    }
-
-    /// The predict-first acceptance property: a predict-first sweep
-    /// simulates strictly fewer points than the matrix has, attaches
-    /// ground-truth predictions to its validation points, and keeps the
-    /// simulated points' numbers identical to a plain sweep's.
-    #[test]
-    fn predict_first_simulates_strictly_fewer_points() {
-        let mut params = Bench::PiApprox.default_params(4);
-        params.size = 4_000;
-        let src: Arc<str> = hsm_workloads::source(Bench::PiApprox, &params).into();
-        let mut matrix = SweepMatrix::new(SccConfig::table_6_1()).workers(1);
-        for cores in [2usize, 4, 8, 16] {
-            matrix = matrix.point(
-                format!("pi@{cores}/hsm"),
-                Arc::clone(&src),
-                SweepTask::Run(Mode::RcceHsm.into()),
-                cores,
-            );
-        }
-        let plain = sweep(&matrix);
-        let predicted = sweep_with(
-            &matrix,
-            SweepOptions {
-                predict_first: true,
-                ..SweepOptions::default()
-            },
-        );
-        assert_eq!(predicted.outcomes.len(), 4);
-        let simulated: Vec<&SweepOutcome> = predicted
-            .outcomes
-            .iter()
-            .filter(|o| {
-                matches!(
-                    o.result,
-                    Ok(SweepPayload::Run(..)) | Ok(SweepPayload::Sharing(..))
-                )
-            })
-            .collect();
-        assert_eq!(simulated.len(), 2, "seed + validation only");
-        // The seed is the smallest core count, the validation point the
-        // farthest extrapolation; both carry a prediction.
-        assert_eq!(simulated[0].cores, 2);
-        assert_eq!(simulated[1].cores, 16);
-        for o in &simulated {
-            let prediction = o.predicted.expect("ground truth carries prediction");
-            assert_eq!(prediction.seed_cores, 2);
-        }
-        // The seed's prediction reproduces its measurement exactly.
-        let seed = &predicted.outcomes[0];
-        let seed_cycles = seed
-            .result
-            .as_ref()
-            .unwrap()
-            .run_result()
-            .unwrap()
-            .total_cycles;
-        assert_eq!(seed.predicted.unwrap().predicted_cycles, seed_cycles);
-        // Simulated points match the plain sweep bit-for-bit.
-        for (p, q) in plain.outcomes.iter().zip(&predicted.outcomes) {
-            if let (Ok(a), Ok(b)) = (&p.result, &q.result) {
-                if let (Some(ra), Some(rb)) = (a.run_result(), b.run_result()) {
-                    assert_eq!(ra.total_cycles, rb.total_cycles, "{}", p.name);
-                    assert_eq!(ra.exit_code, rb.exit_code, "{}", p.name);
-                }
-            }
-        }
-        // Predicted points carry the payload and the field.
-        for o in &predicted.outcomes {
-            if let Ok(SweepPayload::Predicted(prediction)) = o.result {
-                assert_eq!(Some(prediction), o.predicted);
-                assert!(prediction.predicted_cycles > 0);
-            }
-        }
-    }
-
-    /// Predict-first leaves profiles behind: the seed's profile is in
-    /// the cache's profile shelf afterwards.
-    #[test]
-    fn predict_first_deposits_seed_profiles() {
-        let mut params = Bench::PiApprox.default_params(4);
-        params.size = 4_000;
-        let src: Arc<str> = hsm_workloads::source(Bench::PiApprox, &params).into();
-        let mut matrix = SweepMatrix::new(SccConfig::table_6_1());
-        for cores in [2usize, 4, 8] {
-            matrix = matrix.point(
-                format!("pi@{cores}/hsm"),
-                Arc::clone(&src),
-                SweepTask::Run(Mode::RcceHsm.into()),
-                cores,
-            );
-        }
-        let report = sweep_with(
-            &matrix,
-            SweepOptions {
-                predict_first: true,
-                ..SweepOptions::default()
-            },
-        );
-        assert_eq!(
-            report.cache[Stage::Profile].misses,
-            1,
-            "one profiled seed run"
-        );
     }
 }

@@ -1,14 +1,14 @@
 //! Integration tests of the `hsmd` job server over a real socket:
 //! ping/translate round-trips, two concurrent clients streaming sweeps
 //! of overlapping corpora, a repeated `simulate` job answered from each
-//! cache tier, malformed-line handling, per-job deadlines, and graceful
-//! shutdown.
+//! cache tier, malformed-line, over-long-line and retired-key handling,
+//! per-job deadlines, and graceful shutdown.
 
 use hsm_core::api::{
     encode_job, ArtifactCache, Client, Job, JobRequest, Mode, Scenario, Server, ServerOptions,
-    SpecProgram, Stage, SweepSpec,
+    SpecProgram, Stage, SweepSpec, MAX_LINE_BYTES,
 };
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -150,6 +150,78 @@ fn malformed_job_line_reports_an_error_and_keeps_the_connection() {
     reader.read_line(&mut line).expect("pong line");
     assert!(line.contains("\"pong\""), "pong response: {line}");
 
+    handle.stop();
+    run.join().expect("run thread").expect("clean exit");
+}
+
+/// A client that never sends a newline is cut off at `MAX_LINE_BYTES`:
+/// one `error` response, then EOF — and nobody else notices.
+#[test]
+fn an_over_long_line_costs_one_error_and_only_that_connection() {
+    let (addr, server, _cache) = start_server(ServerOptions::default());
+    let handle = server.handle();
+    let run = std::thread::spawn(move || server.run());
+
+    let mut bystander = Client::connect(&addr).expect("connect");
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    stream
+        .write_all(&vec![b'x'; MAX_LINE_BYTES + 1])
+        .expect("write");
+    let mut answer = String::new();
+    stream.read_to_string(&mut answer).expect("error, then EOF");
+    assert_eq!(answer.lines().count(), 1, "{answer}");
+    assert!(answer.contains("\"error\""), "{answer}");
+    assert!(answer.contains("\"id\":0"), "no-job id: {answer}");
+    assert!(
+        answer.contains(&format!("exceeds {MAX_LINE_BYTES} bytes")),
+        "{answer}"
+    );
+
+    bystander
+        .ping()
+        .expect("the other connection still answers");
+    handle.stop();
+    run.join().expect("run thread").expect("clean exit");
+}
+
+/// A spec from a pre-ISSUE-17 client: `"predict_first": true` is a typed
+/// error on that job, and the same connection then serves a `simulate`.
+#[test]
+fn a_retired_predict_first_spec_is_an_error_and_the_connection_serves_on() {
+    let (addr, server, _cache) = start_server(ServerOptions::default());
+    let handle = server.handle();
+    let run = std::thread::spawn(move || server.run());
+
+    let sweep = encode_job(&Job {
+        id: 4,
+        timeout_ms: None,
+        request: JobRequest::Sweep {
+            spec: spec_for(vec![SpecProgram::inline("tiny", 2, TINY_SRC)]),
+        },
+    });
+    let old = sweep.replacen("\"spec\":{", "\"spec\":{\"predict_first\":true,", 1);
+    assert_ne!(old, sweep, "key injected");
+    let stream = TcpStream::connect(&addr).expect("connect");
+    let answer = ask_raw(&stream, &old);
+    assert!(answer.contains("\"error\""), "{answer}");
+    assert!(answer.contains("\"id\":4"), "the job's id: {answer}");
+    assert!(answer.contains("retired in ISSUE 17"), "{answer}");
+
+    let simulate = encode_job(&Job {
+        id: 5,
+        timeout_ms: None,
+        request: JobRequest::Simulate {
+            name: "tiny".to_string(),
+            source: TINY_SRC.to_string(),
+            cores: 2,
+            scenario: Scenario::new(Mode::RcceHsm),
+        },
+    });
+    let row = ask_raw(&stream, &simulate);
+    assert!(row.contains("\"id\":5"), "{row}");
+    assert!(row.contains("\"exit_code\":0"), "{row}");
+
+    drop(stream);
     handle.stop();
     run.join().expect("run thread").expect("clean exit");
 }

@@ -1,12 +1,8 @@
 //! The Profile artifact's determinism contract: its `hsmprofile` text
 //! form must be byte-identical across fresh sessions, across sweep
-//! worker counts, and across a cold-vs-warm persistent store — the
-//! property that keeps predictor fits and manifest predict sections
-//! reproducible.
+//! worker counts, and across a cold-vs-warm persistent store.
 
-use hsm_core::api::{
-    sweep_with, ArtifactCache, Mode, Scenario, SweepMatrix, SweepOptions, SweepTask,
-};
+use hsm_core::api::{sweep, ArtifactCache, Mode, Scenario, SweepMatrix, SweepTask};
 use hsm_core::{Pipeline, Stage};
 use scc_sim::SccConfig;
 use std::path::PathBuf;
@@ -48,9 +44,8 @@ fn temp_store(tag: &str) -> PathBuf {
     dir
 }
 
-/// The seed-point pipeline of the predict-first sweep below, wired to
-/// `cache` so its profile lookup resolves against what the sweep
-/// deposited.
+/// The 2-core point of the sweep below, wired to `cache` so its profile
+/// run shares the compile-side artifacts the sweep deposited.
 fn seed_pipeline(cache: &Arc<ArtifactCache>) -> Pipeline {
     Pipeline::new(SRC)
         .cores(2)
@@ -58,9 +53,7 @@ fn seed_pipeline(cache: &Arc<ArtifactCache>) -> Pipeline {
         .cache(Arc::clone(cache))
 }
 
-/// A three-point core axis over one program: enough for predict-first
-/// to profile the seed (2 cores), simulate the validation point
-/// (8 cores) and predict the middle.
+/// A three-point core axis over one program.
 fn matrix(cache: &Arc<ArtifactCache>) -> SweepMatrix {
     let src: Arc<str> = Arc::from(SRC);
     let mut m = SweepMatrix::new(SccConfig::table_6_1()).cache(Arc::clone(cache));
@@ -97,46 +90,29 @@ fn profile_text_is_byte_identical_across_fresh_sessions() {
 
 #[test]
 fn sweep_worker_count_does_not_change_the_profile_text() {
-    let options = SweepOptions {
-        predict_first: true,
-        ..SweepOptions::default()
-    };
+    // Each cache is populated by a sweep at a different worker count;
+    // the profile is then taken through that cache.
+    let texts: Vec<String> = [1usize, 4]
+        .into_iter()
+        .map(|workers| {
+            let cache = ArtifactCache::shared();
+            let report = sweep(&matrix(&cache).workers(workers));
+            assert_eq!(report.outcomes.len(), 3);
+            let profile = seed_pipeline(&cache).profile().expect("profile");
 
-    let serial_cache = ArtifactCache::shared();
-    let report = sweep_with(
-        &matrix(&serial_cache).workers(1),
-        SweepOptions {
-            predict_first: true,
-            ..SweepOptions::default()
-        },
-    );
-    assert_eq!(report.outcomes.len(), 3);
-
-    let parallel_cache = ArtifactCache::shared();
-    let parallel = sweep_with(&matrix(&parallel_cache).workers(4), options);
-    assert_eq!(parallel.outcomes.len(), 3);
-
-    // The sweeps themselves computed the seed profile; reading it back
-    // through an identically-keyed pipeline must be a pure cache hit.
-    for cache in [&serial_cache, &parallel_cache] {
-        let before = cache.stats()[Stage::Profile];
-        assert!(before.misses > 0, "predict-first profiled the seed");
-        seed_pipeline(cache).profile().expect("profile lookup");
-        let after = cache.stats()[Stage::Profile];
-        assert_eq!(after.misses, before.misses, "lookup recomputed nothing");
-        assert!(after.hits > before.hits, "lookup hit the sweep's artifact");
-    }
-
-    let serial_text = seed_pipeline(&serial_cache)
-        .profile()
-        .expect("serial")
-        .to_text();
-    let parallel_text = seed_pipeline(&parallel_cache)
-        .profile()
-        .expect("parallel")
-        .to_text();
+            // Reading it back through an identically-keyed pipeline must
+            // be a pure cache hit.
+            let before = cache.stats()[Stage::Profile];
+            assert_eq!(before.misses, 1, "one profiled run");
+            seed_pipeline(&cache).profile().expect("profile lookup");
+            let after = cache.stats()[Stage::Profile];
+            assert_eq!(after.misses, before.misses, "lookup recomputed nothing");
+            assert!(after.hits > before.hits, "lookup hit the artifact");
+            profile.to_text()
+        })
+        .collect();
     assert_eq!(
-        serial_text, parallel_text,
+        texts[0], texts[1],
         "worker fan-out must not perturb the profile"
     );
 }

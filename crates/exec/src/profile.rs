@@ -32,9 +32,8 @@
 //! Reuse distance is the number of *distinct* cache lines touched between
 //! two accesses to the same line. On a machine whose private caches are
 //! (approximately) LRU, an access hits a cache of `C` lines iff its reuse
-//! distance is `< C` — which is what lets `crates/predict` turn one
-//! profiled run into a predicted core-count sweep surface: halving the
-//! per-core working set shifts the histogram one power-of-two bucket down.
+//! distance is `< C`, so the histogram reads as a hit-rate curve over
+//! cache sizes.
 
 use crate::machine::{ExecError, RunResult};
 use crate::trace::{SyncEvent, TraceEvent, TraceSink};
@@ -91,50 +90,6 @@ impl ReuseHistogram {
             *a += *b;
         }
         self.cold += other.cold;
-    }
-
-    /// The histogram with every distance scaled by `2^shift` (positive
-    /// `shift` doubles distances, negative halves them) — the working-set
-    /// transform the sweep predictor applies when the per-core data share
-    /// changes by a power of two. Cold misses are unaffected.
-    pub fn shifted(&self, shift: i32) -> ReuseHistogram {
-        let mut out = ReuseHistogram {
-            buckets: [0; REUSE_BUCKETS],
-            cold: self.cold,
-        };
-        for (b, &n) in self.buckets.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            let target = if b == 0 {
-                0
-            } else {
-                (b as i64 + i64::from(shift)).clamp(0, REUSE_BUCKETS as i64 - 1) as usize
-            };
-            out.buckets[target] += n;
-        }
-        out
-    }
-
-    /// Fraction of re-references with distance `< lines` — the hit rate of
-    /// an idealized fully-associative LRU cache of that many lines
-    /// (ignoring cold misses, which miss any cache).
-    pub fn hit_fraction(&self, lines: u64) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let limit = Self::bucket_of(lines.saturating_sub(1));
-        let mut hits = 0u64;
-        for (b, &n) in self.buckets.iter().enumerate() {
-            // Bucket b covers [2^(b-1), 2^b); it is entirely < lines when
-            // its upper bound fits. Partial buckets are counted whole —
-            // the predictor calibrates the residual away at the seed.
-            if b <= limit {
-                hits += n;
-            }
-        }
-        hits as f64 / total as f64
     }
 }
 
@@ -250,16 +205,6 @@ impl Profile {
             .iter()
             .filter(|c| c.accesses.iter().any(|&a| a > 0))
             .count()
-    }
-
-    /// The chip-wide reuse histogram: all cores' private-region
-    /// histograms summed.
-    pub fn reuse_total(&self) -> ReuseHistogram {
-        let mut out = ReuseHistogram::default();
-        for core in &self.per_core {
-            out.merge(&core.reuse);
-        }
-        out
     }
 
     /// Aggregates another profile into this one: counters and cycle
@@ -697,37 +642,6 @@ mod tests {
         let h = &p.per_core[0].reuse;
         assert_eq!(h.buckets[1], 1, "distance 1 lands in [1,2)");
         assert_eq!(h.buckets[0], 2, "the two immediate B re-accesses");
-    }
-
-    #[test]
-    fn histogram_shift_scales_distances() {
-        let mut h = ReuseHistogram::default();
-        h.record(0);
-        h.record(6); // bucket 3
-        h.record(600); // bucket 10
-        h.cold = 5;
-        let down = h.shifted(-1);
-        assert_eq!(down.buckets[0], 1);
-        assert_eq!(down.buckets[2], 1);
-        assert_eq!(down.buckets[9], 1);
-        assert_eq!(down.cold, 5);
-        let up = h.shifted(2);
-        assert_eq!(up.buckets[5], 1);
-        assert_eq!(up.buckets[12], 1);
-        assert_eq!(up.total(), h.total());
-    }
-
-    #[test]
-    fn hit_fraction_tracks_cache_sizes() {
-        let mut h = ReuseHistogram::default();
-        for _ in 0..8 {
-            h.record(3); // bucket 2: hits a 512-line cache
-        }
-        for _ in 0..2 {
-            h.record(100_000); // bucket 17: misses both levels
-        }
-        assert!((h.hit_fraction(512) - 0.8).abs() < 1e-9);
-        assert!((h.hit_fraction(1 << 20) - 1.0).abs() < 1e-9);
     }
 
     #[test]

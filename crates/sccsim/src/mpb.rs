@@ -145,11 +145,6 @@ impl Mpb {
         self.accesses[owner] += 1;
         self.access_cycles + mesh.mpb_round_trip(core, owner)
     }
-
-    /// Accesses per owner slice.
-    pub fn accesses_per_owner(&self) -> &[u64] {
-        &self.accesses
-    }
 }
 
 #[cfg(test)]

@@ -26,11 +26,6 @@ impl SplitMix64 {
         z ^ (z >> 31)
     }
 
-    /// Next 32-bit value (upper half of the 64-bit output).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Splits off an independent generator (for nested structures whose
     /// size must not perturb the parent stream).
     pub fn split(&mut self) -> SplitMix64 {

@@ -303,17 +303,6 @@ fn map_boxed(s: &mut Box<Stmt>, f: &mut impl FnMut(Stmt) -> Vec<Stmt>) {
     s.kind = StmtKind::Block(stmts);
 }
 
-/// Whether an expression (tree) contains a direct call to `target`.
-pub fn contains_call(e: &Expr, target: &str) -> bool {
-    let mut found = false;
-    hsm_cir::visit::walk_expr(e, &mut |sub| {
-        if sub.call_target() == Some(target) {
-            found = true;
-        }
-    });
-    found
-}
-
 /// Whether a statement (tree) contains a direct call to `target`.
 pub fn stmt_contains_call(s: &Stmt, target: &str) -> bool {
     let mut found = false;

@@ -158,11 +158,6 @@ impl Vm {
         self.finished.is_some()
     }
 
-    /// The exit value once finished.
-    pub fn exit_value(&self) -> Option<Value> {
-        self.finished
-    }
-
     /// Current call depth (diagnostics).
     pub fn depth(&self) -> usize {
         self.frames.len()

@@ -132,45 +132,6 @@ def check_tasks_axis(fresh, fresh_path):
     )
 
 
-def check_predict_axis(fresh, fresh_path):
-    """Validates the schema-v6 `predict` section of the full fresh manifest.
-
-    The deep ±15% accuracy gate lives in `check_predict.py` (over the
-    dedicated BENCH_predict.json report); here we require the section's
-    shape and its two built-in invariants: every surface's seed point is
-    reproduced exactly, and every point carries integer predicted/actual
-    cycles with absolute and relative errors.
-    """
-    predict = fresh.get("predict")
-    if not isinstance(predict, dict) or not predict.get("surfaces"):
-        sys.exit(f"{fresh_path}: missing or empty `predict` section (schema v6)")
-
-    for surface in predict["surfaces"]:
-        name = surface.get("name", "<unnamed>")
-        for key in ("mode", "exec_model"):
-            if not isinstance(surface.get(key), str):
-                sys.exit(f"{fresh_path}: predict surface {name!r} lacks {key!r}")
-        points = surface.get("points")
-        if not isinstance(points, list) or not points:
-            sys.exit(f"{fresh_path}: predict surface {name!r} has no points")
-        for point in points:
-            for key in ("cores", "predicted_cycles", "actual_cycles", "abs_error", "rel_error_bp"):
-                if not isinstance(point.get(key), int):
-                    sys.exit(
-                        f"{fresh_path}: predict surface {name!r} point "
-                        f"lacks integer {key!r}"
-                    )
-            if point.get("seed") is True and point["rel_error_bp"] != 0:
-                sys.exit(
-                    f"{fresh_path}: predict surface {name!r} seed point is "
-                    f"not reproduced exactly ({point['rel_error_bp']} bp)"
-                )
-    print(
-        f"{fresh_path}: predict axis ok — {len(predict['surfaces'])} "
-        "surface(s), all seed points exact"
-    )
-
-
 def main():
     if len(sys.argv) != 3:
         sys.exit(f"usage: {sys.argv[0]} FRESH_MANIFEST GOLDEN_MANIFEST")
@@ -198,12 +159,11 @@ def main():
 
     check_opt_axis(fresh, fresh_path)
     check_tasks_axis(fresh, fresh_path)
-    check_predict_axis(fresh, fresh_path)
 
-    if "opt" not in golden or "tasks" not in golden or "predict" not in golden:
+    if "opt" not in golden or "tasks" not in golden:
         sys.exit(
-            f"{golden_path} lacks the `opt`, `tasks` or `predict` section: it "
-            f"predates manifest schema v6 (it reports schema_version "
+            f"{golden_path} lacks the `opt` or `tasks` section: it "
+            f"predates manifest schema v5 (it reports schema_version "
             f"{golden.get('schema_version')!r}). Regenerate the golden with\n"
             "  UPDATE_GOLDENS=1 cargo test -p hsm-bench --test manifest_golden"
         )
@@ -212,14 +172,11 @@ def main():
     # above: its counter totals legitimately differ between the full
     # 5-program manifest and the 2-program golden.
     golden_names = [p["name"] for p in golden["programs"]]
-    # The `predict` section's held-out corpus is fixed (independent of
-    # the manifest's program list), so fresh and golden carry it whole.
     restricted = {
         "schema_version": fresh["schema_version"],
         "config": fresh["config"],
         "opt": [o for o in fresh["opt"] if o["name"] in golden_names],
         "tasks": [t for t in fresh["tasks"] if t["name"] in golden_names],
-        "predict": fresh["predict"],
         "programs": [p for p in fresh["programs"] if p["name"] in golden_names],
     }
     restricted = strip_host_keys(restricted)
@@ -229,7 +186,6 @@ def main():
             "config": golden["config"],
             "opt": golden["opt"],
             "tasks": golden["tasks"],
-            "predict": golden["predict"],
             "programs": golden["programs"],
         }
     )

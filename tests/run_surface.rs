@@ -2,7 +2,7 @@
 //! and a sink never perturbs the run it watches.
 //!
 //! `Pipeline::run_traced` is the single run path; `run_scenario`,
-//! `run_profiled` and `check_sharing` are that call with nothing, the
+//! `profile` and `check_sharing` are that call with nothing, the
 //! profile collector or the sharing oracle attached. For every corpus
 //! program under every mode it supports, all four must report the same
 //! run. A second test drives the same path from the far end — a
@@ -13,7 +13,7 @@ use hsm_core::api::{
     encode_job, parse_response, sweep, Job, JobRequest, JobResponse, Mode, Pipeline, Scenario,
     Server, ServerOptions, SpecProgram, SweepRow, SweepSpec,
 };
-use hsm_exec::{NullSink, RunResult};
+use hsm_exec::{NullSink, ProfileCollector, RunResult};
 use scc_sim::SccConfig;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -70,9 +70,11 @@ fn sinks_never_perturb_a_run() {
             let traced = s
                 .run_traced(&mut NullSink)
                 .unwrap_or_else(|e| panic!("{tag}: run_traced: {e}"));
-            let (profiled, profile) = s
-                .run_profiled()
-                .unwrap_or_else(|e| panic!("{tag}: run_profiled: {e}"));
+            let mut collector = ProfileCollector::new(s.chip().line_bytes);
+            let profiled = s
+                .run_traced(&mut collector)
+                .unwrap_or_else(|e| panic!("{tag}: profiled run_traced: {e}"));
+            let profile = collector.into_profile(&profiled);
             let checked = s
                 .check_sharing()
                 .unwrap_or_else(|e| panic!("{tag}: check_sharing: {e}"));
