@@ -28,9 +28,9 @@ pub use crate::json::{Json, JsonError};
 pub use crate::metrics::{PipelineMetrics, Stage, StageMetric};
 pub use crate::protocol::{
     encode_job, encode_response, parse_job, parse_response, Job, JobRequest, JobResponse,
-    ProtocolError, SweepRow, MAX_LINE_BYTES,
+    ProtocolError, SweepRow, MAX_LINE_BYTES, MAX_PROGRAM_BYTES,
 };
 pub use crate::server::{Client, ClientError, Server, ServerHandle, ServerOptions};
-pub use crate::spec::{corpus_dir, SpecError, SpecProgram, SweepSpec};
+pub use crate::spec::{corpus_dir, SpecError, SpecProgram, SweepSpec, MAX_POINTS};
 pub use crate::store::{fnv1a_bytes, DiskStore, LoadOutcome};
 pub use crate::{ExecModel, MemorySpec, OptLevel, Pipeline, PipelineError, Policy, SharingCheck};

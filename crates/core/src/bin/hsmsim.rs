@@ -8,58 +8,74 @@
 //! hsmsim prog.c --stats                  # print memory-system statistics
 //! ```
 
+use hsm_core::spec::{take_bool_flag, take_flag};
 use hsm_core::{Mode, Pipeline, Policy};
 use scc_sim::SccConfig;
 use std::process::ExitCode;
 
-fn main() -> ExitCode {
-    let mut input: Option<String> = None;
-    // `None` is `native`: hand-written RCCE source, run without the
-    // pipeline — the one way of running a `Scenario` cannot express.
-    let mut mode = Some(Mode::PthreadBaseline);
-    let mut cores = 32usize;
-    let mut policy = Policy::SizeAscending;
-    let mut stats = false;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--mode" => match it.next().as_deref() {
-                Some("pthread") => mode = Some(Mode::PthreadBaseline),
-                Some("rcce") => mode = Some(Mode::RcceHsm),
-                Some("native") => mode = None,
-                other => {
-                    eprintln!("hsmsim: bad mode {other:?} (pthread|rcce|native)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--cores" => {
-                let Some(v) = it.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("hsmsim: bad --cores value");
-                    return ExitCode::FAILURE;
-                };
-                cores = v;
-            }
-            "--off-chip" => policy = Policy::OffChipOnly,
-            "--stats" => stats = true,
-            "-h" | "--help" => {
-                println!(
-                    "usage: hsmsim <prog.c> [--mode pthread|rcce|native] \
-                     [--cores N] [--off-chip] [--stats]"
-                );
-                return ExitCode::SUCCESS;
-            }
-            other if !other.starts_with('-') && input.is_none() => {
-                input = Some(other.to_string());
-            }
-            other => {
-                eprintln!("hsmsim: unknown argument `{other}`");
-                return ExitCode::FAILURE;
-            }
-        }
+const USAGE: &str =
+    "usage: hsmsim <prog.c> [--mode pthread|rcce|native] [--cores N] [--off-chip] [--stats]";
+
+/// What the command line asked for.
+struct Args {
+    input: String,
+    /// `None` is `native`: hand-written RCCE source, run without the
+    /// pipeline — the one way of running a `Scenario` cannot express.
+    mode: Option<Mode>,
+    cores: usize,
+    policy: Policy,
+    stats: bool,
+}
+
+fn parse_args(mut args: Vec<String>) -> Result<Args, String> {
+    let flag = |args: &mut Vec<String>, name| take_flag(args, name).map_err(|e| e.message);
+    let mode = match flag(&mut args, "--mode")?.as_deref() {
+        None | Some("pthread") => Some(Mode::PthreadBaseline),
+        Some("rcce") => Some(Mode::RcceHsm),
+        Some("native") => None,
+        Some(other) => return Err(format!("bad mode `{other}` (pthread|rcce|native)")),
+    };
+    let cores = match flag(&mut args, "--cores")? {
+        None => 32,
+        Some(value) => value.parse().map_err(|_| "bad --cores value")?,
+    };
+    let policy = match take_bool_flag(&mut args, "--off-chip") {
+        true => Policy::OffChipOnly,
+        false => Policy::SizeAscending,
+    };
+    let stats = take_bool_flag(&mut args, "--stats");
+    // What is left is the input file, and nothing else.
+    if let Some(unknown) = args.iter().find(|a| a.starts_with('-')).or(args.get(1)) {
+        return Err(format!("unknown argument `{unknown}`"));
     }
-    let Some(input) = input else {
-        eprintln!("hsmsim: no input file (try --help)");
-        return ExitCode::FAILURE;
+    let input = args.pop().ok_or("no input file (try --help)")?;
+    Ok(Args {
+        input,
+        mode,
+        cores,
+        policy,
+        stats,
+    })
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "-h" || a == "--help") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let Args {
+        input,
+        mode,
+        cores,
+        policy,
+        stats,
+    } = match parse_args(args) {
+        Ok(args) => args,
+        Err(message) => {
+            eprintln!("hsmsim: {message}");
+            return ExitCode::FAILURE;
+        }
     };
     let source = match std::fs::read_to_string(&input) {
         Ok(s) => s,

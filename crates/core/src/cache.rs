@@ -849,7 +849,7 @@ fn encode_translation(t: &Translation) -> Vec<u8> {
         out.push_str(name);
         out.push('\n');
     }
-    out.push_str(&t.to_source());
+    out.push_str(t.source());
     out.into_bytes()
 }
 
@@ -869,14 +869,8 @@ fn decode_translation(
         let name = parts.next()?;
         pass_trace.push(*known.iter().find(|k| **k == name)?);
     }
-    let source = parts.next()?;
-    let unit = hsm_cir::parse(source).ok()?;
-    Some(Translation {
-        unit,
-        analysis: analysis.clone(),
-        plan: plan.clone(),
-        pass_trace,
-    })
+    let source = parts.next()?.to_string();
+    Translation::from_source(source, analysis.clone(), plan.clone(), pass_trace).ok()
 }
 
 impl std::fmt::Debug for ArtifactCache {

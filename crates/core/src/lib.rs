@@ -372,7 +372,7 @@ mod tests {
             .cores(4)
             .translation()
             .expect("translate");
-        let out = t.to_source();
+        let out = t.source();
         assert!(out.contains("RCCE_APP"), "{out}");
         assert!(!out.contains("pthread"), "{out}");
     }
@@ -403,11 +403,7 @@ mod tests {
         );
         assert_eq!(
             m.stage(Stage::Translate).unwrap().ir_size,
-            session
-                .translation()
-                .expect("translation")
-                .to_source()
-                .len()
+            session.translation().expect("translation").source().len()
         );
     }
 

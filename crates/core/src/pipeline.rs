@@ -556,7 +556,7 @@ impl Pipeline {
                 })?;
                 Some(metrics.measure(Stage::Translate, || {
                     self.translation_of(&unit, &analysis, &plan).map(|t| {
-                        let size = t.to_source().len();
+                        let size = t.source().len();
                         (t, size)
                     })
                 })?)

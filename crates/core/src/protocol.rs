@@ -28,6 +28,12 @@ use std::fmt;
 /// never sends a newline costs a typed error, not the process's memory.
 pub const MAX_LINE_BYTES: usize = 8 << 20;
 
+/// The largest inline program, in bytes, a job may carry (its own
+/// `source`, or one of a sweep spec's). The corpus and the paper
+/// workloads are a few kilobytes each; the cap bounds what one job can
+/// make every stage of the pipeline chew on.
+pub const MAX_PROGRAM_BYTES: usize = 1 << 20;
+
 /// A malformed protocol line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProtocolError {
@@ -393,6 +399,20 @@ pub fn parse_job(line: &str) -> Result<Job, ProtocolError> {
         Some(Json::Str(s)) => Ok(s.clone()),
         _ => Err(ProtocolError::new(format!("`{op}` job missing `{key}`"))),
     };
+    let program_fits = |what: &str, source: &str| {
+        if source.len() > MAX_PROGRAM_BYTES {
+            return Err(ProtocolError::new(format!(
+                "`{op}` job: {what} is {} bytes, over the {MAX_PROGRAM_BYTES}-byte limit",
+                source.len()
+            )));
+        }
+        Ok(())
+    };
+    let field_source = || {
+        let source = field_str("source")?;
+        program_fits("`source`", &source)?;
+        Ok::<_, ProtocolError>(source)
+    };
     let field_cores = || {
         doc.get("cores")
             .and_then(Json::as_u64)
@@ -421,7 +441,7 @@ pub fn parse_job(line: &str) -> Result<Job, ProtocolError> {
         "shutdown" => JobRequest::Shutdown,
         "translate" => JobRequest::Translate {
             name: field_str("name")?,
-            source: field_str("source")?,
+            source: field_source()?,
             cores: field_cores()?,
         },
         "simulate" => {
@@ -429,7 +449,7 @@ pub fn parse_job(line: &str) -> Result<Job, ProtocolError> {
                 .ok_or_else(|| ProtocolError::new("`simulate` job missing `scenario`"))?;
             JobRequest::Simulate {
                 name: field_str("name")?,
-                source: field_str("source")?,
+                source: field_source()?,
                 cores: field_cores()?,
                 scenario,
             }
@@ -438,15 +458,19 @@ pub fn parse_job(line: &str) -> Result<Job, ProtocolError> {
             let spec = doc
                 .get("spec")
                 .ok_or_else(|| ProtocolError::new("`sweep` job missing `spec`"))?;
-            JobRequest::Sweep {
-                spec: SweepSpec::from_json(spec).map_err(|e| ProtocolError::new(e.to_string()))?,
+            let spec = SweepSpec::from_json(spec).map_err(|e| ProtocolError::new(e.to_string()))?;
+            for program in &spec.programs {
+                if let Some(source) = &program.source {
+                    program_fits(&format!("program `{}`", program.name), source)?;
+                }
             }
+            JobRequest::Sweep { spec }
         }
         "profile" => {
             let scenario = field_scenario()?.unwrap_or_default();
             JobRequest::Profile {
                 name: field_str("name")?,
-                source: field_str("source")?,
+                source: field_source()?,
                 cores: field_cores()?,
                 scenario,
             }

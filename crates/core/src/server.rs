@@ -278,7 +278,7 @@ fn handle_line(
                     .translation()
                     .map(|t| JobResponse::Translated {
                         name,
-                        source: t.to_source(),
+                        source: t.source().to_string(),
                     })
             });
             send(writer, job.id, &response);

@@ -24,6 +24,11 @@ use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
 
+/// The most points (programs × scenarios) one [`SweepSpec`] may expand
+/// to. `figures`' largest sweep is a few hundred; the cap keeps a spec
+/// that arrives over the wire from sizing an allocation.
+pub const MAX_POINTS: usize = 65_536;
+
 /// One program of a [`SweepSpec`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpecProgram {
@@ -271,8 +276,9 @@ impl SweepSpec {
     ///
     /// # Errors
     ///
-    /// Rejects an empty program or scenario list, unresolvable sources,
-    /// and the retired `predict_first`.
+    /// Rejects an empty program or scenario list, a matrix of more than
+    /// [`MAX_POINTS`] points (before any of them is built), unresolvable
+    /// sources, and the retired `predict_first`.
     pub fn to_matrix(&self, config: &SccConfig) -> Result<SweepMatrix, SpecError> {
         if self.predict_first {
             return Err(SpecError::new(
@@ -284,6 +290,12 @@ impl SweepSpec {
         }
         if self.scenarios.is_empty() {
             return Err(SpecError::new("no scenarios to sweep"));
+        }
+        let (programs, scenarios) = (self.programs.len(), self.scenarios.len());
+        if programs.saturating_mul(scenarios) > MAX_POINTS {
+            return Err(SpecError::new(format!(
+                "{programs} programs x {scenarios} scenarios is over the {MAX_POINTS}-point limit"
+            )));
         }
         let mut matrix = SweepMatrix::new(config.clone()).workers(self.workers);
         for program in &self.programs {
@@ -554,6 +566,28 @@ mod tests {
         let spec = SweepSpec::default();
         let err = spec.to_matrix(&SccConfig::table_6_1()).unwrap_err();
         assert!(err.to_string().contains("no programs"), "{err}");
+    }
+
+    #[test]
+    fn a_matrix_is_capped_before_its_points_are_built() {
+        let config = SccConfig::table_6_1();
+        let inline = SpecProgram::inline("p", 1, "int main() { return 0; }");
+        let at_the_cap = SweepSpec {
+            programs: vec![inline; 256],
+            scenarios: vec![Scenario::default(); MAX_POINTS / 256],
+            ..SweepSpec::default()
+        };
+        let matrix = at_the_cap.to_matrix(&config).expect("MAX_POINTS fits");
+        assert_eq!(matrix.points.len(), MAX_POINTS);
+        // One point more, of programs no corpus holds: the size is what is
+        // reported, so no program was resolved, let alone a point built.
+        let one_over = SweepSpec {
+            programs: vec![SpecProgram::corpus("no_such_program", 1); MAX_POINTS + 1],
+            scenarios: vec![Scenario::default()],
+            ..SweepSpec::default()
+        };
+        let err = one_over.to_matrix(&config).unwrap_err().to_string();
+        assert!(err.contains("over the 65536-point limit"), "{err}");
     }
 
     #[test]

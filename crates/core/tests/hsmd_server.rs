@@ -1,12 +1,13 @@
 //! Integration tests of the `hsmd` job server over a real socket:
 //! ping/translate round-trips, two concurrent clients streaming sweeps
 //! of overlapping corpora, a repeated `simulate` job answered from each
-//! cache tier, malformed-line, over-long-line and retired-key handling,
-//! per-job deadlines, and graceful shutdown.
+//! cache tier, malformed-line, over-long-line, over-size-program,
+//! over-size-matrix and retired-key handling, per-job deadlines, and
+//! graceful shutdown.
 
 use hsm_core::api::{
     encode_job, ArtifactCache, Client, Job, JobRequest, Mode, Scenario, Server, ServerOptions,
-    SpecProgram, Stage, SweepSpec, MAX_LINE_BYTES,
+    SpecProgram, Stage, SweepSpec, MAX_LINE_BYTES, MAX_POINTS, MAX_PROGRAM_BYTES,
 };
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -150,6 +151,83 @@ fn malformed_job_line_reports_an_error_and_keeps_the_connection() {
     reader.read_line(&mut line).expect("pong line");
     assert!(line.contains("\"pong\""), "pong response: {line}");
 
+    handle.stop();
+    run.join().expect("run thread").expect("clean exit");
+}
+
+/// An inline program over `MAX_PROGRAM_BYTES` — a job's own or one of a
+/// sweep spec's — and a spec that expands past `MAX_POINTS` are each one
+/// `error` response, and the connection serves the next job.
+#[test]
+fn over_size_programs_and_matrices_are_errors_and_the_connection_serves_on() {
+    let (addr, server, _cache) = start_server(ServerOptions::default());
+    let handle = server.handle();
+    let run = std::thread::spawn(move || server.run());
+    let stream = TcpStream::connect(&addr).expect("connect");
+
+    let padding = " ".repeat(MAX_PROGRAM_BYTES + 1 - TINY_SRC.len());
+    let too_big = format!("{TINY_SRC}{padding}");
+    let translate = encode_job(&Job {
+        id: 1,
+        timeout_ms: None,
+        request: JobRequest::Translate {
+            name: "big".to_string(),
+            source: too_big.clone(),
+            cores: 2,
+        },
+    });
+    let sweep_of_big = encode_job(&Job {
+        id: 2,
+        timeout_ms: None,
+        request: JobRequest::Sweep {
+            spec: spec_for(vec![
+                SpecProgram::inline("tiny", 2, TINY_SRC),
+                SpecProgram::inline("big", 2, too_big),
+            ]),
+        },
+    });
+    for (job, what) in [(translate, "`source`"), (sweep_of_big, "program `big`")] {
+        let answer = ask_raw(&stream, &job);
+        assert!(answer.contains("\"error\""), "{answer}");
+        let limit = format!(
+            "{what} is {} bytes, over the {MAX_PROGRAM_BYTES}-byte limit",
+            MAX_PROGRAM_BYTES + 1
+        );
+        assert!(answer.contains(&limit), "{answer}");
+    }
+
+    let mut wide = spec_for(vec![SpecProgram::inline("tiny", 2, TINY_SRC); 257]);
+    wide.scenarios = vec![Scenario::new(Mode::RcceHsm); MAX_POINTS / 256];
+    let sweep_of_many = encode_job(&Job {
+        id: 3,
+        timeout_ms: None,
+        request: JobRequest::Sweep { spec: wide },
+    });
+    let answer = ask_raw(&stream, &sweep_of_many);
+    assert!(answer.contains("\"error\""), "{answer}");
+    assert!(answer.contains("\"id\":3"), "the job's id: {answer}");
+    assert!(
+        answer.contains(&format!("over the {MAX_POINTS}-point limit")),
+        "{answer}"
+    );
+
+    // A program exactly at the cap is served, on the same connection.
+    let at_the_cap = format!("{TINY_SRC}{}", &padding[1..]);
+    assert_eq!(at_the_cap.len(), MAX_PROGRAM_BYTES);
+    let translate = encode_job(&Job {
+        id: 4,
+        timeout_ms: None,
+        request: JobRequest::Translate {
+            name: "full".to_string(),
+            source: at_the_cap,
+            cores: 2,
+        },
+    });
+    let answer = ask_raw(&stream, &translate);
+    assert!(answer.contains("\"id\":4"), "{answer}");
+    assert!(answer.contains("RCCE_init"), "{answer}");
+
+    drop(stream);
     handle.stop();
     run.join().expect("run thread").expect("clean exit");
 }

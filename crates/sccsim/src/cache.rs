@@ -17,15 +17,28 @@ pub enum CacheOutcome {
     },
 }
 
+/// Sets per chunk of a [`Cache`]'s line store.
+const CHUNK_SETS: usize = 64;
+
 /// One set-associative write-back cache.
 ///
-/// Lines live in a single flat `sets × ways` allocation (set-major): a
-/// 48-core chip instantiates 96 caches per run, so per-set boxing would
-/// put ~100k allocations on the constructor path and dominate short
-/// simulations.
+/// Lines live in chunks of 64 consecutive sets (set-major inside a
+/// chunk), and a chunk gets its lines when the first of them is filled.
+/// An empty chunk stands for "every line invalid": lookups miss in it
+/// without touching memory, a flush has nothing in it to walk, and
+/// invalidating the cache empties every chunk. Building, flushing and
+/// invalidating a cache therefore cost what the run touched, not what the
+/// chip has. A 48-core chip carries 96 caches per run; a core that
+/// actually runs pays at most `sets / 64` allocations per cache (2 for L1,
+/// 32 for L2 at Table 6.1's geometry), where per-set boxing would pay
+/// ~100k.
 #[derive(Debug, Clone)]
 pub struct Cache {
-    lines: Vec<Line>,
+    /// `chunks[c]` is empty while no line of chunk `c` has been filled
+    /// since the cache was built or last invalidated, and otherwise holds
+    /// every line of its sets (all of the cache's, if those are fewer than
+    /// a chunk's worth).
+    chunks: Vec<Vec<Line>>,
     ways: usize,
     line_shift: u32,
     set_mask: u64,
@@ -60,7 +73,7 @@ impl Cache {
         let sets = lines / ways;
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         Cache {
-            lines: vec![Line::default(); sets * ways],
+            chunks: vec![Vec::new(); sets.div_ceil(CHUNK_SETS)],
             ways,
             line_shift: line_bytes.trailing_zeros(),
             set_mask: (sets - 1) as u64,
@@ -72,20 +85,25 @@ impl Cache {
         }
     }
 
-    /// The lines of `addr`'s set, and the tag `addr` carries within it.
+    /// The chunk of `addr`'s set, the lines of that set within the chunk,
+    /// and the tag `addr` carries within the set.
     #[inline]
-    fn locate(&self, addr: u64) -> (std::ops::Range<usize>, u64) {
+    fn locate(&self, addr: u64) -> (usize, std::ops::Range<usize>, u64) {
         let line_addr = addr >> self.line_shift;
         let set_idx = (line_addr & self.set_mask) as usize;
         let tag = line_addr >> self.set_bits;
-        (set_idx * self.ways..set_idx * self.ways + self.ways, tag)
+        let first = set_idx % CHUNK_SETS * self.ways;
+        (set_idx / CHUNK_SETS, first..first + self.ways, tag)
     }
 
     /// Whether `addr`'s line is resident. Changes nothing.
     #[inline]
     pub fn contains(&self, addr: u64) -> bool {
-        let (set, tag) = self.locate(addr);
-        self.lines[set].iter().any(|l| l.valid && l.tag == tag)
+        let (chunk, set, tag) = self.locate(addr);
+        // `get` is `None` in an empty chunk.
+        self.chunks[chunk]
+            .get(set)
+            .is_some_and(|set| set.iter().any(|l| l.valid && l.tag == tag))
     }
 
     /// [`Cache::access`] if `addr`'s line is resident — a hit, with the
@@ -93,8 +111,11 @@ impl Cache {
     /// otherwise.
     #[inline]
     pub fn access_resident(&mut self, addr: u64, write: bool) -> bool {
-        let (set, tag) = self.locate(addr);
-        for line in &mut self.lines[set] {
+        let (chunk, set, tag) = self.locate(addr);
+        let Some(set) = self.chunks[chunk].get_mut(set) else {
+            return false;
+        };
+        for line in set {
             if line.valid && line.tag == tag {
                 self.tick += 1;
                 line.lru = self.tick;
@@ -115,8 +136,13 @@ impl Cache {
         }
         self.tick += 1;
         self.misses += 1;
-        let (set, tag) = self.locate(addr);
-        let set = &mut self.lines[set];
+        let (chunk, set, tag) = self.locate(addr);
+        let lines = &mut self.chunks[chunk];
+        if lines.is_empty() {
+            let sets = CHUNK_SETS.min(self.set_mask as usize + 1);
+            lines.resize(sets * self.ways, Line::default());
+        }
+        let set = &mut lines[set];
         // Victim: invalid line if any, else LRU.
         let victim = (0..self.ways).find(|&w| !set[w].valid).unwrap_or_else(|| {
             (0..self.ways)
@@ -138,10 +164,8 @@ impl Cache {
 
     /// Invalidates the whole cache (used by RCCE's MPB flush semantics).
     pub fn invalidate_all(&mut self) {
-        for line in &mut self.lines {
-            line.valid = false;
-            line.dirty = false;
-        }
+        // `clear` keeps each chunk's allocation for the next fill.
+        self.chunks.iter_mut().for_each(Vec::clear);
     }
 
     /// Writes back every dirty line (clearing its dirty bit but keeping it
@@ -149,10 +173,12 @@ impl Cache {
     /// counted in [`Cache::stats`].
     pub fn flush_dirty(&mut self) -> usize {
         let mut flushed = 0;
-        for line in &mut self.lines {
-            if line.valid && line.dirty {
-                line.dirty = false;
-                flushed += 1;
+        for chunk in &mut self.chunks {
+            for line in chunk {
+                if line.valid && line.dirty {
+                    line.dirty = false;
+                    flushed += 1;
+                }
             }
         }
         self.writebacks += flushed as u64;
@@ -378,5 +404,170 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn bad_geometry_panics() {
         let _ = Cache::new(96, 1, 32);
+    }
+
+    /// The flat `sets × ways` tag array [`Cache`] used to be, kept as the
+    /// reference the chunked store is compared against.
+    struct FlatCache {
+        lines: Vec<Line>,
+        ways: usize,
+        line_bytes: u64,
+        stats: (u64, u64, u64),
+        tick: u64,
+    }
+
+    impl FlatCache {
+        /// `addr`'s set, its tag, and where in the set it is resident.
+        fn find(&self, addr: u64) -> (std::ops::Range<usize>, u64, Option<usize>) {
+            let sets = (self.lines.len() / self.ways) as u64;
+            let line = addr / self.line_bytes;
+            let first = (line % sets) as usize * self.ways;
+            let (set, tag) = (first..first + self.ways, line / sets);
+            let is_it = |&i: &usize| self.lines[i].valid && self.lines[i].tag == tag;
+            (set.clone(), tag, set.clone().find(is_it))
+        }
+
+        /// [`Cache::access`] if `fill`, else [`Cache::access_resident`]
+        /// (`None` where that returns `false`).
+        fn access(&mut self, addr: u64, write: bool, fill: bool) -> Option<CacheOutcome> {
+            let (set, tag, at) = self.find(addr);
+            if at.is_none() && !fill {
+                return None;
+            }
+            self.tick += 1;
+            if let Some(at) = at {
+                self.stats.0 += 1;
+                self.lines[at].lru = self.tick;
+                self.lines[at].dirty |= write;
+                return Some(CacheOutcome::Hit);
+            }
+            self.stats.1 += 1;
+            let invalid = set.clone().find(|&i| !self.lines[i].valid);
+            let victim = invalid.unwrap_or_else(|| set.min_by_key(|&i| self.lines[i].lru).unwrap());
+            let dirty_victim = self.lines[victim].valid && self.lines[victim].dirty;
+            self.stats.2 += u64::from(dirty_victim);
+            (self.lines[victim].tag, self.lines[victim].lru) = (tag, self.tick);
+            (self.lines[victim].valid, self.lines[victim].dirty) = (true, write);
+            Some(CacheOutcome::Miss { dirty_victim })
+        }
+
+        fn flush_dirty(&mut self) -> usize {
+            let dirty = self.lines.iter_mut().filter(|l| l.valid && l.dirty);
+            let flushed = dirty.map(|l| l.dirty = false).count();
+            self.stats.2 += flushed as u64;
+            flushed
+        }
+    }
+
+    /// Table 6.1's L1 and L2, a cache of fewer sets than one chunk holds,
+    /// and a direct-mapped one: (bytes, ways, line bytes).
+    const GEOMETRIES: [(usize, usize, usize); 4] = [
+        (16 * 1024, 4, 32),
+        (256 * 1024, 4, 32),
+        (1024, 2, 32),
+        (8 * 1024, 1, 32),
+    ];
+
+    /// Drives a [`Cache`] and a [`FlatCache`] of each geometry with the
+    /// same `ops_per_geometry` operations — address streams that walk
+    /// sequentially, stride by the set count (one set, ever new tags) and
+    /// scatter over 4 MB, switching every few hundred operations — and
+    /// requires every return value and the counters to agree at every
+    /// step.
+    fn drive_both(rng: &mut testkit::SplitMix64, ops_per_geometry: usize) {
+        for (bytes, ways, line_bytes) in GEOMETRIES {
+            let mut chunked = Cache::new(bytes, ways, line_bytes);
+            let mut flat = FlatCache {
+                lines: vec![Line::default(); bytes / line_bytes],
+                ways,
+                line_bytes: line_bytes as u64,
+                stats: (0, 0, 0),
+                tick: 0,
+            };
+            let set_stride = (bytes / ways) as u64;
+            let (mut stream, mut cursor) = (0, 0u64);
+            for op in 0..ops_per_geometry {
+                if op % 256 == 0 {
+                    stream = rng.gen_range_usize(0, 3);
+                    cursor = rng.gen_range_u64(0, 4 << 20);
+                }
+                let addr = match stream {
+                    0 => cursor + 8,
+                    1 => cursor + set_stride,
+                    _ => rng.gen_range_u64(0, 4 << 20),
+                };
+                cursor = addr;
+                let write = rng.gen_bool();
+                let what = || format!("{bytes} B {ways}-way, op {op} at {addr:#x}");
+                match rng.gen_range_usize(0, 256) {
+                    0 => assert_eq!(chunked.flush_dirty(), flat.flush_dirty(), "{}", what()),
+                    1 => {
+                        chunked.invalidate_all();
+                        flat.lines.fill(Line::default());
+                    }
+                    2..48 => assert_eq!(
+                        chunked.contains(addr),
+                        flat.find(addr).2.is_some(),
+                        "{}",
+                        what()
+                    ),
+                    48..96 => assert_eq!(
+                        chunked.access_resident(addr, write),
+                        flat.access(addr, write, false).is_some(),
+                        "{}",
+                        what()
+                    ),
+                    _ => assert_eq!(
+                        Some(chunked.access(addr, write)),
+                        flat.access(addr, write, true),
+                        "{}",
+                        what()
+                    ),
+                }
+                assert_eq!(chunked.stats(), flat.stats, "{}", what());
+            }
+        }
+    }
+
+    #[test]
+    fn chunked_matches_flat() {
+        testkit::check("chunked_matches_flat", 64, |rng| drive_both(rng, 5_000));
+    }
+
+    /// The same comparison at CI's budget (`-- --ignored`).
+    #[test]
+    #[ignore = "1024 seeds; CI runs it in release"]
+    fn chunked_matches_flat_1024_seeds() {
+        testkit::check("chunked_matches_flat", 1024, |rng| drive_both(rng, 5_000));
+    }
+
+    fn filled_chunks(c: &Cache) -> usize {
+        c.chunks.iter().filter(|chunk| !chunk.is_empty()).count()
+    }
+
+    #[test]
+    fn a_cache_holds_the_chunks_it_filled_and_no_others() {
+        let mut l2 = Cache::new(256 * 1024, 4, 32);
+        assert_eq!((l2.chunks.len(), filled_chunks(&l2)), (32, 0));
+        assert!(!l2.contains(0x1000) && !l2.access_resident(0x1000, true));
+        assert_eq!(l2.flush_dirty(), 0);
+        assert_eq!(filled_chunks(&l2), 0, "looking fills nothing");
+        l2.access(0x1000, true);
+        assert_eq!(filled_chunks(&l2), 1, "one access, one chunk");
+        assert_eq!(l2.chunks.iter().map(Vec::len).sum::<usize>(), 64 * 4);
+        // 64 sets of 32 B lines: the next chunk starts 2 KB on.
+        l2.access(0x1000 + 64 * 32, false);
+        assert_eq!(filled_chunks(&l2), 2);
+        l2.invalidate_all();
+        assert!(!l2.contains(0x1000));
+        assert_eq!(
+            filled_chunks(&l2),
+            0,
+            "nor does looking after an invalidate"
+        );
+        // A cache smaller than one chunk is one chunk of all its lines.
+        let mut small = Cache::new(1024, 2, 32);
+        small.access(0x20, false);
+        assert_eq!(small.chunks.iter().map(Vec::len).collect::<Vec<_>>(), [32]);
     }
 }

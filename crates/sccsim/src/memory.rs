@@ -67,10 +67,11 @@ pub struct MemorySystem {
     pub mpb: Mpb,
     /// Test-and-set registers.
     pub tas: TasBank,
-    /// Per-core private hierarchies, built on first access: a 48-core
-    /// chip carries ~10 MB of line metadata, but most runs touch a
-    /// handful of cores, and an untouched cache is indistinguishable
-    /// from a freshly built one.
+    /// Per-core private hierarchies, built on first access: most runs
+    /// touch a handful of a 48-core chip's cores, and an untouched
+    /// hierarchy is indistinguishable from a freshly built one. A built
+    /// one holds line metadata only for the chunks it has filled (see
+    /// [`Cache`](crate::cache::Cache)), up to 204 KB when full.
     caches: Vec<Option<CacheHierarchy>>,
     stats: StatsMatrix,
 }

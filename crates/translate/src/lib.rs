@@ -3,7 +3,8 @@
 //! Converts a well-defined Pthread program into a multi-process RCCE
 //! program executable on the (simulated) Intel SCC, implementing
 //! Algorithms 4–10 of the paper on top of a CETUS-style pass framework
-//! ([`pass::Driver`] with a post-pass IR consistency check).
+//! ([`pass::Driver`], which checks once that the IR the passes leave
+//! prints to text that re-parses).
 //!
 //! The translation reproduces Example Code 4.2 from Example Code 4.1:
 //! threads become processes keyed by `RCCE_ue()`, shared globals become
@@ -44,7 +45,7 @@ pub use error::TranslateError;
 pub use pass::{Driver, PassContext, TransformPass};
 
 use hsm_analysis::ProgramAnalysis;
-use hsm_cir::{parse, print_unit, TranslationUnit};
+use hsm_cir::{parse, TranslationUnit};
 use hsm_partition::{MemorySpec, PartitionPlan, Policy};
 
 /// Options controlling a translation run.
@@ -77,12 +78,42 @@ pub struct Translation {
     pub plan: PartitionPlan,
     /// Names of pass stages executed, in order.
     pub pass_trace: Vec<&'static str>,
+    /// `unit` as printed, and checked to re-parse, when the translation
+    /// was made. Private, so only this crate's two constructors set it; a
+    /// caller that edits `unit` afterwards prints it itself.
+    source: String,
 }
 
 impl Translation {
+    /// A translation whose `unit` is what `source` parses to: how a stored
+    /// translation is brought back without re-running the passes.
+    ///
+    /// # Errors
+    ///
+    /// Returns the parse error when `source` is not valid C in the subset.
+    pub fn from_source(
+        source: String,
+        analysis: ProgramAnalysis,
+        plan: PartitionPlan,
+        pass_trace: Vec<&'static str>,
+    ) -> Result<Self, hsm_cir::ParseError> {
+        Ok(Translation {
+            unit: parse(&source)?,
+            analysis,
+            plan,
+            pass_trace,
+            source,
+        })
+    }
+
     /// The translated program as C source.
+    pub fn source(&self) -> &str {
+        &self.source
+    }
+
+    /// The translated program as C source, owned.
     pub fn to_source(&self) -> String {
-        print_unit(&self.unit)
+        self.source.clone()
     }
 }
 
@@ -138,12 +169,13 @@ pub fn translate_with_plan(
 ) -> Result<Translation, TranslateError> {
     let mut ctx = PassContext::new(tu.clone(), analysis, plan, options);
     let mut driver = standard_driver();
-    driver.run(&mut ctx)?;
+    let source = driver.run(&mut ctx)?;
     Ok(Translation {
         unit: ctx.unit,
         analysis: analysis.clone(),
         plan: plan.clone(),
-        pass_trace: driver.trace.clone(),
+        pass_trace: driver.trace,
+        source,
     })
 }
 
@@ -426,7 +458,7 @@ int main() {
     #[test]
     fn translated_source_is_stable_under_reparse() {
         let out = translate_example();
-        let again = print_unit(&parse(&out).unwrap());
+        let again = hsm_cir::print_unit(&parse(&out).unwrap());
         assert_eq!(out, again);
     }
 

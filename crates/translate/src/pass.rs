@@ -2,10 +2,12 @@
 //! `TransformPass` / `Driver` classes (§5.3 of the paper).
 //!
 //! Each framework component is a [`TransformPass`]; the [`Driver`] brings
-//! the passes together and executes them in series, performing a
-//! consistency check after every pass (the printed IR must re-parse — the
-//! same self-consistency guarantee the paper attributes to the CETUS base
-//! classes).
+//! the passes together, executes them in series and checks the result
+//! once: the IR the last pass leaves must print to text that re-parses
+//! (the self-consistency guarantee the paper attributes to the CETUS base
+//! classes, which check after every pass). Only when that check fails
+//! does the driver replay the pipeline with the check after every pass,
+//! to name the first pass that broke the IR.
 
 use crate::error::TranslateError;
 use hsm_analysis::ProgramAnalysis;
@@ -65,6 +67,11 @@ impl<'a> PassContext<'a> {
 }
 
 /// A single transformation over the IR.
+///
+/// A pass must be re-runnable: when the pipeline's output fails its
+/// consistency check, [`Driver::run`] runs every pass a second time over
+/// a fresh [`PassContext`], so `run` must depend on the context it is
+/// handed and not on what an earlier call left in `self`.
 pub trait TransformPass {
     /// Human-readable pass name (for errors and tracing).
     fn name(&self) -> &'static str;
@@ -78,7 +85,7 @@ pub trait TransformPass {
     fn run(&mut self, ctx: &mut PassContext<'_>) -> Result<(), TranslateError>;
 }
 
-/// Executes passes in series with a consistency check between passes.
+/// Executes passes in series and checks the IR they leave behind.
 #[derive(Default)]
 pub struct Driver {
     passes: Vec<Box<dyn TransformPass>>,
@@ -107,26 +114,44 @@ impl Driver {
         self.passes.iter().map(|p| p.name()).collect()
     }
 
-    /// Runs every pass in order. After each pass the unit is printed and
-    /// re-parsed; failure to re-parse means the pass corrupted the IR and
-    /// aborts the pipeline with an internal error naming the pass.
+    /// Runs every pass in order, then prints the unit once and re-parses
+    /// that text once; the checked text is returned, so no caller has to
+    /// print the unit again.
+    ///
+    /// A final IR that fails to re-parse means a pass corrupted it. The
+    /// passes are then replayed over a context rebuilt
+    /// ([`PassContext::new`]) from the unit `ctx` held on entry, with the
+    /// check after every pass, and the pipeline aborts with an internal
+    /// error naming the first pass whose output does not re-parse. An
+    /// intermediate IR that a later pass repairs is not an error.
     ///
     /// # Errors
     ///
     /// Propagates pass errors and reports IR corruption.
-    pub fn run(&mut self, ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
+    pub fn run(&mut self, ctx: &mut PassContext<'_>) -> Result<String, TranslateError> {
+        let pristine = ctx.unit.clone();
         for pass in &mut self.passes {
             pass.run(ctx)?;
             self.trace.push(pass.name());
-            let printed = print_unit(&ctx.unit);
-            if let Err(e) = parse(&printed) {
+        }
+        let printed = print_unit(&ctx.unit);
+        let Err(final_error) = parse(&printed) else {
+            return Ok(printed);
+        };
+        let mut replay = PassContext::new(pristine, ctx.analysis, ctx.plan, ctx.options.clone());
+        for pass in &mut self.passes {
+            pass.run(&mut replay)?;
+            if let Err(e) = parse(&print_unit(&replay.unit)) {
                 return Err(TranslateError::internal(format!(
                     "pass `{}` produced an inconsistent IR: {e}",
                     pass.name()
                 )));
             }
         }
-        Ok(())
+        // Only a pass that is not re-runnable gets here.
+        Err(TranslateError::internal(format!(
+            "the pass pipeline produced an inconsistent IR: {final_error}"
+        )))
     }
 }
 
@@ -162,6 +187,24 @@ mod tests {
         }
     }
 
+    /// Renames function `from` to `to`, under pass name `pass`.
+    struct Rename {
+        pass: &'static str,
+        from: &'static str,
+        to: &'static str,
+    }
+    impl TransformPass for Rename {
+        fn name(&self) -> &'static str {
+            self.pass
+        }
+        fn run(&mut self, ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
+            if let Some(f) = ctx.unit.function_mut(self.from) {
+                f.name = self.to.to_string();
+            }
+            Ok(())
+        }
+    }
+
     fn ctx_fixture(src: &str) -> (ProgramAnalysis, PartitionPlan, TranslationUnit) {
         let tu = parse(src).unwrap();
         let analysis = ProgramAnalysis::analyze(&tu);
@@ -188,5 +231,37 @@ mod tests {
         let err = driver.run(&mut ctx).unwrap_err();
         assert!(err.to_string().contains("corruptor"), "{err}");
         assert!(err.to_string().contains("inconsistent IR"), "{err}");
+    }
+
+    #[test]
+    fn the_first_of_two_corrupting_passes_is_named() {
+        let (analysis, plan, tu) = ctx_fixture("int main() { return 0; }");
+        let mut ctx = PassContext::new(tu, &analysis, &plan, Default::default());
+        let mut driver = Driver::new().add(Renamer).add(Corruptor).add(Rename {
+            pass: "second offender",
+            from: "bad name",
+            to: "worse name",
+        });
+        let err = driver.run(&mut ctx).unwrap_err().to_string();
+        assert!(err.contains("pass `corruptor`"), "{err}");
+        assert!(!err.contains("second offender"), "{err}");
+    }
+
+    /// DESIGN.md §17: "an intermediate IR that fails to re-parse but is
+    /// repaired by a later pass is no longer an error" — the check is on
+    /// what the pipeline hands on, and that is what is returned.
+    #[test]
+    fn a_repaired_intermediate_ir_is_not_an_error() {
+        let (analysis, plan, tu) = ctx_fixture("int main() { return 0; }");
+        let mut ctx = PassContext::new(tu, &analysis, &plan, Default::default());
+        let mut driver = Driver::new().add(Renamer).add(Corruptor).add(Rename {
+            pass: "repairer",
+            from: "bad name",
+            to: "entry",
+        });
+        let printed = driver.run(&mut ctx).expect("the final IR is consistent");
+        assert_eq!(driver.trace, vec!["renamer", "corruptor", "repairer"]);
+        assert_eq!(printed, print_unit(&ctx.unit));
+        assert!(parse(&printed).unwrap().function("entry").is_some());
     }
 }

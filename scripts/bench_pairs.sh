@@ -3,17 +3,19 @@
 #
 #   scripts/bench_pairs.sh <parent-ref> [workload...]
 #
-# Checks <parent-ref> out into a git worktree under .bench_build/, builds
-# the benchmark/ package of both sides (each from its own checkout, so
+# Unpacks <parent-ref> (`git archive`) under .bench_build/, builds the
+# benchmark/ package of both sides (each from its own checkout, so
 # identical harness code times two versions of the crates), then runs
 # PAIRS pairs per workload at the benchmark's own run length. Within a
 # pair both sides get the same seed; which side goes first alternates.
 # Seeds start at 1001: development runs use single digits.
 #
 # Every run is appended to .bench_build/parent.runs.jsonl or
-# .bench_build/change.runs.jsonl; the script ends with the per-pair
-# `wall_s` tally and `benchmark compare` over the two logs, whose exit
-# code it returns. A gain is claimed when the change wins at least nine
+# .bench_build/change.runs.jsonl, and every pair's `wall_s` and
+# `op_p90_ms` to .bench_build/pairs.tsv; the script ends with the per-pair
+# `wall_s` tally, the `op_p90_ms` tally for `corpus_grid` (its slowest
+# tenth of points are the first-touch ones, which pay the frontend), and
+# `benchmark compare` over the two logs, whose exit code it returns. A gain is claimed when the change wins at least nine
 # tenths of the pairs and the medians differ by more than the parent's
 # interquartile spread (both are printed).
 #
@@ -39,15 +41,10 @@ seconds=$(sed -n 's/.*"run_seconds": *\([0-9][0-9]*\).*/\1/p' BENCHMARK.json)
 
 build=$root/.bench_build
 tree=$build/parent
-mkdir -p "$build"
-cleanup() {
-    git -C "$root" worktree remove --force "$tree" 2>/dev/null || true
-    git -C "$root" worktree prune
-}
-trap cleanup EXIT
-cleanup
-git worktree add --detach "$tree" "$parent_ref" >/dev/null
-echo "parent $(git -C "$tree" rev-parse --short HEAD), change: working tree at $(git rev-parse --short HEAD)"
+rm -rf "$tree"
+mkdir -p "$tree"
+git archive "$parent_ref" | tar -x -C "$tree"
+echo "parent $(git rev-parse --short "$parent_ref"), change: working tree at $(git rev-parse --short HEAD)"
 
 cargo build --release --offline --quiet --manifest-path "$tree/benchmark/Cargo.toml"
 cargo build --release --offline --quiet --manifest-path "$root/benchmark/Cargo.toml"
@@ -63,11 +60,13 @@ parent_mod=$((16#$parent_addr % 64))
 change_mod=$((16#$change_addr % 64))
 echo "Vm::run_until_event: parent $parent_addr (= $parent_mod mod 64), change $change_addr (= $change_mod mod 64)"
 
-# Runs one side from its own checkout and prints its wall_s.
+# Runs one side from its own checkout and prints its wall_s and
+# op_p90_ms, tab-separated.
 run_side() { # <checkout> <log> <workload> <seed>
     (cd "$1" && ./benchmark/target/release/benchmark \
         --workload "$3" --seed "$4" --seconds "$seconds" --trace 0 --log "$2") |
-        tail -n 1 | sed -n 's/.*"wall_s": {"value": \([0-9.e+-]*\).*/\1/p'
+        tail -n 1 |
+        sed -n 's/.*"wall_s": {"value": \([0-9.e+-]*\).*"op_p90_ms": {"value": \([0-9.e+-]*\).*/\1\t\2/p'
 }
 
 parent_log=$build/parent.runs.jsonl
@@ -84,14 +83,25 @@ for workload in "${workloads[@]}"; do
             c=$(run_side "$root" "$change_log" "$workload" "$seed")
             p=$(run_side "$tree" "$parent_log" "$workload" "$seed")
         fi
+        # workload, seed, parent wall_s and op_p90_ms, change wall_s and op_p90_ms.
         printf '%s\t%s\t%s\t%s\n' "$workload" "$seed" "$p" "$c" | tee -a "$tally"
     done
 done
 
+# Pairs the change won on the columns <parent> <change> of the tally.
+pairs_won() { # <parent-column> <change-column> [workload]
+    awk -F'\t' -v p="$1" -v c="$2" -v only="${3:-}" '
+        only != "" && $1 != only { next }
+        { n[$1]++; if ($c < $p) w[$1]++; else if ($c > $p) l[$1]++ }
+        END { for (k in n) printf "  %-14s %d/%d won, %d lost\n", k, w[k], n[k], l[k] }' "$tally"
+}
 echo
 echo "wall_s pairs won by the change (ties count for neither):"
-awk -F'\t' '{ n[$1]++; if ($4 < $3) w[$1]++; else if ($4 > $3) l[$1]++ }
-    END { for (k in n) printf "  %-14s %d/%d won, %d lost\n", k, w[k], n[k], l[k] }' "$tally"
+pairs_won 3 5
+if grep -q '^corpus_grid' "$tally"; then
+    echo "op_p90_ms pairs won by the change:"
+    pairs_won 4 6 corpus_grid
+fi
 echo
 if ((parent_mod != change_mod)); then
     echo "NOTE: Vm::run_until_event sits at = $parent_mod (parent) vs = $change_mod (change) mod 64:"

@@ -6,8 +6,11 @@
 //! `crates/core` tests the store shelf by shelf; this is the one test of
 //! it that `cargo test -q` at the repository root reaches.
 
+use hsm_cir::print_unit;
 use hsm_core::{ArtifactCache, Mode, Pipeline, Stage, StoreStats};
 use hsm_exec::RunResult;
+use hsm_partition::Policy;
+use hsm_workloads::Bench;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -111,6 +114,69 @@ fn a_damaged_entry_costs_a_recompute_never_a_panic() {
                 (0, 0),
                 "{what}"
             );
+        }
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Every corpus program, and every paper workload at the reduced sizes
+/// `crates/core`'s own tests use.
+fn corpus_and_paper_sources() -> Vec<(String, String)> {
+    let corpus = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("corpus");
+    let mut sources: Vec<(String, String)> = fs::read_dir(&corpus)
+        .expect("corpus dir")
+        .map(|entry| entry.expect("entry").path())
+        .filter(|path| path.extension().is_some_and(|e| e == "c"))
+        .map(|path| {
+            let source = fs::read_to_string(&path).expect("corpus program");
+            (path.display().to_string(), source)
+        })
+        .collect();
+    sources.sort();
+    assert!(sources.len() >= 9, "{} corpus programs", sources.len());
+    for bench in Bench::all() {
+        let mut params = bench.default_params(4);
+        params.size = match bench {
+            Bench::CountPrimes => 2_000,
+            Bench::PiApprox => 8_000,
+            Bench::Sum35 => 16_000,
+            Bench::DotProduct | Bench::Stream => 256,
+            Bench::LuDecomp => 8,
+        };
+        params.reps = if bench == Bench::LuDecomp { 8 } else { 1 };
+        sources.push((bench.to_string(), hsm_workloads::source(bench, &params)));
+    }
+    sources
+}
+
+/// Stage 5 prints its output once, to check it, and a `Translation` keeps
+/// that text: it must be the text of the unit it travels with, and the
+/// store must hand back the same text, trace and unit.
+#[test]
+fn a_translation_keeps_the_text_it_was_checked_as() {
+    let dir = temp_dir("source");
+    for (name, source) in corpus_and_paper_sources() {
+        for policy in [Policy::SizeAscending, Policy::OffChipOnly] {
+            let what = format!("{name} under {policy:?}");
+            let session = |expect_load: u64| {
+                let cache = ArtifactCache::persistent(&dir).expect("cache_dir opens");
+                let translation = Pipeline::new(source.as_str())
+                    .cores(4)
+                    .policy(policy)
+                    .cache(cache.clone())
+                    .translation()
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+                let store = cache.stats().store.expect("a persistent cache has a store");
+                assert_eq!(store[Stage::Translate].loads, expect_load, "{what}");
+                translation
+            };
+            let saved = session(0);
+            assert_eq!(saved.source(), print_unit(&saved.unit), "{what}");
+            assert_eq!(saved.to_source(), saved.source(), "{what}");
+            let loaded = session(1);
+            assert_eq!(loaded.source(), saved.source(), "{what}");
+            assert_eq!(loaded.pass_trace, saved.pass_trace, "{what}");
+            assert_eq!(print_unit(&loaded.unit), print_unit(&saved.unit), "{what}");
         }
     }
     let _ = fs::remove_dir_all(&dir);
