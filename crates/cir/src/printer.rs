@@ -279,8 +279,11 @@ impl Printer {
                 let _ = write!(self.out, "{v}");
             }
             ExprKind::FloatLit(v) => {
-                if v.fract() == 0.0 && v.is_finite() && v.abs() < 1e15 {
-                    let _ = write!(self.out, "{v:.1}");
+                // A whole value printed bare re-lexes as an integer, and
+                // `1e16 / 3` then divides integers. `{:?}` marks it a
+                // float: `4.0`, and from 1e16 up `1e16`, `1e300`.
+                if v.fract() == 0.0 && v.is_finite() {
+                    let _ = write!(self.out, "{v:?}");
                 } else {
                     let _ = write!(self.out, "{v}");
                 }
@@ -456,6 +459,47 @@ mod tests {
         // Structural equality modulo node ids: compare printed forms.
         assert_eq!(printed, print_unit(&tu2), "print not a fixpoint");
         assert_eq!(tu1.functions().count(), tu2.functions().count());
+    }
+
+    /// A float literal survives Stage 5: whatever the printer writes for
+    /// it lexes back as a float (never as an integer, whose division and
+    /// range are different) with the same bits.
+    #[test]
+    fn float_literals_round_trip_bit_for_bit() {
+        use crate::ast::{ExprKind, NodeId, UnaryOp};
+        #[rustfmt::skip]
+        let values = [
+            1e15, 1e16, 9007199254740993.0, 1e22, 1e300, f64::MAX, 1e-300, 2.5e10, 4.0, 0.5, 0.0,
+        ];
+        for value in values.into_iter().flat_map(|v| [v, -v]) {
+            let literal = Expr {
+                id: NodeId(0),
+                kind: ExprKind::FloatLit(value),
+                span: Default::default(),
+            };
+            let printed = print_expr(&literal);
+            // A negative literal comes back as the negation of a positive one.
+            let back = match parse_init(&printed).kind {
+                ExprKind::FloatLit(v) => v,
+                ExprKind::Unary(UnaryOp::Neg, inner) => match inner.kind {
+                    ExprKind::FloatLit(v) => -v,
+                    ref other => panic!("`{printed}` negates {other:?}"),
+                },
+                other => panic!("`{printed}` re-parses as {other:?}"),
+            };
+            assert_eq!(back.to_bits(), value.to_bits(), "`{printed}`");
+        }
+        assert_eq!(print_expr(&parse_init("1e16 / 3")), "1e16 / 3");
+        assert_eq!(print_expr(&parse_init("4.0 * 1e300")), "4.0 * 1e300");
+    }
+
+    /// `expr` as the parser sees it in `double x = expr;`.
+    fn parse_init(expr: &str) -> Expr {
+        let tu = parse(&format!("double x = {expr};")).unwrap_or_else(|e| panic!("`{expr}`: {e}"));
+        match &tu.items[..] {
+            [crate::ast::Item::Decl(d)] => d.vars[0].init.clone().expect("initializer"),
+            other => panic!("`{expr}` parses as {other:?}"),
+        }
     }
 
     #[test]

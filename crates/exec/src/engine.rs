@@ -19,7 +19,7 @@ use crate::printf;
 use crate::syscall_cost;
 use crate::trace::{TraceEvent, TraceSink};
 use hsm_vm::compile::{Program, HEAP_BASE};
-use hsm_vm::{Intrinsic, MemKind, StepOutcome, UnitVm, Value, VmError};
+use hsm_vm::{ExecForm, Intrinsic, MemKind, StepOutcome, UnitVm, Value, VmError};
 use scc_sim::{MemorySystem, SccConfig};
 
 /// What a slice of simulated time was spent on, so each sync model can
@@ -85,6 +85,8 @@ impl UnitState {
 pub struct ExecEnv<'p, C: CoherenceModel> {
     /// The compiled program every unit executes.
     pub program: &'p Program,
+    /// `program` as the units' VMs dispatch it, built once for the run.
+    form: ExecForm<'p>,
     /// Chip configuration.
     pub config: &'p SccConfig,
     /// Timing model of the chip.
@@ -122,6 +124,7 @@ impl<'p, C: CoherenceModel> ExecEnv<'p, C> {
             .collect();
         ExecEnv {
             program,
+            form: ExecForm::new(program),
             config,
             chip: MemorySystem::new(config.clone()),
             spaces,
@@ -378,7 +381,7 @@ impl ExecutionCore {
                 // field by field costs nothing.
                 let outcome = match env.units[u].held.take() {
                     Some(held) => held,
-                    None => env.units[u].vm.run_until_event(program),
+                    None => env.units[u].vm.run_until_event(&env.form),
                 };
                 let flow = 'perform: {
                     match outcome {

@@ -1,10 +1,14 @@
 //! The stack-machine instruction set.
 //!
-//! The compiler lowers CIR to this bytecode; [`crate::vm::Vm::run_until_event`]
-//! executes it up to the next load, store or library call and hands that
+//! The compiler lowers CIR to this bytecode, the optimizer rewrites it and
+//! [`crate::serial`] stores it. The VM does not dispatch on it directly:
+//! [`crate::vm::Vm::run_until_event`] runs the program's
+//! [`crate::form::ExecForm`], whose slots stand for one or more of these
+//! instructions, up to the next load, store or library call and hands that
 //! to the engine, which is what makes execution suspendable — the
 //! discrete-event engine can interleave 48 cores at memory-access
-//! granularity.
+//! granularity. [`Instr::base_cost`] and the semantics below stay the
+//! definition of what a slot costs and does.
 
 use crate::value::MemKind;
 use std::fmt;
@@ -294,8 +298,8 @@ pub enum Instr {
 /// numbering keys on it, and `tests/vm_dispatch.rs` draws from
 /// [`Op::ALL`] to prove its generated corpus covers the instruction set.
 /// Discriminants are dense (`0..Op::COUNT`) and [`Op::ALL`] lists every
-/// opcode in discriminant order. The VM itself dispatches on [`Instr`]
-/// directly.
+/// opcode in discriminant order. The execution form names a fused
+/// operator by its `Op`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Op {

@@ -12,20 +12,28 @@
 //!   address-taken locals, constant global images.
 //! * [`opt`] — the optional bytecode optimizer ([`optimize`] at an
 //!   [`OptLevel`]), run between compilation and execution.
-//! * [`vm`] — the interpreter ([`vm::Vm`]).
+//! * [`form`] — the execution form ([`ExecForm`]): per function, a
+//!   position-stable array parallel to the bytecode whose slots name an
+//!   operator's operands in place instead of moving them through the value
+//!   stack. Built once per run from a `&Program`; not an optimization
+//!   level — cycles and retired-instruction counts are those of the
+//!   bytecode it stands for.
+//! * [`vm`] — the interpreter ([`vm::Vm`]), which dispatches over an
+//!   [`ExecForm`].
 //! * [`data`] — byte-addressable simulated memory contents.
 //! * [`value`] / [`instr`] — runtime values and the instruction set.
 //!
 //! ```
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! use hsm_vm::{compile::compile, compile::STACKS_BASE, data::ByteMemory, vm::{StepOutcome, Vm}};
+//! use hsm_vm::{compile::compile, compile::STACKS_BASE, data::ByteMemory, vm::{StepOutcome, Vm}, ExecForm};
 //!
 //! let tu = hsm_cir::parse("int main() { int s = 0; int i; for (i = 1; i <= 4; i++) s += i; return s; }")?;
 //! let program = compile(&tu)?;
+//! let form = ExecForm::new(&program);
 //! let mut vm = Vm::new(&program, program.entry, vec![], STACKS_BASE);
 //! let mut mem = ByteMemory::new();
 //! loop {
-//!     match vm.run_until_event(&program)? {
+//!     match vm.run_until_event(&form)? {
 //!         StepOutcome::Finished { exit } => {
 //!             assert_eq!(exit.as_i(), 10);
 //!             break;
@@ -46,6 +54,7 @@
 
 pub mod compile;
 pub mod data;
+pub mod form;
 pub mod instr;
 pub mod opt;
 pub mod serial;
@@ -53,6 +62,7 @@ pub mod value;
 pub mod vm;
 
 pub use compile::{compile, CompileError, Program};
+pub use form::ExecForm;
 pub use instr::{Instr, Intrinsic, Op};
 pub use opt::{optimize, optimize_with_stats, OptLevel, OptStats};
 pub use serial::{parse_program, serialize_program, SerialError};

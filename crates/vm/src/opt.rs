@@ -1425,10 +1425,11 @@ mod tests {
     /// Runs a single-threaded program to completion, returning its exit
     /// value as i64 (pure-compute corpus for the fixture tests).
     fn run_to_exit(program: &Program) -> i64 {
+        let form = crate::form::ExecForm::new(program);
         let mut vm = Vm::new(program, program.entry, vec![], STACKS_BASE);
         let mut mem = ByteMemory::new();
         for _ in 0..1_000_000 {
-            match vm.run_until_event(program).expect("vm step") {
+            match vm.run_until_event(&form).expect("vm step") {
                 StepOutcome::Finished { exit } => return exit.as_i(),
                 StepOutcome::Load { addr, kind, .. } => vm.provide_load(mem.load(addr, kind)),
                 StepOutcome::Store {

@@ -8,7 +8,8 @@
 //! 48 cores interleave deterministically at instruction granularity.
 
 use crate::compile::{Program, STACK_SIZE};
-use crate::instr::{Instr, Intrinsic};
+use crate::form::{operator_forms, sink_len, ExecForm, Slot};
+use crate::instr::{Instr, Intrinsic, Op};
 use crate::value::{MemKind, Value};
 use std::fmt;
 
@@ -207,17 +208,33 @@ impl Vm {
     /// syscall, or completion), accumulating plain-instruction cycles into
     /// the returned outcome.
     ///
-    /// One fetch loop, one inline arm per opcode. The running frame's code,
-    /// `pc`, register window and memory base, `cycles` and `retired` stay in
-    /// locals; `pc` and `retired` go back to memory only where someone else
-    /// can see them: suspension points, calls, returns and faults.
+    /// One fetch loop over the program's [`ExecForm`], one inline arm per
+    /// slot kind. The running frame's slots, `pc`, register window and
+    /// memory base, `cycles` and `retired` stay in locals; `pc` and
+    /// `retired` go back to memory only where someone else can see them:
+    /// suspension points, calls, returns and faults.
+    ///
+    /// **The commit rule.** Every slot first charges and retires the
+    /// instruction it stands on, exactly as that instruction alone would. A
+    /// fused form then *commits* — skips the other instructions it covers,
+    /// charging their cycles and retiring them — only if none of them would
+    /// reach the slice valve (`cycles + rest < SLICE_CYCLES`), the stack
+    /// holds the operands it takes from there, and no operator in it faults
+    /// on the operands at hand. Otherwise it performs just its first
+    /// instruction and the slots after it carry on, so a `Ran` slice ends,
+    /// and a fault is raised with the stack and `pc`, where
+    /// [`Vm::run_until_event_matched`] ends and raises them.
     ///
     /// # Errors
     ///
     /// Returns a [`VmError`] on stack underflow, malformed bytecode, or a
     /// run-time error of the simulated program (integer division by zero,
     /// negative effective address, simulated stack overflow).
-    pub fn run_until_event(&mut self, program: &Program) -> Result<StepOutcome, VmError> {
+    ///
+    /// # Panics
+    ///
+    /// May panic if the VM was not created for `form`'s program.
+    pub fn run_until_event(&mut self, form: &ExecForm<'_>) -> Result<StepOutcome, VmError> {
         use Instr::*;
         assert!(
             self.pending.is_none(),
@@ -229,8 +246,9 @@ impl Vm {
         if self.frames.is_empty() {
             return Err(VmError::new("no active frame"));
         }
-        let (mut code, mut pc, mut mem_base, mut regs) =
-            top_frame(program, &self.frames, &mut self.regs);
+        let program = form.program;
+        let (mut slots, mut code, mut pc, mut mem_base, mut regs) =
+            top_frame(form, &self.frames, &mut self.regs);
         let mut cycles = 0u64;
         let mut retired = self.retired;
         macro_rules! park {
@@ -258,123 +276,233 @@ impl Vm {
         // Naming the opcode lets `binary` fold down to that one operator.
         macro_rules! binop {
             ($op:expr) => {
-                if let Err(e) = binop(&mut self.stack, |l, r| binary($op, l, r)) {
+                if let Err(e) = binop(&mut self.stack, $op) {
                     fault!(e)
                 }
             };
         }
+        // Register slots of fused forms were checked when the form was built.
+        macro_rules! reg {
+            ($slot:expr) => {
+                regs[$slot as usize]
+            };
+        }
+        macro_rules! branch {
+            ($v:expr, $t:expr, $when:expr) => {
+                if $v.is_truthy() == $when {
+                    pc = $t as usize;
+                }
+            };
+        }
+        // The left operand of a form that takes it from the stack.
+        macro_rules! top {
+            ($op:ident, $r:expr) => {
+                self.stack.last().and_then(|&l| binary($op, l, $r))
+            };
+        }
+        // An operator form by its source: how many of its operands come
+        // off the stack, what its first instruction pushes, and what the
+        // operator makes of the operands (`None`: it faults, or the stack
+        // operand is not there).
+        #[rustfmt::skip]
+        macro_rules! taken {
+            (RR) => { 0 };
+            (RI) => { 0 };
+            (SI) => { 1 };
+            (SR) => { 1 };
+        }
+        #[rustfmt::skip]
+        macro_rules! head {
+            (RR($a:ident, $b:ident)) => { reg!($a) };
+            (RI($a:ident, $imm:ident)) => { reg!($a) };
+            (SI($imm:ident)) => { int($imm) };
+            (SR($b:ident)) => { reg!($b) };
+        }
+        #[rustfmt::skip]
+        macro_rules! first {
+            ($op:ident, RR($a:ident, $b:ident)) => { binary($op, reg!($a), reg!($b)) };
+            ($op:ident, RI($a:ident, $imm:ident)) => { binary($op, reg!($a), int($imm)) };
+            ($op:ident, SI($imm:ident)) => { top!($op, int($imm)) };
+            ($op:ident, SR($b:ident)) => { top!($op, reg!($b)) };
+        }
+        // And by its sink: the value it delivers (`Then`: `under op2
+        // first`, `under` being the value below the operands) and where.
+        macro_rules! value {
+            ($op:ident, $src:ident $s:tt, Then($op2:ident)) => {
+                match (self.stack.len().checked_sub(1 + taken!($src)), first!($op, $src $s)) {
+                    (Some(under), Some(v)) => binary($op2, self.stack[under], v),
+                    _ => None,
+                }
+            };
+            ($op:ident, $src:ident $s:tt, $sink:ident $k:tt) => {
+                first!($op, $src $s)
+            };
+        }
+        macro_rules! sink {
+            ($v:ident, Push()) => {
+                self.stack.push($v)
+            };
+            ($v:ident, Set($c:ident)) => {
+                reg!($c) = $v
+            };
+            ($v:ident, Br($t:ident, $when:ident)) => {
+                branch!($v, $t, $when)
+            };
+            ($v:ident, Then($op2:ident)) => {
+                if let Some(under) = self.stack.last_mut() {
+                    *under = $v;
+                }
+            };
+        }
+        // An operator form: its first instruction costs a cycle; the rest
+        // commit together or not at all.
+        macro_rules! fused {
+            ($op:ident, $rest:ident, $src:ident $s:tt, $sink:ident $k:tt) => {{
+                cycles += 1;
+                match value!($op, $src $s, $sink $k) {
+                    Some(v) if cycles + u64::from($rest) < SLICE_CYCLES => {
+                        let more = 2 - taken!($src) + sink_len!($sink);
+                        pc += more;
+                        retired += more as u64;
+                        cycles += u64::from($rest);
+                        self.stack.truncate(self.stack.len() - taken!($src));
+                        sink!(v, $sink $k)
+                    }
+                    _ => self.stack.push(head!($src $s)),
+                }
+            }};
+        }
+        // One arm per slot kind; the operator forms' from their rows.
+        macro_rules! dispatch {
+            ($slot:ident; $($form:ident: $src:ident($($s:ident),*) $sink:ident($($k:ident),*);)*) => {
+                match $slot {
+                    Slot::Plain => {
+                        let instr = code[pc - 1];
+                        cycles += instr.base_cost();
+                        match instr {
+                            PushI(v) => self.stack.push(Value::I(v)),
+                            PushF(v) => self.stack.push(Value::F(v)),
+                            LocalGet(slot) => match regs.get(slot as usize) {
+                                Some(&v) => self.stack.push(v),
+                                None => fault!(VmError::new("register slot out of range")),
+                            },
+                            LocalSet(slot) => {
+                                let v = pop!();
+                                match regs.get_mut(slot as usize) {
+                                    Some(r) => *r = v,
+                                    None => fault!(VmError::new("register slot out of range")),
+                                }
+                            }
+                            LocalMemAddr(off) => self.stack.push(local_addr(mem_base, off)),
+                            Load(kind) => {
+                                let addr = match address(pop!()) {
+                                    Ok(a) => a,
+                                    Err(e) => fault!(e),
+                                };
+                                self.pending = Some(Pending::Load);
+                                park!();
+                                return Ok(StepOutcome::Load { addr, kind, cycles });
+                            }
+                            Store(kind, keep) => {
+                                let value = pop!();
+                                let addr = match address(pop!()) {
+                                    Ok(a) => a,
+                                    Err(e) => fault!(e),
+                                };
+                                let repush = keep.then_some(value);
+                                self.pending = Some(Pending::Store { repush });
+                                park!();
+                                #[rustfmt::skip]
+                                return Ok(StepOutcome::Store { addr, kind, value, cycles });
+                            }
+                            Dup => match self.stack.last() {
+                                Some(&v) => self.stack.push(v),
+                                None => fault!(VmError::new("dup on empty stack")),
+                            },
+                            Pop => {
+                                pop!();
+                            }
+                            Swap => match self.stack.as_mut_slice() {
+                                [.., a, b] => std::mem::swap(a, b),
+                                _ => fault!(underflow(&mut self.stack)),
+                            },
+                            Rot3 => match self.stack.as_mut_slice() {
+                                [.., a, b, c] => (*a, *b, *c) = (*b, *c, *a),
+                                _ => fault!(underflow(&mut self.stack)),
+                            },
+                            Add => binop!(Op::Add),
+                            Sub => binop!(Op::Sub),
+                            Mul => binop!(Op::Mul),
+                            Div => binop!(Op::Div),
+                            Rem => binop!(Op::Rem),
+                            Shl | Shr | BitAnd | BitOr | BitXor => binop!(instr.op()),
+                            CmpLt => binop!(Op::CmpLt),
+                            CmpLe => binop!(Op::CmpLe),
+                            CmpGt => binop!(Op::CmpGt),
+                            CmpGe => binop!(Op::CmpGe),
+                            CmpEq => binop!(Op::CmpEq),
+                            CmpNe => binop!(Op::CmpNe),
+                            Neg | Not | BitNot | I2F | F2I => match self.stack.last_mut() {
+                                Some(top) => *top = unary(instr, *top),
+                                None => fault!(underflow(&mut self.stack)),
+                            },
+                            Jump(t) => pc = t as usize,
+                            JumpIfZero(t) => branch!(pop!(), t, false),
+                            JumpIfNotZero(t) => branch!(pop!(), t, true),
+                            Call(idx, nargs) => {
+                                park!(); // `pc` is the return address
+                                self.enter(program, idx, nargs)?;
+                                (slots, code, pc, mem_base, regs) =
+                                    top_frame(form, &self.frames, &mut self.regs);
+                            }
+                            CallIntrinsic(intrinsic, nargs) => {
+                                park!();
+                                let (stack, pending) = (&mut self.stack, &mut self.pending);
+                                match call_intrinsic(stack, pending, intrinsic, nargs, cycles)? {
+                                    Some(syscall) => return Ok(syscall),
+                                    None => cycles += PURE_INTRINSIC_CYCLES,
+                                }
+                            }
+                            Ret | RetVoid => {
+                                park!();
+                                if let Some(exit) = self.leave(instr == Ret)? {
+                                    return Ok(StepOutcome::Finished { exit });
+                                }
+                                (slots, code, pc, mem_base, regs) =
+                                    top_frame(form, &self.frames, &mut self.regs);
+                            }
+                            Nop => {}
+                        }
+                    }
+                    $(Slot::$form { op, $($s,)* $($k,)* rest } => {
+                        fused!(op, rest, $src($($s),*), $sink($($k),*))
+                    })*
+                    // One load event, unless the `Load` is past the valve.
+                    Slot::ImmLoad(addr, kind) => {
+                        cycles += 1;
+                        if cycles + 1 < SLICE_CYCLES {
+                            (pc, retired, cycles) = (pc + 1, retired + 1, cycles + 1);
+                            self.pending = Some(Pending::Load);
+                            park!();
+                            return Ok(StepOutcome::Load { addr, kind, cycles });
+                        }
+                        self.stack.push(Value::I(addr as i64));
+                    }
+                }
+            };
+        }
         loop {
-            let Some(&instr) = code.get(pc) else {
+            let Some(&slot) = slots.get(pc) else {
                 let name = &program.funcs[self.frames.last().expect("frame").func as usize].name;
                 fault!(VmError::new(format!("pc {pc} out of bounds in `{name}`")))
             };
             pc += 1;
-            cycles += instr.base_cost();
             retired += 1;
-            match instr {
-                PushI(v) => self.stack.push(Value::I(v)),
-                PushF(v) => self.stack.push(Value::F(v)),
-                LocalGet(slot) => match regs.get(slot as usize) {
-                    Some(&v) => self.stack.push(v),
-                    None => fault!(VmError::new("register slot out of range")),
-                },
-                LocalSet(slot) => {
-                    let v = pop!();
-                    match regs.get_mut(slot as usize) {
-                        Some(r) => *r = v,
-                        None => fault!(VmError::new("register slot out of range")),
-                    }
-                }
-                LocalMemAddr(off) => self.stack.push(local_addr(mem_base, off)),
-                Load(kind) => {
-                    let addr = match address(pop!()) {
-                        Ok(a) => a,
-                        Err(e) => fault!(e),
-                    };
-                    self.pending = Some(Pending::Load);
-                    park!();
-                    return Ok(StepOutcome::Load { addr, kind, cycles });
-                }
-                Store(kind, keep) => {
-                    let value = pop!();
-                    let addr = match address(pop!()) {
-                        Ok(a) => a,
-                        Err(e) => fault!(e),
-                    };
-                    let repush = keep.then_some(value);
-                    self.pending = Some(Pending::Store { repush });
-                    park!();
-                    #[rustfmt::skip]
-                    return Ok(StepOutcome::Store { addr, kind, value, cycles });
-                }
-                Dup => match self.stack.last() {
-                    Some(&v) => self.stack.push(v),
-                    None => fault!(VmError::new("dup on empty stack")),
-                },
-                Pop => {
-                    pop!();
-                }
-                Swap => match self.stack.as_mut_slice() {
-                    [.., a, b] => std::mem::swap(a, b),
-                    _ => fault!(underflow(&mut self.stack)),
-                },
-                Rot3 => match self.stack.as_mut_slice() {
-                    [.., a, b, c] => (*a, *b, *c) = (*b, *c, *a),
-                    _ => fault!(underflow(&mut self.stack)),
-                },
-                Add => binop!(Add),
-                Sub => binop!(Sub),
-                Mul => binop!(Mul),
-                Div => binop!(Div),
-                Rem => binop!(Rem),
-                Shl | Shr | BitAnd | BitOr | BitXor => binop!(instr),
-                CmpLt => binop!(CmpLt),
-                CmpLe => binop!(CmpLe),
-                CmpGt => binop!(CmpGt),
-                CmpGe => binop!(CmpGe),
-                CmpEq => binop!(CmpEq),
-                CmpNe => binop!(CmpNe),
-                Neg | Not | BitNot | I2F | F2I => match self.stack.last_mut() {
-                    Some(top) => *top = unary(instr, *top),
-                    None => fault!(underflow(&mut self.stack)),
-                },
-                Jump(t) => pc = t as usize,
-                JumpIfZero(t) => {
-                    if !pop!().is_truthy() {
-                        pc = t as usize;
-                    }
-                }
-                JumpIfNotZero(t) => {
-                    if pop!().is_truthy() {
-                        pc = t as usize;
-                    }
-                }
-                Call(idx, nargs) => {
-                    park!(); // `pc` is the return address
-                    self.enter(program, idx, nargs)?;
-                    (code, pc, mem_base, regs) = top_frame(program, &self.frames, &mut self.regs);
-                }
-                CallIntrinsic(intrinsic, nargs) => {
-                    park!();
-                    let (stack, pending) = (&mut self.stack, &mut self.pending);
-                    match call_intrinsic(stack, pending, intrinsic, nargs, cycles)? {
-                        Some(syscall) => return Ok(syscall),
-                        None => cycles += PURE_INTRINSIC_CYCLES,
-                    }
-                }
-                Ret | RetVoid => {
-                    park!();
-                    if let Some(exit) = self.leave(instr == Ret)? {
-                        return Ok(StepOutcome::Finished { exit });
-                    }
-                    (code, pc, mem_base, regs) = top_frame(program, &self.frames, &mut self.regs);
-                }
-                Nop => {}
-            }
+            operator_forms!(dispatch slot);
             // Safety valve: surface control periodically so the engine can
             // interleave cores even through long register-only stretches.
-            // Tested after every instruction: where a `Ran` slice ends
-            // decides pthread quantum expiry and RCCE event order.
+            // Tested after every slot: where a `Ran` slice ends decides
+            // pthread quantum expiry and RCCE event order.
             if cycles >= SLICE_CYCLES {
                 park!();
                 return Ok(StepOutcome::Ran { cycles });
@@ -468,7 +596,8 @@ impl Vm {
                 | CmpLe | CmpGt | CmpGe | CmpEq | CmpNe => {
                     let r = pop(&mut self.stack)?;
                     let l = pop(&mut self.stack)?;
-                    self.stack.push(binary(instr, l, r)?);
+                    self.stack
+                        .push(binary(instr.op(), l, r).ok_or_else(division_by_zero)?);
                 }
                 Neg | Not | BitNot | I2F | F2I => {
                     let v = pop(&mut self.stack)?;
@@ -522,7 +651,10 @@ impl Vm {
                 self.regs[reg_base + i] = v;
             }
         }
-        if self.mem_sp + u64::from(callee.frame_mem) > STACK_SIZE {
+        if self.frames.len() >= MAX_DEPTH
+            || self.regs.len() > MAX_REGS
+            || self.mem_sp + u64::from(callee.frame_mem) > STACK_SIZE
+        {
             self.regs.truncate(reg_base);
             return Err(VmError::new(format!(
                 "simulated stack overflow calling `{}`",
@@ -561,21 +693,35 @@ impl Vm {
     }
 }
 
+/// Deepest call nesting. Frame memory is handed out in 8-byte units, so no
+/// chain of calls with memory-resident locals gets this far inside
+/// [`STACK_SIZE`]; the bound is for the chain without any, which would
+/// otherwise grow the host's frame and register arenas until the allocator
+/// aborts the process.
+const MAX_DEPTH: usize = (STACK_SIZE / 8) as usize;
+/// Most registers live at once, over all frames: a register is a scalar
+/// local, which a real frame would spend at least four bytes of
+/// [`STACK_SIZE`] on. It keeps the register arena of a runaway recursion
+/// in a function with many scalars to 4 MiB of host memory.
+const MAX_REGS: usize = (STACK_SIZE / 4) as usize;
 /// A slice of plain instructions ends once it has cost this many cycles.
 const SLICE_CYCLES: u64 = 4096;
 /// FP unit latency of the sqrt-class intrinsics the VM evaluates itself.
 const PURE_INTRINSIC_CYCLES: u64 = 30;
 
-/// The running frame's code, `pc`, frame-memory base and register window.
-fn top_frame<'p, 'r>(
-    program: &'p Program,
+/// The running frame's slots, the instructions they stand on, `pc`,
+/// frame-memory base and register window.
+fn top_frame<'f, 'r>(
+    form: &'f ExecForm<'_>,
     frames: &[Frame],
     regs: &'r mut [Value],
-) -> (&'p [Instr], usize, u64, &'r mut [Value]) {
+) -> (&'f [Slot], &'f [Instr], usize, u64, &'r mut [Value]) {
     let frame = frames.last().expect("an active frame");
-    let func = &program.funcs[frame.func as usize];
-    let window = &mut regs[frame.reg_base..][..func.n_regs as usize];
-    (&func.code, frame.pc as usize, frame.mem_base, window)
+    let n_regs = form.program.funcs[frame.func as usize].n_regs as usize;
+    let window = &mut regs[frame.reg_base..][..n_regs];
+    let slots = &form.funcs[frame.func as usize];
+    let code = &form.program.funcs[frame.func as usize].code[..slots.len()];
+    (slots, code, frame.pc as usize, frame.mem_base, window)
 }
 
 /// A pop found fewer values than the instruction needs. The instruction
@@ -588,6 +734,12 @@ fn underflow(stack: &mut Vec<Value>) -> VmError {
 
 fn pop(stack: &mut Vec<Value>) -> Result<Value, VmError> {
     stack.pop().ok_or_else(|| underflow(stack))
+}
+
+/// The immediate of a fused form as the value its `PushI` pushes.
+#[inline(always)]
+fn int(imm: i32) -> Value {
+    Value::I(i64::from(imm))
 }
 
 fn local_addr(mem_base: u64, off: u32) -> Value {
@@ -617,33 +769,40 @@ fn call_intrinsic(
         args.push(pop(stack)?);
     }
     args.reverse();
-    let value = match intrinsic {
-        Intrinsic::Sqrt => args[0].as_f().sqrt(),
-        Intrinsic::Fabs => args[0].as_f().abs(),
-        _ => {
-            *pending = Some(Pending::Syscall);
-            #[rustfmt::skip]
-            return Ok(Some(StepOutcome::Syscall { intrinsic, args, cycles }));
-        }
+    if !intrinsic.is_pure() {
+        *pending = Some(Pending::Syscall);
+        #[rustfmt::skip]
+        return Ok(Some(StepOutcome::Syscall { intrinsic, args, cycles }));
+    }
+    // `sqrt()` compiles: the call is the C program's error, not the host's.
+    let Some(x) = args.first().map(|x| x.as_f()) else {
+        let name = intrinsic.name();
+        return Err(VmError::new(format!("`{name}` called without an argument")));
     };
-    stack.push(Value::F(value));
+    stack.push(Value::F(match intrinsic {
+        Intrinsic::Sqrt => x.sqrt(),
+        _ => x.abs(),
+    }));
     Ok(None)
 }
 
-/// Replaces the top two values `l r` with `f(l, r)`; a fault consumes both.
+/// Replaces the top two values `l r` with `op(l, r)`; a fault consumes both.
 #[inline(always)]
-fn binop(
-    stack: &mut Vec<Value>,
-    f: impl FnOnce(Value, Value) -> Result<Value, VmError>,
-) -> Result<(), VmError> {
+fn binop(stack: &mut Vec<Value>, op: Op) -> Result<(), VmError> {
     let n = stack.len();
     if n < 2 {
         return Err(underflow(stack));
     }
-    let out = f(stack[n - 2], stack[n - 1]);
+    let out = binary(op, stack[n - 2], stack[n - 1]);
     stack.truncate(n - 2);
-    stack.push(out?);
+    stack.push(out.ok_or_else(division_by_zero)?);
     Ok(())
+}
+
+/// The one fault a binary operator has.
+#[cold]
+fn division_by_zero() -> VmError {
+    VmError::new("integer division by zero")
 }
 
 /// `Neg`, `Not`, `BitNot`, `I2F`, `F2I`.
@@ -659,73 +818,78 @@ fn unary(instr: Instr, v: Value) -> Value {
     }
 }
 
-/// Every two-operand instruction.
+/// Every two-operand instruction; `None` is integer division by zero.
+/// One arm per operator, each naming it, so that a caller holding the
+/// operator as data pays one switch and lands in code folded for it.
 #[inline(always)]
-fn binary(instr: Instr, l: Value, r: Value) -> Result<Value, VmError> {
-    use Instr::*;
-    match instr {
-        Add | Sub | Mul | Div | Rem => arith(instr, l, r),
-        Shl | Shr | BitAnd | BitOr | BitXor => {
-            let (a, b) = (l.as_i(), r.as_i());
-            Ok(Value::I(match instr {
-                Shl => a.wrapping_shl(b as u32),
-                Shr => a.wrapping_shr(b as u32),
-                BitAnd => a & b,
-                BitOr => a | b,
-                _ => a ^ b,
-            }))
-        }
-        _ => Ok(compare(instr, l, r)),
+fn binary(op: Op, l: Value, r: Value) -> Option<Value> {
+    match op {
+        Op::Add => arith(Op::Add, l, r),
+        Op::Sub => arith(Op::Sub, l, r),
+        Op::Mul => arith(Op::Mul, l, r),
+        Op::Div => arith(Op::Div, l, r),
+        Op::Rem => arith(Op::Rem, l, r),
+        Op::Shl => Some(Value::I(l.as_i().wrapping_shl(r.as_i() as u32))),
+        Op::Shr => Some(Value::I(l.as_i().wrapping_shr(r.as_i() as u32))),
+        Op::BitAnd => Some(Value::I(l.as_i() & r.as_i())),
+        Op::BitOr => Some(Value::I(l.as_i() | r.as_i())),
+        Op::BitXor => Some(Value::I(l.as_i() ^ r.as_i())),
+        Op::CmpLt => Some(compare(Op::CmpLt, l, r)),
+        Op::CmpLe => Some(compare(Op::CmpLe, l, r)),
+        Op::CmpGt => Some(compare(Op::CmpGt, l, r)),
+        Op::CmpGe => Some(compare(Op::CmpGe, l, r)),
+        Op::CmpEq => Some(compare(Op::CmpEq, l, r)),
+        Op::CmpNe => Some(compare(Op::CmpNe, l, r)),
+        _ => unreachable!("{op:?} is not a binary operator"),
     }
 }
 
 #[inline(always)]
-fn arith(instr: Instr, l: Value, r: Value) -> Result<Value, VmError> {
-    use Instr::*;
+fn arith(op: Op, l: Value, r: Value) -> Option<Value> {
     // Integer case first: it is what loop counters and indices are.
     let (Value::I(a), Value::I(b)) = (l, r) else {
         let (a, b) = (l.as_f(), r.as_f());
-        return Ok(Value::F(match instr {
-            Add => a + b,
-            Sub => a - b,
-            Mul => a * b,
-            Div => a / b,
+        return Some(Value::F(match op {
+            Op::Add => a + b,
+            Op::Sub => a - b,
+            Op::Mul => a * b,
+            Op::Div => a / b,
             _ => a % b,
         }));
     };
-    if matches!(instr, Div | Rem) && b == 0 {
-        return Err(VmError::new("integer division by zero"));
+    if matches!(op, Op::Div | Op::Rem) && b == 0 {
+        return None;
     }
     // Same quotient and remainder through the narrow divide, a much
     // shorter instruction on most hosts, when both operands fit.
     let narrow = u32::try_from(a).ok().zip(u32::try_from(b).ok());
-    Ok(Value::I(match (instr, narrow) {
-        (Add, _) => a.wrapping_add(b),
-        (Sub, _) => a.wrapping_sub(b),
-        (Mul, _) => a.wrapping_mul(b),
-        (Div, Some((a, b))) => i64::from(a / b),
-        (Div, None) => a.wrapping_div(b),
+    Some(Value::I(match (op, narrow) {
+        (Op::Add, _) => a.wrapping_add(b),
+        (Op::Sub, _) => a.wrapping_sub(b),
+        (Op::Mul, _) => a.wrapping_mul(b),
+        (Op::Div, Some((a, b))) => i64::from(a / b),
+        (Op::Div, None) => a.wrapping_div(b),
         (_, Some((a, b))) => i64::from(a % b),
         (_, None) => a.wrapping_rem(b),
     }))
 }
 
 #[inline(always)]
-fn compare(instr: Instr, l: Value, r: Value) -> Value {
+fn compare(op: Op, l: Value, r: Value) -> Value {
     #[inline(always)]
-    fn holds<T: PartialOrd>(instr: Instr, a: T, b: T) -> bool {
-        match instr {
-            Instr::CmpLt => a < b,
-            Instr::CmpLe => a <= b,
-            Instr::CmpGt => a > b,
-            Instr::CmpGe => a >= b,
-            Instr::CmpEq => a == b,
+    fn holds<T: PartialOrd>(op: Op, a: T, b: T) -> bool {
+        match op {
+            Op::CmpLt => a < b,
+            Op::CmpLe => a <= b,
+            Op::CmpGt => a > b,
+            Op::CmpGe => a >= b,
+            Op::CmpEq => a == b,
             _ => a != b,
         }
     }
     Value::I(i64::from(match (l, r) {
-        (Value::I(a), Value::I(b)) => holds(instr, a, b),
-        _ => holds(instr, l.as_f(), r.as_f()),
+        (Value::I(a), Value::I(b)) => holds(op, a, b),
+        _ => holds(op, l.as_f(), r.as_f()),
     }))
 }
 
@@ -753,8 +917,8 @@ impl UnitVm {
     /// # Errors
     ///
     /// Returns a [`VmError`] on stack underflow or malformed bytecode.
-    pub fn run_until_event(&mut self, program: &Program) -> Result<StepOutcome, VmError> {
-        self.0.run_until_event(program)
+    pub fn run_until_event(&mut self, form: &ExecForm<'_>) -> Result<StepOutcome, VmError> {
+        self.0.run_until_event(form)
     }
 
     /// Completes a pending load with the value the memory model resolved.
@@ -809,10 +973,11 @@ mod tests {
         for (addr, bytes) in &program.image {
             mem.write_bytes(*addr, bytes);
         }
+        let form = ExecForm::new(&program);
         let mut vm = Vm::new(&program, program.entry, vec![], STACKS_BASE);
         let mut cycles = 0u64;
         loop {
-            match vm.run_until_event(&program).expect("vm") {
+            match vm.run_until_event(&form).expect("vm") {
                 StepOutcome::Ran { cycles: c } => cycles += c,
                 StepOutcome::Load {
                     addr,
@@ -975,9 +1140,10 @@ mod tests {
     #[test]
     fn division_by_zero_is_a_fault() {
         let program = compile(&parse("int main() { int z = 0; return 5 / z; }").unwrap()).unwrap();
+        let form = ExecForm::new(&program);
         let mut vm = Vm::new(&program, program.entry, vec![], STACKS_BASE);
         let err = loop {
-            match vm.run_until_event(&program) {
+            match vm.run_until_event(&form) {
                 Ok(StepOutcome::Finished { .. }) => panic!("should fault"),
                 Ok(_) => continue,
                 Err(e) => break e,
@@ -999,10 +1165,11 @@ mod tests {
     fn deep_recursion_overflows_gracefully() {
         let src = "int f(int n) { int big[20000]; big[0] = n; if (n == 0) return 0; return f(n - 1) + big[0]; } int main() { return f(100); }";
         let program = compile(&parse(src).unwrap()).unwrap();
+        let form = ExecForm::new(&program);
         let mut vm = Vm::new(&program, program.entry, vec![], STACKS_BASE);
         let mut mem = ByteMemory::new();
         let err = loop {
-            match vm.run_until_event(&program) {
+            match vm.run_until_event(&form) {
                 Ok(StepOutcome::Finished { .. }) => panic!("should overflow"),
                 Ok(StepOutcome::Load { addr, kind, .. }) => vm.provide_load(mem.load(addr, kind)),
                 Ok(StepOutcome::Store {
@@ -1018,12 +1185,77 @@ mod tests {
         assert!(err.to_string().contains("stack overflow"), "{err}");
     }
 
+    /// One register-only function as a whole program.
+    fn program_of(code: Vec<Instr>, n_regs: u16) -> Program {
+        Program {
+            funcs: vec![crate::compile::Function {
+                name: "f".to_string(),
+                code,
+                n_regs,
+                n_params: 0,
+                frame_mem: 0,
+                ret: hsm_cir::types::CType::Int,
+                frame_vars: Vec::new(),
+            }],
+            globals: Vec::new(),
+            strings: Vec::new(),
+            image: Vec::new(),
+            entry: 0,
+        }
+    }
+
+    /// Runs `program`, whose dynamic instruction stream is `stream`, on
+    /// both interpreters and holds every `Ran` slice against the stream.
+    fn check_slices(program: &Program, stream: &[Instr], expected_exit: i64) {
+        let largest = Instr::Div.base_cost();
+        let form = ExecForm::new(program);
+        let slices_of = |production: bool| {
+            let mut vm = Vm::new(program, 0, vec![], STACKS_BASE);
+            let mut slices = Vec::new();
+            loop {
+                let before = vm.instructions_retired() as usize;
+                let outcome = if production {
+                    vm.run_until_event(&form)
+                } else {
+                    vm.run_until_event_matched(program)
+                };
+                let after = vm.instructions_retired() as usize;
+                match outcome.expect("no faults") {
+                    StepOutcome::Ran { cycles } => {
+                        assert!(
+                            (SLICE_CYCLES..SLICE_CYCLES + largest).contains(&cycles),
+                            "slice of {cycles} cycles"
+                        );
+                        let billed: u64 = stream[before..after].iter().map(|i| i.base_cost()).sum();
+                        assert_eq!(cycles, billed, "instructions {before}..{after}");
+                        // The slice ends at the first instruction to reach
+                        // the valve, not after the form it is part of.
+                        let last = stream[after - 1].base_cost();
+                        assert!(cycles - last < SLICE_CYCLES, "slice ran past the valve");
+                        slices.push((before, after, cycles));
+                    }
+                    // `Finished` carries no cycles: the partial slice that
+                    // ends the run is dropped, today and after this test.
+                    StepOutcome::Finished { exit } => {
+                        assert_eq!(exit, Value::I(expected_exit));
+                        assert_eq!(after, stream.len(), "every instruction retired once");
+                        return slices;
+                    }
+                    other => panic!("a register-only loop produced {other:?}"),
+                }
+            }
+        };
+        let production = slices_of(true);
+        assert!(production.len() > 20, "{} slices", production.len());
+        assert_eq!(production, slices_of(false), "reference arm slices");
+    }
+
     /// The slice boundary is a contract: where a `Ran` slice ends decides
     /// pthread quantum expiry and RCCE event order, hence simulated cycles.
-    /// Any later fusion of instructions has to keep exactly this.
+    /// A fused form has to keep exactly this: it commits only when none of
+    /// the instructions it covers reaches the valve.
     #[test]
     fn ran_slices_end_at_the_first_instruction_past_the_valve() {
-        use crate::compile::Function;
         use Instr::*;
         // r0 = i, r1 = acc: `for (i = 0; i < 3000; i++) acc += i % 7;`
         const ITERATIONS: i64 = 3000;
@@ -1053,58 +1285,236 @@ mod tests {
         }
         stream.extend(head);
         stream.extend(tail);
-        let program = Program {
-            funcs: vec![Function {
-                name: "loop".to_string(),
-                code,
-                n_regs: 2,
-                n_params: 0,
-                frame_mem: 0,
-                ret: hsm_cir::types::CType::Int,
-                frame_vars: Vec::new(),
-            }],
-            globals: Vec::new(),
-            strings: Vec::new(),
-            image: Vec::new(),
-            entry: 0,
-        };
-        let largest = Instr::Div.base_cost();
-        let slices_of = |production: bool| {
-            let mut vm = Vm::new(&program, 0, vec![], STACKS_BASE);
-            let mut slices = Vec::new();
+        let expected: i64 = (0..ITERATIONS).map(|i| i % 7).sum();
+        check_slices(&program_of(code, 2), &stream, expected);
+    }
+
+    /// The same contract on a loop in which every dispatch is a fused form
+    /// (the back edge included) and the valve lands inside one almost every
+    /// time: `do { t = i * i; t = t % 7; acc = acc + t; i = i + 1; } while
+    /// (i < 3000);` costs 46 cycles a turn, and 4096 is not a multiple.
+    #[test]
+    fn ran_slices_end_inside_fused_forms_where_the_plain_loop_ends_them() {
+        use Instr::*;
+        const ITERATIONS: i64 = 3000;
+        let prologue = [PushI(0), LocalSet(0)];
+        #[rustfmt::skip]
+        let body = [
+            LocalGet(0), LocalGet(0), Mul, LocalSet(2),
+            LocalGet(2), PushI(7), Rem, LocalSet(2),
+            LocalGet(1), LocalGet(2), Add, LocalSet(1),
+            LocalGet(0), PushI(1), Add, LocalSet(0),
+            LocalGet(0), PushI(ITERATIONS), CmpLt, JumpIfNotZero(2),
+        ];
+        let tail = [LocalGet(1), Ret];
+        let code: Vec<Instr> = [&prologue[..], &body, &tail].concat();
+        let program = program_of(code, 3);
+        let form = ExecForm::new(&program);
+        for p in (2..22).step_by(4) {
+            assert_eq!(
+                form.funcs[0][p].covers(),
+                4,
+                "slot {p}: {:?}",
+                form.funcs[0][p]
+            );
+        }
+        let mut stream = prologue.to_vec();
+        for _ in 0..ITERATIONS {
+            stream.extend(body);
+        }
+        stream.extend(tail);
+        let expected: i64 = (0..ITERATIONS).map(|i| (i * i) % 7).sum();
+        check_slices(&program, &stream, expected);
+    }
+
+    /// Every fused form does what the plain instructions it covers do —
+    /// same outcomes, same fault, same state after each — entered at every
+    /// slot it spans, over operands that commit, fault (zero divisors) and
+    /// underflow (shallow stacks), and with the slice valve landing on each
+    /// of its instructions in turn.
+    #[test]
+    fn every_form_from_every_slot_equals_the_instructions_it_covers() {
+        use Instr::*;
+        const OPERATORS: [Instr; 16] = [
+            Add, Sub, Mul, Div, Rem, Shl, Shr, BitAnd, BitOr, BitXor, CmpLt, CmpLe, CmpGt, CmpGe,
+            CmpEq, CmpNe,
+        ];
+        // r0 = 0, r1 = 7, r2 = -3, r3 = 2.5; r4 is the `LocalSet` target.
+        let regs = [
+            Value::I(0),
+            Value::I(7),
+            Value::I(-3),
+            Value::F(2.5),
+            Value::I(99),
+        ];
+        let stacks: [&[Value]; 5] = [
+            &[],
+            &[Value::I(5)],
+            &[Value::I(0), Value::I(12)],
+            &[Value::F(1.5), Value::I(0)],
+            &[Value::I(3), Value::I(4), Value::I(-9)],
+        ];
+        let sources: [(&str, &[Instr]); 8] = [
+            ("RR", &[LocalGet(1), LocalGet(2)]),
+            ("RR", &[LocalGet(3), LocalGet(0)]),
+            ("RI", &[LocalGet(1), PushI(3)]),
+            ("RI", &[LocalGet(2), PushI(0)]),
+            ("SI", &[PushI(4)]),
+            ("SI", &[PushI(0)]),
+            ("SR", &[LocalGet(1)]),
+            ("SR", &[LocalGet(0)]),
+        ];
+        // (form, code, whether to sweep the valve over it: one operator of
+        // each cost is enough there).
+        let mut samples: Vec<(String, Vec<Instr>, bool)> = vec![(
+            "ImmLoad".into(),
+            vec![PushI(4096), Load(MemKind::I32)],
+            true,
+        )];
+        for op in OPERATORS {
+            let sweep = matches!(op, Add | Mul | Rem);
+            for (src, operands) in sources {
+                let n = operands.len() as u32 + 1;
+                let sinks: [(&str, Vec<Instr>); 5] = [
+                    ("Push", vec![]),
+                    ("Set", vec![LocalSet(4)]),
+                    ("Br", vec![JumpIfZero(n + 2), PushI(1)]),
+                    ("Br", vec![JumpIfNotZero(n + 2), PushI(1)]),
+                    ("Then", vec![if op == Div { Rem } else { Div }]),
+                ];
+                for (sink, after) in sinks {
+                    let code = [operands, &[op], &after[..]].concat();
+                    samples.push((format!("{src}{sink}"), code, sweep));
+                }
+            }
+        }
+        // 4027 cycles, then a Nop a cycle: the form starts anywhere from
+        // 69 cycles short of the valve (the dearest form costs 50) to past it.
+        let burn = [&[PushI(1)][..], &[PushI(1), Div].repeat(161), &[Pop]].concat();
+        let both = |program: &Program, poised: &dyn Fn() -> Vm, context: &str| {
+            let form = ExecForm::new(program);
+            let (mut production, mut reference) = (poised(), poised());
             loop {
-                let before = vm.instructions_retired() as usize;
-                let outcome = if production {
-                    vm.run_until_event(&program)
-                } else {
-                    vm.run_until_event_matched(&program)
-                };
-                let after = vm.instructions_retired() as usize;
-                match outcome.expect("no faults") {
-                    StepOutcome::Ran { cycles } => {
-                        assert!(
-                            (SLICE_CYCLES..SLICE_CYCLES + largest).contains(&cycles),
-                            "slice of {cycles} cycles"
-                        );
-                        let billed: u64 = stream[before..after].iter().map(|i| i.base_cost()).sum();
-                        assert_eq!(cycles, billed, "instructions {before}..{after}");
-                        slices.push((before, after, cycles));
+                let fused = production.run_until_event(&form);
+                let plain = reference.run_until_event_matched(program);
+                // By rendering: NaN is a legitimate result.
+                assert_eq!(format!("{fused:?}"), format!("{plain:?}"), "{context}");
+                assert_eq!(
+                    format!("{production:?}"),
+                    format!("{reference:?}"),
+                    "{context}"
+                );
+                match fused {
+                    Ok(StepOutcome::Load { .. }) => {
+                        production.provide_load(Value::I(6));
+                        reference.provide_load(Value::I(6));
                     }
-                    // `Finished` carries no cycles: the partial slice that
-                    // ends the run is dropped, today and after this test.
-                    StepOutcome::Finished { exit } => {
-                        let expected: i64 = (0..ITERATIONS).map(|i| i % 7).sum();
-                        assert_eq!(exit, Value::I(expected));
-                        assert_eq!(after, stream.len(), "every instruction retired once");
-                        return slices;
-                    }
-                    other => panic!("a register-only loop produced {other:?}"),
+                    Ok(StepOutcome::Ran { .. }) => {}
+                    _ => return,
                 }
             }
         };
-        let production = slices_of(true);
-        assert!(production.len() > 20, "{} slices", production.len());
-        assert_eq!(production, slices_of(false), "reference arm slices");
+        let mut built = std::collections::BTreeSet::new();
+        for (name, mut code, sweep) in samples {
+            code.extend([LocalGet(4), Ret]);
+            for pad in (0..=72).take_while(|_| sweep) {
+                let shift = (burn.len() + pad) as u32;
+                let moved = code.iter().map(|&instr| match instr {
+                    JumpIfZero(t) => JumpIfZero(t + shift),
+                    JumpIfNotZero(t) => JumpIfNotZero(t + shift),
+                    other => other,
+                });
+                let padded = burn.iter().copied().chain([Nop].repeat(pad)).chain(moved);
+                let program = program_of(padded.collect(), regs.len() as u16);
+                let poised = || {
+                    let mut vm = Vm::new(&program, 0, vec![], STACKS_BASE);
+                    vm.regs.copy_from_slice(&regs);
+                    vm.stack.extend_from_slice(stacks[4]);
+                    vm
+                };
+                both(&program, &poised, &format!("{code:?} after {pad} Nops"));
+            }
+            let program = program_of(code, regs.len() as u16);
+            let form = ExecForm::new(&program);
+            let head = format!("{:?}", form.funcs[0][0]);
+            assert!(
+                head.starts_with(&format!("{name} {{")) || head.starts_with(&format!("{name}(")),
+                "{head} is not {name}"
+            );
+            built.insert(name);
+            for entry in 0..form.funcs[0][0].covers() {
+                for stack in stacks {
+                    let poised = || {
+                        let mut vm = Vm::new(&program, 0, vec![], STACKS_BASE);
+                        vm.frames[0].pc = entry as u32;
+                        vm.regs.copy_from_slice(&regs);
+                        vm.stack.extend_from_slice(stack);
+                        vm
+                    };
+                    let context = format!("{:?} from {entry} on {stack:?}", program.funcs[0].code);
+                    both(&program, &poised, &context);
+                }
+            }
+        }
+        assert_eq!(built.len(), 17, "{built:?}");
+    }
+
+    /// `frame_mem` is zero when no local lives in memory, and then nothing
+    /// the simulated stack pointer does stops a runaway recursion: the
+    /// bounds on call depth and live registers do, with both host arenas
+    /// still small.
+    #[test]
+    fn recursion_without_frame_memory_overflows_the_simulated_stack() {
+        let locals: String = (1..64)
+            .map(|i| format!("int a{i} = a{} + 1; ", i - 1))
+            .collect();
+        let wide = format!(
+            "int f(int a0) {{ {locals}return f(a63) + a1; }} int main() {{ return f(0); }}"
+        );
+        for (src, deepest) in [
+            ("int main() { return main(); }", MAX_DEPTH),
+            (
+                "int f(int n) { return f(n + 1) + n; } int main() { return f(0); }",
+                MAX_DEPTH,
+            ),
+            (wide.as_str(), MAX_REGS / 64 + 1),
+        ] {
+            let program = compile(&parse(src).unwrap()).unwrap();
+            assert!(program.funcs.iter().all(|f| f.frame_mem == 0));
+            let form = ExecForm::new(&program);
+            let mut vm = Vm::new(&program, program.entry, vec![], STACKS_BASE);
+            let err = loop {
+                match vm.run_until_event(&form) {
+                    Ok(StepOutcome::Ran { .. }) => assert!(vm.depth() <= deepest),
+                    Ok(other) => panic!("{other:?}"),
+                    Err(e) => break e,
+                }
+            };
+            assert!(
+                err.message
+                    .starts_with("simulated stack overflow calling `"),
+                "{err}"
+            );
+            assert_eq!(vm.depth(), deepest);
+            assert!(vm.frames.capacity() <= 2 * MAX_DEPTH);
+            assert!(vm.regs.len() <= MAX_REGS && vm.regs.capacity() <= 2 * MAX_REGS + 128);
+        }
+    }
+
+    #[test]
+    fn a_pure_intrinsic_without_an_argument_is_a_fault() {
+        for (src, name) in [
+            ("int main() { double x = sqrt(); return (int)x; }", "sqrt"),
+            ("int main() { double x = fabs(); return (int)x; }", "fabs"),
+        ] {
+            let program = compile(&parse(src).unwrap()).unwrap();
+            let form = ExecForm::new(&program);
+            let mut vm = Vm::new(&program, program.entry, vec![], STACKS_BASE);
+            let err = vm
+                .run_until_event(&form)
+                .expect_err("no argument to evaluate");
+            assert_eq!(err.message, format!("`{name}` called without an argument"));
+        }
     }
 
     #[test]

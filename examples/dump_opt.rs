@@ -1,18 +1,28 @@
-//! Disassembles a corpus program at `O0` and `O2` side by side.
+//! Disassembles a program at `O0` and `O2` side by side, and the `O0`
+//! bytecode's execution form: what the VM dispatches over.
 //!
-//! The before/after listings in `docs/OPTIMIZER.md` were produced with
-//! this tool. Usage (from the repo root):
+//! The before/after listings in `docs/OPTIMIZER.md` and the dispatch-count
+//! table in DESIGN.md §10 were produced with this tool. Usage (from the
+//! repo root):
 //!
 //! ```text
 //! cargo run --release --example dump_opt [FILE [CORES [FUNC]]]
 //! # e.g. cargo run --release --example dump_opt example_4_1.c 3 RCCE_APP
+//! #      cargo run --release --example dump_opt paper:primes 32 tf
 //! ```
 //!
-//! `FILE` is relative to `corpus/` (default `example_4_1.c`), `CORES`
-//! is the translation core count (default 3), and an optional `FUNC`
-//! restricts the dump to one function by name.
+//! `FILE` is relative to `corpus/` (default `example_4_1.c`), or
+//! `paper:NAME` for the paper workload whose name contains `NAME`
+//! (`pi`, `3-5`, `primes`, `stream`, `dot`, `lu`) at its default
+//! parameters for `CORES` threads; `CORES` is the translation core count
+//! (default 3), and an optional `FUNC` restricts the dump to one function
+//! by name. In the execution-form listing a `*` marks the slots dispatch
+//! reaches from slot 0; each innermost loop and the function end with
+//! "N instructions -> M dispatch slots reachable from slot 0", a loop's
+//! line also with the fused forms among those slots.
 
 use hsm_core::{OptLevel, Pipeline, Scenario};
+use hsm_workloads::Bench;
 
 fn main() {
     let name = std::env::args()
@@ -23,7 +33,16 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(3);
     let func = std::env::args().nth(3);
-    let src = std::fs::read_to_string(format!("corpus/{name}")).expect("read corpus program");
+    let src = match name.strip_prefix("paper:") {
+        Some(which) => {
+            let bench = Bench::all()
+                .into_iter()
+                .find(|b| b.name().to_lowercase().contains(&which.to_lowercase()))
+                .expect("a paper workload of that name");
+            hsm_workloads::source(bench, &bench.default_params(cores))
+        }
+        None => std::fs::read_to_string(format!("corpus/{name}")).expect("read corpus program"),
+    };
     let o0 = Pipeline::new(src.clone())
         .cores(cores)
         .program()
@@ -33,7 +52,8 @@ fn main() {
         .scenario(Scenario::default().opt_level(OptLevel::O2))
         .program()
         .expect("compile at O2");
-    for (f0, f2) in o0.funcs.iter().zip(o2.funcs.iter()) {
+    let form = hsm_vm::ExecForm::new(&o0);
+    for (index, (f0, f2)) in o0.funcs.iter().zip(o2.funcs.iter()).enumerate() {
         if let Some(want) = &func {
             if &f0.name != want {
                 continue;
@@ -49,6 +69,8 @@ fn main() {
         println!("{}", hsm_vm::opt::disassemble(&f0.code));
         println!("---- O2 ----");
         println!("{}", hsm_vm::opt::disassemble(&f2.code));
+        println!("---- O0, execution form ----");
+        println!("{}", form.disassemble(index));
     }
     println!("total static: {} -> {}", o0.code_len(), o2.code_len());
 }

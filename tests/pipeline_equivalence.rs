@@ -102,3 +102,47 @@ fn simulation_is_deterministic() {
     assert_eq!(a.total_cycles, b.total_cycles);
     assert_eq!(a.output_text(), b.output_text());
 }
+
+/// Stage 5 prints the translated program and the driver re-parses it: a
+/// float literal has to come back a float. `1e16` used to be printed as
+/// `10000000000000000`, turning `1e16 / 3` into an integer division in
+/// the RCCE program only, and `1e300` as a 301-digit integer that failed
+/// the re-parse.
+#[test]
+fn large_float_literals_survive_translation() {
+    use hsm_core::api::Pipeline;
+    let source = "\
+#include <stdio.h>
+#include <pthread.h>
+double out[2];
+void *tf(void *tid) {
+    int id = (int)tid;
+    double third = 1e16 / 3;
+    double big = 1e300;
+    out[id] = third * 2 - 6666666666666660 + big / 1e299;
+    pthread_exit(NULL);
+}
+int main() {
+    pthread_t threads[2];
+    int t;
+    for (t = 0; t < 2; t++) pthread_create(&threads[t], NULL, tf, (void *)t);
+    for (t = 0; t < 2; t++) pthread_join(threads[t], NULL);
+    printf(\"%.1f\\n\", out[0] + out[1]);
+    return (int)(out[0] + out[1]);
+}";
+    // 1e16 / 3 = 3333333333333333.5 in doubles; twice that ends in 7.
+    let run = |mode: Mode| {
+        Pipeline::new(source)
+            .cores(2)
+            .scenario(mode.into())
+            .run_scenario()
+            .unwrap_or_else(|e| panic!("{}: {e}", mode.label()))
+    };
+    let base = run(Mode::PthreadBaseline);
+    assert_eq!(base.exit_code, 2 * (7 + 10));
+    for mode in [Mode::RcceOffChip, Mode::RcceHsm] {
+        let translated = run(mode);
+        assert_eq!(translated.exit_code, base.exit_code, "{}", mode.label());
+        assert!(outputs_equivalent(&base, &translated), "{}", mode.label());
+    }
+}

@@ -176,17 +176,11 @@ const NEGATIVE_FORMAT: &str = "int main() { printf((char *)(0 - 8)); return 0; }
 
 #[test]
 fn a_negative_syscall_pointer_is_a_run_error_not_a_host_panic() {
-    let every = [
-        Mode::PthreadBaseline,
-        Mode::RcceOffChip,
-        Mode::RcceHsm,
-        Mode::TaskDataflow,
-    ];
     let cases: [(&str, &str, &[Mode]); 4] = [
         ("mutex", NEGATIVE_MUTEX, &[Mode::PthreadBaseline]),
         ("put", NEGATIVE_PUT, &[Mode::RcceOffChip, Mode::RcceHsm]),
         ("region", NEGATIVE_REGION, &[Mode::TaskDataflow]),
-        ("format", NEGATIVE_FORMAT, &every),
+        ("format", NEGATIVE_FORMAT, &EVERY_MODE),
     ];
     for (what, source, modes) in cases {
         for &mode in modes {
@@ -201,6 +195,86 @@ fn a_negative_syscall_pointer_is_a_run_error_not_a_host_panic() {
                 err.to_string().contains("negative address -8"),
                 "{tag}: {err}"
             );
+        }
+    }
+}
+
+const EVERY_MODE: [Mode; 4] = [
+    Mode::PthreadBaseline,
+    Mode::RcceOffChip,
+    Mode::RcceHsm,
+    Mode::TaskDataflow,
+];
+
+/// `sqrt()` and `fabs()` compile (the frontend does not know their arity)
+/// and the VM evaluates them itself: with no argument there is nothing to
+/// evaluate, which is the program's error.
+const BARE_SQRT: &str = "int main() { double x = sqrt(); return (int)x; }";
+const BARE_FABS: &str = "int main() { double x = fabs(); return (int)x; }";
+
+#[test]
+fn a_pure_intrinsic_without_an_argument_is_a_run_error_not_a_host_panic() {
+    for (name, source) in [("sqrt", BARE_SQRT), ("fabs", BARE_FABS)] {
+        for mode in EVERY_MODE {
+            let err = Pipeline::new(source)
+                .cores(2)
+                .scenario(mode.into())
+                .run_scenario()
+                .expect_err("there is nothing to take the root of");
+            let tag = format!("{name}/{}", mode.label());
+            assert_eq!(err.stage(), "exec", "{tag}: {err}");
+            let expected = format!("`{name}` called without an argument");
+            assert!(err.to_string().contains(&expected), "{tag}: {err}");
+        }
+    }
+}
+
+/// Recursion that never returns, in functions none of whose locals live in
+/// memory: the simulated stack pointer never moves, so only the call-depth
+/// bound stands between this and the host's allocator aborting the process.
+const RUNAWAY_MAIN: &str = "int main() { return main(); }";
+const RUNAWAY_HELPER: &str = "\
+int f(int n) { return f(n + 1) + n; }
+int main() { return f(0); }";
+
+#[test]
+fn runaway_recursion_without_frame_memory_is_a_stack_overflow_in_bounded_time() {
+    // The translator renames `main`, so a translated `main` cannot call
+    // itself; the helper recursion runs in all four modes.
+    let untranslated = [Mode::PthreadBaseline, Mode::TaskDataflow];
+    // Sixty-four scalar locals a frame: here the bound on live registers
+    // (262 144 of them, 4 MiB) is reached first, 4 096 calls deep.
+    let locals: String = (1..64)
+        .map(|i| format!("int a{i} = a{} + 1; ", i - 1))
+        .collect();
+    let wide =
+        format!("int f(int a0) {{ {locals}return f(a63) + a1; }}\nint main() {{ return f(0); }}");
+    let cases: [(&str, &str, &[Mode]); 3] = [
+        ("main", RUNAWAY_MAIN, &untranslated),
+        ("helper", RUNAWAY_HELPER, &EVERY_MODE),
+        ("wide", &wide, &EVERY_MODE),
+    ];
+    for (what, source, modes) in cases {
+        for &mode in modes {
+            let started = std::time::Instant::now();
+            let err = Pipeline::new(source)
+                .cores(2)
+                .scenario(mode.into())
+                .run_scenario()
+                .expect_err("the recursion has no base case");
+            let tag = format!("{what}/{}", mode.label());
+            assert_eq!(err.stage(), "exec", "{tag}: {err}");
+            assert!(
+                err.to_string()
+                    .contains("simulated stack overflow calling `"),
+                "{tag}: {err}"
+            );
+            // At most 131 072 frames and 262 144 registers: milliseconds
+            // and under 16 MiB (`hsm-vm`'s unit test of the same bound
+            // measures the arenas). Unbounded, this doubled the arenas
+            // until the allocator gave up, seconds and gigabytes later.
+            let took = started.elapsed();
+            assert!(took.as_secs() < 20, "{tag}: {took:?}");
         }
     }
 }
@@ -237,13 +311,22 @@ fn a_faulting_simulate_job_leaves_its_connection_usable() {
         },
     };
 
-    // A fault the VM raises, then one a syscall argument raises.
-    for (id, source) in [(1, NEGATIVE_LOAD), (3, NEGATIVE_MUTEX)] {
+    // A fault the VM raises, one a syscall argument raises, the two that
+    // used to be host panics inside the worker, and the one that used to
+    // abort the whole process.
+    let faults = [
+        (1, NEGATIVE_LOAD, "negative address -8"),
+        (3, NEGATIVE_MUTEX, "negative address -8"),
+        (5, BARE_SQRT, "`sqrt` called without an argument"),
+        (7, BARE_FABS, "`fabs` called without an argument"),
+        (9, RUNAWAY_MAIN, "simulated stack overflow calling `main`"),
+    ];
+    for (id, source, expected) in faults {
         let JobResponse::Row(faulted) = ask(&stream, &simulate(id, source)) else {
             panic!("a simulate job answers with its row");
         };
         let error = faulted.error.expect("the row carries the run error");
-        assert!(error.contains("negative address -8"), "{error}");
+        assert!(error.contains(expected), "{error}");
 
         let next = simulate(id + 1, "int main() { return 7; }");
         let JobResponse::Row(next) = ask(&stream, &next) else {
