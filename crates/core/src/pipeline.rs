@@ -54,7 +54,7 @@ use hsm_partition::{MemorySpec, PartitionPlan, Policy};
 use hsm_translate::{TranslateOptions, Translation};
 use hsm_vm::OptLevel;
 use scc_sim::SccConfig;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A configured pipeline session over one C source. See the
 /// crate-level docs for the builder protocol and caching semantics.
@@ -69,14 +69,18 @@ pub struct Pipeline {
     config: SccConfig,
     exec_model: ExecModel,
     opt_level: OptLevel,
-    cache: Arc<ArtifactCache>,
+    /// The cache given with [`Pipeline::cache`], or the session's private
+    /// one, built when the session (or a clone of it: the cell is shared)
+    /// first looks something up. A job that attaches its server's cache on
+    /// the next line never builds a cache of its own.
+    cache: Arc<OnceLock<Arc<ArtifactCache>>>,
 }
 
 impl Pipeline {
     /// A session over `src` with the evaluation defaults: 32 cores,
     /// the default [`Scenario`] (HSM mode, coherent, `O0`,
     /// [`Policy::SizeAscending`]), a spec following the core count, the
-    /// Table 6.1 chip, and a fresh private cache.
+    /// Table 6.1 chip, and a fresh private cache (built on first use).
     pub fn new(src: impl Into<Arc<str>>) -> Self {
         let src = src.into();
         let src_hash = source_hash(&src);
@@ -90,7 +94,7 @@ impl Pipeline {
             config: SccConfig::table_6_1(),
             exec_model: ExecModel::Coherent,
             opt_level: OptLevel::O0,
-            cache: ArtifactCache::shared(),
+            cache: Arc::default(),
         }
     }
 
@@ -141,8 +145,13 @@ impl Pipeline {
     /// other's artifacts.
     #[must_use]
     pub fn cache(mut self, cache: Arc<ArtifactCache>) -> Self {
-        self.cache = cache;
+        self.cache = Arc::new(OnceLock::from(cache));
         self
+    }
+
+    /// The cache every lookup of this session goes through.
+    fn artifacts(&self) -> &Arc<ArtifactCache> {
+        self.cache.get_or_init(ArtifactCache::shared)
     }
 
     /// The session's source text.
@@ -183,7 +192,7 @@ impl Pipeline {
     /// The session's cache handle (hand it to another session, or read
     /// its [`stats`](ArtifactCache::stats)).
     pub fn cache_handle(&self) -> Arc<ArtifactCache> {
-        Arc::clone(&self.cache)
+        Arc::clone(self.artifacts())
     }
 
     fn translation_key(&self) -> ArtifactKey {
@@ -238,13 +247,13 @@ impl Pipeline {
     ///
     /// Propagates parse failures.
     pub fn unit(&self) -> Result<Arc<TranslationUnit>, PipelineError> {
-        self.cache
+        self.artifacts()
             .unit_with(self.src_hash, &self.src, || Ok(hsm_cir::parse(&self.src)?))
     }
 
     /// Stage 1–3 over an already-parsed unit (one `analyze` lookup).
     fn analysis_of(&self, unit: &TranslationUnit) -> Result<Arc<ProgramAnalysis>, PipelineError> {
-        self.cache
+        self.artifacts()
             .analysis_with(self.src_hash, unit, || Ok(ProgramAnalysis::analyze(unit)))
     }
 
@@ -256,7 +265,7 @@ impl Pipeline {
             policy: self.policy,
             spec,
         };
-        self.cache.plan_with(key, || {
+        self.artifacts().plan_with(key, || {
             let shared = hsm_partition::shared_vars_from_analysis(analysis);
             Ok(hsm_partition::partition(&shared, &spec, self.policy))
         })
@@ -269,7 +278,7 @@ impl Pipeline {
         analysis: &ProgramAnalysis,
         plan: &PartitionPlan,
     ) -> Result<Arc<Translation>, PipelineError> {
-        self.cache
+        self.artifacts()
             .translation_with(self.translation_key(), analysis, plan, || {
                 Ok(hsm_translate::translate_with_plan(
                     unit,
@@ -293,7 +302,7 @@ impl Pipeline {
             spec: self.effective_spec(),
             opt: level,
         };
-        self.cache.program_with(key, || {
+        self.artifacts().program_with(key, || {
             let program = hsm_vm::compile(&translation.unit)?;
             Ok(match level {
                 OptLevel::O0 => program,
@@ -312,7 +321,7 @@ impl Pipeline {
             src: self.src_hash,
             opt: level,
         };
-        self.cache.program_with(key, || {
+        self.artifacts().program_with(key, || {
             let program = hsm_vm::compile(unit)?;
             Ok(match level {
                 OptLevel::O0 => program,
@@ -441,7 +450,7 @@ impl Pipeline {
     /// Propagates failures from any stage; a failed run is never stored.
     pub fn run_scenario(&self) -> Result<RunResult, PipelineError> {
         let program = self.mode_program()?;
-        self.cache.run_with(self.run_key(Stage::Run), || {
+        self.artifacts().run_with(self.run_key(Stage::Run), || {
             self.simulate(&program, &mut NullSink)
         })
     }
@@ -455,11 +464,12 @@ impl Pipeline {
     ///
     /// Propagates failures from any stage.
     pub fn profile(&self) -> Result<Arc<Profile>, PipelineError> {
-        self.cache.profile_with(self.run_key(Stage::Profile), || {
-            let mut collector = ProfileCollector::new(self.config.line_bytes);
-            let result = self.run_traced(&mut collector)?;
-            Ok(collector.into_profile(&result))
-        })
+        self.artifacts()
+            .profile_with(self.run_key(Stage::Profile), || {
+                let mut collector = ProfileCollector::new(self.config.line_bytes);
+                let result = self.run_traced(&mut collector)?;
+                Ok(collector.into_profile(&result))
+            })
     }
 
     /// [`Pipeline::run_traced`] with the sharing-soundness [`Oracle`]
@@ -611,6 +621,28 @@ int main() {
         let stats = base.cache_handle().stats();
         assert_eq!(stats[Stage::Parse].misses, 1, "one parse for both sessions");
         assert!(stats[Stage::Parse].hits > 0, "the clone reused the parse");
+    }
+
+    /// What `hsmd` and `sweep` do for every job and point: `new`, then
+    /// `.cache(..)` on the next line. Such a session builds no cache of its
+    /// own, and one left to itself builds one when it first looks
+    /// something up, which its clones share.
+    #[test]
+    fn a_session_given_a_cache_builds_no_other() {
+        let given = ArtifactCache::shared();
+        let fresh = Pipeline::new(SRC).cores(2);
+        assert!(fresh.cache.get().is_none(), "`new` built a cache");
+        let session = fresh.cache(Arc::clone(&given));
+        let _ = session.clone().run_scenario().expect("runs");
+        assert!(Arc::ptr_eq(session.cache.get().expect("given"), &given));
+        assert_eq!(given.stats()[Stage::Run].misses, 1);
+
+        let alone = Pipeline::new(SRC).cores(2);
+        let twin = alone.clone();
+        let _ = twin.run_scenario().expect("runs");
+        let built = alone.cache.get().expect("the twin built it");
+        assert!(Arc::ptr_eq(built, &twin.cache_handle()));
+        assert_eq!(built.stats()[Stage::Run].misses, 1);
     }
 
     #[test]

@@ -18,14 +18,15 @@
 //! | [`NonCoherentWriteBack`] | per-unit write-back views    | caches + mesh + MC  |
 //! | [`SeqCstReference`]      | backing store, always fresh  | flat, no caches     |
 //!
-//! Adding a model means implementing [`CoherenceModel`] (five methods,
-//! three with defaults) and wiring a new [`ExecModel`] variant through the
-//! `run_*_model` entry points — no engine changes.
+//! Adding a model means implementing [`CoherenceModel`] (values, timing,
+//! the flush point, and which part of the model is one unit's alone) and
+//! wiring a new [`ExecModel`] variant through the `run_*_model` entry
+//! points — no engine changes.
 
 use crate::machine::DataSpaces;
 use hsm_vm::data::ByteMemory;
 use hsm_vm::{MemKind, Value};
-use scc_sim::{MemorySystem, Region};
+use scc_sim::{CoreLane, MemorySystem, Region};
 use std::collections::BTreeSet;
 
 /// Selects which [`CoherenceModel`] a run executes under. This is the
@@ -99,24 +100,60 @@ pub trait CoherenceModel {
         chip.access(core, addr, write, now)
     }
 
-    /// [`latency`](CoherenceModel::latency) for an access that stays on
-    /// `core`'s tile — a private address its own L1 or L2 serves — and
-    /// `None`, with nothing changed, for every other access.
+    /// [`latency`](CoherenceModel::latency) for an access that stays on the
+    /// tile of the core whose `lane` this is — a private address its own L1
+    /// or L2 serves — and `None`, with nothing changed, for every other
+    /// access.
     ///
     /// Such an access reads and writes nothing another core can observe
     /// (own cache hierarchy, own statistics row, own private bytes or
     /// write-back view) and costs the same whenever it happens, so the
     /// engine may let a core whose units run nowhere else perform it ahead
-    /// of the global event order (see [`SyncModel`](crate::SyncModel)). A
-    /// model whose private accesses leave the tile must answer `None`.
-    fn cached_latency(
-        &mut self,
-        chip: &mut MemorySystem,
-        core: usize,
+    /// of the global event order, and beside other cores doing the same on
+    /// other host threads (see [`SyncModel`](crate::SyncModel)). A model
+    /// whose private accesses leave the tile must answer `None`.
+    #[inline]
+    fn cached_latency(lane: &mut CoreLane<'_>, addr: u64, write: bool) -> Option<u64> {
+        lane.access_cached(addr, write)
+    }
+
+    /// What of the model belongs to one unit alone: everything, besides
+    /// the private bytes of the unit's core, that
+    /// [`load_own`](CoherenceModel::load_own) and
+    /// [`store_own`](CoherenceModel::store_own) touch.
+    type Own<'a>: Send
+    where
+        Self: 'a;
+
+    /// The own parts of units `0..units`, in unit order: disjoint, so
+    /// different units' parts may go to different threads.
+    fn own_parts(&mut self, units: usize) -> impl Iterator<Item = Self::Own<'_>>;
+
+    /// The own part of `unit`.
+    #[inline]
+    fn own_part(&mut self, unit: usize) -> Self::Own<'_> {
+        let mut parts = self.own_parts(unit + 1);
+        parts.nth(unit).expect("one own part per unit")
+    }
+
+    /// [`load`](CoherenceModel::load) of a private address by the unit
+    /// `own` belongs to, on the core `private` belongs to.
+    #[inline]
+    fn load_own(_own: &mut Self::Own<'_>, private: &ByteMemory, addr: u64, kind: MemKind) -> Value {
+        private.load(addr, kind)
+    }
+
+    /// [`store`](CoherenceModel::store) to a private address by the unit
+    /// `own` belongs to, on the core `private` belongs to.
+    #[inline]
+    fn store_own(
+        _own: &mut Self::Own<'_>,
+        private: &mut ByteMemory,
         addr: u64,
-        write: bool,
-    ) -> Option<u64> {
-        chip.access_cached(core, addr, write)
+        kind: MemKind,
+        v: Value,
+    ) {
+        private.store(addr, kind, v);
     }
 
     /// The value `unit` (scheduled on `core`) observes at `addr`.
@@ -163,6 +200,12 @@ pub struct Coherent;
 impl CoherenceModel for Coherent {
     fn label(&self) -> &'static str {
         ExecModel::Coherent.label()
+    }
+
+    type Own<'a> = ();
+
+    fn own_parts(&mut self, units: usize) -> impl Iterator<Item = ()> {
+        std::iter::repeat_n((), units)
     }
 
     // The golden-path model is a zero-sized pass-through: `#[inline]` lets
@@ -218,14 +261,14 @@ impl CoherenceModel for SeqCstReference {
     }
 
     // Flat timing: a private access queues at a memory controller.
-    fn cached_latency(
-        &mut self,
-        _chip: &mut MemorySystem,
-        _core: usize,
-        _addr: u64,
-        _write: bool,
-    ) -> Option<u64> {
+    fn cached_latency(_lane: &mut CoreLane<'_>, _addr: u64, _write: bool) -> Option<u64> {
         None
+    }
+
+    type Own<'a> = ();
+
+    fn own_parts(&mut self, units: usize) -> impl Iterator<Item = ()> {
+        std::iter::repeat_n((), units)
     }
 
     fn load(
@@ -272,13 +315,69 @@ impl CoherenceModel for SeqCstReference {
 #[derive(Debug, Default)]
 pub struct NonCoherentWriteBack {
     line_bytes: u64,
-    /// Per-unit copy of the private lines the unit has touched.
-    views: Vec<ByteMemory>,
-    /// Line base addresses resident in each unit's view (`BTreeSet` so
-    /// flush order, and thus the run, is deterministic).
-    resident: Vec<BTreeSet<u64>>,
+    views: Vec<UnitView>,
+}
+
+/// One unit's write-back view of the private memory of the core it runs
+/// on: the [`NonCoherentWriteBack`] model's part of a unit.
+#[derive(Debug)]
+pub struct UnitView {
+    line_bytes: u64,
+    /// The unit's copy of the private lines it has touched.
+    bytes: ByteMemory,
+    /// Line base addresses resident in the view (`BTreeSet` so flush
+    /// order, and thus the run, is deterministic).
+    resident: BTreeSet<u64>,
     /// Line base addresses modified since the unit's last flush.
-    dirty: Vec<BTreeSet<u64>>,
+    dirty: BTreeSet<u64>,
+}
+
+impl UnitView {
+    /// The base addresses of the lines the access `[addr, addr + size)`
+    /// touches.
+    fn lines(&self, addr: u64, size: u64) -> impl Iterator<Item = u64> {
+        let mask = !(self.line_bytes - 1);
+        let (first, last) = (addr & mask, (addr + size.max(1) - 1) & mask);
+        (first..=last).step_by(self.line_bytes as usize)
+    }
+
+    /// Fills every line the access `[addr, addr + size)` touches into the
+    /// view (write-allocate: stores fill first, then modify).
+    fn make_resident(&mut self, private: &ByteMemory, addr: u64, size: u64) {
+        for base in self.lines(addr, size) {
+            if self.resident.insert(base) {
+                for i in 0..self.line_bytes {
+                    let v = private.load(base + i, MemKind::I8);
+                    self.bytes.store(base + i, MemKind::I8, v);
+                }
+            }
+        }
+    }
+
+    fn load(&mut self, private: &ByteMemory, addr: u64, kind: MemKind) -> Value {
+        self.make_resident(private, addr, kind.bytes() as u64);
+        self.bytes.load(addr, kind)
+    }
+
+    fn store(&mut self, private: &ByteMemory, addr: u64, kind: MemKind, v: Value) {
+        let size = kind.bytes() as u64;
+        self.make_resident(private, addr, size);
+        self.bytes.store(addr, kind, v);
+        let lines = self.lines(addr, size);
+        self.dirty.extend(lines);
+    }
+
+    /// Writes the modified lines back to `private` and drops every cached
+    /// copy, so later loads refill from the backing store.
+    fn flush(&mut self, private: &mut ByteMemory) {
+        for base in std::mem::take(&mut self.dirty) {
+            for i in 0..self.line_bytes {
+                let v = self.bytes.load(base + i, MemKind::I8);
+                private.store(base + i, MemKind::I8, v);
+            }
+        }
+        self.resident.clear();
+    }
 }
 
 impl NonCoherentWriteBack {
@@ -296,47 +395,6 @@ impl NonCoherentWriteBack {
         NonCoherentWriteBack {
             line_bytes: line_bytes as u64,
             views: Vec::new(),
-            resident: Vec::new(),
-            dirty: Vec::new(),
-        }
-    }
-
-    fn ensure_unit(&mut self, unit: usize) {
-        while self.views.len() <= unit {
-            self.views.push(ByteMemory::new());
-            self.resident.push(BTreeSet::new());
-            self.dirty.push(BTreeSet::new());
-        }
-    }
-
-    fn line_of(&self, addr: u64) -> u64 {
-        addr & !(self.line_bytes - 1)
-    }
-
-    /// Fills every line the access `[addr, addr + size)` touches into
-    /// `unit`'s view (write-allocate: stores fill first, then modify).
-    fn make_resident(
-        &mut self,
-        unit: usize,
-        core: usize,
-        addr: u64,
-        size: u64,
-        spaces: &DataSpaces,
-    ) {
-        let first = self.line_of(addr);
-        let last = self.line_of(addr + size.max(1) - 1);
-        let mut base = first;
-        loop {
-            if self.resident[unit].insert(base) {
-                for i in 0..self.line_bytes {
-                    let v = spaces.load(core, base + i, MemKind::I8);
-                    self.views[unit].store(base + i, MemKind::I8, v);
-                }
-            }
-            if base == last {
-                break;
-            }
-            base += self.line_bytes;
         }
     }
 }
@@ -344,6 +402,35 @@ impl NonCoherentWriteBack {
 impl CoherenceModel for NonCoherentWriteBack {
     fn label(&self) -> &'static str {
         ExecModel::NonCoherentWriteBack.label()
+    }
+
+    type Own<'a> = &'a mut UnitView;
+
+    fn own_parts(&mut self, units: usize) -> impl Iterator<Item = &mut UnitView> {
+        let line_bytes = self.line_bytes;
+        if self.views.len() < units {
+            self.views.resize_with(units, || UnitView {
+                line_bytes,
+                bytes: ByteMemory::new(),
+                resident: BTreeSet::new(),
+                dirty: BTreeSet::new(),
+            });
+        }
+        self.views.iter_mut().take(units)
+    }
+
+    fn load_own(view: &mut &mut UnitView, private: &ByteMemory, addr: u64, kind: MemKind) -> Value {
+        view.load(private, addr, kind)
+    }
+
+    fn store_own(
+        view: &mut &mut UnitView,
+        private: &mut ByteMemory,
+        addr: u64,
+        kind: MemKind,
+        v: Value,
+    ) {
+        view.store(private, addr, kind, v);
     }
 
     fn load(
@@ -357,9 +444,7 @@ impl CoherenceModel for NonCoherentWriteBack {
         if MemorySystem::region_of(addr) != Region::Private {
             return spaces.load(core, addr, kind);
         }
-        self.ensure_unit(unit);
-        self.make_resident(unit, core, addr, kind.bytes() as u64, spaces);
-        self.views[unit].load(addr, kind)
+        self.own_part(unit).load(&spaces.private[core], addr, kind)
     }
 
     fn store(
@@ -375,20 +460,8 @@ impl CoherenceModel for NonCoherentWriteBack {
             spaces.store(core, addr, kind, v);
             return;
         }
-        self.ensure_unit(unit);
-        let size = kind.bytes() as u64;
-        self.make_resident(unit, core, addr, size, spaces);
-        self.views[unit].store(addr, kind, v);
-        let first = self.line_of(addr);
-        let last = self.line_of(addr + size.max(1) - 1);
-        let mut base = first;
-        loop {
-            self.dirty[unit].insert(base);
-            if base == last {
-                break;
-            }
-            base += self.line_bytes;
-        }
+        self.own_part(unit)
+            .store(&spaces.private[core], addr, kind, v);
     }
 
     fn flush_unit(
@@ -398,17 +471,8 @@ impl CoherenceModel for NonCoherentWriteBack {
         spaces: &mut DataSpaces,
         chip: &mut MemorySystem,
     ) {
-        self.ensure_unit(unit);
-        let dirty = std::mem::take(&mut self.dirty[unit]);
-        for base in dirty {
-            for i in 0..self.line_bytes {
-                let v = self.views[unit].load(base + i, MemKind::I8);
-                spaces.store(core, base + i, MemKind::I8, v);
-            }
-        }
-        // Drop the cached copies so post-flush loads refill from the
-        // backing store, and mirror the flush into the timing caches.
-        self.resident[unit].clear();
+        self.own_part(unit).flush(&mut spaces.private[core]);
+        // Mirror the flush into the timing caches.
         chip.flush_core(core);
         chip.invalidate_core(core);
     }

@@ -19,8 +19,11 @@ use crate::printf;
 use crate::syscall_cost;
 use crate::trace::{TraceEvent, TraceSink};
 use hsm_vm::compile::{Program, HEAP_BASE};
+use hsm_vm::data::ByteMemory;
 use hsm_vm::{ExecForm, Intrinsic, MemKind, StepOutcome, UnitVm, Value, VmError};
-use scc_sim::{MemorySystem, SccConfig};
+use scc_sim::{CoreLane, MemorySystem, SccConfig};
+use std::cell::Cell;
+use std::sync::OnceLock;
 
 /// What a slice of simulated time was spent on, so each sync model can
 /// bill it to the right clocks. The pthread model advances one global
@@ -76,6 +79,86 @@ impl UnitState {
             busy_cycles: 0,
             held: None,
         }
+    }
+
+    /// Whether the unit has something to run that nobody is waiting to
+    /// order: no held event, and a VM that is neither blocked in a syscall
+    /// nor finished.
+    fn is_free(&self) -> bool {
+        self.held.is_none() && self.vm.is_ready()
+    }
+}
+
+/// What a unit owns under [`SyncModel::OWN_EVENTS_ARE_LOCAL`]: its VM and
+/// clock, its core's caches and statistics row, its core's private bytes
+/// and its part of the coherence model — everything the local rule reads
+/// or writes. Lanes of different units are disjoint borrows of the
+/// [`ExecEnv`], so they may be advanced on different threads.
+struct Lane<'a, C: CoherenceModel + 'a> {
+    unit: &'a mut UnitState,
+    core: CoreLane<'a>,
+    private: &'a mut ByteMemory,
+    own: C::Own<'a>,
+}
+
+// A lane must be able to go to another thread; what could stop it is a
+// model's `Own` or a field added to `UnitState`.
+const _: () = {
+    const fn sendable<T: Send>() {}
+    sendable::<Lane<'static, Coherent>>();
+    sendable::<Lane<'static, NonCoherentWriteBack>>();
+    sendable::<Lane<'static, SeqCstReference>>();
+};
+
+impl<C: CoherenceModel> Lane<'_, C> {
+    /// **The local rule**, stated once: runs the unit's VM and performs
+    /// what only the unit can observe and what costs the same whenever it
+    /// happens — `Ran` slices, and loads and stores its core's own caches
+    /// serve — billing the unit's own clock. The first thing that is
+    /// neither (an access that leaves the tile, a syscall, a finish, a
+    /// fault) is held on the unit with nothing of it charged or performed.
+    /// Returns the number of events performed, at most
+    /// [`RUN_AHEAD_LIMIT`].
+    ///
+    /// The unit must be [free](UnitState::is_free).
+    fn advance(&mut self, form: &ExecForm<'_>) -> u64 {
+        let Lane {
+            unit,
+            core,
+            private,
+            own,
+        } = self;
+        'event: for performed in 0..RUN_AHEAD_LIMIT {
+            let outcome = unit.vm.run_until_event(form);
+            'held: {
+                match outcome {
+                    Ok(StepOutcome::Ran { cycles }) => unit.clock += cycles,
+                    Ok(StepOutcome::Load { addr, kind, cycles }) => {
+                        let Some(latency) = C::cached_latency(core, addr, false) else {
+                            break 'held;
+                        };
+                        unit.clock += cycles + latency;
+                        let v = C::load_own(own, private, addr, kind);
+                        unit.vm.provide_load(v);
+                    }
+                    #[rustfmt::skip]
+                    Ok(StepOutcome::Store { addr, kind, value, cycles }) => {
+                        let Some(latency) = C::cached_latency(core, addr, true) else {
+                            break 'held;
+                        };
+                        unit.clock += cycles + latency;
+                        C::store_own(own, private, addr, kind, value);
+                        unit.vm.store_done();
+                    }
+                    _ => break 'held,
+                }
+                continue 'event;
+            }
+            // It waits for the unit's turn.
+            unit.held = Some(outcome);
+            return performed;
+        }
+        RUN_AHEAD_LIMIT
     }
 }
 
@@ -197,6 +280,76 @@ impl<'p, C: CoherenceModel> ExecEnv<'p, C> {
     ) -> Result<String, ExecError> {
         printf::format_syscall(args, &mut |addr| self.read_cstr(unit, core, addr))
     }
+
+    /// [Advances](Lane::advance) `unit` on its lane.
+    #[inline]
+    fn advance(&mut self, unit: usize) -> u64 {
+        let mut lane = Lane::<C> {
+            unit: &mut self.units[unit],
+            core: self.chip.lane_mut(unit),
+            private: &mut self.spaces.private[unit],
+            own: self.coherence.own_part(unit),
+        };
+        lane.advance(&self.form)
+    }
+
+    /// [Advances](Lane::advance) every free unit but `except`, dealt
+    /// round-robin by unit index over up to `threads` threads of which the
+    /// caller is one, and returns the number of events performed.
+    fn advance_free(&mut self, except: usize, threads: usize) -> u64 {
+        let form = &self.form;
+        let owns = self.coherence.own_parts(self.units.len());
+        let lanes = self
+            .units
+            .iter_mut()
+            .zip(self.chip.lanes_mut())
+            .zip(&mut self.spaces.private)
+            .zip(owns)
+            .map(|(((unit, core), private), own)| Lane::<C> {
+                unit,
+                core,
+                private,
+                own,
+            });
+        let free: Vec<_> = lanes
+            .enumerate()
+            .filter(|(unit, lane)| *unit != except && lane.unit.is_free())
+            .map(|(_, lane)| lane)
+            .collect();
+        let run = |hand: Vec<Lane<C>>| -> u64 {
+            let events = hand.into_iter().map(|mut lane| lane.advance(form));
+            events.sum()
+        };
+        let threads = threads.min(free.len());
+        if threads <= 1 {
+            return run(free);
+        }
+        let mut hands: Vec<Vec<_>> = (0..threads).map(|_| Vec::new()).collect();
+        for (i, lane) in free.into_iter().enumerate() {
+            hands[i % threads].push(lane);
+        }
+        std::thread::scope(|scope| {
+            let mine = hands.pop().expect("more than one hand");
+            // A helper the host refuses to start costs nothing but speed:
+            // its units stay where they are, free as before.
+            let helpers: Vec<_> = hands
+                .into_iter()
+                .filter_map(|hand| {
+                    std::thread::Builder::new()
+                        .name("hsm-lane".into())
+                        .spawn_scoped(scope, move || run(hand))
+                        .ok()
+                })
+                .collect();
+            let mut events = run(mine);
+            for helper in helpers {
+                events += helper
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            }
+            events
+        })
+    }
 }
 
 /// The synchronization semantics of an execution mode: which units exist,
@@ -212,29 +365,35 @@ impl<'p, C: CoherenceModel> ExecEnv<'p, C> {
 /// [`schedule`](SyncModel::schedule) fixes the order in which events are
 /// performed, and that order is part of the simulated result. The core
 /// asks it only when the answer could be something other than "the same
-/// unit again". Once `schedule` has handed out unit `u`, `u` performs the
-/// event it is suspended on and keeps stepping while one of two rules
-/// holds:
+/// unit again", and performs out of that order only what no order can
+/// tell apart:
 ///
-/// * **The ordered rule** — [`still_due`](SyncModel::still_due): a visit
-///   to `schedule` would hand out `u` again. Nothing changed the order,
-///   so nothing is asked.
+/// * **The ordered rule** — [`still_due`](SyncModel::still_due): once
+///   `schedule` has handed out unit `u`, `u` performs the event it is
+///   suspended on and keeps stepping while a visit to `schedule` would
+///   hand out `u` again. Nothing changed the order, so nothing is asked.
 /// * **The local rule** —
-///   [`OWN_EVENTS_ARE_LOCAL`](SyncModel::OWN_EVENTS_ARE_LOCAL): somebody
-///   else is due first, but `u`'s next event touches nothing another unit
-///   can observe and costs the same whenever it happens: a
+///   [`OWN_EVENTS_ARE_LOCAL`](SyncModel::OWN_EVENTS_ARE_LOCAL): a unit that
+///   is not due may still perform an event that touches nothing another
+///   unit can observe and costs the same whenever it happens: a
 ///   [`StepOutcome::Ran`] slice, or a load/store the coherence model
 ///   serves from the core's own caches
-///   ([`CoherenceModel::cached_latency`]). Performing it early moves
-///   `u`'s clock, cache and statistics row exactly as performing it in
-///   turn would, and nobody looks at those in between. The rule is off
-///   under a recording [`TraceSink`], whose stream lists every event in
-///   the global order.
+///   ([`CoherenceModel::cached_latency`]). Performing it early moves the
+///   unit's clock, cache, statistics row and private bytes exactly as
+///   performing it in turn would, and nobody looks at those in between.
+///   The rule is one function over what a unit owns (`Lane::advance`),
+///   and because two units own nothing in common it holds for any number
+///   of units at once: the unit handed out last goes on under it when it
+///   stops being due, and when that hand-out was long (`PHASE_FLOOR`)
+///   every other unit that is free to run is advanced too, on as many host
+///   threads as the host offers, before `schedule` is asked again.
+///   The rule is off under a recording [`TraceSink`], whose stream lists
+///   every event in the global order.
 ///
 /// Anything else — an access that leaves the tile, a syscall, a finish, a
 /// VM fault — is *held* on the unit ([`UnitState::held`]): the VM stays
-/// suspended on it, nothing is charged, and `u` performs it first when
-/// `schedule` hands it out again, which is exactly when a core that
+/// suspended on it, nothing is charged, and the unit performs it first
+/// when `schedule` hands it out, which is exactly when a core that
 /// visited `schedule` before every event would have performed it. A
 /// syscall or a finish always ends the hand-out: those are the events
 /// that change other units' states and clocks.
@@ -280,11 +439,23 @@ pub trait SyncModel: Sized {
         false
     }
 
-    /// The local rule: whether a unit that is no longer due may go on
-    /// performing events only it can observe. True only for a model whose
-    /// units each own their core: one cache hierarchy, one private space
-    /// and one clock per unit, touched by nobody else while it runs.
+    /// The local rule: whether a unit that is not due may perform events
+    /// only it can observe. True only for a model whose units each own
+    /// their core: unit `i` runs on core `i` and nowhere else, so one cache
+    /// hierarchy, one private space and one clock are touched by nobody
+    /// else while it runs; [`charge`](SyncModel::charge) bills
+    /// [`Charge::Progress`] to that clock alone (`unit.clock += cycles`),
+    /// which is how the rule bills it without asking the model; and the
+    /// other units reach what the unit owns only through syscalls that find
+    /// it blocked.
     const OWN_EVENTS_ARE_LOCAL: bool = false;
+
+    /// Units other than the one `schedule` handed out last were advanced
+    /// under the local rule: their clocks moved forward, so whatever the
+    /// model keeps ordered by clock on the promise that only the last
+    /// pick moves is stale. Called only when
+    /// [`OWN_EVENTS_ARE_LOCAL`](SyncModel::OWN_EVENTS_ARE_LOCAL).
+    fn clocks_moved(&mut self) {}
 
     /// Advances the clocks by `cycles` of the given [`Charge`] kind on
     /// behalf of `unit`.
@@ -346,11 +517,53 @@ pub struct ExecutionCore;
 
 const STEP_LIMIT: u64 = 2_000_000_000;
 
-/// Events a unit may perform under the local rule in one hand-out. The
-/// rule is exact at any length; the bound only keeps a unit that loops on
-/// its own memory forever from hiding an error another unit is about to
-/// report behind [`STEP_LIMIT`] events.
-const RUN_AHEAD_LIMIT: u32 = 1 << 16;
+/// Events a unit may perform under the local rule in one
+/// [`advance`](Lane::advance). The rule is exact at any length; the bound
+/// only keeps a unit that loops on its own memory forever from hiding an
+/// error another unit is about to report behind [`STEP_LIMIT`] events.
+const RUN_AHEAD_LIMIT: u64 = 1 << 16;
+
+/// Instructions a hand-out has to retire for the other free units to be
+/// advanced beside one another before the next `schedule` (once between
+/// two syscalls or finishes). Starting and joining a scoped thread costs
+/// 30–60 µs, which is what the VM needs for this many instructions at its
+/// 1.3 ns each: a unit that ran this long is taken as the sign that the
+/// others, which run the same program, are about to, and a run whose
+/// hand-outs are shorter never pays for a thread. Not a setting: results
+/// are the same at any value.
+const PHASE_FLOOR: u64 = 50_000;
+
+/// Host threads a run may advance lanes on, itself included: what the
+/// host offers this process. On a one-CPU host the lanes are advanced one
+/// after the other on the calling thread. Other runs of the process (the
+/// second worker of a sweep, an `hsmd` job) are not subtracted: a 2-worker
+/// sweep over the RCCE points of `paper_compute` read the same with and
+/// without that (CHANGES.md, PR 22), the work being the same either way.
+fn lane_threads() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
+}
+
+thread_local! {
+    /// Times a run on this thread advanced its free units beside one
+    /// another.
+    static PHASES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How often the runs this thread has made so far advanced their free
+/// units in one go (see [`SyncModel`]): what a test reads before and after
+/// a run to know that the run got there. Not part of any result.
+#[doc(hidden)]
+pub fn phases_on_this_thread() -> u64 {
+    PHASES.with(Cell::get)
+}
+
+fn check_step_limit(steps: u64) -> Result<(), ExecError> {
+    if steps > STEP_LIMIT {
+        return Err(ExecError::new("simulation exceeded the step limit"));
+    }
+    Ok(())
+}
 
 impl ExecutionCore {
     /// Runs `program` under `model` (synchronization semantics) and
@@ -363,18 +576,50 @@ impl ExecutionCore {
     pub fn run<M: SyncModel, C: CoherenceModel, S: TraceSink>(
         program: &Program,
         config: &SccConfig,
-        mut model: M,
+        model: M,
         coherence: C,
         sink: &mut S,
     ) -> Result<RunResult, ExecError> {
+        Self::run_on(program, config, model, coherence, sink, None)
+    }
+
+    /// [`ExecutionCore::run`] advancing free units on `helpers` threads
+    /// beside the caller's (`None`: what [`lane_threads`] allows). The
+    /// [`RunResult`] is the same at any helper count.
+    fn run_on<M: SyncModel, C: CoherenceModel, S: TraceSink>(
+        program: &Program,
+        config: &SccConfig,
+        mut model: M,
+        coherence: C,
+        sink: &mut S,
+        helpers: Option<usize>,
+    ) -> Result<RunResult, ExecError> {
         let mut env = ExecEnv::new(program, config, coherence, &model);
         let local = M::OWN_EVENTS_ARE_LOCAL && !S::ENABLED;
+        debug_assert!(
+            !local || (0..env.units.len()).all(|unit| model.core_of(unit) == unit),
+            "a unit whose events are local runs on the core of its own index"
+        );
+        debug_assert!(
+            !local
+                || env.units.first_mut().is_none_or(|unit| {
+                    let (clock, busy) = (unit.clock, unit.busy_cycles);
+                    model.charge(unit, 1, Charge::Progress);
+                    let billed = (unit.clock, unit.busy_cycles) == (clock + 1, busy);
+                    unit.clock = clock;
+                    billed
+                }),
+            "the local rule bills progress as `unit.clock += cycles`, and so must the model"
+        );
         let mut steps: u64 = 0;
+        // The free units have not been advanced in one go since the last
+        // syscall or finish. What they run until the next one they have
+        // in common, so one such phase takes them all there.
+        let mut fresh = true;
         'visit: while let Some(u) = model.schedule(&mut env)? {
+            let retired = env.units[u].vm.instructions_retired();
             // `u` is due: whatever it is suspended on comes next in the
             // global order.
-            let mut due = true;
-            let mut ahead = 0;
             loop {
                 // A binding per event rather than one assigned to: the VM
                 // then writes its answer in place, where reading it back
@@ -383,61 +628,61 @@ impl ExecutionCore {
                     Some(held) => held,
                     None => env.units[u].vm.run_until_event(&env.form),
                 };
-                let flow = 'perform: {
-                    match outcome {
-                        Ok(StepOutcome::Ran { cycles }) => {
-                            model.charge(&mut env.units[u], cycles, Charge::Progress);
-                            break 'perform None;
-                        }
-                        Ok(StepOutcome::Load { addr, kind, cycles }) => {
-                            let access = (addr, kind, None, cycles);
-                            if Self::memory_access(&mut model, &mut env, sink, u, access, due) {
-                                break 'perform None;
-                            }
-                        }
-                        #[rustfmt::skip]
-                        Ok(StepOutcome::Store { addr, kind, value, cycles }) => {
-                            let access = (addr, kind, Some(value), cycles);
-                            if Self::memory_access(&mut model, &mut env, sink, u, access, due) {
-                                break 'perform None;
-                            }
-                        }
-                        #[rustfmt::skip]
-                        Ok(StepOutcome::Syscall { intrinsic, ref args, cycles }) if due => {
-                            model.charge(&mut env.units[u], cycles, Charge::Dispatch);
-                            let flow = Self::syscall(&mut model, &mut env, sink, u, intrinsic, args)?;
-                            break 'perform Some(flow);
-                        }
-                        Ok(StepOutcome::Finished { exit }) if due => {
-                            break 'perform Some(model.finished(&mut env, sink, u, exit.as_i())?);
-                        }
-                        Err(fault) if due => return Err(fault.into()),
-                        _ => {}
+                let flow = match outcome {
+                    Ok(StepOutcome::Ran { cycles }) => {
+                        model.charge(&mut env.units[u], cycles, Charge::Progress);
+                        None
                     }
-                    // The rules refused it: it waits for `u`'s turn.
-                    env.units[u].held = Some(outcome);
-                    continue 'visit;
+                    Ok(StepOutcome::Load { addr, kind, cycles }) => {
+                        let access = (addr, kind, None, cycles);
+                        Self::memory_access(&mut model, &mut env, sink, u, access);
+                        None
+                    }
+                    #[rustfmt::skip]
+                    Ok(StepOutcome::Store { addr, kind, value, cycles }) => {
+                        let access = (addr, kind, Some(value), cycles);
+                        Self::memory_access(&mut model, &mut env, sink, u, access);
+                        None
+                    }
+                    #[rustfmt::skip]
+                    Ok(StepOutcome::Syscall { intrinsic, ref args, cycles }) => {
+                        model.charge(&mut env.units[u], cycles, Charge::Dispatch);
+                        Some(Self::syscall(&mut model, &mut env, sink, u, intrinsic, args)?)
+                    }
+                    Ok(StepOutcome::Finished { exit }) => {
+                        Some(model.finished(&mut env, sink, u, exit.as_i())?)
+                    }
+                    Err(fault) => return Err(fault.into()),
                 };
                 steps += 1;
-                if steps > STEP_LIMIT {
-                    return Err(ExecError::new("simulation exceeded the step limit"));
-                }
+                check_step_limit(steps)?;
                 match flow {
                     Some(Flow::Stop) => break 'visit,
                     Some(Flow::Continue) => {
                         model.post_step(&mut env, sink)?;
+                        fresh = true;
                         continue 'visit;
                     }
                     None => {}
                 }
-                due = due && model.still_due(&env, u);
-                if !due {
-                    if !local || ahead == RUN_AHEAD_LIMIT {
-                        continue 'visit;
-                    }
-                    ahead += 1;
+                if !model.still_due(&env, u) {
+                    break;
                 }
             }
+            if !local {
+                continue;
+            }
+            // Somebody else is due first, but what `u` does next may be
+            // nobody's business but its own.
+            steps += env.advance(u);
+            if fresh && env.units[u].vm.instructions_retired() - retired > PHASE_FLOOR {
+                fresh = false;
+                let threads = helpers.map_or_else(lane_threads, |helpers| helpers + 1);
+                steps += env.advance_free(u, threads);
+                model.clocks_moved();
+                PHASES.with(|phases| phases.set(phases.get() + 1));
+            }
+            check_step_limit(steps)?;
         }
 
         let (total_cycles, per_unit_cycles, exit_code) = model.finalize(&env);
@@ -471,24 +716,35 @@ impl ExecutionCore {
         model: ExecModel,
         sink: &mut S,
     ) -> Result<RunResult, ExecError> {
+        Self::run_model_on(program, config, sync, model, sink, None)
+    }
+
+    /// [`ExecutionCore::run_model`] on `helpers` helper threads (see
+    /// `run_on`).
+    pub(crate) fn run_model_on<M: SyncModel, S: TraceSink>(
+        program: &Program,
+        config: &SccConfig,
+        sync: M,
+        model: ExecModel,
+        sink: &mut S,
+        helpers: Option<usize>,
+    ) -> Result<RunResult, ExecError> {
         match model {
-            ExecModel::Coherent => Self::run(program, config, sync, Coherent, sink),
+            ExecModel::Coherent => Self::run_on(program, config, sync, Coherent, sink, helpers),
             ExecModel::NonCoherentWriteBack => {
                 let views = NonCoherentWriteBack::new(config.line_bytes);
-                Self::run(program, config, sync, views, sink)
+                Self::run_on(program, config, sync, views, sink, helpers)
             }
-            ExecModel::SeqCstReference => Self::run(program, config, sync, SeqCstReference, sink),
+            ExecModel::SeqCstReference => {
+                Self::run_on(program, config, sync, SeqCstReference, sink, helpers)
+            }
         }
     }
 
-    /// One VM-issued load or store, `(addr, kind, value to store, issue
-    /// cycles)`: charge issue cycles, resolve the latency through the
-    /// coherence model, trace it, charge the latency, then move the data
-    /// and resume the VM.
-    ///
-    /// A unit that is not `due` performs the access only if its core's own
-    /// caches serve it; otherwise nothing happens and the answer is
-    /// `false`.
+    /// One VM-issued load or store of the unit that is due, `(addr, kind,
+    /// value to store, issue cycles)`: charge issue cycles, resolve the
+    /// latency through the coherence model, trace it, charge the latency,
+    /// then move the data and resume the VM.
     #[inline(always)]
     fn memory_access<M: SyncModel, C: CoherenceModel, S: TraceSink>(
         model: &mut M,
@@ -496,39 +752,26 @@ impl ExecutionCore {
         sink: &mut S,
         unit: usize,
         (addr, kind, store, cycles): (u64, MemKind, Option<Value>, u64),
-        due: bool,
-    ) -> bool {
+    ) {
         let core = model.core_of(unit);
         let write = store.is_some();
-        let lat = if due {
-            model.charge(&mut env.units[unit], cycles, Charge::Progress);
-            let now = env.units[unit].clock;
-            let lat = env.coherence.latency(&mut env.chip, core, addr, write, now);
-            // `ENABLED` is a compile-time constant of the sink type: with
-            // the default `NullSink` the event (and its region
-            // classification) is never even built.
-            if S::ENABLED {
-                sink.record(TraceEvent {
-                    core,
-                    unit,
-                    cycle: now,
-                    addr,
-                    region: MemorySystem::region_of(addr),
-                    latency: lat,
-                    write,
-                });
-            }
-            lat
-        } else {
-            let Some(lat) = env
-                .coherence
-                .cached_latency(&mut env.chip, core, addr, write)
-            else {
-                return false;
-            };
-            model.charge(&mut env.units[unit], cycles, Charge::Progress);
-            lat
-        };
+        model.charge(&mut env.units[unit], cycles, Charge::Progress);
+        let now = env.units[unit].clock;
+        let lat = env.coherence.latency(&mut env.chip, core, addr, write, now);
+        // `ENABLED` is a compile-time constant of the sink type: with
+        // the default `NullSink` the event (and its region
+        // classification) is never even built.
+        if S::ENABLED {
+            sink.record(TraceEvent {
+                core,
+                unit,
+                cycle: now,
+                addr,
+                region: MemorySystem::region_of(addr),
+                latency: lat,
+                write,
+            });
+        }
         model.charge(&mut env.units[unit], lat, Charge::Progress);
         match store {
             Some(value) => {
@@ -540,7 +783,6 @@ impl ExecutionCore {
                 env.units[unit].vm.provide_load(v);
             }
         }
-        true
     }
 
     /// Dispatches a syscall: the mode-independent ones (`printf`,

@@ -78,16 +78,18 @@ struct RcceSync {
     /// The [`key`]s of the `Running` cores, ascending: the scheduler's pick
     /// first, and behind it the first core the pick must not overtake.
     /// Rebuilt when `resync` says so; between rebuilds only the core at
-    /// the front moves, and only backwards.
+    /// the front moves, and only backwards (anything else is announced by
+    /// `clocks_moved`).
     order: Vec<u128>,
     /// The key the core handed out last has to stay below to be handed out
     /// again: the second entry of `order` at the time of the pick.
     limit: u128,
-    /// A syscall or a finish happened since the last `schedule`. Only
-    /// those change a core's state or another core's clock, so only then
-    /// does the barrier need a look and `order` a rebuild; after any
-    /// other event, only the clock of the core handed out last — still
-    /// `order`'s first entry — has moved.
+    /// A syscall or a finish happened since the last `schedule`, or the
+    /// engine advanced cores it had not handed out. Only those change a
+    /// core's state or another core's clock, so only then does the barrier
+    /// need a look and `order` a rebuild; after any other event, only the
+    /// clock of the core handed out last — still `order`'s first entry —
+    /// has moved.
     resync: bool,
 }
 
@@ -268,6 +270,10 @@ impl SyncModel for RcceSync {
     // view, statistics row and clock are its unit's alone, and the other
     // cores reach them only through syscalls that find the unit blocked.
     const OWN_EVENTS_ARE_LOCAL: bool = true;
+
+    fn clocks_moved(&mut self) {
+        self.resync = true;
+    }
 
     fn charge(&mut self, unit: &mut UnitState, cycles: u64, _kind: Charge) {
         // RCCE bills everything to the core's local clock; balance is
@@ -722,7 +728,7 @@ pub fn run_rcce_model_traced<S: TraceSink>(
     model: ExecModel,
     sink: &mut S,
 ) -> Result<RunResult, ExecError> {
-    run_as(program, cores, config, model, sink, |sync| sync)
+    run_as(program, cores, config, model, sink, |sync| sync, None)
 }
 
 /// [`run_rcce_model_traced`] visiting the scheduler before every event:
@@ -739,7 +745,27 @@ pub fn run_rcce_visiting_every_event<S: TraceSink>(
     model: ExecModel,
     sink: &mut S,
 ) -> Result<RunResult, ExecError> {
-    run_as(program, cores, config, model, sink, VisitEveryEvent)
+    run_as(program, cores, config, model, sink, VisitEveryEvent, None)
+}
+
+/// [`run_rcce_model`] advancing free cores on exactly `helpers` host
+/// threads beside the caller's, whatever the host has to spare. Tests hold
+/// the result against [`run_rcce_visiting_every_event`] at several helper
+/// counts; nothing else may choose one.
+///
+/// # Errors
+///
+/// Same failure modes as [`run_rcce`].
+#[doc(hidden)]
+pub fn run_rcce_with_helpers(
+    program: &Program,
+    cores: usize,
+    config: &SccConfig,
+    model: ExecModel,
+    helpers: usize,
+) -> Result<RunResult, ExecError> {
+    let forced = Some(helpers);
+    run_as(program, cores, config, model, &mut NullSink, |s| s, forced)
 }
 
 fn run_as<W: SyncModel, S: TraceSink>(
@@ -749,6 +775,7 @@ fn run_as<W: SyncModel, S: TraceSink>(
     model: ExecModel,
     sink: &mut S,
     wrap: impl FnOnce(RcceSync) -> W,
+    helpers: Option<usize>,
 ) -> Result<RunResult, ExecError> {
     if cores == 0 || cores > config.cores {
         return Err(ExecError::new(format!(
@@ -757,7 +784,7 @@ fn run_as<W: SyncModel, S: TraceSink>(
         )));
     }
     let sync = wrap(RcceSync::new(cores, config));
-    ExecutionCore::run_model(program, config, sync, model, sink)
+    ExecutionCore::run_model_on(program, config, sync, model, sink, helpers)
 }
 
 #[cfg(test)]

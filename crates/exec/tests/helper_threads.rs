@@ -1,0 +1,84 @@
+//! The host threads a run advances its free cores on are the run's own:
+//! started inside it, joined before it returns, at any helper count and
+//! however the run ends.
+//!
+//! One test in a file of its own, because the thread count of the process
+//! is what it reads: a second test on a second harness thread would be
+//! counted too.
+
+use hsm_exec::{ExecModel, NullSink};
+use scc_sim::SccConfig;
+use std::time::{Duration, Instant};
+
+/// `Threads:` of `/proc/self/status`, or `None` where there is no such
+/// file.
+fn threads() -> Option<usize> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("Threads:"))?;
+    line.trim().parse().ok()
+}
+
+/// The thread count once it is back at `expected`, or what it still reads
+/// after two seconds: a joined thread leaves the kernel's table an instant
+/// after `join` returns.
+fn settled(expected: usize) -> usize {
+    let deadline = Instant::now() + Duration::from_secs(2);
+    loop {
+        let now = threads().expect("read a moment ago");
+        if now == expected || Instant::now() > deadline {
+            return now;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+#[test]
+fn helper_threads_are_joined_when_the_run_returns() {
+    let Some(before) = threads() else {
+        return;
+    };
+    // Every core runs well past the engine's floor between two barriers,
+    // twice; the second program ends in core 2's fault instead.
+    let src = |tail: &str| {
+        format!(
+            r#"
+int RCCE_APP(int *argc, char **argv) {{
+    RCCE_init(&argc, &argv);
+    int me;
+    me = RCCE_ue();
+    int i;
+    int acc = 0;
+    int zero = 0;
+    for (i = 0; i < 9000; i++) acc = acc + i % 3;
+    RCCE_barrier(&RCCE_COMM_WORLD);
+    for (i = 0; i < 9000 + 100 * me; i++) acc = acc + i % 5;
+    {tail}
+    RCCE_barrier(&RCCE_COMM_WORLD);
+    return acc % 7;
+}}
+"#
+        )
+    };
+    let config = &SccConfig::table_6_1();
+    let model = ExecModel::Coherent;
+    for (tail, fails) in [("", false), ("if (me == 2) return acc / zero;", true)] {
+        let unit = hsm_cir::parse(&src(tail)).expect("parse");
+        let program = hsm_vm::compile(&unit).expect("compile");
+        let reference =
+            hsm_exec::run_rcce_visiting_every_event(&program, 8, config, model, &mut NullSink);
+        assert_eq!(reference.is_err(), fails, "{reference:?}");
+        for helpers in [3, 1, 0] {
+            let phases = hsm_exec::phases_on_this_thread();
+            let run = hsm_exec::run_rcce_with_helpers(&program, 8, config, model, helpers);
+            assert_eq!(run, reference, "{helpers} helpers");
+            assert!(hsm_exec::phases_on_this_thread() > phases, "no phase ran");
+            assert_eq!(settled(before), before, "after a run on {helpers} helpers");
+        }
+        // As many helpers as the host has to spare.
+        assert_eq!(
+            hsm_exec::run_rcce_model(&program, 8, config, model),
+            reference
+        );
+        assert_eq!(settled(before), before, "after a production run");
+    }
+}

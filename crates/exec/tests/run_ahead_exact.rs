@@ -11,6 +11,12 @@
 //! `RunResult` — or on the error — and, with a recording sink attached,
 //! on every access and every synchronization event in order.
 //!
+//! The local rule also lets the free cores of an RCCE run advance beside
+//! one another on several host threads. How many is the host's business
+//! and never part of a result, so every RCCE program here additionally
+//! runs with the helper count forced to each of [`HELPERS`] and must give
+//! what the reference gives.
+//!
 //! The task-dataflow model grants nothing and so has no second side to
 //! compare; its results are pinned by `tests/sync_models.rs` and the
 //! manifest goldens.
@@ -49,6 +55,34 @@ enum Units {
 
 type Outcome = Result<RunResult, ExecError>;
 
+/// Host threads beside the caller's that an RCCE run is forced onto: none
+/// (every lane on the caller), one (the reference container), and more
+/// than any test here has cores to spare for.
+const HELPERS: [usize; 3] = [0, 1, 3];
+
+/// Holds an RCCE run at every helper count against `reference`. Returns
+/// how many of the runs advanced their free cores in one go at least once.
+fn assert_exact_at_every_helper_count(
+    label: &str,
+    program: &Program,
+    cores: usize,
+    model: ExecModel,
+    reference: &Outcome,
+) -> usize {
+    let config = &SccConfig::table_6_1();
+    let mut with_a_phase = 0;
+    for helpers in HELPERS {
+        let before = hsm_exec::phases_on_this_thread();
+        let run = hsm_exec::run_rcce_with_helpers(program, cores, config, model, helpers);
+        assert_eq!(
+            &run, reference,
+            "{label} under {model:?}: {helpers} helpers changed the result"
+        );
+        with_a_phase += usize::from(hsm_exec::phases_on_this_thread() > before);
+    }
+    with_a_phase
+}
+
 /// `(production, visiting the scheduler before every event)`.
 fn both<S: TraceSink>(
     program: &Program,
@@ -80,6 +114,9 @@ fn assert_exact(label: &str, program: &Program, units: Units, model: ExecModel) 
         (&mut hsm_exec::NullSink, &mut hsm_exec::NullSink),
     );
     assert_eq!(fast, reference, "{label} under {model:?}: results differ");
+    if let Units::Rcce(cores) = units {
+        assert_exact_at_every_helper_count(label, program, cores, model, &reference);
+    }
 
     let (mut seen, mut expected) = (Recorder::default(), Recorder::default());
     let (traced, traced_reference) = both(program, units, model, (&mut seen, &mut expected));
@@ -182,6 +219,73 @@ fn run_ahead_is_exact_on_the_paper_workloads() {
             let src = hsm_workloads::source(bench, &small_params(bench, units));
             assert_source_exact(bench.name(), &src, units, &models, OptLevel::O2);
         }
+    }
+}
+
+/// Both RCCE placements of `bench` at O0 (like the benchmark's
+/// `paper_compute`), at every helper count, under each of `models`: equal
+/// to the reference, and every run did advance its free cores in one go —
+/// at a size too small for that the tests below would pass without having
+/// run what they are about.
+fn assert_a_phase_runs_exactly(bench: Bench, params: &Params, models: &[ExecModel]) {
+    let config = &SccConfig::table_6_1();
+    let cores = params.threads;
+    let src = hsm_workloads::source(bench, params);
+    for mode in [Mode::RcceOffChip, Mode::RcceHsm] {
+        let program = Pipeline::new(src.as_str())
+            .cores(cores)
+            .scenario(Scenario::new(mode).opt_level(OptLevel::O0))
+            .program()
+            .expect("translates");
+        let label = format!("{}@{cores} {}", bench.name(), mode.label());
+        for &model in models {
+            let sink = &mut hsm_exec::NullSink;
+            let reference =
+                hsm_exec::run_rcce_visiting_every_event(&program, cores, config, model, sink);
+            assert!(reference.is_ok(), "{label}: {reference:?}");
+            let with_a_phase =
+                assert_exact_at_every_helper_count(&label, &program, cores, model, &reference);
+            assert_eq!(with_a_phase, HELPERS.len(), "{label} under {model:?}");
+        }
+    }
+}
+
+const COMPUTE: [Bench; 3] = [Bench::PiApprox, Bench::Sum35, Bench::CountPrimes];
+
+/// The three compute benchmarks at sizes where a core retires more than
+/// the engine's floor between two syscalls, on 2, 5 and 32 cores. Count
+/// Primes is the case that needs the scheduler told: its cores reach the
+/// memory controllers right after the stretch they ran beside one another,
+/// in an order only a rebuilt schedule gets right.
+#[test]
+fn free_cores_advance_beside_one_another_exactly() {
+    for bench in COMPUTE {
+        for cores in [2, 5, 32] {
+            let size = match bench {
+                // Trial division: the last core's block is the dear one.
+                Bench::CountPrimes => 400 + 35 * cores,
+                _ => 3_000 * cores,
+            };
+            let params = Params {
+                threads: cores,
+                size,
+                reps: 1,
+            };
+            let models = [ExecModel::Coherent, ExecModel::NonCoherentWriteBack];
+            assert_a_phase_runs_exactly(bench, &params, &models);
+        }
+    }
+}
+
+/// The six RCCE points of the benchmark's `paper_compute` at paper scale,
+/// where leaving the scheduler untold once read Count Primes'
+/// `mc_queue_cycles` 7 028 as 7 254 774 with nothing panicking: a release
+/// build has no `debug_assert` in `schedule`, only this comparison.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "paper scale: a minute in a debug build")]
+fn free_cores_advance_beside_one_another_exactly_at_paper_scale() {
+    for bench in COMPUTE {
+        assert_a_phase_runs_exactly(bench, &bench.default_params(32), &[ExecModel::Coherent]);
     }
 }
 
@@ -393,6 +497,74 @@ int RCCE_APP(int *argc, char **argv) {
             let outcome = assert_exact(name, &program, Units::Rcce(4), model);
             let error = outcome.expect_err(name);
             assert!(error.message.contains(expect), "{name}: {error}");
+        }
+    }
+}
+
+/// What a core meets while it advances beside the others waits for its
+/// turn like anything else it meets ahead of the order, on whichever host
+/// thread it met it.
+#[test]
+fn a_failure_met_beside_other_cores_is_the_one_the_reference_reports() {
+    // Every core runs past the engine's floor, the higher ids for less
+    // long. Core 3 computes a negative address at the earliest clock, core
+    // 1 divides by zero at a later one; which of the two a host thread
+    // meets first depends on how the lanes were dealt.
+    let two_faults = r#"
+int RCCE_APP(int *argc, char **argv) {
+    RCCE_init(&argc, &argv);
+    int me;
+    me = RCCE_ue();
+    int scratch[8];
+    int i;
+    int acc = 0;
+    int zero = 0;
+    int far = 0 - 400000000;
+    for (i = 0; i < 6000 * (4 - me); i++) acc = acc + i % 3;
+    if (me == 1) return acc / zero;
+    if (me == 3) return scratch[far];
+    return 0;
+}
+"#;
+    // Core 1 loops on its own warm lines for ever, so it stops only where
+    // a lane's event bound stops it, far ahead of core 0, which divides by
+    // zero after a stretch past the floor. (Under `non_coherent_wb` the
+    // barrier drops the lines and core 1 reaches the bound one hand-out
+    // later; under `seq_cst_ref` nothing is served on the tile and it
+    // never runs ahead at all.)
+    let endless = r#"
+int RCCE_APP(int *argc, char **argv) {
+    RCCE_init(&argc, &argv);
+    int me;
+    me = RCCE_ue();
+    int scratch[8];
+    int i;
+    int acc = 0;
+    int zero = 0;
+    for (i = 0; i < 8; i++) scratch[i] = i;
+    RCCE_barrier(&RCCE_COMM_WORLD);
+    if (me == 1) {
+        for (i = 0; i >= 0; i = (i + 1) % 8) scratch[i] = scratch[(i + 1) % 8] + 1;
+    }
+    for (i = 0; i < 8000; i++) acc = acc + i % 3;
+    return acc / zero;
+}
+"#;
+    let config = &SccConfig::table_6_1();
+    for (name, src, cores, expect) in [
+        ("two_faults", two_faults, 4, "negative address"),
+        ("endless", endless, 3, "division by zero"),
+    ] {
+        let program = native(src);
+        for model in ExecModel::ALL {
+            let sink = &mut hsm_exec::NullSink;
+            let reference =
+                hsm_exec::run_rcce_visiting_every_event(&program, cores, config, model, sink);
+            let error = reference.as_ref().expect_err(name);
+            assert!(error.message.contains(expect), "{name}: {error}");
+            let with_a_phase =
+                assert_exact_at_every_helper_count(name, &program, cores, model, &reference);
+            assert_eq!(with_a_phase, HELPERS.len(), "{name} under {model:?}");
         }
     }
 }

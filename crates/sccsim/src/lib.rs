@@ -50,7 +50,7 @@ pub mod stats;
 pub mod tas;
 
 pub use config::SccConfig;
-pub use memory::{MemStats, MemorySystem, Region};
+pub use memory::{CoreLane, MemStats, MemorySystem, Region};
 pub use mesh::{Mesh, Tile};
 pub use power::{OperatingPoint, PowerModel};
 pub use stats::{line_index, CoreStats, LatencyHistogram, StatsMatrix, REGION_COUNT};

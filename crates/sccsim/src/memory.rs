@@ -18,7 +18,7 @@ use crate::config::SccConfig;
 use crate::dram::DramBank;
 use crate::mesh::Mesh;
 use crate::mpb::Mpb;
-use crate::stats::StatsMatrix;
+use crate::stats::{CoreStats, StatsMatrix};
 use crate::tas::TasBank;
 
 /// Base of the shared off-chip DRAM window.
@@ -74,6 +74,40 @@ pub struct MemorySystem {
     /// [`Cache`](crate::cache::Cache)), up to 204 KB when full.
     caches: Vec<Option<CacheHierarchy>>,
     stats: StatsMatrix,
+}
+
+/// The two things of the chip a private cache hit touches: one core's
+/// cache hierarchy and its row of the statistics. Nothing else reads or
+/// writes them while the core's unit runs, so whoever holds a core's lane
+/// may perform that core's hits without ordering them against the other
+/// cores — on another thread, even.
+#[derive(Debug)]
+pub struct CoreLane<'a> {
+    cache: &'a mut Option<CacheHierarchy>,
+    row: &'a mut CoreStats,
+}
+
+impl CoreLane<'_> {
+    /// [`MemorySystem::access`] if `addr` is private and the core's own L1
+    /// or L2 holds its line; `None`, with nothing changed, otherwise.
+    ///
+    /// A private hit reads and writes only what the lane holds, and its
+    /// latency does not depend on the time of the access.
+    #[inline]
+    pub fn access_cached(&mut self, addr: u64, write: bool) -> Option<u64> {
+        if MemorySystem::region_of(addr) != Region::Private {
+            return None;
+        }
+        // An unbuilt hierarchy holds no lines.
+        let (level, cycles) = self.cache.as_mut()?.access_resident(addr, write)?;
+        match level {
+            ServiceLevel::L1 => self.row.l1_hits += 1,
+            ServiceLevel::L2 => self.row.l2_hits += 1,
+            ServiceLevel::Memory { .. } => unreachable!("a resident line is served on the tile"),
+        }
+        self.row.record(Region::Private, write, cycles);
+        Some(cycles)
+    }
 }
 
 impl MemorySystem {
@@ -182,31 +216,38 @@ impl MemorySystem {
     }
 
     /// [`MemorySystem::access`] if `addr` is private and `core`'s own L1 or
-    /// L2 holds its line; `None`, with nothing changed, otherwise.
-    ///
-    /// A private hit reads and writes only what belongs to `core` — its
-    /// cache hierarchy and its row of the statistics — and its latency
-    /// does not depend on the time of the access, so a caller may perform
-    /// it without ordering it against the other cores.
+    /// L2 holds its line; `None`, with nothing changed, otherwise (see
+    /// [`CoreLane::access_cached`]).
     ///
     /// # Panics
     ///
     /// Panics if `core` is out of range.
     #[inline]
     pub fn access_cached(&mut self, core: usize, addr: u64, write: bool) -> Option<u64> {
-        if Self::region_of(addr) != Region::Private {
-            return None;
+        self.lane_mut(core).access_cached(addr, write)
+    }
+
+    /// What of the chip belongs to `core` alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is out of range.
+    #[inline]
+    pub fn lane_mut(&mut self, core: usize) -> CoreLane<'_> {
+        CoreLane {
+            cache: &mut self.caches[core],
+            row: &mut self.stats.per_core[core],
         }
-        // An unbuilt hierarchy holds no lines.
-        let (level, cycles) = self.caches[core].as_mut()?.access_resident(addr, write)?;
-        let row = &mut self.stats.per_core[core];
-        match level {
-            ServiceLevel::L1 => row.l1_hits += 1,
-            ServiceLevel::L2 => row.l2_hits += 1,
-            ServiceLevel::Memory { .. } => unreachable!("a resident line is served on the tile"),
-        }
-        self.stats.record(core, Region::Private, write, cycles);
-        Some(cycles)
+    }
+
+    /// Every core's [`CoreLane`], in core order: disjoint borrows, so
+    /// different cores' lanes may go to different threads.
+    pub fn lanes_mut(&mut self) -> impl Iterator<Item = CoreLane<'_>> {
+        let rows = self.stats.per_core.iter_mut();
+        self.caches
+            .iter_mut()
+            .zip(rows)
+            .map(|(cache, row)| CoreLane { cache, row })
     }
 
     /// Performs one access on a hypothetical *flat* machine: private

@@ -151,6 +151,19 @@ impl CoreStats {
     pub fn total_accesses(&self) -> u64 {
         Region::ALL.iter().map(|r| self.region_accesses(*r)).sum()
     }
+
+    /// Records one access by this core (see [`StatsMatrix::record`]).
+    #[inline]
+    pub(crate) fn record(&mut self, region: Region, write: bool, latency: u64) {
+        let i = region.index();
+        if write {
+            self.writes[i] += 1;
+        } else {
+            self.reads[i] += 1;
+        }
+        self.region_cycles[i] += latency;
+        self.latency[i].record(latency);
+    }
 }
 
 /// The full per-core × per-region counter matrix of one simulated chip.
@@ -168,20 +181,12 @@ impl StatsMatrix {
         }
     }
 
-    /// Records one access. The region-independent attribution
+    /// Records one access by `core`. The region-independent attribution
     /// (`l1_hits`/`l2_hits`/`private_dram`/`mc_queue_cycles`) is added
     /// separately by the memory system as it learns where the access was
     /// served.
     pub fn record(&mut self, core: usize, region: Region, write: bool, latency: u64) {
-        let cs = &mut self.per_core[core];
-        let i = region.index();
-        if write {
-            cs.writes[i] += 1;
-        } else {
-            cs.reads[i] += 1;
-        }
-        cs.region_cycles[i] += latency;
-        cs.latency[i].record(latency);
+        self.per_core[core].record(region, write, latency);
     }
 
     /// Total accesses to `region` across all cores.

@@ -953,6 +953,13 @@ impl UnitVm {
     pub fn instructions_retired(&self) -> u64 {
         self.0.instructions_retired()
     }
+
+    /// Whether [`run_until_event`](UnitVm::run_until_event) has anything
+    /// left to run: no load, store or syscall awaits its answer and the
+    /// entry function has not returned.
+    pub fn is_ready(&self) -> bool {
+        self.0.pending.is_none() && self.0.finished.is_none()
+    }
 }
 
 #[cfg(test)]

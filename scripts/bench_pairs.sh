@@ -8,7 +8,8 @@
 # identical harness code times two versions of the crates), then runs
 # PAIRS pairs per workload at the benchmark's own run length. Within a
 # pair both sides get the same seed; which side goes first alternates.
-# Seeds start at 1001: development runs use single digits.
+# Seeds start at 1001 (development runs use single digits), or at
+# $FIRST_SEED for a second set of pairs on seeds no run has seen.
 #
 # Every run is appended to .bench_build/parent.runs.jsonl or
 # .bench_build/change.runs.jsonl, and every pair's `wall_s` and
@@ -25,10 +26,18 @@
 # 16 (mod 64) is slow, 32 or 48 fast. The script prints the symbol's
 # address on both sides and repeats the warning next to the verdict when
 # they differ mod 64.
+#
+# An RCCE run advances its free cores on a second host thread when the
+# host has one to spare, which is where a `paper_compute` gain or loss
+# since ISSUE 22 comes from. So the script prints what the host offers
+# (`nproc`, the load average, and `std::thread::available_parallelism` as
+# a process started here sees it) next to the addresses, and refuses a
+# `paper_compute` verdict on fewer than two CPUs: both sides would run
+# serially and the pairs would compare nothing.
 set -euo pipefail
 
 PAIRS=10
-FIRST_SEED=1001
+FIRST_SEED=${FIRST_SEED:-1001}
 
 [ $# -ge 1 ] || { echo "usage: $0 <parent-ref> [workload...]" >&2; exit 2; }
 root=$(git rev-parse --show-toplevel)
@@ -59,6 +68,19 @@ change_addr=$(loop_addr "$root")
 parent_mod=$((16#$parent_addr % 64))
 change_mod=$((16#$change_addr % 64))
 echo "Vm::run_until_event: parent $parent_addr (= $parent_mod mod 64), change $change_addr (= $change_mod mod 64)"
+
+# What a benchmark process started from here is told it may use: the
+# affinity mask capped by any cgroup quota, asked of std itself.
+echo 'fn main() { println!("{}", std::thread::available_parallelism().map_or(1, usize::from)); }' \
+    > "$build/parallelism.rs"
+rustc -O -o "$build/parallelism" "$build/parallelism.rs"
+parallelism=$("$build/parallelism")
+echo "host: nproc $(nproc), available_parallelism $parallelism, loadavg $(cat /proc/loadavg)"
+if ((parallelism < 2)) && [[ " ${workloads[*]} " == *" paper_compute "* ]]; then
+    echo "refusing a paper_compute verdict: available_parallelism is $parallelism, and the workload's" >&2
+    echo "RCCE points need a second CPU to advance cores on; name the other workloads to run those." >&2
+    exit 3
+fi
 
 # Runs one side from its own checkout and prints its wall_s and
 # op_p90_ms, tab-separated.
