@@ -64,6 +64,14 @@ pub enum PipelineError {
     Compile(hsm_vm::CompileError),
     /// Simulation failure.
     Exec(ExecError),
+    /// The session is configured for no core, or for more than its chip
+    /// has: refused before any stage runs.
+    Cores {
+        /// The core count the session was given.
+        cores: usize,
+        /// The cores of the configured chip.
+        chip: usize,
+    },
     /// The run was cancelled before it completed (a sweep shutting down,
     /// or a job server enforcing a deadline).
     Cancelled,
@@ -71,13 +79,15 @@ pub enum PipelineError {
 
 impl PipelineError {
     /// The name of the pipeline stage that failed (`"parse"`,
-    /// `"translate"`, `"compile"` or `"exec"`), or `"cancelled"`.
+    /// `"translate"`, `"compile"` or `"exec"`), `"config"` for a session
+    /// no stage could run for, or `"cancelled"`.
     pub fn stage(&self) -> &'static str {
         match self {
             PipelineError::Parse(_) => "parse",
             PipelineError::Translate(_) => "translate",
             PipelineError::Compile(_) => "compile",
             PipelineError::Exec(_) => "exec",
+            PipelineError::Cores { .. } => "config",
             PipelineError::Cancelled => "cancelled",
         }
     }
@@ -90,6 +100,12 @@ impl fmt::Display for PipelineError {
             PipelineError::Translate(e) => write!(f, "translate stage: {e}"),
             PipelineError::Compile(e) => write!(f, "compile stage: {e}"),
             PipelineError::Exec(e) => write!(f, "exec stage: {e}"),
+            PipelineError::Cores { cores, chip } => {
+                write!(
+                    f,
+                    "core count {cores} outside 1..={chip}, the cores of the chip"
+                )
+            }
             PipelineError::Cancelled => write!(f, "run cancelled"),
         }
     }
@@ -102,7 +118,7 @@ impl std::error::Error for PipelineError {
             PipelineError::Translate(e) => Some(e),
             PipelineError::Compile(e) => Some(e),
             PipelineError::Exec(e) => Some(e),
-            PipelineError::Cancelled => None,
+            PipelineError::Cores { .. } | PipelineError::Cancelled => None,
         }
     }
 }

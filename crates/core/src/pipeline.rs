@@ -241,12 +241,18 @@ impl Pipeline {
     // of re-resolving them, so the hit/miss counters read as "how many
     // operations reused this artifact", not as internal call chatter.
 
-    /// The parsed translation unit (memoized per source).
+    /// The parsed translation unit (memoized per source). Every other
+    /// stage starts here, so this is where a session on cores its chip
+    /// does not have is refused, before anything is parsed or cached.
     ///
     /// # Errors
     ///
-    /// Propagates parse failures.
+    /// Propagates parse failures; [`PipelineError::Cores`].
     pub fn unit(&self) -> Result<Arc<TranslationUnit>, PipelineError> {
+        let (cores, chip) = (self.cores, self.config.cores);
+        if cores == 0 || cores > chip {
+            return Err(PipelineError::Cores { cores, chip });
+        }
         self.artifacts()
             .unit_with(self.src_hash, &self.src, || Ok(hsm_cir::parse(&self.src)?))
     }
@@ -643,6 +649,46 @@ int main() {
         let built = alone.cache.get().expect("the twin built it");
         assert!(Arc::ptr_eq(built, &twin.cache_handle()));
         assert_eq!(built.stats()[Stage::Run].misses, 1);
+    }
+
+    #[test]
+    fn a_session_on_cores_its_chip_lacks_runs_no_stage() {
+        let cache = ArtifactCache::shared();
+        for cores in [0, 49, usize::MAX] {
+            let session = Pipeline::new(SRC).cores(cores).cache(Arc::clone(&cache));
+            for mode in Mode::ALL {
+                let err = session.clone().scenario(mode.into()).run_scenario();
+                let err = err.expect_err("the chip has 48 cores");
+                assert_eq!(err.stage(), "config", "{err}");
+                assert!(
+                    matches!(err, PipelineError::Cores { chip: 48, .. }),
+                    "{err}"
+                );
+            }
+            let err = session
+                .translation()
+                .expect_err("nor is it translated for them");
+            let expected = format!("core count {cores} outside 1..=48");
+            assert!(err.to_string().contains(&expected), "{err}");
+        }
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.total_hits(), stats.total_misses()),
+            (0, 0),
+            "looked up"
+        );
+        // The bound is the configured chip's.
+        let quad = SccConfig {
+            cores: 4,
+            ..SccConfig::table_6_1()
+        };
+        let session = Pipeline::new(SRC).config(quad);
+        assert!(session.clone().cores(4).unit().is_ok());
+        let err = session.cores(5).unit().expect_err("a 4-core chip");
+        assert!(
+            matches!(err, PipelineError::Cores { cores: 5, chip: 4 }),
+            "{err}"
+        );
     }
 
     #[test]

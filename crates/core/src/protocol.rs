@@ -18,7 +18,9 @@ use crate::scenario::Scenario;
 use crate::spec::SweepSpec;
 use crate::store::fnv1a_bytes;
 use crate::sweep::SweepOutcome;
+use crate::PipelineError;
 use hsm_exec::RunResult;
+use scc_sim::SccConfig;
 use std::fmt;
 
 /// The longest line, in bytes, either end of a connection reads before
@@ -129,6 +131,35 @@ pub enum JobRequest {
 }
 
 impl JobRequest {
+    /// Refuses a job that asks for more cores than the chip the server
+    /// simulates has: asked here, a `"cores": 1000` costs one comparison
+    /// instead of a parse, an analysis, a partition, a translation and a
+    /// compilation before the simulator says the same.
+    ///
+    /// # Errors
+    ///
+    /// Names the job, the count asked for and the chip's.
+    pub fn check_cores(&self, config: &SccConfig) -> Result<(), ProtocolError> {
+        let most = match self {
+            JobRequest::Translate { cores, .. }
+            | JobRequest::Simulate { cores, .. }
+            | JobRequest::Profile { cores, .. } => *cores,
+            JobRequest::Sweep { spec } => spec.programs.iter().map(|p| p.cores).max().unwrap_or(0),
+            JobRequest::Ping | JobRequest::Shutdown => 0,
+        };
+        if most > config.cores {
+            let refusal = PipelineError::Cores {
+                cores: most,
+                chip: config.cores,
+            };
+            return Err(ProtocolError::new(format!(
+                "`{}` job: {refusal}",
+                self.op()
+            )));
+        }
+        Ok(())
+    }
+
     /// The operation's wire name.
     pub fn op(&self) -> &'static str {
         match self {
@@ -562,6 +593,46 @@ mod tests {
     use super::*;
     use crate::spec::SpecProgram;
     use crate::{ExecModel, Mode, OptLevel};
+
+    #[test]
+    fn a_job_on_cores_the_chip_lacks_is_refused_by_name() {
+        let chip = SccConfig::table_6_1();
+        let translate = |cores: u64| {
+            let line = format!(
+                r#"{{"id": 4, "op": "translate", "name": "p", "source": "int main() {{ return 0; }}", "cores": {cores}}}"#
+            );
+            parse_job(&line).expect("parses").request
+        };
+        assert_eq!(translate(48).check_cores(&chip), Ok(()));
+        let err = translate(1000).check_cores(&chip).unwrap_err().to_string();
+        assert_eq!(
+            err,
+            "protocol: `translate` job: core count 1000 outside 1..=48, the cores of the chip"
+        );
+        // The widest program of a sweep decides, and the chip is the
+        // server's, not the SCC.
+        let sweep = JobRequest::Sweep {
+            spec: SweepSpec {
+                programs: vec![
+                    SpecProgram::corpus("example_4_1", 3),
+                    SpecProgram::corpus("dot_product", 49),
+                ],
+                ..SweepSpec::default()
+            },
+        };
+        let err = sweep.check_cores(&chip).unwrap_err().to_string();
+        assert!(
+            err.contains("`sweep` job: core count 49 outside 1..=48"),
+            "{err}"
+        );
+        let quad = SccConfig { cores: 2, ..chip };
+        assert!(sweep
+            .check_cores(&quad)
+            .unwrap_err()
+            .message
+            .contains("1..=2"));
+        assert_eq!(JobRequest::Ping.check_cores(&quad), Ok(()));
+    }
 
     #[test]
     fn jobs_round_trip_through_the_wire_form() {

@@ -257,6 +257,11 @@ fn handle_line(
             return true;
         }
     };
+    if let Err(e) = job.request.check_cores(&options.config) {
+        let message = e.to_string();
+        send(writer, job.id, &JobResponse::Error { message });
+        return true;
+    }
     let timeout_ms = job.timeout_ms.unwrap_or(options.default_timeout_ms);
     match job.request {
         JobRequest::Ping => send(writer, job.id, &JobResponse::Pong),

@@ -18,7 +18,7 @@
 use crate::experiment::{Mode, SweepMatrix, SweepTask};
 use crate::json::{Json, JsonError};
 use crate::scenario::Scenario;
-use crate::{ArtifactCache, ExecModel, OptLevel};
+use crate::{ArtifactCache, ExecModel, OptLevel, PipelineError};
 use scc_sim::SccConfig;
 use std::fmt;
 use std::path::PathBuf;
@@ -277,8 +277,9 @@ impl SweepSpec {
     /// # Errors
     ///
     /// Rejects an empty program or scenario list, a matrix of more than
-    /// [`MAX_POINTS`] points (before any of them is built), unresolvable
-    /// sources, and the retired `predict_first`.
+    /// [`MAX_POINTS`] points (before any of them is built), a program on
+    /// more cores than `config` has (before any source is read),
+    /// unresolvable sources, and the retired `predict_first`.
     pub fn to_matrix(&self, config: &SccConfig) -> Result<SweepMatrix, SpecError> {
         if self.predict_first {
             return Err(SpecError::new(
@@ -295,6 +296,16 @@ impl SweepSpec {
         if programs.saturating_mul(scenarios) > MAX_POINTS {
             return Err(SpecError::new(format!(
                 "{programs} programs x {scenarios} scenarios is over the {MAX_POINTS}-point limit"
+            )));
+        }
+        if let Some(program) = self.programs.iter().find(|p| p.cores > config.cores) {
+            let refusal = PipelineError::Cores {
+                cores: program.cores,
+                chip: config.cores,
+            };
+            return Err(SpecError::new(format!(
+                "program `{}`: {refusal}",
+                program.name
             )));
         }
         let mut matrix = SweepMatrix::new(config.clone()).workers(self.workers);
@@ -566,6 +577,29 @@ mod tests {
         let spec = SweepSpec::default();
         let err = spec.to_matrix(&SccConfig::table_6_1()).unwrap_err();
         assert!(err.to_string().contains("no programs"), "{err}");
+    }
+
+    #[test]
+    fn a_program_on_cores_the_chip_lacks_is_refused_before_its_source_is_read() {
+        let config = SccConfig::table_6_1();
+        let on = |cores| SweepSpec {
+            // No corpus holds it: a spec that got as far as reading sources
+            // would say so instead.
+            programs: vec![SpecProgram::corpus("no_such_program", cores)],
+            scenarios: vec![Scenario::default()],
+            ..SweepSpec::default()
+        };
+        for cores in [49, 1000, usize::MAX] {
+            let err = on(cores).to_matrix(&config).unwrap_err().to_string();
+            let expected = format!("core count {cores} outside 1..=48");
+            assert!(err.contains(&expected), "{err}");
+        }
+        let err = on(48).to_matrix(&config).unwrap_err().to_string();
+        assert!(err.contains("reading"), "the chip has 48: {err}");
+        // The bound is the configured chip's, not the SCC's.
+        let quad = SccConfig { cores: 4, ..config };
+        let err = on(5).to_matrix(&quad).unwrap_err().to_string();
+        assert!(err.contains("core count 5 outside 1..=4"), "{err}");
     }
 
     #[test]

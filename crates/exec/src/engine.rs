@@ -23,6 +23,7 @@ use hsm_vm::data::ByteMemory;
 use hsm_vm::{ExecForm, Intrinsic, MemKind, StepOutcome, UnitVm, Value, VmError};
 use scc_sim::{CoreLane, MemorySystem, SccConfig};
 use std::cell::Cell;
+use std::collections::VecDeque;
 use std::sync::OnceLock;
 
 /// What a slice of simulated time was spent on, so each sync model can
@@ -67,6 +68,16 @@ pub struct UnitState {
     /// [`SyncModel`]). Nothing of it has been charged or performed; it is
     /// the first thing the unit does when `schedule` hands it out again.
     pub held: Option<Result<StepOutcome, VmError>>,
+    /// [`StepOutcome::Ran`] slices the VM computed ahead of the unit's turn
+    /// under the pure rule (see [`SyncModel`]), oldest first, each as
+    /// `(cycles, instructions retired)`: they precede `held`, nothing of
+    /// them has been charged, and the unit replays them first when
+    /// `schedule` hands it out. A slice ends within one instruction of the
+    /// VM's 4096-cycle valve, so both halves fit their 32 bits.
+    ahead: VecDeque<(u32, u32)>,
+    /// Instructions the VM retired on its way to `held`, when it was the
+    /// pure rule that held it.
+    held_instructions: u32,
 }
 
 impl UnitState {
@@ -78,6 +89,8 @@ impl UnitState {
             clock: 0,
             busy_cycles: 0,
             held: None,
+            ahead: VecDeque::new(),
+            held_instructions: 0,
         }
     }
 
@@ -86,6 +99,41 @@ impl UnitState {
     /// nor finished.
     fn is_free(&self) -> bool {
         self.held.is_none() && self.vm.is_ready()
+    }
+
+    /// **The pure rule**, stated once: runs the unit's VM through `Ran`
+    /// slices, which read and write nothing but the VM, and records them
+    /// for the unit's turn instead of billing anybody, until it holds
+    /// [`PURE_FLOOR`] of them. The first outcome that is not a `Ran` slice
+    /// is held behind them.
+    ///
+    /// The unit must be [free](UnitState::is_free), and the room for the
+    /// slices [reserved](ExecEnv::compute_ahead).
+    fn compute_ahead(&mut self, form: &ExecForm<'_>) {
+        while self.ahead.len() < PURE_FLOOR {
+            let retired = self.vm.instructions_retired();
+            let outcome = self.vm.run_until_event(form);
+            let instructions = (self.vm.instructions_retired() - retired) as u32;
+            match outcome {
+                Ok(StepOutcome::Ran { cycles }) => {
+                    self.ahead.push_back((cycles as u32, instructions));
+                }
+                other => {
+                    self.held = Some(other);
+                    self.held_instructions = instructions;
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Instructions the VM has retired and the run has not: those of the
+    /// slices not replayed yet and those that led to what is held behind
+    /// them. A run that ends with `main` counts neither.
+    fn instructions_ahead(&self) -> u64 {
+        let slices: u64 = self.ahead.iter().map(|slice| u64::from(slice.1)).sum();
+        let held = self.held.as_ref().map_or(0, |_| self.held_instructions);
+        slices + u64::from(held)
     }
 }
 
@@ -293,9 +341,8 @@ impl<'p, C: CoherenceModel> ExecEnv<'p, C> {
         lane.advance(&self.form)
     }
 
-    /// [Advances](Lane::advance) every free unit but `except`, dealt
-    /// round-robin by unit index over up to `threads` threads of which the
-    /// caller is one, and returns the number of events performed.
+    /// [Advances](Lane::advance) every free unit but `except` on up to
+    /// `threads` threads and returns the number of events performed.
     fn advance_free(&mut self, except: usize, threads: usize) -> u64 {
         let form = &self.form;
         let owns = self.coherence.own_parts(self.units.len());
@@ -316,40 +363,70 @@ impl<'p, C: CoherenceModel> ExecEnv<'p, C> {
             .filter(|(unit, lane)| *unit != except && lane.unit.is_free())
             .map(|(_, lane)| lane)
             .collect();
-        let run = |hand: Vec<Lane<C>>| -> u64 {
-            let events = hand.into_iter().map(|mut lane| lane.advance(form));
-            events.sum()
-        };
-        let threads = threads.min(free.len());
-        if threads <= 1 {
-            return run(free);
-        }
-        let mut hands: Vec<Vec<_>> = (0..threads).map(|_| Vec::new()).collect();
-        for (i, lane) in free.into_iter().enumerate() {
-            hands[i % threads].push(lane);
-        }
-        std::thread::scope(|scope| {
-            let mine = hands.pop().expect("more than one hand");
-            // A helper the host refuses to start costs nothing but speed:
-            // its units stay where they are, free as before.
-            let helpers: Vec<_> = hands
-                .into_iter()
-                .filter_map(|hand| {
-                    std::thread::Builder::new()
-                        .name("hsm-lane".into())
-                        .spawn_scoped(scope, move || run(hand))
-                        .ok()
-                })
-                .collect();
-            let mut events = run(mine);
-            for helper in helpers {
-                events += helper
-                    .join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            }
-            events
-        })
+        fan_out(free, threads, |mut lane| lane.advance(form))
     }
+
+    /// [Computes ahead](UnitState::compute_ahead), on up to `threads`
+    /// threads, every free unit that has replayed what it computed last
+    /// time; `false` when there are not two of them for a second thread to
+    /// take one of.
+    fn compute_ahead(&mut self, threads: usize) -> bool {
+        let form = &self.form;
+        let mut free: Vec<_> = self
+            .units
+            .iter_mut()
+            .filter(|unit| unit.is_free() && unit.ahead.is_empty())
+            .collect();
+        if free.len() < 2 {
+            return false;
+        }
+        // The room is made here: a helper thread that allocates gets a
+        // malloc arena of its own, megabytes of it resident.
+        for unit in &mut free {
+            unit.ahead.reserve(PURE_FLOOR);
+        }
+        fan_out(free, threads, |unit| {
+            unit.compute_ahead(form);
+            0
+        });
+        true
+    }
+}
+
+/// Runs `run` on every item, dealt round-robin over up to `threads`
+/// threads of which the caller is one, and returns the sum of the results.
+fn fan_out<T: Send>(items: Vec<T>, threads: usize, run: impl Fn(T) -> u64 + Sync) -> u64 {
+    let run = |hand: Vec<T>| -> u64 { hand.into_iter().map(&run).sum() };
+    let threads = threads.min(items.len());
+    if threads <= 1 {
+        return run(items);
+    }
+    let mut hands: Vec<Vec<_>> = (0..threads).map(|_| Vec::new()).collect();
+    for (i, item) in items.into_iter().enumerate() {
+        hands[i % threads].push(item);
+    }
+    std::thread::scope(|scope| {
+        let run = &run;
+        let mine = hands.pop().expect("more than one hand");
+        // A helper the host refuses to start costs nothing but speed: its
+        // items stay where they are, free units free as before.
+        let helpers: Vec<_> = hands
+            .into_iter()
+            .filter_map(|hand| {
+                std::thread::Builder::new()
+                    .name("hsm-lane".into())
+                    .spawn_scoped(scope, move || run(hand))
+                    .ok()
+            })
+            .collect();
+        let mut sum = run(mine);
+        for helper in helpers {
+            sum += helper
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        }
+        sum
+    })
 }
 
 /// The synchronization semantics of an execution mode: which units exist,
@@ -389,14 +466,34 @@ impl<'p, C: CoherenceModel> ExecEnv<'p, C> {
 ///   threads as the host offers, before `schedule` is asked again.
 ///   The rule is off under a recording [`TraceSink`], whose stream lists
 ///   every event in the global order.
+/// * **The pure rule** — asks nothing of the model, and so holds for every
+///   model and under every sink: a [`StepOutcome::Ran`] slice reads and
+///   writes nothing but the unit's own VM (the VM surfaces every load,
+///   store and syscall as an event), so a unit that is free to run may
+///   *compute* its next slices at any time, on any host thread
+///   (`UnitState::compute_ahead`). What a slice costs is a different matter
+///   — a pthread thread's cycles move the one clock all threads share and
+///   use up its quantum — so nothing is billed then: each slice is kept as
+///   `(cycles, instructions)` and *replayed* when `schedule` hands the unit
+///   out, through [`charge`](SyncModel::charge) and
+///   [`still_due`](SyncModel::still_due) exactly as the live slice would
+///   have gone, before the unit goes on live. The units are computed ahead
+///   beside one another once the run as a whole has performed `PURE_FLOOR`
+///   slices in a row and nothing else. A run that has lanes keeps those,
+///   which bill as they go and need no replay: the pure rule serves the
+///   pthread model, the task model, and the RCCE model under a recording
+///   sink.
 ///
 /// Anything else — an access that leaves the tile, a syscall, a finish, a
 /// VM fault — is *held* on the unit ([`UnitState::held`]): the VM stays
 /// suspended on it, nothing is charged, and the unit performs it first
-/// when `schedule` hands it out, which is exactly when a core that
-/// visited `schedule` before every event would have performed it. A
-/// syscall or a finish always ends the hand-out: those are the events
-/// that change other units' states and clocks.
+/// when `schedule` hands it out (after the slices it computed on the way
+/// there, if any), which is exactly when a core that visited `schedule`
+/// before every event would have performed it. A syscall or a finish
+/// always ends the hand-out: those are the events that change other units'
+/// states and clocks. A run that ends first (`exit`, `main` returning) ends
+/// as if nothing had been computed ahead: [`RunResult::instructions`]
+/// counts what was replayed.
 pub trait SyncModel: Sized {
     /// Number of units at boot (pthread: 1, the main thread; RCCE: one
     /// per core). Units may be added later (`pthread_create`).
@@ -456,6 +553,12 @@ pub trait SyncModel: Sized {
     /// pick moves is stale. Called only when
     /// [`OWN_EVENTS_ARE_LOCAL`](SyncModel::OWN_EVENTS_ARE_LOCAL).
     fn clocks_moved(&mut self) {}
+
+    /// Refuses the pure rule, which asks nothing of a model and so cannot
+    /// be withheld by one that merely grants nothing: set by
+    /// [`VisitEveryEvent`] alone, the reference that runs ahead of nothing.
+    #[doc(hidden)]
+    const VISITS_EVERY_EVENT: bool = false;
 
     /// Advances the clocks by `cycles` of the given [`Charge`] kind on
     /// behalf of `unit`.
@@ -533,29 +636,62 @@ const RUN_AHEAD_LIMIT: u64 = 1 << 16;
 /// are the same at any value.
 const PHASE_FLOOR: u64 = 50_000;
 
-/// Host threads a run may advance lanes on, itself included: what the
-/// host offers this process. On a one-CPU host the lanes are advanced one
+/// Consecutive `Ran` slices the run as a whole has to perform, with no
+/// other event of any unit in between, for every free unit to be
+/// [computed ahead](UnitState::compute_ahead) beside the others; also the
+/// most slices a unit holds, so a unit costs at most 8 KiB and one that
+/// loops for ever is stopped by [`STEP_LIMIT`] as it always was. The two
+/// measured ends (CHANGES.md, PR 23): at 8 or 32 slices `serve_mix`, whose
+/// runs are 1/50 of paper scale (3-5-Sum at 2 threads is one pure stretch
+/// of 380 slices), started 414–441 phases a run, each paying 30–60 µs per
+/// scoped thread for a few hundred µs of dispatch, and read `wall_s`
+/// +6…+30 %; at 1024 slices — 4 Mi simulated cycles, ≈ 2 ms of dispatch,
+/// ≈ 40 thread spawns — neither it nor `corpus_grid` starts one, and Pi's
+/// 32-thread baseline, the shortest run that should, goes serially for its
+/// first 17 %. Not a setting: results are the same at any value.
+const PURE_FLOOR: usize = 1024;
+
+/// Host threads a run may spread its free units over, itself included: what
+/// the host offers this process. On a one-CPU host the units are taken one
 /// after the other on the calling thread. Other runs of the process (the
 /// second worker of a sweep, an `hsmd` job) are not subtracted: a 2-worker
 /// sweep over the RCCE points of `paper_compute` read the same with and
 /// without that (CHANGES.md, PR 22), the work being the same either way.
 fn lane_threads() -> usize {
     static HOST: OnceLock<usize> = OnceLock::new();
-    *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
+    match FORCED_HELPERS.get() {
+        Some(helpers) => helpers + 1,
+        None => *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from)),
+    }
 }
 
 thread_local! {
-    /// Times a run on this thread advanced its free units beside one
-    /// another.
+    /// Times a run on this thread took its free units ahead beside one
+    /// another, under the local rule or the pure one.
     static PHASES: Cell<u64> = const { Cell::new(0) };
+    /// Helper threads [`with_helpers`] forces on this thread's runs.
+    static FORCED_HELPERS: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
-/// How often the runs this thread has made so far advanced their free
-/// units in one go (see [`SyncModel`]): what a test reads before and after
+/// How often the runs this thread has made so far took their free units
+/// ahead in one go (see [`SyncModel`]): what a test reads before and after
 /// a run to know that the run got there. Not part of any result.
 #[doc(hidden)]
 pub fn phases_on_this_thread() -> u64 {
-    PHASES.with(Cell::get)
+    PHASES.get()
+}
+
+/// `run`, with every run it makes on this thread spreading its free units
+/// over exactly `helpers` host threads beside the caller's, whatever the
+/// host has to spare. Tests hold runs of every sync model against
+/// [`VisitEveryEvent`] at several helper counts; nothing else may choose
+/// one, a [`RunResult`] being the same at any.
+#[doc(hidden)]
+pub fn with_helpers<R>(helpers: usize, run: impl FnOnce() -> R) -> R {
+    let outer = FORCED_HELPERS.replace(Some(helpers));
+    let result = run();
+    FORCED_HELPERS.set(outer);
+    result
 }
 
 fn check_step_limit(steps: u64) -> Result<(), ExecError> {
@@ -576,26 +712,15 @@ impl ExecutionCore {
     pub fn run<M: SyncModel, C: CoherenceModel, S: TraceSink>(
         program: &Program,
         config: &SccConfig,
-        model: M,
-        coherence: C,
-        sink: &mut S,
-    ) -> Result<RunResult, ExecError> {
-        Self::run_on(program, config, model, coherence, sink, None)
-    }
-
-    /// [`ExecutionCore::run`] advancing free units on `helpers` threads
-    /// beside the caller's (`None`: what [`lane_threads`] allows). The
-    /// [`RunResult`] is the same at any helper count.
-    fn run_on<M: SyncModel, C: CoherenceModel, S: TraceSink>(
-        program: &Program,
-        config: &SccConfig,
         mut model: M,
         coherence: C,
         sink: &mut S,
-        helpers: Option<usize>,
     ) -> Result<RunResult, ExecError> {
         let mut env = ExecEnv::new(program, config, coherence, &model);
         let local = M::OWN_EVENTS_ARE_LOCAL && !S::ENABLED;
+        // A lane bills as it goes, which is cheaper than recording and
+        // replaying: the pure rule is for the runs that have no lanes.
+        let pure = !local && !M::VISITS_EVERY_EVENT;
         debug_assert!(
             !local || (0..env.units.len()).all(|unit| model.core_of(unit) == unit),
             "a unit whose events are local runs on the core of its own index"
@@ -616,10 +741,39 @@ impl ExecutionCore {
         // syscall or finish. What they run until the next one they have
         // in common, so one such phase takes them all there.
         let mut fresh = true;
+        // `Ran` slices performed so far, live or replayed, and `(steps,
+        // ran)` where the stretch of nothing but such slices began that the
+        // run is in.
+        let mut ran: u64 = 0;
+        let mut stretch = (0, 0);
         'visit: while let Some(u) = model.schedule(&mut env)? {
+            if pure {
+                let (events, slices) = (steps - stretch.0, ran - stretch.1);
+                if events != slices {
+                    // Something else was performed: a new stretch.
+                    stretch = (steps, ran);
+                } else if slices >= PURE_FLOOR as u64 {
+                    stretch = (steps, ran);
+                    if env.compute_ahead(lane_threads()) {
+                        PHASES.set(PHASES.get() + 1);
+                    }
+                }
+            }
             let retired = env.units[u].vm.instructions_retired();
-            // `u` is due: whatever it is suspended on comes next in the
-            // global order.
+            // `u` is due. What it computed ahead comes next in the global
+            // order, billed as the live slice would have been.
+            if pure {
+                while let Some((cycles, _)) = env.units[u].ahead.pop_front() {
+                    model.charge(&mut env.units[u], u64::from(cycles), Charge::Progress);
+                    steps += 1;
+                    ran += 1;
+                    check_step_limit(steps)?;
+                    if !model.still_due(&env, u) {
+                        continue 'visit;
+                    }
+                }
+            }
+            // Then whatever it is suspended on.
             loop {
                 // A binding per event rather than one assigned to: the VM
                 // then writes its answer in place, where reading it back
@@ -631,6 +785,7 @@ impl ExecutionCore {
                 let flow = match outcome {
                     Ok(StepOutcome::Ran { cycles }) => {
                         model.charge(&mut env.units[u], cycles, Charge::Progress);
+                        ran += u64::from(pure);
                         None
                     }
                     Ok(StepOutcome::Load { addr, kind, cycles }) => {
@@ -677,17 +832,18 @@ impl ExecutionCore {
             steps += env.advance(u);
             if fresh && env.units[u].vm.instructions_retired() - retired > PHASE_FLOOR {
                 fresh = false;
-                let threads = helpers.map_or_else(lane_threads, |helpers| helpers + 1);
-                steps += env.advance_free(u, threads);
+                steps += env.advance_free(u, lane_threads());
                 model.clocks_moved();
-                PHASES.with(|phases| phases.set(phases.get() + 1));
+                PHASES.set(PHASES.get() + 1);
             }
             check_step_limit(steps)?;
         }
 
+        debug_assert!(env.units.iter().all(|u| u.ahead.len() <= PURE_FLOOR));
         let (total_cycles, per_unit_cycles, exit_code) = model.finalize(&env);
         let timed = env.wtimes.widest_interval().unwrap_or(total_cycles);
-        let instructions = env.units.iter().map(|u| u.vm.instructions_retired()).sum();
+        let retired = |u: &UnitState| u.vm.instructions_retired() - u.instructions_ahead();
+        let instructions = env.units.iter().map(retired).sum();
         env.output.sort_by_key(|l| (l.at, l.who));
         Ok(RunResult {
             total_cycles,
@@ -716,28 +872,13 @@ impl ExecutionCore {
         model: ExecModel,
         sink: &mut S,
     ) -> Result<RunResult, ExecError> {
-        Self::run_model_on(program, config, sync, model, sink, None)
-    }
-
-    /// [`ExecutionCore::run_model`] on `helpers` helper threads (see
-    /// `run_on`).
-    pub(crate) fn run_model_on<M: SyncModel, S: TraceSink>(
-        program: &Program,
-        config: &SccConfig,
-        sync: M,
-        model: ExecModel,
-        sink: &mut S,
-        helpers: Option<usize>,
-    ) -> Result<RunResult, ExecError> {
         match model {
-            ExecModel::Coherent => Self::run_on(program, config, sync, Coherent, sink, helpers),
+            ExecModel::Coherent => Self::run(program, config, sync, Coherent, sink),
             ExecModel::NonCoherentWriteBack => {
                 let views = NonCoherentWriteBack::new(config.line_bytes);
-                Self::run_on(program, config, sync, views, sink, helpers)
+                Self::run(program, config, sync, views, sink)
             }
-            ExecModel::SeqCstReference => {
-                Self::run_on(program, config, sync, SeqCstReference, sink, helpers)
-            }
+            ExecModel::SeqCstReference => Self::run(program, config, sync, SeqCstReference, sink),
         }
     }
 
@@ -841,6 +982,8 @@ impl ExecutionCore {
 pub struct VisitEveryEvent<M>(pub M);
 
 impl<M: SyncModel> SyncModel for VisitEveryEvent<M> {
+    const VISITS_EVERY_EVENT: bool = true;
+
     fn unit_count(&self) -> usize {
         self.0.unit_count()
     }

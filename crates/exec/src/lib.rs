@@ -62,7 +62,7 @@ pub mod trace;
 
 pub use coherence::{CoherenceModel, Coherent, ExecModel, NonCoherentWriteBack, SeqCstReference};
 #[doc(hidden)]
-pub use engine::phases_on_this_thread;
+pub use engine::{phases_on_this_thread, with_helpers};
 pub use engine::{Charge, ExecEnv, ExecutionCore, Flow, SyncModel, UnitState};
 pub use machine::{DataSpaces, ExecError, OutputLine, RunResult};
 pub use oracle::{Oracle, OracleMode, OracleReport, Violation, ViolationClass};
@@ -74,9 +74,9 @@ pub use pthread::run_pthread_visiting_every_event;
 pub use pthread::{
     run_pthread, run_pthread_model, run_pthread_model_profiled, run_pthread_model_traced,
 };
-pub use rcce::{run_rcce, run_rcce_model, run_rcce_model_profiled, run_rcce_model_traced};
 #[doc(hidden)]
-pub use rcce::{run_rcce_visiting_every_event, run_rcce_with_helpers};
+pub use rcce::run_rcce_visiting_every_event;
+pub use rcce::{run_rcce, run_rcce_model, run_rcce_model_profiled, run_rcce_model_traced};
 pub use taskflow::{run_task, run_task_model, run_task_model_profiled, run_task_model_traced};
 pub use trace::{NullSink, RingTrace, SyncEvent, TraceEvent, TraceSink};
 

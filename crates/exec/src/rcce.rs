@@ -728,7 +728,7 @@ pub fn run_rcce_model_traced<S: TraceSink>(
     model: ExecModel,
     sink: &mut S,
 ) -> Result<RunResult, ExecError> {
-    run_as(program, cores, config, model, sink, |sync| sync, None)
+    run_as(program, cores, config, model, sink, |sync| sync)
 }
 
 /// [`run_rcce_model_traced`] visiting the scheduler before every event:
@@ -745,27 +745,7 @@ pub fn run_rcce_visiting_every_event<S: TraceSink>(
     model: ExecModel,
     sink: &mut S,
 ) -> Result<RunResult, ExecError> {
-    run_as(program, cores, config, model, sink, VisitEveryEvent, None)
-}
-
-/// [`run_rcce_model`] advancing free cores on exactly `helpers` host
-/// threads beside the caller's, whatever the host has to spare. Tests hold
-/// the result against [`run_rcce_visiting_every_event`] at several helper
-/// counts; nothing else may choose one.
-///
-/// # Errors
-///
-/// Same failure modes as [`run_rcce`].
-#[doc(hidden)]
-pub fn run_rcce_with_helpers(
-    program: &Program,
-    cores: usize,
-    config: &SccConfig,
-    model: ExecModel,
-    helpers: usize,
-) -> Result<RunResult, ExecError> {
-    let forced = Some(helpers);
-    run_as(program, cores, config, model, &mut NullSink, |s| s, forced)
+    run_as(program, cores, config, model, sink, VisitEveryEvent)
 }
 
 fn run_as<W: SyncModel, S: TraceSink>(
@@ -775,7 +755,6 @@ fn run_as<W: SyncModel, S: TraceSink>(
     model: ExecModel,
     sink: &mut S,
     wrap: impl FnOnce(RcceSync) -> W,
-    helpers: Option<usize>,
 ) -> Result<RunResult, ExecError> {
     if cores == 0 || cores > config.cores {
         return Err(ExecError::new(format!(
@@ -784,7 +763,7 @@ fn run_as<W: SyncModel, S: TraceSink>(
         )));
     }
     let sync = wrap(RcceSync::new(cores, config));
-    ExecutionCore::run_model_on(program, config, sync, model, sink, helpers)
+    ExecutionCore::run_model(program, config, sync, model, sink)
 }
 
 #[cfg(test)]

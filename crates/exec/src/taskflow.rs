@@ -605,3 +605,134 @@ pub fn run_task_model_traced<S: TraceSink>(
     let sync = TaskDataflowSync::new(cores, config);
     ExecutionCore::run_model(program, config, sync, model, sink)
 }
+
+#[cfg(test)]
+mod tests {
+    //! The task model's side of `tests/run_ahead_exact.rs`, held here
+    //! because its reference needs the private model type: the model
+    //! grants nothing itself, so what is compared is the pure rule —
+    //! tasks computing ahead beside one another and replaying one slice a
+    //! visit — against [`VisitEveryEvent`], which refuses it.
+
+    use super::*;
+    use crate::engine::{phases_on_this_thread, with_helpers, VisitEveryEvent};
+    use crate::trace::TraceEvent;
+
+    /// Keeps everything a sink is told, in order.
+    #[derive(Debug, Default, PartialEq)]
+    struct Recorder {
+        accesses: Vec<TraceEvent>,
+        syncs: Vec<SyncEvent>,
+        dmas: Vec<(usize, usize, u64, u64)>,
+    }
+
+    impl TraceSink for Recorder {
+        fn record(&mut self, event: TraceEvent) {
+            self.accesses.push(event);
+        }
+
+        fn sync(&mut self, event: SyncEvent) {
+            self.syncs.push(event);
+        }
+
+        fn dma(&mut self, from: usize, to: usize, bytes: u64, cycle: u64) {
+            self.dmas.push((from, to, bytes, cycle));
+        }
+    }
+
+    fn native(src: &str) -> Program {
+        hsm_vm::compile(&hsm_cir::parse(src).expect("parse")).expect("compile")
+    }
+
+    /// Holds runs of `program` at 0, 1 and 3 forced helpers, untraced and
+    /// recorded, against the reference. Returns the reference outcome and
+    /// how many of the untraced runs took their tasks ahead in one go.
+    fn assert_exact(
+        label: &str,
+        program: &Program,
+        cores: usize,
+        model: ExecModel,
+    ) -> (Result<RunResult, ExecError>, usize) {
+        let config = &SccConfig::table_6_1();
+        let visiting = || VisitEveryEvent(TaskDataflowSync::new(cores, config));
+        let reference = ExecutionCore::run_model(program, config, visiting(), model, &mut NullSink);
+        let mut expected = Recorder::default();
+        let traced = ExecutionCore::run_model(program, config, visiting(), model, &mut expected);
+        assert_eq!(
+            traced, reference,
+            "{label}: the sink perturbed the reference"
+        );
+        let mut with_a_phase = 0;
+        for helpers in [0, 1, 3] {
+            let at = format!("{label} under {model:?} on {helpers} helpers");
+            let phases = phases_on_this_thread();
+            let run = with_helpers(helpers, || run_task_model(program, cores, config, model));
+            assert_eq!(run, reference, "{at}: results differ");
+            with_a_phase += usize::from(phases_on_this_thread() > phases);
+            let mut seen = Recorder::default();
+            let run = with_helpers(helpers, || {
+                run_task_model_traced(program, cores, config, model, &mut seen)
+            });
+            assert_eq!(run, reference, "{at}: traced results differ");
+            assert_eq!(seen, expected, "{at}: the sink was told something else");
+        }
+        (reference, with_a_phase)
+    }
+
+    #[test]
+    fn the_corpus_ports_run_as_if_every_event_were_a_visit() {
+        for (name, cores) in [
+            ("task_matrix_vector.c", 4),
+            ("task_histogram.c", 4),
+            ("task_dot_product.c", 8),
+        ] {
+            let path = format!("{}/../../corpus/{name}", env!("CARGO_MANIFEST_DIR"));
+            let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+            let program = native(&src);
+            for model in ExecModel::ALL {
+                let (reference, _) = assert_exact(name, &program, cores, model);
+                assert!(reference.is_ok(), "{name} under {model:?}: {reference:?}");
+            }
+        }
+    }
+
+    /// Four tasks that spin for far longer than the engine's floor while
+    /// `main` waits, one of them into a division by zero when asked to:
+    /// they compute ahead beside one another, and the fault is reported
+    /// when its task's turn reaches it.
+    #[test]
+    fn tasks_compute_ahead_and_replay_a_slice_a_visit_exactly() {
+        let src = |tail: &str| {
+            format!(
+                r#"
+int out[4];
+void spin(int id) {{
+    int i;
+    int acc = 0;
+    int zero = 0;
+    for (i = 0; i < 40000 + 3000 * id; i++) acc = acc + i % 3;
+    {tail}
+    out[id] = acc;
+}}
+int main() {{
+    int i;
+    for (i = 0; i < 4; i++) task_spawn(spin, i, 0, 0, 0, 0, &out[i], 4);
+    task_wait_all();
+    return (out[0] + out[1] + out[2] + out[3]) % 100;
+}}
+"#
+            )
+        };
+        for (name, tail, fails) in [
+            ("spin", "", false),
+            ("fault", "if (id == 1) acc = acc / zero;", true),
+        ] {
+            let program = native(&src(tail));
+            for model in ExecModel::ALL {
+                let (reference, with_a_phase) = assert_exact(name, &program, 5, model);
+                assert_eq!(reference.is_err(), fails, "{name}: {reference:?}");
+                assert_eq!(with_a_phase, 3, "{name} under {model:?}: no task ran ahead");
+            }
+        }
+    }
+}

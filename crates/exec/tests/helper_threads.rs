@@ -1,6 +1,6 @@
-//! The host threads a run advances its free cores on are the run's own:
-//! started inside it, joined before it returns, at any helper count and
-//! however the run ends.
+//! The host threads a run takes its free units ahead on are the run's own:
+//! started inside it, joined before it returns, at any helper count,
+//! under either rule that starts them and however the run ends.
 //!
 //! One test in a file of its own, because the thread count of the process
 //! is what it reads: a second test on a second harness thread would be
@@ -69,7 +69,9 @@ int RCCE_APP(int *argc, char **argv) {{
         assert_eq!(reference.is_err(), fails, "{reference:?}");
         for helpers in [3, 1, 0] {
             let phases = hsm_exec::phases_on_this_thread();
-            let run = hsm_exec::run_rcce_with_helpers(&program, 8, config, model, helpers);
+            let run = hsm_exec::with_helpers(helpers, || {
+                hsm_exec::run_rcce_model(&program, 8, config, model)
+            });
             assert_eq!(run, reference, "{helpers} helpers");
             assert!(hsm_exec::phases_on_this_thread() > phases, "no phase ran");
             assert_eq!(settled(before), before, "after a run on {helpers} helpers");
@@ -80,5 +82,66 @@ int RCCE_APP(int *argc, char **argv) {{
             reference
         );
         assert_eq!(settled(before), before, "after a production run");
+    }
+
+    // The pthread baseline's threads compute ahead on helper threads too:
+    // four of them spin past the engine's floor beside `main`, which joins
+    // them, meets thread 2's fault doing so, or leaves while they still
+    // hold what they computed.
+    let src = |tail: &str, end: &str| {
+        format!(
+            r#"
+int out[4];
+void *spin(void *tid) {{
+    int id = (int)tid;
+    int i;
+    int acc = 0;
+    int zero = 0;
+    for (i = 0; i < 75000; i++) acc = acc + i % 3;
+    {tail}
+    out[id] = acc;
+    return tid;
+}}
+int main() {{
+    pthread_t t[4];
+    int i;
+    int acc = 0;
+    for (i = 0; i < 4; i++) pthread_create(&t[i], NULL, spin, (void *)i);
+    for (i = 0; i < 60000; i++) acc = acc + i % 5;
+    {end}
+    return acc % 7;
+}}
+"#
+        )
+    };
+    let join = "for (i = 0; i < 4; i++) pthread_join(t[i], NULL);";
+    let fault = "if (id == 2) acc = acc / zero;";
+    for (name, tail, end, fails) in [
+        ("joined", "", join, false),
+        ("fault", fault, join, true),
+        ("exit", "", "exit(3);", false),
+    ] {
+        let unit = hsm_cir::parse(&src(tail, end)).expect("parse");
+        let program = hsm_vm::compile(&unit).expect("compile");
+        let reference =
+            hsm_exec::run_pthread_visiting_every_event(&program, config, model, &mut NullSink);
+        assert_eq!(reference.is_err(), fails, "{name}: {reference:?}");
+        for helpers in [3, 1, 0] {
+            let phases = hsm_exec::phases_on_this_thread();
+            let run = hsm_exec::with_helpers(helpers, || {
+                hsm_exec::run_pthread_model(&program, config, model)
+            });
+            assert_eq!(run, reference, "{name} on {helpers} helpers");
+            assert!(
+                hsm_exec::phases_on_this_thread() > phases,
+                "{name}: no phase ran"
+            );
+            assert_eq!(settled(before), before, "after {name} on {helpers} helpers");
+        }
+        assert_eq!(
+            hsm_exec::run_pthread_model(&program, config, model),
+            reference
+        );
+        assert_eq!(settled(before), before, "after a production run of {name}");
     }
 }

@@ -2,31 +2,34 @@
 //! computes.
 //!
 //! `ExecutionCore::run` lets a unit keep stepping while the scheduler
-//! would hand it out again anyway (the ordered rule) or while what it
-//! does is visible to nobody else (the local rule); DESIGN.md §9 argues
-//! both are exact. This suite is the argument as a test: every program
-//! here runs twice, once on the production path and once behind
-//! `VisitEveryEvent`, which refuses every grant so the core visits
-//! `schedule` before each event, and the two runs must agree on the whole
-//! `RunResult` — or on the error — and, with a recording sink attached,
-//! on every access and every synchronization event in order.
+//! would hand it out again anyway (the ordered rule), while what it does is
+//! visible to nobody else (the local rule), or while it only computes (the
+//! pure rule); DESIGN.md §9 argues all three are exact. This suite is the
+//! argument as a test: every program here runs on the production path and
+//! behind `VisitEveryEvent`, which refuses every grant so the core visits
+//! `schedule` before each event and no unit is ever ahead of its turn, and
+//! the runs must agree on the whole `RunResult` — or on the error — and,
+//! with a recording sink attached, on every access and every
+//! synchronization event in order.
 //!
-//! The local rule also lets the free cores of an RCCE run advance beside
-//! one another on several host threads. How many is the host's business
-//! and never part of a result, so every RCCE program here additionally
-//! runs with the helper count forced to each of [`HELPERS`] and must give
-//! what the reference gives.
+//! The local and the pure rule also take the free units of a run ahead
+//! beside one another on several host threads. How many is the host's
+//! business and never part of a result, so every program here additionally
+//! runs with the helper count forced to each of [`HELPERS`], untraced and
+//! recorded, and must give what the reference gives.
 //!
-//! The task-dataflow model grants nothing and so has no second side to
-//! compare; its results are pinned by `tests/sync_models.rs` and the
-//! manifest goldens.
+//! The task-dataflow model's sync type is private to `hsm-exec` and has no
+//! exported reference run, so its second side is held in
+//! `crates/exec/src/taskflow.rs`'s unit tests; here it appears only in
+//! the census of which runs take their units ahead at all.
 
 use hsm_core::{ExecModel, Mode, OptLevel, Pipeline, Scenario};
-use hsm_exec::{ExecError, RunResult, SyncEvent, TraceEvent, TraceSink};
+use hsm_exec::{ExecError, NullSink, RunResult, SyncEvent, TraceEvent, TraceSink};
 use hsm_vm::Program;
 use hsm_workloads::{Bench, Params};
 use scc_sim::SccConfig;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// Keeps everything a sink is told, in order.
 #[derive(Debug, Default, PartialEq)]
@@ -55,106 +58,106 @@ enum Units {
 
 type Outcome = Result<RunResult, ExecError>;
 
-/// Host threads beside the caller's that an RCCE run is forced onto: none
-/// (every lane on the caller), one (the reference container), and more
-/// than any test here has cores to spare for.
+/// Host threads beside the caller's that a run is forced onto: none (every
+/// free unit on the caller), one (the reference container), and more than
+/// any test here has units to spare for.
 const HELPERS: [usize; 3] = [0, 1, 3];
 
-/// Holds an RCCE run at every helper count against `reference`. Returns
-/// how many of the runs advanced their free cores in one go at least once.
-fn assert_exact_at_every_helper_count(
-    label: &str,
-    program: &Program,
-    cores: usize,
-    model: ExecModel,
-    reference: &Outcome,
-) -> usize {
+/// The production path.
+fn run<S: TraceSink>(program: &Program, units: Units, model: ExecModel, sink: &mut S) -> Outcome {
     let config = &SccConfig::table_6_1();
-    let mut with_a_phase = 0;
-    for helpers in HELPERS {
-        let before = hsm_exec::phases_on_this_thread();
-        let run = hsm_exec::run_rcce_with_helpers(program, cores, config, model, helpers);
-        assert_eq!(
-            &run, reference,
-            "{label} under {model:?}: {helpers} helpers changed the result"
-        );
-        with_a_phase += usize::from(hsm_exec::phases_on_this_thread() > before);
+    match units {
+        Units::Pthread => hsm_exec::run_pthread_model_traced(program, config, model, sink),
+        Units::Rcce(cores) => hsm_exec::run_rcce_model_traced(program, cores, config, model, sink),
     }
-    with_a_phase
 }
 
-/// `(production, visiting the scheduler before every event)`.
-fn both<S: TraceSink>(
+/// The reference: a scheduler visit before every event, no unit ever ahead.
+fn visiting_every_event<S: TraceSink>(
     program: &Program,
     units: Units,
     model: ExecModel,
-    sinks: (&mut S, &mut S),
-) -> (Outcome, Outcome) {
+    sink: &mut S,
+) -> Outcome {
     let config = &SccConfig::table_6_1();
     match units {
-        Units::Pthread => (
-            hsm_exec::run_pthread_model_traced(program, config, model, sinks.0),
-            hsm_exec::run_pthread_visiting_every_event(program, config, model, sinks.1),
-        ),
-        Units::Rcce(cores) => (
-            hsm_exec::run_rcce_model_traced(program, cores, config, model, sinks.0),
-            hsm_exec::run_rcce_visiting_every_event(program, cores, config, model, sinks.1),
-        ),
+        Units::Pthread => hsm_exec::run_pthread_visiting_every_event(program, config, model, sink),
+        Units::Rcce(cores) => {
+            hsm_exec::run_rcce_visiting_every_event(program, cores, config, model, sink)
+        }
     }
 }
 
-/// Runs `program` four times — both paths, untraced and recorded — and
-/// holds each production run against its reference. Returns the untraced
-/// production outcome.
-fn assert_exact(label: &str, program: &Program, units: Units, model: ExecModel) -> Outcome {
-    let (fast, reference) = both(
-        program,
-        units,
-        model,
-        (&mut hsm_exec::NullSink, &mut hsm_exec::NullSink),
-    );
-    assert_eq!(fast, reference, "{label} under {model:?}: results differ");
-    if let Units::Rcce(cores) = units {
-        assert_exact_at_every_helper_count(label, program, cores, model, &reference);
-    }
+/// How many times `run` took its free units ahead in one go.
+fn phases_of<R>(run: impl FnOnce() -> R) -> (R, u64) {
+    let before = hsm_exec::phases_on_this_thread();
+    let result = run();
+    (result, hsm_exec::phases_on_this_thread() - before)
+}
 
-    let (mut seen, mut expected) = (Recorder::default(), Recorder::default());
-    let (traced, traced_reference) = both(program, units, model, (&mut seen, &mut expected));
+/// Runs `program` behind `VisitEveryEvent`, untraced and recorded, then on
+/// the production path — untraced on the threads the host offers, and
+/// untraced and recorded at every forced helper count — and holds every
+/// run against the reference: the whole outcome, and what the sink was
+/// told. Returns the reference outcome and how many of the untraced forced
+/// runs took their free units ahead in one go at least once.
+fn assert_exact(
+    label: &str,
+    program: &Program,
+    units: Units,
+    model: ExecModel,
+) -> (Outcome, usize) {
+    let reference = visiting_every_event(program, units, model, &mut NullSink);
+    let mut expected = Recorder::default();
+    let traced_reference = visiting_every_event(program, units, model, &mut expected);
     assert_eq!(
-        traced, traced_reference,
-        "{label} under {model:?}: traced results differ"
+        traced_reference, reference,
+        "{label} under {model:?}: the sink perturbed the reference"
     );
-    assert_eq!(
-        traced, fast,
-        "{label} under {model:?}: the sink perturbed the run"
-    );
-    assert_eq!(
-        seen.syncs, expected.syncs,
-        "{label} under {model:?}: sync streams differ"
-    );
-    // Element by element, so a failure names the first access that moved.
-    assert_eq!(seen.accesses.len(), expected.accesses.len(), "{label}");
-    for (i, pair) in seen.accesses.iter().zip(&expected.accesses).enumerate() {
-        assert_eq!(
-            pair.0, pair.1,
-            "{label} under {model:?}: access {i} differs"
-        );
+    let fast = run(program, units, model, &mut NullSink);
+    assert_eq!(fast, reference, "{label} under {model:?}: results differ");
+
+    let mut with_a_phase = 0;
+    for helpers in HELPERS {
+        let at = format!("{label} under {model:?} on {helpers} helpers");
+        let (forced, phases) = phases_of(|| {
+            hsm_exec::with_helpers(helpers, || run(program, units, model, &mut NullSink))
+        });
+        assert_eq!(forced, reference, "{at}: results differ");
+        with_a_phase += usize::from(phases > 0);
+
+        let mut seen = Recorder::default();
+        let traced = hsm_exec::with_helpers(helpers, || run(program, units, model, &mut seen));
+        assert_eq!(traced, reference, "{at}: traced results differ");
+        assert_eq!(seen.syncs, expected.syncs, "{at}: sync streams differ");
+        // Element by element, so a failure names the first access that moved.
+        assert_eq!(seen.accesses.len(), expected.accesses.len(), "{at}");
+        for (i, pair) in seen.accesses.iter().zip(&expected.accesses).enumerate() {
+            assert_eq!(pair.0, pair.1, "{at}: access {i} differs");
+        }
     }
-    fast
+    (reference, with_a_phase)
+}
+
+/// What `mode` runs of a pthread source for `cores` units, and on what:
+/// the source itself on one core, or one of its two translations.
+fn program_of(src: &str, cores: usize, mode: Mode, level: OptLevel) -> (Arc<Program>, Units) {
+    let session = Pipeline::new(src)
+        .cores(cores)
+        .scenario(Scenario::new(mode).opt_level(level));
+    let (program, units) = match mode {
+        Mode::PthreadBaseline => (session.baseline_program(), Units::Pthread),
+        _ => (session.program(), Units::Rcce(cores)),
+    };
+    let program = program.unwrap_or_else(|e| panic!("{} on {cores}: {e}", mode.label()));
+    (program, units)
 }
 
 /// The three placements of a pthread source: the untranslated baseline
 /// on one core and the two translations on `cores`.
 fn assert_source_exact(name: &str, src: &str, cores: usize, models: &[ExecModel], level: OptLevel) {
     for mode in [Mode::PthreadBaseline, Mode::RcceOffChip, Mode::RcceHsm] {
-        let session = Pipeline::new(src)
-            .cores(cores)
-            .scenario(Scenario::new(mode).opt_level(level));
-        let (program, units) = match mode {
-            Mode::PthreadBaseline => (session.baseline_program(), Units::Pthread),
-            _ => (session.program(), Units::Rcce(cores)),
-        };
-        let program = program.unwrap_or_else(|e| panic!("{name}@{cores} {}: {e}", mode.label()));
+        let (program, units) = program_of(src, cores, mode, level);
         for &model in models {
             let label = format!("{name}@{cores} {} {level}", mode.label());
             let _ = assert_exact(&label, &program, units, model);
@@ -222,33 +225,30 @@ fn run_ahead_is_exact_on_the_paper_workloads() {
     }
 }
 
-/// Both RCCE placements of `bench` at O0 (like the benchmark's
-/// `paper_compute`), at every helper count, under each of `models`: equal
-/// to the reference, and every run did advance its free cores in one go —
-/// at a size too small for that the tests below would pass without having
-/// run what they are about.
-fn assert_a_phase_runs_exactly(bench: Bench, params: &Params, models: &[ExecModel]) {
-    let config = &SccConfig::table_6_1();
-    let cores = params.threads;
+/// `bench` at O0 (like the benchmark's `paper_compute`) in each of
+/// `modes`, at every helper count, under each of `models`: equal to the
+/// reference, and every run did take its free units ahead in one go — at a
+/// size too small for that the tests below would pass without having run
+/// what they are about.
+fn assert_a_phase_runs_exactly(
+    bench: Bench,
+    params: &Params,
+    modes: &[Mode],
+    models: &[ExecModel],
+) {
     let src = hsm_workloads::source(bench, params);
-    for mode in [Mode::RcceOffChip, Mode::RcceHsm] {
-        let program = Pipeline::new(src.as_str())
-            .cores(cores)
-            .scenario(Scenario::new(mode).opt_level(OptLevel::O0))
-            .program()
-            .expect("translates");
-        let label = format!("{}@{cores} {}", bench.name(), mode.label());
+    for &mode in modes {
+        let (program, units) = program_of(&src, params.threads, mode, OptLevel::O0);
+        let label = format!("{}@{} {}", bench.name(), params.threads, mode.label());
         for &model in models {
-            let sink = &mut hsm_exec::NullSink;
-            let reference =
-                hsm_exec::run_rcce_visiting_every_event(&program, cores, config, model, sink);
+            let (reference, with_a_phase) = assert_exact(&label, &program, units, model);
             assert!(reference.is_ok(), "{label}: {reference:?}");
-            let with_a_phase =
-                assert_exact_at_every_helper_count(&label, &program, cores, model, &reference);
             assert_eq!(with_a_phase, HELPERS.len(), "{label} under {model:?}");
         }
     }
 }
+
+const RCCE_MODES: [Mode; 2] = [Mode::RcceOffChip, Mode::RcceHsm];
 
 const COMPUTE: [Bench; 3] = [Bench::PiApprox, Bench::Sum35, Bench::CountPrimes];
 
@@ -272,7 +272,7 @@ fn free_cores_advance_beside_one_another_exactly() {
                 reps: 1,
             };
             let models = [ExecModel::Coherent, ExecModel::NonCoherentWriteBack];
-            assert_a_phase_runs_exactly(bench, &params, &models);
+            assert_a_phase_runs_exactly(bench, &params, &RCCE_MODES, &models);
         }
     }
 }
@@ -285,7 +285,47 @@ fn free_cores_advance_beside_one_another_exactly() {
 #[cfg_attr(debug_assertions, ignore = "paper scale: a minute in a debug build")]
 fn free_cores_advance_beside_one_another_exactly_at_paper_scale() {
     for bench in COMPUTE {
-        assert_a_phase_runs_exactly(bench, &bench.default_params(32), &[ExecModel::Coherent]);
+        let params = bench.default_params(32);
+        assert_a_phase_runs_exactly(bench, &params, &RCCE_MODES, &[ExecModel::Coherent]);
+    }
+}
+
+/// The pthread baselines of the three compute benchmarks at sizes where
+/// the threads run `Ran` slice after `Ran` slice for longer than the
+/// engine's floor, on 2, 5 and 32 threads: the threads compute ahead beside
+/// one another and replay in turn, quantum by quantum. (Count Primes on 32
+/// threads has a thread finish — a store and an exit — every few hundred
+/// slices until it is at paper scale, which is the test below.)
+#[test]
+fn threads_compute_ahead_and_replay_in_turn_exactly() {
+    let models = [ExecModel::Coherent, ExecModel::NonCoherentWriteBack];
+    for (bench, threads, size) in [
+        (Bench::PiApprox, 2, 180_000),
+        (Bench::PiApprox, 5, 180_000),
+        (Bench::PiApprox, 32, 180_000),
+        (Bench::Sum35, 2, 180_000),
+        (Bench::Sum35, 5, 180_000),
+        (Bench::Sum35, 32, 180_000),
+        (Bench::CountPrimes, 2, 2_100),
+        (Bench::CountPrimes, 5, 3_000),
+    ] {
+        let params = Params {
+            threads,
+            size,
+            reps: 1,
+        };
+        assert_a_phase_runs_exactly(bench, &params, &[Mode::PthreadBaseline], &models);
+    }
+}
+
+/// The three pthread baselines of the benchmark's `paper_compute`.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "paper scale: a minute in a debug build")]
+fn threads_compute_ahead_and_replay_in_turn_exactly_at_paper_scale() {
+    for bench in COMPUTE {
+        let params = bench.default_params(32);
+        let modes = [Mode::PthreadBaseline];
+        assert_a_phase_runs_exactly(bench, &params, &modes, &[ExecModel::Coherent]);
     }
 }
 
@@ -430,8 +470,8 @@ int RCCE_APP(int *argc, char **argv) {
         for cores in [2, 3, 8, 32] {
             for model in ExecModel::ALL {
                 let label = format!("{name}@{cores}");
-                assert_exact(&label, &program, Units::Rcce(cores), model)
-                    .unwrap_or_else(|e| panic!("{label} under {model:?}: {e}"));
+                let (outcome, _) = assert_exact(&label, &program, Units::Rcce(cores), model);
+                outcome.unwrap_or_else(|e| panic!("{label} under {model:?}: {e}"));
             }
         }
     }
@@ -494,7 +534,7 @@ int RCCE_APP(int *argc, char **argv) {
     ] {
         let program = native(src);
         for model in ExecModel::ALL {
-            let outcome = assert_exact(name, &program, Units::Rcce(4), model);
+            let (outcome, _) = assert_exact(name, &program, Units::Rcce(4), model);
             let error = outcome.expect_err(name);
             assert!(error.message.contains(expect), "{name}: {error}");
         }
@@ -550,21 +590,263 @@ int RCCE_APP(int *argc, char **argv) {
     return acc / zero;
 }
 "#;
-    let config = &SccConfig::table_6_1();
     for (name, src, cores, expect) in [
         ("two_faults", two_faults, 4, "negative address"),
         ("endless", endless, 3, "division by zero"),
     ] {
         let program = native(src);
         for model in ExecModel::ALL {
-            let sink = &mut hsm_exec::NullSink;
-            let reference =
-                hsm_exec::run_rcce_visiting_every_event(&program, cores, config, model, sink);
-            let error = reference.as_ref().expect_err(name);
+            let (reference, with_a_phase) = assert_exact(name, &program, Units::Rcce(cores), model);
+            let error = reference.expect_err(name);
             assert!(error.message.contains(expect), "{name}: {error}");
-            let with_a_phase =
-                assert_exact_at_every_helper_count(name, &program, cores, model, &reference);
             assert_eq!(with_a_phase, HELPERS.len(), "{name} under {model:?}");
+        }
+    }
+}
+
+/// A pthread program whose `threads` workers each spin for `work`
+/// iterations of pure arithmetic and then do `tail`, while `main`, having
+/// started them, spins for `main_work` iterations itself and then does
+/// `end`. Declared for both: `acc`, `zero` (0) and `far` (an address below
+/// zero when used as an index of `out`).
+fn spinning(threads: usize, work: &str, tail: &str, main_work: usize, end: &str) -> String {
+    format!(
+        r#"
+int out[{threads}];
+void *spin(void *tid) {{
+    int id = (int)tid;
+    int i;
+    int acc = 0;
+    int zero = 0;
+    int far = 0 - 400000000;
+    for (i = 0; i < {work}; i++) acc = acc + i % 3;
+    {tail}
+    out[id] = acc;
+    return tid;
+}}
+int main() {{
+    pthread_t t[{threads}];
+    int i;
+    int acc = 0;
+    int zero = 0;
+    int far = 0 - 400000000;
+    for (i = 0; i < {threads}; i++) pthread_create(&t[i], NULL, spin, (void *)i);
+    for (i = 0; i < {main_work}; i++) acc = acc + i % 5;
+    {end}
+    return acc % 7;
+}}
+"#
+    )
+}
+
+/// What a thread computed ahead of its turn counts for nothing until the
+/// turn comes: a process that ends first ends as if the thread had never
+/// got there, and a fault waits behind the slices that led to it.
+#[test]
+fn what_a_thread_computed_ahead_happens_only_in_its_turn() {
+    let join = "for (i = 0; i < 4; i++) pthread_join(t[i], NULL);";
+    let fault = "if (id == 2) acc = acc / zero;";
+    let two_faults = "if (id == 1) acc = acc / zero; if (id == 3) acc = out[far];";
+    // About 38 simulated cycles an iteration, five units taking turns: the
+    // floor is crossed when each has spun some 22 000 times.
+    let cases = [
+        // `main` leaves while every thread holds some 500 slices it has
+        // not replayed: instructions, events and busy cycles count what
+        // was replayed.
+        ("exit", spinning(4, "200000", "", 60_000, "exit(3);"), Ok(3)),
+        ("return", spinning(4, "200000", "", 60_000, ""), Ok(6)),
+        // Thread 2 has divided by zero on some host thread long before
+        // `main` is done, and is never handed out again to say so.
+        (
+            "fault, then exit",
+            spinning(4, "75000", fault, 60_000, "exit(3);"),
+            Ok(3),
+        ),
+        // Unless `main` waits for it.
+        (
+            "fault, joined",
+            spinning(4, "75000", fault, 60_000, join),
+            Err("division by zero"),
+        ),
+        // Thread 3 is the first to fault in simulated time; which of the
+        // two a host thread meets first is how the threads were dealt.
+        (
+            "two faults",
+            spinning(4, "60000 + 5000 * (4 - id)", two_faults, 60_000, join),
+            Err("negative address"),
+        ),
+        // A thread that never ends is stopped by the most slices a unit
+        // may hold, and the run by `main`.
+        (
+            "endless",
+            spinning(1, "10", "while (1);", 150_000, "exit(5);"),
+            Ok(5),
+        ),
+    ];
+    for (name, src, expect) in cases {
+        let program = native(&src);
+        for model in ExecModel::ALL {
+            let (reference, with_a_phase) = assert_exact(name, &program, Units::Pthread, model);
+            assert_eq!(with_a_phase, HELPERS.len(), "{name} under {model:?}");
+            match (&reference, expect) {
+                (Ok(run), Ok(exit)) => assert_eq!(run.exit_code, exit, "{name} under {model:?}"),
+                (Err(error), Err(message)) => {
+                    assert!(error.message.contains(message), "{name}: {error}");
+                }
+                _ => panic!("{name} under {model:?}: {reference:?}"),
+            }
+        }
+    }
+}
+
+/// Under a recording sink an RCCE run has no lanes and its cores compute
+/// ahead under the pure rule instead. A `ProfileCollector` is told about
+/// every access and every synchronization event in the global order, so the
+/// profile it builds is the reference's to the byte at any helper count.
+#[test]
+fn a_profiled_rcce_run_computes_ahead_and_profiles_the_same() {
+    let config = &SccConfig::table_6_1();
+    let bench = Bench::PiApprox;
+    let cores = 5;
+    let params = Params {
+        threads: cores,
+        size: 180_000,
+        reps: 1,
+    };
+    let src = hsm_workloads::source(bench, &params);
+    let (program, _) = program_of(&src, cores, Mode::RcceHsm, OptLevel::O0);
+    let model = ExecModel::Coherent;
+    let mut collector = hsm_exec::ProfileCollector::new(config.line_bytes);
+    let reference =
+        hsm_exec::run_rcce_visiting_every_event(&program, cores, config, model, &mut collector)
+            .expect("pi runs");
+    let expected = collector.into_profile(&reference).to_text();
+    let mut texts = Vec::new();
+    for helpers in HELPERS {
+        let profiled = || hsm_exec::run_rcce_model_profiled(&program, cores, config, model);
+        let (outcome, phases) = phases_of(|| hsm_exec::with_helpers(helpers, profiled));
+        let (run, profile) = outcome.expect("pi runs");
+        assert_eq!(run, reference, "{helpers} helpers");
+        assert!(phases > 0, "{helpers} helpers: nothing was computed ahead");
+        texts.push(profile.to_text());
+    }
+    assert_eq!(texts[0], expected, "0 helpers against the reference");
+    assert!(
+        texts.iter().all(|text| *text == texts[0]),
+        "across helper counts"
+    );
+}
+
+/// Which runs take their free units ahead in one go, and how often: a phase
+/// costs a thread start and join or two, so the runs too short to earn
+/// that back must not start one, and the ones meant to must. Counted, not
+/// timed — the timed half is `scripts/bench_pairs.sh`.
+mod census {
+    use super::*;
+
+    /// The phases of one run of `program`, untraced and recorded.
+    fn phases(program: &Program, units: Units, model: ExecModel) -> (u64, u64) {
+        let (outcome, untraced) = phases_of(|| run(program, units, model, &mut NullSink));
+        outcome.expect("runs");
+        let sink = &mut Recorder::default();
+        let (outcome, recorded) = phases_of(|| run(program, units, model, sink));
+        outcome.expect("runs");
+        (untraced, recorded)
+    }
+
+    /// At the sizes of the benchmark's `serve_mix` and `corpus_grid` no run
+    /// starts a phase under the pure rule: not the pthread baselines, not
+    /// the task ports, nothing that carries a sink. The RCCE runs without a
+    /// sink start the phases the local rule started before the pure rule
+    /// existed, counted at the parent commit (`19365bd`): one on each
+    /// placement of the three compute benchmarks, Pi on 8 cores excepted,
+    /// where no core retires 50 000 instructions between two syscalls.
+    #[test]
+    fn short_runs_start_no_phase_they_did_not_start_before() {
+        let paper_modes = [Mode::PthreadBaseline, Mode::RcceOffChip, Mode::RcceHsm];
+        for bench in Bench::all() {
+            for threads in [2, 4, 8] {
+                let src = hsm_workloads::source(bench, &small_params(bench, threads));
+                for mode in paper_modes {
+                    let (program, units) = program_of(&src, threads, mode, OptLevel::O0);
+                    let local = mode != Mode::PthreadBaseline
+                        && COMPUTE.contains(&bench)
+                        && (bench, threads) != (Bench::PiApprox, 8);
+                    let counted = phases(&program, units, ExecModel::Coherent);
+                    let label = format!("{bench}@{threads} {}", mode.label());
+                    assert_eq!(counted, (u64::from(local), 0), "{label}");
+                }
+            }
+        }
+        // `corpus_grid`'s programs and core counts.
+        let barrier_programs = [
+            ("example_4_1.c", 3),
+            ("matrix_vector.c", 4),
+            ("mutex_histogram.c", 4),
+            ("switch_classifier.c", 2),
+            ("escaping_local.c", 4),
+            ("dot_product.c", 8),
+        ];
+        for (name, cores) in barrier_programs {
+            let src = corpus(name);
+            for mode in paper_modes {
+                for level in [OptLevel::O0, OptLevel::O2] {
+                    let (program, units) = program_of(&src, cores, mode, level);
+                    for model in ExecModel::ALL {
+                        let counted = phases(&program, units, model);
+                        assert_eq!(counted, (0, 0), "{name} {} {level} {model:?}", mode.label());
+                    }
+                }
+            }
+        }
+        let config = &SccConfig::table_6_1();
+        let task_ports = [
+            ("task_matrix_vector.c", 4),
+            ("task_histogram.c", 4),
+            ("task_dot_product.c", 8),
+        ];
+        for (name, cores) in task_ports {
+            let program = native(&corpus(name));
+            for model in ExecModel::ALL {
+                let (outcome, untraced) =
+                    phases_of(|| hsm_exec::run_task_model(&program, cores, config, model));
+                outcome.expect("runs");
+                let sink = &mut Recorder::default();
+                let (outcome, recorded) = phases_of(|| {
+                    hsm_exec::run_task_model_traced(&program, cores, config, model, sink)
+                });
+                outcome.expect("runs");
+                assert_eq!((untraced, recorded), (0, 0), "{name} {model:?}");
+            }
+        }
+    }
+
+    /// At paper scale, 32 units: every point of `paper_compute` starts
+    /// exactly one phase — the RCCE points under the local rule, as they
+    /// did before, the pthread baselines under the pure rule — and the
+    /// baselines of `paper_memory`, which meet a load or a store every few
+    /// instructions, start none.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "paper scale: a minute in a debug build")]
+    fn paper_scale_runs_start_the_phases_they_are_meant_to() {
+        for bench in Bench::all() {
+            let src = hsm_workloads::source(bench, &bench.default_params(32));
+            let compute = COMPUTE.contains(&bench);
+            let (program, units) = program_of(&src, 32, Mode::PthreadBaseline, OptLevel::O0);
+            let (outcome, baseline) =
+                phases_of(|| run(&program, units, ExecModel::Coherent, &mut NullSink));
+            outcome.expect("runs");
+            assert_eq!(baseline, u64::from(compute), "{bench} baseline");
+            if !compute {
+                continue;
+            }
+            for mode in RCCE_MODES {
+                let (program, units) = program_of(&src, 32, mode, OptLevel::O0);
+                let (outcome, rcce) =
+                    phases_of(|| run(&program, units, ExecModel::Coherent, &mut NullSink));
+                outcome.expect("runs");
+                assert_eq!(rcce, 1, "{bench} {}", mode.label());
+            }
         }
     }
 }

@@ -27,13 +27,21 @@
 # address on both sides and repeats the warning next to the verdict when
 # they differ mod 64.
 #
-# An RCCE run advances its free cores on a second host thread when the
-# host has one to spare, which is where a `paper_compute` gain or loss
-# since ISSUE 22 comes from. So the script prints what the host offers
-# (`nproc`, the load average, and `std::thread::available_parallelism` as
-# a process started here sees it) next to the addresses, and refuses a
-# `paper_compute` verdict on fewer than two CPUs: both sides would run
-# serially and the pairs would compare nothing.
+# A run takes its free units ahead on a second host thread when the host
+# has one to spare (RCCE cores since ISSUE 22, the pthread baseline's
+# threads since ISSUE 23), which is where a `paper_compute` gain or loss
+# comes from. So the script prints what the host offers (`nproc`, the load
+# average, and `std::thread::available_parallelism` as a process started
+# here sees it) next to the addresses, and refuses a `paper_compute`
+# verdict on fewer than two CPUs: both sides would run serially and the
+# pairs would compare nothing. Being offered a second CPU is not getting
+# one: on the shared 2-vCPU container whole processes run with the second
+# thread delivering nothing (two threads of fixed work taking twice as long
+# as one) while `nproc` says 2 and the load average stays below 1. So the
+# same probe also times a fixed spin on one thread and on two and prints
+# the speed-up (2.0 = a whole second CPU, 1.0 = none) before the first
+# pair and after the last, and a warning goes next to the `paper_compute`
+# verdict when either reads below 1.5.
 set -euo pipefail
 
 PAIRS=10
@@ -69,13 +77,38 @@ parent_mod=$((16#$parent_addr % 64))
 change_mod=$((16#$change_addr % 64))
 echo "Vm::run_until_event: parent $parent_addr (= $parent_mod mod 64), change $change_addr (= $change_mod mod 64)"
 
-# What a benchmark process started from here is told it may use: the
-# affinity mask capped by any cgroup quota, asked of std itself.
-echo 'fn main() { println!("{}", std::thread::available_parallelism().map_or(1, usize::from)); }' \
-    > "$build/parallelism.rs"
+# What a benchmark process started from here is told it may use (the
+# affinity mask capped by any cgroup quota, asked of std itself), and
+# what a second thread then delivers: the same dependent multiply-add
+# chain timed on one thread and on two at once, as `2 * one / two`.
+cat > "$build/parallelism.rs" <<'EOF'
+use std::time::Instant;
+
+fn spin() -> u64 {
+    let mut x = std::hint::black_box(1u64);
+    for i in 0..100_000_000u64 {
+        x = x.wrapping_mul(6364136223846793005).wrapping_add(i);
+    }
+    std::hint::black_box(x)
+}
+
+fn main() {
+    let offered = std::thread::available_parallelism().map_or(1, usize::from);
+    let start = Instant::now();
+    spin();
+    let one = start.elapsed().as_secs_f64();
+    let start = Instant::now();
+    std::thread::scope(|scope| {
+        scope.spawn(spin);
+        spin();
+    });
+    let two = start.elapsed().as_secs_f64();
+    println!("{offered} {:.2}", 2.0 * one / two);
+}
+EOF
 rustc -O -o "$build/parallelism" "$build/parallelism.rs"
-parallelism=$("$build/parallelism")
-echo "host: nproc $(nproc), available_parallelism $parallelism, loadavg $(cat /proc/loadavg)"
+read -r parallelism speedup_before < <("$build/parallelism")
+echo "host: nproc $(nproc), available_parallelism $parallelism, two threads deliver ${speedup_before}x one, loadavg $(cat /proc/loadavg)"
 if ((parallelism < 2)) && [[ " ${workloads[*]} " == *" paper_compute "* ]]; then
     echo "refusing a paper_compute verdict: available_parallelism is $parallelism, and the workload's" >&2
     echo "RCCE points need a second CPU to advance cores on; name the other workloads to run those." >&2
@@ -117,7 +150,9 @@ pairs_won() { # <parent-column> <change-column> [workload]
         { n[$1]++; if ($c < $p) w[$1]++; else if ($c > $p) l[$1]++ }
         END { for (k in n) printf "  %-14s %d/%d won, %d lost\n", k, w[k], n[k], l[k] }' "$tally"
 }
+read -r _ speedup_after < <("$build/parallelism")
 echo
+echo "host after the last pair: two threads deliver ${speedup_after}x one, loadavg $(cat /proc/loadavg)"
 echo "wall_s pairs won by the change (ties count for neither):"
 pairs_won 3 5
 if grep -q '^corpus_grid' "$tally"; then
@@ -128,6 +163,13 @@ echo
 if ((parent_mod != change_mod)); then
     echo "NOTE: Vm::run_until_event sits at = $parent_mod (parent) vs = $change_mod (change) mod 64:"
     echo "      a paper_compute delta of up to ~11 % below is code placement, not the change."
+    echo
+fi
+if [[ " ${workloads[*]} " == *" paper_compute "* ]] &&
+    awk -v a="$speedup_before" -v b="$speedup_after" 'BEGIN { exit !(a < 1.5 || b < 1.5) }'; then
+    echo "WARNING: a second thread delivered ${speedup_before}x before the pairs and ${speedup_after}x after (2.0 = a"
+    echo "         whole CPU): in such stretches both sides run their units serially, so the"
+    echo "         paper_compute rows below understate whatever a second CPU would show."
     echo
 fi
 "$root/benchmark/target/release/benchmark" compare "$parent_log" "$change_log"

@@ -335,6 +335,25 @@ fn a_faulting_simulate_job_leaves_its_connection_usable() {
         assert_eq!((next.error, next.exit_code), (None, Some(7)));
     }
 
+    // More cores than the chip has: refused by the protocol, as an error
+    // response under the job's own id, before anything is parsed.
+    let mut wide = simulate(11, "int main() { return 7; }");
+    let JobRequest::Simulate { cores, .. } = &mut wide.request else {
+        unreachable!("built above");
+    };
+    *cores = 49;
+    let JobResponse::Error { message } = ask(&stream, &wide) else {
+        panic!("a job on 49 cores is an error, not a row");
+    };
+    assert!(
+        message.contains("`simulate` job: core count 49 outside 1..=48"),
+        "{message}"
+    );
+    let JobResponse::Row(next) = ask(&stream, &simulate(12, "int main() { return 7; }")) else {
+        panic!("the next job on the same connection is answered");
+    };
+    assert_eq!((next.error, next.exit_code), (None, Some(7)));
+
     handle.stop();
     thread.join().expect("server thread").expect("clean exit");
 }
