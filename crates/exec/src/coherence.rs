@@ -23,11 +23,11 @@
 //! wiring a new [`ExecModel`] variant through the `run_*_model` entry
 //! points — no engine changes.
 
-use crate::machine::DataSpaces;
+use crate::machine::{copy_between, DataSpaces};
 use hsm_vm::data::ByteMemory;
 use hsm_vm::{MemKind, Value};
 use scc_sim::{CoreLane, MemorySystem, Region};
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 
 /// Selects which [`CoherenceModel`] a run executes under. This is the
 /// public, plumbable axis: pipelines, sweeps and the bench manifest carry
@@ -325,58 +325,70 @@ pub struct UnitView {
     line_bytes: u64,
     /// The unit's copy of the private lines it has touched.
     bytes: ByteMemory,
-    /// Line base addresses resident in the view (`BTreeSet` so flush
-    /// order, and thus the run, is deterministic).
-    resident: BTreeSet<u64>,
-    /// Line base addresses modified since the unit's last flush.
-    dirty: BTreeSet<u64>,
+    /// Per block of [`LINES_PER_BLOCK`] lines (a 4 KiB page at the SCC's
+    /// 32-byte lines), which are resident in the view and which of those
+    /// were modified since the unit's last flush.
+    blocks: BTreeMap<u64, LineMasks>,
+}
+
+/// Lines one [`LineMasks`] covers, a bit each.
+const LINES_PER_BLOCK: u64 = u128::BITS as u64;
+
+#[derive(Debug, Clone, Copy, Default)]
+struct LineMasks {
+    resident: u128,
+    dirty: u128,
 }
 
 impl UnitView {
-    /// The base addresses of the lines the access `[addr, addr + size)`
-    /// touches.
-    fn lines(&self, addr: u64, size: u64) -> impl Iterator<Item = u64> {
-        let mask = !(self.line_bytes - 1);
-        let (first, last) = (addr & mask, (addr + size.max(1) - 1) & mask);
-        (first..=last).step_by(self.line_bytes as usize)
-    }
-
     /// Fills every line the access `[addr, addr + size)` touches into the
-    /// view (write-allocate: stores fill first, then modify).
-    fn make_resident(&mut self, private: &ByteMemory, addr: u64, size: u64) {
-        for base in self.lines(addr, size) {
-            if self.resident.insert(base) {
-                for i in 0..self.line_bytes {
-                    let v = private.load(base + i, MemKind::I8);
-                    self.bytes.store(base + i, MemKind::I8, v);
-                }
+    /// view (write-allocate: stores fill first, then modify), and marks
+    /// them modified if `dirty`.
+    fn touch(&mut self, private: &ByteMemory, addr: u64, size: u64, dirty: bool) {
+        let (first, last) = (
+            addr / self.line_bytes,
+            (addr + size.max(1) - 1) / self.line_bytes,
+        );
+        for line in first..=last {
+            let bit = 1u128 << (line % LINES_PER_BLOCK);
+            let masks = self.blocks.entry(line / LINES_PER_BLOCK).or_default();
+            if masks.resident & bit == 0 {
+                masks.resident |= bit;
+                let base = line * self.line_bytes;
+                copy_between(private, &mut self.bytes, base, self.line_bytes);
+            }
+            if dirty {
+                masks.dirty |= bit;
             }
         }
     }
 
     fn load(&mut self, private: &ByteMemory, addr: u64, kind: MemKind) -> Value {
-        self.make_resident(private, addr, kind.bytes() as u64);
+        self.touch(private, addr, kind.bytes() as u64, false);
         self.bytes.load(addr, kind)
     }
 
     fn store(&mut self, private: &ByteMemory, addr: u64, kind: MemKind, v: Value) {
-        let size = kind.bytes() as u64;
-        self.make_resident(private, addr, size);
+        self.touch(private, addr, kind.bytes() as u64, true);
         self.bytes.store(addr, kind, v);
-        let lines = self.lines(addr, size);
-        self.dirty.extend(lines);
     }
 
     /// Writes the modified lines back to `private` and drops every cached
-    /// copy, so later loads refill from the backing store.
+    /// copy, so later loads refill from the backing store. Lines are
+    /// disjoint, so the order they go back in does not matter; each run of
+    /// adjacent modified lines goes back as one copy.
     fn flush(&mut self, private: &mut ByteMemory) {
-        for base in std::mem::take(&mut self.dirty) {
-            for i in 0..self.line_bytes {
-                let v = self.bytes.load(base + i, MemKind::I8);
-                private.store(base + i, MemKind::I8, v);
+        for (&block, masks) in &mut self.blocks {
+            let mut dirty = std::mem::take(masks).dirty;
+            while dirty != 0 {
+                let first = dirty.trailing_zeros();
+                let run = (dirty >> first).trailing_ones();
+                dirty &= !((u128::MAX >> (u128::BITS - run)) << first);
+                let line = block * LINES_PER_BLOCK + u64::from(first);
+                let len = u64::from(run) * self.line_bytes;
+                copy_between(&self.bytes, private, line * self.line_bytes, len);
             }
         }
-        self.resident.clear();
     }
 }
 
@@ -412,8 +424,7 @@ impl CoherenceModel for NonCoherentWriteBack {
             self.views.resize_with(units, || UnitView {
                 line_bytes,
                 bytes: ByteMemory::new(),
-                resident: BTreeSet::new(),
-                dirty: BTreeSet::new(),
+                blocks: BTreeMap::new(),
             });
         }
         self.views.iter_mut().take(units)
@@ -541,6 +552,116 @@ mod tests {
             Value::I(9),
             "uncacheable shared DRAM is immediately visible to every unit"
         );
+    }
+
+    /// [`UnitView`] as it was before line masks: sets of line addresses,
+    /// and one load and one store per byte to fill or flush a line.
+    struct BytewiseView {
+        line_bytes: u64,
+        bytes: ByteMemory,
+        resident: std::collections::BTreeSet<u64>,
+        dirty: std::collections::BTreeSet<u64>,
+    }
+
+    impl BytewiseView {
+        fn lines(&self, addr: u64, size: u64) -> impl Iterator<Item = u64> {
+            let mask = !(self.line_bytes - 1);
+            let (first, last) = (addr & mask, (addr + size.max(1) - 1) & mask);
+            (first..=last).step_by(self.line_bytes as usize)
+        }
+
+        fn make_resident(&mut self, private: &ByteMemory, addr: u64, size: u64) {
+            for base in self.lines(addr, size) {
+                if self.resident.insert(base) {
+                    for i in 0..self.line_bytes {
+                        let v = private.load(base + i, MemKind::I8);
+                        self.bytes.store(base + i, MemKind::I8, v);
+                    }
+                }
+            }
+        }
+
+        fn load(&mut self, private: &ByteMemory, addr: u64, kind: MemKind) -> Value {
+            self.make_resident(private, addr, kind.bytes() as u64);
+            self.bytes.load(addr, kind)
+        }
+
+        fn store(&mut self, private: &ByteMemory, addr: u64, kind: MemKind, v: Value) {
+            let size = kind.bytes() as u64;
+            self.make_resident(private, addr, size);
+            self.bytes.store(addr, kind, v);
+            let lines = self.lines(addr, size);
+            self.dirty.extend(lines);
+        }
+
+        fn flush(&mut self, private: &mut ByteMemory) {
+            for base in std::mem::take(&mut self.dirty) {
+                for i in 0..self.line_bytes {
+                    let v = self.bytes.load(base + i, MemKind::I8);
+                    private.store(base + i, MemKind::I8, v);
+                }
+            }
+            self.resident.clear();
+        }
+    }
+
+    /// Two units' views over one private memory, against the bytewise
+    /// views: random loads, stores and flushes, over lines that straddle
+    /// pages, blocks of 128 lines, and each other, at three line sizes.
+    #[test]
+    fn line_masks_equal_the_bytewise_view() {
+        const KINDS: [MemKind; 4] = [MemKind::I8, MemKind::I32, MemKind::I64, MemKind::F64];
+        testkit::check("line_masks_vs_bytewise", 64, |rng| {
+            let line_bytes = *rng.choose(&[8u64, 32, 64]);
+            let (mut private, mut reference) = (ByteMemory::new(), ByteMemory::new());
+            let mut views: Vec<UnitView> = (0..2)
+                .map(|_| UnitView {
+                    line_bytes,
+                    bytes: ByteMemory::new(),
+                    blocks: BTreeMap::new(),
+                })
+                .collect();
+            let mut bytewise: Vec<BytewiseView> = (0..2)
+                .map(|_| BytewiseView {
+                    line_bytes,
+                    bytes: ByteMemory::new(),
+                    resident: Default::default(),
+                    dirty: Default::default(),
+                })
+                .collect();
+            // A window over a page boundary that is also a block boundary at
+            // 32-byte lines, so accesses straddle lines, pages and blocks.
+            let window = 0x1000_1000 - 600..0x1000_1000 + 600;
+            for step in 0..400 {
+                let unit = rng.gen_range_usize(0, 2);
+                let addr = rng.gen_range_u64(window.start, window.end);
+                let kind = *rng.choose(&KINDS);
+                match rng.gen_range_usize(0, 10) {
+                    0 => {
+                        views[unit].flush(&mut private);
+                        bytewise[unit].flush(&mut reference);
+                    }
+                    1..=4 => {
+                        let v = Value::I(rng.gen_range_i64(-1000, 1000));
+                        views[unit].store(&private, addr, kind, v);
+                        bytewise[unit].store(&reference, addr, kind, v);
+                    }
+                    _ => {
+                        let got = views[unit].load(&private, addr, kind);
+                        let want = bytewise[unit].load(&reference, addr, kind);
+                        assert_eq!(format!("{got:?}"), format!("{want:?}"), "step {step}");
+                    }
+                }
+                if step % 50 == 49 {
+                    let mut got = vec![0; 1200];
+                    let mut want = vec![0; 1200];
+                    private.read_bytes(window.start, &mut got);
+                    reference.read_bytes(window.start, &mut want);
+                    assert_eq!(got, want, "step {step}: private memory");
+                }
+            }
+            assert_eq!(private.resident_pages(), reference.resident_pages());
+        });
     }
 
     #[test]

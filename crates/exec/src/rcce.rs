@@ -9,7 +9,7 @@
 
 use crate::coherence::{CoherenceModel, ExecModel};
 use crate::engine::{Charge, ExecEnv, ExecutionCore, Flow, SyncModel, UnitState, VisitEveryEvent};
-use crate::machine::{addr_arg, ExecError, RunResult};
+use crate::machine::{addr_arg, checked_transfer, ExecError, RunResult};
 use crate::syscall_cost;
 use crate::trace::{NullSink, SyncEvent, TraceSink};
 use hsm_vm::compile::{Program, STACKS_BASE, STACK_SIZE};
@@ -393,6 +393,8 @@ impl SyncModel for RcceSync {
                 let bytes = args.get(2).copied().unwrap_or(Value::I(0)).as_i().max(0) as usize;
                 let target = args.get(3).copied().unwrap_or(Value::I(0)).as_i().max(0) as usize
                     % cores.max(1);
+                checked_transfer(intr.name(), dst, bytes as u64)?;
+                checked_transfer(intr.name(), src, bytes as u64)?;
                 env.copy_bytes(unit, core, dst, src, bytes);
                 env.units[core].clock += self.rt.put_get_cost(&env.chip, core, target, bytes);
                 Value::I(0)
@@ -492,6 +494,9 @@ impl SyncModel for RcceSync {
                 // RCCE_send(buf, size, dest) — synchronous rendezvous.
                 let buf = addr_arg(args, 0)?;
                 let size = args.get(1).copied().unwrap_or(Value::I(0)).as_i().max(0) as usize;
+                // Either side's size bounds the transfer: each is checked
+                // at its own call.
+                checked_transfer(intr.name(), buf, size as u64)?;
                 let dst =
                     args.get(2).copied().unwrap_or(Value::I(0)).as_i().max(0) as usize % cores;
                 if let CoreState::WaitingRecv {
@@ -519,6 +524,9 @@ impl SyncModel for RcceSync {
                 // RCCE_recv(buf, size, src).
                 let buf = addr_arg(args, 0)?;
                 let size = args.get(1).copied().unwrap_or(Value::I(0)).as_i().max(0) as usize;
+                // Either side's size bounds the transfer: each is checked
+                // at its own call.
+                checked_transfer(intr.name(), buf, size as u64)?;
                 let src =
                     args.get(2).copied().unwrap_or(Value::I(0)).as_i().max(0) as usize % cores;
                 if let CoreState::WaitingSend {

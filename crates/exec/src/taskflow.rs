@@ -36,7 +36,7 @@
 
 use crate::coherence::{CoherenceModel, ExecModel};
 use crate::engine::{Charge, ExecEnv, ExecutionCore, Flow, SyncModel, UnitState};
-use crate::machine::{addr_arg, ExecError, RunResult};
+use crate::machine::{addr_arg, checked_transfer, ExecError, RunResult};
 use crate::syscall_cost;
 use crate::trace::{NullSink, SyncEvent, TraceSink};
 use hsm_vm::compile::{Program, STACKS_BASE, STACK_SIZE};
@@ -377,14 +377,16 @@ impl SyncModel for TaskDataflowSync {
                     return Err(ExecError::new("too many tasks (max 1023)"));
                 }
                 let arg = args.get(1).copied().unwrap_or(Value::I(0)).as_i();
+                // The runtime DMAs each region whole: bounded here, before
+                // the task exists.
                 let region = |p: usize| -> Result<Regionspec, ExecError> {
                     let addr = addr_arg(args, p)?;
                     let len = args.get(p + 1).copied().unwrap_or(Value::I(0)).as_i();
-                    Ok(if addr == 0 || len <= 0 {
-                        (0, 0)
-                    } else {
-                        (addr, len as u64)
-                    })
+                    if addr == 0 || len <= 0 {
+                        return Ok((0, 0));
+                    }
+                    checked_transfer(intr.name(), addr, len as u64)?;
+                    Ok((addr, len as u64))
                 };
                 let ins: Vec<Regionspec> = [region(2)?, region(4)?]
                     .into_iter()

@@ -136,8 +136,8 @@ impl ByteMemory {
         }
     }
 
-    /// Copies a byte slice in (program images, string tables), page-sized
-    /// chunks at a time.
+    /// Copies a byte slice in (program images, string tables, simulated
+    /// DMA), page-sized chunks at a time.
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
         let mut addr = addr;
         let mut rest = bytes;
@@ -147,6 +147,25 @@ impl ByteMemory {
             self.page_mut(addr)[off..off + n].copy_from_slice(&rest[..n]);
             addr += n as u64;
             rest = &rest[n..];
+        }
+    }
+
+    /// Fills `out` with the bytes starting at `addr`, page-sized chunks at
+    /// a time: [`ByteMemory::write_bytes`]'s counterpart. A page never
+    /// written reads as zeros and stays unallocated.
+    pub fn read_bytes(&self, addr: u64, out: &mut [u8]) {
+        let mut addr = addr;
+        let mut rest = out;
+        while !rest.is_empty() {
+            let off = (addr as usize) & (PAGE_SIZE - 1);
+            let n = rest.len().min(PAGE_SIZE - off);
+            let (chunk, tail) = rest.split_at_mut(n);
+            match self.pages.get(&(addr >> PAGE_SHIFT)) {
+                Some(page) => chunk.copy_from_slice(&page[off..off + n]),
+                None => chunk.fill(0),
+            }
+            addr += n as u64;
+            rest = tail;
         }
     }
 
@@ -228,6 +247,28 @@ mod tests {
             }
             assert_eq!(got as i64, 0x0102_0304_0506_0708, "offset {delta}");
         }
+    }
+
+    #[test]
+    fn read_bytes_agrees_with_the_byte_interface_across_pages() {
+        let mut m = ByteMemory::new();
+        let base = 2 * PAGE_SIZE as u64 - 100;
+        let pattern: Vec<u8> = (0..4300u32).map(|i| (i * 7 + 1) as u8).collect();
+        m.write_bytes(base, &pattern);
+        // From before the written bytes, across both page boundaries, to
+        // after them; across one; and over pages nothing wrote.
+        for (start, len) in [
+            (base - 10, 4320),
+            (base + 90, 20),
+            (base, 4300),
+            (1 << 30, 9000),
+        ] {
+            let mut got = vec![0xAA; len];
+            m.read_bytes(start, &mut got);
+            let bytewise: Vec<u8> = (0..len as u64).map(|i| m.read_u8(start + i)).collect();
+            assert_eq!(got, bytewise, "{start:#x}+{len}");
+        }
+        assert_eq!(m.resident_pages(), 3, "reading allocates nothing");
     }
 
     #[test]

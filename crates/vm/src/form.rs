@@ -25,6 +25,43 @@
 //! It is built once per run from the `&Program` the run was handed and
 //! borrows it, so the program cannot change under it; it is never stored,
 //! serialized or cached, and no optimizer pass sees it.
+//!
+//! # Sources, sinks and the 16 bytes they share
+//!
+//! An operator form is a *source* (where the operator finds its operands),
+//! the operator, and a *sink* (where its result goes). A slot is 16 bytes:
+//! the variant tag, the operator and the `rest` cycles take three, and the
+//! fields of the source and the sink share the other thirteen, each at its
+//! own alignment. Those sizes decide which pairs exist:
+//!
+//! | source | instructions before the operator         | fields        | bytes |
+//! |--------|------------------------------------------|---------------|------:|
+//! | `RR`   | `LocalGet a; LocalGet b`                 | `a`, `b`      | 4     |
+//! | `RI`   | `LocalGet a; PushI imm`                  | `a`, `imm`    | 6     |
+//! | `SI`   | stack top, `PushI imm`                   | `imm`         | 4     |
+//! | `SR`   | stack top, `LocalGet b`                  | `b`           | 2     |
+//! | `RCF`  | `LocalGet a; PushF f; Swap; I2F; Swap`   | `a`, `f: f64` | 10    |
+//!
+//! | sink   | instructions after the operator                      | fields         | bytes |
+//! |--------|------------------------------------------------------|----------------|------:|
+//! | `Push` | none: the result stays on the stack                  |                | 0     |
+//! | `Set`  | `LocalSet c`                                         | `c`            | 2     |
+//! | `SetJ` | `LocalSet c; Jump t`                                 | `c`, `t`       | 6     |
+//! | `Br`   | `JumpIfZero t` or `JumpIfNotZero t`                  | `t`, `when`    | 5     |
+//! | `ZBr`  | `PushI 0; CmpEq` or `CmpNe`; `JumpIf[Not]Zero t`     | `t`, `when`    | 5     |
+//! | `Then` | a second operator                                    | `op2`          | 1     |
+//!
+//! The four integer sources take every sink: the dearest pair, `RI` with
+//! `SetJ`, needs 15 bytes. `RCF`'s `f64` has to sit at offset 8, and the
+//! tag, the operator, `rest` and `a` leave three bytes before it. That is
+//! room for `Set`'s `c` or `Then`'s `op2`, but not for a 4-byte jump
+//! target, so `RCF` takes `Push`, `Set` and `Then` only. A `size_of`
+//! assertion below pins the 16 bytes.
+//!
+//! `ZBr` is `Br` with the comparison against zero folded in when the form
+//! is built. `v == 0` is false exactly when `v` is truthy, and `v != 0` is
+//! true exactly then, for integers and doubles alike (NaN included), so
+//! the sink keeps only the jump target and the truth that takes it.
 
 use crate::compile::Program;
 use crate::instr::{Instr, Op};
@@ -41,30 +78,45 @@ use std::fmt::Write;
 /// Sources: `RR` two registers (`LocalGet a; LocalGet b; op`), `RI`
 /// register and immediate (`LocalGet a; PushI imm; op`), `SI` stack top and
 /// immediate (`PushI imm; op`), `SR` stack top and register (`LocalGet b;
-/// op`). Sinks: `Push` (nothing follows), `Set` (`LocalSet c`), `Br`
-/// (`JumpIfZero t` / `JumpIfNotZero t`: taken when the value's truth equals
-/// `when`), `Then` (a second operator against the value under the
-/// operands).
+/// op`), `RCF` a register promoted to `double` against a constant
+/// (`LocalGet a; PushF f; Swap; I2F; Swap; op`: C's `i + 0.5`). Sinks:
+/// `Push` (nothing follows), `Set` (`LocalSet c`), `SetJ` (`LocalSet c;
+/// Jump t`: a `for` loop's step and back edge), `Br` (`JumpIfZero t` /
+/// `JumpIfNotZero t`: taken when the value's truth equals `when`), `ZBr`
+/// (`PushI 0; CmpEq|CmpNe; JumpIf[Not]Zero t`, the test against zero folded
+/// into `when`), `Then` (a second operator against the value under the
+/// operands). The [module docs](self) say why `RCF` has three sinks.
 macro_rules! operator_forms {
     ($with:ident $($arg:ident)?) => {
         $with! {
             $($arg;)?
             RRPush: RR(a, b) Push();
             RRSet: RR(a, b) Set(c);
+            RRSetJ: RR(a, b) SetJ(c, t);
             RRBr: RR(a, b) Br(t, when);
+            RRZBr: RR(a, b) ZBr(t, when);
             RRThen: RR(a, b) Then(op2);
             RIPush: RI(a, imm) Push();
             RISet: RI(a, imm) Set(c);
+            RISetJ: RI(a, imm) SetJ(c, t);
             RIBr: RI(a, imm) Br(t, when);
+            RIZBr: RI(a, imm) ZBr(t, when);
             RIThen: RI(a, imm) Then(op2);
             SIPush: SI(imm) Push();
             SISet: SI(imm) Set(c);
+            SISetJ: SI(imm) SetJ(c, t);
             SIBr: SI(imm) Br(t, when);
+            SIZBr: SI(imm) ZBr(t, when);
             SIThen: SI(imm) Then(op2);
             SRPush: SR(b) Push();
             SRSet: SR(b) Set(c);
+            SRSetJ: SR(b) SetJ(c, t);
             SRBr: SR(b) Br(t, when);
+            SRZBr: SR(b) ZBr(t, when);
             SRThen: SR(b) Then(op2);
+            RCFPush: RCF(a, f) Push();
+            RCFSet: RCF(a, f) Set(c);
+            RCFThen: RCF(a, f) Then(op2);
         }
     };
 }
@@ -80,12 +132,26 @@ macro_rules! field {
     (t) => { u32 };
     (when) => { bool };
     (op2) => { Op };
+    (f) => { f64 };
 }
+
+/// How many instructions a source puts before the operator.
+#[rustfmt::skip]
+macro_rules! src_len {
+    (RR) => { 2 };
+    (RI) => { 2 };
+    (SI) => { 1 };
+    (SR) => { 1 };
+    (RCF) => { 5 };
+}
+pub(crate) use src_len;
 
 /// How many instructions a sink adds to a form.
 #[rustfmt::skip]
 macro_rules! sink_len {
     (Push) => { 0 };
+    (SetJ) => { 2 };
+    (ZBr) => { 3 };
     ($sink:ident) => { 1 };
 }
 pub(crate) use sink_len;
@@ -105,12 +171,12 @@ macro_rules! slot {
         }
 
         impl Slot {
-            /// How many instructions the slot stands for: one per operand
-            /// its source names, the operator, and the sink's if it has one.
+            /// How many instructions the slot stands for: its source's,
+            /// the operator, and its sink's.
             pub(crate) fn covers(self) -> usize {
                 match self {
                     Slot::Plain => 1,
-                    $(Slot::$form { .. } => [$(stringify!($s)),*].len() + 1 + sink_len!($sink),)*
+                    $(Slot::$form { .. } => src_len!($src) + 1 + sink_len!($sink),)*
                     Slot::ImmLoad(..) => 2,
                 }
             }
@@ -130,17 +196,22 @@ fn is_binary(op: Op) -> bool {
     )
 }
 
-/// Where a fused operator finds its operands / sends its result.
+/// Where a fused operator finds its operands / sends its result, under
+/// the names the rows of [`operator_forms`] give them.
+#[allow(clippy::upper_case_acronyms)]
 enum Src {
     RR(u16, u16),
     RI(u16, i32),
     SI(i32),
     SR(u16),
+    RCF(u16, f64),
 }
 enum Sink {
     Push(),
     Set(u16),
+    SetJ(u16, u32),
     Br(u32, bool),
+    ZBr(u32, bool),
     Then(Op),
 }
 
@@ -163,18 +234,39 @@ fn fuse(code: &[Instr], n_regs: u16) -> Option<Slot> {
         (PushI(addr), Load(kind)) => return Some(Slot::ImmLoad(u64::try_from(addr).ok()?, kind)),
         (LocalGet(a), LocalGet(b)) if reg(a) && reg(b) => (Src::RR(a, b), 2),
         (LocalGet(a), PushI(imm)) if reg(a) => (Src::RI(a, narrow(imm)?), 2),
+        (LocalGet(a), PushF(f)) if reg(a) && matches!((at(2), at(3), at(4)), (Swap, I2F, Swap)) => {
+            (Src::RCF(a, f), 5)
+        }
         (PushI(imm), _) => (Src::SI(narrow(imm)?), 1),
         (LocalGet(b), _) if reg(b) => (Src::SR(b), 1),
         _ => return None,
     };
     let op = operator(at_op)?;
-    let sink = match at(at_op + 1) {
-        LocalSet(c) if reg(c) => Sink::Set(c),
-        JumpIfZero(t) => Sink::Br(t, false),
-        JumpIfNotZero(t) => Sink::Br(t, true),
+    let sink = match (at(at_op + 1), at(at_op + 2), at(at_op + 3)) {
+        (LocalSet(c), Jump(t), _) if reg(c) => Sink::SetJ(c, t),
+        (LocalSet(c), ..) if reg(c) => Sink::Set(c),
+        (JumpIfZero(t), ..) => Sink::Br(t, false),
+        (JumpIfNotZero(t), ..) => Sink::Br(t, true),
+        (PushI(0), cmp @ (CmpEq | CmpNe), jump @ (JumpIfZero(t) | JumpIfNotZero(t))) => {
+            // `v == 0` holds exactly when `v` is not truthy.
+            Sink::ZBr(t, matches!(jump, JumpIfNotZero(_)) != (cmp == CmpEq))
+        }
         _ => operator(at_op + 1).map_or(Sink::Push(), Sink::Then),
     };
-    let covered = at_op + 1 + usize::from(!matches!(sink, Sink::Push()));
+    // An `f64` leaves `RCF` no room for a jump target (module docs): it
+    // stops short of the jump and leaves it to the slots after it.
+    let sink = match (&src, sink) {
+        (Src::RCF(..), Sink::SetJ(c, _)) => Sink::Set(c),
+        (Src::RCF(..), Sink::Br(..) | Sink::ZBr(..)) => Sink::Push(),
+        (_, sink) => sink,
+    };
+    let sink_len = match sink {
+        Sink::Push() => 0,
+        Sink::Set(_) | Sink::Br(..) | Sink::Then(_) => 1,
+        Sink::SetJ(..) => 2,
+        Sink::ZBr(..) => 3,
+    };
+    let covered = at_op + 1 + sink_len;
     let rest = code[1..covered].iter().map(|i| i.base_cost()).sum::<u64>() as u8;
     macro_rules! form {
         ($($form:ident: $src:ident($($s:ident),*) $sink:ident($($k:ident),*);)*) => {
@@ -182,6 +274,8 @@ fn fuse(code: &[Instr], n_regs: u16) -> Option<Slot> {
                 $((Src::$src($($s),*), Sink::$sink($($k),*)) => {
                     Slot::$form { op, $($s,)* $($k,)* rest }
                 })*
+                // Taken care of above: `RCF` with a jump.
+                _ => return None,
             }
         };
     }
@@ -201,7 +295,7 @@ pub struct ExecForm<'p> {
 
 impl<'p> ExecForm<'p> {
     /// Builds the execution form of `program`: one pass, a fixed look-ahead
-    /// of four instructions per slot.
+    /// of at most nine instructions per slot.
     pub fn new(program: &'p Program) -> Self {
         let funcs = program
             .funcs

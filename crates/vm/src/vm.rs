@@ -8,7 +8,7 @@
 //! 48 cores interleave deterministically at instruction granularity.
 
 use crate::compile::{Program, STACK_SIZE};
-use crate::form::{operator_forms, sink_len, ExecForm, Slot};
+use crate::form::{operator_forms, sink_len, src_len, ExecForm, Slot};
 use crate::instr::{Instr, Intrinsic, Op};
 use crate::value::{MemKind, Value};
 use std::fmt;
@@ -310,6 +310,7 @@ impl Vm {
             (RI) => { 0 };
             (SI) => { 1 };
             (SR) => { 1 };
+            (RCF) => { 0 };
         }
         #[rustfmt::skip]
         macro_rules! head {
@@ -317,6 +318,7 @@ impl Vm {
             (RI($a:ident, $imm:ident)) => { reg!($a) };
             (SI($imm:ident)) => { int($imm) };
             (SR($b:ident)) => { reg!($b) };
+            (RCF($a:ident, $f:ident)) => { reg!($a) };
         }
         #[rustfmt::skip]
         macro_rules! first {
@@ -324,6 +326,9 @@ impl Vm {
             ($op:ident, RI($a:ident, $imm:ident)) => { binary($op, reg!($a), int($imm)) };
             ($op:ident, SI($imm:ident)) => { top!($op, int($imm)) };
             ($op:ident, SR($b:ident)) => { top!($op, reg!($b)) };
+            ($op:ident, RCF($a:ident, $f:ident)) => {
+                binary($op, Value::F(reg!($a).as_f()), Value::F($f))
+            };
         }
         // And by its sink: the value it delivers (`Then`: `under op2
         // first`, `under` being the value below the operands) and where.
@@ -345,7 +350,15 @@ impl Vm {
             ($v:ident, Set($c:ident)) => {
                 reg!($c) = $v
             };
+            ($v:ident, SetJ($c:ident, $t:ident)) => {{
+                reg!($c) = $v;
+                pc = $t as usize;
+            }};
             ($v:ident, Br($t:ident, $when:ident)) => {
+                branch!($v, $t, $when)
+            };
+            // The test against zero was folded into `when` by `fuse`.
+            ($v:ident, ZBr($t:ident, $when:ident)) => {
                 branch!($v, $t, $when)
             };
             ($v:ident, Then($op2:ident)) => {
@@ -361,8 +374,12 @@ impl Vm {
                 cycles += 1;
                 match value!($op, $src $s, $sink $k) {
                     Some(v) if cycles + u64::from($rest) < SLICE_CYCLES => {
-                        let more = 2 - taken!($src) + sink_len!($sink);
-                        pc += more;
+                        let more = src_len!($src) + sink_len!($sink);
+                        // `SetJ` then jumps, which makes this dead there.
+                        #[allow(unused_assignments)]
+                        {
+                            pc += more;
+                        }
                         retired += more as u64;
                         cycles += u64::from($rest);
                         self.stack.truncate(self.stack.len() - taken!($src));
@@ -1346,13 +1363,15 @@ mod tests {
             Add, Sub, Mul, Div, Rem, Shl, Shr, BitAnd, BitOr, BitXor, CmpLt, CmpLe, CmpGt, CmpGe,
             CmpEq, CmpNe,
         ];
-        // r0 = 0, r1 = 7, r2 = -3, r3 = 2.5; r4 is the `LocalSet` target.
+        // r0 = 0, r1 = 7, r2 = -3, r3 = 2.5; r4 is the `LocalSet` target;
+        // r5 = 2^53 + 1, the least integer a double cannot hold.
         let regs = [
             Value::I(0),
             Value::I(7),
             Value::I(-3),
             Value::F(2.5),
             Value::I(99),
+            Value::I((1 << 53) + 1),
         ];
         let stacks: [&[Value]; 5] = [
             &[],
@@ -1361,7 +1380,8 @@ mod tests {
             &[Value::F(1.5), Value::I(0)],
             &[Value::I(3), Value::I(4), Value::I(-9)],
         ];
-        let sources: [(&str, &[Instr]); 8] = [
+        // `RCF` over an integer, one that promotion rounds, and a double.
+        let sources: [(&str, &[Instr]); 11] = [
             ("RR", &[LocalGet(1), LocalGet(2)]),
             ("RR", &[LocalGet(3), LocalGet(0)]),
             ("RI", &[LocalGet(1), PushI(3)]),
@@ -1370,6 +1390,9 @@ mod tests {
             ("SI", &[PushI(0)]),
             ("SR", &[LocalGet(1)]),
             ("SR", &[LocalGet(0)]),
+            ("RCF", &[LocalGet(2), PushF(0.5), Swap, I2F, Swap]),
+            ("RCF", &[LocalGet(5), PushF(1.0), Swap, I2F, Swap]),
+            ("RCF", &[LocalGet(3), PushF(-2.0), Swap, I2F, Swap]),
         ];
         // (form, code, whether to sweep the valve over it: one operator of
         // each cost is enough there).
@@ -1381,22 +1404,37 @@ mod tests {
         for op in OPERATORS {
             let sweep = matches!(op, Add | Mul | Rem);
             for (src, operands) in sources {
+                // Each sink jumps, if it does, over a `PushI(1)` that ends
+                // its code, to the `LocalGet(4); Ret` after it.
                 let n = operands.len() as u32 + 1;
-                let sinks: [(&str, Vec<Instr>); 5] = [
+                let zbr = |cmp, jump: fn(u32) -> Instr| vec![PushI(0), cmp, jump(n + 4), PushI(1)];
+                let sinks: [(&str, Vec<Instr>); 10] = [
                     ("Push", vec![]),
                     ("Set", vec![LocalSet(4)]),
+                    ("SetJ", vec![LocalSet(4), Jump(n + 3), PushI(1)]),
                     ("Br", vec![JumpIfZero(n + 2), PushI(1)]),
                     ("Br", vec![JumpIfNotZero(n + 2), PushI(1)]),
+                    ("ZBr", zbr(CmpEq, JumpIfZero)),
+                    ("ZBr", zbr(CmpEq, JumpIfNotZero)),
+                    ("ZBr", zbr(CmpNe, JumpIfZero)),
+                    ("ZBr", zbr(CmpNe, JumpIfNotZero)),
                     ("Then", vec![if op == Div { Rem } else { Div }]),
                 ];
                 for (sink, after) in sinks {
+                    // `RCF` has no jumping sink: it stops short of the jump.
+                    let sink = match (src, sink) {
+                        ("RCF", "SetJ") => "Set",
+                        ("RCF", "Br" | "ZBr") => "Push",
+                        _ => sink,
+                    };
                     let code = [operands, &[op], &after[..]].concat();
                     samples.push((format!("{src}{sink}"), code, sweep));
                 }
             }
         }
         // 4027 cycles, then a Nop a cycle: the form starts anywhere from
-        // 69 cycles short of the valve (the dearest form costs 50) to past it.
+        // 69 cycles short of the valve (the dearest form, `RCFThen` with
+        // two divisions, costs 53) to past it.
         let burn = [&[PushI(1)][..], &[PushI(1), Div].repeat(161), &[Pop]].concat();
         let both = |program: &Program, poised: &dyn Fn() -> Vm, context: &str| {
             let form = ExecForm::new(program);
@@ -1427,6 +1465,7 @@ mod tests {
             for pad in (0..=72).take_while(|_| sweep) {
                 let shift = (burn.len() + pad) as u32;
                 let moved = code.iter().map(|&instr| match instr {
+                    Jump(t) => Jump(t + shift),
                     JumpIfZero(t) => JumpIfZero(t + shift),
                     JumpIfNotZero(t) => JumpIfNotZero(t + shift),
                     other => other,
@@ -1463,7 +1502,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(built.len(), 17, "{built:?}");
+        assert_eq!(built.len(), 28, "{built:?}");
     }
 
     /// `frame_mem` is zero when no local lives in memory, and then nothing

@@ -9,6 +9,7 @@
 //! cargo run --release --example dump_opt [FILE [CORES [FUNC]]]
 //! # e.g. cargo run --release --example dump_opt example_4_1.c 3 RCCE_APP
 //! #      cargo run --release --example dump_opt paper:primes 32 tf
+//! #      cargo run --release --example dump_opt paper:all
 //! ```
 //!
 //! `FILE` is relative to `corpus/` (default `example_4_1.c`), or
@@ -20,6 +21,11 @@
 //! reaches from slot 0; each innermost loop and the function end with
 //! "N instructions -> M dispatch slots reachable from slot 0", a loop's
 //! line also with the fused forms among those slots.
+//!
+//! `paper:all` prints only those loop lines, one per innermost loop of
+//! every paper workload's `FUNC` (default `tf`) at `CORES` threads
+//! (default 32), each after the workload's name: DESIGN.md §10's table,
+//! which `tests/vm_dispatch.rs` pins.
 
 use hsm_core::{OptLevel, Pipeline, Scenario};
 use hsm_workloads::Bench;
@@ -28,11 +34,12 @@ fn main() {
     let name = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "example_4_1.c".into());
-    let cores: usize = std::env::args()
-        .nth(2)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3);
+    let cores = std::env::args().nth(2).and_then(|s| s.parse().ok());
     let func = std::env::args().nth(3);
+    if name == "paper:all" {
+        return loop_table(cores.unwrap_or(32), func.as_deref().unwrap_or("tf"));
+    }
+    let cores = cores.unwrap_or(3);
     let src = match name.strip_prefix("paper:") {
         Some(which) => {
             let bench = Bench::all()
@@ -73,4 +80,24 @@ fn main() {
         println!("{}", form.disassemble(index));
     }
     println!("total static: {} -> {}", o0.code_len(), o2.code_len());
+}
+
+/// The innermost-loop lines of function `func` of every paper workload.
+fn loop_table(cores: usize, func: &str) {
+    for bench in Bench::all() {
+        let src = hsm_workloads::source(bench, &bench.default_params(cores));
+        let program = Pipeline::new(src)
+            .cores(cores)
+            .program()
+            .expect("compile at O0");
+        let index = program
+            .funcs
+            .iter()
+            .position(|f| f.name == func)
+            .expect("a function of that name");
+        let listing = hsm_vm::ExecForm::new(&program).disassemble(index);
+        for line in listing.lines().filter(|l| l.starts_with("loop ")) {
+            println!("{}: {line}", bench.name());
+        }
+    }
 }

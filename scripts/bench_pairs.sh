@@ -20,6 +20,11 @@
 # tenths of the pairs and the medians differ by more than the parent's
 # interquartile spread (both are printed).
 #
+# Before any timing it prints the deterministic proxy a dispatch change is
+# gated on, `dump_opt paper:all` (dispatch slots per innermost loop of each
+# paper kernel, DESIGN.md §10) for parent and change; a parent whose
+# `dump_opt` predates `paper:all` is asked kernel by kernel.
+#
 # `paper_compute` is ~100 % one function, `hsm_vm::vm::Vm::run_until_event`,
 # and where the linker puts it (any edit to a crate linked before hsm-vm
 # moves it) is worth up to 11 % with byte-identical code: address = 0 or
@@ -76,6 +81,23 @@ change_addr=$(loop_addr "$root")
 parent_mod=$((16#$parent_addr % 64))
 change_mod=$((16#$change_addr % 64))
 echo "Vm::run_until_event: parent $parent_addr (= $parent_mod mod 64), change $change_addr (= $change_mod mod 64)"
+
+# The slot table of one side, built from its own checkout.
+slot_table() { # <checkout>
+    (
+        cd "$1"
+        cargo build --release --offline --quiet --example dump_opt
+        ./target/release/examples/dump_opt paper:all 2>/dev/null ||
+            for kernel in pi 3-5 primes stream dot lu; do
+                ./target/release/examples/dump_opt "paper:$kernel" 32 tf |
+                    sed -n "s/^loop /$kernel: loop /p"
+            done
+    )
+}
+echo "dispatch slots per paper-kernel loop (dump_opt paper:all), parent:"
+slot_table "$tree"
+echo "change:"
+slot_table "$root"
 
 # What a benchmark process started from here is told it may use (the
 # affinity mask capped by any cgroup quota, asked of std itself), and

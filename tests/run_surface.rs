@@ -279,6 +279,69 @@ fn runaway_recursion_without_frame_memory_is_a_stack_overflow_in_bounded_time() 
     }
 }
 
+/// Each call that takes a transfer's length from the program, asked for
+/// 2⁴⁰ bytes: `n` is built at run time, so only the runtime can refuse it.
+const HUGE: &str = "int n = 1 << 20; n = n * n;";
+
+fn huge_region() -> String {
+    format!(
+        "char data[64];
+void work(int id) {{ }}
+int main() {{ {HUGE} task_spawn(work, 0, data, n, 0, 0, 0, 0); task_wait_all(); return 0; }}"
+    )
+}
+
+fn huge_rcce(call: &str) -> String {
+    let (zero, one) = match call {
+        "RCCE_put" => ("RCCE_put(a, b, n, 1)", "RCCE_put(a, b, 8, 0)"),
+        "RCCE_get" => ("RCCE_get(a, b, n, 1)", "RCCE_get(a, b, 8, 0)"),
+        "RCCE_send" => ("RCCE_send(a, n, 1)", "RCCE_recv(a, 8, 0)"),
+        _ => ("RCCE_send(a, 8, 1)", "RCCE_recv(a, n, 0)"),
+    };
+    format!(
+        "int main() {{ char a[8]; char b[8]; {HUGE}
+    if (RCCE_ue() == 0) {zero}; else {one};
+    return 0; }}"
+    )
+}
+
+/// A transfer sized by the program is bounded before a byte moves: under
+/// every memory model, each call ends in an error that names it and the
+/// length, in milliseconds. Unbounded, the task region alone cost 6 ms a
+/// MiB and a page of host memory per 4 KiB: hours and all of the host's
+/// memory for this one.
+#[test]
+fn a_transfer_the_program_sizes_is_bounded_before_a_byte_moves() {
+    use hsm_exec::ExecModel;
+    let cases = [
+        ("task_spawn", huge_region(), Mode::TaskDataflow),
+        ("RCCE_put", huge_rcce("RCCE_put"), Mode::RcceOffChip),
+        ("RCCE_get", huge_rcce("RCCE_get"), Mode::RcceHsm),
+        ("RCCE_send", huge_rcce("RCCE_send"), Mode::RcceHsm),
+        ("RCCE_recv", huge_rcce("RCCE_recv"), Mode::RcceOffChip),
+    ];
+    for (call, source, mode) in cases {
+        for model in ExecModel::ALL {
+            let session = Pipeline::new(source.as_str())
+                .cores(2)
+                .scenario(Scenario::new(mode).exec_model(model));
+            // The frontend's share of the time is not what is bounded here.
+            match mode {
+                Mode::TaskDataflow => drop(session.baseline_program().expect("compiles")),
+                _ => drop(session.program().expect("translates")),
+            }
+            let started = std::time::Instant::now();
+            let err = session.run_scenario().expect_err("2^40 bytes cannot move");
+            let took = started.elapsed();
+            let tag = format!("{call}/{}", model.label());
+            assert_eq!(err.stage(), "exec", "{tag}: {err}");
+            let expected = format!("`{call}` of 1099511627776 bytes exceeds");
+            assert!(err.to_string().contains(&expected), "{tag}: {err}");
+            assert!(took.as_millis() < 100, "{tag}: {took:?}");
+        }
+    }
+}
+
 /// Sends one job and reads its single answer off the same connection.
 fn ask(stream: &TcpStream, job: &Job) -> JobResponse {
     (&*stream)
@@ -350,6 +413,26 @@ fn a_faulting_simulate_job_leaves_its_connection_usable() {
         "{message}"
     );
     let JobResponse::Row(next) = ask(&stream, &simulate(12, "int main() { return 7; }")) else {
+        panic!("the next job on the same connection is answered");
+    };
+    assert_eq!((next.error, next.exit_code), (None, Some(7)));
+
+    // A task region of 2⁴⁰ bytes, which used to pin the worker for hours:
+    // refused by the runtime before the task exists.
+    let mut region = simulate(13, &huge_region());
+    let JobRequest::Simulate { scenario, .. } = &mut region.request else {
+        unreachable!("built above");
+    };
+    *scenario = Scenario::new(Mode::TaskDataflow);
+    let JobResponse::Row(faulted) = ask(&stream, &region) else {
+        panic!("a simulate job answers with its row");
+    };
+    let error = faulted.error.expect("the row carries the run error");
+    assert!(
+        error.contains("`task_spawn` of 1099511627776 bytes exceeds"),
+        "{error}"
+    );
+    let JobResponse::Row(next) = ask(&stream, &simulate(14, "int main() { return 7; }")) else {
         panic!("the next job on the same connection is answered");
     };
     assert_eq!((next.error, next.exit_code), (None, Some(7)));

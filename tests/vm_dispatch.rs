@@ -22,13 +22,21 @@
 //! range, immediates either side of `i32::MAX`, zero divisors, shallow
 //! stacks, jumps into the middle of a pattern, and counted loops long
 //! enough for the slice valve to land inside a form.
+//!
+//! A third source is no generator at all: the bytecode the compiler emits
+//! for the six paper kernels and the corpus, at `O0` and `O2`, run function
+//! by function over a real memory.
 
+use hsm_core::{OptLevel, Pipeline, Scenario};
 use hsm_vm::compile::{Function, Program, STACKS_BASE};
+use hsm_vm::data::ByteMemory;
 use hsm_vm::instr::Op;
 use hsm_vm::value::MemKind;
 use hsm_vm::vm::{StepOutcome, Vm};
 use hsm_vm::{ExecForm, Instr, Intrinsic, Value};
+use hsm_workloads::{Bench, Params};
 use std::collections::HashSet;
+use std::sync::Arc;
 use testkit::SplitMix64;
 
 const KINDS: [MemKind; 6] = [
@@ -218,10 +226,11 @@ const OPERATORS: [Instr; 16] = [
     Instr::CmpNe,
 ];
 
-/// The seventeen fused forms, as `ExecForm::disassemble` names them.
-const FORMS: [&str; 17] = [
-    "RRPush", "RRSet", "RRBr", "RRThen", "RIPush", "RISet", "RIBr", "RIThen", "SIPush", "SISet",
-    "SIBr", "SIThen", "SRPush", "SRSet", "SRBr", "SRThen", "ImmLoad",
+/// The twenty-eight fused forms, as `ExecForm::disassemble` names them.
+const FORMS: [&str; 28] = [
+    "RRPush", "RRSet", "RRSetJ", "RRBr", "RRZBr", "RRThen", "RIPush", "RISet", "RISetJ", "RIBr",
+    "RIZBr", "RIThen", "SIPush", "SISet", "SISetJ", "SIBr", "SIZBr", "SIThen", "SRPush", "SRSet",
+    "SRSetJ", "SRBr", "SRZBr", "SRThen", "RCFPush", "RCFSet", "RCFThen", "ImmLoad",
 ];
 
 /// A register slot: now and then one past the window.
@@ -282,19 +291,25 @@ fn gen_expr(rng: &mut SplitMix64, code: &mut Vec<Instr>, depth: u32) {
             }
             gen_expr(rng, code, depth + 1);
         }
-        // Two values no form names: the operator works stack to stack.
-        _ => code.extend([
-            LocalGet(gen_slot(rng)),
-            PushF(rng.gen_range_i64(-8, 8) as f64 / 2.0),
-        ]),
+        // A register and a double: stack to stack, or promoted first the
+        // way the compiler converts `i + 0.5`.
+        _ => {
+            code.extend([
+                LocalGet(gen_slot(rng)),
+                PushF(rng.gen_range_i64(-8, 8) as f64 / 2.0),
+            ]);
+            if rng.gen_bool() {
+                code.extend([Swap, I2F, Swap]);
+            }
+        }
     }
     code.push(gen_operator(rng));
 }
 
 /// Appends one statement: an expression and where its value goes, a
-/// register move, a constant, or a load from a constant address. A branch
-/// is left aimed just past the statement; the caller re-aims most of them
-/// past the next one (`if (expr) statement`).
+/// register move, a constant, or a load from a constant address. A jump is
+/// left aimed just past the statement; the caller re-aims most of them past
+/// the next one (`if (expr) statement`, `x = expr; goto`).
 fn gen_piece(rng: &mut SplitMix64, code: &mut Vec<Instr>) {
     use Instr::*;
     match rng.gen_range_usize(0, 12) {
@@ -307,46 +322,75 @@ fn gen_piece(rng: &mut SplitMix64, code: &mut Vec<Instr>) {
         }
         _ => gen_expr(rng, code, 0),
     }
-    let skip = code.len() as u32 + 1;
-    code.push(match rng.gen_range_usize(0, 8) {
-        0..=3 => LocalSet(gen_slot(rng)),
-        4 | 5 => JumpIfZero(skip),
-        6 => JumpIfNotZero(skip),
+    let jump = |rng: &mut SplitMix64, past: usize| -> Instr {
+        let past = past as u32;
+        if rng.gen_bool() {
+            JumpIfZero(past)
+        } else {
+            JumpIfNotZero(past)
+        }
+    };
+    let end = code.len();
+    let sink: Vec<Instr> = match rng.gen_range_usize(0, 12) {
+        0..=3 => vec![LocalSet(gen_slot(rng))],
+        4..=6 => vec![jump(rng, end + 1)],
+        // `x = expr;` then a jump: a `for` loop's step and back edge.
+        7 | 8 => vec![LocalSet(gen_slot(rng)), Jump(end as u32 + 2)],
+        // `if (expr == 0)`, `if (expr != 0)`.
+        9 | 10 => {
+            let cmp = if rng.gen_bool() { CmpEq } else { CmpNe };
+            vec![PushI(0), cmp, jump(rng, end + 3)]
+        }
         _ => return,
-    });
+    };
+    code.extend(sink);
 }
 
 /// Compiler-shaped bytecode: a run of pieces, for every other program
 /// inside a counted loop on r0 (which the pieces mostly leave alone), with
-/// a sprinkling of uniformly drawn instructions and retargeted jumps.
+/// a sprinkling of uniformly drawn instructions and retargeted jumps. The
+/// loop is a `do … while` or a `for`, whose step jumps back to its test.
 fn gen_weighted_code(rng: &mut SplitMix64) -> Vec<Instr> {
     use Instr::*;
     let looped = rng.gen_bool();
+    let test_first = looped && rng.gen_bool();
+    let turns = rng.gen_range_i64(60, 2000);
     let mut code = Vec::new();
     if looped {
         code.extend([PushI(0), LocalSet(0)]);
     }
     let top = code.len() as u32;
+    if test_first {
+        // The exit is aimed once the body's length is known.
+        code.extend([LocalGet(0), PushI(turns), CmpLt, JumpIfZero(0)]);
+    }
+    let body = code.len();
     for _ in 0..rng.gen_range_usize(1, 7) {
         let guard = code
             .len()
             .checked_sub(1)
-            .filter(|_| rng.gen_range_usize(0, 8) > 0);
+            .filter(|&at| at >= body && rng.gen_range_usize(0, 8) > 0);
+        let start = code.len();
         gen_piece(rng, &mut code);
         let end = code.len() as u32;
-        if let Some(JumpIfZero(t) | JumpIfNotZero(t)) = guard.map(|at| &mut code[at]) {
+        if let Some(JumpIfZero(t) | JumpIfNotZero(t) | Jump(t)) = guard.map(|at| &mut code[at]) {
             *t = end;
         }
         if looped {
             // A piece that writes the counter usually ends the loop early
             // or never: keep most loops counting.
-            if let Some(LocalSet(c @ 0)) = code.last_mut() {
-                *c = rng.gen_range_usize(0, 12).min(3) as u16;
+            for instr in &mut code[start..] {
+                if let LocalSet(c @ 0) = instr {
+                    *c = rng.gen_range_usize(0, 12).min(3) as u16;
+                }
             }
         }
     }
-    if looped {
-        let turns = rng.gen_range_i64(60, 2000);
+    if test_first {
+        code.extend([LocalGet(0), PushI(1), Add, LocalSet(0), Jump(top)]);
+        let exit = code.len() as u32;
+        code[body - 1] = JumpIfZero(exit);
+    } else if looped {
         #[rustfmt::skip]
         code.extend([
             LocalGet(0), PushI(1), Add, LocalSet(0),
@@ -438,6 +482,152 @@ fn assert_floors(tally: &Tally) {
 
 const TIER1_CASES: u32 = 3000;
 
+/// `tests/pipeline_equivalence.rs`'s sizes: small enough for a debug build,
+/// large enough that every kernel's loops turn hundreds of times.
+fn tiny(bench: Bench) -> Params {
+    let (size, reps) = match bench {
+        Bench::CountPrimes => (800, 1),
+        Bench::PiApprox => (8_000, 1),
+        Bench::Sum35 => (12_000, 1),
+        Bench::DotProduct => (512, 1),
+        Bench::LuDecomp => (6, 8),
+        Bench::Stream => (512, 1),
+    };
+    Params {
+        threads: 8,
+        size,
+        reps,
+    }
+}
+
+/// What the compiler makes of `source` on `cores`: the pthread program and,
+/// where Stage 5 translates it, the RCCE one, each at `O0` and `O2`.
+fn compiled(name: &str, source: &str, cores: usize) -> Vec<(String, Arc<Program>)> {
+    let mut out = Vec::new();
+    for level in [OptLevel::O0, OptLevel::O2] {
+        let session = Pipeline::new(source)
+            .cores(cores)
+            .scenario(Scenario::default().opt_level(level));
+        let baseline = session.baseline_program().expect("the corpus compiles");
+        out.push((format!("{name} pthread {level:?}"), baseline));
+        if let Ok(translated) = session.program() {
+            out.push((format!("{name} RCCE {level:?}"), translated));
+        }
+    }
+    out
+}
+
+/// How the runs of [`lockstep`] ended.
+#[derive(Debug, Default)]
+struct Endings {
+    runs: u32,
+    finished: u32,
+    faulted: u32,
+    events: u64,
+    slices: u64,
+}
+
+/// Runs function `func` of `program` on both interpreters in lock step,
+/// each over its own copy of the program image, with every argument 0 and
+/// every syscall answered 1 (a core count, a pointer and a success code
+/// alike), and asserts that every outcome, and the state they end in,
+/// agree.
+fn lockstep(program: &Program, func: u32, context: &str, endings: &mut Endings) {
+    const MAX_EVENTS: u32 = 200_000;
+    let form = ExecForm::new(program);
+    let args = vec![Value::I(0); usize::from(program.funcs[func as usize].n_params)];
+    let side = || {
+        let mut memory = ByteMemory::new();
+        for (addr, bytes) in &program.image {
+            memory.write_bytes(*addr, bytes);
+        }
+        (Vm::new(program, func, args.clone(), STACKS_BASE), memory)
+    };
+    let ((mut production, mut p_mem), (mut reference, mut r_mem)) = (side(), side());
+    endings.runs += 1;
+    for event in 0..MAX_EVENTS {
+        let fused = production.run_until_event(&form);
+        let plain = reference.run_until_event_matched(program);
+        // By rendering: NaN is a legitimate result.
+        let (fused_text, plain_text) = (format!("{fused:?}"), format!("{plain:?}"));
+        assert_eq!(fused_text, plain_text, "{context}, event {event}");
+        endings.events += 1;
+        endings.slices += u64::from(fused_text.starts_with("Ok(Ran"));
+        let resume = |vm: &mut Vm, memory: &mut ByteMemory, step| match step {
+            StepOutcome::Ran { .. } => {}
+            StepOutcome::Load { addr, kind, .. } => vm.provide_load(memory.load(addr, kind)),
+            StepOutcome::Store {
+                addr, kind, value, ..
+            } => {
+                memory.store(addr, kind, value);
+                vm.store_done();
+            }
+            StepOutcome::Syscall { .. } => vm.syscall_return(Value::I(1)),
+            StepOutcome::Finished { .. } => unreachable!("handled below"),
+        };
+        match (fused, plain) {
+            (Ok(StepOutcome::Finished { .. }), _) => {
+                endings.finished += 1;
+                break;
+            }
+            (Err(_), _) => {
+                endings.faulted += 1;
+                break;
+            }
+            (Ok(fused), Ok(plain)) => {
+                resume(&mut production, &mut p_mem, fused);
+                resume(&mut reference, &mut r_mem, plain);
+            }
+            (Ok(_), Err(_)) => unreachable!("the renderings were equal"),
+        }
+    }
+    assert_eq!(
+        format!("{production:?}"),
+        format!("{reference:?}"),
+        "{context}: final state"
+    );
+}
+
+/// Real compiler output, fused the way the paper kernels' loops are: every
+/// function of every kernel and corpus program, at `O0` and `O2`, as the
+/// pthread program and as its RCCE translation, agrees event by event.
+#[test]
+fn compiled_kernels_and_corpus_agree_with_reference() {
+    let mut sources: Vec<(String, String, usize)> = Bench::all()
+        .into_iter()
+        .map(|b| (b.name().to_string(), hsm_workloads::source(b, &tiny(b)), 8))
+        .collect();
+    let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus");
+    for dir in [corpus.clone(), corpus.join("adversarial")] {
+        let mut files: Vec<_> = std::fs::read_dir(&dir)
+            .expect("corpus directory")
+            .map(|entry| entry.expect("corpus entry").path())
+            .filter(|path| path.extension().is_some_and(|e| e == "c"))
+            .collect();
+        files.sort();
+        for path in files {
+            let source = std::fs::read_to_string(&path).expect("corpus program");
+            sources.push((path.display().to_string(), source, 4));
+        }
+    }
+    assert_eq!(sources.len(), 6 + 11, "six kernels, eleven corpus programs");
+    let mut endings = Endings::default();
+    for (name, source, cores) in &sources {
+        for (what, program) in compiled(name, source, *cores) {
+            for (func, f) in program.funcs.iter().enumerate() {
+                let context = format!("{what}, fn {}", f.name);
+                lockstep(&program, func as u32, &context, &mut endings);
+            }
+        }
+    }
+    println!("{endings:?}");
+    // Nearly every function runs to its end: the kernels' loops turn in
+    // full, and the rest of a trail is not cut short by the budget.
+    assert!(endings.finished * 10 >= endings.runs * 9, "{endings:?}");
+    assert!(endings.events >= 40_000, "{endings:?}");
+    assert!(endings.slices >= 250, "{endings:?}");
+}
+
 #[test]
 fn execution_form_agrees_with_reference_on_compiler_shaped_code() {
     assert_floors(&weighted_sweep("form_vs_reference", TIER1_CASES));
@@ -469,4 +659,44 @@ fn generator_covers_every_opcode() {
         .filter(|o| !seen.contains(o))
         .collect();
     assert!(missing.is_empty(), "generator never emitted {missing:?}");
+}
+
+/// The deterministic proxy a dispatch change is gated on, DESIGN.md §10's
+/// table: per innermost loop of each paper kernel's thread function at 32
+/// threads and `O0`, its instructions and the dispatch slots reachable in
+/// it (`cargo run --release --example dump_opt paper:all` prints the same
+/// lines). A change that un-fuses a kernel fails here, before any timing.
+#[test]
+fn paper_kernel_loops_dispatch_the_pinned_slot_counts() {
+    let pinned: [(Bench, &[(usize, usize)]); 6] = [
+        (Bench::PiApprox, &[(28, 11)]),
+        (Bench::Sum35, &[(29, 9)]),
+        (Bench::CountPrimes, &[(18, 6)]),
+        (Bench::Stream, &[(23, 8), (25, 10), (31, 12), (33, 14)]),
+        (Bench::DotProduct, &[(27, 12)]),
+        (Bench::LuDecomp, &[(51, 23), (25, 11)]),
+    ];
+    for (bench, rows) in pinned {
+        let source = hsm_workloads::source(bench, &bench.default_params(32));
+        let program = Pipeline::new(source)
+            .cores(32)
+            .program()
+            .expect("the kernel compiles");
+        let tf = program
+            .funcs
+            .iter()
+            .position(|f| f.name == "tf")
+            .expect("a thread function");
+        let listing = ExecForm::new(&program).disassemble(tf);
+        // "loop 38..=55: 18 instructions -> 6 dispatch slots reachable ..."
+        let loops: Vec<(usize, usize)> = listing
+            .lines()
+            .filter_map(|line| line.strip_prefix("loop "))
+            .map(|line| {
+                let words: Vec<&str> = line.split_whitespace().collect();
+                (words[1].parse().unwrap(), words[4].parse().unwrap())
+            })
+            .collect();
+        assert_eq!(loops, rows, "{}:\n{listing}", bench.name());
+    }
 }
