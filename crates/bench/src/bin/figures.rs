@@ -12,7 +12,6 @@
 //! figures ablation.mc      # memory-controller contention
 //! figures ablation.policy  # partition policy quality
 //! figures fig7.threads     # >cores thread folding
-//! figures energy           # energy estimate (power model)
 //! figures stream.kernels   # per-kernel Stream bandwidth
 //! figures dvfs             # frequency sweep (memory wall)
 //! figures ext.jacobi       # barrier-heavy stencil extension
@@ -268,16 +267,6 @@ fn main() -> ExitCode {
             Ok(s) => println!("{s}"),
             Err(e) => {
                 eprintln!("dvfs sweep failed: {e}");
-                failed = true;
-            }
-        }
-    }
-
-    if want("energy") {
-        match hsm_bench::energy_comparison(hsm_bench::EVAL_UNITS) {
-            Ok(s) => println!("{s}"),
-            Err(e) => {
-                eprintln!("energy comparison failed: {e}");
                 failed = true;
             }
         }

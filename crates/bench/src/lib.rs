@@ -308,50 +308,6 @@ pub fn thread_folding(thread_counts: &[usize]) -> Result<String, PipelineError> 
     Ok(out)
 }
 
-/// Energy comparison: the NCC/manycore motivation of Chapter 1 — what the
-/// conversion means in joules, using the chip power model calibrated to
-/// the paper's 25 W / 125 W operating envelope.
-///
-/// # Errors
-///
-/// Propagates pipeline failures.
-pub fn energy_comparison(units: usize) -> Result<String, PipelineError> {
-    use scc_sim::PowerModel;
-    let config = SccConfig::table_6_1();
-    let tiles = config.mesh_cols * config.mesh_rows;
-    let model = PowerModel::new(tiles);
-    let mut out =
-        String::from("Energy estimate at the Table 6.1 operating point (full chip powered)\n\n");
-    let _ = writeln!(
-        out,
-        "{:<18}{:>16}{:>14}{:>12}",
-        "Benchmark", "Baseline (mJ)", "HSM (mJ)", "Saved"
-    );
-    out.push_str(&"-".repeat(60));
-    out.push('\n');
-    for bench in [Bench::PiApprox, Bench::Stream, Bench::DotProduct] {
-        let params = bench.default_params(units);
-        let base = experiment::run(bench, &params, Mode::PthreadBaseline, &config)?;
-        let hsm = experiment::run(bench, &params, Mode::RcceHsm, &config)?;
-        let e_base = model.energy_joules(base.timed_cycles, config.core_freq_mhz) * 1e3;
-        let e_hsm = model.energy_joules(hsm.timed_cycles, config.core_freq_mhz) * 1e3;
-        let _ = writeln!(
-            out,
-            "{:<18}{:>16.2}{:>14.2}{:>11.1}x",
-            bench.name(),
-            e_base,
-            e_hsm,
-            e_base / e_hsm
-        );
-    }
-    out.push_str(
-        "\nThe chip burns the same power either way (all 48 cores stay lit);\n\
-         finishing sooner is what saves energy — the free-lunch argument for\n\
-         converting instead of timeslicing one core.\n",
-    );
-    Ok(out)
-}
-
 /// STREAM-style per-kernel bandwidth table in all three configurations
 /// (the breakdown behind the Stream bar of Figures 6.1/6.2).
 ///

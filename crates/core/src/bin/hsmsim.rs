@@ -10,6 +10,7 @@
 
 use hsm_core::spec::{take_bool_flag, take_flag};
 use hsm_core::{Mode, Pipeline, Policy};
+use hsm_exec::{ExecModel, NullSink, RunSpec, Units};
 use scc_sim::SccConfig;
 use std::process::ExitCode;
 
@@ -96,7 +97,8 @@ fn main() -> ExitCode {
         None => (|| {
             let tu = hsm_cir::parse(&source)?;
             let program = hsm_vm::compile(&tu)?;
-            Ok(hsm_exec::run_rcce(&program, cores, &config)?)
+            let spec = RunSpec::new(config.clone(), Units::Rcce { cores }, ExecModel::Coherent);
+            Ok(hsm_exec::run(&program, &spec, &mut NullSink)?)
         })(),
     };
     let result = match result {

@@ -20,7 +20,7 @@
 //! benchmark × mode × core-count matrix out over worker threads on top
 //! of it; [`experiment`]'s figure drivers are built from both. Every run
 //! executes under a selectable [`ExecModel`] (coherent ground truth by
-//! default; see `hsm_exec::coherence`).
+//! default).
 
 #![warn(missing_docs)]
 

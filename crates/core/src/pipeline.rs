@@ -48,7 +48,8 @@ use crate::{PipelineError, SharingCheck};
 use hsm_analysis::{ClassificationManifest, ProgramAnalysis};
 use hsm_cir::TranslationUnit;
 use hsm_exec::{
-    ExecModel, NullSink, Oracle, OracleMode, Profile, ProfileCollector, RunResult, TraceSink,
+    ExecModel, NullSink, Oracle, OracleMode, Profile, ProfileCollector, RunResult, RunSpec,
+    TraceSink, Units,
 };
 use hsm_partition::{MemorySpec, PartitionPlan, Policy};
 use hsm_translate::{TranslateOptions, Translation};
@@ -414,18 +415,14 @@ impl Pipeline {
         program: &hsm_vm::Program,
         sink: &mut S,
     ) -> Result<RunResult, PipelineError> {
-        let (cores, config, model) = (self.cores, &self.config, self.exec_model);
-        Ok(match self.mode {
-            Mode::PthreadBaseline => {
-                hsm_exec::run_pthread_model_traced(program, config, model, sink)
-            }
-            Mode::RcceOffChip | Mode::RcceHsm => {
-                hsm_exec::run_rcce_model_traced(program, cores, config, model, sink)
-            }
-            Mode::TaskDataflow => {
-                hsm_exec::run_task_model_traced(program, cores, config, model, sink)
-            }
-        }?)
+        let cores = self.cores;
+        let units = match self.mode {
+            Mode::PthreadBaseline => Units::Pthread,
+            Mode::RcceOffChip | Mode::RcceHsm => Units::Rcce { cores },
+            Mode::TaskDataflow => Units::Task { cores },
+        };
+        let spec = RunSpec::new(self.config.clone(), units, self.exec_model);
+        Ok(hsm_exec::run(program, &spec, sink)?)
     }
 
     /// Runs the program the way the configured [`Scenario`] selects — the

@@ -29,9 +29,10 @@ use hsm_vm::{MemKind, Value};
 use scc_sim::{CoreLane, MemorySystem, Region};
 use std::collections::BTreeMap;
 
-/// Selects which [`CoherenceModel`] a run executes under. This is the
-/// public, plumbable axis: pipelines, sweeps and the bench manifest carry
-/// an `ExecModel`, and the engine monomorphizes over the matching model.
+/// Selects the coherence model a run executes under: what value a load
+/// observes. This is the public, plumbable axis: pipelines, sweeps and the
+/// bench manifest carry an `ExecModel`, and the engine monomorphizes over
+/// the matching model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecModel {
     /// Ground truth: every load sees the latest store (the behavior of
@@ -84,10 +85,7 @@ impl ExecModel {
 /// resolving its format string. Routing the syscall side through the
 /// model is what lets staleness corrupt observable output rather than
 /// just timing.
-pub trait CoherenceModel {
-    /// Stable name for diagnostics.
-    fn label(&self) -> &'static str;
-
+pub(crate) trait CoherenceModel {
     /// Cycles one access by `core` costs at simulated time `now`.
     fn latency(
         &mut self,
@@ -195,13 +193,9 @@ pub trait CoherenceModel {
 /// timing from the normal cache/mesh/DRAM path. Byte-identical to the
 /// pre-model engines.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Coherent;
+pub(crate) struct Coherent;
 
 impl CoherenceModel for Coherent {
-    fn label(&self) -> &'static str {
-        ExecModel::Coherent.label()
-    }
-
     type Own<'a> = ();
 
     fn own_parts(&mut self, units: usize) -> impl Iterator<Item = ()> {
@@ -242,13 +236,9 @@ impl CoherenceModel for Coherent {
 /// tests: no caches means nothing can go stale, so output and exit codes
 /// must match [`Coherent`] exactly; only timing differs.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SeqCstReference;
+pub(crate) struct SeqCstReference;
 
 impl CoherenceModel for SeqCstReference {
-    fn label(&self) -> &'static str {
-        ExecModel::SeqCstReference.label()
-    }
-
     fn latency(
         &mut self,
         chip: &mut MemorySystem,
@@ -313,7 +303,7 @@ impl CoherenceModel for SeqCstReference {
 /// corpus — observably break, which is the paper's motivation made
 /// executable.
 #[derive(Debug, Default)]
-pub struct NonCoherentWriteBack {
+pub(crate) struct NonCoherentWriteBack {
     line_bytes: u64,
     views: Vec<UnitView>,
 }
@@ -321,7 +311,7 @@ pub struct NonCoherentWriteBack {
 /// One unit's write-back view of the private memory of the core it runs
 /// on: the [`NonCoherentWriteBack`] model's part of a unit.
 #[derive(Debug)]
-pub struct UnitView {
+pub(crate) struct UnitView {
     line_bytes: u64,
     /// The unit's copy of the private lines it has touched.
     bytes: ByteMemory,
@@ -399,7 +389,7 @@ impl NonCoherentWriteBack {
     /// # Panics
     ///
     /// Panics unless `line_bytes` is a power of two.
-    pub fn new(line_bytes: usize) -> Self {
+    pub(crate) fn new(line_bytes: usize) -> Self {
         assert!(
             line_bytes.is_power_of_two(),
             "line size must be a power of two"
@@ -412,10 +402,6 @@ impl NonCoherentWriteBack {
 }
 
 impl CoherenceModel for NonCoherentWriteBack {
-    fn label(&self) -> &'static str {
-        ExecModel::NonCoherentWriteBack.label()
-    }
-
     type Own<'a> = &'a mut UnitView;
 
     fn own_parts(&mut self, units: usize) -> impl Iterator<Item = &mut UnitView> {

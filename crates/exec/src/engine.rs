@@ -4,23 +4,28 @@
 //! [`CoherenceModel`] (what value a load observes and what an access
 //! costs).
 //!
-//! Both execution modes are thin [`SyncModel`] impls over this core:
-//! pthread (round-robin time slicing on core 0) and RCCE (discrete-event
-//! interleaving of per-core processes). The core owns everything they
-//! used to duplicate: the step loop, memory-access timing + tracing, the
-//! `printf`/`malloc`/`wtime` syscalls, output collection, and result
-//! assembly.
+//! The three execution modes are thin [`SyncModel`] impls over this core:
+//! pthread (round-robin time slicing on core 0), RCCE (discrete-event
+//! interleaving of per-core processes) and task dataflow. The core owns
+//! the step loop, memory-access timing + tracing, the `printf`/`malloc`/
+//! `wtime` syscalls, output collection, and result assembly. [`run`] is
+//! its one entry: it picks the sync model's and the coherence model's
+//! types from a [`RunSpec`].
 
 use crate::coherence::{
     CoherenceModel, Coherent, ExecModel, NonCoherentWriteBack, SeqCstReference,
 };
 use crate::machine::{DataSpaces, ExecError, OutputLine, RunResult, WtimeTracker};
 use crate::printf;
+use crate::pthread::PthreadSync;
+use crate::rcce::RcceSync;
 use crate::syscall_cost;
+use crate::taskflow::TaskDataflowSync;
 use crate::trace::{TraceEvent, TraceSink};
 use hsm_vm::compile::{Program, HEAP_BASE};
 use hsm_vm::data::ByteMemory;
 use hsm_vm::{ExecForm, Intrinsic, MemKind, StepOutcome, UnitVm, Value, VmError};
+use scc_sim::memory::SHARED_DRAM_BASE;
 use scc_sim::{CoreLane, MemorySystem, SccConfig};
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -32,7 +37,7 @@ use std::sync::OnceLock;
 /// time and `Progress`/`Dispatch` to its scheduling quantum; the RCCE
 /// model bills everything to the unit's local clock alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Charge {
+pub(crate) enum Charge {
     /// Forward progress of the unit: instruction execution and memory
     /// access latency.
     Progress,
@@ -44,7 +49,7 @@ pub enum Charge {
 
 /// Whether the run continues after a syscall or unit completion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Flow {
+pub(crate) enum Flow {
     /// Keep scheduling.
     Continue,
     /// The process is over (pthread `exit`/main return); stop the loop.
@@ -54,7 +59,7 @@ pub enum Flow {
 /// One schedulable execution context: a thread (pthread mode) or a core's
 /// process (RCCE mode).
 #[derive(Debug)]
-pub struct UnitState {
+pub(crate) struct UnitState {
     /// The suspendable VM driving this unit.
     pub vm: UnitVm,
     /// The unit's view of simulated time. In pthread mode every unit's
@@ -83,7 +88,7 @@ pub struct UnitState {
 impl UnitState {
     /// Creates a unit poised at `func` with `args` on the private stack
     /// region at `stack_base`.
-    pub fn new(program: &Program, func: u32, args: Vec<Value>, stack_base: u64) -> Self {
+    pub(crate) fn new(program: &Program, func: u32, args: Vec<Value>, stack_base: u64) -> Self {
         UnitState {
             vm: UnitVm::new(program, func, args, stack_base),
             clock: 0,
@@ -213,7 +218,7 @@ impl<C: CoherenceModel> Lane<'_, C> {
 /// Everything the core and the sync model share: the machine (chip
 /// timing, data spaces and coherence model), the unit table, heap break
 /// pointers, program output and wtime marks.
-pub struct ExecEnv<'p, C: CoherenceModel> {
+pub(crate) struct ExecEnv<'p, C: CoherenceModel> {
     /// The compiled program every unit executes.
     pub program: &'p Program,
     /// `program` as the units' VMs dispatch it, built once for the run.
@@ -270,18 +275,32 @@ impl<'p, C: CoherenceModel> ExecEnv<'p, C> {
 
     /// Loads a value as observed by `unit` on `core` — the single path for
     /// all data reads, VM-issued and syscall-side alike.
-    pub fn mem_load(&mut self, unit: usize, core: usize, addr: u64, kind: MemKind) -> Value {
+    pub(crate) fn mem_load(&mut self, unit: usize, core: usize, addr: u64, kind: MemKind) -> Value {
         self.coherence.load(unit, core, addr, kind, &self.spaces)
     }
 
     /// Stores a value on behalf of `unit` on `core`.
-    pub fn mem_store(&mut self, unit: usize, core: usize, addr: u64, kind: MemKind, v: Value) {
+    pub(crate) fn mem_store(
+        &mut self,
+        unit: usize,
+        core: usize,
+        addr: u64,
+        kind: MemKind,
+        v: Value,
+    ) {
         self.coherence
             .store(unit, core, addr, kind, v, &mut self.spaces);
     }
 
     /// Byte copy between two addresses in `unit`'s view (`RCCE_put`/`RCCE_get`).
-    pub fn copy_bytes(&mut self, unit: usize, core: usize, dst: u64, src: u64, bytes: usize) {
+    pub(crate) fn copy_bytes(
+        &mut self,
+        unit: usize,
+        core: usize,
+        dst: u64,
+        src: u64,
+        bytes: usize,
+    ) {
         for i in 0..bytes as u64 {
             let v = self.mem_load(unit, core, src + i, MemKind::I8);
             self.mem_store(unit, core, dst + i, MemKind::I8, v);
@@ -291,7 +310,12 @@ impl<'p, C: CoherenceModel> ExecEnv<'p, C> {
     /// Byte copy across two units' views (the `RCCE_send`/`RCCE_recv`
     /// rendezvous data movement). Each side is a `(unit, core, addr)`
     /// triple.
-    pub fn copy_cross(&mut self, src: (usize, usize, u64), dst: (usize, usize, u64), bytes: usize) {
+    pub(crate) fn copy_cross(
+        &mut self,
+        src: (usize, usize, u64),
+        dst: (usize, usize, u64),
+        bytes: usize,
+    ) {
         let (src_unit, src_core, src_addr) = src;
         let (dst_unit, dst_core, dst_addr) = dst;
         for i in 0..bytes as u64 {
@@ -302,7 +326,7 @@ impl<'p, C: CoherenceModel> ExecEnv<'p, C> {
 
     /// Reads a NUL-terminated string as observed by `unit` (capped at
     /// 64 KB like [`hsm_vm::data::ByteMemory::read_cstr`]).
-    pub fn read_cstr(&mut self, unit: usize, core: usize, addr: u64) -> String {
+    pub(crate) fn read_cstr(&mut self, unit: usize, core: usize, addr: u64) -> String {
         let mut out = Vec::new();
         for i in 0..65536 {
             let b = self.mem_load(unit, core, addr + i, MemKind::I8).as_i() as u8;
@@ -320,7 +344,7 @@ impl<'p, C: CoherenceModel> ExecEnv<'p, C> {
     /// # Errors
     ///
     /// A negative string pointer is the program's error.
-    pub fn format_printf(
+    pub(crate) fn format_printf(
         &mut self,
         unit: usize,
         core: usize,
@@ -494,7 +518,7 @@ fn fan_out<T: Send>(items: Vec<T>, threads: usize, run: impl Fn(T) -> u64 + Sync
 /// states and clocks. A run that ends first (`exit`, `main` returning) ends
 /// as if nothing had been computed ahead: [`RunResult::instructions`]
 /// counts what was replayed.
-pub trait SyncModel: Sized {
+pub(crate) trait SyncModel: Sized {
     /// Number of units at boot (pthread: 1, the main thread; RCCE: one
     /// per core). Units may be added later (`pthread_create`).
     fn unit_count(&self) -> usize;
@@ -557,7 +581,6 @@ pub trait SyncModel: Sized {
     /// Refuses the pure rule, which asks nothing of a model and so cannot
     /// be withheld by one that merely grants nothing: set by
     /// [`VisitEveryEvent`] alone, the reference that runs ahead of nothing.
-    #[doc(hidden)]
     const VISITS_EVERY_EVENT: bool = false;
 
     /// Advances the clocks by `cycles` of the given [`Charge`] kind on
@@ -613,11 +636,6 @@ pub trait SyncModel: Sized {
     fn finalize<C: CoherenceModel>(&self, env: &ExecEnv<C>) -> (u64, Vec<u64>, i64);
 }
 
-/// The unified interpreter: the one place a program steps, accesses
-/// memory, prints, and gets traced. See the module docs for the split of
-/// responsibilities between the core and the two trait axes.
-pub struct ExecutionCore;
-
 const STEP_LIMIT: u64 = 2_000_000_000;
 
 /// Events a unit may perform under the local rule in one
@@ -651,15 +669,16 @@ const PHASE_FLOOR: u64 = 50_000;
 /// first 17 %. Not a setting: results are the same at any value.
 const PURE_FLOOR: usize = 1024;
 
-/// Host threads a run may spread its free units over, itself included: what
-/// the host offers this process. On a one-CPU host the units are taken one
-/// after the other on the calling thread. Other runs of the process (the
-/// second worker of a sweep, an `hsmd` job) are not subtracted: a 2-worker
-/// sweep over the RCCE points of `paper_compute` read the same with and
-/// without that (CHANGES.md, PR 22), the work being the same either way.
-fn lane_threads() -> usize {
+/// Host threads a run may spread its free units over, itself included:
+/// `helpers` beside the caller when [`RunSpec::helpers`] forces them, else
+/// what the host offers this process. On a one-CPU host the units are taken
+/// one after the other on the calling thread. Other runs of the process
+/// (the second worker of a sweep, an `hsmd` job) are not subtracted: a
+/// 2-worker sweep over the RCCE points of `paper_compute` read the same with
+/// and without that (CHANGES.md, PR 22), the work being the same either way.
+fn lane_threads(helpers: Option<usize>) -> usize {
     static HOST: OnceLock<usize> = OnceLock::new();
-    match FORCED_HELPERS.get() {
+    match helpers {
         Some(helpers) => helpers + 1,
         None => *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from)),
     }
@@ -669,8 +688,6 @@ thread_local! {
     /// Times a run on this thread took its free units ahead beside one
     /// another, under the local rule or the pure one.
     static PHASES: Cell<u64> = const { Cell::new(0) };
-    /// Helper threads [`with_helpers`] forces on this thread's runs.
-    static FORCED_HELPERS: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
 /// How often the runs this thread has made so far took their free units
@@ -681,17 +698,112 @@ pub fn phases_on_this_thread() -> u64 {
     PHASES.get()
 }
 
-/// `run`, with every run it makes on this thread spreading its free units
-/// over exactly `helpers` host threads beside the caller's, whatever the
-/// host has to spare. Tests hold runs of every sync model against
-/// [`VisitEveryEvent`] at several helper counts; nothing else may choose
-/// one, a [`RunResult`] being the same at any.
-#[doc(hidden)]
-pub fn with_helpers<R>(helpers: usize, run: impl FnOnce() -> R) -> R {
-    let outer = FORCED_HELPERS.replace(Some(helpers));
-    let result = run();
-    FORCED_HELPERS.set(outer);
-    result
+/// The sync model a run executes under: which units run the program, on
+/// which cores, and what creating, joining, locking and waiting mean.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Units {
+    /// The paper's baseline: every thread of a pthread program time-sliced
+    /// on core 0, sharing its caches, with an OS quantum and a
+    /// context-switch penalty.
+    Pthread,
+    /// The converted program: one process per core, each running the whole
+    /// binary, synchronized by RCCE barriers and test-and-set locks.
+    Rcce {
+        /// Cores, one process each: 1 up to the chip's.
+        cores: usize,
+    },
+    /// The task-dataflow runtime: `main` on core 0 spawns tasks with
+    /// declared regions, which run on the other cores.
+    Task {
+        /// Cores, `main`'s included: 2 up to the chip's.
+        cores: usize,
+    },
+}
+
+/// Everything [`run`] needs besides the program and the sink: the chip, the
+/// sync model and the coherence model.
+#[derive(Debug, Clone)]
+pub struct RunSpec {
+    /// The chip the program runs on.
+    pub config: SccConfig,
+    /// The sync model.
+    pub units: Units,
+    /// What value a load observes.
+    pub model: ExecModel,
+    /// Visit the scheduler before every event and let no unit run ahead of
+    /// its turn: the reference the run-ahead rules are tested against
+    /// (DESIGN.md §9). The result is the same either way.
+    #[doc(hidden)]
+    pub reference: bool,
+    /// Spread the free units over exactly this many host threads beside the
+    /// caller's, whatever the host has to spare, so tests can hold every
+    /// count against the reference; `None` takes what the host offers. The
+    /// result is the same at any count.
+    #[doc(hidden)]
+    pub helpers: Option<usize>,
+}
+
+impl RunSpec {
+    /// `units` under `model` on the chip `config` describes.
+    pub fn new(config: SccConfig, units: Units, model: ExecModel) -> Self {
+        RunSpec {
+            config,
+            units,
+            model,
+            reference: false,
+            helpers: None,
+        }
+    }
+}
+
+/// Runs `program` the way `spec` says, streaming every memory access and
+/// synchronization event to `sink` ([`NullSink`](crate::NullSink) for none;
+/// sinks observe, they never perturb the run). The only place a core count
+/// is checked against the sync model.
+///
+/// # Errors
+///
+/// A core count outside what the sync model and the chip allow; VM faults,
+/// deadlock, failed allocations, and calls the sync model does not have
+/// (RCCE calls in a pthread run, pthread calls that survived translation,
+/// a `task_wait_all` outside `main`, ...).
+pub fn run<S: TraceSink>(
+    program: &Program,
+    spec: &RunSpec,
+    sink: &mut S,
+) -> Result<RunResult, ExecError> {
+    let chip = spec.config.cores;
+    match spec.units {
+        Units::Pthread => with_sync(program, spec, PthreadSync::new(), sink),
+        Units::Rcce { cores } if (1..=chip).contains(&cores) => {
+            with_sync(program, spec, RcceSync::new(cores, &spec.config), sink)
+        }
+        Units::Task { cores } if (2..=chip).contains(&cores) => {
+            with_sync(program, spec, TaskDataflowSync::new(cores), sink)
+        }
+        Units::Rcce { cores } => Err(ExecError::new(format!(
+            "core count {cores} outside 1..={chip}"
+        ))),
+        Units::Task { cores } => Err(ExecError::new(format!(
+            "task mode needs a master plus at least one worker: core count \
+             {cores} outside 2..={chip}"
+        ))),
+    }
+}
+
+/// [`with_coherence`] under `sync`, or behind [`VisitEveryEvent`] when
+/// `spec` asks for the reference.
+fn with_sync<M: SyncModel, S: TraceSink>(
+    program: &Program,
+    spec: &RunSpec,
+    sync: M,
+    sink: &mut S,
+) -> Result<RunResult, ExecError> {
+    if spec.reference {
+        with_coherence(program, spec, VisitEveryEvent(sync), sink)
+    } else {
+        with_coherence(program, spec, sync, sink)
+    }
 }
 
 fn check_step_limit(steps: u64) -> Result<(), ExecError> {
@@ -701,285 +813,281 @@ fn check_step_limit(steps: u64) -> Result<(), ExecError> {
     Ok(())
 }
 
-impl ExecutionCore {
-    /// Runs `program` under `model` (synchronization semantics) and
-    /// `coherence` (memory semantics), streaming accesses to `sink`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError`] on VM faults, deadlock, or semantic
-    /// violations reported by the sync model.
-    pub fn run<M: SyncModel, C: CoherenceModel, S: TraceSink>(
-        program: &Program,
-        config: &SccConfig,
-        mut model: M,
-        coherence: C,
-        sink: &mut S,
-    ) -> Result<RunResult, ExecError> {
-        let mut env = ExecEnv::new(program, config, coherence, &model);
-        let local = M::OWN_EVENTS_ARE_LOCAL && !S::ENABLED;
-        // A lane bills as it goes, which is cheaper than recording and
-        // replaying: the pure rule is for the runs that have no lanes.
-        let pure = !local && !M::VISITS_EVERY_EVENT;
-        debug_assert!(
-            !local || (0..env.units.len()).all(|unit| model.core_of(unit) == unit),
-            "a unit whose events are local runs on the core of its own index"
-        );
-        debug_assert!(
-            !local
-                || env.units.first_mut().is_none_or(|unit| {
-                    let (clock, busy) = (unit.clock, unit.busy_cycles);
-                    model.charge(unit, 1, Charge::Progress);
-                    let billed = (unit.clock, unit.busy_cycles) == (clock + 1, busy);
-                    unit.clock = clock;
-                    billed
-                }),
-            "the local rule bills progress as `unit.clock += cycles`, and so must the model"
-        );
-        let mut steps: u64 = 0;
-        // The free units have not been advanced in one go since the last
-        // syscall or finish. What they run until the next one they have
-        // in common, so one such phase takes them all there.
-        let mut fresh = true;
-        // `Ran` slices performed so far, live or replayed, and `(steps,
-        // ran)` where the stretch of nothing but such slices began that the
-        // run is in.
-        let mut ran: u64 = 0;
-        let mut stretch = (0, 0);
-        'visit: while let Some(u) = model.schedule(&mut env)? {
-            if pure {
-                let (events, slices) = (steps - stretch.0, ran - stretch.1);
-                if events != slices {
-                    // Something else was performed: a new stretch.
-                    stretch = (steps, ran);
-                } else if slices >= PURE_FLOOR as u64 {
-                    stretch = (steps, ran);
-                    if env.compute_ahead(lane_threads()) {
-                        PHASES.set(PHASES.get() + 1);
-                    }
+/// The one place a program steps, accesses memory, prints and gets traced:
+/// runs `program` under `model` (synchronization semantics) and `coherence`
+/// (memory semantics), streaming accesses to `sink`.
+fn execute<M: SyncModel, C: CoherenceModel, S: TraceSink>(
+    program: &Program,
+    spec: &RunSpec,
+    mut model: M,
+    coherence: C,
+    sink: &mut S,
+) -> Result<RunResult, ExecError> {
+    let mut env = ExecEnv::new(program, &spec.config, coherence, &model);
+    let local = M::OWN_EVENTS_ARE_LOCAL && !S::ENABLED;
+    // A lane bills as it goes, which is cheaper than recording and
+    // replaying: the pure rule is for the runs that have no lanes.
+    let pure = !local && !M::VISITS_EVERY_EVENT;
+    debug_assert!(
+        !local || (0..env.units.len()).all(|unit| model.core_of(unit) == unit),
+        "a unit whose events are local runs on the core of its own index"
+    );
+    debug_assert!(
+        !local
+            || env.units.first_mut().is_none_or(|unit| {
+                let (clock, busy) = (unit.clock, unit.busy_cycles);
+                model.charge(unit, 1, Charge::Progress);
+                let billed = (unit.clock, unit.busy_cycles) == (clock + 1, busy);
+                unit.clock = clock;
+                billed
+            }),
+        "the local rule bills progress as `unit.clock += cycles`, and so must the model"
+    );
+    let mut steps: u64 = 0;
+    // The free units have not been advanced in one go since the last
+    // syscall or finish. What they run until the next one they have
+    // in common, so one such phase takes them all there.
+    let mut fresh = true;
+    // `Ran` slices performed so far, live or replayed, and `(steps,
+    // ran)` where the stretch of nothing but such slices began that the
+    // run is in.
+    let mut ran: u64 = 0;
+    let mut stretch = (0, 0);
+    'visit: while let Some(u) = model.schedule(&mut env)? {
+        if pure {
+            let (events, slices) = (steps - stretch.0, ran - stretch.1);
+            if events != slices {
+                // Something else was performed: a new stretch.
+                stretch = (steps, ran);
+            } else if slices >= PURE_FLOOR as u64 {
+                stretch = (steps, ran);
+                if env.compute_ahead(lane_threads(spec.helpers)) {
+                    PHASES.set(PHASES.get() + 1);
                 }
             }
-            let retired = env.units[u].vm.instructions_retired();
-            // `u` is due. What it computed ahead comes next in the global
-            // order, billed as the live slice would have been.
-            if pure {
-                while let Some((cycles, _)) = env.units[u].ahead.pop_front() {
-                    model.charge(&mut env.units[u], u64::from(cycles), Charge::Progress);
-                    steps += 1;
-                    ran += 1;
-                    check_step_limit(steps)?;
-                    if !model.still_due(&env, u) {
-                        continue 'visit;
-                    }
-                }
-            }
-            // Then whatever it is suspended on.
-            loop {
-                // A binding per event rather than one assigned to: the VM
-                // then writes its answer in place, where reading it back
-                // field by field costs nothing.
-                let outcome = match env.units[u].held.take() {
-                    Some(held) => held,
-                    None => env.units[u].vm.run_until_event(&env.form),
-                };
-                let flow = match outcome {
-                    Ok(StepOutcome::Ran { cycles }) => {
-                        model.charge(&mut env.units[u], cycles, Charge::Progress);
-                        ran += u64::from(pure);
-                        None
-                    }
-                    Ok(StepOutcome::Load { addr, kind, cycles }) => {
-                        let access = (addr, kind, None, cycles);
-                        Self::memory_access(&mut model, &mut env, sink, u, access);
-                        None
-                    }
-                    #[rustfmt::skip]
-                    Ok(StepOutcome::Store { addr, kind, value, cycles }) => {
-                        let access = (addr, kind, Some(value), cycles);
-                        Self::memory_access(&mut model, &mut env, sink, u, access);
-                        None
-                    }
-                    #[rustfmt::skip]
-                    Ok(StepOutcome::Syscall { intrinsic, ref args, cycles }) => {
-                        model.charge(&mut env.units[u], cycles, Charge::Dispatch);
-                        Some(Self::syscall(&mut model, &mut env, sink, u, intrinsic, args)?)
-                    }
-                    Ok(StepOutcome::Finished { exit }) => {
-                        Some(model.finished(&mut env, sink, u, exit.as_i())?)
-                    }
-                    Err(fault) => return Err(fault.into()),
-                };
+        }
+        let retired = env.units[u].vm.instructions_retired();
+        // `u` is due. What it computed ahead comes next in the global
+        // order, billed as the live slice would have been.
+        if pure {
+            while let Some((cycles, _)) = env.units[u].ahead.pop_front() {
+                model.charge(&mut env.units[u], u64::from(cycles), Charge::Progress);
                 steps += 1;
+                ran += 1;
                 check_step_limit(steps)?;
-                match flow {
-                    Some(Flow::Stop) => break 'visit,
-                    Some(Flow::Continue) => {
-                        model.post_step(&mut env, sink)?;
-                        fresh = true;
-                        continue 'visit;
-                    }
-                    None => {}
-                }
                 if !model.still_due(&env, u) {
-                    break;
+                    continue 'visit;
                 }
             }
-            if !local {
-                continue;
-            }
-            // Somebody else is due first, but what `u` does next may be
-            // nobody's business but its own.
-            steps += env.advance(u);
-            if fresh && env.units[u].vm.instructions_retired() - retired > PHASE_FLOOR {
-                fresh = false;
-                steps += env.advance_free(u, lane_threads());
-                model.clocks_moved();
-                PHASES.set(PHASES.get() + 1);
-            }
+        }
+        // Then whatever it is suspended on.
+        loop {
+            // A binding per event rather than one assigned to: the VM
+            // then writes its answer in place, where reading it back
+            // field by field costs nothing.
+            let outcome = match env.units[u].held.take() {
+                Some(held) => held,
+                None => env.units[u].vm.run_until_event(&env.form),
+            };
+            let flow = match outcome {
+                Ok(StepOutcome::Ran { cycles }) => {
+                    model.charge(&mut env.units[u], cycles, Charge::Progress);
+                    ran += u64::from(pure);
+                    None
+                }
+                Ok(StepOutcome::Load { addr, kind, cycles }) => {
+                    let access = (addr, kind, None, cycles);
+                    memory_access(&mut model, &mut env, sink, u, access);
+                    None
+                }
+                #[rustfmt::skip]
+                Ok(StepOutcome::Store { addr, kind, value, cycles }) => {
+                    let access = (addr, kind, Some(value), cycles);
+                    memory_access(&mut model, &mut env, sink, u, access);
+                    None
+                }
+                #[rustfmt::skip]
+                Ok(StepOutcome::Syscall { intrinsic, ref args, cycles }) => {
+                    model.charge(&mut env.units[u], cycles, Charge::Dispatch);
+                    Some(syscall(&mut model, &mut env, sink, u, intrinsic, args)?)
+                }
+                Ok(StepOutcome::Finished { exit }) => {
+                    Some(model.finished(&mut env, sink, u, exit.as_i())?)
+                }
+                Err(fault) => return Err(fault.into()),
+            };
+            steps += 1;
             check_step_limit(steps)?;
+            match flow {
+                Some(Flow::Stop) => break 'visit,
+                Some(Flow::Continue) => {
+                    model.post_step(&mut env, sink)?;
+                    fresh = true;
+                    continue 'visit;
+                }
+                None => {}
+            }
+            if !model.still_due(&env, u) {
+                break;
+            }
         }
-
-        debug_assert!(env.units.iter().all(|u| u.ahead.len() <= PURE_FLOOR));
-        let (total_cycles, per_unit_cycles, exit_code) = model.finalize(&env);
-        let timed = env.wtimes.widest_interval().unwrap_or(total_cycles);
-        let retired = |u: &UnitState| u.vm.instructions_retired() - u.instructions_ahead();
-        let instructions = env.units.iter().map(retired).sum();
-        env.output.sort_by_key(|l| (l.at, l.who));
-        Ok(RunResult {
-            total_cycles,
-            timed_cycles: timed,
-            output: env.output,
-            exit_code,
-            mem_stats: env.chip.stats(),
-            stats_matrix: env.chip.stats_matrix().clone(),
-            mpb_high_water: env.chip.mpb_high_water(),
-            per_unit_cycles,
-            instructions,
-            events: steps,
-        })
+        if !local {
+            continue;
+        }
+        // Somebody else is due first, but what `u` does next may be
+        // nobody's business but its own.
+        steps += env.advance(u);
+        if fresh && env.units[u].vm.instructions_retired() - retired > PHASE_FLOOR {
+            fresh = false;
+            steps += env.advance_free(u, lane_threads(spec.helpers));
+            model.clocks_moved();
+            PHASES.set(PHASES.get() + 1);
+        }
+        check_step_limit(steps)?;
     }
 
-    /// [`ExecutionCore::run`] under the [`CoherenceModel`] that `model`
-    /// names.
-    ///
-    /// # Errors
-    ///
-    /// Those of [`ExecutionCore::run`].
-    pub fn run_model<M: SyncModel, S: TraceSink>(
-        program: &Program,
-        config: &SccConfig,
-        sync: M,
-        model: ExecModel,
-        sink: &mut S,
-    ) -> Result<RunResult, ExecError> {
-        match model {
-            ExecModel::Coherent => Self::run(program, config, sync, Coherent, sink),
-            ExecModel::NonCoherentWriteBack => {
-                let views = NonCoherentWriteBack::new(config.line_bytes);
-                Self::run(program, config, sync, views, sink)
-            }
-            ExecModel::SeqCstReference => Self::run(program, config, sync, SeqCstReference, sink),
-        }
-    }
+    debug_assert!(env.units.iter().all(|u| u.ahead.len() <= PURE_FLOOR));
+    let (total_cycles, per_unit_cycles, exit_code) = model.finalize(&env);
+    let timed = env.wtimes.widest_interval().unwrap_or(total_cycles);
+    let retired = |u: &UnitState| u.vm.instructions_retired() - u.instructions_ahead();
+    let instructions = env.units.iter().map(retired).sum();
+    env.output.sort_by_key(|l| (l.at, l.who));
+    Ok(RunResult {
+        total_cycles,
+        timed_cycles: timed,
+        output: env.output,
+        exit_code,
+        mem_stats: env.chip.stats(),
+        stats_matrix: env.chip.stats_matrix().clone(),
+        mpb_high_water: env.chip.mpb_high_water(),
+        per_unit_cycles,
+        instructions,
+        events: steps,
+    })
+}
 
-    /// One VM-issued load or store of the unit that is due, `(addr, kind,
-    /// value to store, issue cycles)`: charge issue cycles, resolve the
-    /// latency through the coherence model, trace it, charge the latency,
-    /// then move the data and resume the VM.
-    #[inline(always)]
-    fn memory_access<M: SyncModel, C: CoherenceModel, S: TraceSink>(
-        model: &mut M,
-        env: &mut ExecEnv<C>,
-        sink: &mut S,
-        unit: usize,
-        (addr, kind, store, cycles): (u64, MemKind, Option<Value>, u64),
-    ) {
-        let core = model.core_of(unit);
-        let write = store.is_some();
-        model.charge(&mut env.units[unit], cycles, Charge::Progress);
-        let now = env.units[unit].clock;
-        let lat = env.coherence.latency(&mut env.chip, core, addr, write, now);
-        // `ENABLED` is a compile-time constant of the sink type: with
-        // the default `NullSink` the event (and its region
-        // classification) is never even built.
-        if S::ENABLED {
-            sink.record(TraceEvent {
-                core,
-                unit,
-                cycle: now,
-                addr,
-                region: MemorySystem::region_of(addr),
-                latency: lat,
-                write,
-            });
+/// [`execute`] under the [`CoherenceModel`] that `spec.model` names.
+fn with_coherence<M: SyncModel, S: TraceSink>(
+    program: &Program,
+    spec: &RunSpec,
+    sync: M,
+    sink: &mut S,
+) -> Result<RunResult, ExecError> {
+    match spec.model {
+        ExecModel::Coherent => execute(program, spec, sync, Coherent, sink),
+        ExecModel::NonCoherentWriteBack => {
+            let views = NonCoherentWriteBack::new(spec.config.line_bytes);
+            execute(program, spec, sync, views, sink)
         }
-        model.charge(&mut env.units[unit], lat, Charge::Progress);
-        match store {
-            Some(value) => {
-                env.mem_store(unit, core, addr, kind, value);
-                env.units[unit].vm.store_done();
-            }
-            None => {
-                let v = env.mem_load(unit, core, addr, kind);
-                env.units[unit].vm.provide_load(v);
-            }
-        }
+        ExecModel::SeqCstReference => execute(program, spec, sync, SeqCstReference, sink),
     }
+}
 
-    /// Dispatches a syscall: the mode-independent ones (`printf`,
-    /// `malloc`, `wtime`) are handled here, everything else goes to the
-    /// sync model.
-    fn syscall<M: SyncModel, C: CoherenceModel, S: TraceSink>(
-        model: &mut M,
-        env: &mut ExecEnv<C>,
-        sink: &mut S,
-        unit: usize,
-        intr: Intrinsic,
-        args: &[Value],
-    ) -> Result<Flow, ExecError> {
-        match intr {
-            Intrinsic::Printf => {
-                model.charge(&mut env.units[unit], syscall_cost::PRINTF, Charge::Service);
-                let core = model.core_of(unit);
-                let text = env.format_printf(unit, core, args)?;
-                let at = env.units[unit].clock;
-                env.output.push(OutputLine {
-                    at,
-                    who: unit,
-                    text,
-                });
-                env.units[unit].vm.syscall_return(Value::I(0));
-                Ok(Flow::Continue)
-            }
-            Intrinsic::Malloc => {
-                model.charge(&mut env.units[unit], syscall_cost::ALLOC, Charge::Service);
-                let bytes = args.first().copied().unwrap_or(Value::I(0)).as_i().max(0) as u64;
-                let slot = model.heap_slot(unit);
-                let addr = env.heap_brk[slot];
-                env.heap_brk[slot] += (bytes + 31) & !31;
-                env.units[unit].vm.syscall_return(Value::I(addr as i64));
-                Ok(Flow::Continue)
-            }
-            Intrinsic::Wtime | Intrinsic::RcceWtime => {
-                let clock = env.units[unit].clock;
-                env.wtimes.record(unit.min(model.wtime_slots() - 1), clock);
-                let secs = clock as f64 / (f64::from(env.config.core_freq_mhz) * 1e6);
-                env.units[unit].vm.syscall_return(Value::F(secs));
-                Ok(Flow::Continue)
-            }
-            Intrinsic::Sqrt | Intrinsic::Fabs => {
-                unreachable!("pure intrinsics run inline")
-            }
-            other => model.syscall(env, sink, unit, other, args),
+/// One VM-issued load or store of the unit that is due, `(addr, kind,
+/// value to store, issue cycles)`: charge issue cycles, resolve the
+/// latency through the coherence model, trace it, charge the latency,
+/// then move the data and resume the VM.
+#[inline(always)]
+fn memory_access<M: SyncModel, C: CoherenceModel, S: TraceSink>(
+    model: &mut M,
+    env: &mut ExecEnv<C>,
+    sink: &mut S,
+    unit: usize,
+    (addr, kind, store, cycles): (u64, MemKind, Option<Value>, u64),
+) {
+    let core = model.core_of(unit);
+    let write = store.is_some();
+    model.charge(&mut env.units[unit], cycles, Charge::Progress);
+    let now = env.units[unit].clock;
+    let lat = env.coherence.latency(&mut env.chip, core, addr, write, now);
+    // `ENABLED` is a compile-time constant of the sink type: with
+    // the default `NullSink` the event (and its region
+    // classification) is never even built.
+    if S::ENABLED {
+        sink.record(TraceEvent {
+            core,
+            unit,
+            cycle: now,
+            addr,
+            region: MemorySystem::region_of(addr),
+            latency: lat,
+            write,
+        });
+    }
+    model.charge(&mut env.units[unit], lat, Charge::Progress);
+    match store {
+        Some(value) => {
+            env.mem_store(unit, core, addr, kind, value);
+            env.units[unit].vm.store_done();
+        }
+        None => {
+            let v = env.mem_load(unit, core, addr, kind);
+            env.units[unit].vm.provide_load(v);
         }
     }
 }
 
+/// Dispatches a syscall: the mode-independent ones (`printf`,
+/// `malloc`, `wtime`) are handled here, everything else goes to the
+/// sync model.
+fn syscall<M: SyncModel, C: CoherenceModel, S: TraceSink>(
+    model: &mut M,
+    env: &mut ExecEnv<C>,
+    sink: &mut S,
+    unit: usize,
+    intr: Intrinsic,
+    args: &[Value],
+) -> Result<Flow, ExecError> {
+    match intr {
+        Intrinsic::Printf => {
+            model.charge(&mut env.units[unit], syscall_cost::PRINTF, Charge::Service);
+            let core = model.core_of(unit);
+            let text = env.format_printf(unit, core, args)?;
+            let at = env.units[unit].clock;
+            env.output.push(OutputLine {
+                at,
+                who: unit,
+                text,
+            });
+            env.units[unit].vm.syscall_return(Value::I(0));
+            Ok(Flow::Continue)
+        }
+        Intrinsic::Malloc => {
+            model.charge(&mut env.units[unit], syscall_cost::ALLOC, Charge::Service);
+            let bytes = args.first().copied().unwrap_or(Value::I(0)).as_i().max(0) as u64;
+            let slot = model.heap_slot(unit);
+            let addr = env.heap_brk[slot];
+            // The arena ends where the shared window begins: an address past
+            // it would be billed, and in RCCE mode seen, as shared data.
+            let end = addr
+                .checked_add((bytes + 31) & !31)
+                .filter(|&end| end <= SHARED_DRAM_BASE)
+                .ok_or_else(|| {
+                    ExecError::new(format!("malloc of {bytes} bytes overflows the heap arena"))
+                })?;
+            env.heap_brk[slot] = end;
+            env.units[unit].vm.syscall_return(Value::I(addr as i64));
+            Ok(Flow::Continue)
+        }
+        Intrinsic::Wtime | Intrinsic::RcceWtime => {
+            let clock = env.units[unit].clock;
+            env.wtimes.record(unit.min(model.wtime_slots() - 1), clock);
+            let secs = clock as f64 / (f64::from(env.config.core_freq_mhz) * 1e6);
+            env.units[unit].vm.syscall_return(Value::F(secs));
+            Ok(Flow::Continue)
+        }
+        Intrinsic::Sqrt | Intrinsic::Fabs => {
+            unreachable!("pure intrinsics run inline")
+        }
+        other => model.syscall(env, sink, unit, other, args),
+    }
+}
+
 /// A [`SyncModel`] that is `M` in everything except that it grants no
-/// run-ahead: the core visits `schedule` before every event. Tests hold
-/// the production models against it; nothing else constructs one.
-#[doc(hidden)]
-pub struct VisitEveryEvent<M>(pub M);
+/// run-ahead: the core visits `schedule` before every event. [`run`] wraps
+/// the model in it when [`RunSpec::reference`] is set, so tests can hold the
+/// production models against it.
+struct VisitEveryEvent<M>(M);
 
 impl<M: SyncModel> SyncModel for VisitEveryEvent<M> {
     const VISITS_EVERY_EVENT: bool = true;

@@ -1,30 +1,32 @@
 //! # hsm-exec — discrete-event execution of C programs on the simulated SCC
 //!
-//! One interpreter — the [`ExecutionCore`] — runs every program. It is
-//! parameterized along two orthogonal axes:
+//! A run is one call, [`run`]`(&program, &spec, sink)`. The [`RunSpec`]
+//! names the chip and two orthogonal axes:
 //!
-//! * a [`SyncModel`], the synchronization semantics of an execution mode.
-//!   Two ship, reproducing the paper's experimental configurations
-//!   (Table 6.1): [`run_pthread`] — the baseline: all threads of a
-//!   pthread program time-sliced on **one** core, sharing its caches,
-//!   with an OS quantum and context-switch penalty — and [`run_rcce`] —
-//!   the converted program: one process per core, each running the whole
-//!   translated binary, synchronized by RCCE barriers and test-and-set
-//!   locks, with private/shared/MPB memory latencies from `scc-sim`.
-//! * a [`CoherenceModel`], selected by [`ExecModel`]: what value a load
-//!   observes. [`ExecModel::Coherent`] is ground truth;
+//! * the sync model, [`Units`]: what create/join/barrier/put/get mean.
+//!   Three ship. [`Units::Pthread`] is the paper's baseline (Table 6.1):
+//!   all threads of a pthread program time-sliced on **one** core, sharing
+//!   its caches, with an OS quantum and context-switch penalty.
+//!   [`Units::Rcce`] is the converted program: one process per core, each
+//!   running the whole translated binary, synchronized by RCCE barriers and
+//!   test-and-set locks, with private/shared/MPB memory latencies from
+//!   `scc-sim`. [`Units::Task`] is the task-dataflow runtime of BDDT-SCC.
+//! * the coherence model, [`ExecModel`]: what value a load observes.
+//!   [`ExecModel::Coherent`] is ground truth;
 //!   [`ExecModel::NonCoherentWriteBack`] makes the SCC's missing hardware
 //!   coherence *executable* (stale reads really happen);
 //!   [`ExecModel::SeqCstReference`] is a cacheless differential
 //!   reference.
 //!
-//! The RCCE scheduler always advances the core with the smallest local
-//! clock, so memory-controller queuing and lock contention resolve in
-//! globally consistent simulated time, deterministically.
+//! Every memory access and synchronization event streams to the
+//! [`TraceSink`]; [`NullSink`] watches nothing and costs nothing. The RCCE
+//! scheduler always advances the core with the smallest local clock, so
+//! memory-controller queuing and lock contention resolve in globally
+//! consistent simulated time, deterministically.
 //!
 //! ```
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! use hsm_exec::run_pthread;
+//! use hsm_exec::{run, ExecModel, NullSink, RunSpec, Units};
 //! use scc_sim::SccConfig;
 //!
 //! let src = r#"
@@ -40,7 +42,8 @@
 //!     }
 //! "#;
 //! let program = hsm_vm::compile(&hsm_cir::parse(src)?)?;
-//! let result = run_pthread(&program, &SccConfig::table_6_1())?;
+//! let spec = RunSpec::new(SccConfig::table_6_1(), Units::Pthread, ExecModel::Coherent);
+//! let result = run(&program, &spec, &mut NullSink)?;
 //! assert_eq!(result.output_text(), "0 10 20 30\n");
 //! # Ok(())
 //! # }
@@ -49,36 +52,31 @@
 #![warn(missing_docs)]
 
 pub mod codec;
-pub mod coherence;
-pub mod engine;
-pub mod machine;
+mod coherence;
+mod engine;
+mod machine;
 pub mod oracle;
-pub mod printf;
+mod printf;
 pub mod profile;
 mod pthread;
 mod rcce;
+mod rcce_rt;
 mod taskflow;
 pub mod trace;
 
-pub use coherence::{CoherenceModel, Coherent, ExecModel, NonCoherentWriteBack, SeqCstReference};
+pub use coherence::ExecModel;
 #[doc(hidden)]
-pub use engine::{phases_on_this_thread, with_helpers};
-pub use engine::{Charge, ExecEnv, ExecutionCore, Flow, SyncModel, UnitState};
-pub use machine::{DataSpaces, ExecError, OutputLine, RunResult};
+pub use engine::phases_on_this_thread;
+pub use engine::{run, RunSpec, Units};
+pub use machine::{ExecError, OutputLine, RunResult};
 pub use oracle::{Oracle, OracleMode, OracleReport, Violation, ViolationClass};
 pub use profile::{
     CoreProfile, Profile, ProfileCollector, RegionProfile, ReuseHistogram, SyncSummary,
 };
-#[doc(hidden)]
-pub use pthread::run_pthread_visiting_every_event;
-pub use pthread::{
-    run_pthread, run_pthread_model, run_pthread_model_profiled, run_pthread_model_traced,
-};
-#[doc(hidden)]
-pub use rcce::run_rcce_visiting_every_event;
-pub use rcce::{run_rcce, run_rcce_model, run_rcce_model_profiled, run_rcce_model_traced};
-pub use taskflow::{run_task, run_task_model, run_task_model_profiled, run_task_model_traced};
 pub use trace::{NullSink, RingTrace, SyncEvent, TraceEvent, TraceSink};
+
+use hsm_vm::Program;
+use scc_sim::SccConfig;
 
 /// Version of everything that decides a simulated number: the engine,
 /// the three sync models, the coherence overlays, [`syscall_cost`], and
@@ -116,6 +114,76 @@ pub mod syscall_cost {
     pub const TASK_WAIT: u64 = 400;
 }
 
+/// [`run`] with a [`ProfileCollector`] attached: the result together with
+/// its [`Profile`].
+fn run_profiled(program: &Program, spec: &RunSpec) -> Result<(RunResult, Profile), ExecError> {
+    let mut collector = ProfileCollector::new(spec.config.line_bytes);
+    let result = run(program, spec, &mut collector)?;
+    let profile = collector.into_profile(&result);
+    Ok((result, profile))
+}
+
+fn spec(config: &SccConfig, units: Units, model: ExecModel) -> RunSpec {
+    RunSpec::new(config.clone(), units, model)
+}
+
+// The six `run_*` below are [`run`] under the names `benchmark/src/adapter.rs`
+// calls; nothing in the workspace may call them.
+
+#[doc(hidden)] // Named by `benchmark/src/adapter.rs`.
+pub fn run_pthread_model(p: &Program, c: &SccConfig, m: ExecModel) -> Result<RunResult, ExecError> {
+    run(p, &spec(c, Units::Pthread, m), &mut NullSink)
+}
+
+#[doc(hidden)] // Named by `benchmark/src/adapter.rs`.
+pub fn run_rcce_model(
+    p: &Program,
+    cores: usize,
+    c: &SccConfig,
+    m: ExecModel,
+) -> Result<RunResult, ExecError> {
+    run(p, &spec(c, Units::Rcce { cores }, m), &mut NullSink)
+}
+
+#[doc(hidden)] // Named by `benchmark/src/adapter.rs`.
+pub fn run_task_model(
+    p: &Program,
+    cores: usize,
+    c: &SccConfig,
+    m: ExecModel,
+) -> Result<RunResult, ExecError> {
+    run(p, &spec(c, Units::Task { cores }, m), &mut NullSink)
+}
+
+#[doc(hidden)] // Named by `benchmark/src/adapter.rs`.
+pub fn run_pthread_model_profiled(
+    p: &Program,
+    c: &SccConfig,
+    m: ExecModel,
+) -> Result<(RunResult, Profile), ExecError> {
+    run_profiled(p, &spec(c, Units::Pthread, m))
+}
+
+#[doc(hidden)] // Named by `benchmark/src/adapter.rs`.
+pub fn run_rcce_model_profiled(
+    p: &Program,
+    cores: usize,
+    c: &SccConfig,
+    m: ExecModel,
+) -> Result<(RunResult, Profile), ExecError> {
+    run_profiled(p, &spec(c, Units::Rcce { cores }, m))
+}
+
+#[doc(hidden)] // Named by `benchmark/src/adapter.rs`.
+pub fn run_task_model_profiled(
+    p: &Program,
+    cores: usize,
+    c: &SccConfig,
+    m: ExecModel,
+) -> Result<(RunResult, Profile), ExecError> {
+    run_profiled(p, &spec(c, Units::Task { cores }, m))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,6 +197,21 @@ mod tests {
 
     fn cfg() -> SccConfig {
         SccConfig::table_6_1()
+    }
+
+    /// `units` under `model` on the Table 6.1 chip.
+    fn table(units: Units, model: ExecModel) -> RunSpec {
+        RunSpec::new(cfg(), units, model)
+    }
+
+    /// `p` run as `units` under `model` on the Table 6.1 chip.
+    fn under(p: &Program, units: Units, model: ExecModel) -> Result<RunResult, ExecError> {
+        run(p, &table(units, model), &mut NullSink)
+    }
+
+    /// `p` run as `units`, coherent, on the Table 6.1 chip.
+    fn coherent(p: &Program, units: Units) -> Result<RunResult, ExecError> {
+        under(p, units, ExecModel::Coherent)
     }
 
     // ------------------------------------------------------ pthread mode --
@@ -155,7 +238,7 @@ int main() {
     #[test]
     fn pthread_threads_compute_and_join() {
         let p = compile_src(PTHREAD_SUM);
-        let r = run_pthread(&p, &cfg()).expect("run");
+        let r = coherent(&p, Units::Pthread).expect("run");
         assert_eq!(r.exit_code, 400);
     }
 
@@ -172,7 +255,7 @@ int main() {
 }
 "#;
         let p = compile_src(src);
-        let r = run_pthread(&p, &cfg()).expect("run");
+        let r = coherent(&p, Units::Pthread).expect("run");
         let lines = r.output_sorted();
         assert_eq!(lines, vec!["thread 0", "thread 1"]);
     }
@@ -201,7 +284,7 @@ int main() {
 }
 "#;
         let p = compile_src(src);
-        let r = run_pthread(&p, &cfg()).expect("run");
+        let r = coherent(&p, Units::Pthread).expect("run");
         assert_eq!(r.exit_code, 200);
     }
 
@@ -222,7 +305,7 @@ int main() {
 }
 "#;
         let p = compile_src(src);
-        let r = run_pthread(&p, &cfg()).expect("run");
+        let r = coherent(&p, Units::Pthread).expect("run");
         assert_eq!(r.exit_code, 2);
     }
 
@@ -251,8 +334,8 @@ int main() {{
 "#
             )
         };
-        let r4 = run_pthread(&compile_src(&make(4)), &cfg()).expect("run 4");
-        let r16 = run_pthread(&compile_src(&make(16)), &cfg()).expect("run 16");
+        let r4 = coherent(&compile_src(&make(4)), Units::Pthread).expect("run 4");
+        let r16 = coherent(&compile_src(&make(16)), Units::Pthread).expect("run 16");
         let ratio = r16.timed_cycles as f64 / r4.timed_cycles as f64;
         assert!(
             (3.0..6.0).contains(&ratio),
@@ -277,14 +360,14 @@ int main() {
 }
 "#;
         let p = compile_src(src);
-        assert_eq!(run_pthread(&p, &cfg()).expect("run").exit_code, 0);
+        assert_eq!(coherent(&p, Units::Pthread).expect("run").exit_code, 0);
     }
 
     #[test]
     fn rcce_calls_rejected_in_pthread_mode() {
         let src = "int main() { int x = RCCE_ue(); return x; }";
         let p = compile_src(src);
-        let err = run_pthread(&p, &cfg()).unwrap_err();
+        let err = coherent(&p, Units::Pthread).unwrap_err();
         assert!(err.to_string().contains("RCCE call"), "{err}");
     }
 
@@ -310,7 +393,7 @@ int RCCE_APP(int *argc, char **argv) {
     #[test]
     fn rcce_cores_share_shmalloc_data() {
         let p = compile_src(RCCE_SUM);
-        let r = run_rcce(&p, 8, &cfg()).expect("run");
+        let r = coherent(&p, Units::Rcce { cores: 8 }).expect("run");
         assert_eq!(r.exit_code, 280);
     }
 
@@ -332,7 +415,7 @@ int RCCE_APP(int *argc, char **argv) {
 }
 "#;
         let p = compile_src(src);
-        let r = run_rcce(&p, 4, &cfg()).expect("run");
+        let r = coherent(&p, Units::Rcce { cores: 4 }).expect("run");
         assert_eq!(r.exit_code, 79);
     }
 
@@ -358,7 +441,7 @@ int RCCE_APP(int *argc, char **argv) {
 }
 "#;
         let p = compile_src(src);
-        let r = run_rcce(&p, 4, &cfg()).expect("run");
+        let r = coherent(&p, Units::Rcce { cores: 4 }).expect("run");
         assert_eq!(r.exit_code, 42);
     }
 
@@ -384,7 +467,7 @@ int RCCE_APP(int *argc, char **argv) {
 }
 "#;
         let p = compile_src(src);
-        let r = run_rcce(&p, 4, &cfg()).expect("run");
+        let r = coherent(&p, Units::Rcce { cores: 4 }).expect("run");
         assert_eq!(r.exit_code, 80, "4 cores x 20 increments");
     }
 
@@ -407,7 +490,7 @@ int RCCE_APP(int *argc, char **argv) {
 }
 "#;
         let p = compile_src(src);
-        let r = run_rcce(&p, 8, &cfg()).expect("run");
+        let r = coherent(&p, Units::Rcce { cores: 8 }).expect("run");
         assert_eq!(r.exit_code, 36);
         assert!(
             r.mem_stats.mpb > 0,
@@ -440,8 +523,13 @@ int RCCE_APP(int *argc, char **argv) {{
 "#
             )
         };
-        let slow = run_rcce(&compile_src(&body("RCCE_shmalloc")), 8, &cfg()).expect("dram");
-        let fast = run_rcce(&compile_src(&body("RCCE_malloc")), 8, &cfg()).expect("mpb");
+        let slow = coherent(
+            &compile_src(&body("RCCE_shmalloc")),
+            Units::Rcce { cores: 8 },
+        )
+        .expect("dram");
+        let fast =
+            coherent(&compile_src(&body("RCCE_malloc")), Units::Rcce { cores: 8 }).expect("mpb");
         assert!(
             fast.timed_cycles < slow.timed_cycles,
             "MPB {} should beat DRAM {}",
@@ -473,8 +561,8 @@ int RCCE_APP(int *argc, char **argv) {
 }
 "#;
         let p = compile_src(src);
-        let r1 = run_rcce(&p, 1, &cfg()).expect("1 core");
-        let r8 = run_rcce(&p, 8, &cfg()).expect("8 cores");
+        let r1 = coherent(&p, Units::Rcce { cores: 1 }).expect("1 core");
+        let r8 = coherent(&p, Units::Rcce { cores: 8 }).expect("8 cores");
         let speedup = r1.timed_cycles as f64 / r8.timed_cycles as f64;
         assert!(
             speedup > 5.0,
@@ -497,7 +585,7 @@ int RCCE_APP(int *argc, char **argv) {
 }
 "#;
         let p = compile_src(src);
-        let err = run_rcce(&p, 4, &cfg()).unwrap_err();
+        let err = coherent(&p, Units::Rcce { cores: 4 }).unwrap_err();
         assert!(err.to_string().contains("deadlock"), "{err}");
     }
 
@@ -519,7 +607,7 @@ int RCCE_APP(int *argc, char **argv) {
     return acc;
 }
 "#;
-        let err = run_rcce(&compile_src(src), 4, &cfg()).unwrap_err();
+        let err = coherent(&compile_src(src), Units::Rcce { cores: 4 }).unwrap_err();
         assert_eq!(
             err.to_string(),
             "execution error: barrier deadlock: some cores exited before the barrier"
@@ -566,7 +654,7 @@ int RCCE_APP(int *argc, char **argv) {
     return 0;
 }
 "#;
-        let r = run_rcce(&compile_src(src), 32, &cfg()).expect("run");
+        let r = coherent(&compile_src(src), Units::Rcce { cores: 32 }).expect("run");
         // Output is ordered by (cycle, core): who printed when.
         let printed: Vec<usize> = r.output.iter().map(|l| l.who).collect();
         assert_eq!(printed[..32], BEFORE, "order of the first print");
@@ -589,7 +677,7 @@ int RCCE_APP(int *argc, char **argv) {
 }
 "#;
         let p = compile_src(src);
-        let err = run_rcce(&p, 2, &cfg()).unwrap_err();
+        let err = coherent(&p, Units::Rcce { cores: 2 }).unwrap_err();
         assert!(err.to_string().contains("translation incomplete"), "{err}");
     }
 
@@ -614,15 +702,24 @@ int RCCE_APP(int *argc, char **argv) {
 }
 "#;
         let p = compile_src(src);
-        let r = run_rcce(&p, 2, &cfg()).expect("run");
+        let r = coherent(&p, Units::Rcce { cores: 2 }).expect("run");
         assert_eq!(r.exit_code, 100);
     }
 
+    /// `run` is the one place a core count meets its sync model: every
+    /// count the model or the chip does not have is an error, not a panic.
     #[test]
     fn core_count_bounds_checked() {
         let p = compile_src(RCCE_SUM);
-        assert!(run_rcce(&p, 0, &cfg()).is_err());
-        assert!(run_rcce(&p, 49, &cfg()).is_err());
+        for units in [
+            Units::Rcce { cores: 0 },
+            Units::Rcce { cores: 49 },
+            Units::Task { cores: 1 },
+            Units::Task { cores: 49 },
+        ] {
+            let err = coherent(&p, units).expect_err("refused");
+            assert!(err.message.contains("core count"), "{units:?}: {err}");
+        }
     }
 
     // ------------------------------------------------ message passing --
@@ -654,7 +751,7 @@ int RCCE_APP(int *argc, char **argv) {
 }
 "#;
         let p = compile_src(src);
-        let r = run_rcce(&p, 4, &cfg()).expect("run");
+        let r = coherent(&p, Units::Rcce { cores: 4 }).expect("run");
         // Core 0 receives from core 3: 30.
         assert_eq!(r.exit_code, 30);
     }
@@ -688,7 +785,7 @@ int RCCE_APP(int *argc, char **argv) {
 }
 "#;
         let p = compile_src(src);
-        let r = run_rcce(&p, 2, &cfg()).expect("run");
+        let r = coherent(&p, Units::Rcce { cores: 2 }).expect("run");
         assert_eq!(r.exit_code, 777, "core 0's exit");
     }
 
@@ -710,7 +807,7 @@ int RCCE_APP(int *argc, char **argv) {
 }
 "#;
         let p = compile_src(src);
-        let r = run_rcce(&p, 3, &cfg()).expect("run");
+        let r = coherent(&p, Units::Rcce { cores: 3 }).expect("run");
         assert_eq!(r.exit_code, 5, "core 0 wrote 0+5 to its own copy");
     }
 
@@ -732,7 +829,7 @@ int RCCE_APP(int *argc, char **argv) {
 }
 "#;
         let p = compile_src(src);
-        let err = run_rcce(&p, 2, &cfg()).unwrap_err();
+        let err = coherent(&p, Units::Rcce { cores: 2 }).unwrap_err();
         assert!(err.to_string().contains("deadlock"), "{err}");
     }
 
@@ -765,8 +862,8 @@ int RCCE_APP(int *argc, char **argv) {{
 "#
             )
         };
-        let small = run_rcce(&compile_src(&body(32)), 2, &cfg()).expect("small");
-        let big = run_rcce(&compile_src(&body(4096)), 2, &cfg()).expect("big");
+        let small = coherent(&compile_src(&body(32)), Units::Rcce { cores: 2 }).expect("small");
+        let big = coherent(&compile_src(&body(4096)), Units::Rcce { cores: 2 }).expect("big");
         assert!(
             big.timed_cycles > small.timed_cycles,
             "4 KB ping-pong {} must cost more than 32 B {}",
@@ -782,7 +879,12 @@ int RCCE_APP(int *argc, char **argv) {{
         use crate::trace::RingTrace;
         let p = compile_src(RCCE_SUM);
         let mut ring = RingTrace::new(100_000);
-        let r = run_rcce_model_traced(&p, 4, &cfg(), ExecModel::Coherent, &mut ring).expect("run");
+        let r = run(
+            &p,
+            &table(Units::Rcce { cores: 4 }, ExecModel::Coherent),
+            &mut ring,
+        )
+        .expect("run");
         assert!(!ring.is_empty(), "a real program performs memory accesses");
         assert_eq!(ring.dropped(), 0, "capacity is ample for this program");
         // Every traced event is attributed in the counter matrix: totals
@@ -810,10 +912,14 @@ int RCCE_APP(int *argc, char **argv) {{
     fn tracing_does_not_perturb_timing() {
         use crate::trace::RingTrace;
         let p = compile_src(RCCE_SUM);
-        let plain = run_rcce(&p, 4, &cfg()).expect("plain");
+        let plain = coherent(&p, Units::Rcce { cores: 4 }).expect("plain");
         let mut ring = RingTrace::new(64);
-        let traced =
-            run_rcce_model_traced(&p, 4, &cfg(), ExecModel::Coherent, &mut ring).expect("traced");
+        let traced = run(
+            &p,
+            &table(Units::Rcce { cores: 4 }, ExecModel::Coherent),
+            &mut ring,
+        )
+        .expect("traced");
         assert_eq!(plain.total_cycles, traced.total_cycles);
         assert_eq!(plain.exit_code, traced.exit_code);
         assert_eq!(plain.mem_stats, traced.mem_stats);
@@ -830,9 +936,10 @@ int RCCE_APP(int *argc, char **argv) {{
         // RingTrace: every cycle total must match the unprofiled run, in
         // all three sync models.
         let rcce = compile_src(RCCE_SUM);
-        let plain = run_rcce(&rcce, 4, &cfg()).expect("plain");
+        let plain = coherent(&rcce, Units::Rcce { cores: 4 }).expect("plain");
         let (profiled, profile) =
-            run_rcce_model_profiled(&rcce, 4, &cfg(), ExecModel::Coherent).expect("profiled");
+            run_profiled(&rcce, &table(Units::Rcce { cores: 4 }, ExecModel::Coherent))
+                .expect("profiled");
         assert_eq!(plain.total_cycles, profiled.total_cycles);
         assert_eq!(plain.mem_stats, profiled.mem_stats);
         assert_eq!(profile.total_cycles, plain.total_cycles);
@@ -844,16 +951,17 @@ int RCCE_APP(int *argc, char **argv) {{
         );
 
         let pth = compile_src(PTHREAD_SUM);
-        let plain = run_pthread(&pth, &cfg()).expect("plain");
+        let plain = coherent(&pth, Units::Pthread).expect("plain");
         let (profiled, profile) =
-            run_pthread_model_profiled(&pth, &cfg(), ExecModel::Coherent).expect("profiled");
+            run_profiled(&pth, &table(Units::Pthread, ExecModel::Coherent)).expect("profiled");
         assert_eq!(plain.total_cycles, profiled.total_cycles);
         assert_eq!(profile.active_cores(), 1, "baseline shares core 0");
 
         let task = compile_src(TASK_SUM);
-        let plain = run_task(&task, 5, &cfg()).expect("plain");
+        let plain = coherent(&task, Units::Task { cores: 5 }).expect("plain");
         let (profiled, profile) =
-            run_task_model_profiled(&task, 5, &cfg(), ExecModel::Coherent).expect("profiled");
+            run_profiled(&task, &table(Units::Task { cores: 5 }, ExecModel::Coherent))
+                .expect("profiled");
         assert_eq!(plain.total_cycles, profiled.total_cycles);
         assert_eq!(profile.exit_code, 400);
         assert!(
@@ -874,12 +982,15 @@ int RCCE_APP(int *argc, char **argv) {{
         // A quantum of a few dozen events instead of thousands.
         let mut tight = cfg();
         tight.sched_quantum_cycles = 300;
+        let spec = RunSpec::new(tight, Units::Pthread, ExecModel::Coherent);
         let mut ring = RingTrace::new(1_000_000);
-        let run =
-            run_pthread_model_traced(&p, &tight, ExecModel::Coherent, &mut ring).expect("run");
+        let run = super::run(&p, &spec, &mut ring).expect("run");
         let mut expected = RingTrace::new(1_000_000);
-        let reference =
-            run_pthread_visiting_every_event(&p, &tight, ExecModel::Coherent, &mut expected);
+        let visiting = RunSpec {
+            reference: true,
+            ..spec.clone()
+        };
+        let reference = super::run(&p, &visiting, &mut expected);
         assert_eq!(run.exit_code, 400);
         assert_eq!(Ok(&run), reference.as_ref());
         assert_eq!(ring.events(), expected.events());
@@ -889,7 +1000,7 @@ int RCCE_APP(int *argc, char **argv) {{
             .filter(|pair| pair[0].unit != pair[1].unit)
             .count();
         assert!(switches > 16, "threads interleave mid-loop: {switches}");
-        let plain = run_pthread_model(&p, &tight, ExecModel::Coherent).expect("plain");
+        let plain = super::run(&p, &spec, &mut NullSink).expect("plain");
         assert_eq!(plain, run, "and the sink saw the run it did not perturb");
     }
 
@@ -898,7 +1009,7 @@ int RCCE_APP(int *argc, char **argv) {{
         use crate::trace::RingTrace;
         let p = compile_src(PTHREAD_SUM);
         let mut ring = RingTrace::new(1_000_000);
-        let r = run_pthread_model_traced(&p, &cfg(), ExecModel::Coherent, &mut ring).expect("run");
+        let r = run(&p, &table(Units::Pthread, ExecModel::Coherent), &mut ring).expect("run");
         assert!(ring.events().iter().all(|e| e.core == 0));
         assert_eq!(r.stats_matrix.active_cores(), 1, "baseline uses one core");
         assert_eq!(r.exit_code, 400);
@@ -918,7 +1029,7 @@ int RCCE_APP(int *argc, char **argv) {
 }
 "#;
         let p = compile_src(src);
-        let r = run_rcce(&p, 2, &cfg()).expect("run");
+        let r = coherent(&p, Units::Rcce { cores: 2 }).expect("run");
         assert_eq!(r.mpb_high_water, 416, "400 B rounds to the 32 B line");
     }
 
@@ -927,8 +1038,8 @@ int RCCE_APP(int *argc, char **argv) {
     #[test]
     fn seq_cst_reference_matches_coherent_values() {
         let p = compile_src(PTHREAD_SUM);
-        let coherent = run_pthread(&p, &cfg()).expect("coherent");
-        let flat = run_pthread_model(&p, &cfg(), ExecModel::SeqCstReference).expect("seq_cst_ref");
+        let coherent = coherent(&p, Units::Pthread).expect("coherent");
+        let flat = under(&p, Units::Pthread, ExecModel::SeqCstReference).expect("seq_cst_ref");
         assert_eq!(coherent.exit_code, flat.exit_code);
         assert_eq!(coherent.output_text(), flat.output_text());
         // Timing differs: the flat model has no caches to hit.
@@ -941,9 +1052,9 @@ int RCCE_APP(int *argc, char **argv) {
         // them after join. Without coherence (and with pthread code never
         // flushing), main's cached lines stay stale.
         let p = compile_src(PTHREAD_SUM);
-        let truth = run_pthread(&p, &cfg()).expect("coherent");
+        let truth = coherent(&p, Units::Pthread).expect("coherent");
         assert_eq!(truth.exit_code, 400);
-        let stale = run_pthread_model(&p, &cfg(), ExecModel::NonCoherentWriteBack).expect("stale");
+        let stale = under(&p, Units::Pthread, ExecModel::NonCoherentWriteBack).expect("stale");
         assert_ne!(
             stale.exit_code, 400,
             "stale reads must corrupt the unsynchronized sum"
@@ -955,7 +1066,12 @@ int RCCE_APP(int *argc, char **argv) {
         // The translated program shares through uncacheable shared DRAM
         // and flushes at barriers: staleness cannot reach it.
         let p = compile_src(RCCE_SUM);
-        let r = run_rcce_model(&p, 8, &cfg(), ExecModel::NonCoherentWriteBack).expect("run");
+        let r = under(
+            &p,
+            Units::Rcce { cores: 8 },
+            ExecModel::NonCoherentWriteBack,
+        )
+        .expect("run");
         assert_eq!(r.exit_code, 280, "same answer as the coherent model");
     }
 
@@ -976,7 +1092,12 @@ int RCCE_APP(int *argc, char **argv) {
 }
 "#;
         let p = compile_src(src);
-        let r = run_rcce_model(&p, 2, &cfg(), ExecModel::NonCoherentWriteBack).expect("run");
+        let r = under(
+            &p,
+            Units::Rcce { cores: 2 },
+            ExecModel::NonCoherentWriteBack,
+        )
+        .expect("run");
         assert_eq!(r.exit_code, 7, "core 0's exit");
     }
 
@@ -1022,7 +1143,7 @@ int main() {
     #[test]
     fn independent_tasks_run_and_publish_their_outputs() {
         let p = compile_src(TASK_SUM);
-        let r = run_task(&p, 4, &cfg()).expect("task run");
+        let r = coherent(&p, Units::Task { cores: 4 }).expect("task run");
         assert_eq!(r.exit_code, 400);
         // The four tasks really spread across cores: more than one core
         // accumulated busy cycles.
@@ -1037,8 +1158,8 @@ int main() {
     #[test]
     fn task_dataflow_is_deterministic() {
         let p = compile_src(TASK_SUM);
-        let a = run_task(&p, 4, &cfg()).expect("run a");
-        let b = run_task(&p, 4, &cfg()).expect("run b");
+        let a = coherent(&p, Units::Task { cores: 4 }).expect("run a");
+        let b = coherent(&p, Units::Task { cores: 4 }).expect("run b");
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
@@ -1046,7 +1167,7 @@ int main() {
     fn raw_dependences_order_producer_before_consumer() {
         let p = compile_src(TASK_CHAIN);
         for model in ExecModel::ALL {
-            let r = run_task_model(&p, 4, &cfg(), model).expect("chain run");
+            let r = under(&p, Units::Task { cores: 4 }, model).expect("chain run");
             // sum(2 * (i + 1) for i in 0..8) = 72 — only right when the
             // transform task observed the producer's published output.
             assert_eq!(r.exit_code, 72, "{model:?}");
@@ -1056,8 +1177,13 @@ int main() {
     #[test]
     fn task_programs_survive_non_coherent_caches() {
         let p = compile_src(TASK_SUM);
-        let truth = run_task(&p, 4, &cfg()).expect("coherent");
-        let wb = run_task_model(&p, 4, &cfg(), ExecModel::NonCoherentWriteBack).expect("wb");
+        let truth = coherent(&p, Units::Task { cores: 4 }).expect("coherent");
+        let wb = under(
+            &p,
+            Units::Task { cores: 4 },
+            ExecModel::NonCoherentWriteBack,
+        )
+        .expect("wb");
         assert_eq!(
             truth.exit_code, wb.exit_code,
             "declared outputs are flushed and DMAed"
@@ -1079,7 +1205,7 @@ int main() {
 }
 "#;
         let p = compile_src(src);
-        let r = run_task(&p, 4, &cfg()).expect("run");
+        let r = coherent(&p, Units::Task { cores: 4 }).expect("run");
         assert_eq!(
             r.exit_code, 0,
             "undeclared output never reaches main's space"
@@ -1099,7 +1225,7 @@ int main() {
 }
 "#;
         let p = compile_src(src);
-        let r = run_task(&p, 4, &cfg()).expect("run");
+        let r = coherent(&p, Units::Task { cores: 4 }).expect("run");
         // Task ids are 1 and 2 in spawn order; main is task 0; 4 workers:
         // 1*10 + 2 + 4*100.
         assert_eq!(r.exit_code, 412);
@@ -1115,7 +1241,7 @@ int main() {
 }
 "#;
         let p = compile_src(src);
-        let err = run_task(&p, 2, &cfg()).expect_err("mutex in task mode");
+        let err = coherent(&p, Units::Task { cores: 2 }).expect_err("mutex in task mode");
         assert!(err.message.contains("task"), "{}", err.message);
     }
 
@@ -1130,7 +1256,44 @@ int main() {
 }
 "#;
         let p = compile_src(src);
-        let err = run_task(&p, 2, &cfg()).expect_err("nested wait_all");
+        let err = coherent(&p, Units::Task { cores: 2 }).expect_err("nested wait_all");
         assert!(err.message.contains("task_wait_all"), "{}", err.message);
+    }
+
+    // ------------------------------------------------------------ malloc --
+
+    /// A private `malloc` stays inside the heap arena, which ends where the
+    /// shared window begins: an allocation that would pass that end — 64
+    /// bytes after a full arena, or half the address space twice — is the
+    /// program's error in every sync model.
+    #[test]
+    fn malloc_past_the_heap_arena_is_a_run_error() {
+        let full = r#"
+int main() {
+    char *a = (char *)malloc(1 << 30);
+    char *b = (char *)malloc(64);
+    b[0] = 7;
+    return a == b;
+}
+"#;
+        let huge = r#"
+int main() {
+    char *a = (char *)malloc(9223372036854775000);
+    char *b = (char *)malloc(9223372036854775000);
+    return a == b;
+}
+"#;
+        for (src, bytes) in [(full, 64), (huge, 9_223_372_036_854_775_000u64)] {
+            let p = compile_src(src);
+            for units in [
+                Units::Pthread,
+                Units::Rcce { cores: 2 },
+                Units::Task { cores: 2 },
+            ] {
+                let err = coherent(&p, units).expect_err("the arena is 1 GiB");
+                let refused = format!("malloc of {bytes} bytes");
+                assert!(err.message.contains(&refused), "{units:?}: {err}");
+            }
+        }
     }
 }

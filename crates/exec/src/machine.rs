@@ -118,7 +118,7 @@ pub(crate) fn copy_between(from: &ByteMemory, to: &mut ByteMemory, addr: u64, le
 /// The data contents of the simulated machine (timing lives in
 /// [`MemorySystem`]; bytes live here).
 #[derive(Debug)]
-pub struct DataSpaces {
+pub(crate) struct DataSpaces {
     /// Per-core private memories (a single one in pthread mode).
     pub private: Vec<ByteMemory>,
     /// Shared off-chip DRAM contents.
@@ -129,7 +129,7 @@ pub struct DataSpaces {
 
 impl DataSpaces {
     /// Creates spaces for `cores` cores.
-    pub fn new(cores: usize) -> Self {
+    pub(crate) fn new(cores: usize) -> Self {
         DataSpaces {
             private: (0..cores).map(|_| ByteMemory::new()).collect(),
             shared: ByteMemory::new(),
@@ -139,7 +139,7 @@ impl DataSpaces {
 
     /// Loads a value, routing by address region.
     #[inline]
-    pub fn load(&self, core: usize, addr: u64, kind: MemKind) -> Value {
+    pub(crate) fn load(&self, core: usize, addr: u64, kind: MemKind) -> Value {
         match MemorySystem::region_of(addr) {
             Region::Private => self.private[core].load(addr, kind),
             Region::SharedDram => self.shared.load(addr, kind),
@@ -149,20 +149,11 @@ impl DataSpaces {
 
     /// Stores a value, routing by address region.
     #[inline]
-    pub fn store(&mut self, core: usize, addr: u64, kind: MemKind, v: Value) {
+    pub(crate) fn store(&mut self, core: usize, addr: u64, kind: MemKind, v: Value) {
         match MemorySystem::region_of(addr) {
             Region::Private => self.private[core].store(addr, kind, v),
             Region::SharedDram => self.shared.store(addr, kind, v),
             Region::Mpb => self.mpb.store(addr, kind, v),
-        }
-    }
-
-    /// Reads a NUL-terminated string visible to `core`.
-    pub fn read_cstr(&self, core: usize, addr: u64) -> String {
-        match MemorySystem::region_of(addr) {
-            Region::Private => self.private[core].read_cstr(addr),
-            Region::SharedDram => self.shared.read_cstr(addr),
-            Region::Mpb => self.mpb.read_cstr(addr),
         }
     }
 
@@ -196,7 +187,7 @@ impl DataSpaces {
     ///
     /// Panics if either range runs past the end of the address space;
     /// callers bound what a program asks for first (`checked_transfer`).
-    pub fn copy_cross(
+    pub(crate) fn copy_cross(
         &mut self,
         src_core: usize,
         src_addr: u64,
@@ -235,7 +226,7 @@ impl DataSpaces {
     }
 
     /// Applies a program's load-time image to one core's private memory.
-    pub fn load_image(&mut self, core: usize, image: &[(u64, Vec<u8>)]) {
+    pub(crate) fn load_image(&mut self, core: usize, image: &[(u64, Vec<u8>)]) {
         for (addr, bytes) in image {
             self.private[core].write_bytes(*addr, bytes);
         }
@@ -326,26 +317,26 @@ impl RunResult {
 
 /// Tracks the `wtime()` bracketing per core/thread.
 #[derive(Debug, Clone, Default)]
-pub struct WtimeTracker {
+pub(crate) struct WtimeTracker {
     marks: Vec<Vec<u64>>,
 }
 
 impl WtimeTracker {
     /// Creates a tracker for `n` cores/threads.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         WtimeTracker {
             marks: vec![Vec::new(); n],
         }
     }
 
     /// Records a timestamp for `who` at `clock`.
-    pub fn record(&mut self, who: usize, clock: u64) {
+    pub(crate) fn record(&mut self, who: usize, clock: u64) {
         self.marks[who].push(clock);
     }
 
     /// The widest first-to-last interval on any core, if any core took two
     /// or more timestamps.
-    pub fn widest_interval(&self) -> Option<u64> {
+    pub(crate) fn widest_interval(&self) -> Option<u64> {
         self.marks
             .iter()
             .filter(|m| m.len() >= 2)

@@ -166,9 +166,9 @@ struct Loc {
     reads: Vec<(usize, u64)>,
 }
 
-/// The dynamic sharing-soundness checker. Implements [`TraceSink`]; feed
-/// it to `run_pthread_model_traced` / `run_rcce_model_traced` and call
-/// [`Oracle::finish`] afterwards.
+/// The dynamic sharing-soundness checker. Implements [`TraceSink`]; hand
+/// it to [`run`](crate::run) as the sink and call [`Oracle::finish`]
+/// afterwards.
 #[derive(Debug)]
 pub struct Oracle {
     mode: OracleMode,

@@ -10,7 +10,7 @@ use hsm_vm::Value;
 /// Missing arguments format as empty; `%s` consumes a string resolved by
 /// the caller (see `args_strings`): string arguments are pre-resolved into
 /// `strings` in consumption order.
-pub fn format(fmt: &str, args: &[Value], strings: &[String]) -> String {
+pub(crate) fn format(fmt: &str, args: &[Value], strings: &[String]) -> String {
     let mut out = String::new();
     let mut chars = fmt.chars().peekable();
     let mut arg_i = 0usize;
@@ -140,7 +140,7 @@ fn pad_int(s: String, width: usize, left: bool, zero: bool) -> String {
 /// # Errors
 ///
 /// A negative format or `%s` pointer is the program's error.
-pub fn format_syscall(
+pub(crate) fn format_syscall(
     args: &[Value],
     read_cstr: &mut dyn FnMut(u64) -> String,
 ) -> Result<String, ExecError> {
@@ -160,7 +160,7 @@ pub fn format_syscall(
 
 /// Counts how many `%s` directives `fmt` contains (the engine resolves
 /// those argument addresses to strings before formatting).
-pub fn count_string_args(fmt: &str) -> Vec<usize> {
+pub(crate) fn count_string_args(fmt: &str) -> Vec<usize> {
     // Returns the argument indices (0-based, counting all conversion
     // directives) that are strings.
     let mut out = Vec::new();

@@ -6,18 +6,17 @@
 //! quantum and a context-switch penalty, sharing one address space and one
 //! cache hierarchy.
 //!
-//! The interpreter itself is [`ExecutionCore`]; this module contributes
-//! only the pthread semantics as a [`SyncModel`]: the ready queue,
-//! quantum preemption, and the create/join/mutex/barrier syscalls.
+//! The interpreter itself is the engine's ([`crate::run`]); this module
+//! contributes only the pthread semantics as a [`SyncModel`]: the ready
+//! queue, quantum preemption, and the create/join/mutex/barrier syscalls.
 
-use crate::coherence::{CoherenceModel, ExecModel};
-use crate::engine::{Charge, ExecEnv, ExecutionCore, Flow, SyncModel, UnitState, VisitEveryEvent};
-use crate::machine::{addr_arg, ExecError, RunResult};
+use crate::coherence::CoherenceModel;
+use crate::engine::{Charge, ExecEnv, Flow, SyncModel, UnitState};
+use crate::machine::{addr_arg, ExecError};
 use crate::syscall_cost;
-use crate::trace::{NullSink, SyncEvent, TraceSink};
-use hsm_vm::compile::{Program, STACKS_BASE, STACK_SIZE};
+use crate::trace::{SyncEvent, TraceSink};
+use hsm_vm::compile::{STACKS_BASE, STACK_SIZE};
 use hsm_vm::{Intrinsic, MemKind, Value};
-use scc_sim::SccConfig;
 use std::collections::{HashMap, VecDeque};
 
 #[derive(Debug, Clone, PartialEq)]
@@ -33,7 +32,7 @@ enum ThreadState {
 /// The pthread [`SyncModel`]: all threads share core 0, one address
 /// space, one heap, and one global clock; scheduling is round-robin with
 /// an OS quantum.
-struct PthreadSync {
+pub(crate) struct PthreadSync {
     states: Vec<ThreadState>,
     ready: VecDeque<usize>,
     joiners: HashMap<usize, Vec<usize>>,
@@ -49,7 +48,7 @@ struct PthreadSync {
 }
 
 impl PthreadSync {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PthreadSync {
             states: vec![ThreadState::Running],
             ready: VecDeque::new(),
@@ -388,82 +387,4 @@ impl SyncModel for PthreadSync {
         let per_unit = env.units.iter().map(|u| u.busy_cycles).collect();
         (self.clock, per_unit, exit)
     }
-}
-
-/// Runs `program` as a multithreaded process on a single simulated SCC
-/// core (the paper's baseline configuration), under the
-/// [`Coherent`](crate::Coherent) memory model.
-///
-/// # Errors
-///
-/// Returns [`ExecError`] on VM faults, deadlock, joins of unknown thread
-/// ids, or RCCE calls appearing in a pthread program.
-pub fn run_pthread(program: &Program, config: &SccConfig) -> Result<RunResult, ExecError> {
-    run_pthread_model(program, config, ExecModel::Coherent)
-}
-
-/// Runs `program` in pthread mode under an explicit [`ExecModel`].
-///
-/// # Errors
-///
-/// Same failure modes as [`run_pthread`].
-pub fn run_pthread_model(
-    program: &Program,
-    config: &SccConfig,
-    model: ExecModel,
-) -> Result<RunResult, ExecError> {
-    run_pthread_model_traced(program, config, model, &mut NullSink)
-}
-
-/// [`run_pthread_model`] with a
-/// [`ProfileCollector`](crate::profile::ProfileCollector) attached:
-/// returns the run result together with its
-/// [`Profile`](crate::profile::Profile).
-///
-/// # Errors
-///
-/// Same failure modes as [`run_pthread`].
-pub fn run_pthread_model_profiled(
-    program: &Program,
-    config: &SccConfig,
-    model: ExecModel,
-) -> Result<(RunResult, crate::profile::Profile), ExecError> {
-    let mut collector = crate::profile::ProfileCollector::new(config.line_bytes);
-    let result = run_pthread_model_traced(program, config, model, &mut collector)?;
-    let profile = collector.into_profile(&result);
-    Ok((result, profile))
-}
-
-/// [`run_pthread_model`] with every memory access streamed to `sink`.
-///
-/// The loop is monomorphized over the sink type; with [`NullSink`] this is
-/// exactly [`run_pthread_model`].
-///
-/// # Errors
-///
-/// Same failure modes as [`run_pthread`].
-pub fn run_pthread_model_traced<S: TraceSink>(
-    program: &Program,
-    config: &SccConfig,
-    model: ExecModel,
-    sink: &mut S,
-) -> Result<RunResult, ExecError> {
-    ExecutionCore::run_model(program, config, PthreadSync::new(), model, sink)
-}
-
-/// [`run_pthread_model_traced`] visiting the scheduler before every
-/// event: the reference the run-ahead rules are tested against.
-///
-/// # Errors
-///
-/// Same failure modes as [`run_pthread`].
-#[doc(hidden)]
-pub fn run_pthread_visiting_every_event<S: TraceSink>(
-    program: &Program,
-    config: &SccConfig,
-    model: ExecModel,
-    sink: &mut S,
-) -> Result<RunResult, ExecError> {
-    let sync = VisitEveryEvent(PthreadSync::new());
-    ExecutionCore::run_model(program, config, sync, model, sink)
 }

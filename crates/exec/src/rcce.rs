@@ -2,19 +2,19 @@
 //! interleaved by a discrete-event scheduler that always advances the core
 //! with the smallest local clock.
 //!
-//! The interpreter itself is [`ExecutionCore`]; this module contributes
-//! only the RCCE semantics as a [`SyncModel`]: the discrete-event
-//! schedule, the symmetric heap/flag allocation discipline, barriers,
-//! test-and-set locks, flags, and send/recv rendezvous.
+//! The interpreter itself is the engine's ([`crate::run`]); this module
+//! contributes only the RCCE semantics as a [`SyncModel`]: the
+//! discrete-event schedule, the symmetric heap/flag allocation discipline,
+//! barriers, test-and-set locks, flags, and send/recv rendezvous.
 
-use crate::coherence::{CoherenceModel, ExecModel};
-use crate::engine::{Charge, ExecEnv, ExecutionCore, Flow, SyncModel, UnitState, VisitEveryEvent};
-use crate::machine::{addr_arg, checked_transfer, ExecError, RunResult};
+use crate::coherence::CoherenceModel;
+use crate::engine::{Charge, ExecEnv, Flow, SyncModel, UnitState};
+use crate::machine::{addr_arg, checked_transfer, ExecError};
+use crate::rcce_rt::RcceRuntime;
 use crate::syscall_cost;
-use crate::trace::{NullSink, SyncEvent, TraceSink};
-use hsm_vm::compile::{Program, STACKS_BASE, STACK_SIZE};
+use crate::trace::{SyncEvent, TraceSink};
+use hsm_vm::compile::{STACKS_BASE, STACK_SIZE};
 use hsm_vm::{Intrinsic, MemKind, Value};
-use rcce_rt::RcceRuntime;
 use scc_sim::SccConfig;
 use std::collections::VecDeque;
 
@@ -51,7 +51,7 @@ enum CoreState {
 
 /// The RCCE [`SyncModel`]: one unit per core, one private address space
 /// and heap arena each, discrete-event interleaving by local clock.
-struct RcceSync {
+pub(crate) struct RcceSync {
     cores: usize,
     rt: RcceRuntime,
     states: Vec<CoreState>,
@@ -100,10 +100,10 @@ fn key(clock: u64, core: usize) -> u128 {
 }
 
 impl RcceSync {
-    fn new(cores: usize, config: &SccConfig) -> Self {
+    pub(crate) fn new(cores: usize, config: &SccConfig) -> Self {
         RcceSync {
             cores,
-            rt: RcceRuntime::new(cores, config),
+            rt: RcceRuntime::new(cores),
             states: vec![CoreState::Running; cores],
             alloc_seq: vec![0; cores],
             flag_seq: vec![0; cores],
@@ -312,14 +312,8 @@ impl SyncModel for RcceSync {
                     self.alloc_log[seq]
                 } else {
                     let a = match intr {
-                        Intrinsic::RcceShmalloc => self
-                            .rt
-                            .shmalloc(bytes)
-                            .map_err(|e| ExecError::new(e.to_string()))?,
-                        _ => self
-                            .rt
-                            .mpb_malloc(&mut env.chip, bytes)
-                            .map_err(|e| ExecError::new(e.to_string()))?,
+                        Intrinsic::RcceShmalloc => self.rt.shmalloc(bytes)?,
+                        _ => self.rt.mpb_malloc(&mut env.chip, bytes)?,
                     };
                     self.alloc_log.push(a);
                     a
@@ -667,118 +661,24 @@ impl SyncModel for RcceSync {
     }
 }
 
-/// Runs `program` on `cores` simulated SCC cores in RCCE mode, under the
-/// [`Coherent`](crate::Coherent) memory model.
-///
-/// Every core executes the whole program (the RCCE model: one binary per
-/// UE); they synchronize through barriers and test-and-set locks and share
-/// the off-chip shared window and the MPB.
-///
-/// # Errors
-///
-/// Returns [`ExecError`] on VM faults, allocation failures, deadlock
-/// (barrier reached by only a subset of live cores), or pthread calls
-/// that survived translation.
-pub fn run_rcce(
-    program: &Program,
-    cores: usize,
-    config: &SccConfig,
-) -> Result<RunResult, ExecError> {
-    run_rcce_model(program, cores, config, ExecModel::Coherent)
-}
-
-/// Runs `program` in RCCE mode under an explicit [`ExecModel`].
-///
-/// # Errors
-///
-/// Same failure modes as [`run_rcce`].
-pub fn run_rcce_model(
-    program: &Program,
-    cores: usize,
-    config: &SccConfig,
-    model: ExecModel,
-) -> Result<RunResult, ExecError> {
-    run_rcce_model_traced(program, cores, config, model, &mut NullSink)
-}
-
-/// [`run_rcce_model`] with a
-/// [`ProfileCollector`](crate::profile::ProfileCollector) attached:
-/// returns the run result together with its
-/// [`Profile`](crate::profile::Profile).
-///
-/// # Errors
-///
-/// Same failure modes as [`run_rcce`].
-pub fn run_rcce_model_profiled(
-    program: &Program,
-    cores: usize,
-    config: &SccConfig,
-    model: ExecModel,
-) -> Result<(RunResult, crate::profile::Profile), ExecError> {
-    let mut collector = crate::profile::ProfileCollector::new(config.line_bytes);
-    let result = run_rcce_model_traced(program, cores, config, model, &mut collector)?;
-    let profile = collector.into_profile(&result);
-    Ok((result, profile))
-}
-
-/// [`run_rcce_model`] with every memory access streamed to `sink`.
-///
-/// The loop is monomorphized over the sink type; with [`NullSink`] this is
-/// exactly [`run_rcce_model`].
-///
-/// # Errors
-///
-/// Same failure modes as [`run_rcce`].
-pub fn run_rcce_model_traced<S: TraceSink>(
-    program: &Program,
-    cores: usize,
-    config: &SccConfig,
-    model: ExecModel,
-    sink: &mut S,
-) -> Result<RunResult, ExecError> {
-    run_as(program, cores, config, model, sink, |sync| sync)
-}
-
-/// [`run_rcce_model_traced`] visiting the scheduler before every event:
-/// the reference the run-ahead rules are tested against.
-///
-/// # Errors
-///
-/// Same failure modes as [`run_rcce`].
-#[doc(hidden)]
-pub fn run_rcce_visiting_every_event<S: TraceSink>(
-    program: &Program,
-    cores: usize,
-    config: &SccConfig,
-    model: ExecModel,
-    sink: &mut S,
-) -> Result<RunResult, ExecError> {
-    run_as(program, cores, config, model, sink, VisitEveryEvent)
-}
-
-fn run_as<W: SyncModel, S: TraceSink>(
-    program: &Program,
-    cores: usize,
-    config: &SccConfig,
-    model: ExecModel,
-    sink: &mut S,
-    wrap: impl FnOnce(RcceSync) -> W,
-) -> Result<RunResult, ExecError> {
-    if cores == 0 || cores > config.cores {
-        return Err(ExecError::new(format!(
-            "core count {cores} outside 1..={}",
-            config.cores
-        )));
-    }
-    let sync = wrap(RcceSync::new(cores, config));
-    ExecutionCore::run_model(program, config, sync, model, sink)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::coherence::Coherent;
-    use crate::engine::VisitEveryEvent;
+    use crate::{run, ExecModel, NullSink, RunSpec, Units};
+    use hsm_vm::Program;
+
+    /// The run on `cores` cores, and the reference that visits the
+    /// scheduler before every event.
+    fn fast_and_reference(cores: usize) -> [RunSpec; 2] {
+        let units = Units::Rcce { cores };
+        let spec = RunSpec::new(SccConfig::table_6_1(), units, ExecModel::Coherent);
+        let reference = RunSpec {
+            reference: true,
+            ..spec.clone()
+        };
+        [spec, reference]
+    }
 
     fn native(src: &str) -> Program {
         hsm_vm::compile(&hsm_cir::parse(src).expect("parse")).expect("compile")
@@ -891,16 +791,10 @@ int RCCE_APP(int *argc, char **argv) {
 }
 "#,
         );
-        let config = SccConfig::table_6_1();
         for cores in [2, 4, 16] {
-            let fast = run_rcce(&program, cores, &config).expect("run");
-            let reference = run_rcce_visiting_every_event(
-                &program,
-                cores,
-                &config,
-                ExecModel::Coherent,
-                &mut NullSink,
-            );
+            let [fast, reference] = fast_and_reference(cores);
+            let fast = run(&program, &fast, &mut NullSink).expect("run");
+            let reference = run(&program, &reference, &mut NullSink);
             assert_eq!(fast.exit_code, cores as i64);
             assert_eq!(Ok(fast), reference, "{cores} cores");
         }
@@ -928,13 +822,12 @@ int RCCE_APP(int *argc, char **argv) {
 }
 "#,
         );
-        let config = SccConfig::table_6_1();
-        let run = run_rcce(&program, 4, &config).expect("run");
-        let lines: Vec<&str> = run.output.iter().map(|l| l.text.as_str()).collect();
+        let [fast, reference] = fast_and_reference(4);
+        let fast = run(&program, &fast, &mut NullSink).expect("run");
+        let lines: Vec<&str> = fast.output.iter().map(|l| l.text.as_str()).collect();
         // The shortest loop prints first.
         assert_eq!(lines, ["core 3\n", "core 2\n", "core 1\n", "core 0\n"]);
-        let sync = VisitEveryEvent(RcceSync::new(4, &config));
-        let reference = ExecutionCore::run(&program, &config, sync, Coherent, &mut NullSink);
-        assert_eq!(Ok(run), reference);
+        let reference = run(&program, &reference, &mut NullSink);
+        assert_eq!(Ok(fast), reference);
     }
 }

@@ -4,8 +4,8 @@
 //! derives the dependence graph from region overlaps and runs ready tasks
 //! on free cores.
 //!
-//! The interpreter is [`ExecutionCore`]; this module contributes only the
-//! task semantics as a [`SyncModel`]:
+//! The interpreter is the engine's ([`crate::run`]); this module
+//! contributes only the task semantics as a [`SyncModel`]:
 //!
 //! * **Dependence tracking.** A new task depends on every earlier task
 //!   whose *output* region overlaps its input or output regions (RAW and
@@ -34,15 +34,14 @@
 //!   `max(ready time, core free time)` plus the dispatch DMA cost, so
 //!   the makespan reflects genuine pipeline parallelism.
 
-use crate::coherence::{CoherenceModel, ExecModel};
-use crate::engine::{Charge, ExecEnv, ExecutionCore, Flow, SyncModel, UnitState};
-use crate::machine::{addr_arg, checked_transfer, ExecError, RunResult};
+use crate::coherence::CoherenceModel;
+use crate::engine::{Charge, ExecEnv, Flow, SyncModel, UnitState};
+use crate::machine::{addr_arg, checked_transfer, ExecError};
+use crate::rcce_rt::RcceRuntime;
 use crate::syscall_cost;
-use crate::trace::{NullSink, SyncEvent, TraceSink};
-use hsm_vm::compile::{Program, STACKS_BASE, STACK_SIZE};
+use crate::trace::{SyncEvent, TraceSink};
+use hsm_vm::compile::{STACKS_BASE, STACK_SIZE};
 use hsm_vm::{Intrinsic, Value};
-use rcce_rt::RcceRuntime;
-use scc_sim::SccConfig;
 use std::collections::VecDeque;
 
 /// Unit budget shared with the pthread engine (bounded by the stack
@@ -97,7 +96,7 @@ enum MainState {
 
 /// The task-dataflow [`SyncModel`]: one private space and heap arena per
 /// core, a dynamic unit per executed task, dependence-driven dispatch.
-struct TaskDataflowSync {
+pub(crate) struct TaskDataflowSync {
     cores: usize,
     rt: RcceRuntime,
     tasks: Vec<TaskDesc>,
@@ -121,10 +120,10 @@ fn overlaps((a, alen): Regionspec, (b, blen): Regionspec) -> bool {
 }
 
 impl TaskDataflowSync {
-    fn new(cores: usize, config: &SccConfig) -> Self {
+    pub(crate) fn new(cores: usize) -> Self {
         TaskDataflowSync {
             cores,
-            rt: RcceRuntime::new(cores, config),
+            rt: RcceRuntime::new(cores),
             tasks: Vec::new(),
             ready: VecDeque::new(),
             core_unit: vec![None; cores],
@@ -534,91 +533,20 @@ impl SyncModel for TaskDataflowSync {
     }
 }
 
-/// Runs `program` as a task-dataflow program on `cores` simulated SCC
-/// cores, under the [`Coherent`](crate::Coherent) memory model.
-///
-/// `main` runs on core 0; spawned tasks run on any free core (core 0
-/// becomes available to tasks while `main` blocks in `task_wait_all`).
-///
-/// # Errors
-///
-/// Returns [`ExecError`] on VM faults, invalid spawns, `task_wait_all`
-/// outside `main`, or pthread/RCCE calls in a task program.
-pub fn run_task(
-    program: &Program,
-    cores: usize,
-    config: &SccConfig,
-) -> Result<RunResult, ExecError> {
-    run_task_model(program, cores, config, ExecModel::Coherent)
-}
-
-/// Runs `program` in task-dataflow mode under an explicit [`ExecModel`].
-///
-/// # Errors
-///
-/// Same failure modes as [`run_task`].
-pub fn run_task_model(
-    program: &Program,
-    cores: usize,
-    config: &SccConfig,
-    model: ExecModel,
-) -> Result<RunResult, ExecError> {
-    run_task_model_traced(program, cores, config, model, &mut NullSink)
-}
-
-/// [`run_task_model`] with a [`ProfileCollector`](crate::profile::ProfileCollector)
-/// attached: returns the run result together with its
-/// [`Profile`](crate::profile::Profile).
-///
-/// # Errors
-///
-/// Same failure modes as [`run_task`].
-pub fn run_task_model_profiled(
-    program: &Program,
-    cores: usize,
-    config: &SccConfig,
-    model: ExecModel,
-) -> Result<(RunResult, crate::profile::Profile), ExecError> {
-    let mut collector = crate::profile::ProfileCollector::new(config.line_bytes);
-    let result = run_task_model_traced(program, cores, config, model, &mut collector)?;
-    let profile = collector.into_profile(&result);
-    Ok((result, profile))
-}
-
-/// [`run_task_model`] with every memory access streamed to `sink`.
-///
-/// # Errors
-///
-/// Same failure modes as [`run_task`].
-pub fn run_task_model_traced<S: TraceSink>(
-    program: &Program,
-    cores: usize,
-    config: &SccConfig,
-    model: ExecModel,
-    sink: &mut S,
-) -> Result<RunResult, ExecError> {
-    if cores < 2 || cores > config.cores {
-        return Err(ExecError::new(format!(
-            "task mode needs a master plus at least one worker: core count \
-             {cores} outside 2..={}",
-            config.cores
-        )));
-    }
-    let sync = TaskDataflowSync::new(cores, config);
-    ExecutionCore::run_model(program, config, sync, model, sink)
-}
-
 #[cfg(test)]
 mod tests {
-    //! The task model's side of `tests/run_ahead_exact.rs`, held here
-    //! because its reference needs the private model type: the model
-    //! grants nothing itself, so what is compared is the pure rule —
-    //! tasks computing ahead beside one another and replaying one slice a
-    //! visit — against [`VisitEveryEvent`], which refuses it.
+    //! The task model's side of `tests/run_ahead_exact.rs`, held beside
+    //! the model: the model grants nothing itself, so what is compared is
+    //! the pure rule — tasks computing ahead beside one another and
+    //! replaying one slice a visit — against the reference run
+    //! ([`RunSpec::reference`]), which refuses it.
 
     use super::*;
-    use crate::engine::{phases_on_this_thread, with_helpers, VisitEveryEvent};
+    use crate::engine::phases_on_this_thread;
     use crate::trace::TraceEvent;
+    use crate::{run, ExecModel, NullSink, RunResult, RunSpec, Units};
+    use hsm_vm::Program;
+    use scc_sim::SccConfig;
 
     /// Keeps everything a sink is told, in order.
     #[derive(Debug, Default, PartialEq)]
@@ -655,11 +583,14 @@ mod tests {
         cores: usize,
         model: ExecModel,
     ) -> (Result<RunResult, ExecError>, usize) {
-        let config = &SccConfig::table_6_1();
-        let visiting = || VisitEveryEvent(TaskDataflowSync::new(cores, config));
-        let reference = ExecutionCore::run_model(program, config, visiting(), model, &mut NullSink);
+        let spec = RunSpec::new(SccConfig::table_6_1(), Units::Task { cores }, model);
+        let visiting = RunSpec {
+            reference: true,
+            ..spec.clone()
+        };
+        let reference = run(program, &visiting, &mut NullSink);
         let mut expected = Recorder::default();
-        let traced = ExecutionCore::run_model(program, config, visiting(), model, &mut expected);
+        let traced = run(program, &visiting, &mut expected);
         assert_eq!(
             traced, reference,
             "{label}: the sink perturbed the reference"
@@ -668,14 +599,16 @@ mod tests {
         for helpers in [0, 1, 3] {
             let at = format!("{label} under {model:?} on {helpers} helpers");
             let phases = phases_on_this_thread();
-            let run = with_helpers(helpers, || run_task_model(program, cores, config, model));
-            assert_eq!(run, reference, "{at}: results differ");
+            let forced = RunSpec {
+                helpers: Some(helpers),
+                ..spec.clone()
+            };
+            let outcome = run(program, &forced, &mut NullSink);
+            assert_eq!(outcome, reference, "{at}: results differ");
             with_a_phase += usize::from(phases_on_this_thread() > phases);
             let mut seen = Recorder::default();
-            let run = with_helpers(helpers, || {
-                run_task_model_traced(program, cores, config, model, &mut seen)
-            });
-            assert_eq!(run, reference, "{at}: traced results differ");
+            let outcome = run(program, &forced, &mut seen);
+            assert_eq!(outcome, reference, "{at}: traced results differ");
             assert_eq!(seen, expected, "{at}: the sink was told something else");
         }
         (reference, with_a_phase)

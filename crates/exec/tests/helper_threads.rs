@@ -6,7 +6,7 @@
 //! is what it reads: a second test on a second harness thread would be
 //! counted too.
 
-use hsm_exec::{ExecModel, NullSink};
+use hsm_exec::{run, ExecModel, NullSink, RunSpec, Units};
 use scc_sim::SccConfig;
 use std::time::{Duration, Instant};
 
@@ -59,28 +59,32 @@ int RCCE_APP(int *argc, char **argv) {{
 "#
         )
     };
-    let config = &SccConfig::table_6_1();
     let model = ExecModel::Coherent;
+    // The production path, as the reference, and on `helpers` host threads.
+    let spec = |units| RunSpec::new(SccConfig::table_6_1(), units, model);
+    let reference_of = |units| RunSpec {
+        reference: true,
+        ..spec(units)
+    };
+    let on = |helpers, units| RunSpec {
+        helpers: Some(helpers),
+        ..spec(units)
+    };
+    let rcce = Units::Rcce { cores: 8 };
     for (tail, fails) in [("", false), ("if (me == 2) return acc / zero;", true)] {
         let unit = hsm_cir::parse(&src(tail)).expect("parse");
         let program = hsm_vm::compile(&unit).expect("compile");
-        let reference =
-            hsm_exec::run_rcce_visiting_every_event(&program, 8, config, model, &mut NullSink);
+        let reference = run(&program, &reference_of(rcce), &mut NullSink);
         assert_eq!(reference.is_err(), fails, "{reference:?}");
         for helpers in [3, 1, 0] {
             let phases = hsm_exec::phases_on_this_thread();
-            let run = hsm_exec::with_helpers(helpers, || {
-                hsm_exec::run_rcce_model(&program, 8, config, model)
-            });
-            assert_eq!(run, reference, "{helpers} helpers");
+            let outcome = run(&program, &on(helpers, rcce), &mut NullSink);
+            assert_eq!(outcome, reference, "{helpers} helpers");
             assert!(hsm_exec::phases_on_this_thread() > phases, "no phase ran");
             assert_eq!(settled(before), before, "after a run on {helpers} helpers");
         }
         // As many helpers as the host has to spare.
-        assert_eq!(
-            hsm_exec::run_rcce_model(&program, 8, config, model),
-            reference
-        );
+        assert_eq!(run(&program, &spec(rcce), &mut NullSink), reference);
         assert_eq!(settled(before), before, "after a production run");
     }
 
@@ -123,15 +127,12 @@ int main() {{
     ] {
         let unit = hsm_cir::parse(&src(tail, end)).expect("parse");
         let program = hsm_vm::compile(&unit).expect("compile");
-        let reference =
-            hsm_exec::run_pthread_visiting_every_event(&program, config, model, &mut NullSink);
+        let reference = run(&program, &reference_of(Units::Pthread), &mut NullSink);
         assert_eq!(reference.is_err(), fails, "{name}: {reference:?}");
         for helpers in [3, 1, 0] {
             let phases = hsm_exec::phases_on_this_thread();
-            let run = hsm_exec::with_helpers(helpers, || {
-                hsm_exec::run_pthread_model(&program, config, model)
-            });
-            assert_eq!(run, reference, "{name} on {helpers} helpers");
+            let outcome = run(&program, &on(helpers, Units::Pthread), &mut NullSink);
+            assert_eq!(outcome, reference, "{name} on {helpers} helpers");
             assert!(
                 hsm_exec::phases_on_this_thread() > phases,
                 "{name}: no phase ran"
@@ -139,7 +140,7 @@ int main() {{
             assert_eq!(settled(before), before, "after {name} on {helpers} helpers");
         }
         assert_eq!(
-            hsm_exec::run_pthread_model(&program, config, model),
+            run(&program, &spec(Units::Pthread), &mut NullSink),
             reference
         );
         assert_eq!(settled(before), before, "after a production run of {name}");

@@ -1,15 +1,15 @@
 //! Run-ahead changes when the scheduler is asked, never what a run
 //! computes.
 //!
-//! `ExecutionCore::run` lets a unit keep stepping while the scheduler
+//! `hsm_exec::run` lets a unit keep stepping while the scheduler
 //! would hand it out again anyway (the ordered rule), while what it does is
 //! visible to nobody else (the local rule), or while it only computes (the
 //! pure rule); DESIGN.md §9 argues all three are exact. This suite is the
 //! argument as a test: every program here runs on the production path and
-//! behind `VisitEveryEvent`, which refuses every grant so the core visits
-//! `schedule` before each event and no unit is ever ahead of its turn, and
-//! the runs must agree on the whole `RunResult` — or on the error — and,
-//! with a recording sink attached, on every access and every
+//! as the reference (`RunSpec::reference`), which refuses every grant so the
+//! core visits `schedule` before each event and no unit is ever ahead of its
+//! turn, and the runs must agree on the whole `RunResult` — or on the
+//! error — and, with a recording sink attached, on every access and every
 //! synchronization event in order.
 //!
 //! The local and the pure rule also take the free units of a run ahead
@@ -18,13 +18,15 @@
 //! runs with the helper count forced to each of [`HELPERS`], untraced and
 //! recorded, and must give what the reference gives.
 //!
-//! The task-dataflow model's sync type is private to `hsm-exec` and has no
-//! exported reference run, so its second side is held in
+//! The task-dataflow model's second side is held beside the model, in
 //! `crates/exec/src/taskflow.rs`'s unit tests; here it appears only in
 //! the census of which runs take their units ahead at all.
 
 use hsm_core::{ExecModel, Mode, OptLevel, Pipeline, Scenario};
-use hsm_exec::{ExecError, NullSink, RunResult, SyncEvent, TraceEvent, TraceSink};
+use hsm_exec::{
+    run, ExecError, NullSink, ProfileCollector, RunResult, RunSpec, SyncEvent, TraceEvent,
+    TraceSink, Units,
+};
 use hsm_vm::Program;
 use hsm_workloads::{Bench, Params};
 use scc_sim::SccConfig;
@@ -48,14 +50,6 @@ impl TraceSink for Recorder {
     }
 }
 
-/// Which sync model runs the program: pthread on one core, or RCCE on
-/// this many.
-#[derive(Debug, Clone, Copy)]
-enum Units {
-    Pthread,
-    Rcce(usize),
-}
-
 type Outcome = Result<RunResult, ExecError>;
 
 /// Host threads beside the caller's that a run is forced onto: none (every
@@ -64,27 +58,24 @@ type Outcome = Result<RunResult, ExecError>;
 const HELPERS: [usize; 3] = [0, 1, 3];
 
 /// The production path.
-fn run<S: TraceSink>(program: &Program, units: Units, model: ExecModel, sink: &mut S) -> Outcome {
-    let config = &SccConfig::table_6_1();
-    match units {
-        Units::Pthread => hsm_exec::run_pthread_model_traced(program, config, model, sink),
-        Units::Rcce(cores) => hsm_exec::run_rcce_model_traced(program, cores, config, model, sink),
-    }
+fn production(units: Units, model: ExecModel) -> RunSpec {
+    RunSpec::new(SccConfig::table_6_1(), units, model)
 }
 
 /// The reference: a scheduler visit before every event, no unit ever ahead.
-fn visiting_every_event<S: TraceSink>(
-    program: &Program,
-    units: Units,
-    model: ExecModel,
-    sink: &mut S,
-) -> Outcome {
-    let config = &SccConfig::table_6_1();
-    match units {
-        Units::Pthread => hsm_exec::run_pthread_visiting_every_event(program, config, model, sink),
-        Units::Rcce(cores) => {
-            hsm_exec::run_rcce_visiting_every_event(program, cores, config, model, sink)
-        }
+fn reference(units: Units, model: ExecModel) -> RunSpec {
+    RunSpec {
+        reference: true,
+        ..production(units, model)
+    }
+}
+
+/// The production path, on exactly `helpers` host threads beside the
+/// caller's.
+fn on_helpers(helpers: usize, units: Units, model: ExecModel) -> RunSpec {
+    RunSpec {
+        helpers: Some(helpers),
+        ..production(units, model)
     }
 }
 
@@ -95,7 +86,7 @@ fn phases_of<R>(run: impl FnOnce() -> R) -> (R, u64) {
     (result, hsm_exec::phases_on_this_thread() - before)
 }
 
-/// Runs `program` behind `VisitEveryEvent`, untraced and recorded, then on
+/// Runs `program` as the reference, untraced and recorded, then on
 /// the production path — untraced on the threads the host offers, and
 /// untraced and recorded at every forced helper count — and holds every
 /// run against the reference: the whole outcome, and what the sink was
@@ -107,27 +98,27 @@ fn assert_exact(
     units: Units,
     model: ExecModel,
 ) -> (Outcome, usize) {
-    let reference = visiting_every_event(program, units, model, &mut NullSink);
+    let visiting = reference(units, model);
+    let reference = run(program, &visiting, &mut NullSink);
     let mut expected = Recorder::default();
-    let traced_reference = visiting_every_event(program, units, model, &mut expected);
+    let traced_reference = run(program, &visiting, &mut expected);
     assert_eq!(
         traced_reference, reference,
         "{label} under {model:?}: the sink perturbed the reference"
     );
-    let fast = run(program, units, model, &mut NullSink);
+    let fast = run(program, &production(units, model), &mut NullSink);
     assert_eq!(fast, reference, "{label} under {model:?}: results differ");
 
     let mut with_a_phase = 0;
     for helpers in HELPERS {
         let at = format!("{label} under {model:?} on {helpers} helpers");
-        let (forced, phases) = phases_of(|| {
-            hsm_exec::with_helpers(helpers, || run(program, units, model, &mut NullSink))
-        });
+        let forced_spec = on_helpers(helpers, units, model);
+        let (forced, phases) = phases_of(|| run(program, &forced_spec, &mut NullSink));
         assert_eq!(forced, reference, "{at}: results differ");
         with_a_phase += usize::from(phases > 0);
 
         let mut seen = Recorder::default();
-        let traced = hsm_exec::with_helpers(helpers, || run(program, units, model, &mut seen));
+        let traced = run(program, &forced_spec, &mut seen);
         assert_eq!(traced, reference, "{at}: traced results differ");
         assert_eq!(seen.syncs, expected.syncs, "{at}: sync streams differ");
         // Element by element, so a failure names the first access that moved.
@@ -147,7 +138,7 @@ fn program_of(src: &str, cores: usize, mode: Mode, level: OptLevel) -> (Arc<Prog
         .scenario(Scenario::new(mode).opt_level(level));
     let (program, units) = match mode {
         Mode::PthreadBaseline => (session.baseline_program(), Units::Pthread),
-        _ => (session.program(), Units::Rcce(cores)),
+        _ => (session.program(), Units::Rcce { cores }),
     };
     let program = program.unwrap_or_else(|e| panic!("{} on {cores}: {e}", mode.label()));
     (program, units)
@@ -470,7 +461,7 @@ int RCCE_APP(int *argc, char **argv) {
         for cores in [2, 3, 8, 32] {
             for model in ExecModel::ALL {
                 let label = format!("{name}@{cores}");
-                let (outcome, _) = assert_exact(&label, &program, Units::Rcce(cores), model);
+                let (outcome, _) = assert_exact(&label, &program, Units::Rcce { cores }, model);
                 outcome.unwrap_or_else(|e| panic!("{label} under {model:?}: {e}"));
             }
         }
@@ -534,7 +525,7 @@ int RCCE_APP(int *argc, char **argv) {
     ] {
         let program = native(src);
         for model in ExecModel::ALL {
-            let (outcome, _) = assert_exact(name, &program, Units::Rcce(4), model);
+            let (outcome, _) = assert_exact(name, &program, Units::Rcce { cores: 4 }, model);
             let error = outcome.expect_err(name);
             assert!(error.message.contains(expect), "{name}: {error}");
         }
@@ -596,7 +587,8 @@ int RCCE_APP(int *argc, char **argv) {
     ] {
         let program = native(src);
         for model in ExecModel::ALL {
-            let (reference, with_a_phase) = assert_exact(name, &program, Units::Rcce(cores), model);
+            let (reference, with_a_phase) =
+                assert_exact(name, &program, Units::Rcce { cores }, model);
             let error = reference.expect_err(name);
             assert!(error.message.contains(expect), "{name}: {error}");
             assert_eq!(with_a_phase, HELPERS.len(), "{name} under {model:?}");
@@ -716,17 +708,18 @@ fn a_profiled_rcce_run_computes_ahead_and_profiles_the_same() {
     let src = hsm_workloads::source(bench, &params);
     let (program, _) = program_of(&src, cores, Mode::RcceHsm, OptLevel::O0);
     let model = ExecModel::Coherent;
-    let mut collector = hsm_exec::ProfileCollector::new(config.line_bytes);
-    let reference =
-        hsm_exec::run_rcce_visiting_every_event(&program, cores, config, model, &mut collector)
-            .expect("pi runs");
+    let units = Units::Rcce { cores };
+    let mut collector = ProfileCollector::new(config.line_bytes);
+    let reference = run(&program, &reference(units, model), &mut collector).expect("pi runs");
     let expected = collector.into_profile(&reference).to_text();
     let mut texts = Vec::new();
     for helpers in HELPERS {
-        let profiled = || hsm_exec::run_rcce_model_profiled(&program, cores, config, model);
-        let (outcome, phases) = phases_of(|| hsm_exec::with_helpers(helpers, profiled));
-        let (run, profile) = outcome.expect("pi runs");
-        assert_eq!(run, reference, "{helpers} helpers");
+        let mut collector = ProfileCollector::new(config.line_bytes);
+        let forced = on_helpers(helpers, units, model);
+        let (outcome, phases) = phases_of(|| run(&program, &forced, &mut collector));
+        let result = outcome.expect("pi runs");
+        let profile = collector.into_profile(&result);
+        assert_eq!(result, reference, "{helpers} helpers");
         assert!(phases > 0, "{helpers} helpers: nothing was computed ahead");
         texts.push(profile.to_text());
     }
@@ -746,10 +739,11 @@ mod census {
 
     /// The phases of one run of `program`, untraced and recorded.
     fn phases(program: &Program, units: Units, model: ExecModel) -> (u64, u64) {
-        let (outcome, untraced) = phases_of(|| run(program, units, model, &mut NullSink));
+        let spec = production(units, model);
+        let (outcome, untraced) = phases_of(|| run(program, &spec, &mut NullSink));
         outcome.expect("runs");
         let sink = &mut Recorder::default();
-        let (outcome, recorded) = phases_of(|| run(program, units, model, sink));
+        let (outcome, recorded) = phases_of(|| run(program, &spec, sink));
         outcome.expect("runs");
         (untraced, recorded)
     }
@@ -799,7 +793,6 @@ mod census {
                 }
             }
         }
-        let config = &SccConfig::table_6_1();
         let task_ports = [
             ("task_matrix_vector.c", 4),
             ("task_histogram.c", 4),
@@ -808,13 +801,11 @@ mod census {
         for (name, cores) in task_ports {
             let program = native(&corpus(name));
             for model in ExecModel::ALL {
-                let (outcome, untraced) =
-                    phases_of(|| hsm_exec::run_task_model(&program, cores, config, model));
+                let spec = production(Units::Task { cores }, model);
+                let (outcome, untraced) = phases_of(|| run(&program, &spec, &mut NullSink));
                 outcome.expect("runs");
                 let sink = &mut Recorder::default();
-                let (outcome, recorded) = phases_of(|| {
-                    hsm_exec::run_task_model_traced(&program, cores, config, model, sink)
-                });
+                let (outcome, recorded) = phases_of(|| run(&program, &spec, sink));
                 outcome.expect("runs");
                 assert_eq!((untraced, recorded), (0, 0), "{name} {model:?}");
             }
@@ -833,8 +824,13 @@ mod census {
             let src = hsm_workloads::source(bench, &bench.default_params(32));
             let compute = COMPUTE.contains(&bench);
             let (program, units) = program_of(&src, 32, Mode::PthreadBaseline, OptLevel::O0);
-            let (outcome, baseline) =
-                phases_of(|| run(&program, units, ExecModel::Coherent, &mut NullSink));
+            let (outcome, baseline) = phases_of(|| {
+                run(
+                    &program,
+                    &production(units, ExecModel::Coherent),
+                    &mut NullSink,
+                )
+            });
             outcome.expect("runs");
             assert_eq!(baseline, u64::from(compute), "{bench} baseline");
             if !compute {
@@ -842,8 +838,13 @@ mod census {
             }
             for mode in RCCE_MODES {
                 let (program, units) = program_of(&src, 32, mode, OptLevel::O0);
-                let (outcome, rcce) =
-                    phases_of(|| run(&program, units, ExecModel::Coherent, &mut NullSink));
+                let (outcome, rcce) = phases_of(|| {
+                    run(
+                        &program,
+                        &production(units, ExecModel::Coherent),
+                        &mut NullSink,
+                    )
+                });
                 outcome.expect("runs");
                 assert_eq!(rcce, 1, "{bench} {}", mode.label());
             }

@@ -12,9 +12,7 @@
 //! * four DDR3 memory controllers at the die corners with FIFO queuing
 //!   contention ([`dram`]);
 //! * the 384 KB Message Passing Buffer, 8 KB per core ([`mpb`]);
-//! * one test-and-set register per core ([`tas`]);
-//! * DVFS operating points bounding the paper's 25 W–125 W envelope
-//!   ([`power`]).
+//! * one test-and-set register per core ([`tas`]).
 //!
 //! [`MemorySystem`] ties these together behind a single
 //! `access(core, addr, write, now) -> latency` interface that the
@@ -45,12 +43,10 @@ pub mod dram;
 pub mod memory;
 pub mod mesh;
 pub mod mpb;
-pub mod power;
 pub mod stats;
 pub mod tas;
 
 pub use config::SccConfig;
 pub use memory::{CoreLane, MemStats, MemorySystem, Region};
 pub use mesh::{Mesh, Tile};
-pub use power::{OperatingPoint, PowerModel};
 pub use stats::{line_index, CoreStats, LatencyHistogram, StatsMatrix, REGION_COUNT};

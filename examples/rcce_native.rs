@@ -10,6 +10,8 @@
 //! cargo run --example rcce_native
 //! ```
 
+use hsm_exec::{ExecModel, NullSink, RunSpec, Units};
+
 const RING_REDUCE: &str = r#"
 int RCCE_APP(int *argc, char **argv) {
     RCCE_init(&argc, &argv);
@@ -72,11 +74,9 @@ int RCCE_APP(int *argc, char **argv) {
 
 fn run(src: &str, cores: usize) -> Result<hsm_exec::RunResult, Box<dyn std::error::Error>> {
     let program = hsm_vm::compile(&hsm_cir::parse(src)?)?;
-    Ok(hsm_exec::run_rcce(
-        &program,
-        cores,
-        &scc_sim::SccConfig::table_6_1(),
-    )?)
+    let config = scc_sim::SccConfig::table_6_1();
+    let spec = RunSpec::new(config, Units::Rcce { cores }, ExecModel::Coherent);
+    Ok(hsm_exec::run(&program, &spec, &mut NullSink)?)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

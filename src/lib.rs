@@ -12,7 +12,6 @@
 //! | [`partition`] | Stage 4: on-/off-chip shared-data placement |
 //! | [`translate`] | Stage 5: pthread → RCCE source-to-source |
 //! | [`sccsim`] | the Intel SCC hardware model |
-//! | [`rcce`] | the RCCE communication runtime |
 //! | [`vm`] | C bytecode compiler + suspendable VM |
 //! | [`exec`] | discrete-event execution (pthread & RCCE modes) |
 //! | [`workloads`] | the six evaluation benchmarks |
@@ -29,5 +28,4 @@ pub use hsm_partition as partition;
 pub use hsm_translate as translate;
 pub use hsm_vm as vm;
 pub use hsm_workloads as workloads;
-pub use rcce_rt as rcce;
 pub use scc_sim as sccsim;

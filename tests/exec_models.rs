@@ -1,8 +1,8 @@
 //! Differential harness over the execution-model axis.
 //!
-//! The refactored [`hsm_exec::ExecutionCore`] runs every program under a
-//! pluggable [`hsm_core::ExecModel`]. This suite pins the contract between
-//! the three models:
+//! [`hsm_exec::run`] runs every program under a pluggable
+//! [`hsm_core::ExecModel`]. This suite pins the contract between the three
+//! models:
 //!
 //! - `Coherent` is the ground truth: deterministic, and byte-identical to
 //!   the pre-refactor engines (the goldens and `corpus.rs` already pin

@@ -4,6 +4,7 @@
 //! result.
 
 use hsm_core::{Mode, Pipeline};
+use hsm_exec::{ExecModel, NullSink, RunSpec, Units};
 use hsm_workloads::{jacobi_reference_exit, jacobi_source, Params};
 use scc_sim::SccConfig;
 
@@ -92,6 +93,7 @@ int main() {
 }
 "#;
     let program = hsm_vm::compile(&hsm_cir::parse(src).expect("parse")).expect("compile");
-    let r = hsm_exec::run_pthread(&program, &SccConfig::table_6_1()).expect("run");
+    let spec = RunSpec::new(SccConfig::table_6_1(), Units::Pthread, ExecModel::Coherent);
+    let r = hsm_exec::run(&program, &spec, &mut NullSink).expect("run");
     assert_eq!(r.exit_code, 4, "all four threads passed the barrier");
 }

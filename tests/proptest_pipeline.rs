@@ -11,8 +11,16 @@
 //! Regressions found by the old proptest suite are pinned as named test
 //! cases at the bottom instead of a `.proptest-regressions` seed file.
 
+use hsm_exec::{ExecModel, NullSink, RunSpec, Units};
 use hsm_partition::{partition, MemorySpec, Placement, Policy, SharedVar};
 use testkit::{check, SplitMix64};
+
+/// `program` as a pthread process on the Table 6.1 chip.
+fn run_pthread(program: &hsm_vm::Program) -> hsm_exec::RunResult {
+    let config = scc_sim::SccConfig::table_6_1();
+    let spec = RunSpec::new(config, Units::Pthread, ExecModel::Coherent);
+    hsm_exec::run(program, &spec, &mut NullSink).expect("run")
+}
 
 // ------------------------------------------------- expression semantics --
 
@@ -116,7 +124,7 @@ fn assert_vm_matches(expr: &E) {
         expr.render()
     );
     let program = hsm_vm::compile(&hsm_cir::parse(&src).expect("parse")).expect("compile");
-    let run = hsm_exec::run_pthread(&program, &scc_sim::SccConfig::table_6_1()).expect("run");
+    let run = run_pthread(&program);
     let printed: i64 = run.output_text().trim().parse().expect("numeric output");
     assert_eq!(printed, expected, "source: {src}");
 }
@@ -289,7 +297,7 @@ fn vm_matches_reference_float_arithmetic() {
             expr.render()
         );
         let program = hsm_vm::compile(&hsm_cir::parse(&src).expect("parse")).expect("compile");
-        let run = hsm_exec::run_pthread(&program, &scc_sim::SccConfig::table_6_1()).expect("run");
+        let run = run_pthread(&program);
         let printed: f64 = run.output_text().trim().parse().expect("float output");
         assert!(
             printed == expected || (printed - expected).abs() < 1e-12 * expected.abs().max(1.0),
