@@ -17,14 +17,17 @@
 //! implement both modes with consistent rules and record the deviation in
 //! EXPERIMENTS.md.
 
-use hsm_cir::ast::*;
-use hsm_cir::parser::const_fold;
-use hsm_cir::symbols::{Scope, SymbolTable};
+use hsm_cir::const_fold;
+use hsm_cir::{
+    AssignOp, BinaryOp, Declaration, Expr, ExprKind, ForInit, Item, Stmt, StmtKind,
+    TranslationUnit, UnaryOp,
+};
+use hsm_cir::{Scope, SymbolTable};
 use std::collections::HashMap;
 
 /// How to weigh accesses inside loops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CountMode {
+pub(crate) enum CountMode {
     /// Count each syntactic access once.
     #[default]
     Occurrence,
@@ -45,7 +48,7 @@ pub struct AccessCounts {
 impl AccessCounts {
     /// Total accesses.
     pub fn total(&self) -> u64 {
-        self.reads + self.writes
+        self.reads.saturating_add(self.writes)
     }
 }
 
@@ -79,7 +82,7 @@ impl VarKey {
 
 /// The result of the access-counting pass.
 #[derive(Debug, Clone, Default)]
-pub struct AccessMap {
+pub(crate) struct AccessMap {
     counts: HashMap<VarKey, AccessCounts>,
     /// Functions in which each variable is read ("Use In").
     used_in: HashMap<VarKey, Vec<String>>,
@@ -91,7 +94,7 @@ pub struct AccessMap {
 
 impl AccessMap {
     /// Runs the counting pass over `tu`.
-    pub fn compute(tu: &TranslationUnit, symbols: &SymbolTable, mode: CountMode) -> Self {
+    pub(crate) fn compute(tu: &TranslationUnit, symbols: &SymbolTable, mode: CountMode) -> Self {
         let mut pass = Counter {
             map: AccessMap::default(),
             symbols,
@@ -118,28 +121,23 @@ impl AccessMap {
     }
 
     /// Counts for `key` (zero if never accessed).
-    pub fn counts(&self, key: &VarKey) -> AccessCounts {
+    pub(crate) fn counts(&self, key: &VarKey) -> AccessCounts {
         self.counts.get(key).copied().unwrap_or_default()
     }
 
     /// Functions in which the variable is read, in first-seen order.
-    pub fn used_in(&self, key: &VarKey) -> &[String] {
+    pub(crate) fn used_in(&self, key: &VarKey) -> &[String] {
         self.used_in.get(key).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Functions in which the variable is written, in first-seen order.
-    pub fn defined_in(&self, key: &VarKey) -> &[String] {
+    pub(crate) fn defined_in(&self, key: &VarKey) -> &[String] {
         self.defined_in.get(key).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Whether the variable's address is taken anywhere.
-    pub fn is_address_taken(&self, key: &VarKey) -> bool {
+    pub(crate) fn is_address_taken(&self, key: &VarKey) -> bool {
         self.address_taken.contains(key)
-    }
-
-    /// All tracked variable keys.
-    pub fn keys(&self) -> impl Iterator<Item = &VarKey> {
-        self.counts.keys()
     }
 }
 
@@ -168,7 +166,7 @@ impl Counter<'_> {
         } else {
             self.symbols.lookup(&self.current_fn, name)?
         };
-        if sym.kind != hsm_cir::symbols::SymbolKind::Variable {
+        if sym.kind != hsm_cir::SymbolKind::Variable {
             return None;
         }
         Some(match &sym.scope {
@@ -183,12 +181,13 @@ impl Counter<'_> {
         };
         let c = self.map.counts.entry(key.clone()).or_default();
         let w = self.weight;
+        // A weight saturates past 64 nested loops; so does a count.
         match ctx {
-            Ctx::Read => c.reads += w,
-            Ctx::Write => c.writes += w,
+            Ctx::Read => c.reads = c.reads.saturating_add(w),
+            Ctx::Write => c.writes = c.writes.saturating_add(w),
             Ctx::ReadWrite => {
-                c.reads += w;
-                c.writes += w;
+                c.reads = c.reads.saturating_add(w);
+                c.writes = c.writes.saturating_add(w);
             }
         }
         if !self.current_fn.is_empty() {
@@ -412,7 +411,7 @@ pub fn trip_count(init: Option<&ForInit>, cond: Option<&Expr>, step: Option<&Exp
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hsm_cir::parser::parse;
+    use hsm_cir::parse;
 
     fn analyze(src: &str, mode: CountMode) -> (AccessMap, SymbolTable) {
         let tu = parse(src).expect("parse");

@@ -48,7 +48,7 @@ impl InterThreadAnalysis {
     /// (built from the Use-In/Def-In sets for globals, or the owning
     /// function for locals); `model` supplies the set `F` of functions
     /// called by `pthread_create` and their launch multiplicity.
-    pub fn variable_in_thread(
+    pub(crate) fn variable_in_thread(
         procs_containing_v: &[String],
         model: &ThreadModel,
     ) -> ThreadPresence {
@@ -63,7 +63,7 @@ impl InterThreadAnalysis {
             return ThreadPresence::InMultipleThreads;
         }
         let proc = entries[0];
-        if model.launched_in_loop(proc) || model.launch_count(proc) > 1 {
+        if model.runs_in_multiple_threads(proc) {
             ThreadPresence::InMultipleThreads
         } else {
             ThreadPresence::InSingleThread
@@ -107,39 +107,13 @@ impl InterThreadAnalysis {
         }
         InterThreadAnalysis { presence }
     }
-
-    /// The presence classification for `key`.
-    pub fn presence_of(&self, key: &VarKey) -> ThreadPresence {
-        self.presence
-            .get(key)
-            .copied()
-            .unwrap_or(ThreadPresence::NotInThread)
-    }
-
-    /// Variables in the multiple-thread execution set.
-    pub fn multi_thread_set(&self) -> Vec<&VarKey> {
-        self.presence
-            .iter()
-            .filter(|(_, p)| **p == ThreadPresence::InMultipleThreads)
-            .map(|(k, _)| k)
-            .collect()
-    }
-
-    /// Variables in the single-thread execution set.
-    pub fn single_thread_set(&self) -> Vec<&VarKey> {
-        self.presence
-            .iter()
-            .filter(|(_, p)| **p == ThreadPresence::InSingleThread)
-            .map(|(k, _)| k)
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hsm_cir::parser::parse;
-    use hsm_cir::symbols::SymbolTable;
+    use hsm_cir::parse;
+    use hsm_cir::SymbolTable;
     use std::collections::BTreeSet;
 
     const EXAMPLE_4_1: &str = r#"
@@ -200,11 +174,11 @@ int main() {
     fn sum_is_in_multiple_threads() {
         let (_, _, _, inter) = setup(EXAMPLE_4_1);
         assert_eq!(
-            inter.presence_of(&VarKey::global("sum")),
+            inter.presence[&VarKey::global("sum")],
             ThreadPresence::InMultipleThreads
         );
         assert_eq!(
-            inter.presence_of(&VarKey::global("ptr")),
+            inter.presence[&VarKey::global("ptr")],
             ThreadPresence::InMultipleThreads
         );
     }
@@ -214,7 +188,7 @@ int main() {
         let (_, _, _, inter) = setup(EXAMPLE_4_1);
         for v in ["local", "tmp", "threads", "rc"] {
             assert_eq!(
-                inter.presence_of(&VarKey::local("main", v)),
+                inter.presence[&VarKey::local("main", v)],
                 ThreadPresence::NotInThread,
                 "{v}"
             );
@@ -226,7 +200,7 @@ int main() {
         let (_, _, _, inter) = setup(EXAMPLE_4_1);
         // tLocal lives inside tf, which launches in a loop.
         assert_eq!(
-            inter.presence_of(&VarKey::local("tf", "tLocal")),
+            inter.presence[&VarKey::local("tf", "tLocal")],
             ThreadPresence::InMultipleThreads
         );
     }
@@ -235,7 +209,7 @@ int main() {
     fn unused_global_not_in_thread_but_still_shared_after_stage_2() {
         let (_, _, sharing, inter) = setup(EXAMPLE_4_1);
         assert_eq!(
-            inter.presence_of(&VarKey::global("global")),
+            inter.presence[&VarKey::global("global")],
             ThreadPresence::NotInThread
         );
         assert_eq!(sharing.status("global"), SharingStatus::Shared);
@@ -254,7 +228,7 @@ int main() {
 "#;
         let (_, _, _, inter) = setup(src);
         assert_eq!(
-            inter.presence_of(&VarKey::global("g")),
+            inter.presence[&VarKey::global("g")],
             ThreadPresence::InSingleThread
         );
     }
@@ -274,7 +248,7 @@ int main() {
 "#;
         let (_, _, _, inter) = setup(src);
         assert_eq!(
-            inter.presence_of(&VarKey::global("g")),
+            inter.presence[&VarKey::global("g")],
             ThreadPresence::InMultipleThreads
         );
     }
@@ -282,8 +256,8 @@ int main() {
     #[test]
     fn sets_partition_correctly() {
         let (_, _, _, inter) = setup(EXAMPLE_4_1);
-        let multi = inter.multi_thread_set();
-        assert!(multi.contains(&&VarKey::global("sum")));
-        assert!(inter.single_thread_set().is_empty());
+        let count = |presence| inter.presence.values().filter(|p| **p == presence).count();
+        assert!(count(ThreadPresence::InMultipleThreads) > 0);
+        assert_eq!(count(ThreadPresence::InSingleThread), 0);
     }
 }

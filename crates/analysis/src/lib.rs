@@ -3,12 +3,12 @@
 //! Implements the analysis half of the paper *Enabling Multi-threaded
 //! Applications on Hybrid Shared Memory Manycore Architectures*:
 //!
-//! * **Stage 1** ([`scope`]) — variable scope analysis: per-variable name,
+//! * **Stage 1** ([`ScopeAnalysis`]) — variable scope analysis: per-variable name,
 //!   type, size, read/write counts and use/def function sets (Table 4.1).
-//! * **Stage 2** ([`interthread`]) — inter-thread analysis (Algorithm 1):
+//! * **Stage 2** ([`InterThreadAnalysis`]) — inter-thread analysis (Algorithm 1):
 //!   which variables are seen by no/one/multiple threads; locals become
 //!   private, globals referenced from threads stay shared.
-//! * **Stage 3** ([`points_to`]) — interprocedural points-to analysis
+//! * **Stage 3** ([`PointsToAnalysis`]) — interprocedural points-to analysis
 //!   (Algorithm 2): objects definitely pointed at by shared pointers become
 //!   shared (`tmp` in Table 4.2); unused globals are demoted to private.
 //!
@@ -16,8 +16,8 @@
 //! status after each stage, reproducing Table 4.2 exactly.
 //!
 //! ```
-//! # fn main() -> Result<(), hsm_cir::error::ParseError> {
-//! use hsm_analysis::{ProgramAnalysis, sharing::SharingStatus};
+//! # fn main() -> Result<(), hsm_cir::ParseError> {
+//! use hsm_analysis::{ProgramAnalysis, SharingStatus};
 //! let tu = hsm_cir::parse(r#"
 //!     int *ptr;
 //!     void *tf(void *tid) { *ptr = 1; return tid; }
@@ -37,27 +37,28 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod access;
-pub mod cfg;
-pub mod interthread;
-pub mod manifest;
-pub mod points_to;
-pub mod report;
-pub mod scope;
-pub mod sharing;
-pub mod threads;
+mod access;
+mod interthread;
+mod manifest;
+mod points_to;
+mod report;
+mod scope;
+mod sharing;
+mod threads;
 
-use hsm_cir::symbols::SymbolTable;
+use hsm_cir::SymbolTable;
 use hsm_cir::TranslationUnit;
-use sharing::{SharingMap, SharingStatus};
+use points_to::Propagation;
 use std::collections::BTreeMap;
 
-pub use access::{AccessCounts, AccessMap, CountMode, VarKey};
+pub use access::{trip_count, AccessCounts, VarKey};
 pub use interthread::{InterThreadAnalysis, ThreadPresence};
 pub use manifest::{ClassificationManifest, RegionVerdict, VarVerdict};
-pub use points_to::{PointsToAnalysis, PointsToFact, Propagation};
+pub use points_to::{PointsToAnalysis, PointsToFact};
 pub use scope::{ScopeAnalysis, VariableInfo};
+pub use sharing::{SharingMap, SharingStatus};
 pub use threads::{ThreadLaunch, ThreadModel};
 
 /// The combined result of running stages 1–3 on a translation unit.
@@ -87,7 +88,7 @@ impl ProgramAnalysis {
     }
 
     /// Runs all three analysis stages with the given propagation mode.
-    pub fn analyze_with(tu: &TranslationUnit, mode: Propagation) -> Self {
+    pub(crate) fn analyze_with(tu: &TranslationUnit, mode: Propagation) -> Self {
         let symbols = SymbolTable::build(tu);
         let mut sharing = SharingMap::new();
 
@@ -164,7 +165,7 @@ fn snapshot(scope: &ScopeAnalysis, sharing: &SharingMap) -> BTreeMap<String, Sha
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hsm_cir::parser::parse;
+    use hsm_cir::parse;
 
     const EXAMPLE_4_1: &str = r#"
 int global;

@@ -184,7 +184,7 @@ impl ClassificationManifest {
 
 /// Stable label for a sharing status (the paper prints these as
 /// `true`/`false`/`null`; the manifest uses self-describing words).
-pub fn status_label(s: SharingStatus) -> &'static str {
+pub(crate) fn status_label(s: SharingStatus) -> &'static str {
     match s {
         SharingStatus::Shared => "shared",
         SharingStatus::Private => "private",
@@ -199,7 +199,7 @@ fn escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hsm_cir::parser::parse;
+    use hsm_cir::parse;
 
     const SRC: &str = r#"
 int global;

@@ -17,9 +17,11 @@
 use crate::access::VarKey;
 use crate::scope::ScopeAnalysis;
 use crate::sharing::{SharingMap, SharingStatus};
-use hsm_cir::ast::*;
-use hsm_cir::symbols::{Scope, SymbolKind, SymbolTable};
-use hsm_cir::TranslationUnit;
+use hsm_cir::{
+    AssignOp, BinaryOp, Declaration, Expr, ExprKind, ForInit, Item, Stmt, StmtKind,
+    TranslationUnit, UnaryOp,
+};
+use hsm_cir::{Scope, SymbolKind, SymbolTable};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One edge in the relationship map: `pointer` may point at `target`.
@@ -35,7 +37,7 @@ pub struct PointsToFact {
 
 /// How aggressively Algorithm 2 propagates sharing across the map.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Propagation {
+pub(crate) enum Propagation {
     /// Follow only definite edges (the literal Algorithm 2).
     DefiniteOnly,
     /// Follow definite and possible edges (conservative superset; default).
@@ -148,7 +150,7 @@ impl PointsToAnalysis {
     /// an object, the object becomes shared. Iterates to a fixed point so
     /// pointer chains (`q = p; p = &x`) resolve. Afterwards, the paper's
     /// post-processing demotes globals that are entirely unused to private.
-    pub fn apply_to_sharing(
+    pub(crate) fn apply_to_sharing(
         &self,
         scope: &ScopeAnalysis,
         sharing: &mut SharingMap,
@@ -202,7 +204,7 @@ struct Collector<'a> {
 }
 
 impl Collector<'_> {
-    fn resolve(&self, name: &str) -> Option<(VarKey, hsm_cir::types::CType)> {
+    fn resolve(&self, name: &str) -> Option<(VarKey, hsm_cir::CType)> {
         let sym = if self.current_fn.is_empty() {
             self.symbols.global(name)?
         } else {
@@ -435,7 +437,7 @@ impl Collector<'_> {
             self.current_fn = f.name.clone();
             let mut sites: Vec<(String, Vec<Expr>)> = Vec::new();
             for s in &f.body {
-                hsm_cir::visit::walk_exprs_in_stmt(s, &mut |e| {
+                hsm_cir::walk_exprs_in_stmt(s, &mut |e| {
                     if let ExprKind::Call(callee, args) = &e.kind {
                         if let Some(name) = callee.as_ident() {
                             sites.push((name.to_string(), args.clone()));
@@ -477,7 +479,7 @@ mod tests {
     use super::*;
     use crate::interthread::InterThreadAnalysis;
     use crate::threads::ThreadModel;
-    use hsm_cir::parser::parse;
+    use hsm_cir::parse;
 
     const EXAMPLE_4_1: &str = r#"
 int global;

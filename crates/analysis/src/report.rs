@@ -5,7 +5,7 @@ use std::fmt::Write;
 
 /// Renders Table 4.1: one row per variable with name, type, size,
 /// read/write counts and use/def sets.
-pub fn table_4_1(analysis: &ProgramAnalysis) -> String {
+pub(crate) fn table_4_1(analysis: &ProgramAnalysis) -> String {
     let mut rows = vec![[
         "Name".to_string(),
         "Type".to_string(),
@@ -37,7 +37,7 @@ pub fn table_4_1(analysis: &ProgramAnalysis) -> String {
 }
 
 /// Renders Table 4.2: sharing status after each of the three stages.
-pub fn table_4_2(analysis: &ProgramAnalysis) -> String {
+pub(crate) fn table_4_2(analysis: &ProgramAnalysis) -> String {
     let mut rows = vec![[
         "Variable".to_string(),
         "Stage 1".to_string(),
@@ -85,10 +85,10 @@ trait DecayDisplay {
     fn decay_for_display(&self) -> String;
 }
 
-impl DecayDisplay for hsm_cir::types::CType {
+impl DecayDisplay for hsm_cir::CType {
     fn decay_for_display(&self) -> String {
         match self {
-            hsm_cir::types::CType::Array(inner, _) => format!("{inner}*"),
+            hsm_cir::CType::Array(inner, _) => format!("{inner}*"),
             other => other.to_string(),
         }
     }
@@ -97,7 +97,7 @@ impl DecayDisplay for hsm_cir::types::CType {
 #[cfg(test)]
 mod tests {
     use crate::ProgramAnalysis;
-    use hsm_cir::parser::parse;
+    use hsm_cir::parse;
 
     const EXAMPLE_4_1: &str = r#"
 int global;

@@ -7,9 +7,9 @@
 
 use crate::access::{AccessCounts, AccessMap, CountMode, VarKey};
 use crate::sharing::{SharingMap, SharingStatus};
-use hsm_cir::symbols::{Scope, SymbolKind, SymbolTable};
-use hsm_cir::types::CType;
+use hsm_cir::CType;
 use hsm_cir::TranslationUnit;
+use hsm_cir::{Scope, SymbolKind, SymbolTable};
 
 /// Everything Stage 1 knows about one variable (one row of Table 4.1).
 #[derive(Debug, Clone, PartialEq)]
@@ -112,7 +112,7 @@ impl ScopeAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hsm_cir::parser::parse;
+    use hsm_cir::parse;
 
     const EXAMPLE_4_1: &str = r#"
 int global;

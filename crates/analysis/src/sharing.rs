@@ -39,24 +39,15 @@ impl fmt::Display for SharingStatus {
 
 /// A variable's status trajectory across the analysis stages.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StatusHistory {
+pub(crate) struct StatusHistory {
     /// Status after each recorded stage, in order (stage 1, 2, 3, …).
     pub stages: Vec<SharingStatus>,
 }
 
 impl StatusHistory {
     /// The latest status (`Unknown` if no stage recorded yet).
-    pub fn current(&self) -> SharingStatus {
+    pub(crate) fn current(&self) -> SharingStatus {
         self.stages.last().copied().unwrap_or_default()
-    }
-
-    /// The status after the 1-based `stage` (saturating to the latest).
-    pub fn after_stage(&self, stage: usize) -> SharingStatus {
-        if self.stages.is_empty() {
-            return SharingStatus::Unknown;
-        }
-        let idx = stage.min(self.stages.len()).saturating_sub(1);
-        self.stages[idx]
     }
 }
 
@@ -82,7 +73,7 @@ impl SharingMap {
     /// discipline. Returns the status actually recorded.
     ///
     /// ```
-    /// use hsm_analysis::sharing::{SharingMap, SharingStatus};
+    /// use hsm_analysis::{SharingMap, SharingStatus};
     /// let mut m = SharingMap::new();
     /// m.record("x", SharingStatus::Unknown);   // stage 1: undecided
     /// m.record("x", SharingStatus::Private);   // stage 2: from null — ok
@@ -121,11 +112,6 @@ impl SharingMap {
             .get(var)
             .map(|h| h.current())
             .unwrap_or_default()
-    }
-
-    /// The full trajectory of `var`, if recorded.
-    pub fn history(&self, var: &str) -> Option<&StatusHistory> {
-        self.entries.get(var)
     }
 
     /// Variable names currently marked shared, in first-seen order.
@@ -231,17 +217,8 @@ mod tests {
             for s in stages {
                 m.record(name, s);
             }
-            assert_eq!(m.history(name).unwrap().stages, stages.to_vec(), "{name}");
+            assert_eq!(m.entries[name].stages, stages.to_vec(), "{name}");
         }
-    }
-
-    #[test]
-    fn after_stage_saturates() {
-        let mut m = SharingMap::new();
-        m.record("x", SharingStatus::Shared);
-        let h = m.history("x").unwrap();
-        assert_eq!(h.after_stage(1), SharingStatus::Shared);
-        assert_eq!(h.after_stage(3), SharingStatus::Shared);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! launch site sits inside a loop — the facts Algorithm 1 and the Stage 5
 //! thread-to-process conversion (Algorithm 4) both need.
 
-use hsm_cir::ast::{Expr, ExprKind};
-use hsm_cir::visit::find_calls;
+use hsm_cir::find_calls;
 use hsm_cir::TranslationUnit;
+use hsm_cir::{Expr, ExprKind};
 use std::collections::BTreeSet;
 
 /// One `pthread_create(...)` launch site.
@@ -43,7 +43,7 @@ impl ThreadModel {
     /// to the user-supplied set `T` of Algorithm 4; pass the loop induction
     /// variables of thread-launch loops (or leave empty to auto-detect:
     /// any bare local variable passed through a cast counts).
-    pub fn discover(tu: &TranslationUnit, thread_id_vars: &BTreeSet<String>) -> Self {
+    pub(crate) fn discover(tu: &TranslationUnit, thread_id_vars: &BTreeSet<String>) -> Self {
         let mut launches = Vec::new();
         for site in find_calls(tu, "pthread_create") {
             let ExprKind::Call(_, args) = &site.expr.kind else {
@@ -66,7 +66,7 @@ impl ThreadModel {
             };
             launches.push(ThreadLaunch {
                 entry,
-                arg_src: hsm_cir::printer::print_expr(arg),
+                arg_src: hsm_cir::print_expr(arg),
                 arg_is_thread_id,
                 thread_id_var,
                 in_function: site.in_function.clone(),
@@ -77,7 +77,7 @@ impl ThreadModel {
     }
 
     /// Names of all thread-entry functions, deduplicated, in launch order.
-    pub fn entry_functions(&self) -> Vec<&str> {
+    pub(crate) fn entry_functions(&self) -> Vec<&str> {
         let mut seen = BTreeSet::new();
         let mut out = Vec::new();
         for l in &self.launches {
@@ -89,18 +89,18 @@ impl ThreadModel {
     }
 
     /// How many times `entry` appears across launch sites.
-    pub fn launch_count(&self, entry: &str) -> usize {
+    pub(crate) fn launch_count(&self, entry: &str) -> usize {
         self.launches.iter().filter(|l| l.entry == entry).count()
     }
 
     /// Whether `entry` is launched from inside a loop anywhere.
-    pub fn launched_in_loop(&self, entry: &str) -> bool {
+    pub(crate) fn launched_in_loop(&self, entry: &str) -> bool {
         self.launches.iter().any(|l| l.entry == entry && l.in_loop)
     }
 
     /// Algorithm 1's classification: is `entry` executed by multiple
     /// threads? True when launched in a loop or at more than one site.
-    pub fn runs_in_multiple_threads(&self, entry: &str) -> bool {
+    pub(crate) fn runs_in_multiple_threads(&self, entry: &str) -> bool {
         self.launched_in_loop(entry) || self.launch_count(entry) > 1
     }
 }
@@ -111,7 +111,7 @@ fn extract_entry_name(arg: &Expr) -> Option<String> {
     let core = arg.peel_casts();
     match &core.kind {
         ExprKind::Ident(name) => Some(name.clone()),
-        ExprKind::Unary(hsm_cir::ast::UnaryOp::Addr, inner) => {
+        ExprKind::Unary(hsm_cir::UnaryOp::Addr, inner) => {
             inner.peel_casts().as_ident().map(str::to_string)
         }
         _ => None,
@@ -121,7 +121,7 @@ fn extract_entry_name(arg: &Expr) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hsm_cir::parser::parse;
+    use hsm_cir::parse;
 
     const LOOPED: &str = r#"
 void *tf(void *tid) { return tid; }

@@ -42,7 +42,7 @@
 //! regardless. These execution flags (plus `--cache-dir DIR`, which
 //! backs the sweep's artifact cache with a persistent content-addressed
 //! store so a second run recompiles nothing) all parse into one
-//! [`hsm_core::spec::SweepSpec`] — the same value an `hsmd` sweep job
+//! [`hsm_core::api::SweepSpec`] — the same value an `hsmd` sweep job
 //! carries.
 //!
 //! `--client ADDR` runs the corpus sweep on a running `hsmd` server
@@ -62,8 +62,8 @@
 //! error document naming the failing pipeline stage:
 //! `{"schema_version": 3, "error": {"stage": "parse", "message": …}}`.
 
-use hsm_bench::json::Json;
-use hsm_core::spec::{take_bool_flag, take_flag};
+use hsm_core::api::Json;
+use hsm_core::api::{take_bool_flag, take_flag};
 use std::env;
 use std::process::ExitCode;
 
@@ -72,11 +72,11 @@ const MANIFEST_FILE: &str = "bench-out/BENCH_pipeline.json";
 
 /// The error document `--json` writes when the sweep fails: the failing
 /// stage name (from `PipelineError::stage`) plus the rendered error chain.
-fn error_manifest(e: &hsm_core::PipelineError) -> Json {
+fn error_manifest(e: &hsm_core::api::PipelineError) -> Json {
     Json::obj(vec![
         (
             "schema_version",
-            Json::UInt(hsm_bench::manifest::MANIFEST_SCHEMA_VERSION),
+            Json::UInt(hsm_bench::MANIFEST_SCHEMA_VERSION),
         ),
         (
             "error",
@@ -95,7 +95,7 @@ fn main() -> ExitCode {
     // The execution axes (--workers, --exec-model, --opt-level,
     // --cache-dir) all live in one SweepSpec — the value the manifest
     // consumes and a `--client` sweep job ships.
-    let mut spec = hsm_core::spec::SweepSpec::default();
+    let mut spec = hsm_core::api::SweepSpec::default();
     let flags = spec.take_cli_flags(&mut args).and_then(|()| {
         let client = take_flag(&mut args, "--client")?;
         let rows = take_flag(&mut args, "--rows")?;
@@ -139,10 +139,10 @@ fn main() -> ExitCode {
 
     let mut sharing_section = None;
     if check_sharing {
-        match hsm_bench::sharing::sharing_manifest_with(workers) {
+        match hsm_bench::sharing_manifest_with(workers) {
             Ok(sharing) => {
                 print_sharing(&sharing);
-                if !hsm_bench::sharing::all_pass(&sharing) {
+                if !hsm_bench::all_pass(&sharing) {
                     eprintln!("sharing check FAILED: a program missed its expectation");
                     failed = true;
                 }
@@ -156,11 +156,11 @@ fn main() -> ExitCode {
     }
 
     if emit_json {
-        let opts = hsm_bench::manifest::ManifestOptions {
+        let opts = hsm_bench::ManifestOptions {
             spec: spec.clone(),
             ..Default::default()
         };
-        let manifest = match hsm_bench::manifest::full_manifest(&opts) {
+        let manifest = match hsm_bench::full_manifest(&opts) {
             Ok(mut m) => {
                 if let (Some(sharing), Json::Obj(pairs)) = (sharing_section.take(), &mut m) {
                     pairs.push(("sharing".to_string(), sharing));
@@ -291,11 +291,11 @@ fn main() -> ExitCode {
 
 /// Fills an empty program list with the manifest corpus, so `--client`
 /// and `--rows` sweep the same default set the manifest reports.
-fn with_default_programs(spec: &hsm_core::spec::SweepSpec) -> hsm_core::spec::SweepSpec {
+fn with_default_programs(spec: &hsm_core::api::SweepSpec) -> hsm_core::api::SweepSpec {
     use hsm_core::api::SpecProgram;
     let mut spec = spec.clone();
     if spec.programs.is_empty() {
-        spec.programs = hsm_bench::manifest::MANIFEST_PROGRAMS
+        spec.programs = hsm_bench::MANIFEST_PROGRAMS
             .iter()
             .map(|&(name, cores)| SpecProgram::corpus(name, cores))
             .collect();
@@ -328,9 +328,9 @@ fn write_artifact(path: &str, content: &str) -> Result<(), String> {
 
 /// Runs the spec's sweep in this process and writes the row file —
 /// the reference bytes the `--client --rows` transport must reproduce.
-fn run_rows_local(spec: &hsm_core::spec::SweepSpec, path: &str) -> Result<(), String> {
+fn run_rows_local(spec: &hsm_core::api::SweepSpec, path: &str) -> Result<(), String> {
+    use hsm_core::api::sweep;
     use hsm_core::api::SweepRow;
-    use hsm_core::experiment::sweep;
     let spec = with_default_programs(spec);
     let cache = spec.open_cache().map_err(|e| e.to_string())?;
     let matrix = spec
@@ -352,7 +352,7 @@ fn run_rows_local(spec: &hsm_core::spec::SweepSpec, path: &str) -> Result<(), St
 /// one row per point as the server streams them back (matrix order).
 fn run_client(
     addr: &str,
-    spec: &hsm_core::spec::SweepSpec,
+    spec: &hsm_core::api::SweepSpec,
     rows_file: Option<&str>,
     shutdown: bool,
 ) -> Result<(), String> {
@@ -394,8 +394,8 @@ fn run_client(
 }
 
 /// Prints the sharing-oracle verdict table for `--check-sharing`.
-fn print_sharing(sharing: &hsm_bench::json::Json) {
-    use hsm_bench::json::Json;
+fn print_sharing(sharing: &hsm_core::api::Json) {
+    use hsm_core::api::Json;
     println!("Sharing-soundness oracle — corpus sweep\n");
     println!(
         "{:<30}{:>14}{:>14}{:>8}",

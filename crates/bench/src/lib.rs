@@ -2,19 +2,23 @@
 //!
 //! Each function regenerates the data behind one table or figure of the
 //! paper; the `figures` binary prints them (and with `--json` writes the
-//! versioned run manifest from [`manifest`]). Host wall-clock is measured
-//! from outside, by the repo-root `benchmark/` harness.
+//! versioned run manifest from [`full_manifest`]). Host wall-clock is
+//! measured from outside, by the repo-root `benchmark/` harness.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-/// The order-preserving JSON value (now shared with the core crate's
-/// spec/protocol layer; re-exported so `hsm_bench::json` keeps working).
-pub use hsm_core::json;
-pub mod manifest;
-pub mod sharing;
+mod manifest;
+mod sharing;
 
-use hsm_core::experiment::{self, BenchResult, Mode, SweepMatrix};
-use hsm_core::{Pipeline, PipelineError};
+pub use manifest::{
+    full_manifest, golden_manifest, ManifestOptions, MANIFEST_PROGRAMS, MANIFEST_SCHEMA_VERSION,
+};
+pub use sharing::{all_pass, sharing_manifest, sharing_manifest_with};
+
+use hsm_core::api::{sweep, Mode, SweepMatrix};
+use hsm_core::api::{Pipeline, PipelineError};
+use hsm_core::experiment::{self, BenchResult};
 use hsm_workloads::Bench;
 use scc_sim::SccConfig;
 use std::fmt::Write as _;
@@ -95,7 +99,7 @@ pub fn run_evaluation(units: usize) -> Result<Vec<BenchResult>, PipelineError> {
 /// # Errors
 ///
 /// Propagates pipeline failures.
-pub fn run_evaluation_with(
+pub(crate) fn run_evaluation_with(
     units: usize,
     workers: usize,
 ) -> Result<Vec<BenchResult>, PipelineError> {
@@ -103,7 +107,7 @@ pub fn run_evaluation_with(
     let benches = Bench::all();
     let modes = [Mode::PthreadBaseline, Mode::RcceOffChip, Mode::RcceHsm];
     let matrix = SweepMatrix::benchmarks(&benches, &modes, units, config).workers(workers);
-    let report = experiment::sweep(&matrix);
+    let report = sweep(&matrix);
     let mut outcomes = report.outcomes.into_iter();
     benches
         .into_iter()

@@ -4,8 +4,8 @@
 //! the chip configuration, the sweep engine's artifact-cache counters,
 //! per-core × per-region memory counters, MPB occupancy and per-stage
 //! pipeline metrics for a fixed set of corpus programs. The whole corpus
-//! is executed as one parallel [`hsm_core::experiment::sweep`] over a
-//! shared [`hsm_core::ArtifactCache`], so each program's source is parsed
+//! is executed as one parallel [`hsm_core::api::sweep`] over a
+//! shared [`hsm_core::api::ArtifactCache`], so each program's source is parsed
 //! once for its baseline and HSM runs and the per-point wall times shrink
 //! with the host's core count.
 //!
@@ -15,13 +15,12 @@
 //! the manifest is diffable against the checked-in goldens in `goldens/`,
 //! the CI gate that pins the simulator's observable behaviour.
 
-use crate::json::Json;
-use hsm_core::experiment::{
-    outputs_equivalent, sweep, Mode, Scenario, SweepMatrix, SweepReport, SweepTask,
-};
-use hsm_core::metrics::PipelineMetrics;
-use hsm_core::spec::SweepSpec;
-use hsm_core::{ArtifactCache, OptLevel, Pipeline, PipelineError, Stage};
+use hsm_core::api::Json;
+use hsm_core::api::PipelineMetrics;
+use hsm_core::api::SweepSpec;
+use hsm_core::api::{sweep, Mode, Scenario, SweepMatrix, SweepReport, SweepTask};
+use hsm_core::api::{ArtifactCache, OptLevel, Pipeline, PipelineError, Stage};
+use hsm_core::experiment::outputs_equivalent;
 use hsm_exec::{ExecModel, RunResult};
 use scc_sim::{Region, SccConfig};
 use std::path::PathBuf;
@@ -57,14 +56,14 @@ pub const MANIFEST_PROGRAMS: [(&str, usize); 5] = [
 /// section: the original pthread corpus program, its
 /// `task_spawn`-annotated port, and the core count both run at. A pair is
 /// included when its barrier program is in the manifest's program list.
-pub const TASK_PROGRAMS: [(&str, &str, usize); 2] = [
+pub(crate) const TASK_PROGRAMS: [(&str, &str, usize); 2] = [
     ("matrix_vector", "task_matrix_vector", 4),
     ("mutex_histogram", "task_histogram", 4),
 ];
 
 /// The subset of [`MANIFEST_PROGRAMS`] covered by the checked-in goldens
 /// (kept small so the debug-mode regression test stays fast).
-pub const GOLDEN_PROGRAMS: [(&str, usize); 2] = [("example_4_1", 3), ("matrix_vector", 4)];
+pub(crate) const GOLDEN_PROGRAMS: [(&str, usize); 2] = [("example_4_1", 3), ("matrix_vector", 4)];
 
 /// Manifest generation knobs. The execution axes — worker threads, the
 /// memory model and optimization level every entry executes under, and
@@ -143,7 +142,7 @@ pub(crate) fn corpus_source(name: &str) -> Arc<str> {
 }
 
 /// The chip-configuration block.
-pub fn config_json(config: &SccConfig) -> Json {
+pub(crate) fn config_json(config: &SccConfig) -> Json {
     Json::obj(vec![
         ("cores", Json::UInt(config.cores as u64)),
         ("mesh_cols", Json::UInt(config.mesh_cols as u64)),
@@ -166,7 +165,7 @@ pub fn config_json(config: &SccConfig) -> Json {
 /// One run's counter block: chip-global aggregate, per-region totals with
 /// latency histograms, and per-core rows for every core that issued at
 /// least one access.
-pub fn run_json(r: &RunResult) -> Json {
+pub(crate) fn run_json(r: &RunResult) -> Json {
     let agg = &r.mem_stats;
     let matrix = &r.stats_matrix;
     let regions = Json::Obj(
@@ -232,7 +231,7 @@ pub fn run_json(r: &RunResult) -> Json {
 
 /// The per-stage pipeline block (region sizes always; wall times only when
 /// requested, since they are host-dependent).
-pub fn metrics_json(m: &PipelineMetrics, opts: &ManifestOptions) -> Json {
+pub(crate) fn metrics_json(m: &PipelineMetrics, opts: &ManifestOptions) -> Json {
     Json::Arr(
         m.stages
             .iter()
@@ -255,7 +254,7 @@ pub fn metrics_json(m: &PipelineMetrics, opts: &ManifestOptions) -> Json {
 /// persistent store, which only intercepts misses) plus, when host
 /// timings are requested, the host-side parallelism figures and the
 /// `host_store` disk-traffic block (present only with a `--cache-dir`).
-pub fn sweep_json(report: &SweepReport, opts: &ManifestOptions) -> Json {
+pub(crate) fn sweep_json(report: &SweepReport, opts: &ManifestOptions) -> Json {
     let c = report.cache;
     // One hit/miss pair per compile-side stage, and their totals; the
     // `profile` and `run` shelves are not part of the manifest layout (a
@@ -271,7 +270,7 @@ pub fn sweep_json(report: &SweepReport, opts: &ManifestOptions) -> Json {
             (stage.label(), counters)
         })
         .collect();
-    let total = |pick: fn(&hsm_core::StageCounters) -> u64| {
+    let total = |pick: fn(&hsm_core::api::StageCounters) -> u64| {
         Json::UInt(compile_side.iter().map(|&stage| pick(&c[stage])).sum())
     };
     cache.push(("total_hits", total(|s| s.hits)));
@@ -341,10 +340,10 @@ fn manifest_matrix(
 
 /// Unwraps a metered sweep payload.
 fn metered_run(
-    outcome: hsm_core::experiment::SweepOutcome,
+    outcome: hsm_core::api::SweepOutcome,
 ) -> Result<(RunResult, PipelineMetrics), PipelineError> {
     match outcome.result? {
-        hsm_core::experiment::SweepPayload::Run(r, Some(m)) => Ok((r, m)),
+        hsm_core::api::SweepPayload::Run(r, Some(m)) => Ok((r, m)),
         _ => unreachable!("manifest points are always metered runs"),
     }
 }
@@ -367,27 +366,6 @@ fn entry_json(
         ("baseline", run_json(&base.0)),
         ("hsm", run_json(&hsm.0)),
     ])
-}
-
-/// Replays one corpus program (baseline + HSM) through a single-program
-/// sweep and builds its manifest entry.
-///
-/// # Errors
-///
-/// Propagates pipeline failures; panics only if the corpus file itself is
-/// missing (a build-tree corruption, not a runtime condition).
-pub fn program_entry(
-    name: &str,
-    cores: usize,
-    config: &SccConfig,
-    opts: &ManifestOptions,
-) -> Result<Json, PipelineError> {
-    let cache = open_cache(&opts.spec);
-    let report = sweep(&manifest_matrix(&[(name, cores)], opts, config, &cache));
-    let mut outcomes = report.outcomes.into_iter();
-    let base = metered_run(outcomes.next().expect("baseline point"))?;
-    let hsm = metered_run(outcomes.next().expect("hsm point"))?;
-    Ok(entry_json(name, cores, base, hsm, opts))
 }
 
 /// One optimization level's measurement of one program's HSM run:
@@ -413,7 +391,7 @@ fn opt_level_json(pipeline: &Pipeline) -> Result<Json, PipelineError> {
 /// # Errors
 ///
 /// Propagates pipeline failures.
-pub fn opt_json(
+pub(crate) fn opt_json(
     programs: &[(&str, usize)],
     opts: &ManifestOptions,
     config: &SccConfig,
@@ -463,7 +441,7 @@ pub fn opt_json(
 /// # Errors
 ///
 /// Propagates pipeline failures.
-pub fn tasks_json(
+pub(crate) fn tasks_json(
     programs: &[(&str, usize)],
     opts: &ManifestOptions,
     config: &SccConfig,
@@ -514,7 +492,7 @@ pub fn tasks_json(
 /// # Errors
 ///
 /// Propagates pipeline failures.
-pub fn manifest_for(
+pub(crate) fn manifest_for(
     programs: &[(&str, usize)],
     opts: &ManifestOptions,
 ) -> Result<Json, PipelineError> {
@@ -641,10 +619,8 @@ mod tests {
                 ..SweepSpec::default()
             },
         };
-        let with =
-            program_entry("example_4_1", 3, &SccConfig::table_6_1(), &base_opts).expect("entry");
-        let without = program_entry("example_4_1", 3, &SccConfig::table_6_1(), &quiet_opts(1))
-            .expect("entry");
+        let with = manifest_for(&[("example_4_1", 3)], &base_opts).expect("manifest");
+        let without = manifest_for(&[("example_4_1", 3)], &quiet_opts(1)).expect("manifest");
         assert!(with.render().contains("host_wall_nanos"));
         assert!(!without.render().contains("host_wall_nanos"));
     }

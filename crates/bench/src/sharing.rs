@@ -15,14 +15,14 @@
 //! detection over the shared regions: it validates the synchronization
 //! the translator inserted rather than the classification.
 //!
-//! All checks execute as one parallel [`hsm_core::experiment::sweep`]
+//! All checks execute as one parallel [`hsm_core::api::sweep`]
 //! over a shared artifact cache, so each clean program is parsed and
 //! analyzed once for its pthread-mode and RCCE-mode runs.
 
-use crate::json::Json;
 use crate::manifest::corpus_source;
-use hsm_core::experiment::{sweep, Mode, SweepMatrix, SweepOutcome, SweepPayload, SweepTask};
-use hsm_core::{Pipeline, PipelineError, SharingCheck};
+use hsm_core::api::Json;
+use hsm_core::api::{sweep, Mode, SweepMatrix, SweepOutcome, SweepPayload, SweepTask};
+use hsm_core::api::{PipelineError, SharingCheck};
 use hsm_exec::{Violation, ViolationClass};
 use scc_sim::SccConfig;
 use std::sync::Arc;
@@ -31,7 +31,7 @@ use std::sync::Arc;
 /// must run clean; `Some(class)` means the oracle must flag exactly that
 /// violation class. Core counts apply to the translated (RCCE) re-run of
 /// clean programs.
-pub const SHARING_EXPECTATIONS: [(&str, usize, Option<ViolationClass>); 7] = [
+pub(crate) const SHARING_EXPECTATIONS: [(&str, usize, Option<ViolationClass>); 7] = [
     ("example_4_1", 3, None),
     ("matrix_vector", 4, None),
     ("mutex_histogram", 4, None),
@@ -122,37 +122,6 @@ fn sharing_payload(outcome: SweepOutcome) -> Result<SharingCheck, PipelineError>
     }
 }
 
-/// Checks one corpus program against its expectation and renders its
-/// manifest entry.
-///
-/// # Errors
-///
-/// Propagates pipeline failures; panics only if the corpus file itself is
-/// missing.
-pub fn program_sharing_entry(
-    name: &str,
-    cores: usize,
-    expected: Option<ViolationClass>,
-    config: &SccConfig,
-) -> Result<Json, PipelineError> {
-    let session = Pipeline::new(corpus_source(name))
-        .cores(cores)
-        .config(config.clone());
-    let check = session
-        .clone()
-        .scenario(Mode::PthreadBaseline.into())
-        .check_sharing()?;
-    let rcce = if expected.is_none() {
-        // A clean pthread program must also stay race-free once
-        // translated: the RCCE-mode oracle audits the inserted barriers
-        // and locks. The session's cache hands it the already-parsed unit.
-        Some(session.scenario(Mode::RcceHsm.into()).check_sharing()?)
-    } else {
-        None
-    };
-    Ok(entry_json(name, cores, expected, &check, rcce.as_ref()))
-}
-
 /// The full `sharing` manifest section: every corpus program checked
 /// against its expectation, executed as one parallel sweep. Fully
 /// deterministic (no host timings, no cycle stamps), so it is
@@ -226,6 +195,7 @@ pub fn all_pass(sharing: &Json) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hsm_core::api::Pipeline;
 
     #[test]
     fn sharing_sweep_meets_every_expectation() {
@@ -261,14 +231,13 @@ mod tests {
 
     #[test]
     fn adversarial_rows_name_the_culprit_variable() {
-        let config = SccConfig::table_6_1();
-        let entry = program_sharing_entry(
-            "adversarial/escaping_arg",
-            2,
-            Some(ViolationClass::Unsoundness),
-            &config,
-        )
-        .expect("entry");
+        let name = "adversarial/escaping_arg";
+        let check = Pipeline::new(corpus_source(name))
+            .cores(2)
+            .scenario(Mode::PthreadBaseline.into())
+            .check_sharing()
+            .expect("check");
+        let entry = entry_json(name, 2, Some(ViolationClass::Unsoundness), &check, None);
         let Some(Json::Arr(violations)) = entry.get("violations") else {
             panic!("violations missing");
         };

@@ -11,7 +11,7 @@
 //! UPDATE_GOLDENS=1 cargo test -p hsm-bench --test manifest_golden
 //! ```
 
-use hsm_bench::manifest::golden_manifest;
+use hsm_bench::golden_manifest;
 use std::path::PathBuf;
 
 fn golden_path() -> PathBuf {

@@ -11,7 +11,7 @@
 //! UPDATE_GOLDENS=1 cargo test -p hsm-bench --test sharing_golden
 //! ```
 
-use hsm_bench::sharing::{all_pass, sharing_manifest};
+use hsm_bench::{all_pass, sharing_manifest};
 use std::path::PathBuf;
 
 fn golden_path() -> PathBuf {

@@ -6,7 +6,7 @@ use std::fmt;
 
 /// An error produced while lexing C source text.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LexError {
+pub(crate) struct LexError {
     /// Where the error occurred.
     pub loc: Loc,
     /// Human-readable description, lowercase, no trailing punctuation.
@@ -15,7 +15,7 @@ pub struct LexError {
 
 impl LexError {
     /// Creates a lex error at `loc`.
-    pub fn new(loc: Loc, message: impl Into<String>) -> Self {
+    pub(crate) fn new(loc: Loc, message: impl Into<String>) -> Self {
         LexError {
             loc,
             message: message.into(),

@@ -15,18 +15,7 @@ use crate::token::{Keyword, Punct, Token, TokenKind};
 ///
 /// Returns a [`LexError`] on unterminated literals/comments or characters
 /// outside the supported subset.
-///
-/// ```
-/// # fn main() -> Result<(), hsm_cir::error::LexError> {
-/// use hsm_cir::lexer::lex;
-/// use hsm_cir::token::TokenKind;
-/// let tokens = lex("int x = 42;")?;
-/// assert!(matches!(tokens[2].kind, TokenKind::Punct(_)));
-/// assert!(matches!(tokens[3].kind, TokenKind::IntLit(42)));
-/// # Ok(())
-/// # }
-/// ```
-pub fn lex(source: &str) -> Result<Vec<Token>, LexError> {
+pub(crate) fn lex(source: &str) -> Result<Vec<Token>, LexError> {
     Lexer::new(source).run()
 }
 

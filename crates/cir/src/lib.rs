@@ -14,8 +14,8 @@
 //! Parse a pthread program, inspect its symbols, and print it back:
 //!
 //! ```
-//! # fn main() -> Result<(), hsm_cir::error::ParseError> {
-//! use hsm_cir::{parser::parse, printer::print_unit, symbols::SymbolTable};
+//! # fn main() -> Result<(), hsm_cir::ParseError> {
+//! use hsm_cir::{parse, print_unit, SymbolTable};
 //!
 //! let tu = parse(r#"
 //!     int sum[3] = {0};
@@ -31,21 +31,27 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod ast;
-pub mod error;
-pub mod lexer;
-pub mod parser;
-pub mod printer;
-pub mod span;
-pub mod symbols;
-pub mod token;
-pub mod types;
-pub mod visit;
+mod ast;
+mod error;
+mod lexer;
+mod parser;
+mod printer;
+mod span;
+mod symbols;
+mod token;
+mod types;
+mod visit;
 
-pub use ast::{Expr, ExprKind, FunctionDef, Item, NodeId, Stmt, StmtKind, TranslationUnit};
-pub use error::{LexError, ParseError};
-pub use parser::parse;
-pub use printer::print_unit;
-pub use symbols::{Scope, Symbol, SymbolTable};
+pub use ast::{
+    AssignOp, BinaryOp, Declaration, Expr, ExprKind, ForInit, FunctionDef, Item, NodeId, Param,
+    Stmt, StmtKind, Storage, TranslationUnit, UnaryOp, VarDecl,
+};
+pub use error::ParseError;
+pub use parser::{const_fold, parse};
+pub use printer::{print_expr, print_unit};
+pub use span::{Loc, Span};
+pub use symbols::{Scope, Symbol, SymbolKind, SymbolTable};
 pub use types::CType;
+pub use visit::{find_calls, walk_exprs_in_stmt, CallSite};

@@ -19,12 +19,16 @@ use std::collections::HashSet;
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] on lexical errors or constructs outside the
-/// supported subset.
+/// Returns a [`ParseError`] on lexical errors, constructs outside the
+/// supported subset, or statements and expressions nested deeper than
+/// 128 levels (a statement, a parenthesized expression, the operand of a
+/// prefix operator, each link of an operator chain and each `*` or `[]`
+/// of a type are a level each; the braces around an `if` or loop body are
+/// not).
 ///
 /// ```
-/// # fn main() -> Result<(), hsm_cir::error::ParseError> {
-/// use hsm_cir::parser::parse;
+/// # fn main() -> Result<(), hsm_cir::ParseError> {
+/// use hsm_cir::parse;
 /// let tu = parse("int global; int main() { return 0; }")?;
 /// assert!(tu.function("main").is_some());
 /// assert_eq!(tu.global_decls().count(), 1);
@@ -65,11 +69,26 @@ fn builtin_type_names() -> HashSet<String> {
     .collect()
 }
 
+/// The deepest nesting of statements and expressions, counted together,
+/// that [`parse`] accepts. A statement, a parenthesized or bracketed
+/// expression, the operand of a prefix operator or cast, each link of an
+/// operator, assignment, ternary, comma or postfix chain, and each `*` or
+/// `[]` of a declared or cast type is one level;
+/// the braces around an `if`, `else` or loop body are not, so printing a
+/// unit (which braces every body) never deepens it. The parser and every
+/// stage after it recurse once per level, so an unbounded program could
+/// overflow the stack of the thread compiling it, which aborts the
+/// process. The corpus and the paper workloads, before and after
+/// translation, nest at most 13 levels.
+pub(crate) const MAX_NESTING: usize = 128;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     next_id: u32,
     type_names: HashSet<String>,
+    /// Levels of [`MAX_NESTING`] open at `pos`.
+    depth: usize,
 }
 
 impl Parser {
@@ -79,7 +98,21 @@ impl Parser {
             pos: 0,
             next_id: 0,
             type_names: builtin_type_names(),
+            depth: 0,
         }
+    }
+
+    /// Opens one nesting level; the caller closes it with
+    /// `self.depth -= 1` (or `-= n` after a chain of `n` links).
+    fn nest(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(ParseError::new(
+                self.loc(),
+                format!("statements and expressions nested deeper than {MAX_NESTING} levels"),
+            ));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     fn fresh(&mut self) -> NodeId {
@@ -299,6 +332,7 @@ impl Parser {
         let mut stars = 0usize;
         let start = self.loc();
         while self.eat_punct(Punct::Star) {
+            self.nest()?;
             stars += 1;
             // const/volatile after star
             while matches!(
@@ -316,6 +350,7 @@ impl Parser {
         // Array suffixes apply outside-in: `int a[2][3]` is array 2 of array 3.
         let mut dims = Vec::new();
         while self.eat_punct(Punct::LBracket) {
+            self.nest()?;
             if self.eat_punct(Punct::RBracket) {
                 dims.push(None);
             } else {
@@ -324,6 +359,7 @@ impl Parser {
                 dims.push(Some(len));
             }
         }
+        self.depth -= stars + dims.len();
         for dim in dims.into_iter().rev() {
             ty = ty.array_of(dim);
         }
@@ -521,6 +557,7 @@ impl Parser {
         if self.peek() == &TokenKind::Punct(Punct::LBrace) {
             let start = self.loc();
             self.bump();
+            self.nest()?;
             let mut items = Vec::new();
             if !self.eat_punct(Punct::RBrace) {
                 loop {
@@ -535,6 +572,7 @@ impl Parser {
                     }
                 }
             }
+            self.depth -= 1;
             let id = self.fresh();
             Ok(Expr {
                 id,
@@ -549,6 +587,24 @@ impl Parser {
     // ----------------------------------------------------------- statements
 
     fn parse_stmt(&mut self) -> Result<Stmt, ParseError> {
+        self.nest()?;
+        let stmt = self.parse_stmt_kind();
+        self.depth -= 1;
+        stmt
+    }
+
+    /// The body of an `if`, `else`, loop or `do`: braces around it are
+    /// not a level of their own, so the printer, which braces every body,
+    /// never deepens a program.
+    fn parse_body(&mut self) -> Result<Stmt, ParseError> {
+        if self.peek() == &TokenKind::Punct(Punct::LBrace) {
+            self.parse_stmt_kind()
+        } else {
+            self.parse_stmt()
+        }
+    }
+
+    fn parse_stmt_kind(&mut self) -> Result<Stmt, ParseError> {
         let start = self.loc();
         let kind = match self.peek().clone() {
             TokenKind::Punct(Punct::LBrace) => {
@@ -570,9 +626,9 @@ impl Parser {
                 self.expect_punct(Punct::LParen)?;
                 let cond = self.parse_expr()?;
                 self.expect_punct(Punct::RParen)?;
-                let then = Box::new(self.parse_stmt()?);
+                let then = Box::new(self.parse_body()?);
                 let els = if self.eat_keyword(Keyword::Else) {
-                    Some(Box::new(self.parse_stmt()?))
+                    Some(Box::new(self.parse_body()?))
                 } else {
                     None
                 };
@@ -583,12 +639,12 @@ impl Parser {
                 self.expect_punct(Punct::LParen)?;
                 let cond = self.parse_expr()?;
                 self.expect_punct(Punct::RParen)?;
-                let body = Box::new(self.parse_stmt()?);
+                let body = Box::new(self.parse_body()?);
                 StmtKind::While(cond, body)
             }
             TokenKind::Keyword(Keyword::Do) => {
                 self.bump();
-                let body = Box::new(self.parse_stmt()?);
+                let body = Box::new(self.parse_body()?);
                 if !self.eat_keyword(Keyword::While) {
                     return Err(ParseError::new(
                         self.loc(),
@@ -626,7 +682,7 @@ impl Parser {
                     Some(self.parse_expr()?)
                 };
                 self.expect_punct(Punct::RParen)?;
-                let body = Box::new(self.parse_stmt()?);
+                let body = Box::new(self.parse_body()?);
                 StmtKind::For(init, cond, step, body)
             }
             TokenKind::Keyword(Keyword::Switch) => {
@@ -717,9 +773,19 @@ impl Parser {
     // ---------------------------------------------------------- expressions
 
     fn parse_expr(&mut self) -> Result<Expr, ParseError> {
+        self.nest()?;
+        let expr = self.parse_comma_chain();
+        self.depth -= 1;
+        expr
+    }
+
+    fn parse_comma_chain(&mut self) -> Result<Expr, ParseError> {
         let mut lhs = self.parse_assignment()?;
+        let mut links = 0;
         while self.peek() == &TokenKind::Punct(Punct::Comma) {
             self.bump();
+            self.nest()?;
+            links += 1;
             let rhs = self.parse_assignment()?;
             let span = lhs.span.merge(rhs.span);
             let id = self.fresh();
@@ -729,6 +795,7 @@ impl Parser {
                 span,
             };
         }
+        self.depth -= links;
         Ok(lhs)
     }
 
@@ -749,7 +816,9 @@ impl Parser {
             _ => return Ok(lhs),
         };
         self.bump();
+        self.nest()?;
         let rhs = self.parse_assignment()?;
+        self.depth -= 1;
         let span = lhs.span.merge(rhs.span);
         let id = self.fresh();
         Ok(Expr {
@@ -762,9 +831,11 @@ impl Parser {
     fn parse_ternary(&mut self) -> Result<Expr, ParseError> {
         let cond = self.parse_binary(0)?;
         if self.eat_punct(Punct::Question) {
+            self.nest()?;
             let then = self.parse_expr()?;
             self.expect_punct(Punct::Colon)?;
             let els = self.parse_assignment()?;
+            self.depth -= 1;
             let span = cond.span.merge(els.span);
             let id = self.fresh();
             Ok(Expr {
@@ -805,8 +876,11 @@ impl Parser {
 
     fn parse_binary(&mut self, min_prec: u8) -> Result<Expr, ParseError> {
         let mut lhs = self.parse_unary()?;
+        let mut links = 0;
         while let Some((op, prec)) = self.binary_op_at(min_prec) {
             self.bump();
+            self.nest()?;
+            links += 1;
             let rhs = self.parse_binary(prec + 1)?;
             let span = lhs.span.merge(rhs.span);
             let id = self.fresh();
@@ -816,6 +890,7 @@ impl Parser {
                 span,
             };
         }
+        self.depth -= links;
         Ok(lhs)
     }
 
@@ -836,10 +911,22 @@ impl Parser {
     fn parse_cast_type(&mut self) -> Result<CType, ParseError> {
         let (_, base) = self.parse_base_type()?;
         let mut ty = base;
+        let mut stars = 0;
         while self.eat_punct(Punct::Star) {
+            self.nest()?;
+            stars += 1;
             ty = ty.ptr_to();
         }
+        self.depth -= stars;
         Ok(ty)
+    }
+
+    /// The operand of a prefix operator, `sizeof` or cast: one level.
+    fn parse_operand(&mut self) -> Result<Expr, ParseError> {
+        self.nest()?;
+        let expr = self.parse_unary();
+        self.depth -= 1;
+        expr
     }
 
     fn parse_unary(&mut self) -> Result<Expr, ParseError> {
@@ -857,7 +944,7 @@ impl Parser {
         };
         if let Some(op) = op {
             self.bump();
-            let inner = self.parse_unary()?;
+            let inner = self.parse_operand()?;
             let span = Span::new(start, inner.span.end);
             let id = self.fresh();
             return Ok(Expr {
@@ -879,7 +966,7 @@ impl Parser {
                     span: Span::new(start, self.loc()),
                 });
             }
-            let inner = self.parse_unary()?;
+            let inner = self.parse_operand()?;
             let span = Span::new(start, inner.span.end);
             let id = self.fresh();
             return Ok(Expr {
@@ -892,7 +979,7 @@ impl Parser {
             self.bump(); // (
             let ty = self.parse_cast_type()?;
             self.expect_punct(Punct::RParen)?;
-            let inner = self.parse_unary()?;
+            let inner = self.parse_operand()?;
             let span = Span::new(start, inner.span.end);
             let id = self.fresh();
             return Ok(Expr {
@@ -906,7 +993,22 @@ impl Parser {
 
     fn parse_postfix(&mut self) -> Result<Expr, ParseError> {
         let mut e = self.parse_primary()?;
+        let mut links = 0;
         loop {
+            if matches!(
+                self.peek(),
+                TokenKind::Punct(
+                    Punct::LParen
+                        | Punct::LBracket
+                        | Punct::Dot
+                        | Punct::Arrow
+                        | Punct::PlusPlus
+                        | Punct::MinusMinus
+                )
+            ) {
+                self.nest()?;
+                links += 1;
+            }
             match self.peek() {
                 TokenKind::Punct(Punct::LParen) => {
                     self.bump();
@@ -982,7 +1084,10 @@ impl Parser {
                         span,
                     };
                 }
-                _ => return Ok(e),
+                _ => {
+                    self.depth -= links;
+                    return Ok(e);
+                }
             }
         }
     }
@@ -1092,6 +1197,43 @@ int main() {
     return 0;
 }
 "#;
+
+    #[test]
+    fn nesting_is_bounded_at_max_nesting() {
+        let check = || {
+            let blocks =
+                |n: usize| format!("int main() {{ {}0;{} }}", "{ ".repeat(n), " }".repeat(n));
+            // `n` blocks, then the statement `0;` and its expression: n + 2.
+            assert!(parse(&blocks(MAX_NESTING - 2)).is_ok());
+            let err = parse(&blocks(MAX_NESTING - 1)).unwrap_err();
+            assert!(
+                err.message.contains("nested deeper than 128 levels"),
+                "{err}"
+            );
+            // Braces around a body are not a level of their own.
+            let braced = |n: usize| {
+                format!(
+                    "int main() {{ {}0;{} }}",
+                    "if (1) { ".repeat(n),
+                    " }".repeat(n)
+                )
+            };
+            assert!(parse(&braced(MAX_NESTING - 2)).is_ok());
+            assert!(parse(&braced(MAX_NESTING - 1)).is_err());
+            // Each `*` of a type is a level: a global declarator starts at 0.
+            let pointer = |n: usize| format!("int {}p;", "*".repeat(n));
+            assert!(parse(&pointer(MAX_NESTING)).is_ok());
+            assert!(parse(&pointer(MAX_NESTING + 1)).is_err());
+        };
+        // A debug build's parser frames outgrow the test thread's 2 MiB at
+        // the limit; `hsmd` runs the parser on larger stacks.
+        std::thread::Builder::new()
+            .stack_size(16 << 20)
+            .spawn(check)
+            .expect("spawn")
+            .join()
+            .expect("the limit holds");
+    }
 
     #[test]
     fn parses_example_code_4_1() {

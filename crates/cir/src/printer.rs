@@ -10,8 +10,8 @@ use std::fmt::Write;
 /// Renders a whole translation unit as C source.
 ///
 /// ```
-/// # fn main() -> Result<(), hsm_cir::error::ParseError> {
-/// use hsm_cir::{parser::parse, printer::print_unit};
+/// # fn main() -> Result<(), hsm_cir::ParseError> {
+/// use hsm_cir::{parse, print_unit};
 /// let tu = parse("int x = 1;\nint main() { return x; }")?;
 /// let src = print_unit(&tu);
 /// assert!(src.contains("int x = 1;"));

@@ -9,7 +9,7 @@ use std::fmt;
 /// A position in the source text (1-based line and column).
 ///
 /// ```
-/// use hsm_cir::span::Loc;
+/// use hsm_cir::Loc;
 /// let loc = Loc::new(3, 14);
 /// assert_eq!(loc.to_string(), "3:14");
 /// ```
@@ -48,7 +48,7 @@ impl fmt::Display for Loc {
 /// A contiguous region of source text, `[start, end)`.
 ///
 /// ```
-/// use hsm_cir::span::{Loc, Span};
+/// use hsm_cir::{Loc, Span};
 /// let span = Span::new(Loc::new(1, 1), Loc::new(1, 4));
 /// assert_eq!(span.to_string(), "1:1-1:4");
 /// ```

@@ -87,8 +87,8 @@ impl SymbolTable {
     /// Builds the symbol table for `tu`.
     ///
     /// ```
-    /// # fn main() -> Result<(), hsm_cir::error::ParseError> {
-    /// use hsm_cir::{parser::parse, symbols::SymbolTable};
+    /// # fn main() -> Result<(), hsm_cir::ParseError> {
+    /// use hsm_cir::{parse, SymbolTable};
     /// let tu = parse("int g; int main() { int l; return l + g; }")?;
     /// let syms = SymbolTable::build(&tu);
     /// assert!(syms.lookup("main", "l").is_some());
@@ -260,32 +260,12 @@ impl SymbolTable {
             .collect()
     }
 
-    /// All local variables and parameters of `func`, in declaration order.
-    pub fn locals_of(&self, func: &str) -> Vec<&Symbol> {
-        self.order
-            .iter()
-            .filter(|(f, _)| f.as_deref() == Some(func))
-            .filter_map(|(f, n)| self.locals.get(f.as_deref().unwrap())?.get(n))
-            .collect()
-    }
-
     /// Every symbol in the unit, in declaration order (globals and locals).
     pub fn iter(&self) -> impl Iterator<Item = &Symbol> {
         self.order.iter().filter_map(move |(f, n)| match f {
             None => self.globals.get(n),
             Some(func) => self.locals.get(func).and_then(|m| m.get(n)),
         })
-    }
-
-    /// Names of all defined functions.
-    pub fn function_names(&self) -> Vec<&str> {
-        self.order
-            .iter()
-            .filter(|(f, _)| f.is_none())
-            .filter_map(|(_, n)| self.globals.get(n))
-            .filter(|s| s.kind == SymbolKind::Function)
-            .map(|s| s.name.as_str())
-            .collect()
     }
 }
 
@@ -324,10 +304,14 @@ int main() {
             .map(|s| s.name.clone())
             .collect();
         assert_eq!(globals, vec!["global", "ptr", "sum"]);
-        let main_locals: Vec<_> = t.locals_of("main").iter().map(|s| s.name.clone()).collect();
-        assert_eq!(main_locals, vec!["local", "tmp", "threads", "rc"]);
-        let tf_locals: Vec<_> = t.locals_of("tf").iter().map(|s| s.name.clone()).collect();
-        assert_eq!(tf_locals, vec!["tid", "tLocal"]);
+        let locals_of = |func| -> Vec<_> {
+            t.iter()
+                .filter(|s| s.scope.function() == Some(func))
+                .map(|s| s.name.clone())
+                .collect()
+        };
+        assert_eq!(locals_of("main"), vec!["local", "tmp", "threads", "rc"]);
+        assert_eq!(locals_of("tf"), vec!["tid", "tLocal"]);
     }
 
     #[test]
@@ -353,7 +337,12 @@ int main() {
     fn functions_are_symbols() {
         let tu = parse(EXAMPLE).unwrap();
         let t = SymbolTable::build(&tu);
-        assert_eq!(t.function_names(), vec!["tf", "main"]);
+        let functions: Vec<_> = t
+            .iter()
+            .filter(|s| s.kind == SymbolKind::Function)
+            .map(|s| s.name.as_str())
+            .collect();
+        assert_eq!(functions, vec!["tf", "main"]);
         assert_eq!(t.global("tf").unwrap().kind, SymbolKind::Function);
     }
 

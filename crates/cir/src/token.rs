@@ -5,7 +5,7 @@ use std::fmt;
 
 /// The kind of a lexed token.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     /// An identifier or keyword candidate, e.g. `main`, `pthread_create`.
     Ident(String),
     /// A reserved keyword, e.g. `int`, `for`, `return`.
@@ -31,7 +31,7 @@ pub enum TokenKind {
 /// Reserved keywords of the supported C subset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
-pub enum Keyword {
+pub(crate) enum Keyword {
     Void,
     Char,
     Short,
@@ -67,7 +67,7 @@ pub enum Keyword {
 impl Keyword {
     /// Looks up a keyword from its source spelling.
     #[allow(clippy::should_implement_trait)] // returns Option, not Result
-    pub fn from_str(s: &str) -> Option<Keyword> {
+    pub(crate) fn from_str(s: &str) -> Option<Keyword> {
         use Keyword::*;
         Some(match s {
             "void" => Void,
@@ -105,7 +105,7 @@ impl Keyword {
     }
 
     /// The source spelling of the keyword.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         use Keyword::*;
         match self {
             Void => "void",
@@ -151,7 +151,7 @@ impl fmt::Display for Keyword {
 /// Punctuation and operator tokens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
-pub enum Punct {
+pub(crate) enum Punct {
     LParen,
     RParen,
     LBrace,
@@ -205,7 +205,7 @@ pub enum Punct {
 
 impl Punct {
     /// The source spelling of the operator.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         use Punct::*;
         match self {
             LParen => "(",
@@ -265,7 +265,7 @@ impl fmt::Display for Punct {
 
 /// A lexed token: a [`TokenKind`] plus its [`Span`] in the source.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub(crate) struct Token {
     /// What was lexed.
     pub kind: TokenKind,
     /// Where it was lexed from.

@@ -70,20 +70,6 @@ impl CType {
         matches!(self, CType::Float | CType::Double)
     }
 
-    /// Whether the type is an integer scalar (including `char`).
-    pub fn is_integer(&self) -> bool {
-        matches!(
-            self,
-            CType::Char
-                | CType::Short
-                | CType::Int
-                | CType::Long
-                | CType::LongLong
-                | CType::UInt
-                | CType::ULong
-        )
-    }
-
     /// The element type of an array or the pointee of a pointer, if any.
     pub fn element(&self) -> Option<&CType> {
         match self {
@@ -131,7 +117,7 @@ impl CType {
     /// This is the `mem_size` used by the paper's Algorithm 3 partitioner.
     ///
     /// ```
-    /// use hsm_cir::types::CType;
+    /// use hsm_cir::CType;
     /// let sum = CType::Int.array_of(Some(3));
     /// assert_eq!(sum.mem_size(), 12);
     /// assert_eq!(CType::Double.ptr_to().mem_size(), 4);
@@ -181,7 +167,7 @@ impl CType {
     /// `int *sum[3]` for `name = "sum"`.
     ///
     /// ```
-    /// use hsm_cir::types::CType;
+    /// use hsm_cir::CType;
     /// let t = CType::Int.ptr_to();
     /// assert_eq!(t.display_decl("ptr"), "int *ptr");
     /// let a = CType::Int.array_of(Some(3));
@@ -305,9 +291,6 @@ mod tests {
     fn classification_predicates() {
         assert!(CType::Double.is_float());
         assert!(!CType::Int.is_float());
-        assert!(CType::Int.is_integer());
-        assert!(CType::UInt.is_integer());
-        assert!(!CType::Double.is_integer());
         assert!(CType::Void.ptr_to().is_pointer());
         assert!(CType::Int.array_of(None).is_array());
     }

@@ -7,7 +7,7 @@
 use crate::ast::*;
 
 /// Calls `f` on `e` and every sub-expression, pre-order.
-pub fn walk_expr<'a>(e: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
+pub(crate) fn walk_expr<'a>(e: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
     f(e);
     match &e.kind {
         ExprKind::IntLit(_)
@@ -49,7 +49,7 @@ pub fn walk_expr<'a>(e: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
 }
 
 /// Calls `f` on `s` and every nested statement, pre-order.
-pub fn walk_stmt(s: &Stmt, f: &mut impl FnMut(&Stmt)) {
+pub(crate) fn walk_stmt(s: &Stmt, f: &mut impl FnMut(&Stmt)) {
     f(s);
     match &s.kind {
         StmtKind::Block(stmts) => {
@@ -123,24 +123,6 @@ fn exprs_of_stmt_shallow(s: &Stmt, f: &mut impl FnMut(&Expr)) {
         StmtKind::Switch(scrutinee, _) => walk_expr(scrutinee, f),
         StmtKind::Return(Some(e)) => walk_expr(e, f),
         StmtKind::Return(None) | StmtKind::Case(_) | StmtKind::Default => {}
-    }
-}
-
-/// Calls `f` on every declaration in the unit (global and local).
-pub fn walk_decls_in_unit(tu: &TranslationUnit, f: &mut impl FnMut(&Declaration, Option<&str>)) {
-    for item in &tu.items {
-        match item {
-            Item::Decl(d) => f(d, None),
-            Item::Func(func) => {
-                for s in &func.body {
-                    walk_stmt(s, &mut |st| match &st.kind {
-                        StmtKind::Decl(d) => f(d, Some(&func.name)),
-                        StmtKind::For(Some(ForInit::Decl(d)), _, _, _) => f(d, Some(&func.name)),
-                        _ => {}
-                    });
-                }
-            }
-        }
     }
 }
 
@@ -275,21 +257,6 @@ int main() {
         assert!(calls[1].in_loop);
         assert!(calls[2].in_loop);
         assert!(calls.iter().all(|c| c.in_function == "main"));
-    }
-
-    #[test]
-    fn walk_decls_reports_owner() {
-        let src = "int g; int main() { int l; for (int i = 0; i < 2; i++) { int m; } return 0; }";
-        let tu = parse(src).unwrap();
-        let mut globals = 0;
-        let mut locals = 0;
-        walk_decls_in_unit(&tu, &mut |_, owner| match owner {
-            None => globals += 1,
-            Some("main") => locals += 1,
-            Some(other) => panic!("unexpected owner {other}"),
-        });
-        assert_eq!(globals, 1);
-        assert_eq!(locals, 3); // l, i (for-init), m
     }
 
     #[test]

@@ -8,17 +8,15 @@
 //! ```
 //!
 //! The server accepts line-delimited JSON jobs (`ping`, `translate`,
-//! `simulate`, `sweep`, `shutdown`) on a TCP socket; see
-//! `hsm_core::protocol` for the wire format and DESIGN.md §12 for the
-//! protocol walkthrough. All connections share one artifact cache, so
+//! `simulate`, `sweep`, `shutdown`) on a TCP socket; see DESIGN.md §12
+//! for the wire format and the protocol walkthrough. All connections share one artifact cache, so
 //! concurrent clients sweeping overlapping corpora parse, translate,
 //! compile and simulate each point once between them (with
 //! `--cache-dir`, once across restarts too). It prints
 //! `hsmd listening on <addr>` once ready and exits cleanly on a
 //! `shutdown` job.
 
-use hsm_core::api::{Server, ServerOptions};
-use hsm_core::spec::take_flag;
+use hsm_core::api::{take_flag, Server, ServerOptions};
 use std::process::ExitCode;
 
 /// The default listen address.

@@ -8,8 +8,7 @@
 //! hsmsim prog.c --stats                  # print memory-system statistics
 //! ```
 
-use hsm_core::spec::{take_bool_flag, take_flag};
-use hsm_core::{Mode, Pipeline, Policy};
+use hsm_core::api::{take_bool_flag, take_flag, Mode, Pipeline, Policy};
 use hsm_exec::{ExecModel, NullSink, RunSpec, Units};
 use scc_sim::SccConfig;
 use std::process::ExitCode;

@@ -70,7 +70,7 @@ pub fn source_hash(src: &str) -> u64 {
 /// profile keys: FNV-1a over every parameter. The destructuring is
 /// exhaustive on purpose: a field added to [`SccConfig`] does not compile
 /// until it is hashed here.
-pub fn chip_fingerprint(config: &SccConfig) -> u64 {
+pub(crate) fn chip_fingerprint(config: &SccConfig) -> u64 {
     let SccConfig {
         cores,
         mesh_cols,
@@ -197,7 +197,7 @@ pub enum ArtifactKey {
     },
     /// A [`Profile`](hsm_exec::Profile) of one simulated run. Unlike the
     /// compile-side artifacts, a profile depends on *everything* that
-    /// selects the run — the full [`Scenario`](crate::Scenario), because
+    /// selects the run — the full [`Scenario`](crate::scenario::Scenario), because
     /// the execution model changes what the run observes even though it
     /// changes no compiled artifact; the chip it ran on; and, because the
     /// entry outlives the process, the simulator that produced it.
@@ -211,8 +211,8 @@ pub enum ArtifactKey {
         /// Memory spec partitioned against.
         spec: MemorySpec,
         /// The full scenario (mode × exec model × opt level).
-        scenario: crate::Scenario,
-        /// [`chip_fingerprint`] of the simulated chip.
+        scenario: crate::scenario::Scenario,
+        /// Fingerprint of the simulated chip.
         chip: u64,
         /// [`hsm_exec::MODEL_VERSION`] of the simulator.
         model: u32,
@@ -229,8 +229,8 @@ pub enum ArtifactKey {
         /// Memory spec partitioned against.
         spec: MemorySpec,
         /// The full scenario (mode × exec model × opt level).
-        scenario: crate::Scenario,
-        /// [`chip_fingerprint`] of the simulated chip.
+        scenario: crate::scenario::Scenario,
+        /// Fingerprint of the simulated chip.
         chip: u64,
         /// [`hsm_exec::MODEL_VERSION`] of the simulator.
         model: u32,
@@ -565,8 +565,8 @@ impl<V> Shelf<V> {
     }
 }
 
-/// The keyed artifact store shared by [`Pipeline`](crate::Pipeline)
-/// sessions, [`experiment::sweep`](crate::experiment::sweep) workers and
+/// The keyed artifact store shared by [`Pipeline`](crate::api::Pipeline)
+/// sessions, [`sweep`](crate::api::sweep) workers and
 /// `hsmd` clients. Optionally backed by a persistent [`DiskStore`] (see
 /// the module docs).
 #[derive(Default)]
@@ -593,7 +593,7 @@ const RUN_SHELF_BYTES: usize = 4 << 20;
 
 impl ArtifactCache {
     /// A fresh in-memory cache behind an [`Arc`], ready to hand to
-    /// several [`Pipeline`](crate::Pipeline) sessions.
+    /// several [`Pipeline`](crate::api::Pipeline) sessions.
     pub fn shared() -> Arc<Self> {
         Arc::new(Self::default())
     }
@@ -758,7 +758,7 @@ impl ArtifactCache {
     /// # Errors
     ///
     /// Propagates `compute`'s error without caching it.
-    pub fn profile_with<E>(
+    pub(crate) fn profile_with<E>(
         &self,
         key: ArtifactKey,
         compute: impl FnOnce() -> Result<hsm_exec::Profile, E>,
@@ -786,7 +786,7 @@ impl ArtifactCache {
     /// # Errors
     ///
     /// Propagates `compute`'s error without caching it.
-    pub fn run_with<E>(
+    pub(crate) fn run_with<E>(
         &self,
         key: ArtifactKey,
         compute: impl FnOnce() -> Result<RunResult, E>,
@@ -992,7 +992,7 @@ mod tests {
                 cores: 4,
                 policy: Policy::SizeAscending,
                 spec,
-                scenario: crate::Scenario::default(),
+                scenario: crate::scenario::Scenario::default(),
                 chip: 0x1234,
                 model: 7,
             },
@@ -1050,7 +1050,7 @@ mod tests {
             cores: 4,
             policy: Policy::SizeAscending,
             spec: MemorySpec::scc(4),
-            scenario: crate::Scenario::default(),
+            scenario: crate::scenario::Scenario::default(),
             chip: 0x1234,
             model: 7,
         }

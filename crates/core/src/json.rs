@@ -58,7 +58,7 @@ impl Json {
 
     /// The value as an unsigned integer, when it is one (a non-negative
     /// `Int` also qualifies — the reader cannot know which was written).
-    pub fn as_u64(&self) -> Option<u64> {
+    pub(crate) fn as_u64(&self) -> Option<u64> {
         match self {
             Json::UInt(v) => Some(*v),
             Json::Int(v) if *v >= 0 => Some(*v as u64),
@@ -67,7 +67,7 @@ impl Json {
     }
 
     /// The value as a signed integer, when it is one.
-    pub fn as_i64(&self) -> Option<i64> {
+    pub(crate) fn as_i64(&self) -> Option<i64> {
         match self {
             Json::Int(v) => Some(*v),
             Json::UInt(v) => i64::try_from(*v).ok(),
@@ -107,7 +107,8 @@ impl Json {
     }
 
     /// Parses a JSON document (integers only — the manifest and protocol
-    /// never write floats, so none are accepted).
+    /// never write floats, so none are accepted) of at most 64 nested
+    /// arrays and objects.
     ///
     /// # Errors
     ///
@@ -117,6 +118,7 @@ impl Json {
             text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -251,6 +253,13 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+/// The parser recurses once per level, and a protocol line may be
+/// megabytes of `[`: without a bound one line would overflow the stack of
+/// the thread parsing it, which aborts the whole process. The deepest
+/// document the protocol defines, a sweep spec, is a handful of levels.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     /// The document, and the same as bytes: scanning reads the bytes,
     /// and what it finds is sliced out of the text, which is UTF-8
@@ -258,6 +267,8 @@ struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -302,8 +313,21 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(format!(
+                        "arrays and objects nested deeper than {MAX_DEPTH} levels"
+                    )));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => Err(self.err(format!("unexpected character '{}'", other as char))),
             None => Err(self.err("unexpected end of input")),
@@ -481,6 +505,17 @@ fn write_escaped(out: &mut String, s: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let nested = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("deeper than 64 levels"), "{err}");
+        let objects = "{\"k\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&objects).is_err());
+    }
 
     #[test]
     fn scalars_render_plainly() {

@@ -12,307 +12,41 @@
 //!                        └─ hsm-exec  run on the simulated SCC
 //! ```
 //!
-//! The primary entry point is the [`Pipeline`] session: a builder over
+//! The crate has two public modules. [`api`] is the one path to every
+//! public item: the [`Pipeline`](api::Pipeline) session — a builder over
 //! one C source whose intermediate artifacts (parsed unit, analysis,
 //! partition plan, translation, compiled bytecode) are memoized in a
-//! keyed [`cache::ArtifactCache`] and shared across the baseline,
-//! off-chip and HSM configurations. [`experiment::sweep`] fans a whole
-//! benchmark × mode × core-count matrix out over worker threads on top
-//! of it; [`experiment`]'s figure drivers are built from both. Every run
-//! executes under a selectable [`ExecModel`] (coherent ground truth by
+//! keyed [`ArtifactCache`](api::ArtifactCache) and shared across the
+//! baseline, off-chip and HSM configurations — the
+//! [`sweep`](api::sweep) engine that fans a benchmark × mode ×
+//! core-count matrix out over worker threads, the `hsmd` job protocol,
+//! server and client, and the persistent store. [`experiment`] holds
+//! the figure drivers built from both. Every run executes under a
+//! selectable [`ExecModel`](api::ExecModel) (coherent ground truth by
 //! default).
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod api;
-pub mod cache;
-pub mod json;
-pub mod metrics;
+mod cache;
+pub mod experiment;
+mod json;
+mod metrics;
 mod pipeline;
-pub mod protocol;
-pub mod scenario;
-pub mod server;
-pub mod spec;
-pub mod store;
-pub mod sweep;
-
-use hsm_exec::{ExecError, RunResult};
-use hsm_translate::TranslateError;
-use hsm_workloads::{Bench, Params};
-use scc_sim::SccConfig;
-use std::fmt;
-
-pub use cache::{ArtifactCache, ArtifactKey, CacheStats, StageCounters, StoreCounters, StoreStats};
-pub use hsm_exec::{ExecModel, Profile};
-pub use hsm_partition::{MemorySpec, Policy};
-pub use hsm_vm::OptLevel;
-pub use metrics::{Stage, StageMetric};
-pub use pipeline::Pipeline;
-pub use scenario::{Mode, Scenario};
-
-/// A pipeline failure at any stage.
-///
-/// The failing stage is available from [`PipelineError::stage`]; the
-/// underlying stage error is the [`std::error::Error::source`].
-#[derive(Debug)]
-pub enum PipelineError {
-    /// Frontend failure.
-    Parse(hsm_cir::ParseError),
-    /// Stage 4/5 failure.
-    Translate(TranslateError),
-    /// Bytecode compilation failure.
-    Compile(hsm_vm::CompileError),
-    /// Simulation failure.
-    Exec(ExecError),
-    /// The session is configured for no core, or for more than its chip
-    /// has: refused before any stage runs.
-    Cores {
-        /// The core count the session was given.
-        cores: usize,
-        /// The cores of the configured chip.
-        chip: usize,
-    },
-    /// The run was cancelled before it completed (a sweep shutting down,
-    /// or a job server enforcing a deadline).
-    Cancelled,
-}
-
-impl PipelineError {
-    /// The name of the pipeline stage that failed (`"parse"`,
-    /// `"translate"`, `"compile"` or `"exec"`), `"config"` for a session
-    /// no stage could run for, or `"cancelled"`.
-    pub fn stage(&self) -> &'static str {
-        match self {
-            PipelineError::Parse(_) => "parse",
-            PipelineError::Translate(_) => "translate",
-            PipelineError::Compile(_) => "compile",
-            PipelineError::Exec(_) => "exec",
-            PipelineError::Cores { .. } => "config",
-            PipelineError::Cancelled => "cancelled",
-        }
-    }
-}
-
-impl fmt::Display for PipelineError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PipelineError::Parse(e) => write!(f, "parse stage: {e}"),
-            PipelineError::Translate(e) => write!(f, "translate stage: {e}"),
-            PipelineError::Compile(e) => write!(f, "compile stage: {e}"),
-            PipelineError::Exec(e) => write!(f, "exec stage: {e}"),
-            PipelineError::Cores { cores, chip } => {
-                write!(
-                    f,
-                    "core count {cores} outside 1..={chip}, the cores of the chip"
-                )
-            }
-            PipelineError::Cancelled => write!(f, "run cancelled"),
-        }
-    }
-}
-
-impl std::error::Error for PipelineError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            PipelineError::Parse(e) => Some(e),
-            PipelineError::Translate(e) => Some(e),
-            PipelineError::Compile(e) => Some(e),
-            PipelineError::Exec(e) => Some(e),
-            PipelineError::Cores { .. } | PipelineError::Cancelled => None,
-        }
-    }
-}
-
-impl From<hsm_cir::ParseError> for PipelineError {
-    fn from(e: hsm_cir::ParseError) -> Self {
-        PipelineError::Parse(e)
-    }
-}
-impl From<TranslateError> for PipelineError {
-    fn from(e: TranslateError) -> Self {
-        PipelineError::Translate(e)
-    }
-}
-impl From<hsm_vm::CompileError> for PipelineError {
-    fn from(e: hsm_vm::CompileError) -> Self {
-        PipelineError::Compile(e)
-    }
-}
-impl From<ExecError> for PipelineError {
-    fn from(e: ExecError) -> Self {
-        PipelineError::Exec(e)
-    }
-}
-
-/// The outcome of one oracle-checked run: the classification the static
-/// analyses produced and what the dynamic sharing-soundness oracle saw.
-#[derive(Debug)]
-pub struct SharingCheck {
-    /// The per-variable verdicts the run was checked against (empty for
-    /// RCCE-mode pure race detection).
-    pub manifest: hsm_analysis::ClassificationManifest,
-    /// The oracle's violations and stream counts.
-    pub report: hsm_exec::OracleReport,
-    /// The program's ordinary run result (exit code, output, cycles).
-    pub result: RunResult,
-}
-
-/// Experiment drivers for every table and figure in the evaluation.
-pub mod experiment {
-    use super::*;
-    use std::sync::Arc;
-
-    pub use crate::scenario::{Mode, Scenario};
-    pub use crate::sweep::{
-        sweep, sweep_with, SweepMatrix, SweepOptions, SweepOutcome, SweepPayload, SweepPoint,
-        SweepReport, SweepTask,
-    };
-
-    /// Runs one benchmark in one mode. A [`Mode::TaskDataflow`] run
-    /// expects the source to use the `task_spawn` API.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pipeline failures.
-    pub fn run(
-        bench: Bench,
-        params: &Params,
-        mode: Mode,
-        config: &SccConfig,
-    ) -> Result<RunResult, PipelineError> {
-        Pipeline::new(hsm_workloads::source(bench, params))
-            .cores(params.threads)
-            .scenario(Scenario::new(mode))
-            .config(config.clone())
-            .run_scenario()
-    }
-
-    /// One bar of Figure 6.1 (or one pair of Figure 6.2).
-    #[derive(Debug, Clone)]
-    pub struct BenchResult {
-        /// Which benchmark.
-        pub bench: Bench,
-        /// Baseline (1-core pthread) run time in cycles.
-        pub pthread_cycles: u64,
-        /// Off-chip-only RCCE run time in cycles.
-        pub offchip_cycles: u64,
-        /// HSM (MPB) RCCE run time in cycles.
-        pub hsm_cycles: u64,
-        /// Whether the three runs produced the same program output
-        /// (multiset of printed lines and exit codes).
-        pub outputs_match: bool,
-    }
-
-    impl BenchResult {
-        /// Figure 6.1's y-axis: baseline time / off-chip RCCE time.
-        pub fn offchip_speedup(&self) -> f64 {
-            self.pthread_cycles as f64 / self.offchip_cycles.max(1) as f64
-        }
-
-        /// Figure 6.2's comparison: off-chip time / on-chip time.
-        pub fn hsm_improvement(&self) -> f64 {
-            self.offchip_cycles as f64 / self.hsm_cycles.max(1) as f64
-        }
-    }
-
-    /// Runs one benchmark in all three modes — through one shared-cache
-    /// sweep, so the source is parsed and analyzed once — and
-    /// cross-checks outputs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pipeline failures.
-    pub fn run_all_modes(
-        bench: Bench,
-        params: &Params,
-        config: &SccConfig,
-    ) -> Result<BenchResult, PipelineError> {
-        let src: Arc<str> = hsm_workloads::source(bench, params).into();
-        let matrix = SweepMatrix::new(config.clone())
-            .point(
-                "baseline",
-                Arc::clone(&src),
-                SweepTask::Run(Mode::PthreadBaseline.into()),
-                params.threads,
-            )
-            .point(
-                "offchip",
-                Arc::clone(&src),
-                SweepTask::Run(Mode::RcceOffChip.into()),
-                params.threads,
-            )
-            .point(
-                "hsm",
-                src,
-                SweepTask::Run(Mode::RcceHsm.into()),
-                params.threads,
-            );
-        let report = sweep(&matrix);
-        let mut outcomes = report.outcomes.into_iter();
-        let base = outcomes.next().expect("baseline point").into_run()?;
-        let off = outcomes.next().expect("offchip point").into_run()?;
-        let hsm = outcomes.next().expect("hsm point").into_run()?;
-        let outputs_match = outputs_equivalent(&base, &off)
-            && outputs_equivalent(&base, &hsm)
-            && base.exit_code == off.exit_code
-            && base.exit_code == hsm.exit_code;
-        Ok(BenchResult {
-            bench,
-            pthread_cycles: base.timed_cycles,
-            offchip_cycles: off.timed_cycles,
-            hsm_cycles: hsm.timed_cycles,
-            outputs_match,
-        })
-    }
-
-    /// Compares program outputs as deduplicated sorted line sets: the
-    /// pthread baseline prints each per-thread line once; the RCCE program
-    /// prints per-core lines (same multiset) but replicates any
-    /// post-barrier aggregate line on every core.
-    pub fn outputs_equivalent(a: &RunResult, b: &RunResult) -> bool {
-        let mut la = a.output_sorted();
-        let mut lb = b.output_sorted();
-        la.dedup();
-        lb.dedup();
-        la == lb
-    }
-
-    /// Figure 6.3: Pi Approximation speedup over the baseline at several
-    /// core counts, swept in parallel.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pipeline failures.
-    pub fn core_scaling(
-        bench: Bench,
-        core_counts: &[usize],
-        config: &SccConfig,
-    ) -> Result<Vec<(usize, f64)>, PipelineError> {
-        let matrix = SweepMatrix::core_scaling(
-            bench,
-            &[Mode::PthreadBaseline, Mode::RcceHsm],
-            core_counts,
-            config.clone(),
-        );
-        let report = sweep(&matrix);
-        let mut outcomes = report.outcomes.into_iter();
-        let mut out = Vec::new();
-        for &cores in core_counts {
-            let base = outcomes.next().expect("baseline point").into_run()?;
-            let hsm = outcomes.next().expect("hsm point").into_run()?;
-            out.push((
-                cores,
-                base.timed_cycles as f64 / hsm.timed_cycles.max(1) as f64,
-            ));
-        }
-        Ok(out)
-    }
-}
+mod protocol;
+mod scenario;
+mod server;
+mod spec;
+mod store;
+mod sweep;
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use experiment::{run_all_modes, Mode};
+    use crate::api::{sweep, Mode, Pipeline, PipelineError, Stage, SweepMatrix, SweepTask};
+    use crate::experiment::{self, run_all_modes};
+    use hsm_workloads::{Bench, Params};
+    use scc_sim::SccConfig;
     use std::sync::Arc;
 
     fn cfg() -> SccConfig {
@@ -585,29 +319,29 @@ int main() {
         let p = tiny(Bench::PiApprox, 4);
         let src: Arc<str> = hsm_workloads::source(Bench::PiApprox, &p).into();
         let build = |workers| {
-            experiment::SweepMatrix::new(cfg())
+            SweepMatrix::new(cfg())
                 .workers(workers)
                 .point(
                     "baseline",
                     Arc::clone(&src),
-                    experiment::SweepTask::Run(Mode::PthreadBaseline.into()),
+                    SweepTask::Run(Mode::PthreadBaseline.into()),
                     4,
                 )
                 .point(
                     "offchip",
                     Arc::clone(&src),
-                    experiment::SweepTask::Run(Mode::RcceOffChip.into()),
+                    SweepTask::Run(Mode::RcceOffChip.into()),
                     4,
                 )
                 .point(
                     "hsm",
                     Arc::clone(&src),
-                    experiment::SweepTask::Run(Mode::RcceHsm.into()),
+                    SweepTask::Run(Mode::RcceHsm.into()),
                     4,
                 )
         };
-        let serial = experiment::sweep(&build(1));
-        let parallel = experiment::sweep(&build(4));
+        let serial = sweep(&build(1));
+        let parallel = sweep(&build(4));
         assert_eq!(serial.cache, parallel.cache);
         for (a, b) in serial.outcomes.iter().zip(parallel.outcomes.iter()) {
             let (ra, rb) = (a.result.as_ref().unwrap(), b.result.as_ref().unwrap());

@@ -14,7 +14,7 @@ use std::time::Instant;
 /// metered stages of a [`PipelineMetrics`], the [`ArtifactCache`] shelves
 /// and their counters, the [`DiskStore`] subdirectories.
 ///
-/// [`ArtifactCache`]: crate::ArtifactCache
+/// [`ArtifactCache`]: crate::api::ArtifactCache
 /// [`DiskStore`]: crate::store::DiskStore
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
@@ -91,11 +91,6 @@ impl PipelineMetrics {
         self.stages.iter().find(|s| s.stage == stage)
     }
 
-    /// Total host wall time across all recorded stages.
-    pub fn total_nanos(&self) -> u128 {
-        self.stages.iter().map(|s| s.wall_nanos).sum()
-    }
-
     /// Times `body` and records it as `stage` with the IR size it reports.
     pub(crate) fn measure<T, E>(
         &mut self,
@@ -128,7 +123,6 @@ mod tests {
         assert_eq!(m.stages[0].ir_size, 7);
         assert_eq!(m.stage(Stage::Analyze).unwrap().ir_size, 3);
         assert!(m.stage(Stage::Compile).is_none());
-        assert_eq!(m.total_nanos(), m.stages.iter().map(|s| s.wall_nanos).sum());
     }
 
     #[test]

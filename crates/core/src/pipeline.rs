@@ -6,7 +6,7 @@
 //! builder —
 //!
 //! ```
-//! use hsm_core::{Mode, Pipeline};
+//! use hsm_core::api::{Mode, Pipeline};
 //!
 //! let src = "int main() { return 7; }";
 //! let session = Pipeline::new(src).cores(4).scenario(Mode::PthreadBaseline.into());
@@ -44,18 +44,134 @@
 use crate::cache::{chip_fingerprint, source_hash, ArtifactCache, ArtifactKey};
 use crate::metrics::{PipelineMetrics, Stage};
 use crate::scenario::{Mode, Scenario};
-use crate::{PipelineError, SharingCheck};
 use hsm_analysis::{ClassificationManifest, ProgramAnalysis};
 use hsm_cir::TranslationUnit;
 use hsm_exec::{
-    ExecModel, NullSink, Oracle, OracleMode, Profile, ProfileCollector, RunResult, RunSpec,
-    TraceSink, Units,
+    ExecError, ExecModel, NullSink, Oracle, OracleMode, Profile, ProfileCollector, RunResult,
+    RunSpec, TraceSink, Units,
 };
 use hsm_partition::{MemorySpec, PartitionPlan, Policy};
-use hsm_translate::{TranslateOptions, Translation};
+use hsm_translate::{TranslateError, TranslateOptions, Translation};
 use hsm_vm::OptLevel;
 use scc_sim::SccConfig;
+use std::fmt;
 use std::sync::{Arc, OnceLock};
+
+/// Stack of every thread `hsmd` or the sweep engine starts to run
+/// pipeline stages: connection threads, deadline workers and sweep
+/// workers. The frontend and every stage after it recurse once per
+/// nesting level of the program, up to the parser's limit of 128 levels.
+/// In a debug build the deepest program passes every stage in every mode
+/// on 4.5 MiB (125 nested `if`s translated for off-chip RCCE need more
+/// than 4 MiB; about 36 KB a level), so this leaves more than 2× margin.
+pub(crate) const STAGE_STACK_BYTES: usize = 12 << 20;
+
+/// A pipeline failure at any stage.
+///
+/// The failing stage is available from [`PipelineError::stage`]; the
+/// underlying stage error is the [`std::error::Error::source`].
+#[derive(Debug)]
+pub enum PipelineError {
+    /// Frontend failure.
+    Parse(hsm_cir::ParseError),
+    /// Stage 4/5 failure.
+    Translate(TranslateError),
+    /// Bytecode compilation failure.
+    Compile(hsm_vm::CompileError),
+    /// Simulation failure.
+    Exec(ExecError),
+    /// The session is configured for no core, or for more than its chip
+    /// has: refused before any stage runs.
+    Cores {
+        /// The core count the session was given.
+        cores: usize,
+        /// The cores of the configured chip.
+        chip: usize,
+    },
+    /// The run was cancelled before it completed (a sweep shutting down,
+    /// or a job server enforcing a deadline).
+    Cancelled,
+}
+
+impl PipelineError {
+    /// The name of the pipeline stage that failed (`"parse"`,
+    /// `"translate"`, `"compile"` or `"exec"`), `"config"` for a session
+    /// no stage could run for, or `"cancelled"`.
+    pub fn stage(&self) -> &'static str {
+        match self {
+            PipelineError::Parse(_) => "parse",
+            PipelineError::Translate(_) => "translate",
+            PipelineError::Compile(_) => "compile",
+            PipelineError::Exec(_) => "exec",
+            PipelineError::Cores { .. } => "config",
+            PipelineError::Cancelled => "cancelled",
+        }
+    }
+}
+
+impl fmt::Display for PipelineError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PipelineError::Parse(e) => write!(f, "parse stage: {e}"),
+            PipelineError::Translate(e) => write!(f, "translate stage: {e}"),
+            PipelineError::Compile(e) => write!(f, "compile stage: {e}"),
+            PipelineError::Exec(e) => write!(f, "exec stage: {e}"),
+            PipelineError::Cores { cores, chip } => {
+                write!(
+                    f,
+                    "core count {cores} outside 1..={chip}, the cores of the chip"
+                )
+            }
+            PipelineError::Cancelled => write!(f, "run cancelled"),
+        }
+    }
+}
+
+impl std::error::Error for PipelineError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            PipelineError::Parse(e) => Some(e),
+            PipelineError::Translate(e) => Some(e),
+            PipelineError::Compile(e) => Some(e),
+            PipelineError::Exec(e) => Some(e),
+            PipelineError::Cores { .. } | PipelineError::Cancelled => None,
+        }
+    }
+}
+
+impl From<hsm_cir::ParseError> for PipelineError {
+    fn from(e: hsm_cir::ParseError) -> Self {
+        PipelineError::Parse(e)
+    }
+}
+impl From<TranslateError> for PipelineError {
+    fn from(e: TranslateError) -> Self {
+        PipelineError::Translate(e)
+    }
+}
+impl From<hsm_vm::CompileError> for PipelineError {
+    fn from(e: hsm_vm::CompileError) -> Self {
+        PipelineError::Compile(e)
+    }
+}
+impl From<ExecError> for PipelineError {
+    fn from(e: ExecError) -> Self {
+        PipelineError::Exec(e)
+    }
+}
+
+/// The outcome of one oracle-checked run: the classification the static
+/// analyses produced and what the dynamic sharing-soundness oracle saw.
+#[derive(Debug)]
+pub struct SharingCheck {
+    /// The per-variable verdicts the run was checked against (empty for
+    /// RCCE-mode pure race detection).
+    pub manifest: hsm_analysis::ClassificationManifest,
+    /// The oracle's violations and stream counts.
+    pub report: hsm_exec::OracleReport,
+    /// The program's ordinary run result (exit code, output, cycles).
+    pub result: RunResult,
+}
 
 /// A configured pipeline session over one C source. See the
 /// crate-level docs for the builder protocol and caching semantics.
@@ -165,18 +281,8 @@ impl Pipeline {
         &self.config
     }
 
-    /// The memory model runs execute under.
-    pub fn configured_exec_model(&self) -> ExecModel {
-        self.exec_model
-    }
-
-    /// The bytecode optimization level programs compile at.
-    pub fn configured_opt_level(&self) -> OptLevel {
-        self.opt_level
-    }
-
     /// The session's axes as one [`Scenario`].
-    pub fn configured_scenario(&self) -> Scenario {
+    pub(crate) fn configured_scenario(&self) -> Scenario {
         Scenario {
             mode: self.mode,
             exec_model: self.exec_model,
@@ -186,7 +292,7 @@ impl Pipeline {
 
     /// The partition spec in effect: the explicit override, or the SCC
     /// spec sized to the configured core count.
-    pub fn effective_spec(&self) -> MemorySpec {
+    pub(crate) fn effective_spec(&self) -> MemorySpec {
         self.spec.unwrap_or_else(|| MemorySpec::scc(self.cores))
     }
 
@@ -347,7 +453,7 @@ impl Pipeline {
         self.analysis_of(&unit)
     }
 
-    /// The Stage 4 partition plan against [`Pipeline::effective_spec`]
+    /// The Stage 4 partition plan against the session's partition spec
     /// (memoized per source × policy × spec).
     ///
     /// # Errors
@@ -544,7 +650,7 @@ impl Pipeline {
     /// # Errors
     ///
     /// Propagates parse, translation and compilation failures.
-    pub fn stage_metrics(&self) -> Result<PipelineMetrics, PipelineError> {
+    pub(crate) fn stage_metrics(&self) -> Result<PipelineMetrics, PipelineError> {
         let mut metrics = PipelineMetrics::default();
         let unit = metrics.measure(Stage::Parse, || {
             self.unit().map(|u| {
@@ -601,6 +707,87 @@ int main() {
     return sum[0] + sum[1];
 }
 "#;
+
+    /// `main` with `construct(n)` — `n` levels of one kind of nesting —
+    /// in its body.
+    fn nested_program(construct: &str, n: usize) -> String {
+        let body = match construct {
+            "if" => format!("{}x = 2;", "if (x) ".repeat(n)),
+            "else if" => format!(
+                "if (x == 0) x = 0;{} else x = 2;",
+                " else if (x == 0) x = 0;".repeat(n)
+            ),
+            "block" => format!("{}x = 2;{}", "{ ".repeat(n), " }".repeat(n)),
+            "loop" => {
+                let level = |l: usize| ["for (i = 0; i < 1; i++) ", "while (x < 2) "][l % 2];
+                format!("{}x = 2;", (0..n).map(level).collect::<String>())
+            }
+            "parentheses" => format!("x = {}x{};", "(".repeat(n), ")".repeat(n)),
+            "unary" => format!("x = {}x;", "- ~ ".repeat(n / 2) + &"- ".repeat(n % 2)),
+            "binary" => format!("x = x{};", " + x".repeat(n)),
+            "ternary" => format!("x = {}x;", "x ? x : ".repeat(n)),
+            "assignment" => format!("{}x;", "x = ".repeat(n)),
+            "comma" => format!("x = (x{});", ", x".repeat(n)),
+            "pointer" => format!("int {}p; x = 2;", "*".repeat(n)),
+            other => unreachable!("{other}"),
+        };
+        format!("int main() {{ int x = 1; int i = 0; {body} return x; }}")
+    }
+
+    /// Every construct nested up to the parser's limit passes every stage
+    /// in every mode on a thread of [`STAGE_STACK_BYTES`] — in the debug
+    /// build, whose frames are the largest — and one level more is a
+    /// parse error, not a stack overflow.
+    #[test]
+    fn nesting_at_the_parser_limit_runs_on_a_stage_thread() {
+        let check = || {
+            for construct in [
+                "if",
+                "else if",
+                "block",
+                "loop",
+                "parentheses",
+                "unary",
+                "binary",
+                "ternary",
+                "assignment",
+                "comma",
+                "pointer",
+            ] {
+                let deepest = (1..)
+                    .take_while(|&n| match hsm_cir::parse(&nested_program(construct, n)) {
+                        Ok(_) => true,
+                        Err(e) if e.message.contains("nested deeper than") => false,
+                        Err(e) => panic!("{construct} at {n}: {e}"),
+                    })
+                    .last()
+                    .expect("one level parses");
+                assert!(deepest > 100, "{construct}: the limit is {deepest} levels");
+                let src = nested_program(construct, deepest);
+                for mode in Mode::ALL {
+                    Pipeline::new(src.as_str())
+                        .cores(2)
+                        .scenario(mode.into())
+                        .run_scenario()
+                        .unwrap_or_else(|e| {
+                            panic!("{construct} x{deepest}, {}: {e}", mode.label())
+                        });
+                }
+                let deeper = Pipeline::new(nested_program(construct, deepest + 1)).run_scenario();
+                assert!(
+                    matches!(deeper, Err(PipelineError::Parse(_))),
+                    "{construct} x{}: {deeper:?}",
+                    deepest + 1
+                );
+            }
+        };
+        std::thread::Builder::new()
+            .stack_size(STAGE_STACK_BYTES)
+            .spawn(check)
+            .expect("spawn")
+            .join()
+            .expect("every construct at the limit runs");
+    }
 
     #[test]
     fn spec_follows_core_count_unless_overridden() {
@@ -744,8 +931,6 @@ int main() {
             .exec_model(ExecModel::SeqCstReference)
             .opt_level(hsm_vm::OptLevel::O2);
         let p = Pipeline::new(SRC).scenario(scenario);
-        assert_eq!(p.configured_exec_model(), ExecModel::SeqCstReference);
-        assert_eq!(p.configured_opt_level(), hsm_vm::OptLevel::O2);
         assert_eq!(p.configured_scenario(), scenario);
     }
 

@@ -14,11 +14,11 @@
 //! parsed by the same code the manifests are written with.
 
 use crate::json::{Json, JsonError};
+use crate::pipeline::PipelineError;
 use crate::scenario::Scenario;
 use crate::spec::SweepSpec;
 use crate::store::fnv1a_bytes;
 use crate::sweep::SweepOutcome;
-use crate::PipelineError;
 use hsm_exec::RunResult;
 use scc_sim::SccConfig;
 use std::fmt;
@@ -139,7 +139,7 @@ impl JobRequest {
     /// # Errors
     ///
     /// Names the job, the count asked for and the chip's.
-    pub fn check_cores(&self, config: &SccConfig) -> Result<(), ProtocolError> {
+    pub(crate) fn check_cores(&self, config: &SccConfig) -> Result<(), ProtocolError> {
         let most = match self {
             JobRequest::Translate { cores, .. }
             | JobRequest::Simulate { cores, .. }
@@ -279,7 +279,7 @@ impl SweepRow {
     /// Rejects objects missing the required identity fields, and rows
     /// from a pre-ISSUE-17 server that still carry a `predicted` block (a
     /// predicted-only row has neither numbers nor an error to show).
-    pub fn from_json(doc: &Json) -> Result<Self, ProtocolError> {
+    pub(crate) fn from_json(doc: &Json) -> Result<Self, ProtocolError> {
         if doc.get("predicted").is_some() {
             return Err(ProtocolError::new(
                 "row carries `predicted`: predict-first was retired in ISSUE 17, upgrade the server",
@@ -415,7 +415,7 @@ pub fn encode_job(job: &Job) -> String {
 /// # Errors
 ///
 /// Rejects malformed JSON, unknown ops and missing fields.
-pub fn parse_job(line: &str) -> Result<Job, ProtocolError> {
+pub(crate) fn parse_job(line: &str) -> Result<Job, ProtocolError> {
     let doc = Json::parse(line)?;
     let id = doc
         .get("id")
@@ -517,7 +517,7 @@ pub fn parse_job(line: &str) -> Result<Job, ProtocolError> {
 
 /// Encodes a response to job `id` as one protocol line (no trailing
 /// newline).
-pub fn encode_response(id: u64, response: &JobResponse) -> String {
+pub(crate) fn encode_response(id: u64, response: &JobResponse) -> String {
     let mut pairs = vec![("id", Json::UInt(id)), ("kind", Json::str(response.kind()))];
     match response {
         JobResponse::Pong | JobResponse::ShuttingDown => {}
@@ -591,8 +591,10 @@ pub fn parse_response(line: &str) -> Result<(u64, JobResponse), ProtocolError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::Mode;
     use crate::spec::SpecProgram;
-    use crate::{ExecModel, Mode, OptLevel};
+    use hsm_exec::ExecModel;
+    use hsm_vm::OptLevel;
 
     #[test]
     fn a_job_on_cores_the_chip_lacks_is_refused_by_name() {

@@ -86,7 +86,7 @@ pub struct Scenario {
 impl Default for Scenario {
     /// The evaluation default: the HSM configuration under the coherent
     /// ground-truth model at `O0` — what a freshly built
-    /// [`Pipeline`](crate::Pipeline) runs.
+    /// [`Pipeline`](crate::api::Pipeline) runs.
     fn default() -> Self {
         Scenario::new(Mode::RcceHsm)
     }
@@ -151,7 +151,7 @@ impl Scenario {
     /// # Errors
     ///
     /// Rejects unknown labels and a missing `mode`.
-    pub fn from_json(doc: &Json) -> Result<Self, SpecError> {
+    pub(crate) fn from_json(doc: &Json) -> Result<Self, SpecError> {
         let mode = match doc.get("mode") {
             Some(Json::Str(label)) => Mode::parse(label)
                 .ok_or_else(|| SpecError::new(format!("unknown mode `{label}`")))?,

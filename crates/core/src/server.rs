@@ -18,13 +18,14 @@
 //! [`Client`] is the matching blocking client used by `figures --client`
 //! and the integration tests.
 
+use crate::cache::ArtifactCache;
+use crate::pipeline::{Pipeline, PipelineError, STAGE_STACK_BYTES};
 use crate::protocol::{
     encode_job, encode_response, parse_job, parse_response, Job, JobRequest, JobResponse,
     ProtocolError, SweepRow, MAX_LINE_BYTES,
 };
 use crate::spec::SweepSpec;
 use crate::sweep::{sweep_with, SweepOptions};
-use crate::{ArtifactCache, Pipeline, PipelineError};
 use scc_sim::SccConfig;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -144,9 +145,13 @@ impl Server {
                     let cache = Arc::clone(&self.cache);
                     let options = self.options.clone();
                     let stop = Arc::clone(&self.stop);
-                    workers.push(std::thread::spawn(move || {
-                        serve_connection(stream, &cache, &options, &stop);
-                    }));
+                    let serve = move || serve_connection(stream, &cache, &options, &stop);
+                    workers.push(
+                        std::thread::Builder::new()
+                            .stack_size(STAGE_STACK_BYTES)
+                            .spawn(serve)
+                            .expect("spawn a connection thread"),
+                    );
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     std::thread::sleep(POLL_INTERVAL);
@@ -349,9 +354,12 @@ fn run_with_deadline(
         return finish(work());
     }
     let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = tx.send(work());
-    });
+    std::thread::Builder::new()
+        .stack_size(STAGE_STACK_BYTES)
+        .spawn(move || {
+            let _ = tx.send(work());
+        })
+        .expect("spawn a deadline worker");
     match rx.recv_timeout(Duration::from_millis(timeout_ms)) {
         Ok(result) => finish(result),
         Err(_) => JobResponse::Error {

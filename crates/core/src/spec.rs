@@ -15,10 +15,13 @@
 //! source inline, which is how remote `hsmd` clients ship programs the
 //! server has no file for.
 
-use crate::experiment::{Mode, SweepMatrix, SweepTask};
+use crate::cache::ArtifactCache;
 use crate::json::{Json, JsonError};
-use crate::scenario::Scenario;
-use crate::{ArtifactCache, ExecModel, OptLevel, PipelineError};
+use crate::pipeline::PipelineError;
+use crate::scenario::{Mode, Scenario};
+use crate::sweep::{SweepMatrix, SweepTask};
+use hsm_exec::ExecModel;
+use hsm_vm::OptLevel;
 use scc_sim::SccConfig;
 use std::fmt;
 use std::path::PathBuf;
@@ -136,7 +139,7 @@ pub fn corpus_dir() -> PathBuf {
 
 impl SweepSpec {
     /// The spec as a JSON document (the wire form `hsmd` sweep jobs
-    /// carry, and the inverse of [`SweepSpec::from_json`]).
+    /// carry, and what a sweep job's spec is parsed back from).
     pub fn to_json(&self) -> Json {
         let programs = self
             .programs
@@ -170,7 +173,7 @@ impl SweepSpec {
     /// # Errors
     ///
     /// Rejects unknown mode/model/level labels and malformed programs.
-    pub fn from_json(doc: &Json) -> Result<Self, SpecError> {
+    pub(crate) fn from_json(doc: &Json) -> Result<Self, SpecError> {
         let mut spec = SweepSpec::default();
         if let Some(programs) = doc.get("programs") {
             let Json::Arr(items) = programs else {
@@ -253,7 +256,7 @@ impl SweepSpec {
     /// # Errors
     ///
     /// Reports an unreadable corpus file.
-    pub fn resolve_source(program: &SpecProgram) -> Result<Arc<str>, SpecError> {
+    pub(crate) fn resolve_source(program: &SpecProgram) -> Result<Arc<str>, SpecError> {
         if let Some(src) = &program.source {
             return Ok(Arc::from(src.as_str()));
         }

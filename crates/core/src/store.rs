@@ -46,7 +46,7 @@ use std::sync::Mutex;
 /// On-disk format version: the name of the store's subdirectory and the
 /// first field of every entry header. Bump on any incompatible change —
 /// old entries are then simply never found.
-pub const STORE_FORMAT_VERSION: u32 = 2;
+pub(crate) const STORE_FORMAT_VERSION: u32 = 2;
 
 /// FNV-1a over raw bytes (the checksum in every entry header).
 pub fn fnv1a_bytes(bytes: &[u8]) -> u64 {
@@ -133,17 +133,8 @@ impl DiskStore {
     }
 
     /// The absolute path of a key's entry.
-    pub fn entry_path(&self, key: &ArtifactKey) -> PathBuf {
+    pub(crate) fn entry_path(&self, key: &ArtifactKey) -> PathBuf {
         self.root.join(key.path())
-    }
-
-    /// Number of entries currently on disk (diagnostics and tests).
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-walk failures.
-    pub fn entry_count(&self) -> io::Result<usize> {
-        Ok(self.walk_entries()?.len())
     }
 
     /// Loads and verifies a key's entry.
@@ -313,7 +304,7 @@ mod tests {
         // A second handle over the same directory sees the entry.
         let second = DiskStore::open(&dir).expect("reopen");
         assert!(matches!(second.load(&key(1)), LoadOutcome::Hit(_)));
-        assert_eq!(second.entry_count().expect("count"), 1);
+        assert_eq!(second.walk_entries().expect("count").len(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -366,7 +357,7 @@ mod tests {
         }
         assert!(store.evictions() > 0, "capacity forced evictions");
         assert!(
-            store.entry_count().expect("count") < 4,
+            store.walk_entries().expect("count").len() < 4,
             "old entries were dropped"
         );
         // The most recent entry always survives.

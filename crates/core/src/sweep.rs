@@ -17,9 +17,10 @@
 
 use crate::cache::{ArtifactCache, CacheStats};
 use crate::metrics::PipelineMetrics;
+use crate::pipeline::{Pipeline, PipelineError, SharingCheck, STAGE_STACK_BYTES};
 use crate::scenario::{Mode, Scenario};
-use crate::{Pipeline, PipelineError, Policy, SharingCheck};
 use hsm_exec::RunResult;
+use hsm_partition::Policy;
 use hsm_workloads::Bench;
 use scc_sim::SccConfig;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -247,11 +248,6 @@ impl SweepReport {
     pub fn outcome(&self, name: &str) -> Option<&SweepOutcome> {
         self.outcomes.iter().find(|o| o.name == name)
     }
-
-    /// True when every point completed without a pipeline failure.
-    pub fn all_ok(&self) -> bool {
-        self.outcomes.iter().all(|o| o.result.is_ok())
-    }
 }
 
 /// Resolves a worker-count request against the host.
@@ -329,7 +325,7 @@ pub struct SweepOptions<'a> {
 
 /// The row-streaming callback type of [`SweepOptions::on_row`]: point
 /// index plus the finished outcome, invoked in matrix order.
-pub type RowHook<'a> = &'a (dyn Fn(usize, &SweepOutcome) + Sync);
+pub(crate) type RowHook<'a> = &'a (dyn Fn(usize, &SweepOutcome) + Sync);
 
 impl std::fmt::Debug for SweepOptions<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -401,7 +397,14 @@ pub fn sweep_with(matrix: &SweepMatrix, opts: SweepOptions<'_>) -> SweepReport {
         worker();
     } else {
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    std::thread::Builder::new()
+                        .stack_size(STAGE_STACK_BYTES)
+                        .spawn_scoped(scope, worker)
+                        .expect("spawn a sweep worker")
+                })
+                .collect();
             // `scope` alone waits for the closures to return, not for the
             // threads to exit; a sweep started right after would overlap
             // their teardown.
@@ -497,7 +500,6 @@ mod tests {
             2,
         );
         let report = sweep(&matrix);
-        assert!(!report.all_ok());
         let err = report.outcomes[0].result.as_ref().unwrap_err();
         assert_eq!(err.stage(), "parse");
     }

@@ -2,8 +2,8 @@
 //! ping/translate round-trips, two concurrent clients streaming sweeps
 //! of overlapping corpora, a repeated `simulate` job answered from each
 //! cache tier, malformed-line, over-long-line, over-size-program,
-//! over-size-matrix and retired-key handling, per-job deadlines, and
-//! graceful shutdown.
+//! over-size-matrix, over-deep-nesting and retired-key handling, per-job
+//! deadlines, and graceful shutdown.
 
 use hsm_core::api::{
     encode_job, ArtifactCache, Client, Job, JobRequest, Mode, Scenario, Server, ServerOptions,
@@ -226,6 +226,73 @@ fn over_size_programs_and_matrices_are_errors_and_the_connection_serves_on() {
     let answer = ask_raw(&stream, &translate);
     assert!(answer.contains("\"id\":4"), "{answer}");
     assert!(answer.contains("RCCE_init"), "{answer}");
+
+    drop(stream);
+    handle.stop();
+    run.join().expect("run thread").expect("clean exit");
+}
+
+/// A job line nested deeper than the JSON parser's bound is one `error`
+/// response, and the connection answers the next job. Unbounded, the
+/// parser recursed once per `[` and overflowed the connection thread's
+/// stack, which aborts the whole server.
+#[test]
+fn a_deeply_nested_line_is_an_error_and_the_connection_serves_on() {
+    let (addr, server, _cache) = start_server(ServerOptions::default());
+    let handle = server.handle();
+    let run = std::thread::spawn(move || server.run());
+    let stream = TcpStream::connect(&addr).expect("connect");
+
+    let deep = format!(
+        "{{\"id\": 1, \"op\": \"ping\", \"pad\": {}}}",
+        "[".repeat(100_000)
+    );
+    let answer = ask_raw(&stream, &deep);
+    assert!(answer.contains("\"error\""), "{answer}");
+    assert!(answer.contains("nested deeper than 64 levels"), "{answer}");
+    let answer = ask_raw(&stream, "{\"id\": 2, \"op\": \"ping\"}");
+    assert!(answer.contains("\"pong\""), "{answer}");
+
+    drop(stream);
+    handle.stop();
+    run.join().expect("run thread").expect("clean exit");
+}
+
+/// A `simulate` job whose program nests deeper than the C parser's bound
+/// fails in the parse stage, and the server serves on. Unbounded, the
+/// parser and every stage after it recursed once per level and
+/// overflowed the connection thread's stack.
+#[test]
+fn a_deeply_nested_program_is_a_parse_error_and_the_server_serves_on() {
+    let (addr, server, _cache) = start_server(ServerOptions::default());
+    let handle = server.handle();
+    let run = std::thread::spawn(move || server.run());
+    let stream = TcpStream::connect(&addr).expect("connect");
+
+    let nested = format!(
+        "int main() {{ return {}0{}; }}",
+        "(".repeat(3_000),
+        ")".repeat(3_000)
+    );
+    let simulate = encode_job(&Job {
+        id: 1,
+        timeout_ms: None,
+        request: JobRequest::Simulate {
+            name: "nested".to_string(),
+            source: nested,
+            cores: 2,
+            scenario: Scenario::new(Mode::RcceHsm),
+        },
+    });
+    let answer = ask_raw(&stream, &simulate);
+    assert!(answer.contains("\"error\""), "{answer}");
+    assert!(answer.contains("parse stage"), "{answer}");
+    assert!(answer.contains("nested deeper than 128 levels"), "{answer}");
+
+    let mut client = Client::connect(&addr).expect("a second connection");
+    client.ping().expect("pong");
+    let answer = ask_raw(&stream, "{\"id\": 2, \"op\": \"ping\"}");
+    assert!(answer.contains("\"pong\""), "{answer}");
 
     drop(stream);
     handle.stop();

@@ -3,7 +3,7 @@
 //! worker counts, and across a cold-vs-warm persistent store.
 
 use hsm_core::api::{sweep, ArtifactCache, Mode, Scenario, SweepMatrix, SweepTask};
-use hsm_core::{Pipeline, Stage};
+use hsm_core::api::{Pipeline, Stage};
 use scc_sim::SccConfig;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -84,7 +84,7 @@ fn profile_text_is_byte_identical_across_fresh_sessions() {
         b.to_text(),
         "independent sessions must agree byte-for-byte"
     );
-    let parsed = hsm_core::Profile::from_text(&text).expect("round-trips");
+    let parsed = hsm_core::api::Profile::from_text(&text).expect("round-trips");
     assert_eq!(parsed.to_text(), text, "serialize∘parse is the identity");
 }
 

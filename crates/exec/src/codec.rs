@@ -119,7 +119,7 @@ fn read_row(r: &mut Reader<'_>) -> Option<CoreStats> {
 }
 
 impl RunResult {
-    /// The compact binary form (see the [module docs](crate::codec)).
+    /// The compact binary form.
     /// `decode(encode(r)) == Some(r)` for every `r`.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(1024);

@@ -24,7 +24,7 @@
 //! points — no engine changes.
 
 use crate::machine::{copy_between, DataSpaces};
-use hsm_vm::data::ByteMemory;
+use hsm_vm::ByteMemory;
 use hsm_vm::{MemKind, Value};
 use scc_sim::{CoreLane, MemorySystem, Region};
 use std::collections::BTreeMap;

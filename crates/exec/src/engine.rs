@@ -22,9 +22,9 @@ use crate::rcce::RcceSync;
 use crate::syscall_cost;
 use crate::taskflow::TaskDataflowSync;
 use crate::trace::{TraceEvent, TraceSink};
-use hsm_vm::compile::{Program, HEAP_BASE};
-use hsm_vm::data::ByteMemory;
+use hsm_vm::ByteMemory;
 use hsm_vm::{ExecForm, Intrinsic, MemKind, StepOutcome, UnitVm, Value, VmError};
+use hsm_vm::{Program, HEAP_BASE};
 use scc_sim::memory::SHARED_DRAM_BASE;
 use scc_sim::{CoreLane, MemorySystem, SccConfig};
 use std::cell::Cell;
@@ -325,7 +325,7 @@ impl<'p, C: CoherenceModel> ExecEnv<'p, C> {
     }
 
     /// Reads a NUL-terminated string as observed by `unit` (capped at
-    /// 64 KB like [`hsm_vm::data::ByteMemory::read_cstr`]).
+    /// 64 KB like [`hsm_vm::ByteMemory::read_cstr`]).
     pub(crate) fn read_cstr(&mut self, unit: usize, core: usize, addr: u64) -> String {
         let mut out = Vec::new();
         for i in 0..65536 {

@@ -50,19 +50,20 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod codec;
+mod codec;
 mod coherence;
 mod engine;
 mod machine;
-pub mod oracle;
+mod oracle;
 mod printf;
-pub mod profile;
+mod profile;
 mod pthread;
 mod rcce;
 mod rcce_rt;
 mod taskflow;
-pub mod trace;
+mod trace;
 
 pub use coherence::ExecModel;
 #[doc(hidden)]
@@ -73,13 +74,13 @@ pub use oracle::{Oracle, OracleMode, OracleReport, Violation, ViolationClass};
 pub use profile::{
     CoreProfile, Profile, ProfileCollector, RegionProfile, ReuseHistogram, SyncSummary,
 };
-pub use trace::{NullSink, RingTrace, SyncEvent, TraceEvent, TraceSink};
+pub use trace::{NullSink, SyncEvent, TraceEvent, TraceSink};
 
 use hsm_vm::Program;
 use scc_sim::SccConfig;
 
 /// Version of everything that decides a simulated number: the engine,
-/// the three sync models, the coherence overlays, [`syscall_cost`], and
+/// the three sync models, the coherence overlays, the syscall costs, and
 /// `scc-sim`'s latency model (the chip *parameters* are an input, not
 /// part of the version). A stored [`RunResult`] or [`Profile`] is only
 /// as good as the simulator that produced it, so `hsm-core` keys both by
@@ -89,29 +90,29 @@ use scc_sim::SccConfig;
 pub const MODEL_VERSION: u32 = 1;
 
 /// Fixed syscall overheads in core cycles (single place to tune).
-pub mod syscall_cost {
+mod syscall_cost {
     /// `RCCE_init` library setup.
-    pub const RCCE_INIT: u64 = 2_000;
+    pub(crate) const RCCE_INIT: u64 = 2_000;
     /// `RCCE_finalize`.
-    pub const RCCE_FINALIZE: u64 = 1_000;
+    pub(crate) const RCCE_FINALIZE: u64 = 1_000;
     /// Any allocator call.
-    pub const ALLOC: u64 = 400;
+    pub(crate) const ALLOC: u64 = 400;
     /// `printf` formatting + console path.
-    pub const PRINTF: u64 = 1_500;
+    pub(crate) const PRINTF: u64 = 1_500;
     /// `pthread_create` (kernel thread setup on the baseline core).
-    pub const THREAD_CREATE: u64 = 8_000;
+    pub(crate) const THREAD_CREATE: u64 = 8_000;
     /// `pthread_join` bookkeeping.
-    pub const JOIN: u64 = 600;
+    pub(crate) const JOIN: u64 = 600;
     /// Mutex fast path.
-    pub const MUTEX: u64 = 120;
+    pub(crate) const MUTEX: u64 = 120;
     /// `task_spawn` descriptor construction + dependence lookup (a
     /// user-level operation, far cheaper than a kernel thread spawn).
-    pub const TASK_SPAWN: u64 = 900;
+    pub(crate) const TASK_SPAWN: u64 = 900;
     /// Per-task dispatch bookkeeping on the worker side, on top of the
     /// input-region DMA cost.
-    pub const TASK_DISPATCH: u64 = 300;
+    pub(crate) const TASK_DISPATCH: u64 = 300;
     /// `task_wait_all` completion check and return.
-    pub const TASK_WAIT: u64 = 400;
+    pub(crate) const TASK_WAIT: u64 = 400;
 }
 
 /// [`run`] with a [`ProfileCollector`] attached: the result together with

@@ -1,7 +1,7 @@
 //! Shared machine state: data spaces, run results, and the execution error
 //! type.
 
-use hsm_vm::data::ByteMemory;
+use hsm_vm::ByteMemory;
 use hsm_vm::{MemKind, Value, VmError};
 use scc_sim::memory::{MPB_BASE, SHARED_DRAM_BASE};
 use scc_sim::{MemStats, MemorySystem, Region, StatsMatrix};

@@ -36,9 +36,9 @@
 //! race-checked, validating the translator's synchronization insertion.
 
 use crate::trace::{SyncEvent, TraceEvent, TraceSink};
-use hsm_analysis::manifest::ClassificationManifest;
-use hsm_analysis::sharing::SharingStatus;
-use hsm_vm::compile::{FrameVar, Program, GLOBALS_BASE, HEAP_BASE, STACKS_BASE, STACK_SIZE};
+use hsm_analysis::ClassificationManifest;
+use hsm_analysis::SharingStatus;
+use hsm_vm::{FrameVar, Program, GLOBALS_BASE, HEAP_BASE, STACKS_BASE, STACK_SIZE};
 use scc_sim::{line_index, Region};
 use std::collections::{HashMap, HashSet};
 
@@ -484,8 +484,8 @@ impl TraceSink for Oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hsm_analysis::manifest::{RegionVerdict, VarVerdict};
-    use hsm_vm::compile::compile;
+    use hsm_analysis::{RegionVerdict, VarVerdict};
+    use hsm_vm::compile;
 
     fn tiny_program() -> Program {
         let tu = hsm_cir::parse("int g; int main() { g = 1; return g; }").unwrap();

@@ -43,16 +43,16 @@ use std::collections::HashMap;
 /// Number of log₂ buckets in a [`ReuseHistogram`]: bucket 0 is distance
 /// 0 (immediate re-reference), bucket `b` covers `[2^(b-1), 2^b)`, and the
 /// last bucket absorbs everything larger.
-pub const REUSE_BUCKETS: usize = 24;
+pub(crate) const REUSE_BUCKETS: usize = 24;
 
 /// Version tag of the [`Profile::to_text`] wire form.
-pub const PROFILE_FORMAT_VERSION: u32 = 1;
+pub(crate) const PROFILE_FORMAT_VERSION: u32 = 1;
 
 /// A log₂-bucketed histogram of cache-line reuse distances plus the cold
 /// (first-touch) count.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ReuseHistogram {
-    /// Bucket counts (see [`REUSE_BUCKETS`] for the bucket boundaries).
+    /// Bucket counts (see `REUSE_BUCKETS` for the bucket boundaries).
     pub buckets: [u64; REUSE_BUCKETS],
     /// First accesses to a line (infinite reuse distance — compulsory
     /// misses under any cache size).

@@ -15,8 +15,8 @@ use crate::engine::{Charge, ExecEnv, Flow, SyncModel, UnitState};
 use crate::machine::{addr_arg, ExecError};
 use crate::syscall_cost;
 use crate::trace::{SyncEvent, TraceSink};
-use hsm_vm::compile::{STACKS_BASE, STACK_SIZE};
 use hsm_vm::{Intrinsic, MemKind, Value};
+use hsm_vm::{STACKS_BASE, STACK_SIZE};
 use std::collections::{HashMap, VecDeque};
 
 #[derive(Debug, Clone, PartialEq)]

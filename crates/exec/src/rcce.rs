@@ -13,8 +13,8 @@ use crate::machine::{addr_arg, checked_transfer, ExecError};
 use crate::rcce_rt::RcceRuntime;
 use crate::syscall_cost;
 use crate::trace::{SyncEvent, TraceSink};
-use hsm_vm::compile::{STACKS_BASE, STACK_SIZE};
 use hsm_vm::{Intrinsic, MemKind, Value};
+use hsm_vm::{STACKS_BASE, STACK_SIZE};
 use scc_sim::SccConfig;
 use std::collections::VecDeque;
 

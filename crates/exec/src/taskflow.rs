@@ -40,8 +40,8 @@ use crate::machine::{addr_arg, checked_transfer, ExecError};
 use crate::rcce_rt::RcceRuntime;
 use crate::syscall_cost;
 use crate::trace::{SyncEvent, TraceSink};
-use hsm_vm::compile::{STACKS_BASE, STACK_SIZE};
 use hsm_vm::{Intrinsic, Value};
+use hsm_vm::{STACKS_BASE, STACK_SIZE};
 use std::collections::VecDeque;
 
 /// Unit budget shared with the pthread engine (bounded by the stack

@@ -6,30 +6,8 @@
 //! paths compile to the same code when tracing is off — observability
 //! must never perturb the experiment it observes.
 //!
-//! [`RingTrace`] is the bundled sink: a bounded ring buffer that keeps the
-//! most recent `capacity` events and counts what it evicted, so tracing a
-//! billion-access run costs a fixed amount of memory.
-//!
-//! ```
-//! use hsm_exec::trace::{RingTrace, TraceEvent, TraceSink};
-//! use scc_sim::Region;
-//!
-//! let mut ring = RingTrace::new(2);
-//! for cycle in 0..3 {
-//!     ring.record(TraceEvent {
-//!         core: 0,
-//!         unit: 0,
-//!         cycle,
-//!         addr: 0x1000,
-//!         region: Region::Private,
-//!         latency: 1,
-//!         write: false,
-//!     });
-//! }
-//! assert_eq!(ring.len(), 2);
-//! assert_eq!(ring.dropped(), 1);
-//! assert_eq!(ring.events()[0].cycle, 1, "oldest surviving event");
-//! ```
+//! The crate's tests record into `RingTrace`, a bounded ring buffer that
+//! keeps the most recent `capacity` events and counts what it evicted.
 //!
 //! Alongside the access stream, the engines report synchronization
 //! operations as [`SyncEvent`]s through [`TraceSink::sync`]. These carry
@@ -180,8 +158,9 @@ impl TraceSink for NullSink {
 }
 
 /// A bounded ring buffer of the most recent events.
+#[cfg(test)]
 #[derive(Debug, Clone)]
-pub struct RingTrace {
+pub(crate) struct RingTrace {
     buf: Vec<TraceEvent>,
     capacity: usize,
     /// Index of the oldest event once the ring has wrapped.
@@ -189,9 +168,10 @@ pub struct RingTrace {
     dropped: u64,
 }
 
+#[cfg(test)]
 impl RingTrace {
     /// A ring keeping at most `capacity` events (at least 1).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         RingTrace {
             buf: Vec::with_capacity(capacity),
@@ -202,7 +182,7 @@ impl RingTrace {
     }
 
     /// Events currently held, oldest first.
-    pub fn events(&self) -> Vec<TraceEvent> {
+    pub(crate) fn events(&self) -> Vec<TraceEvent> {
         let mut out = Vec::with_capacity(self.buf.len());
         out.extend_from_slice(&self.buf[self.head..]);
         out.extend_from_slice(&self.buf[..self.head]);
@@ -210,26 +190,27 @@ impl RingTrace {
     }
 
     /// Number of events currently held.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.buf.len()
     }
 
     /// True when no events have been recorded.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
 
     /// Events evicted to stay within capacity.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped
     }
 
     /// Total events ever observed (held + dropped).
-    pub fn total_seen(&self) -> u64 {
+    pub(crate) fn total_seen(&self) -> u64 {
         self.buf.len() as u64 + self.dropped
     }
 }
 
+#[cfg(test)]
 impl TraceSink for RingTrace {
     fn record(&mut self, event: TraceEvent) {
         if self.buf.len() < self.capacity {

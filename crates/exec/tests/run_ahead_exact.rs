@@ -22,7 +22,7 @@
 //! `crates/exec/src/taskflow.rs`'s unit tests; here it appears only in
 //! the census of which runs take their units ahead at all.
 
-use hsm_core::{ExecModel, Mode, OptLevel, Pipeline, Scenario};
+use hsm_core::api::{ExecModel, Mode, OptLevel, Pipeline, Scenario};
 use hsm_exec::{
     run, ExecError, NullSink, ProfileCollector, RunResult, RunSpec, SyncEvent, TraceEvent,
     TraceSink, Units,

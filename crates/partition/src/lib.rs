@@ -26,14 +26,12 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use std::fmt;
 
 /// Per-core MPB capacity on the Intel SCC, in bytes.
-pub const SCC_MPB_BYTES_PER_CORE: usize = 8 * 1024;
-
-/// Total MPB capacity across all 48 SCC cores, in bytes.
-pub const SCC_MPB_TOTAL_BYTES: usize = 48 * SCC_MPB_BYTES_PER_CORE;
+const SCC_MPB_BYTES_PER_CORE: usize = 8 * 1024;
 
 /// The memory resources Algorithm 3 partitions into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -115,7 +113,7 @@ impl SharedVar {
     }
 
     /// Access density: weighted accesses per byte.
-    pub fn density(&self) -> f64 {
+    pub(crate) fn density(&self) -> f64 {
         if self.mem_size == 0 {
             0.0
         } else {
@@ -582,7 +580,10 @@ int main() {
     #[test]
     fn scc_spec_scales_with_cores() {
         assert_eq!(MemorySpec::scc(32).on_chip_capacity, 32 * 8192);
-        assert_eq!(MemorySpec::default().on_chip_capacity, SCC_MPB_TOTAL_BYTES);
+        assert_eq!(
+            MemorySpec::default().on_chip_capacity,
+            48 * SCC_MPB_BYTES_PER_CORE
+        );
     }
 
     #[test]

@@ -110,7 +110,7 @@ impl Cache {
     /// LRU, dirty-bit and counter updates of one — and nothing at all
     /// otherwise.
     #[inline]
-    pub fn access_resident(&mut self, addr: u64, write: bool) -> bool {
+    pub(crate) fn access_resident(&mut self, addr: u64, write: bool) -> bool {
         let (chunk, set, tag) = self.locate(addr);
         let Some(set) = self.chunks[chunk].get_mut(set) else {
             return false;
@@ -163,7 +163,7 @@ impl Cache {
     }
 
     /// Invalidates the whole cache (used by RCCE's MPB flush semantics).
-    pub fn invalidate_all(&mut self) {
+    pub(crate) fn invalidate_all(&mut self) {
         // `clear` keeps each chunk's allocation for the next fill.
         self.chunks.iter_mut().for_each(Vec::clear);
     }
@@ -171,7 +171,7 @@ impl Cache {
     /// Writes back every dirty line (clearing its dirty bit but keeping it
     /// valid), returning how many lines streamed out. Each write-back is
     /// counted in [`Cache::stats`].
-    pub fn flush_dirty(&mut self) -> usize {
+    pub(crate) fn flush_dirty(&mut self) -> usize {
         let mut flushed = 0;
         for chunk in &mut self.chunks {
             for line in chunk {
@@ -193,7 +193,7 @@ impl Cache {
 
 /// A private two-level hierarchy (L1D + unified L2).
 #[derive(Debug, Clone)]
-pub struct CacheHierarchy {
+pub(crate) struct CacheHierarchy {
     /// Level-1 data cache.
     pub l1: Cache,
     /// Unified level-2 cache.
@@ -204,7 +204,7 @@ pub struct CacheHierarchy {
 
 /// Where a private access was served from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServiceLevel {
+pub(crate) enum ServiceLevel {
     /// Served by L1.
     L1,
     /// Served by L2.
@@ -219,7 +219,7 @@ pub enum ServiceLevel {
 
 impl CacheHierarchy {
     /// Builds the hierarchy from the chip configuration.
-    pub fn new(config: &crate::config::SccConfig) -> Self {
+    pub(crate) fn new(config: &crate::config::SccConfig) -> Self {
         CacheHierarchy {
             l1: Cache::new(config.l1_bytes, config.l1_ways, config.line_bytes),
             l2: Cache::new(config.l2_bytes, config.l2_ways, config.line_bytes),
@@ -230,13 +230,13 @@ impl CacheHierarchy {
 
     /// Writes back every dirty line in both levels, returning the total
     /// line count (the software-managed coherence "flush" primitive).
-    pub fn flush_dirty(&mut self) -> usize {
+    pub(crate) fn flush_dirty(&mut self) -> usize {
         self.l1.flush_dirty() + self.l2.flush_dirty()
     }
 
     /// Invalidates both levels (flush-and-invalidate completes a
     /// software-managed coherence handoff).
-    pub fn invalidate(&mut self) {
+    pub(crate) fn invalidate(&mut self) {
         self.l1.invalidate_all();
         self.l2.invalidate_all();
     }
@@ -245,7 +245,11 @@ impl CacheHierarchy {
     /// line, and nothing at all otherwise: the access a core can make
     /// without anything leaving its tile.
     #[inline]
-    pub fn access_resident(&mut self, addr: u64, write: bool) -> Option<(ServiceLevel, u64)> {
+    pub(crate) fn access_resident(
+        &mut self,
+        addr: u64,
+        write: bool,
+    ) -> Option<(ServiceLevel, u64)> {
         if self.l1.access_resident(addr, write) {
             Some((ServiceLevel::L1, self.l1_hit_cycles))
         } else if self.l2.contains(addr) {
@@ -257,7 +261,7 @@ impl CacheHierarchy {
 
     /// Performs a private-memory access, returning the level that served
     /// it and the cycles spent in the cache hierarchy (excluding DRAM).
-    pub fn access(&mut self, addr: u64, write: bool) -> (ServiceLevel, u64) {
+    pub(crate) fn access(&mut self, addr: u64, write: bool) -> (ServiceLevel, u64) {
         match self.l1.access(addr, write) {
             CacheOutcome::Hit => (ServiceLevel::L1, self.l1_hit_cycles),
             CacheOutcome::Miss {

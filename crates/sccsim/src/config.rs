@@ -127,13 +127,8 @@ impl SccConfig {
     }
 
     /// Cores per tile (2 on the SCC).
-    pub fn cores_per_tile(&self) -> usize {
+    pub(crate) fn cores_per_tile(&self) -> usize {
         self.cores / (self.mesh_cols * self.mesh_rows)
-    }
-
-    /// Total MPB capacity in bytes.
-    pub fn mpb_total_bytes(&self) -> usize {
-        self.cores * self.mpb_bytes_per_core
     }
 
     /// Renders the Table 6.1 comparison block (RCCE vs Pthreads columns are
@@ -197,7 +192,7 @@ mod tests {
         assert_eq!(c.dram_freq_mhz, 1066);
         assert_eq!(c.cores, 48);
         assert_eq!(c.cores_per_tile(), 2);
-        assert_eq!(c.mpb_total_bytes(), 384 * 1024);
+        assert_eq!(c.cores * c.mpb_bytes_per_core, 384 * 1024);
     }
 
     #[test]

@@ -12,10 +12,6 @@ pub struct DramBank {
     /// Time each controller becomes free again.
     busy_until: Vec<u64>,
     default_occupancy: u64,
-    /// Total requests per controller.
-    requests: Vec<u64>,
-    /// Total queue-wait cycles per controller.
-    wait_cycles: Vec<u64>,
 }
 
 /// Result of one DRAM request.
@@ -34,8 +30,6 @@ impl DramBank {
         DramBank {
             busy_until: vec![0; controllers],
             default_occupancy,
-            requests: vec![0; controllers],
-            wait_cycles: vec![0; controllers],
         }
     }
 
@@ -55,13 +49,16 @@ impl DramBank {
     /// # Panics
     ///
     /// Panics if `mc` is out of range.
-    pub fn request_with_occupancy(&mut self, mc: usize, at: u64, occupancy: u64) -> DramResponse {
+    pub(crate) fn request_with_occupancy(
+        &mut self,
+        mc: usize,
+        at: u64,
+        occupancy: u64,
+    ) -> DramResponse {
         let start = at.max(self.busy_until[mc]);
         let queued_for = start - at;
         let done_at = start + occupancy;
         self.busy_until[mc] = done_at;
-        self.requests[mc] += 1;
-        self.wait_cycles[mc] += queued_for;
         DramResponse {
             done_at,
             queued_for,
@@ -71,26 +68,6 @@ impl DramBank {
     /// Number of controllers.
     pub fn controllers(&self) -> usize {
         self.busy_until.len()
-    }
-
-    /// Requests served per controller.
-    pub fn requests_per_mc(&self) -> &[u64] {
-        &self.requests
-    }
-
-    /// Total queueing delay accumulated per controller.
-    pub fn wait_per_mc(&self) -> &[u64] {
-        &self.wait_cycles
-    }
-
-    /// Average queue wait in cycles across all requests (0 if idle).
-    pub fn mean_wait(&self) -> f64 {
-        let reqs: u64 = self.requests.iter().sum();
-        if reqs == 0 {
-            return 0.0;
-        }
-        let waits: u64 = self.wait_cycles.iter().sum();
-        waits as f64 / reqs as f64
     }
 }
 
@@ -116,7 +93,6 @@ mod tests {
         assert_eq!(r2.queued_for, 30);
         assert_eq!(r2.done_at, 60);
         assert_eq!(r3.queued_for, 60);
-        assert_eq!(d.mean_wait(), 30.0);
     }
 
     #[test]
@@ -139,24 +115,11 @@ mod tests {
     #[test]
     fn contention_grows_with_cores_per_mc() {
         // 8 cores hammering one MC vs 2 cores: mean wait must be higher.
-        let mut busy = DramBank::new(1, 30);
-        for i in 0..8 {
-            busy.request(0, i);
-        }
-        let mut light = DramBank::new(1, 30);
-        for i in 0..2 {
-            light.request(0, i);
-        }
-        assert!(busy.mean_wait() > light.mean_wait());
-    }
-
-    #[test]
-    fn stats_accumulate() {
-        let mut d = DramBank::new(2, 10);
-        d.request(0, 0);
-        d.request(0, 0);
-        d.request(1, 0);
-        assert_eq!(d.requests_per_mc(), &[2, 1]);
-        assert_eq!(d.wait_per_mc(), &[10, 0]);
+        let mean_wait = |cores: u64| {
+            let mut d = DramBank::new(1, 30);
+            let waits: u64 = (0..cores).map(|i| d.request(0, i).queued_for).sum();
+            waits as f64 / cores as f64
+        };
+        assert!(mean_wait(8) > mean_wait(2));
     }
 }

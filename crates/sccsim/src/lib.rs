@@ -6,23 +6,22 @@
 //! models the architectural features its results depend on:
 //!
 //! * a 6×4 tile mesh with X-Y routing, two P54C cores per tile
-//!   ([`mesh`], Figure 5.1);
+//!   ([`Mesh`], Figure 5.1);
 //! * private, non-coherent L1/L2 caches — only private pages are
-//!   cacheable ([`cache`]);
+//!   cacheable ([`Cache`]);
 //! * four DDR3 memory controllers at the die corners with FIFO queuing
-//!   contention ([`dram`]);
-//! * the 384 KB Message Passing Buffer, 8 KB per core ([`mpb`]);
-//! * one test-and-set register per core ([`tas`]).
+//!   contention ([`DramBank`]);
+//! * the 384 KB Message Passing Buffer, 8 KB per core ([`Mpb`]).
 //!
 //! [`MemorySystem`] ties these together behind a single
 //! `access(core, addr, write, now) -> latency` interface that the
 //! `hsm-exec` discrete-event engine drives. Every access is attributed
-//! to a per-core × per-region counter matrix ([`stats`]) with latency
+//! to a per-core × per-region counter matrix ([`StatsMatrix`]) with latency
 //! histograms — the substrate of the run manifests the `figures` binary
 //! emits.
 //!
 //! ```
-//! use scc_sim::{MemorySystem, Region, SccConfig, memory::SHARED_DRAM_BASE};
+//! use scc_sim::{memory::SHARED_DRAM_BASE, MemorySystem, Region, SccConfig};
 //!
 //! let mut chip = MemorySystem::new(SccConfig::table_6_1());
 //! let cold = chip.access(0, 0x1000, false, 0);          // private, cold
@@ -36,17 +35,20 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod cache;
-pub mod config;
-pub mod dram;
+mod cache;
+mod config;
+mod dram;
 pub mod memory;
-pub mod mesh;
-pub mod mpb;
-pub mod stats;
-pub mod tas;
+mod mesh;
+mod mpb;
+mod stats;
 
+pub use cache::{Cache, CacheOutcome};
 pub use config::SccConfig;
+pub use dram::{DramBank, DramResponse};
 pub use memory::{CoreLane, MemStats, MemorySystem, Region};
 pub use mesh::{Mesh, Tile};
+pub use mpb::Mpb;
 pub use stats::{line_index, CoreStats, LatencyHistogram, StatsMatrix, REGION_COUNT};

@@ -19,7 +19,6 @@ use crate::dram::DramBank;
 use crate::mesh::Mesh;
 use crate::mpb::Mpb;
 use crate::stats::{CoreStats, StatsMatrix};
-use crate::tas::TasBank;
 
 /// Base of the shared off-chip DRAM window.
 pub const SHARED_DRAM_BASE: u64 = 0x8000_0000;
@@ -62,11 +61,9 @@ pub struct MemorySystem {
     /// Mesh geometry.
     pub mesh: Mesh,
     /// Memory controllers.
-    pub dram: DramBank,
+    pub(crate) dram: DramBank,
     /// Message Passing Buffer.
     pub mpb: Mpb,
-    /// Test-and-set registers.
-    pub tas: TasBank,
     /// Per-core private hierarchies, built on first access: most runs
     /// touch a handful of a 48-core chip's cores, and an untouched
     /// hierarchy is indistinguishable from a freshly built one. A built
@@ -116,13 +113,11 @@ impl MemorySystem {
         let mesh = Mesh::new(&config);
         let dram = DramBank::new(config.memory_controllers, config.dram_occupancy_cycles);
         let mpb = Mpb::new(&config);
-        let tas = TasBank::new(config.cores);
         let caches = (0..config.cores).map(|_| None).collect();
         MemorySystem {
             mesh,
             dram,
             mpb,
-            tas,
             caches,
             stats: StatsMatrix::new(config.cores),
             config,
@@ -296,7 +291,7 @@ impl MemorySystem {
     }
 
     /// Writes back every dirty line in `core`'s private hierarchy,
-    /// returning the line count (see [`CacheHierarchy::flush_dirty`]).
+    /// returning the line count (see `CacheHierarchy::flush_dirty`).
     ///
     /// # Panics
     ///
@@ -338,14 +333,9 @@ impl MemorySystem {
     }
 
     /// High-water mark of MPB allocation, in bytes (see
-    /// [`Mpb::high_water`](crate::mpb::Mpb::high_water)).
+    /// `Mpb::high_water`).
     pub fn mpb_high_water(&self) -> usize {
         self.mpb.high_water()
-    }
-
-    /// Resets statistics (not cache/DRAM/allocator state).
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
     }
 }
 
@@ -523,15 +513,6 @@ mod tests {
         assert_eq!(m.stats_matrix().active_cores(), 1);
     }
 
-    #[test]
-    fn reset_stats_zeroes_counters() {
-        let mut m = sys();
-        m.access(0, 0x0, false, 0);
-        m.reset_stats();
-        assert_eq!(m.stats(), MemStats::default());
-        assert_eq!(m.stats_matrix().active_cores(), 0);
-    }
-
     /// Per-core × per-region attribution for the crate doctest scenario:
     /// a private cold miss, a private warm hit, a shared-DRAM read and an
     /// MPB read, each landing in exactly one row/column of the matrix.
@@ -593,11 +574,8 @@ mod tests {
     fn mpb_high_water_tracks_peak_allocation() {
         let mut m = sys();
         assert_eq!(m.mpb_high_water(), 0);
-        m.mpb.alloc(0, 100).expect("alloc");
+        m.mpb.alloc_shared(1, 100).expect("alloc_shared");
         m.mpb.alloc_shared(4, 1000).expect("alloc_shared");
         assert_eq!(m.mpb_high_water(), 128 + 1024, "line-aligned peak");
-        m.mpb.reset();
-        assert_eq!(m.mpb.allocated(), 0);
-        assert_eq!(m.mpb_high_water(), 128 + 1024, "high water survives reset");
     }
 }

@@ -14,7 +14,7 @@ pub struct Tile {
 
 impl Tile {
     /// Manhattan distance to `other` (the hop count of X-Y routing).
-    pub fn hops_to(self, other: Tile) -> usize {
+    pub(crate) fn hops_to(self, other: Tile) -> usize {
         self.x.abs_diff(other.x) + self.y.abs_diff(other.y)
     }
 }
@@ -23,7 +23,6 @@ impl Tile {
 #[derive(Debug, Clone)]
 pub struct Mesh {
     cols: usize,
-    rows: usize,
     cores_per_tile: usize,
     hop_cycles: u64,
     /// Memory controller tile positions.
@@ -78,7 +77,6 @@ impl Mesh {
         };
         let mut mesh = Mesh {
             cols,
-            rows,
             cores_per_tile: config.cores_per_tile(),
             hop_cycles: config.hop_cycles,
             mc_tiles,
@@ -126,30 +124,12 @@ impl Mesh {
         self.route(core).tile
     }
 
-    /// The memory controller serving `core` (nearest MC, ties broken by
-    /// index — this matches the SCC's quadrant assignment for the default
-    /// 4-MC layout).
-    #[inline]
-    pub fn mc_of(&self, core: usize) -> usize {
-        self.route(core).mc
-    }
-
     /// The memory controller serving `core` together with the round trip
     /// to it: what every uncached access of `core` needs.
     #[inline]
-    pub fn home_mc(&self, core: usize) -> (usize, u64) {
+    pub(crate) fn home_mc(&self, core: usize) -> (usize, u64) {
         let route = self.route(core);
         (route.mc, route.mc_trip)
-    }
-
-    /// Number of memory controllers.
-    pub fn mc_count(&self) -> usize {
-        self.mc_tiles.len()
-    }
-
-    /// Grid dimensions in tiles (columns, rows).
-    pub fn dims(&self) -> (usize, usize) {
-        (self.cols, self.rows)
     }
 
     /// One-way mesh latency in core cycles from `core` to `to` (X-Y route).
@@ -157,24 +137,9 @@ impl Mesh {
         from.hops_to(to) as u64 * self.hop_cycles
     }
 
-    /// Round-trip core→MC→core latency in core cycles.
-    pub fn mc_round_trip(&self, core: usize, mc: usize) -> u64 {
-        2 * self.latency(self.tile_of(core), self.mc_tiles[mc])
-    }
-
     /// Round-trip latency from `core` to the MPB owned by `owner`.
     pub fn mpb_round_trip(&self, core: usize, owner: usize) -> u64 {
         2 * self.latency(self.tile_of(core), self.tile_of(owner))
-    }
-
-    /// Cores per quadrant served by each MC (for diagnostics: the paper's
-    /// "at least 8 cores in contention per memory controller").
-    pub fn cores_per_mc(&self, total_cores: usize) -> Vec<usize> {
-        let mut counts = vec![0usize; self.mc_tiles.len()];
-        for c in 0..total_cores {
-            counts[self.mc_of(c)] += 1;
-        }
-        counts
     }
 }
 
@@ -184,6 +149,20 @@ mod tests {
 
     fn mesh() -> Mesh {
         Mesh::new(&SccConfig::table_6_1())
+    }
+
+    /// Round-trip core→MC→core latency in core cycles.
+    fn mc_round_trip(m: &Mesh, core: usize, mc: usize) -> u64 {
+        2 * m.latency(m.tile_of(core), m.mc_tiles[mc])
+    }
+
+    /// Cores served by each MC among cores `0..total_cores`.
+    fn cores_per_mc(m: &Mesh, total_cores: usize) -> Vec<usize> {
+        let mut counts = vec![0usize; m.mc_tiles.len()];
+        for c in 0..total_cores {
+            counts[m.home_mc(c).0] += 1;
+        }
+        counts
     }
 
     #[test]
@@ -208,23 +187,23 @@ mod tests {
     #[test]
     fn four_mcs_at_corners() {
         let m = mesh();
-        assert_eq!(m.mc_count(), 4);
+        assert_eq!(m.mc_tiles.len(), 4);
         // Core 0 (tile 0,0) is served by MC 0 at (0,0).
-        assert_eq!(m.mc_of(0), 0);
+        assert_eq!(m.home_mc(0).0, 0);
         // Core 47 (tile 5,3) by the MC at (5,3).
-        let mc47 = m.mc_of(47);
-        assert_eq!(m.mc_round_trip(47, mc47), 0);
+        let mc47 = m.home_mc(47).0;
+        assert_eq!(mc_round_trip(&m, 47, mc47), 0);
     }
 
     #[test]
     fn each_mc_serves_a_quadrant_of_twelve() {
         let m = mesh();
-        let counts = m.cores_per_mc(48);
+        let counts = cores_per_mc(&m, 48);
         assert_eq!(counts, vec![12, 12, 12, 12]);
         // With cores 0–31 active, 32/4 = 8 cores contend per MC on
         // average (the paper's Dot Product / LU observation); the lower
         // quadrants are even busier.
-        let counts32 = m.cores_per_mc(32);
+        let counts32 = cores_per_mc(&m, 32);
         assert_eq!(counts32.iter().sum::<usize>(), 32);
         assert!(counts32.iter().any(|&c| c >= 8), "{counts32:?}");
     }
@@ -233,8 +212,8 @@ mod tests {
     fn latency_scales_with_hops() {
         let m = mesh();
         // Core 0 at (0,0); MC 3 at (5,3): 8 hops, 2 cycles each, round trip.
-        assert_eq!(m.mc_round_trip(0, 3), 32);
-        assert_eq!(m.mc_round_trip(0, 0), 0);
+        assert_eq!(mc_round_trip(&m, 0, 3), 32);
+        assert_eq!(mc_round_trip(&m, 0, 0), 0);
     }
 
     #[test]
@@ -258,11 +237,11 @@ mod tests {
             for core in 0..=cfg.cores {
                 let want = m.compute_route(core);
                 assert_eq!(m.tile_of(core), want.tile, "{controllers} MCs, core {core}");
-                assert_eq!(m.mc_of(core), want.mc, "{controllers} MCs, core {core}");
+                assert_eq!(m.home_mc(core).0, want.mc, "{controllers} MCs, core {core}");
                 assert_eq!(m.home_mc(core), (want.mc, want.mc_trip));
-                assert_eq!(m.mc_round_trip(core, want.mc), want.mc_trip);
+                assert_eq!(mc_round_trip(&m, core, want.mc), want.mc_trip);
                 let nearest = (0..controllers)
-                    .min_by_key(|&mc| (m.mc_round_trip(core, mc), mc))
+                    .min_by_key(|&mc| (mc_round_trip(&m, core, mc), mc))
                     .expect("controllers");
                 assert_eq!(want.mc, nearest, "{controllers} MCs, core {core}");
             }
@@ -276,11 +255,11 @@ mod tests {
         let mut cfg = SccConfig::table_6_1();
         cfg.memory_controllers = 1;
         let m1 = Mesh::new(&cfg);
-        assert_eq!(m1.mc_count(), 1);
-        assert!(m1.cores_per_mc(48)[0] == 48);
+        assert_eq!(m1.mc_tiles.len(), 1);
+        assert!(cores_per_mc(&m1, 48)[0] == 48);
         cfg.memory_controllers = 2;
         let m2 = Mesh::new(&cfg);
-        assert_eq!(m2.mc_count(), 2);
-        assert_eq!(m2.cores_per_mc(48).iter().sum::<usize>(), 48);
+        assert_eq!(m2.mc_tiles.len(), 2);
+        assert_eq!(cores_per_mc(&m2, 48).iter().sum::<usize>(), 48);
     }
 }

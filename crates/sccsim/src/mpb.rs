@@ -4,15 +4,13 @@
 use crate::config::SccConfig;
 use crate::mesh::Mesh;
 
-/// The chip-wide MPB: address mapping, latency, and an allocator that
-/// mirrors `RCCE_malloc`'s round-robin-over-cores behaviour.
+/// The chip-wide MPB: address mapping, latency, and the linear shared
+/// allocator behind `RCCE_malloc`.
 #[derive(Debug, Clone)]
 pub struct Mpb {
     bytes_per_core: usize,
     cores: usize,
     access_cycles: u64,
-    /// Allocation watermark per core (per-slice allocator).
-    brk: Vec<usize>,
     /// Watermark of the linear shared allocator (grows from the start of
     /// the flat MPB address space).
     linear_brk: usize,
@@ -22,7 +20,7 @@ pub struct Mpb {
     shared_allocs: Vec<(usize, usize, usize)>,
     /// Total accesses per owner core.
     accesses: Vec<u64>,
-    /// Bytes currently allocated (both allocators combined).
+    /// Bytes currently allocated.
     allocated: usize,
     /// Largest `allocated` ever observed — the occupancy high-water mark
     /// reported in the run manifest.
@@ -31,7 +29,7 @@ pub struct Mpb {
 
 /// A chip-wide MPB address: (owner core, offset).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MpbAddr {
+pub(crate) struct MpbAddr {
     /// The core whose MPB slice holds the data.
     pub owner: usize,
     /// Byte offset within that slice.
@@ -40,12 +38,11 @@ pub struct MpbAddr {
 
 impl Mpb {
     /// Builds the MPB from the chip configuration.
-    pub fn new(config: &SccConfig) -> Self {
+    pub(crate) fn new(config: &SccConfig) -> Self {
         Mpb {
             bytes_per_core: config.mpb_bytes_per_core,
             cores: config.cores,
             access_cycles: config.mpb_access_cycles,
-            brk: vec![0; config.cores],
             linear_brk: 0,
             shared_allocs: Vec::new(),
             accesses: vec![0; config.cores],
@@ -54,31 +51,12 @@ impl Mpb {
         }
     }
 
-    /// Total capacity in bytes.
-    pub fn capacity(&self) -> usize {
-        self.bytes_per_core * self.cores
-    }
-
     /// Decomposes a linear MPB offset into (owner, offset).
-    pub fn addr_of(&self, linear: usize) -> MpbAddr {
+    pub(crate) fn addr_of(&self, linear: usize) -> MpbAddr {
         MpbAddr {
             owner: (linear / self.bytes_per_core).min(self.cores - 1),
             offset: linear % self.bytes_per_core,
         }
-    }
-
-    /// Allocates `bytes` from `core`'s MPB slice, returning the linear
-    /// offset, or `None` when the slice is exhausted.
-    pub fn alloc(&mut self, core: usize, bytes: usize) -> Option<usize> {
-        let aligned = (bytes + 31) & !31; // cache-line aligned
-        if self.brk[core] + aligned > self.bytes_per_core {
-            return None;
-        }
-        let offset = self.brk[core];
-        self.brk[core] += aligned;
-        self.allocated += aligned;
-        self.high_water = self.high_water.max(self.allocated);
-        Some(core * self.bytes_per_core + offset)
     }
 
     /// Allocates `bytes` of *linearly addressed* shared MPB space, capped
@@ -110,7 +88,7 @@ impl Mpb {
     /// (core *i* owns the *i*-th contiguous chunk — the layout a
     /// locality-aware RCCE program uses); elsewhere it is the physical
     /// 8 KB slice.
-    pub fn owner_of(&self, linear: usize) -> usize {
+    pub(crate) fn owner_of(&self, linear: usize) -> usize {
         for (start, size, participants) in &self.shared_allocs {
             if linear >= *start && linear < start + size {
                 let within = linear - start;
@@ -120,23 +98,8 @@ impl Mpb {
         self.addr_of(linear).owner
     }
 
-    /// Frees everything (RCCE programs allocate once per run). The
-    /// high-water mark deliberately survives: it reports peak occupancy
-    /// over the whole simulation.
-    pub fn reset(&mut self) {
-        self.brk.iter_mut().for_each(|b| *b = 0);
-        self.linear_brk = 0;
-        self.allocated = 0;
-        self.shared_allocs.clear();
-    }
-
-    /// Bytes currently allocated across both allocators.
-    pub fn allocated(&self) -> usize {
-        self.allocated
-    }
-
     /// Peak bytes ever allocated — the MPB occupancy high-water mark.
-    pub fn high_water(&self) -> usize {
+    pub(crate) fn high_water(&self) -> usize {
         self.high_water
     }
 
@@ -154,25 +117,6 @@ mod tests {
     fn fixture() -> (Mpb, Mesh) {
         let cfg = SccConfig::table_6_1();
         (Mpb::new(&cfg), Mesh::new(&cfg))
-    }
-
-    #[test]
-    fn capacity_is_384_kib() {
-        let (mpb, _) = fixture();
-        assert_eq!(mpb.capacity(), 384 * 1024);
-    }
-
-    #[test]
-    fn alloc_is_line_aligned_and_bounded() {
-        let (mut mpb, _) = fixture();
-        let a = mpb.alloc(0, 100).unwrap();
-        let b = mpb.alloc(0, 1).unwrap();
-        assert_eq!(a, 0);
-        assert_eq!(b, 128, "100 rounds to 128");
-        // Exhaust the 8 KB slice.
-        assert!(mpb.alloc(0, 8 * 1024).is_none());
-        // Another core's slice is unaffected.
-        assert!(mpb.alloc(1, 8 * 1024).is_some());
     }
 
     #[test]
@@ -223,9 +167,8 @@ mod tests {
         let cfg = SccConfig::table_6_1();
         let (mut mpb, mesh) = fixture();
         let mpb_lat = mpb.access(&mesh, 21, 20);
-        let mc = mesh.mc_of(21);
-        let dram_lat =
-            mesh.mc_round_trip(21, mc) + cfg.dram_service_cycles + cfg.shared_dram_overhead_cycles;
+        let (_, mc_trip) = mesh.home_mc(21);
+        let dram_lat = mc_trip + cfg.dram_service_cycles + cfg.shared_dram_overhead_cycles;
         assert!(
             mpb_lat < dram_lat,
             "mpb {mpb_lat} should beat dram {dram_lat}"
@@ -239,14 +182,5 @@ mod tests {
         assert_eq!((a.owner, a.offset), (0, 0));
         let b = mpb.addr_of(8 * 1024 + 100);
         assert_eq!((b.owner, b.offset), (1, 100));
-    }
-
-    #[test]
-    fn reset_reclaims_space() {
-        let (mut mpb, _) = fixture();
-        mpb.alloc(0, 8 * 1024).unwrap();
-        assert!(mpb.alloc(0, 32).is_none());
-        mpb.reset();
-        assert!(mpb.alloc(0, 32).is_some());
     }
 }

@@ -17,7 +17,7 @@ pub const REGION_COUNT: usize = 3;
 
 /// Number of log2 latency buckets (bucket 15 collects everything at or
 /// above 2^14 cycles).
-pub const HISTOGRAM_BUCKETS: usize = 16;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 16;
 
 impl Region {
     /// All regions, in canonical (index) order.
@@ -213,12 +213,6 @@ impl StatsMatrix {
         }
         h
     }
-
-    /// Zeroes every counter, keeping the core count.
-    pub fn reset(&mut self) {
-        let cores = self.per_core.len();
-        self.per_core = vec![CoreStats::default(); cores];
-    }
 }
 
 #[cfg(test)]
@@ -283,14 +277,5 @@ mod tests {
         assert_eq!(m.region_total(Region::SharedDram), 2);
         assert_eq!(m.active_cores(), 2);
         assert_eq!(m.region_histogram(Region::SharedDram).count, 2);
-    }
-
-    #[test]
-    fn matrix_reset_keeps_shape() {
-        let mut m = StatsMatrix::new(8);
-        m.record(0, Region::Private, false, 1);
-        m.reset();
-        assert_eq!(m.per_core.len(), 8);
-        assert_eq!(m.region_total(Region::Private), 0);
     }
 }

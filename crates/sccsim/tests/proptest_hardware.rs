@@ -11,9 +11,8 @@
 //! * the per-core × per-region counter matrix is conserved (every access
 //!   lands in exactly one cell) on arbitrary traces.
 
-use scc_sim::cache::{Cache, CacheOutcome};
-use scc_sim::dram::DramBank;
 use scc_sim::memory::SHARED_DRAM_BASE;
+use scc_sim::{Cache, CacheOutcome, DramBank};
 use scc_sim::{MemorySystem, Mesh, Region, SccConfig};
 use std::collections::VecDeque;
 use testkit::{check, SplitMix64};

@@ -21,9 +21,10 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod prop;
-pub mod rng;
+mod prop;
+mod rng;
 
-pub use prop::{check, check_seeded, default_cases};
+pub use prop::{check, check_seeded};
 pub use rng::SplitMix64;

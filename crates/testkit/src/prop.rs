@@ -19,11 +19,11 @@ use crate::rng::SplitMix64;
 
 /// The fixed base seed: hex of "HSMREPRO" truncated — arbitrary, but
 /// stable so that CI failures reproduce locally with no extra flags.
-pub const DEFAULT_BASE_SEED: u64 = 0x4853_4D52_4550_524F;
+const DEFAULT_BASE_SEED: u64 = 0x4853_4D52_4550_524F;
 
 /// Resolves the requested case count against the `TESTKIT_CASES`
 /// override.
-pub fn default_cases(requested: u32) -> u32 {
+fn default_cases(requested: u32) -> u32 {
     match std::env::var("TESTKIT_CASES") {
         Ok(v) => v.parse().unwrap_or(requested),
         Err(_) => requested,
@@ -37,9 +37,8 @@ fn base_seed() -> u64 {
     }
 }
 
-/// Derives the per-case seed. Public so a failing case can be replayed
-/// verbatim inside a named regression test.
-pub fn case_seed(base: u64, name: &str, case: u32) -> u64 {
+/// Derives the per-case seed, the one a failing case reports.
+fn case_seed(base: u64, name: &str, case: u32) -> u64 {
     // Fold the property name into the seed so distinct properties explore
     // distinct parts of the space even at the same base seed.
     let mut h = base;

@@ -63,7 +63,7 @@ impl SplitMix64 {
     }
 
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
-    pub fn gen_f64(&mut self) -> f64 {
+    fn gen_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 

@@ -22,7 +22,7 @@ enum Kind {
 
 impl TranslateError {
     /// An unsupported-construct error.
-    pub fn unsupported(message: impl Into<String>) -> Self {
+    pub(crate) fn unsupported(message: impl Into<String>) -> Self {
         TranslateError {
             kind: Kind::Unsupported,
             message: message.into(),
@@ -30,17 +30,11 @@ impl TranslateError {
     }
 
     /// An internal pipeline error.
-    pub fn internal(message: impl Into<String>) -> Self {
+    pub(crate) fn internal(message: impl Into<String>) -> Self {
         TranslateError {
             kind: Kind::Internal,
             message: message.into(),
         }
-    }
-
-    /// Whether this error indicates a bug in the translator rather than in
-    /// the input program.
-    pub fn is_internal(&self) -> bool {
-        self.kind == Kind::Internal
     }
 }
 
@@ -75,6 +69,8 @@ mod tests {
         assert!(TranslateError::unsupported("x")
             .to_string()
             .starts_with("unsupported construct"));
-        assert!(TranslateError::internal("x").is_internal());
+        assert!(TranslateError::internal("x")
+            .to_string()
+            .starts_with("internal translator error"));
     }
 }

@@ -35,14 +35,17 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod error;
-pub mod pass;
-pub mod passes;
-pub mod rewrite;
+mod error;
+mod pass;
+mod passes;
+mod rewrite;
 
 pub use error::TranslateError;
-pub use pass::{Driver, PassContext, TransformPass};
+pub use pass::Driver;
+
+use pass::PassContext;
 
 use hsm_analysis::ProgramAnalysis;
 use hsm_cir::{parse, TranslationUnit};

@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 
 /// Shared state threaded through the pass pipeline.
 #[derive(Debug)]
-pub struct PassContext<'a> {
+pub(crate) struct PassContext<'a> {
     /// The unit being rewritten (mutated in place by passes).
     pub unit: TranslationUnit,
     /// Stages 1–3 results for the *original* program.
@@ -46,7 +46,7 @@ pub struct PassContext<'a> {
 
 impl<'a> PassContext<'a> {
     /// Creates the context for one translation run.
-    pub fn new(
+    pub(crate) fn new(
         unit: TranslationUnit,
         analysis: &'a ProgramAnalysis,
         plan: &'a PartitionPlan,
@@ -72,7 +72,7 @@ impl<'a> PassContext<'a> {
 /// consistency check, [`Driver::run`] runs every pass a second time over
 /// a fresh [`PassContext`], so `run` must depend on the context it is
 /// handed and not on what an earlier call left in `self`.
-pub trait TransformPass {
+pub(crate) trait TransformPass {
     /// Human-readable pass name (for errors and tracing).
     fn name(&self) -> &'static str;
 
@@ -90,24 +90,24 @@ pub trait TransformPass {
 pub struct Driver {
     passes: Vec<Box<dyn TransformPass>>,
     /// Pass names executed so far (for tracing/tests).
-    pub trace: Vec<&'static str>,
+    pub(crate) trace: Vec<&'static str>,
 }
 
 impl Driver {
     /// Creates an empty driver.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Driver::default()
     }
 
     /// Appends a pass to the pipeline.
     #[allow(clippy::should_implement_trait)] // builder-style, not ops::Add
-    pub fn add(mut self, pass: impl TransformPass + 'static) -> Self {
+    pub(crate) fn add(mut self, pass: impl TransformPass + 'static) -> Self {
         self.passes.push(Box::new(pass));
         self
     }
 
     /// The names of the configured passes, in execution order (what
-    /// [`Driver::run`] will record as the trace). The persistent artifact
+    /// `Driver::run` will record as the trace). The persistent artifact
     /// store uses this to rebuild a [`crate::Translation`]'s pass trace
     /// from its on-disk entry without re-running the passes.
     pub fn pass_names(&self) -> Vec<&'static str> {
@@ -128,7 +128,7 @@ impl Driver {
     /// # Errors
     ///
     /// Propagates pass errors and reports IR corruption.
-    pub fn run(&mut self, ctx: &mut PassContext<'_>) -> Result<String, TranslateError> {
+    pub(crate) fn run(&mut self, ctx: &mut PassContext<'_>) -> Result<String, TranslateError> {
         let pristine = ctx.unit.clone();
         for pass in &mut self.passes {
             pass.run(ctx)?;

@@ -23,9 +23,12 @@
 use crate::error::TranslateError;
 use crate::pass::{PassContext, TransformPass};
 use crate::rewrite::*;
-use hsm_analysis::access::trip_count;
-use hsm_cir::ast::*;
-use hsm_cir::types::CType;
+use hsm_analysis::trip_count;
+use hsm_cir::CType;
+use hsm_cir::{
+    AssignOp, BinaryOp, Expr, ExprKind, ForInit, Item, NodeId, Param, Stmt, StmtKind,
+    TranslationUnit, UnaryOp,
+};
 use hsm_partition::Placement;
 use std::collections::BTreeMap;
 
@@ -46,7 +49,7 @@ const PTHREAD_API: &[&str] = &[
 // ------------------------------------------------------------------ 1 ----
 
 /// Rewrites the include list: pthread headers out, `RCCE.h` in.
-pub struct IncludesPass;
+pub(crate) struct IncludesPass;
 
 impl TransformPass for IncludesPass {
     fn name(&self) -> &'static str {
@@ -75,7 +78,7 @@ impl TransformPass for IncludesPass {
 /// Converts pthread mutexes to RCCE test-and-set locks: each mutex variable
 /// is assigned a lock id; `pthread_mutex_lock(&m)` becomes
 /// `RCCE_acquire_lock(id)` and unlock becomes `RCCE_release_lock(id)`.
-pub struct MutexPass;
+pub(crate) struct MutexPass;
 
 impl TransformPass for MutexPass {
     fn name(&self) -> &'static str {
@@ -118,7 +121,7 @@ fn convert_mutex_stmt(s: &mut Stmt, ids: &BTreeMap<String, usize>) {
 /// `RCCE_barrier(&RCCE_COMM_WORLD)` — the only barrier the target
 /// architecture offers spans all UEs. `pthread_barrier_init`/`destroy`
 /// statements are removed later by [`RemoveApiPass`].
-pub struct BarrierPass;
+pub(crate) struct BarrierPass;
 
 impl TransformPass for BarrierPass {
     fn name(&self) -> &'static str {
@@ -149,7 +152,7 @@ fn convert_barrier_expr(e: &mut Expr) {
     let (id, span) = args
         .first()
         .map(|a| (a.id, a.span))
-        .unwrap_or((NodeId(u32::MAX), hsm_cir::span::Span::default()));
+        .unwrap_or((NodeId(u32::MAX), hsm_cir::Span::default()));
     let comm = Expr {
         id,
         kind: ExprKind::Ident("RCCE_COMM_WORLD".to_string()),
@@ -305,7 +308,7 @@ fn walk_mut_expr(e: &mut Expr, f: &mut impl FnMut(&mut Expr)) {
 /// `int RCCE_APP(int *argc, char *argv[])`, `RCCE_init(&argc, &argv)` is
 /// inserted as the first statement and `RCCE_finalize()` just before the
 /// final return.
-pub struct MainConvPass;
+pub(crate) struct MainConvPass;
 
 impl TransformPass for MainConvPass {
     fn name(&self) -> &'static str {
@@ -355,7 +358,7 @@ impl TransformPass for MainConvPass {
 /// Rewrites shared globals per the Stage 4 plan: array and scalar globals
 /// become pointers allocated from shared memory in `RCCE_APP`
 /// (Algorithm 3's "Create on-chip/off-chip malloc call … Insert C in main").
-pub struct SharedDataPass;
+pub(crate) struct SharedDataPass;
 
 impl SharedDataPass {
     fn alloc_fn(placement: Placement) -> &'static str {
@@ -591,7 +594,7 @@ fn deref_rewrite_expr(e: &mut Expr, name: &str) {
 // ------------------------------------------------------------------ 5 ----
 
 /// Inserts `int myID; myID = RCCE_ue();` after the allocation block.
-pub struct CoreIdPass;
+pub(crate) struct CoreIdPass;
 
 impl TransformPass for CoreIdPass {
     fn name(&self) -> &'static str {
@@ -643,7 +646,7 @@ impl TransformPass for CoreIdPass {
 /// point (writes to per-core variables, including the shared-pointer cells
 /// themselves, still run everywhere), and the barrier inserted before the
 /// worker call publishes the initialized data to all cores.
-pub struct GuardSharedInitPass;
+pub(crate) struct GuardSharedInitPass;
 
 impl TransformPass for GuardSharedInitPass {
     fn name(&self) -> &'static str {
@@ -701,7 +704,7 @@ impl TransformPass for GuardSharedInitPass {
 /// or `Deref` destination whose base variable is in the shared set).
 fn stmt_writes_shared_memory(s: &Stmt, shared: &std::collections::BTreeSet<String>) -> bool {
     let mut found = false;
-    hsm_cir::visit::walk_exprs_in_stmt(s, &mut |e| {
+    hsm_cir::walk_exprs_in_stmt(s, &mut |e| {
         let dest = match &e.kind {
             ExprKind::Assign(_, lhs, _) => Some(lhs.as_ref()),
             ExprKind::PostIncDec(inner, _) => Some(inner.as_ref()),
@@ -763,7 +766,7 @@ fn guard_with_core_zero(unit: &mut TranslationUnit, core_var: &str, stmt: Stmt) 
 ///
 /// Statements that shared the launch loop are hoisted out with the loop
 /// induction variable rewritten to the core id.
-pub struct ThreadsToProcsPass;
+pub(crate) struct ThreadsToProcsPass;
 
 impl TransformPass for ThreadsToProcsPass {
     fn name(&self) -> &'static str {
@@ -951,7 +954,7 @@ fn for_induction_var(init: &Option<ForInit>) -> Option<String> {
 
 fn extract_create_call(stmt: &Stmt) -> Option<CreateCall> {
     let mut found = None;
-    hsm_cir::visit::walk_exprs_in_stmt(stmt, &mut |e| {
+    hsm_cir::walk_exprs_in_stmt(stmt, &mut |e| {
         if found.is_some() {
             return;
         }
@@ -999,7 +1002,7 @@ fn fold_loop(
     let block = Stmt {
         id: body_id,
         kind: StmtKind::Block(body),
-        span: hsm_cir::span::Span::default(),
+        span: hsm_cir::Span::default(),
     };
     let decl = {
         let mut b = Builder::new(unit);
@@ -1013,13 +1016,13 @@ fn fold_loop(
             Some(step),
             Box::new(block),
         ),
-        span: hsm_cir::span::Span::default(),
+        span: hsm_cir::Span::default(),
     };
     let wrap_id = unit.fresh_id();
     Stmt {
         id: wrap_id,
         kind: StmtKind::Block(vec![decl, for_stmt]),
-        span: hsm_cir::span::Span::default(),
+        span: hsm_cir::Span::default(),
     }
 }
 
@@ -1051,7 +1054,7 @@ fn build_worker_call(
 /// hoisted with the induction variable rewritten to the core id (that is
 /// how `printf(..., sum[local])` becomes `printf(..., sum[myID])` in
 /// Example Code 4.2). A standalone join becomes a barrier.
-pub struct JoinsPass;
+pub(crate) struct JoinsPass;
 
 impl TransformPass for JoinsPass {
     fn name(&self) -> &'static str {
@@ -1158,7 +1161,7 @@ fn barrier_stmt(unit: &mut TranslationUnit) -> Stmt {
 
 /// Algorithm 6 — `pthread_self()` → `RCCE_ue()`; also maps the benchmark
 /// timing call `wtime()` to `RCCE_wtime()`.
-pub struct SelfPass;
+pub(crate) struct SelfPass;
 
 impl TransformPass for SelfPass {
     fn name(&self) -> &'static str {
@@ -1283,7 +1286,7 @@ fn rename_calls_expr(e: &mut Expr, map: &[(&str, &str)]) {
 /// Algorithm 7 — removes declarations whose specifier is a pthread data
 /// type (`pthread_t threads[3];`, `pthread_mutex_t m;`, …), globally and
 /// locally.
-pub struct RemoveTypesPass;
+pub(crate) struct RemoveTypesPass;
 
 impl TransformPass for RemoveTypesPass {
     fn name(&self) -> &'static str {
@@ -1315,7 +1318,7 @@ impl TransformPass for RemoveTypesPass {
 
 /// Algorithm 8 — removes every remaining statement that calls a
 /// `pthread_*` API function (the hash-table O(1) lookup of the paper).
-pub struct RemoveApiPass;
+pub(crate) struct RemoveApiPass;
 
 impl TransformPass for RemoveApiPass {
     fn name(&self) -> &'static str {
@@ -1329,7 +1332,7 @@ impl TransformPass for RemoveApiPass {
             map_stmts(&mut body, &mut |s| {
                 let contains_api = {
                     let mut found = false;
-                    hsm_cir::visit::walk_exprs_in_stmt(&s, &mut |e| {
+                    hsm_cir::walk_exprs_in_stmt(&s, &mut |e| {
                         if let Some(t) = e.call_target() {
                             if api.contains(t) || t.starts_with("pthread_") {
                                 found = true;
@@ -1354,7 +1357,7 @@ impl TransformPass for RemoveApiPass {
 
 /// Removes local declarations orphaned by the conversion: zero remaining
 /// references and a side-effect-free initializer.
-pub struct UnusedLocalsPass;
+pub(crate) struct UnusedLocalsPass;
 
 impl TransformPass for UnusedLocalsPass {
     fn name(&self) -> &'static str {
@@ -1403,7 +1406,7 @@ impl TransformPass for UnusedLocalsPass {
 
 /// Drops private, entirely-unused globals (the post-Stage-3 cleanup that
 /// removes `global` from Example Code 4.2).
-pub struct DropPrivateGlobalsPass;
+pub(crate) struct DropPrivateGlobalsPass;
 
 impl TransformPass for DropPrivateGlobalsPass {
     fn name(&self) -> &'static str {

@@ -1,17 +1,20 @@
 //! AST construction and rewriting utilities shared by the passes.
 
-use hsm_cir::ast::*;
-use hsm_cir::span::Span;
-use hsm_cir::types::CType;
+use hsm_cir::CType;
+use hsm_cir::Span;
+use hsm_cir::{
+    AssignOp, BinaryOp, Declaration, Expr, ExprKind, ForInit, NodeId, Stmt, StmtKind, Storage,
+    TranslationUnit, UnaryOp, VarDecl,
+};
 
 /// Builds fresh AST nodes against a unit's id counter.
-pub struct Builder<'a> {
+pub(crate) struct Builder<'a> {
     unit: &'a mut TranslationUnit,
 }
 
 impl<'a> Builder<'a> {
     /// Creates a builder minting ids from `unit`.
-    pub fn new(unit: &'a mut TranslationUnit) -> Self {
+    pub(crate) fn new(unit: &'a mut TranslationUnit) -> Self {
         Builder { unit }
     }
 
@@ -20,7 +23,7 @@ impl<'a> Builder<'a> {
     }
 
     /// `name`
-    pub fn ident(&mut self, name: &str) -> Expr {
+    pub(crate) fn ident(&mut self, name: &str) -> Expr {
         Expr {
             id: self.id(),
             kind: ExprKind::Ident(name.to_string()),
@@ -29,7 +32,7 @@ impl<'a> Builder<'a> {
     }
 
     /// An integer literal.
-    pub fn int(&mut self, v: i64) -> Expr {
+    pub(crate) fn int(&mut self, v: i64) -> Expr {
         Expr {
             id: self.id(),
             kind: ExprKind::IntLit(v),
@@ -38,7 +41,7 @@ impl<'a> Builder<'a> {
     }
 
     /// `&inner`
-    pub fn addr_of(&mut self, inner: Expr) -> Expr {
+    pub(crate) fn addr_of(&mut self, inner: Expr) -> Expr {
         Expr {
             id: self.id(),
             kind: ExprKind::Unary(UnaryOp::Addr, Box::new(inner)),
@@ -47,7 +50,7 @@ impl<'a> Builder<'a> {
     }
 
     /// `(ty)inner`
-    pub fn cast(&mut self, ty: CType, inner: Expr) -> Expr {
+    pub(crate) fn cast(&mut self, ty: CType, inner: Expr) -> Expr {
         Expr {
             id: self.id(),
             kind: ExprKind::Cast(ty, Box::new(inner)),
@@ -56,7 +59,7 @@ impl<'a> Builder<'a> {
     }
 
     /// `sizeof(ty)`
-    pub fn sizeof(&mut self, ty: CType) -> Expr {
+    pub(crate) fn sizeof(&mut self, ty: CType) -> Expr {
         Expr {
             id: self.id(),
             kind: ExprKind::SizeofType(ty),
@@ -65,7 +68,7 @@ impl<'a> Builder<'a> {
     }
 
     /// `l op r`
-    pub fn binary(&mut self, op: BinaryOp, l: Expr, r: Expr) -> Expr {
+    pub(crate) fn binary(&mut self, op: BinaryOp, l: Expr, r: Expr) -> Expr {
         Expr {
             id: self.id(),
             kind: ExprKind::Binary(op, Box::new(l), Box::new(r)),
@@ -74,7 +77,7 @@ impl<'a> Builder<'a> {
     }
 
     /// `callee(args...)`
-    pub fn call(&mut self, callee: &str, args: Vec<Expr>) -> Expr {
+    pub(crate) fn call(&mut self, callee: &str, args: Vec<Expr>) -> Expr {
         let callee = self.ident(callee);
         Expr {
             id: self.id(),
@@ -84,7 +87,7 @@ impl<'a> Builder<'a> {
     }
 
     /// `lhs = rhs`
-    pub fn assign(&mut self, lhs: Expr, rhs: Expr) -> Expr {
+    pub(crate) fn assign(&mut self, lhs: Expr, rhs: Expr) -> Expr {
         Expr {
             id: self.id(),
             kind: ExprKind::Assign(AssignOp::Assign, Box::new(lhs), Box::new(rhs)),
@@ -93,7 +96,7 @@ impl<'a> Builder<'a> {
     }
 
     /// `expr;`
-    pub fn expr_stmt(&mut self, e: Expr) -> Stmt {
+    pub(crate) fn expr_stmt(&mut self, e: Expr) -> Stmt {
         Stmt {
             id: self.id(),
             kind: StmtKind::Expr(Some(e)),
@@ -102,7 +105,7 @@ impl<'a> Builder<'a> {
     }
 
     /// `ty name;` (no initializer)
-    pub fn decl_stmt(&mut self, name: &str, ty: CType) -> Stmt {
+    pub(crate) fn decl_stmt(&mut self, name: &str, ty: CType) -> Stmt {
         let vid = self.id();
         let did = self.id();
         let sid = self.id();
@@ -125,7 +128,7 @@ impl<'a> Builder<'a> {
     }
 
     /// `if (var == k) { call; }`
-    pub fn guarded_call(&mut self, var: &str, k: i64, call: Expr) -> Stmt {
+    pub(crate) fn guarded_call(&mut self, var: &str, k: i64, call: Expr) -> Stmt {
         let lhs = self.ident(var);
         let rhs = self.int(k);
         let cond = self.binary(BinaryOp::Eq, lhs, rhs);
@@ -140,7 +143,7 @@ impl<'a> Builder<'a> {
 
     /// `if (var < upper) { body }` — the idle-core guard used when the
     /// target has more cores than the source has threads.
-    pub fn lt_guard(&mut self, var: &str, upper: i64, body: Vec<Stmt>) -> Stmt {
+    pub(crate) fn lt_guard(&mut self, var: &str, upper: i64, body: Vec<Stmt>) -> Stmt {
         let lhs = self.ident(var);
         let rhs = self.int(upper);
         let cond = self.binary(BinaryOp::Lt, lhs, rhs);
@@ -161,7 +164,7 @@ impl<'a> Builder<'a> {
 
 /// Replaces every occurrence of identifier `from` with identifier `to` in
 /// an expression tree.
-pub fn subst_ident_expr(e: &mut Expr, from: &str, to: &str) {
+pub(crate) fn subst_ident_expr(e: &mut Expr, from: &str, to: &str) {
     match &mut e.kind {
         ExprKind::Ident(name) if name == from => *name = to.to_string(),
         ExprKind::Ident(_) => {}
@@ -199,7 +202,7 @@ pub fn subst_ident_expr(e: &mut Expr, from: &str, to: &str) {
 }
 
 /// Replaces identifier `from` with `to` in a statement tree.
-pub fn subst_ident_stmt(s: &mut Stmt, from: &str, to: &str) {
+pub(crate) fn subst_ident_stmt(s: &mut Stmt, from: &str, to: &str) {
     match &mut s.kind {
         StmtKind::Expr(Some(e)) => subst_ident_expr(e, from, to),
         StmtKind::Decl(d) => {
@@ -263,7 +266,7 @@ pub fn subst_ident_stmt(s: &mut Stmt, from: &str, to: &str) {
 /// Applies a bottom-up transformation to every statement list in a
 /// function body, letting `f` replace each statement with zero or more
 /// statements.
-pub fn map_stmts(body: &mut Vec<Stmt>, f: &mut impl FnMut(Stmt) -> Vec<Stmt>) {
+pub(crate) fn map_stmts(body: &mut Vec<Stmt>, f: &mut impl FnMut(Stmt) -> Vec<Stmt>) {
     let old = std::mem::take(body);
     for mut s in old {
         // Recurse into nested bodies first.
@@ -304,9 +307,9 @@ fn map_boxed(s: &mut Box<Stmt>, f: &mut impl FnMut(Stmt) -> Vec<Stmt>) {
 }
 
 /// Whether a statement (tree) contains a direct call to `target`.
-pub fn stmt_contains_call(s: &Stmt, target: &str) -> bool {
+pub(crate) fn stmt_contains_call(s: &Stmt, target: &str) -> bool {
     let mut found = false;
-    hsm_cir::visit::walk_exprs_in_stmt(s, &mut |e| {
+    hsm_cir::walk_exprs_in_stmt(s, &mut |e| {
         if e.call_target() == Some(target) {
             found = true;
         }
@@ -316,10 +319,10 @@ pub fn stmt_contains_call(s: &Stmt, target: &str) -> bool {
 
 /// Counts identifier references to `name` in a function body (declarations
 /// do not count as references).
-pub fn count_refs(body: &[Stmt], name: &str) -> usize {
+pub(crate) fn count_refs(body: &[Stmt], name: &str) -> usize {
     let mut count = 0;
     for s in body {
-        hsm_cir::visit::walk_exprs_in_stmt(s, &mut |e| {
+        hsm_cir::walk_exprs_in_stmt(s, &mut |e| {
             if e.as_ident() == Some(name) {
                 count += 1;
             }
@@ -331,8 +334,8 @@ pub fn count_refs(body: &[Stmt], name: &str) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hsm_cir::parser::parse;
-    use hsm_cir::printer::print_unit;
+    use hsm_cir::parse;
+    use hsm_cir::print_unit;
 
     #[test]
     fn builder_produces_printable_nodes() {
@@ -370,7 +373,7 @@ mod tests {
             // Delete `a = 1;`, duplicate `a = 2;`.
             match &s.kind {
                 StmtKind::Expr(Some(e)) => {
-                    let printed = hsm_cir::printer::print_expr(e);
+                    let printed = hsm_cir::print_expr(e);
                     if printed == "a = 1" {
                         vec![]
                     } else if printed == "a = 2" {
@@ -396,8 +399,7 @@ mod tests {
         let mut body = std::mem::take(&mut main.body);
         let mut seen = 0;
         map_stmts(&mut body, &mut |s| {
-            if matches!(&s.kind, StmtKind::Expr(Some(e)) if hsm_cir::printer::print_expr(e) == "i = 9")
-            {
+            if matches!(&s.kind, StmtKind::Expr(Some(e)) if hsm_cir::print_expr(e) == "i = 9") {
                 seen += 1;
             }
             vec![s]

@@ -15,13 +15,16 @@
 
 use crate::instr::{Instr, Intrinsic};
 use crate::value::MemKind;
-use hsm_cir::ast::*;
-use hsm_cir::types::CType;
+use hsm_cir::CType;
+use hsm_cir::{
+    AssignOp, BinaryOp, Declaration, Expr, ExprKind, ForInit, FunctionDef, Stmt, StmtKind, Storage,
+    TranslationUnit, UnaryOp,
+};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Base address of the interned string table (private region).
-pub const STRINGS_BASE: u64 = 0x0800_0000;
+pub(crate) const STRINGS_BASE: u64 = 0x0800_0000;
 /// Base address of globals (private region).
 pub const GLOBALS_BASE: u64 = 0x1000_0000;
 /// Base address of per-thread stack frames (private region).
@@ -87,17 +90,6 @@ pub struct Function {
     pub frame_vars: Vec<FrameVar>,
 }
 
-impl Function {
-    /// The frame variable whose storage covers byte `offset` of the frame
-    /// memory area (last match wins, mirroring lexical shadowing).
-    pub fn frame_var_at(&self, offset: u32) -> Option<&FrameVar> {
-        self.frame_vars
-            .iter()
-            .rev()
-            .find(|v| offset >= v.offset && offset < v.offset + v.size)
-    }
-}
-
 /// A compiled global variable.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GlobalVar {
@@ -127,14 +119,6 @@ pub struct Program {
 }
 
 impl Program {
-    /// Looks up a function index by name.
-    pub fn func_index(&self, name: &str) -> Option<u32> {
-        self.funcs
-            .iter()
-            .position(|f| f.name == name)
-            .map(|i| i as u32)
-    }
-
     /// Looks up a global by name.
     pub fn global(&self, name: &str) -> Option<&GlobalVar> {
         self.globals.iter().find(|g| g.name == name)
@@ -149,12 +133,12 @@ impl Program {
 /// Storage stride in bytes for one element of `ty` when laid out by this
 /// compiler (differs from the C ABI only for pointers, which we store in
 /// 8-byte cells).
-pub fn storage_stride(ty: &CType) -> usize {
+pub(crate) fn storage_stride(ty: &CType) -> usize {
     MemKind::for_ctype(ty).bytes()
 }
 
 /// Total storage for a declared variable.
-pub fn storage_size(ty: &CType) -> usize {
+pub(crate) fn storage_size(ty: &CType) -> usize {
     match ty {
         CType::Array(inner, len) => len.unwrap_or(1) * storage_size(inner),
         other => storage_stride(other),
@@ -393,7 +377,7 @@ impl<'a, 'b> FnCompiler<'a, 'b> {
     fn compile(c: &'a mut Compiler<'b>, f: &FunctionDef) -> Result<Function, CompileError> {
         let mut addr_taken = HashSet::new();
         for s in &f.body {
-            hsm_cir::visit::walk_exprs_in_stmt(s, &mut |e| {
+            hsm_cir::walk_exprs_in_stmt(s, &mut |e| {
                 if let ExprKind::Unary(UnaryOp::Addr, inner) = &e.kind {
                     if let Some(base) = inner.base_variable() {
                         addr_taken.insert(base.to_string());
@@ -1494,6 +1478,10 @@ mod tests {
         compile(&parse(src).expect("parse")).expect("compile")
     }
 
+    fn func_index(p: &Program, name: &str) -> usize {
+        p.funcs.iter().position(|f| f.name == name).expect(name)
+    }
+
     #[test]
     fn compiles_minimal_main() {
         let p = compile_src("int main() { return 0; }");
@@ -1568,11 +1556,12 @@ mod tests {
         let f = &p.funcs[0];
         let names: Vec<&str> = f.frame_vars.iter().map(|v| v.name.as_str()).collect();
         assert_eq!(names, vec!["a", "tmp"], "q stays in a register");
-        assert_eq!(f.frame_var_at(0).unwrap().name, "a");
-        assert_eq!(f.frame_var_at(12).unwrap().name, "a", "a[3] inside array");
+        let var_at = |offset| crate::opt::var_at(&f.frame_vars, offset);
+        assert_eq!(var_at(0).unwrap().name, "a");
+        assert_eq!(var_at(12).unwrap().name, "a", "a[3] inside array");
         let tmp = f.frame_vars.iter().find(|v| v.name == "tmp").unwrap();
-        assert_eq!(f.frame_var_at(tmp.offset).unwrap().name, "tmp");
-        assert!(f.frame_var_at(f.frame_mem).is_none(), "past the frame");
+        assert_eq!(var_at(tmp.offset).unwrap().name, "tmp");
+        assert!(var_at(f.frame_mem).is_none(), "past the frame");
     }
 
     #[test]
@@ -1629,8 +1618,8 @@ mod tests {
         let p = compile_src(
             "void *tf(void *x) { return x; } int main() { pthread_t t; pthread_create(&t, NULL, tf, NULL); return 0; }",
         );
-        let main_idx = p.func_index("main").unwrap() as usize;
-        let tf_idx = p.func_index("tf").unwrap();
+        let main_idx = func_index(&p, "main");
+        let tf_idx = func_index(&p, "tf") as u32;
         let code = &p.funcs[main_idx].code;
         assert!(code.contains(&Instr::PushI(i64::from(tf_idx))), "{code:?}");
         assert!(code
@@ -1704,7 +1693,7 @@ mod tests {
         let p = compile_src(
             "void fill(double *a, int n) { int i; for (i = 0; i < n; i++) a[i] = 1.0; } int main() { return 0; }",
         );
-        let fill = &p.funcs[p.func_index("fill").unwrap() as usize];
+        let fill = &p.funcs[func_index(&p, "fill")];
         assert_eq!(fill.n_params, 2);
         assert!(fill.code.contains(&Instr::Store(MemKind::F64, false)));
     }

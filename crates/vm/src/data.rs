@@ -57,7 +57,7 @@ impl ByteMemory {
 
     /// Reads one byte.
     #[inline]
-    pub fn read_u8(&self, addr: u64) -> u8 {
+    pub(crate) fn read_u8(&self, addr: u64) -> u8 {
         match self.pages.get(&(addr >> PAGE_SHIFT)) {
             Some(p) => p[(addr as usize) & (PAGE_SIZE - 1)],
             None => 0,
@@ -66,7 +66,7 @@ impl ByteMemory {
 
     /// Writes one byte.
     #[inline]
-    pub fn write_u8(&mut self, addr: u64, v: u8) {
+    pub(crate) fn write_u8(&mut self, addr: u64, v: u8) {
         self.page_mut(addr)[(addr as usize) & (PAGE_SIZE - 1)] = v;
     }
 

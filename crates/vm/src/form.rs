@@ -284,7 +284,7 @@ fn fuse(code: &[Instr], n_regs: u16) -> Option<Slot> {
     Some(slot)
 }
 
-/// A [`Program`] in the form the VM executes. See the [module docs](self).
+/// A [`Program`] in the form the VM executes.
 #[derive(Debug, Clone)]
 pub struct ExecForm<'p> {
     pub(crate) program: &'p Program,

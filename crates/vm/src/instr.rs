@@ -104,7 +104,7 @@ pub enum Intrinsic {
 
 impl Intrinsic {
     /// Resolves a C function name to an intrinsic.
-    pub fn from_name(name: &str) -> Option<Intrinsic> {
+    pub(crate) fn from_name(name: &str) -> Option<Intrinsic> {
         use Intrinsic::*;
         Some(match name {
             "printf" => Printf,
@@ -151,7 +151,7 @@ impl Intrinsic {
     }
 
     /// The C function name this intrinsic resolves from — the inverse of
-    /// [`Intrinsic::from_name`], used by the bytecode serializer as the
+    /// `Intrinsic::from_name`, used by the bytecode serializer as the
     /// stable on-disk spelling.
     pub fn name(self) -> &'static str {
         use Intrinsic::*;
@@ -200,7 +200,7 @@ impl Intrinsic {
 
     /// Whether the VM can evaluate this intrinsic itself without engine
     /// involvement (pure math).
-    pub fn is_pure(self) -> bool {
+    pub(crate) fn is_pure(self) -> bool {
         matches!(self, Intrinsic::Sqrt | Intrinsic::Fabs)
     }
 }
@@ -485,7 +485,7 @@ impl Instr {
     /// Base execution cost in core cycles (P54C-flavoured CPI model).
     /// `Load`/`Store` report only issue cost; the memory system adds the
     /// hierarchy latency.
-    pub fn base_cost(self) -> u64 {
+    pub(crate) fn base_cost(self) -> u64 {
         use Instr::*;
         match self {
             PushI(_) | PushF(_) | LocalGet(_) | LocalSet(_) | LocalMemAddr(_) | Dup | Pop

@@ -1086,8 +1086,8 @@ enum Tag {
 }
 
 /// The frame variable covering `offset` (last match wins, mirroring
-/// lexical shadowing, same as `Function::frame_var_at`).
-fn var_at(frame_vars: &[FrameVar], offset: u32) -> Option<&FrameVar> {
+/// lexical shadowing).
+pub(crate) fn var_at(frame_vars: &[FrameVar], offset: u32) -> Option<&FrameVar> {
     frame_vars
         .iter()
         .rev()

@@ -1,6 +1,6 @@
 //! A versioned text codec for compiled [`Program`]s.
 //!
-//! The persistent artifact store (`hsm_core::store`) keeps compiled
+//! The persistent artifact store (hsm-core's `DiskStore`) keeps compiled
 //! bytecode on disk between processes, so the compile shelf of a warm
 //! sweep can skip the CIR → bytecode compiler entirely. The format is a
 //! line-oriented text dump chosen for three properties:
@@ -17,12 +17,12 @@
 use crate::compile::{FrameVar, Function, GlobalVar, Program};
 use crate::instr::{Instr, Intrinsic};
 use crate::value::MemKind;
-use hsm_cir::types::CType;
+use hsm_cir::CType;
 use std::fmt;
 use std::fmt::Write as _;
 
 /// Format version written in the header; bump on any layout change.
-pub const SERIAL_VERSION: u32 = 1;
+const SERIAL_VERSION: u32 = 1;
 
 /// A decode failure (truncated, corrupted or stale-format input).
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -31,19 +31,8 @@ impl Value {
         }
     }
 
-    /// The address interpretation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value is negative (never a valid address).
-    pub fn as_addr(self) -> u64 {
-        let v = self.as_i();
-        assert!(v >= 0, "negative address {v}");
-        v as u64
-    }
-
     /// C truthiness.
-    pub fn is_truthy(self) -> bool {
+    pub(crate) fn is_truthy(self) -> bool {
         match self {
             Value::I(v) => v != 0,
             Value::F(v) => v != 0.0,
@@ -51,7 +40,7 @@ impl Value {
     }
 
     /// Whether either operand is floating (C usual arithmetic conversion).
-    pub fn promotes_to_f(self, other: Value) -> bool {
+    pub(crate) fn promotes_to_f(self, other: Value) -> bool {
         matches!(self, Value::F(_)) || matches!(other, Value::F(_))
     }
 }
@@ -113,8 +102,8 @@ impl MemKind {
     /// The kind for a C type (pointers are 4-byte integers on the SCC's
     /// IA-32 cores, but we carry them in 8-byte cells for simplicity of
     /// the private address space — the *timing* uses the C size).
-    pub fn for_ctype(ty: &hsm_cir::types::CType) -> MemKind {
-        use hsm_cir::types::CType::*;
+    pub(crate) fn for_ctype(ty: &hsm_cir::CType) -> MemKind {
+        use hsm_cir::CType::*;
         match ty {
             Char => MemKind::I8,
             Short => MemKind::I16,
@@ -131,7 +120,7 @@ impl MemKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hsm_cir::types::CType;
+    use hsm_cir::CType;
 
     #[test]
     fn conversions_match_c_semantics() {
@@ -164,11 +153,5 @@ mod tests {
         assert_eq!(MemKind::for_ctype(&CType::Double), MemKind::F64);
         assert_eq!(MemKind::for_ctype(&CType::Int.ptr_to()), MemKind::I64);
         assert_eq!(MemKind::for_ctype(&CType::Char), MemKind::I8);
-    }
-
-    #[test]
-    #[should_panic(expected = "negative address")]
-    fn negative_address_panics() {
-        let _ = Value::I(-1).as_addr();
     }
 }

@@ -1218,7 +1218,7 @@ mod tests {
                 n_regs,
                 n_params: 0,
                 frame_mem: 0,
-                ret: hsm_cir::types::CType::Int,
+                ret: hsm_cir::CType::Int,
                 frame_vars: Vec::new(),
             }],
             globals: Vec::new(),

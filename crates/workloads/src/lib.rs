@@ -27,6 +27,7 @@
 //! execution modes compute correct results.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use std::fmt;
 

@@ -27,7 +27,7 @@
 //! (default 32), each after the workload's name: DESIGN.md §10's table,
 //! which `tests/vm_dispatch.rs` pins.
 
-use hsm_core::{OptLevel, Pipeline, Scenario};
+use hsm_core::api::{OptLevel, Pipeline, Scenario};
 use hsm_workloads::Bench;
 
 fn main() {
@@ -73,9 +73,9 @@ fn main() {
             f2.code.len()
         );
         println!("---- O0 ----");
-        println!("{}", hsm_vm::opt::disassemble(&f0.code));
+        println!("{}", hsm_vm::disassemble(&f0.code));
         println!("---- O2 ----");
-        println!("{}", hsm_vm::opt::disassemble(&f2.code));
+        println!("{}", hsm_vm::disassemble(&f2.code));
         println!("---- O0, execution form ----");
         println!("{}", form.disassemble(index));
     }

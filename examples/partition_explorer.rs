@@ -9,7 +9,7 @@
 //! cargo run --example partition_explorer
 //! ```
 
-use hsm_core::{Pipeline, Stage};
+use hsm_core::api::{Pipeline, Stage};
 use hsm_partition::{partition, partition_with_split, MemorySpec, Policy, SharedVar};
 use hsm_workloads::Bench;
 

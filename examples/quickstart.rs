@@ -8,7 +8,8 @@
 //! cargo run --example quickstart
 //! ```
 
-use hsm_core::{experiment, Mode, Pipeline};
+use hsm_core::api::{Mode, Pipeline};
+use hsm_core::experiment;
 
 const EXAMPLE_4_1: &str = r#"
 #include <stdio.h>

@@ -7,7 +7,7 @@
 //! cargo run --release --example scaling_study
 //! ```
 
-use hsm_core::experiment::{sweep, Mode, SweepMatrix};
+use hsm_core::api::{sweep, Mode, SweepMatrix};
 use hsm_workloads::Bench;
 use scc_sim::SccConfig;
 

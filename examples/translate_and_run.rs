@@ -6,7 +6,8 @@
 //! cargo run --release --example translate_and_run
 //! ```
 
-use hsm_core::experiment::{run, Mode};
+use hsm_core::api::Mode;
+use hsm_core::experiment::run;
 use hsm_workloads::{Bench, Params};
 use scc_sim::SccConfig;
 

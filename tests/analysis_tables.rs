@@ -2,7 +2,7 @@
 //! 4.2 for the paper's Example Code 4.1, exercising hsm-cir + hsm-analysis
 //! through their public APIs only.
 
-use hsm_analysis::sharing::SharingStatus::{Private, Shared, Unknown};
+use hsm_analysis::SharingStatus::{Private, Shared, Unknown};
 use hsm_analysis::{ProgramAnalysis, VarKey};
 
 const EXAMPLE_4_1: &str = r#"

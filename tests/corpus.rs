@@ -3,8 +3,8 @@
 //! output multisets (deduplicated, since RCCE replicates post-barrier
 //! prints per core) and exit codes must agree across all three.
 
+use hsm_core::api::{Mode, Pipeline};
 use hsm_core::experiment::outputs_equivalent;
-use hsm_core::{Mode, Pipeline};
 use std::path::PathBuf;
 
 fn corpus_dir() -> PathBuf {

@@ -1,7 +1,7 @@
 //! Differential harness over the execution-model axis.
 //!
 //! [`hsm_exec::run`] runs every program under a pluggable
-//! [`hsm_core::ExecModel`]. This suite pins the contract between the three
+//! [`hsm_core::api::ExecModel`]. This suite pins the contract between the three
 //! models:
 //!
 //! - `Coherent` is the ground truth: deterministic, and byte-identical to
@@ -14,8 +14,9 @@
 //!   message-passes all sharing), while the adversarial corpus — programs
 //!   whose threads share memory without synchronization — visibly breaks.
 
-use hsm_core::experiment::{outputs_equivalent, sweep, Mode, SweepMatrix, SweepTask};
-use hsm_core::{ExecModel, Pipeline, Scenario, Stage};
+use hsm_core::api::{sweep, Mode, SweepMatrix, SweepTask};
+use hsm_core::api::{ExecModel, Pipeline, Scenario, Stage};
+use hsm_core::experiment::outputs_equivalent;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -158,7 +159,7 @@ fn adversarial_corpus_breaks_without_coherence() {
     }
 }
 
-/// A two-model sweep of one benchmark through `experiment::sweep` shares
+/// A two-model sweep of one benchmark through `sweep` shares
 /// every compiled artifact: the model is execution-time-only state and
 /// deliberately absent from the artifact-cache keys.
 #[test]

@@ -2,7 +2,8 @@
 //! reduced scale — who wins, in what order, and where the crossovers are.
 //! (Absolute magnitudes are the `figures` binary's job at full scale.)
 
-use hsm_core::experiment::{run, run_all_modes, Mode};
+use hsm_core::api::Mode;
+use hsm_core::experiment::{run, run_all_modes};
 use hsm_workloads::{Bench, Params};
 use scc_sim::SccConfig;
 

@@ -3,7 +3,7 @@
 //! `RCCE_barrier`s, and both execution modes must compute the reference
 //! result.
 
-use hsm_core::{Mode, Pipeline};
+use hsm_core::api::{Mode, Pipeline};
 use hsm_exec::{ExecModel, NullSink, RunSpec, Units};
 use hsm_workloads::{jacobi_reference_exit, jacobi_source, Params};
 use scc_sim::SccConfig;

@@ -9,7 +9,7 @@
 //! contract. This suite is the optimizer's safety net; `exec_models.rs`
 //! is its template on the model axis.
 
-use hsm_core::{ExecModel, Mode, OptLevel, Pipeline, Scenario, Stage};
+use hsm_core::api::{ExecModel, Mode, OptLevel, Pipeline, Scenario, Stage};
 use hsm_exec::{SyncEvent, TraceEvent, TraceSink};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -273,7 +273,7 @@ fn sync_event_streams_are_level_invariant() {
 /// of the compiled program's cache key.
 #[test]
 fn multi_level_sweep_shares_artifacts_up_to_translation() {
-    use hsm_core::experiment::{sweep, SweepMatrix, SweepTask};
+    use hsm_core::api::{sweep, SweepMatrix, SweepTask};
     let src: Arc<str> = read("example_4_1.c").into();
     let matrix = SweepMatrix::new(scc_sim::SccConfig::table_6_1())
         .workers(2)
@@ -318,7 +318,7 @@ fn multi_level_sweep_shares_artifacts_up_to_translation() {
 #[test]
 fn random_points_agree_across_levels() {
     let sources: Vec<(&str, String)> = CLEAN.iter().map(|&(name, _)| (name, read(name))).collect();
-    testkit::prop::check("opt_levels_random_points", 6, |rng| {
+    testkit::check("opt_levels_random_points", 6, |rng| {
         let (name, src) = &sources[rng.gen_range_usize(0, sources.len())];
         let cores = rng.gen_range_usize(2, 17);
         let model = MODELS[rng.gen_range_usize(0, MODELS.len())];

@@ -4,7 +4,8 @@
 //! the Rust reference model. (Reduced problem sizes keep debug-mode
 //! runtime reasonable.)
 
-use hsm_core::experiment::{outputs_equivalent, run, Mode};
+use hsm_core::api::Mode;
+use hsm_core::experiment::{outputs_equivalent, run};
 use hsm_workloads::{reference_exit, Bench, Params};
 use scc_sim::SccConfig;
 

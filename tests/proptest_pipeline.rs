@@ -361,15 +361,15 @@ int main() {{
 }}
 "#
         );
-        let session = hsm_core::Pipeline::new(src.as_str()).cores(threads);
+        let session = hsm_core::api::Pipeline::new(src.as_str()).cores(threads);
         let base = session
             .clone()
-            .scenario(hsm_core::Mode::PthreadBaseline.into())
+            .scenario(hsm_core::api::Mode::PthreadBaseline.into())
             .run_scenario()
             .unwrap_or_else(|e| panic!("baseline: {e}\n{src}"));
         let off = session
             .clone()
-            .scenario(hsm_core::Mode::RcceOffChip.into())
+            .scenario(hsm_core::api::Mode::RcceOffChip.into())
             .run_scenario()
             .unwrap_or_else(|e| panic!("off-chip: {e}\n{src}"));
         let hsm = session

@@ -9,7 +9,7 @@
 //!   trigger, naming the culprit variable. A detector that goes quiet
 //!   fails these, so the clean runs above stay meaningful.
 
-use hsm_core::{Mode, Pipeline};
+use hsm_core::api::{Mode, Pipeline};
 use hsm_exec::ViolationClass;
 use scc_sim::SccConfig;
 use std::path::PathBuf;

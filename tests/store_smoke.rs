@@ -7,7 +7,7 @@
 //! it that `cargo test -q` at the repository root reaches.
 
 use hsm_cir::print_unit;
-use hsm_core::{ArtifactCache, Mode, Pipeline, Stage, StoreStats};
+use hsm_core::api::{ArtifactCache, Mode, Pipeline, Stage, StoreStats};
 use hsm_exec::RunResult;
 use hsm_partition::Policy;
 use hsm_workloads::Bench;

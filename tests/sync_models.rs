@@ -17,8 +17,9 @@
 //!   race detection over the spawn/dependence/wait edges finds nothing.
 //! - Task-dataflow replays are deterministic.
 
-use hsm_core::experiment::{outputs_equivalent, Mode};
-use hsm_core::{ExecModel, OptLevel, Pipeline, Scenario};
+use hsm_core::api::Mode;
+use hsm_core::api::{ExecModel, OptLevel, Pipeline, Scenario};
+use hsm_core::experiment::outputs_equivalent;
 use std::path::PathBuf;
 
 fn read(rel: &str) -> String {
@@ -29,7 +30,7 @@ fn read(rel: &str) -> String {
 }
 
 /// Barrier original → task-annotated port, with the core count both run
-/// at (mirrors `hsm_bench::manifest::TASK_PROGRAMS`).
+/// at (mirrors the `figures` manifest's task programs).
 const PAIRS: [(&str, &str, usize); 2] = [
     ("matrix_vector.c", "task_matrix_vector.c", 4),
     ("mutex_histogram.c", "task_histogram.c", 4),

@@ -74,10 +74,10 @@ fn translated_source_is_valid_and_stable() {
 
 #[test]
 fn translated_example_runs_and_matches_baseline() {
-    let session = hsm_core::Pipeline::new(EXAMPLE_4_1).cores(3);
+    let session = hsm_core::api::Pipeline::new(EXAMPLE_4_1).cores(3);
     let base = session
         .clone()
-        .scenario(hsm_core::Mode::PthreadBaseline.into())
+        .scenario(hsm_core::api::Mode::PthreadBaseline.into())
         .run_scenario()
         .expect("baseline");
     let rcce = session.run_scenario().expect("rcce run");

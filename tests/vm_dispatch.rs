@@ -27,13 +27,13 @@
 //! for the six paper kernels and the corpus, at `O0` and `O2`, run function
 //! by function over a real memory.
 
-use hsm_core::{OptLevel, Pipeline, Scenario};
-use hsm_vm::compile::{Function, Program, STACKS_BASE};
-use hsm_vm::data::ByteMemory;
-use hsm_vm::instr::Op;
-use hsm_vm::value::MemKind;
-use hsm_vm::vm::{StepOutcome, Vm};
+use hsm_core::api::{OptLevel, Pipeline, Scenario};
+use hsm_vm::ByteMemory;
+use hsm_vm::MemKind;
+use hsm_vm::Op;
 use hsm_vm::{ExecForm, Instr, Intrinsic, Value};
+use hsm_vm::{Function, Program, STACKS_BASE};
+use hsm_vm::{StepOutcome, Vm};
 use hsm_workloads::{Bench, Params};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -135,7 +135,7 @@ fn program_of(main: Vec<Instr>, helper: Vec<Instr>) -> Program {
         n_regs,
         n_params,
         frame_mem,
-        ret: hsm_cir::types::CType::Int,
+        ret: hsm_cir::CType::Int,
         frame_vars: Vec::new(),
     };
     Program {
