@@ -27,8 +27,6 @@ pub enum RegionVerdict {
     SharedOffChip,
     /// Shared on-chip memory (MPB SRAM).
     SharedOnChip,
-    /// Split: leading bytes on-chip, remainder off-chip.
-    SharedSplit,
 }
 
 impl RegionVerdict {
@@ -38,7 +36,6 @@ impl RegionVerdict {
             RegionVerdict::Private => "private",
             RegionVerdict::SharedOffChip => "shared_off_chip",
             RegionVerdict::SharedOnChip => "shared_on_chip",
-            RegionVerdict::SharedSplit => "shared_split",
         }
     }
 }

@@ -240,9 +240,9 @@ pub fn ablation_memory_controllers(units: usize) -> Result<String, PipelineError
 pub fn ablation_partition_policies() -> String {
     use hsm_partition::{partition, MemorySpec, Policy, SharedVar};
     let vars = vec![
-        SharedVar::array("a", 64 * 1024, 900_000, 8),
-        SharedVar::array("b", 64 * 1024, 600_000, 8),
-        SharedVar::array("c", 64 * 1024, 900_000, 8),
+        SharedVar::new("a", 64 * 1024, 900_000),
+        SharedVar::new("b", 64 * 1024, 600_000),
+        SharedVar::new("c", 64 * 1024, 900_000),
         SharedVar::new("nthreads", 4, 64),
         SharedVar::new("n", 4, 64),
         SharedVar::new("reps", 4, 32),

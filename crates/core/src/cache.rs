@@ -353,11 +353,11 @@ pub struct StoreCounters {
 /// A snapshot of every shelf's disk-store counters, plus the store-wide
 /// eviction count. Index it by [`Stage`]: `stats[Stage::Compile].loads`.
 ///
-/// What each persisted shelf's payload is: `translate` the RCCE source
-/// plus pass trace, `compile` the versioned `hsm_vm` serial format,
-/// `profile` the `hsmprofile` text codec, `run` the
-/// [`RunResult::encode`] binary form. The `parse`, `analyze` and
-/// `partition` shelves are memory-only; their counters stay zero.
+/// What each persisted shelf's payload is: `translate` the RCCE source,
+/// `compile` the versioned `hsm_vm` serial format, `profile` the
+/// [`Profile::encode`](hsm_exec::Profile::encode) binary form, `run` the
+/// [`RunResult::encode`] one. The `parse`, `analyze` and `partition`
+/// shelves are memory-only; their counters stay zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Per-stage counters, in [`Stage::ALL`] order.
@@ -696,10 +696,9 @@ impl ArtifactCache {
 
     /// Memoized Stage 5 translation for `key` (a
     /// [`ArtifactKey::Translation`]). The store payload is the emitted
-    /// RCCE source plus the pass trace; on load the source is re-parsed
-    /// and the trace re-interned against the standard driver's pass
-    /// names, while `analysis` and `plan` (already cached one shelf up)
-    /// fill the translation's context fields.
+    /// RCCE source; on load it is re-parsed, while `analysis` and `plan`
+    /// (already cached one shelf up) fill the translation's context
+    /// fields.
     ///
     /// # Errors
     ///
@@ -715,8 +714,11 @@ impl ArtifactCache {
         self.translate.get_or_try_insert(
             key,
             self.store.as_ref(),
-            |payload| decode_translation(payload, analysis, plan),
-            encode_translation,
+            |payload| {
+                let source = std::str::from_utf8(payload).ok()?.to_string();
+                Translation::from_source(source, analysis.clone(), plan.clone()).ok()
+            },
+            |translation| translation.source().as_bytes().to_vec(),
             compute,
         )
     }
@@ -752,8 +754,8 @@ impl ArtifactCache {
     }
 
     /// Memoized run profile for `key` (an [`ArtifactKey::Profile`]). The
-    /// store payload is the deterministic `hsmprofile` text codec, so a
-    /// warm sweep serves profiles from disk without re-simulating.
+    /// store payload is [`Profile::encode`](hsm_exec::Profile::encode),
+    /// so a warm sweep serves profiles from disk without re-simulating.
     ///
     /// # Errors
     ///
@@ -767,11 +769,8 @@ impl ArtifactCache {
         self.profile.get_or_try_insert(
             key,
             self.store.as_ref(),
-            |payload| {
-                let text = std::str::from_utf8(payload).ok()?;
-                hsm_exec::Profile::from_text(text).ok()
-            },
-            |profile| profile.to_text().into_bytes(),
+            hsm_exec::Profile::decode,
+            hsm_exec::Profile::encode,
             compute,
         )
     }
@@ -840,37 +839,6 @@ impl ArtifactCache {
                 .remove(&oldest);
         }
     }
-}
-
-/// Store codec of the translate shelf: header, pass names, RCCE source.
-fn encode_translation(t: &Translation) -> Vec<u8> {
-    let mut out = format!("hsmtrans 1 {}\n", t.pass_trace.len());
-    for name in &t.pass_trace {
-        out.push_str(name);
-        out.push('\n');
-    }
-    out.push_str(t.source());
-    out.into_bytes()
-}
-
-/// Inverse of [`encode_translation`]; `None` marks the entry corrupt.
-fn decode_translation(
-    payload: &[u8],
-    analysis: &ProgramAnalysis,
-    plan: &PartitionPlan,
-) -> Option<Translation> {
-    let text = std::str::from_utf8(payload).ok()?;
-    let (header, rest) = text.split_once('\n')?;
-    let n = header.strip_prefix("hsmtrans 1 ")?.parse::<usize>().ok()?;
-    let known = hsm_translate::standard_driver().pass_names();
-    let mut parts = rest.splitn(n + 1, '\n');
-    let mut pass_trace = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = parts.next()?;
-        pass_trace.push(*known.iter().find(|k| **k == name)?);
-    }
-    let source = parts.next()?.to_string();
-    Translation::from_source(source, analysis.clone(), plan.clone(), pass_trace).ok()
 }
 
 impl std::fmt::Debug for ArtifactCache {

@@ -577,7 +577,7 @@ impl Pipeline {
             .profile_with(self.run_key(Stage::Profile), || {
                 let mut collector = ProfileCollector::new(self.config.line_bytes);
                 let result = self.run_traced(&mut collector)?;
-                Ok(collector.into_profile(&result))
+                Ok(collector.into_profile(result))
             })
     }
 
@@ -939,11 +939,10 @@ int main() {
         let p = Pipeline::new(SRC).cores(2);
         let plain = p.run_scenario().expect("plain run");
         let profile = p.profile().expect("profile");
-        assert_eq!(profile.total_cycles, plain.total_cycles);
-        assert_eq!(profile.exit_code, plain.exit_code);
+        assert_eq!(profile.run, plain);
         // The first call deposited the artifact: the second is a hit.
         let cached = p.profile().expect("cached profile");
-        assert_eq!(cached.total_cycles, profile.total_cycles);
+        assert!(Arc::ptr_eq(&cached, &profile));
         let stats = p.cache_handle().stats();
         assert_eq!(stats[Stage::Profile].misses, 1, "one profile computed");
         assert!(stats[Stage::Profile].hits > 0, "the lookup reused it");
@@ -958,8 +957,9 @@ int main() {
             .scenario(Scenario::default().mode(Mode::PthreadBaseline))
             .profile()
             .expect("baseline profile");
-        assert_eq!(hsm.exit_code, base.exit_code);
-        assert!(base.active_cores() <= hsm.active_cores());
+        assert_eq!(hsm.run.exit_code, base.run.exit_code);
+        let active = |profile: &Profile| profile.run.stats_matrix.active_cores();
+        assert!(active(&base) <= active(&hsm));
         assert_eq!(p.cache_handle().stats()[Stage::Profile].misses, 2);
     }
 }

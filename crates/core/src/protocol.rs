@@ -112,8 +112,8 @@ pub enum JobRequest {
         /// The sweep description.
         spec: SweepSpec,
     },
-    /// Run one program profiled and return its serialized
-    /// [`Profile`](hsm_exec::Profile) (the `hsmprofile` text form). The
+    /// Run one program profiled and return its
+    /// [`Profile`](hsm_exec::Profile) rendered as `hsmprofile` text. The
     /// profile also lands in the server's artifact cache, so a repeated
     /// `profile` job is a lookup.
     Profile {
@@ -335,8 +335,8 @@ pub enum JobResponse {
     Profile {
         /// The program's name.
         name: String,
-        /// The profile in its deterministic `hsmprofile` text form
-        /// (parse with [`hsm_exec::Profile::from_text`]).
+        /// The profile rendered by [`hsm_exec::Profile::to_text`]: the
+        /// deterministic `hsmprofile` text, for reading, not parsing.
         profile: String,
     },
     /// The job failed (malformed request, pipeline failure, timeout).

@@ -13,9 +13,9 @@
 //! one directory per [`Stage`], created when the store opens):
 //!
 //! ```text
-//! <root>/v2/translate/<src>-c<n>-...            — RCCE source + pass trace
+//! <root>/v2/translate/<src>-c<n>-...            — RCCE source
 //! <root>/v2/compile/<src>-...-O<n>              — versioned bytecode text
-//! <root>/v2/profile/<src>-...-k<chip>-v<model>  — `hsmprofile` text
+//! <root>/v2/profile/<src>-...-k<chip>-v<model>  — `Profile::encode` bytes
 //! <root>/v2/run/<src>-...-k<chip>-v<model>      — `RunResult::encode` bytes
 //! ```
 //!

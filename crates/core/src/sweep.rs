@@ -20,7 +20,6 @@ use crate::metrics::PipelineMetrics;
 use crate::pipeline::{Pipeline, PipelineError, SharingCheck, STAGE_STACK_BYTES};
 use crate::scenario::{Mode, Scenario};
 use hsm_exec::RunResult;
-use hsm_partition::Policy;
 use hsm_workloads::Bench;
 use scc_sim::SccConfig;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -74,8 +73,6 @@ pub struct SweepPoint {
     pub task: SweepTask,
     /// Participating core count.
     pub cores: usize,
-    /// Placement policy (defaults from the task's mode).
-    pub policy: Policy,
 }
 
 /// A benchmark × mode × core-count matrix plus execution knobs.
@@ -116,7 +113,7 @@ impl SweepMatrix {
         self
     }
 
-    /// Appends a point with the task's default policy.
+    /// Appends a point.
     #[must_use]
     pub fn point(
         mut self,
@@ -130,7 +127,6 @@ impl SweepMatrix {
             src,
             task,
             cores,
-            policy: task.scenario().mode.policy(),
         });
         self
     }
@@ -267,7 +263,6 @@ fn point_pipeline(point: &SweepPoint, config: &SccConfig, cache: &Arc<ArtifactCa
     Pipeline::new(Arc::clone(&point.src))
         .cores(point.cores)
         .scenario(point.task.scenario())
-        .policy(point.policy)
         .config(config.clone())
         .cache(Arc::clone(cache))
 }

@@ -205,10 +205,7 @@ fn a_different_chip_never_hits_another_chips_entries() {
             .cache(Arc::clone(cache));
         let run = session.run_scenario().expect("run");
         let profile = session.profile().expect("profile");
-        assert_eq!(
-            profile.total_cycles, run.total_cycles,
-            "one chip, one answer"
-        );
+        assert_eq!(profile.run, run, "one chip, one answer");
         (run, profile.to_text())
     };
 

@@ -2,8 +2,8 @@
 //! form must be byte-identical across fresh sessions, across sweep
 //! worker counts, and across a cold-vs-warm persistent store.
 
+use hsm_core::api::{fnv1a_bytes, ExecModel, Pipeline, Stage};
 use hsm_core::api::{sweep, ArtifactCache, Mode, Scenario, SweepMatrix, SweepTask};
-use hsm_core::api::{Pipeline, Stage};
 use scc_sim::SccConfig;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -84,8 +84,6 @@ fn profile_text_is_byte_identical_across_fresh_sessions() {
         b.to_text(),
         "independent sessions must agree byte-for-byte"
     );
-    let parsed = hsm_core::api::Profile::from_text(&text).expect("round-trips");
-    assert_eq!(parsed.to_text(), text, "serialize∘parse is the identity");
 }
 
 #[test]
@@ -130,7 +128,7 @@ fn profile_is_byte_identical_cold_vs_warm_store() {
     );
 
     // A brand-new cache over the same directory: the profile loads from
-    // disk through the text codec instead of re-simulating.
+    // disk through its binary codec instead of re-simulating.
     let warm_cache = ArtifactCache::persistent(&dir).expect("reopen store");
     let warm = seed_pipeline(&warm_cache).profile().expect("warm profile");
     let warm_stats = warm_cache.stats().store.expect("store stats present");
@@ -150,4 +148,67 @@ fn profile_is_byte_identical_cold_vs_warm_store() {
     );
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn corpus(rel: &str) -> String {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../corpus")
+        .join(rel);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+}
+
+/// The `hsmprofile` text of every corpus program under every mode that
+/// applies to it and every execution model, hashed into one digest. A
+/// change to how a profile is collected, stored or rendered that moves
+/// any byte of any of these 81 texts moves the digest; a failing run
+/// contributes its error message instead.
+#[test]
+fn corpus_profile_texts_are_pinned() {
+    const PTHREAD: [(&str, usize); 8] = [
+        ("example_4_1.c", 3),
+        ("matrix_vector.c", 4),
+        ("mutex_histogram.c", 4),
+        ("switch_classifier.c", 2),
+        ("escaping_local.c", 4),
+        ("dot_product.c", 4),
+        ("adversarial/escaping_arg.c", 4),
+        ("adversarial/unlocked_counter.c", 4),
+    ];
+    const TASK: [(&str, usize); 3] = [
+        ("task_matrix_vector.c", 4),
+        ("task_histogram.c", 4),
+        ("task_dot_product.c", 8),
+    ];
+    let paper_modes = [Mode::PthreadBaseline, Mode::RcceOffChip, Mode::RcceHsm];
+    let points = PTHREAD
+        .iter()
+        .flat_map(|&(name, cores)| paper_modes.map(|mode| (name, cores, mode)))
+        .chain(
+            TASK.iter()
+                .map(|&(name, cores)| (name, cores, Mode::TaskDataflow)),
+        );
+    let mut all = String::new();
+    let mut runs = 0;
+    for (name, cores, mode) in points {
+        let src = corpus(name);
+        for model in ExecModel::ALL {
+            let text = Pipeline::new(src.as_str())
+                .cores(cores)
+                .scenario(Scenario::new(mode).exec_model(model))
+                .profile()
+                .map_or_else(|e| format!("error: {e}\n"), |p| p.to_text());
+            all.push_str(&format!(
+                "{name} {} {}\n{text}",
+                mode.label(),
+                model.label()
+            ));
+            runs += 1;
+        }
+    }
+    assert_eq!(runs, 81);
+    assert_eq!(
+        format!("{:016x}", fnv1a_bytes(all.as_bytes())),
+        "6634730515e30b09",
+        "the corpus's profile texts moved"
+    );
 }

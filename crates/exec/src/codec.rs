@@ -1,19 +1,23 @@
-//! The compact binary form of a [`RunResult`].
+//! The compact binary form of a [`RunResult`] and of a [`Profile`].
 //!
 //! A run is a pure function of its inputs, so a finished [`RunResult`] is
 //! worth keeping — in memory between identical queries and on disk
 //! between processes (`hsm-core`'s run shelf does both, with this one
-//! encoding). The form is a version byte followed by LEB128 varints in
-//! field order; strings are length-prefixed UTF-8. A `RunResult` carries
-//! one [`CoreStats`] row per core of the *chip* (48 on the SCC) while a
-//! run touches as many as it was given, so only rows that differ from
-//! the all-zero row are written, each behind its index.
+//! encoding, and its profile shelf stores a [`Profile`] as its run's
+//! encoding followed by the reuse rows and the sync counters). The form
+//! is a version byte followed by LEB128 varints in field order; strings
+//! are length-prefixed UTF-8. A `RunResult` carries one [`CoreStats`] row
+//! per core of the *chip* (48 on the SCC) while a run touches as many as
+//! it was given, so only rows that differ from the all-zero row are
+//! written, each behind its index.
 //!
-//! [`RunResult::decode`] is total: any truncation, overlong varint,
-//! out-of-range index, invalid UTF-8 or trailing byte yields `None`, and
-//! no length read from the input is trusted with an allocation.
+//! [`RunResult::decode`] and [`Profile::decode`] are total: any
+//! truncation, overlong varint, out-of-range index, invalid UTF-8 or
+//! trailing byte yields `None`, and no length read from the input is
+//! trusted with an allocation.
 
 use crate::machine::{OutputLine, RunResult};
+use crate::profile::{Profile, ReuseHistogram, SyncSummary};
 use scc_sim::{CoreStats, LatencyHistogram, MemStats, StatsMatrix};
 
 /// First byte of every encoding; bump on any layout change.
@@ -118,6 +122,65 @@ fn read_row(r: &mut Reader<'_>) -> Option<CoreStats> {
     Some(row)
 }
 
+/// Reads the body of a [`RunResult::encode`], after its version byte.
+fn read_run(r: &mut Reader<'_>) -> Option<RunResult> {
+    let (total_cycles, timed_cycles) = (r.u64()?, r.u64()?);
+    let zigzag = r.u64()?;
+    let exit_code = (zigzag >> 1) as i64 ^ -((zigzag & 1) as i64);
+    let mem_stats = MemStats {
+        l1_hits: r.u64()?,
+        l2_hits: r.u64()?,
+        private_dram: r.u64()?,
+        shared_dram: r.u64()?,
+        mpb: r.u64()?,
+        mc_queue_cycles: r.u64()?,
+    };
+    let mpb_high_water = r.usize()?;
+    let (instructions, events) = (r.u64()?, r.u64()?);
+    let mut per_unit_cycles = vec![0; r.count()?];
+    r.fill(&mut per_unit_cycles)?;
+    let output = (0..r.count()?)
+        .map(|_| {
+            Some(OutputLine {
+                at: r.u64()?,
+                who: r.usize()?,
+                text: r.text()?,
+            })
+        })
+        .collect::<Option<Vec<_>>>()?;
+    // The row count is a chip's core count, not a share of the input:
+    // bound it on its own before allocating.
+    let cores = r.usize().filter(|&n| n <= 1 << 16)?;
+    let mut stats_matrix = StatsMatrix::new(cores);
+    for _ in 0..r.count()? {
+        let core = r.usize()?;
+        *stats_matrix.per_core.get_mut(core)? = read_row(r)?;
+    }
+    Some(RunResult {
+        total_cycles,
+        timed_cycles,
+        output,
+        exit_code,
+        mem_stats,
+        stats_matrix,
+        mpb_high_water,
+        per_unit_cycles,
+        instructions,
+        events,
+    })
+}
+
+/// Decodes `bytes` with `read`, which must consume all of them.
+fn decode<T>(bytes: &[u8], read: impl FnOnce(&mut Reader<'_>) -> Option<T>) -> Option<T> {
+    let (&version, body) = bytes.split_first()?;
+    if version != CODEC_VERSION {
+        return None;
+    }
+    let mut r = Reader(body);
+    let value = read(&mut r)?;
+    r.0.is_empty().then_some(value)
+}
+
 impl RunResult {
     /// The compact binary form.
     /// `decode(encode(r)) == Some(r)` for every `r`.
@@ -170,54 +233,52 @@ impl RunResult {
 
     /// Decodes [`RunResult::encode`]'s output; `None` for anything else.
     pub fn decode(bytes: &[u8]) -> Option<RunResult> {
-        let (&version, body) = bytes.split_first()?;
-        if version != CODEC_VERSION {
-            return None;
+        decode(bytes, read_run)
+    }
+}
+
+impl Profile {
+    /// The compact binary form: the run's [`RunResult::encode`] body,
+    /// then the reuse rows and the sync counters.
+    /// `decode(encode(p)) == Some(p)` for every `p`.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = self.run.encode();
+        put(&mut out, self.reuse.len() as u64);
+        for row in &self.reuse {
+            put(&mut out, row.cold);
+            put_all(&mut out, &row.buckets);
         }
-        let mut r = Reader(body);
-        let (total_cycles, timed_cycles) = (r.u64()?, r.u64()?);
-        let zigzag = r.u64()?;
-        let exit_code = (zigzag >> 1) as i64 ^ -((zigzag & 1) as i64);
-        let mem_stats = MemStats {
-            l1_hits: r.u64()?,
-            l2_hits: r.u64()?,
-            private_dram: r.u64()?,
-            shared_dram: r.u64()?,
-            mpb: r.u64()?,
-            mc_queue_cycles: r.u64()?,
-        };
-        let mpb_high_water = r.usize()?;
-        let (instructions, events) = (r.u64()?, r.u64()?);
-        let mut per_unit_cycles = vec![0; r.count()?];
-        r.fill(&mut per_unit_cycles)?;
-        let output = (0..r.count()?)
-            .map(|_| {
-                Some(OutputLine {
-                    at: r.u64()?,
-                    who: r.usize()?,
-                    text: r.text()?,
+        put_all(&mut out, &self.sync.counters());
+        out
+    }
+
+    /// Decodes [`Profile::encode`]'s output; `None` for anything else.
+    pub fn decode(bytes: &[u8]) -> Option<Profile> {
+        decode(bytes, |r| {
+            let run = read_run(r)?;
+            let reuse = (0..r.count()?)
+                .map(|_| {
+                    let mut row = ReuseHistogram {
+                        cold: r.u64()?,
+                        ..ReuseHistogram::default()
+                    };
+                    r.fill(&mut row.buckets)?;
+                    Some(row)
                 })
-            })
-            .collect::<Option<Vec<_>>>()?;
-        // The row count is a chip's core count, not a share of the input:
-        // bound it on its own before allocating.
-        let cores = r.usize().filter(|&n| n <= 1 << 16)?;
-        let mut stats_matrix = StatsMatrix::new(cores);
-        for _ in 0..r.count()? {
-            let core = r.usize()?;
-            *stats_matrix.per_core.get_mut(core)? = read_row(&mut r)?;
-        }
-        r.0.is_empty().then_some(RunResult {
-            total_cycles,
-            timed_cycles,
-            output,
-            exit_code,
-            mem_stats,
-            stats_matrix,
-            mpb_high_water,
-            per_unit_cycles,
-            instructions,
-            events,
+                .collect::<Option<Vec<_>>>()?;
+            let sync = SyncSummary {
+                barrier_epochs: r.u64()?,
+                barrier_arrivals: r.u64()?,
+                barrier_wait_cycles: r.u64()?,
+                lock_acquires: r.u64()?,
+                lock_handoffs: r.u64()?,
+                thread_starts: r.u64()?,
+                thread_joins: r.u64()?,
+                messages: r.u64()?,
+                dma_transfers: r.u64()?,
+                dma_bytes: r.u64()?,
+            };
+            Some(Profile { run, reuse, sync })
         })
     }
 }

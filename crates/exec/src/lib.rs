@@ -71,9 +71,7 @@ pub use engine::phases_on_this_thread;
 pub use engine::{run, RunSpec, Units};
 pub use machine::{ExecError, OutputLine, RunResult};
 pub use oracle::{Oracle, OracleMode, OracleReport, Violation, ViolationClass};
-pub use profile::{
-    CoreProfile, Profile, ProfileCollector, RegionProfile, ReuseHistogram, SyncSummary,
-};
+pub use profile::{Profile, ProfileCollector, ReuseHistogram, SyncSummary};
 pub use trace::{NullSink, SyncEvent, TraceEvent, TraceSink};
 
 use hsm_vm::Program;
@@ -116,11 +114,11 @@ mod syscall_cost {
 }
 
 /// [`run`] with a [`ProfileCollector`] attached: the result together with
-/// its [`Profile`].
+/// its [`Profile`], which holds a copy of it.
 fn run_profiled(program: &Program, spec: &RunSpec) -> Result<(RunResult, Profile), ExecError> {
     let mut collector = ProfileCollector::new(spec.config.line_bytes);
     let result = run(program, spec, &mut collector)?;
-    let profile = collector.into_profile(&result);
+    let profile = collector.into_profile(result.clone());
     Ok((result, profile))
 }
 
@@ -888,16 +886,32 @@ int RCCE_APP(int *argc, char **argv) {{
         .expect("run");
         assert!(!ring.is_empty(), "a real program performs memory accesses");
         assert_eq!(ring.dropped(), 0, "capacity is ample for this program");
-        // Every traced event is attributed in the counter matrix: totals
-        // must agree exactly.
-        let traced = ring.total_seen();
-        let counted: u64 = r
-            .stats_matrix
+        // Every traced event is attributed in the counter matrix: per
+        // core and region, reads, writes and cycles must agree exactly.
+        let mut traced = scc_sim::StatsMatrix::new(r.stats_matrix.per_core.len());
+        for e in ring.events() {
+            let row = &mut traced.per_core[e.core];
+            let i = e.region.index();
+            if e.write {
+                row.writes[i] += 1;
+            } else {
+                row.reads[i] += 1;
+            }
+            row.region_cycles[i] += e.latency;
+        }
+        for (core, (seen, counted)) in traced
             .per_core
             .iter()
-            .map(|c| c.total_accesses())
-            .sum();
-        assert_eq!(traced, counted, "trace and counters see the same stream");
+            .zip(&r.stats_matrix.per_core)
+            .enumerate()
+        {
+            let counted = (counted.reads, counted.writes, counted.region_cycles);
+            assert_eq!(
+                (seen.reads, seen.writes, seen.region_cycles),
+                counted,
+                "core {core}: trace and counters see the same stream"
+            );
+        }
         // The shared `sum` array lives in shared DRAM: shared accesses from
         // more than one core must appear.
         let shared_cores: std::collections::HashSet<usize> = ring
@@ -943,11 +957,10 @@ int RCCE_APP(int *argc, char **argv) {{
                 .expect("profiled");
         assert_eq!(plain.total_cycles, profiled.total_cycles);
         assert_eq!(plain.mem_stats, profiled.mem_stats);
-        assert_eq!(profile.total_cycles, plain.total_cycles);
-        assert_eq!(profile.exit_code, plain.exit_code);
+        assert_eq!(profile.run, profiled);
         assert!(profile.sync.barrier_epochs > 0, "RCCE_SUM barriers");
         assert!(
-            profile.per_core.iter().any(|c| c.reuse.total() > 0),
+            profile.reuse.iter().any(|h| h.cold > 0),
             "private accesses seen"
         );
 
@@ -956,7 +969,7 @@ int RCCE_APP(int *argc, char **argv) {{
         let (profiled, profile) =
             run_profiled(&pth, &table(Units::Pthread, ExecModel::Coherent)).expect("profiled");
         assert_eq!(plain.total_cycles, profiled.total_cycles);
-        assert_eq!(profile.active_cores(), 1, "baseline shares core 0");
+        assert_eq!(profile.reuse.len(), 1, "baseline shares core 0");
 
         let task = compile_src(TASK_SUM);
         let plain = coherent(&task, Units::Task { cores: 5 }).expect("plain");
@@ -964,7 +977,7 @@ int RCCE_APP(int *argc, char **argv) {{
             run_profiled(&task, &table(Units::Task { cores: 5 }, ExecModel::Coherent))
                 .expect("profiled");
         assert_eq!(plain.total_cycles, profiled.total_cycles);
-        assert_eq!(profile.exit_code, 400);
+        assert_eq!(profile.run.exit_code, 400);
         assert!(
             profile.sync.dma_transfers > 0 && profile.sync.dma_bytes > 0,
             "task DMA volume flows through TraceSink::dma: {:?}",

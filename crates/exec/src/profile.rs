@@ -1,33 +1,26 @@
-//! First-class run profiles.
+//! Run profiles: a run plus what only its trace shows.
 //!
-//! Before this module, the observable signal of a simulated run was
-//! fragmented across three layers: raw [`TraceEvent`]s/[`SyncEvent`]s in
-//! [`crate::trace`], per-core × per-region counters in
-//! [`scc_sim::StatsMatrix`], and whatever ad-hoc numbers each figure
-//! script pulled out of a [`RunResult`]. A [`Profile`] unifies them into
-//! one serializable, mergeable artifact per run:
+//! A [`RunResult`] already says where every access landed: `scc-sim`'s
+//! [`StatsMatrix`](scc_sim::StatsMatrix) counts reads, writes and cycles
+//! per core and region. A [`Profile`] is that run together with the two
+//! things no counter sees:
 //!
 //! * **per-core reuse-distance histograms** over private-region cache
 //!   lines, computed online with Olken's algorithm (a last-access map plus
 //!   a Fenwick tree over the access sequence) while the run streams
 //!   through a [`ProfileCollector`];
-//! * **per-region access/sharing counts** (reads, writes, cycles, and how
-//!   many cores touched each region);
 //! * **sync-event summaries** — barrier epochs and wait cycles, lock
 //!   acquires and cross-unit hand-offs, thread create/join counts, message
 //!   rendezvous, and the task runtime's DMA transfer count and byte
-//!   volume (via [`TraceSink::dma`]);
-//! * **cycle totals** — makespan, `wtime`-bracketed cycles, per-unit
-//!   clocks, retired instructions and the exit code, copied from the
-//!   [`RunResult`].
+//!   volume (via [`TraceSink::dma`]).
 //!
 //! The collector is an ordinary [`TraceSink`], so profiling rides the
 //! existing monomorphized trace path: the engine's cycle accounting is
 //! identical with and without a collector attached (pinned by the
-//! `profiling_does_not_perturb_timing` test). [`Profile::to_text`] is a
-//! deterministic line-oriented codec (`hsmprofile 1` header) suitable for
-//! content-addressed artifact stores; [`Profile::merge`] aggregates
-//! repeated runs counter-wise.
+//! `profiling_does_not_perturb_timing` test). A profile is stored with
+//! [`Profile::encode`] (the run's binary codec plus the two additions);
+//! [`Profile::to_text`] renders the deterministic `hsmprofile 1` text
+//! that `hsmd`'s `profile` job answers with.
 //!
 //! Reuse distance is the number of *distinct* cache lines touched between
 //! two accesses to the same line. On a machine whose private caches are
@@ -35,7 +28,7 @@
 //! distance is `< C`, so the histogram reads as a hit-rate curve over
 //! cache sizes.
 
-use crate::machine::{ExecError, RunResult};
+use crate::machine::RunResult;
 use crate::trace::{SyncEvent, TraceEvent, TraceSink};
 use scc_sim::Region;
 use std::collections::HashMap;
@@ -44,9 +37,6 @@ use std::collections::HashMap;
 /// 0 (immediate re-reference), bucket `b` covers `[2^(b-1), 2^b)`, and the
 /// last bucket absorbs everything larger.
 pub(crate) const REUSE_BUCKETS: usize = 24;
-
-/// Version tag of the [`Profile::to_text`] wire form.
-pub(crate) const PROFILE_FORMAT_VERSION: u32 = 1;
 
 /// A log₂-bucketed histogram of cache-line reuse distances plus the cold
 /// (first-touch) count.
@@ -60,75 +50,15 @@ pub struct ReuseHistogram {
 }
 
 impl ReuseHistogram {
-    /// The bucket a distance falls into.
-    pub fn bucket_of(distance: u64) -> usize {
-        if distance == 0 {
+    /// Records one re-reference at `distance` distinct lines.
+    fn record(&mut self, distance: u64) {
+        let bucket = if distance == 0 {
             0
         } else {
             ((64 - distance.leading_zeros()) as usize).min(REUSE_BUCKETS - 1)
-        }
+        };
+        self.buckets[bucket] += 1;
     }
-
-    /// Records one re-reference at `distance` distinct lines.
-    pub fn record(&mut self, distance: u64) {
-        self.buckets[Self::bucket_of(distance)] += 1;
-    }
-
-    /// Re-references recorded (excludes cold misses).
-    pub fn reuses(&self) -> u64 {
-        self.buckets.iter().sum()
-    }
-
-    /// All accesses observed: re-references plus cold misses.
-    pub fn total(&self) -> u64 {
-        self.reuses() + self.cold
-    }
-
-    /// Counter-wise sum with another histogram.
-    pub fn merge(&mut self, other: &ReuseHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += *b;
-        }
-        self.cold += other.cold;
-    }
-}
-
-/// One core's slice of a [`Profile`].
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct CoreProfile {
-    /// Reuse-distance histogram over private-region cache lines.
-    pub reuse: ReuseHistogram,
-    /// Accesses (loads + stores) per region, indexed by [`Region::index`].
-    pub accesses: [u64; 3],
-    /// Stores per region.
-    pub writes: [u64; 3],
-    /// Cycles spent in memory accesses per region.
-    pub cycles: [u64; 3],
-}
-
-impl CoreProfile {
-    /// Counter-wise sum with another core's slice.
-    pub fn merge(&mut self, other: &CoreProfile) {
-        self.reuse.merge(&other.reuse);
-        for i in 0..3 {
-            self.accesses[i] += other.accesses[i];
-            self.writes[i] += other.writes[i];
-            self.cycles[i] += other.cycles[i];
-        }
-    }
-}
-
-/// Chip-wide totals for one address-space region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RegionProfile {
-    /// Loads.
-    pub reads: u64,
-    /// Stores.
-    pub writes: u64,
-    /// Cycles spent accessing the region.
-    pub cycles: u64,
-    /// Cores that touched the region at least once — the sharing degree.
-    pub sharers: u64,
 }
 
 /// Aggregated synchronization activity of one run.
@@ -159,251 +89,94 @@ pub struct SyncSummary {
 }
 
 impl SyncSummary {
-    /// Counter-wise sum with another summary.
-    pub fn merge(&mut self, other: &SyncSummary) {
-        self.barrier_epochs += other.barrier_epochs;
-        self.barrier_arrivals += other.barrier_arrivals;
-        self.barrier_wait_cycles += other.barrier_wait_cycles;
-        self.lock_acquires += other.lock_acquires;
-        self.lock_handoffs += other.lock_handoffs;
-        self.thread_starts += other.thread_starts;
-        self.thread_joins += other.thread_joins;
-        self.messages += other.messages;
-        self.dma_transfers += other.dma_transfers;
-        self.dma_bytes += other.dma_bytes;
+    /// The counters in field order: the order of the `sync` text line
+    /// and of the binary form.
+    pub(crate) fn counters(&self) -> [u64; 10] {
+        [
+            self.barrier_epochs,
+            self.barrier_arrivals,
+            self.barrier_wait_cycles,
+            self.lock_acquires,
+            self.lock_handoffs,
+            self.thread_starts,
+            self.thread_joins,
+            self.messages,
+            self.dma_transfers,
+            self.dma_bytes,
+        ]
     }
 }
 
-/// The unified, serializable observation record of one (or, after
-/// [`Profile::merge`], several) simulated runs.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// One simulated run together with what only its trace shows.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Profile {
-    /// Runs aggregated into this profile (1 for a fresh profile).
-    pub runs: u64,
-    /// Makespan cycles, summed across merged runs.
-    pub total_cycles: u64,
-    /// `wtime`-bracketed cycles, summed across merged runs.
-    pub timed_cycles: u64,
-    /// Bytecode instructions retired, summed across merged runs.
-    pub instructions: u64,
-    /// Exit code of the (first) run.
-    pub exit_code: i64,
-    /// Final per-unit clocks (element-wise sums across merged runs).
-    pub per_unit_cycles: Vec<u64>,
-    /// Per-core observation slices, indexed by physical core id.
-    pub per_core: Vec<CoreProfile>,
-    /// Chip-wide per-region totals, indexed by [`Region::index`].
-    pub regions: [RegionProfile; 3],
+    /// The run: cycles, output and `scc-sim`'s per-core × per-region
+    /// counters.
+    pub run: RunResult,
+    /// Reuse-distance histogram over private-region cache lines, indexed
+    /// by physical core id. A core past the end made no private access.
+    pub reuse: Vec<ReuseHistogram>,
     /// Synchronization summary.
     pub sync: SyncSummary,
 }
 
 impl Profile {
-    /// Cores with at least one recorded access.
-    pub fn active_cores(&self) -> usize {
-        self.per_core
-            .iter()
-            .filter(|c| c.accesses.iter().any(|&a| a > 0))
-            .count()
-    }
-
-    /// Aggregates another profile into this one: counters and cycle
-    /// totals sum, `per_unit_cycles`/`per_core` extend to the longer
-    /// length, and the exit code of `self` is retained. Merging is
-    /// commutative up to the retained exit code and associative, so
-    /// shard-and-merge pipelines produce identical bytes regardless of
-    /// merge order.
-    pub fn merge(&mut self, other: &Profile) {
-        self.runs += other.runs;
-        self.total_cycles += other.total_cycles;
-        self.timed_cycles += other.timed_cycles;
-        self.instructions += other.instructions;
-        if self.per_unit_cycles.len() < other.per_unit_cycles.len() {
-            self.per_unit_cycles.resize(other.per_unit_cycles.len(), 0);
-        }
-        for (i, &c) in other.per_unit_cycles.iter().enumerate() {
-            self.per_unit_cycles[i] += c;
-        }
-        if self.per_core.len() < other.per_core.len() {
-            self.per_core
-                .resize(other.per_core.len(), CoreProfile::default());
-        }
-        for (i, c) in other.per_core.iter().enumerate() {
-            self.per_core[i].merge(c);
-        }
-        for i in 0..3 {
-            self.regions[i].reads += other.regions[i].reads;
-            self.regions[i].writes += other.regions[i].writes;
-            self.regions[i].cycles += other.regions[i].cycles;
-            self.regions[i].sharers = self.regions[i].sharers.max(other.regions[i].sharers);
-        }
-        self.sync.merge(&other.sync);
-    }
-
-    /// Serializes to the deterministic `hsmprofile 1` text form: a fixed
-    /// header, one line per chip-wide field, then one dense `core` line
-    /// per core. Two equal profiles always produce identical bytes.
+    /// Renders the deterministic `hsmprofile 1` text: a fixed header, one
+    /// line per chip-wide field, then one dense `core` line per core up
+    /// to the last one with an access. Two equal profiles always render
+    /// identical bytes.
     pub fn to_text(&self) -> String {
         use std::fmt::Write as _;
+        let run = &self.run;
+        let rows = &run.stats_matrix.per_core;
         let mut s = String::new();
-        let _ = writeln!(s, "hsmprofile {PROFILE_FORMAT_VERSION}");
+        let _ = writeln!(s, "hsmprofile 1");
         let _ = writeln!(
             s,
-            "run {} {} {} {} {}",
-            self.runs, self.total_cycles, self.timed_cycles, self.instructions, self.exit_code
+            "run 1 {} {} {} {}",
+            run.total_cycles, run.timed_cycles, run.instructions, run.exit_code
         );
-        let _ = write!(s, "units {}", self.per_unit_cycles.len());
-        for c in &self.per_unit_cycles {
+        let _ = write!(s, "units {}", run.per_unit_cycles.len());
+        for c in &run.per_unit_cycles {
             let _ = write!(s, " {c}");
         }
         s.push('\n');
-        for (i, r) in self.regions.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "region {} {} {} {} {}",
-                Region::ALL[i].name(),
-                r.reads,
-                r.writes,
-                r.cycles,
-                r.sharers
-            );
+        for region in Region::ALL {
+            let i = region.index();
+            let (mut reads, mut writes, mut cycles, mut sharers) = (0, 0, 0, 0);
+            for row in rows {
+                reads += row.reads[i];
+                writes += row.writes[i];
+                cycles += row.region_cycles[i];
+                sharers += u64::from(row.region_accesses(region) > 0);
+            }
+            let name = region.name();
+            let _ = writeln!(s, "region {name} {reads} {writes} {cycles} {sharers}");
         }
-        let y = &self.sync;
-        let _ = writeln!(
-            s,
-            "sync {} {} {} {} {} {} {} {} {} {}",
-            y.barrier_epochs,
-            y.barrier_arrivals,
-            y.barrier_wait_cycles,
-            y.lock_acquires,
-            y.lock_handoffs,
-            y.thread_starts,
-            y.thread_joins,
-            y.messages,
-            y.dma_transfers,
-            y.dma_bytes
-        );
-        let _ = writeln!(s, "cores {}", self.per_core.len());
-        for (id, core) in self.per_core.iter().enumerate() {
-            let _ = write!(s, "core {id} {}", core.reuse.cold);
-            for b in &core.reuse.buckets {
+        let _ = write!(s, "sync");
+        for c in self.sync.counters() {
+            let _ = write!(s, " {c}");
+        }
+        s.push('\n');
+        let cores = rows
+            .iter()
+            .rposition(|c| c.total_accesses() > 0)
+            .map_or(0, |last| last + 1);
+        let _ = writeln!(s, "cores {cores}");
+        let none = ReuseHistogram::default();
+        for (id, row) in rows[..cores].iter().enumerate() {
+            let reuse = self.reuse.get(id).unwrap_or(&none);
+            let _ = write!(s, "core {id} {}", reuse.cold);
+            for b in &reuse.buckets {
                 let _ = write!(s, " {b}");
             }
-            for v in core
-                .accesses
-                .iter()
-                .chain(core.writes.iter())
-                .chain(core.cycles.iter())
-            {
+            let accesses = Region::ALL.map(|r| row.region_accesses(r));
+            for v in accesses.iter().chain(&row.writes).chain(&row.region_cycles) {
                 let _ = write!(s, " {v}");
             }
             s.push('\n');
         }
         s
-    }
-
-    /// Parses the [`Profile::to_text`] form.
-    ///
-    /// # Errors
-    ///
-    /// Rejects a missing/unknown header and malformed or truncated lines.
-    pub fn from_text(text: &str) -> Result<Profile, ExecError> {
-        fn num<T: std::str::FromStr>(t: Option<&str>, what: &str) -> Result<T, ExecError> {
-            t.ok_or_else(|| ExecError::new(format!("profile: missing {what}")))?
-                .parse::<T>()
-                .map_err(|_| ExecError::new(format!("profile: malformed {what}")))
-        }
-        let mut lines = text.lines();
-        let header = lines.next().unwrap_or_default();
-        if header != format!("hsmprofile {PROFILE_FORMAT_VERSION}") {
-            return Err(ExecError::new(format!(
-                "profile: unknown header `{header}`"
-            )));
-        }
-        let mut p = Profile::default();
-        let mut region_idx = 0usize;
-        for line in lines {
-            let mut t = line.split_whitespace();
-            match t.next() {
-                Some("run") => {
-                    p.runs = num(t.next(), "runs")?;
-                    p.total_cycles = num(t.next(), "total_cycles")?;
-                    p.timed_cycles = num(t.next(), "timed_cycles")?;
-                    p.instructions = num(t.next(), "instructions")?;
-                    p.exit_code = num(t.next(), "exit_code")?;
-                }
-                Some("units") => {
-                    let n: usize = num(t.next(), "unit count")?;
-                    p.per_unit_cycles = (0..n)
-                        .map(|_| num(t.next(), "unit cycles"))
-                        .collect::<Result<_, _>>()?;
-                }
-                Some("region") => {
-                    if region_idx >= 3 {
-                        return Err(ExecError::new("profile: too many region lines"));
-                    }
-                    let name = t.next().unwrap_or_default();
-                    if name != Region::ALL[region_idx].name() {
-                        return Err(ExecError::new(format!(
-                            "profile: region `{name}` out of order"
-                        )));
-                    }
-                    let r = &mut p.regions[region_idx];
-                    r.reads = num(t.next(), "region reads")?;
-                    r.writes = num(t.next(), "region writes")?;
-                    r.cycles = num(t.next(), "region cycles")?;
-                    r.sharers = num(t.next(), "region sharers")?;
-                    region_idx += 1;
-                }
-                Some("sync") => {
-                    let y = &mut p.sync;
-                    y.barrier_epochs = num(t.next(), "barrier_epochs")?;
-                    y.barrier_arrivals = num(t.next(), "barrier_arrivals")?;
-                    y.barrier_wait_cycles = num(t.next(), "barrier_wait_cycles")?;
-                    y.lock_acquires = num(t.next(), "lock_acquires")?;
-                    y.lock_handoffs = num(t.next(), "lock_handoffs")?;
-                    y.thread_starts = num(t.next(), "thread_starts")?;
-                    y.thread_joins = num(t.next(), "thread_joins")?;
-                    y.messages = num(t.next(), "messages")?;
-                    y.dma_transfers = num(t.next(), "dma_transfers")?;
-                    y.dma_bytes = num(t.next(), "dma_bytes")?;
-                }
-                Some("cores") => {
-                    let n: usize = num(t.next(), "core count")?;
-                    p.per_core = vec![CoreProfile::default(); n];
-                }
-                Some("core") => {
-                    let id: usize = num(t.next(), "core id")?;
-                    let core = p
-                        .per_core
-                        .get_mut(id)
-                        .ok_or_else(|| ExecError::new("profile: core id out of range"))?;
-                    core.reuse.cold = num(t.next(), "cold count")?;
-                    for b in 0..REUSE_BUCKETS {
-                        core.reuse.buckets[b] = num(t.next(), "reuse bucket")?;
-                    }
-                    for i in 0..3 {
-                        core.accesses[i] = num(t.next(), "core accesses")?;
-                    }
-                    for i in 0..3 {
-                        core.writes[i] = num(t.next(), "core writes")?;
-                    }
-                    for i in 0..3 {
-                        core.cycles[i] = num(t.next(), "core cycles")?;
-                    }
-                }
-                Some(other) => {
-                    return Err(ExecError::new(format!(
-                        "profile: unknown line tag `{other}`"
-                    )));
-                }
-                None => {}
-            }
-        }
-        if region_idx != 3 {
-            return Err(ExecError::new("profile: truncated (missing regions)"));
-        }
-        Ok(p)
     }
 }
 
@@ -454,7 +227,7 @@ struct CoreState {
     marks: Fenwick,
     /// Private-region accesses observed (the Fenwick length).
     time: usize,
-    out: CoreProfile,
+    reuse: ReuseHistogram,
 }
 
 impl CoreState {
@@ -467,18 +240,17 @@ impl CoreState {
                 // accesses to `line` = marked positions in (prev, time).
                 let distance = self.marks.prefix(self.time - 1) - self.marks.prefix(prev);
                 self.marks.add(prev, -1);
-                self.out.reuse.record(distance as u64);
+                self.reuse.record(distance as u64);
             }
-            None => self.out.reuse.cold += 1,
+            None => self.reuse.cold += 1,
         }
     }
 }
 
 /// A [`TraceSink`] that builds a [`Profile`] online as the engine runs.
 ///
-/// Attach one to any `*_traced` entry point (or use the `*_profiled`
-/// wrappers) and convert it with [`ProfileCollector::into_profile`] once
-/// the run finishes. Reuse distances are exact (Olken's algorithm), not
+/// Hand one to [`run`](crate::run) as its sink and convert it with
+/// [`ProfileCollector::into_profile`] once the run finishes. Reuse distances are exact (Olken's algorithm), not
 /// sampled; memory cost is proportional to the private working set plus
 /// one tree node per private access.
 #[derive(Debug, Default)]
@@ -502,38 +274,11 @@ impl ProfileCollector {
         }
     }
 
-    fn core_mut(&mut self, core: usize) -> &mut CoreState {
-        if self.cores.len() <= core {
-            self.cores.resize_with(core + 1, CoreState::default);
-        }
-        &mut self.cores[core]
-    }
-
-    /// Finalizes the collector against the run it observed, pulling cycle
-    /// totals from `result` and everything event-shaped from the
-    /// collector itself.
-    pub fn into_profile(self, result: &RunResult) -> Profile {
-        let mut regions = [RegionProfile::default(); 3];
-        for state in &self.cores {
-            for (i, region) in regions.iter_mut().enumerate() {
-                let acc = state.out.accesses[i];
-                region.reads += acc - state.out.writes[i];
-                region.writes += state.out.writes[i];
-                region.cycles += state.out.cycles[i];
-                if acc > 0 {
-                    region.sharers += 1;
-                }
-            }
-        }
+    /// Finalizes the collector against the run it observed.
+    pub fn into_profile(self, run: RunResult) -> Profile {
         Profile {
-            runs: 1,
-            total_cycles: result.total_cycles,
-            timed_cycles: result.timed_cycles,
-            instructions: result.instructions,
-            exit_code: result.exit_code,
-            per_unit_cycles: result.per_unit_cycles.clone(),
-            per_core: self.cores.into_iter().map(|s| s.out).collect(),
-            regions,
+            run,
+            reuse: self.cores.into_iter().map(|s| s.reuse).collect(),
             sync: self.sync,
         }
     }
@@ -541,17 +286,14 @@ impl ProfileCollector {
 
 impl TraceSink for ProfileCollector {
     fn record(&mut self, event: TraceEvent) {
-        let line_bytes = self.line_bytes;
-        let state = self.core_mut(event.core);
-        let i = event.region.index();
-        state.out.accesses[i] += 1;
-        if event.write {
-            state.out.writes[i] += 1;
+        if event.region != Region::Private {
+            return;
         }
-        state.out.cycles[i] += event.latency;
-        if event.region == Region::Private {
-            state.observe(event.addr / line_bytes);
+        let line = event.addr / self.line_bytes;
+        if self.cores.len() <= event.core {
+            self.cores.resize_with(event.core + 1, CoreState::default);
         }
+        self.cores[event.core].observe(line);
     }
 
     fn sync(&mut self, event: SyncEvent) {
@@ -618,16 +360,15 @@ mod tests {
         for (i, line) in [0u64, 1, 2, 0, 1, 1].iter().enumerate() {
             c.record(access(0, line * 32 + (i as u64 % 4), false));
         }
-        let result = empty_result();
-        let p = c.into_profile(&result);
-        let h = &p.per_core[0].reuse;
+        let p = c.into_profile(empty_result());
+        let h = &p.reuse[0];
         assert_eq!(h.cold, 3, "A, B, C first touches");
         // A re-access: {B, C} in between → distance 2 → bucket 2.
         // B re-access: {C, A} in between → distance 2 → bucket 2.
         // B re-access: nothing in between → distance 0 → bucket 0.
         assert_eq!(h.buckets[0], 1);
         assert_eq!(h.buckets[2], 2);
-        assert_eq!(h.reuses(), 3);
+        assert_eq!(h.buckets.iter().sum::<u64>(), 3, "nothing else");
     }
 
     #[test]
@@ -638,17 +379,30 @@ mod tests {
         for line in [0u64, 1, 1, 1, 0] {
             c.record(access(0, line * 32, false));
         }
-        let p = c.into_profile(&empty_result());
-        let h = &p.per_core[0].reuse;
+        let p = c.into_profile(empty_result());
+        let h = &p.reuse[0];
         assert_eq!(h.buckets[1], 1, "distance 1 lands in [1,2)");
         assert_eq!(h.buckets[0], 2, "the two immediate B re-accesses");
     }
 
     #[test]
-    fn text_codec_round_trips_and_is_deterministic() {
+    fn shared_accesses_have_no_reuse_row() {
         let mut c = ProfileCollector::new(32);
-        for line in [0u64, 1, 0, 2, 1] {
-            c.record(access(1, line * 32, line == 2));
+        c.record(TraceEvent {
+            region: Region::Mpb,
+            ..access(3, 64, true)
+        });
+        c.record(access(1, 64, false));
+        let p = c.into_profile(empty_result());
+        assert_eq!(p.reuse.len(), 2, "core 3 made no private access");
+        assert_eq!(p.reuse[1].cold, 1);
+    }
+
+    #[test]
+    fn text_renders_the_run_counters_and_the_trace_summaries() {
+        let mut c = ProfileCollector::new(32);
+        for line in [0u64, 1, 0] {
+            c.record(access(1, line * 32, false));
         }
         c.sync(SyncEvent::BarrierArrive {
             unit: 0,
@@ -661,50 +415,36 @@ mod tests {
             cycle: 25,
         });
         c.dma(0, 1, 256, 99);
-        let p = c.into_profile(&empty_result());
-        let text = p.to_text();
-        assert!(text.starts_with("hsmprofile 1\n"));
-        let back = Profile::from_text(&text).expect("parses");
-        assert_eq!(p, back);
-        assert_eq!(text, back.to_text(), "serialize∘parse is the identity");
-        assert_eq!(back.sync.barrier_wait_cycles, 15);
-        assert_eq!(back.sync.dma_bytes, 256);
-    }
-
-    #[test]
-    fn malformed_profiles_are_rejected() {
-        assert!(Profile::from_text("").is_err());
-        assert!(Profile::from_text("hsmprofile 9\n").is_err());
-        assert!(Profile::from_text("hsmprofile 1\nrun 1 2\n").is_err());
-        assert!(Profile::from_text("hsmprofile 1\nbogus 1\n").is_err());
-        let truncated = "hsmprofile 1\nrun 1 2 3 4 5\nunits 0\n";
-        assert!(Profile::from_text(truncated).is_err(), "missing regions");
-    }
-
-    #[test]
-    fn merge_sums_counters_and_is_associative() {
-        let mut a = one_core_profile(0, 7);
-        let b = one_core_profile(1, 11);
-        let c = one_core_profile(0, 13);
-        let mut ab_c = a.clone();
-        ab_c.merge(&b);
-        ab_c.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        a.merge(&bc);
-        // Associative up to the retained exit code (both kept `a`'s).
-        assert_eq!(a.to_text(), ab_c.to_text());
-        assert_eq!(a.runs, 3);
-        assert_eq!(a.total_cycles, 7 + 11 + 13);
-    }
-
-    fn one_core_profile(core: usize, cycles: u64) -> Profile {
-        let mut c = ProfileCollector::new(32);
-        c.record(access(core, 64, false));
-        c.record(access(core, 64, true));
-        let mut r = empty_result();
-        r.total_cycles = cycles;
-        c.into_profile(&r)
+        let mut run = empty_result();
+        run.total_cycles = 40;
+        run.per_unit_cycles = vec![40, 30];
+        run.stats_matrix = scc_sim::StatsMatrix::new(4);
+        for (core, region, write, latency) in [
+            (1, Region::Private, false, 3),
+            (1, Region::Private, false, 3),
+            (1, Region::Private, true, 3),
+            (0, Region::SharedDram, true, 60),
+            (1, Region::SharedDram, false, 50),
+        ] {
+            run.stats_matrix.record(core, region, write, latency);
+        }
+        let text = c.into_profile(run).to_text();
+        let mut expected = String::from(
+            "hsmprofile 1\n\
+             run 1 40 0 0 0\n\
+             units 2 40 30\n\
+             region private 2 1 9 1\n\
+             region shared_dram 1 1 110 2\n\
+             region mpb 0 0 0 0\n\
+             sync 1 1 15 0 0 0 0 0 1 256\n\
+             cores 2\n\
+             core 0 0",
+        );
+        expected.push_str(&" 0".repeat(REUSE_BUCKETS));
+        expected.push_str(" 0 1 0 0 1 0 0 60 0\ncore 1 2 0 1");
+        expected.push_str(&" 0".repeat(REUSE_BUCKETS - 2));
+        expected.push_str(" 3 1 0 1 0 0 9 50 0\n");
+        assert_eq!(text, expected);
     }
 
     fn empty_result() -> RunResult {

@@ -711,15 +711,15 @@ fn a_profiled_rcce_run_computes_ahead_and_profiles_the_same() {
     let units = Units::Rcce { cores };
     let mut collector = ProfileCollector::new(config.line_bytes);
     let reference = run(&program, &reference(units, model), &mut collector).expect("pi runs");
-    let expected = collector.into_profile(&reference).to_text();
+    let expected = collector.into_profile(reference.clone()).to_text();
     let mut texts = Vec::new();
     for helpers in HELPERS {
         let mut collector = ProfileCollector::new(config.line_bytes);
         let forced = on_helpers(helpers, units, model);
         let (outcome, phases) = phases_of(|| run(&program, &forced, &mut collector));
         let result = outcome.expect("pi runs");
-        let profile = collector.into_profile(&result);
         assert_eq!(result, reference, "{helpers} helpers");
+        let profile = collector.into_profile(result);
         assert!(phases > 0, "{helpers} helpers: nothing was computed ahead");
         texts.push(profile.to_text());
     }

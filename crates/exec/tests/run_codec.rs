@@ -1,9 +1,9 @@
-//! `RunResult::encode` / `decode` as a property over generated results:
-//! the round trip is the identity, and `decode` is total — a prefix, a
-//! suffix or a flipped bit is `None` or some other well-formed result,
-//! never a panic.
+//! `RunResult::encode` / `decode` and `Profile::encode` / `decode` as
+//! properties over generated values: the round trip is the identity, and
+//! `decode` is total — a prefix, a suffix or a flipped bit is `None` or
+//! some other well-formed value, never a panic.
 
-use hsm_exec::{OutputLine, RunResult};
+use hsm_exec::{OutputLine, Profile, ReuseHistogram, RunResult, SyncSummary};
 use scc_sim::{CoreStats, MemStats, StatsMatrix, REGION_COUNT};
 use testkit::SplitMix64;
 
@@ -102,6 +102,62 @@ fn result(rng: &mut SplitMix64) -> RunResult {
     }
 }
 
+fn profile(rng: &mut SplitMix64) -> Profile {
+    let run = result(rng);
+    let reuse = (0..rng.gen_range_usize(0, 49))
+        .map(|_| {
+            let mut row = ReuseHistogram {
+                cold: counter(rng),
+                ..ReuseHistogram::default()
+            };
+            for b in &mut row.buckets {
+                *b = counter(rng);
+            }
+            row
+        })
+        .collect();
+    let sync = SyncSummary {
+        barrier_epochs: counter(rng),
+        barrier_arrivals: counter(rng),
+        barrier_wait_cycles: counter(rng),
+        lock_acquires: counter(rng),
+        lock_handoffs: counter(rng),
+        thread_starts: counter(rng),
+        thread_joins: counter(rng),
+        messages: counter(rng),
+        dma_transfers: counter(rng),
+        dma_bytes: counter(rng),
+    };
+    Profile { run, reuse, sync }
+}
+
+/// `decode` rejects every cut and every extension of `bytes` and
+/// survives bit flips in it.
+fn assert_total<T: PartialEq + std::fmt::Debug>(
+    rng: &mut SplitMix64,
+    bytes: &[u8],
+    decode: impl Fn(&[u8]) -> Option<T>,
+) {
+    // Every prefix of a short encoding, a spread of a long one's.
+    for cut in (0..bytes.len()).step_by(1 + bytes.len() / 1024) {
+        assert_eq!(decode(&bytes[..cut]), None, "prefix {cut}");
+    }
+    let mut longer = bytes.to_vec();
+    longer.push(0);
+    assert_eq!(decode(&longer), None, "trailing byte");
+    for _ in 0..64 {
+        let mut damaged = bytes.to_vec();
+        let at = rng.gen_range_usize(0, damaged.len());
+        damaged[at] ^= 1 << rng.gen_range_usize(0, 8);
+        // Any answer but a panic (or an allocation the size of a
+        // corrupted length) is acceptable: the store's checksum is
+        // what rejects damage, this only has to survive it.
+        let _ = decode(&damaged);
+    }
+    assert_eq!(decode(&[]), None);
+    assert_eq!(decode(&[9]), None, "unknown version");
+}
+
 #[test]
 fn encode_then_decode_is_the_identity() {
     testkit::check("run_codec_round_trip", 300, |rng| {
@@ -129,25 +185,30 @@ fn idle_rows_cost_nothing() {
 #[test]
 fn decode_is_total() {
     testkit::check("run_codec_damage", 40, |rng| {
-        let r = result(rng);
-        let bytes = r.encode();
-        // Every prefix of a short encoding, a spread of a long one's.
-        for cut in (0..bytes.len()).step_by(1 + bytes.len() / 1024) {
-            assert_eq!(RunResult::decode(&bytes[..cut]), None, "prefix {cut}");
-        }
-        let mut longer = bytes.clone();
-        longer.push(0);
-        assert_eq!(RunResult::decode(&longer), None, "trailing byte");
-        for _ in 0..64 {
-            let mut damaged = bytes.clone();
-            let at = rng.gen_range_usize(0, damaged.len());
-            damaged[at] ^= 1 << rng.gen_range_usize(0, 8);
-            // Any answer but a panic (or an allocation the size of a
-            // corrupted length) is acceptable: the store's checksum is
-            // what rejects damage, this only has to survive it.
-            let _ = RunResult::decode(&damaged);
-        }
+        let bytes = result(rng).encode();
+        assert_total(rng, &bytes, RunResult::decode);
     });
-    assert_eq!(RunResult::decode(&[]), None);
-    assert_eq!(RunResult::decode(&[9]), None, "unknown version");
+}
+
+#[test]
+fn profile_encode_then_decode_is_the_identity() {
+    testkit::check("profile_codec_round_trip", 300, |rng| {
+        let p = profile(rng);
+        let bytes = p.encode();
+        assert_eq!(Profile::decode(&bytes).as_ref(), Some(&p));
+        assert_eq!(p.encode(), bytes, "encoding is a function of the value");
+    });
+}
+
+#[test]
+fn profile_decode_is_total() {
+    testkit::check("profile_codec_damage", 40, |rng| {
+        let p = profile(rng);
+        let bytes = p.encode();
+        assert_total(rng, &bytes, Profile::decode);
+        // A run entry is a profile's prefix, never a profile.
+        assert_eq!(Profile::decode(&p.run.encode()), None);
+    });
+    // Nor is the text a profile renders its stored form.
+    assert_eq!(Profile::decode(b"hsmprofile 1\nrun 1 0 0 0 0\n"), None);
 }

@@ -8,9 +8,10 @@
 //! on-chip; otherwise sort the variables by size ascending and greedily
 //! fill the remaining on-chip space, spilling what does not fit to DRAM.
 //! Alternative policies (access-frequency density, descending size,
-//! forced off-chip) are provided for the ablation study, along with
-//! optional array splitting (§6: "a small portion of the matrix, for
-//! example a few rows, may be allocated separately on the MPB").
+//! forced off-chip) are provided for the ablation study. A variable is
+//! placed whole: the translator allocates each one with a single
+//! `RCCE_malloc` or `RCCE_shmalloc`, so §6's refinement of putting a few
+//! rows of a matrix on the MPB is not modelled.
 //!
 //! ```
 //! use hsm_partition::{partition, MemorySpec, Policy, SharedVar};
@@ -77,38 +78,15 @@ pub struct SharedVar {
     pub mem_size: usize,
     /// Estimated (loop-weighted) total access count across all threads.
     pub access_weight: u64,
-    /// Whether the variable is an array that may be split between the two
-    /// memories.
-    pub splittable: bool,
-    /// Element size in bytes (split granularity); 0 for scalars.
-    pub elem_size: usize,
 }
 
 impl SharedVar {
-    /// Creates a non-splittable shared variable.
+    /// Creates a shared variable.
     pub fn new(name: impl Into<String>, mem_size: usize, access_weight: u64) -> Self {
         SharedVar {
             name: name.into(),
             mem_size,
             access_weight,
-            splittable: false,
-            elem_size: 0,
-        }
-    }
-
-    /// Creates a splittable array variable with the given element size.
-    pub fn array(
-        name: impl Into<String>,
-        mem_size: usize,
-        access_weight: u64,
-        elem_size: usize,
-    ) -> Self {
-        SharedVar {
-            name: name.into(),
-            mem_size,
-            access_weight,
-            splittable: true,
-            elem_size,
         }
     }
 
@@ -122,18 +100,13 @@ impl SharedVar {
     }
 }
 
-/// Where a variable (or a part of it) was placed.
+/// Where a variable was placed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Placement {
     /// In the on-chip shared SRAM (MPB).
     OnChip,
     /// In the off-chip shared DRAM.
     OffChip,
-    /// Split: the leading `on_chip_bytes` on-chip, the rest off-chip.
-    Split {
-        /// Bytes placed on-chip (a prefix of the variable).
-        on_chip_bytes: usize,
-    },
 }
 
 impl fmt::Display for Placement {
@@ -141,9 +114,6 @@ impl fmt::Display for Placement {
         match self {
             Placement::OnChip => write!(f, "on-chip"),
             Placement::OffChip => write!(f, "off-chip"),
-            Placement::Split { on_chip_bytes } => {
-                write!(f, "split({on_chip_bytes}B on-chip)")
-            }
         }
     }
 }
@@ -227,8 +197,7 @@ impl PartitionPlan {
     }
 
     /// Fraction of weighted accesses served on-chip (placement quality
-    /// metric used by the policy ablation). Split variables contribute
-    /// proportionally to the bytes placed on-chip.
+    /// metric used by the policy ablation).
     pub fn on_chip_access_fraction(&self) -> f64 {
         let total: f64 = self
             .placements
@@ -241,13 +210,8 @@ impl PartitionPlan {
         let on_chip: f64 = self
             .placements
             .iter()
-            .map(|p| match p.placement {
-                Placement::OnChip => p.var.access_weight as f64,
-                Placement::OffChip => 0.0,
-                Placement::Split { on_chip_bytes } => {
-                    p.var.access_weight as f64 * on_chip_bytes as f64 / p.var.mem_size.max(1) as f64
-                }
-            })
+            .filter(|p| p.placement == Placement::OnChip)
+            .map(|p| p.var.access_weight as f64)
             .sum();
         on_chip / total
     }
@@ -273,22 +237,9 @@ impl PartitionPlan {
 /// Placement is deterministic: ties in the sort order are broken by input
 /// order.
 pub fn partition(vars: &[SharedVar], spec: &MemorySpec, policy: Policy) -> PartitionPlan {
-    partition_with_split(vars, spec, policy, false)
-}
-
-/// Like [`partition`] but optionally splitting the most access-dense
-/// non-fitting splittable array so its leading rows land on-chip (the LU
-/// refinement discussed with Figure 6.2).
-pub fn partition_with_split(
-    vars: &[SharedVar],
-    spec: &MemorySpec,
-    policy: Policy,
-    allow_split: bool,
-) -> PartitionPlan {
     let total: usize = vars.iter().map(|v| v.mem_size).sum();
 
     let mut on_chip: Vec<bool> = vec![false; vars.len()];
-    let mut split_bytes: Vec<usize> = vec![0; vars.len()];
     let mut used = 0usize;
 
     if policy != Policy::OffChipOnly {
@@ -324,26 +275,6 @@ pub fn partition_with_split(
                     used += vars[i].mem_size;
                 }
             }
-            if allow_split && remaining > 0 {
-                let candidate = order
-                    .iter()
-                    .copied()
-                    .filter(|&i| !on_chip[i] && vars[i].splittable && vars[i].elem_size > 0)
-                    .max_by(|&a, &b| {
-                        vars[a]
-                            .density()
-                            .partial_cmp(&vars[b].density())
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    });
-                if let Some(i) = candidate {
-                    let elems = remaining / vars[i].elem_size;
-                    let bytes = elems * vars[i].elem_size;
-                    if bytes > 0 {
-                        split_bytes[i] = bytes;
-                        used += bytes;
-                    }
-                }
-            }
         }
     }
 
@@ -354,10 +285,6 @@ pub fn partition_with_split(
             var: v.clone(),
             placement: if on_chip[i] {
                 Placement::OnChip
-            } else if split_bytes[i] > 0 {
-                Placement::Split {
-                    on_chip_bytes: split_bytes[i],
-                }
             } else {
                 Placement::OffChip
             },
@@ -382,18 +309,8 @@ pub fn shared_vars_from_analysis(analysis: &hsm_analysis::ProgramAnalysis) -> Ve
         // translated away by Stage 5, never placed in shared memory.
         .filter(|v| !v.ty.is_pthread_type())
         .map(|v| {
-            let w = analysis.scope.weighted_counts(&v.key);
-            SharedVar {
-                name: v.key.name.clone(),
-                mem_size: v.mem_size,
-                access_weight: w.total(),
-                splittable: v.ty.is_array(),
-                elem_size: if v.ty.is_array() {
-                    v.ty.scalar_size()
-                } else {
-                    0
-                },
-            }
+            let weight = analysis.scope.weighted_counts(&v.key).total();
+            SharedVar::new(v.key.name.clone(), v.mem_size, weight)
         })
         .collect()
 }
@@ -410,7 +327,6 @@ pub fn annotate_manifest(
         let region = match p.placement {
             Placement::OnChip => RegionVerdict::SharedOnChip,
             Placement::OffChip => RegionVerdict::SharedOffChip,
-            Placement::Split { .. } => RegionVerdict::SharedSplit,
         };
         manifest.set_region(&p.var.name, region);
     }
@@ -452,10 +368,11 @@ int main() {
             RegionVerdict::SharedOnChip,
             "fits in the 64-byte on-chip budget"
         );
-        // The big array exceeds on-chip capacity: off-chip or split.
-        let big = manifest.entry("big", None).unwrap().region;
-        assert_ne!(big, RegionVerdict::Private);
-        assert_ne!(big, RegionVerdict::SharedOnChip);
+        assert_eq!(
+            manifest.entry("big", None).unwrap().region,
+            RegionVerdict::SharedOffChip,
+            "exceeds the on-chip capacity"
+        );
     }
 
     #[test]
@@ -529,35 +446,6 @@ int main() {
         );
         assert!(plan.is_on_chip("b"));
         assert!(!plan.is_on_chip("a"));
-    }
-
-    #[test]
-    fn split_places_prefix_rows_on_chip() {
-        // A 64x64 double matrix (32 KB) with 8 KB on-chip: whole elements
-        // (8 B) are split on-chip.
-        let matrix = SharedVar::array("m", 64 * 64 * 8, 100_000, 8);
-        let plan = partition_with_split(
-            &[matrix],
-            &MemorySpec::with_on_chip(8 * 1024),
-            Policy::SizeAscending,
-            true,
-        );
-        let Some(Placement::Split { on_chip_bytes }) = plan.placement("m") else {
-            panic!("expected split placement: {}", plan.to_text());
-        };
-        assert_eq!(on_chip_bytes, 8 * 1024);
-        assert_eq!(on_chip_bytes % 8, 0, "split at element granularity");
-    }
-
-    #[test]
-    fn split_not_applied_without_flag() {
-        let matrix = SharedVar::array("m", 32 * 1024, 1, 8);
-        let plan = partition(
-            &[matrix],
-            &MemorySpec::with_on_chip(8 * 1024),
-            Policy::SizeAscending,
-        );
-        assert_eq!(plan.placement("m"), Some(Placement::OffChip));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Converts a well-defined Pthread program into a multi-process RCCE
 //! program executable on the (simulated) Intel SCC, implementing
 //! Algorithms 4–10 of the paper on top of a CETUS-style pass framework
-//! ([`pass::Driver`], which checks once that the IR the passes leave
-//! prints to text that re-parses).
+//! (a driver that runs fourteen passes in a fixed order, then checks once
+//! that the IR they leave prints to text that re-parses).
 //!
 //! The translation reproduces Example Code 4.2 from Example Code 4.1:
 //! threads become processes keyed by `RCCE_ue()`, shared globals become
@@ -43,9 +43,8 @@ mod passes;
 mod rewrite;
 
 pub use error::TranslateError;
-pub use pass::Driver;
 
-use pass::PassContext;
+use pass::{Driver, PassContext};
 
 use hsm_analysis::ProgramAnalysis;
 use hsm_cir::{parse, TranslationUnit};
@@ -79,8 +78,6 @@ pub struct Translation {
     pub analysis: ProgramAnalysis,
     /// The Stage 4 plan that drove allocation placement.
     pub plan: PartitionPlan,
-    /// Names of pass stages executed, in order.
-    pub pass_trace: Vec<&'static str>,
     /// `unit` as printed, and checked to re-parse, when the translation
     /// was made. Private, so only this crate's two constructors set it; a
     /// caller that edits `unit` afterwards prints it itself.
@@ -98,13 +95,11 @@ impl Translation {
         source: String,
         analysis: ProgramAnalysis,
         plan: PartitionPlan,
-        pass_trace: Vec<&'static str>,
     ) -> Result<Self, hsm_cir::ParseError> {
         Ok(Translation {
             unit: parse(&source)?,
             analysis,
             plan,
-            pass_trace,
             source,
         })
     }
@@ -121,7 +116,7 @@ impl Translation {
 }
 
 /// Builds the standard Algorithm 4–10 pipeline.
-pub fn standard_driver() -> Driver {
+fn standard_driver() -> Driver {
     Driver::new()
         .add(passes::IncludesPass)
         .add(passes::MutexPass)
@@ -171,13 +166,11 @@ pub fn translate_with_plan(
     options: TranslateOptions,
 ) -> Result<Translation, TranslateError> {
     let mut ctx = PassContext::new(tu.clone(), analysis, plan, options);
-    let mut driver = standard_driver();
-    let source = driver.run(&mut ctx)?;
+    let source = standard_driver().run(&mut ctx)?;
     Ok(Translation {
         unit: ctx.unit,
         analysis: analysis.clone(),
         plan: plan.clone(),
-        pass_trace: driver.trace,
         source,
     })
 }

@@ -87,10 +87,8 @@ pub(crate) trait TransformPass {
 
 /// Executes passes in series and checks the IR they leave behind.
 #[derive(Default)]
-pub struct Driver {
+pub(crate) struct Driver {
     passes: Vec<Box<dyn TransformPass>>,
-    /// Pass names executed so far (for tracing/tests).
-    pub(crate) trace: Vec<&'static str>,
 }
 
 impl Driver {
@@ -104,14 +102,6 @@ impl Driver {
     pub(crate) fn add(mut self, pass: impl TransformPass + 'static) -> Self {
         self.passes.push(Box::new(pass));
         self
-    }
-
-    /// The names of the configured passes, in execution order (what
-    /// `Driver::run` will record as the trace). The persistent artifact
-    /// store uses this to rebuild a [`crate::Translation`]'s pass trace
-    /// from its on-disk entry without re-running the passes.
-    pub fn pass_names(&self) -> Vec<&'static str> {
-        self.passes.iter().map(|p| p.name()).collect()
     }
 
     /// Runs every pass in order, then prints the unit once and re-parses
@@ -132,7 +122,6 @@ impl Driver {
         let pristine = ctx.unit.clone();
         for pass in &mut self.passes {
             pass.run(ctx)?;
-            self.trace.push(pass.name());
         }
         let printed = print_unit(&ctx.unit);
         let Err(final_error) = parse(&printed) else {
@@ -219,7 +208,6 @@ mod tests {
         let mut ctx = PassContext::new(tu, &analysis, &plan, Default::default());
         let mut driver = Driver::new().add(Renamer);
         driver.run(&mut ctx).expect("pipeline");
-        assert_eq!(driver.trace, vec!["renamer"]);
         assert!(ctx.unit.function("entry").is_some());
     }
 
@@ -260,7 +248,6 @@ mod tests {
             to: "entry",
         });
         let printed = driver.run(&mut ctx).expect("the final IR is consistent");
-        assert_eq!(driver.trace, vec!["renamer", "corruptor", "repairer"]);
         assert_eq!(printed, print_unit(&ctx.unit));
         assert!(parse(&printed).unwrap().function("entry").is_some());
     }

@@ -364,9 +364,7 @@ impl SharedDataPass {
     fn alloc_fn(placement: Placement) -> &'static str {
         match placement {
             Placement::OnChip => "RCCE_malloc",
-            // Split allocations stay off-chip in the emitted source; the
-            // execution model accounts for the on-chip prefix.
-            Placement::OffChip | Placement::Split { .. } => "RCCE_shmalloc",
+            Placement::OffChip => "RCCE_shmalloc",
         }
     }
 }

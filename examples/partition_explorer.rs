@@ -10,16 +10,16 @@
 //! ```
 
 use hsm_core::api::{Pipeline, Stage};
-use hsm_partition::{partition, partition_with_split, MemorySpec, Policy, SharedVar};
+use hsm_partition::{partition, MemorySpec, Policy, SharedVar};
 use hsm_workloads::Bench;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The shared-variable profile of the Stream benchmark at 32 threads,
     // as stages 1-3 would report it.
     let vars = vec![
-        SharedVar::array("a", 12_288 * 8, 1_200_000, 8),
-        SharedVar::array("b", 12_288 * 8, 800_000, 8),
-        SharedVar::array("c", 12_288 * 8, 1_200_000, 8),
+        SharedVar::new("a", 12_288 * 8, 1_200_000),
+        SharedVar::new("b", 12_288 * 8, 800_000),
+        SharedVar::new("c", 12_288 * 8, 1_200_000),
         SharedVar::new("partial", 32 * 8, 2_000),
     ];
 
@@ -44,14 +44,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             plan.on_chip_access_fraction() * 100.0
         );
     }
-
-    println!("\n== array splitting (the LU refinement of §6) ==");
-    let matrix = vec![SharedVar::array("mats", 460 * 1024, 5_000_000, 8)];
-    let spec = MemorySpec::with_on_chip(384 * 1024);
-    let whole = partition(&matrix, &spec, Policy::SizeAscending);
-    let split = partition_with_split(&matrix, &spec, Policy::SizeAscending, true);
-    println!("without splitting: {}", whole.to_text());
-    println!("with splitting:    {}", split.to_text());
 
     // The same budget exploration on the real Stream benchmark, end to
     // end: one base session parses and analyzes the source; the budget

@@ -151,7 +151,7 @@ fn corpus_and_paper_sources() -> Vec<(String, String)> {
 
 /// Stage 5 prints its output once, to check it, and a `Translation` keeps
 /// that text: it must be the text of the unit it travels with, and the
-/// store must hand back the same text, trace and unit.
+/// store must hand back the same text and unit.
 #[test]
 fn a_translation_keeps_the_text_it_was_checked_as() {
     let dir = temp_dir("source");
@@ -175,7 +175,6 @@ fn a_translation_keeps_the_text_it_was_checked_as() {
             assert_eq!(saved.to_source(), saved.source(), "{what}");
             let loaded = session(1);
             assert_eq!(loaded.source(), saved.source(), "{what}");
-            assert_eq!(loaded.pass_trace, saved.pass_trace, "{what}");
             assert_eq!(print_unit(&loaded.unit), print_unit(&saved.unit), "{what}");
         }
     }
