@@ -22,8 +22,7 @@ use hsm_cir::{
     AssignOp, BinaryOp, Declaration, Expr, ExprKind, ForInit, Item, Stmt, StmtKind,
     TranslationUnit, UnaryOp,
 };
-use hsm_cir::{Scope, SymbolTable};
-use std::collections::HashMap;
+use hsm_cir::SymbolTable;
 
 /// How to weigh accesses inside loops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -80,26 +79,40 @@ impl VarKey {
     }
 }
 
-/// The result of the access-counting pass.
+/// The result of the access-counting pass. It borrows every name from
+/// the unit and the symbol table it counted: one entry per variable
+/// accessed, in first-access order.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct AccessMap {
-    counts: HashMap<VarKey, AccessCounts>,
-    /// Functions in which each variable is read ("Use In").
-    used_in: HashMap<VarKey, Vec<String>>,
-    /// Functions in which each variable is written ("Def In").
-    defined_in: HashMap<VarKey, Vec<String>>,
-    /// Variables whose address is taken somewhere (`&x`).
-    address_taken: Vec<VarKey>,
+pub(crate) struct AccessMap<'a> {
+    vars: Vec<Access<'a>>,
 }
 
-impl AccessMap {
+/// What the counting pass saw of one variable.
+#[derive(Debug, Clone, Default)]
+struct Access<'a> {
+    name: &'a str,
+    owner: Option<&'a str>,
+    counts: AccessCounts,
+    /// Functions in which the variable is read ("Use In").
+    used_in: Vec<&'a str>,
+    /// Functions in which the variable is written ("Def In").
+    defined_in: Vec<&'a str>,
+    /// Whether its address is taken somewhere (`&x`).
+    address_taken: bool,
+}
+
+impl<'a> AccessMap<'a> {
     /// Runs the counting pass over `tu`.
-    pub(crate) fn compute(tu: &TranslationUnit, symbols: &SymbolTable, mode: CountMode) -> Self {
+    pub(crate) fn compute(
+        tu: &'a TranslationUnit,
+        symbols: &'a SymbolTable,
+        mode: CountMode,
+    ) -> Self {
         let mut pass = Counter {
             map: AccessMap::default(),
             symbols,
             mode,
-            current_fn: String::new(),
+            current_fn: "",
             weight: 1,
         };
         for item in &tu.items {
@@ -110,7 +123,7 @@ impl AccessMap {
                     // Wr = 2 (only the `+=` stores in `tf`).
                 }
                 Item::Func(f) => {
-                    pass.current_fn = f.name.clone();
+                    pass.current_fn = &f.name;
                     for s in &f.body {
                         pass.count_stmt(s);
                     }
@@ -120,24 +133,50 @@ impl AccessMap {
         pass.map
     }
 
+    fn get(&self, key: &VarKey) -> Option<&Access<'a>> {
+        self.vars
+            .iter()
+            .find(|a| a.name == key.name && a.owner == key.owner.as_deref())
+    }
+
+    /// The entry of a resolved variable, made on its first access.
+    fn entry(&mut self, name: &'a str, owner: Option<&'a str>) -> &mut Access<'a> {
+        let at = match self
+            .vars
+            .iter()
+            .position(|a| a.name == name && a.owner == owner)
+        {
+            Some(at) => at,
+            None => {
+                self.vars.push(Access {
+                    name,
+                    owner,
+                    ..Access::default()
+                });
+                self.vars.len() - 1
+            }
+        };
+        &mut self.vars[at]
+    }
+
     /// Counts for `key` (zero if never accessed).
     pub(crate) fn counts(&self, key: &VarKey) -> AccessCounts {
-        self.counts.get(key).copied().unwrap_or_default()
+        self.get(key).map(|a| a.counts).unwrap_or_default()
     }
 
     /// Functions in which the variable is read, in first-seen order.
-    pub(crate) fn used_in(&self, key: &VarKey) -> &[String] {
-        self.used_in.get(key).map(Vec::as_slice).unwrap_or(&[])
+    pub(crate) fn used_in(&self, key: &VarKey) -> &[&'a str] {
+        self.get(key).map_or(&[], |a| &a.used_in)
     }
 
     /// Functions in which the variable is written, in first-seen order.
-    pub(crate) fn defined_in(&self, key: &VarKey) -> &[String] {
-        self.defined_in.get(key).map(Vec::as_slice).unwrap_or(&[])
+    pub(crate) fn defined_in(&self, key: &VarKey) -> &[&'a str] {
+        self.get(key).map_or(&[], |a| &a.defined_in)
     }
 
     /// Whether the variable's address is taken anywhere.
     pub(crate) fn is_address_taken(&self, key: &VarKey) -> bool {
-        self.address_taken.contains(key)
+        self.get(key).is_some_and(|a| a.address_taken)
     }
 }
 
@@ -149,38 +188,38 @@ enum Ctx {
 }
 
 struct Counter<'a> {
-    map: AccessMap,
+    map: AccessMap<'a>,
     symbols: &'a SymbolTable,
     mode: CountMode,
-    current_fn: String,
+    current_fn: &'a str,
     weight: u64,
 }
 
 /// Loop weight applied to loops whose trip count does not constant-fold.
 const UNKNOWN_LOOP_WEIGHT: u64 = 10;
 
-impl Counter<'_> {
-    fn resolve(&self, name: &str) -> Option<VarKey> {
+impl<'a> Counter<'a> {
+    /// The variable `name` names where it is used: its name and owning
+    /// function, borrowed from the symbol table.
+    fn resolve(&self, name: &str) -> Option<(&'a str, Option<&'a str>)> {
         let sym = if self.current_fn.is_empty() {
             self.symbols.global(name)?
         } else {
-            self.symbols.lookup(&self.current_fn, name)?
+            self.symbols.lookup(self.current_fn, name)?
         };
         if sym.kind != hsm_cir::SymbolKind::Variable {
             return None;
         }
-        Some(match &sym.scope {
-            Scope::Global => VarKey::global(name),
-            Scope::Local(f) | Scope::Param(f) => VarKey::local(f.clone(), name),
-        })
+        Some((&sym.name, sym.scope.function()))
     }
 
     fn bump(&mut self, name: &str, ctx: Ctx) {
-        let Some(key) = self.resolve(name) else {
+        let Some((name, owner)) = self.resolve(name) else {
             return;
         };
-        let c = self.map.counts.entry(key.clone()).or_default();
-        let w = self.weight;
+        let (w, current_fn) = (self.weight, self.current_fn);
+        let a = self.map.entry(name, owner);
+        let c = &mut a.counts;
         // A weight saturates past 64 nested loops; so does a count.
         match ctx {
             Ctx::Read => c.reads = c.reads.saturating_add(w),
@@ -190,18 +229,12 @@ impl Counter<'_> {
                 c.writes = c.writes.saturating_add(w);
             }
         }
-        if !self.current_fn.is_empty() {
-            if matches!(ctx, Ctx::Read | Ctx::ReadWrite) {
-                let v = self.map.used_in.entry(key.clone()).or_default();
-                if !v.contains(&self.current_fn) {
-                    v.push(self.current_fn.clone());
-                }
+        if !current_fn.is_empty() {
+            if matches!(ctx, Ctx::Read | Ctx::ReadWrite) && !a.used_in.contains(&current_fn) {
+                a.used_in.push(current_fn);
             }
-            if matches!(ctx, Ctx::Write | Ctx::ReadWrite) {
-                let v = self.map.defined_in.entry(key).or_default();
-                if !v.contains(&self.current_fn) {
-                    v.push(self.current_fn.clone());
-                }
+            if matches!(ctx, Ctx::Write | Ctx::ReadWrite) && !a.defined_in.contains(&current_fn) {
+                a.defined_in.push(current_fn);
             }
         }
     }
@@ -308,10 +341,8 @@ impl Counter<'_> {
                 // Taking an address reads the variable's location; the
                 // paper's table counts `&tmp` as a read of `tmp`.
                 if let Some(base) = inner.base_variable() {
-                    if let Some(key) = self.resolve(base) {
-                        if !self.map.address_taken.contains(&key) {
-                            self.map.address_taken.push(key);
-                        }
+                    if let Some((name, owner)) = self.resolve(base) {
+                        self.map.entry(name, owner).address_taken = true;
                     }
                     self.bump(base, Ctx::Read);
                 }
@@ -413,11 +444,11 @@ mod tests {
     use super::*;
     use hsm_cir::parse;
 
-    fn analyze(src: &str, mode: CountMode) -> (AccessMap, SymbolTable) {
-        let tu = parse(src).expect("parse");
-        let symbols = SymbolTable::build(&tu);
-        let map = AccessMap::compute(&tu, &symbols, mode);
-        (map, symbols)
+    /// The map of `src`, whose unit and symbols live as long as the test.
+    fn analyze(src: &str, mode: CountMode) -> AccessMap<'static> {
+        let tu: &'static _ = Box::leak(Box::new(parse(src).expect("parse")));
+        let symbols: &'static _ = Box::leak(Box::new(SymbolTable::build(tu)));
+        AccessMap::compute(tu, symbols, mode)
     }
 
     const EXAMPLE_4_1: &str = r#"
@@ -451,7 +482,7 @@ int main() {
 
     #[test]
     fn example_4_1_occurrence_counts() {
-        let (map, _) = analyze(EXAMPLE_4_1, CountMode::Occurrence);
+        let map = analyze(EXAMPLE_4_1, CountMode::Occurrence);
         // global: never accessed.
         assert_eq!(
             map.counts(&VarKey::global("global")),
@@ -483,7 +514,7 @@ int main() {
 
     #[test]
     fn example_4_1_loop_weighted_counts() {
-        let (map, _) = analyze(EXAMPLE_4_1, CountMode::LoopWeighted);
+        let map = analyze(EXAMPLE_4_1, CountMode::LoopWeighted);
         // rc is written once per iteration of a 3-trip loop: matches the
         // thesis table's Wr = 3.
         let rc = map.counts(&VarKey::local("main", "rc"));
@@ -496,7 +527,7 @@ int main() {
 
     #[test]
     fn use_def_sets_match_table_4_1() {
-        let (map, _) = analyze(EXAMPLE_4_1, CountMode::Occurrence);
+        let map = analyze(EXAMPLE_4_1, CountMode::Occurrence);
         assert_eq!(map.used_in(&VarKey::global("ptr")), ["tf"]);
         assert_eq!(map.defined_in(&VarKey::global("ptr")), ["main"]);
         assert_eq!(map.used_in(&VarKey::global("sum")), ["tf", "main"]);
@@ -508,7 +539,7 @@ int main() {
 
     #[test]
     fn address_taken_is_tracked() {
-        let (map, _) = analyze(EXAMPLE_4_1, CountMode::Occurrence);
+        let map = analyze(EXAMPLE_4_1, CountMode::Occurrence);
         assert!(map.is_address_taken(&VarKey::local("main", "tmp")));
         assert!(map.is_address_taken(&VarKey::local("main", "threads")));
         assert!(!map.is_address_taken(&VarKey::global("sum")));
@@ -538,7 +569,7 @@ int main() {
     #[test]
     fn unknown_loops_get_default_weight() {
         let src = "int g; int main() { int n; while (n > 0) { g = g + 1; n--; } return 0; }";
-        let (map, _) = analyze(src, CountMode::LoopWeighted);
+        let map = analyze(src, CountMode::LoopWeighted);
         let g = map.counts(&VarKey::global("g"));
         assert_eq!(g.writes, UNKNOWN_LOOP_WEIGHT);
         assert_eq!(g.reads, UNKNOWN_LOOP_WEIGHT);
@@ -547,14 +578,14 @@ int main() {
     #[test]
     fn nested_loops_multiply() {
         let src = "int g; int main() { int i; int j; for (i = 0; i < 4; i++) { for (j = 0; j < 5; j++) { g = 1; } } return 0; }";
-        let (map, _) = analyze(src, CountMode::LoopWeighted);
+        let map = analyze(src, CountMode::LoopWeighted);
         assert_eq!(map.counts(&VarKey::global("g")).writes, 20);
     }
 
     #[test]
     fn shadowing_local_is_counted_separately() {
         let src = "int x; int main() { int x; x = 1; return 0; } int f() { x = 2; return 0; }";
-        let (map, _) = analyze(src, CountMode::Occurrence);
+        let map = analyze(src, CountMode::Occurrence);
         assert_eq!(map.counts(&VarKey::local("main", "x")).writes, 1);
         assert_eq!(map.counts(&VarKey::global("x")).writes, 1);
     }
@@ -562,7 +593,7 @@ int main() {
     #[test]
     fn compound_assign_counts_read_and_write() {
         let src = "int a; int main() { a += 2; return 0; }";
-        let (map, _) = analyze(src, CountMode::Occurrence);
+        let map = analyze(src, CountMode::Occurrence);
         let a = map.counts(&VarKey::global("a"));
         assert_eq!((a.reads, a.writes), (1, 1));
     }
@@ -570,7 +601,7 @@ int main() {
     #[test]
     fn zero_trip_loop_counts_zero_in_weighted_mode() {
         let src = "int g; int main() { int i; for (i = 5; i < 5; i++) { g = 1; } return 0; }";
-        let (map, _) = analyze(src, CountMode::LoopWeighted);
+        let map = analyze(src, CountMode::LoopWeighted);
         assert_eq!(map.counts(&VarKey::global("g")).writes, 0);
     }
 }

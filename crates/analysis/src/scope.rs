@@ -67,8 +67,16 @@ impl ScopeAnalysis {
                 size: sym.ty.count(),
                 mem_size: sym.ty.mem_size(),
                 counts,
-                used_in: occurrence.used_in(&key).to_vec(),
-                defined_in: occurrence.defined_in(&key).to_vec(),
+                used_in: occurrence
+                    .used_in(&key)
+                    .iter()
+                    .map(|f| f.to_string())
+                    .collect(),
+                defined_in: occurrence
+                    .defined_in(&key)
+                    .iter()
+                    .map(|f| f.to_string())
+                    .collect(),
                 is_global: sym.scope == Scope::Global,
                 address_taken: occurrence.is_address_taken(&key),
                 key: key.clone(),

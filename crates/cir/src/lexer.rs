@@ -11,54 +11,98 @@ use crate::token::{Keyword, Punct, Token, TokenKind};
 
 /// Lexes a full source string into tokens (terminated by [`TokenKind::Eof`]).
 ///
+/// Tokens borrow their text from `source`: nothing is copied until the
+/// parser stores a name in the AST.
+///
 /// # Errors
 ///
 /// Returns a [`LexError`] on unterminated literals/comments or characters
 /// outside the supported subset.
-pub(crate) fn lex(source: &str) -> Result<Vec<Token>, LexError> {
+pub(crate) fn lex(source: &str) -> Result<Vec<Token<'_>>, LexError> {
     Lexer::new(source).run()
 }
 
+/// Appends the characters of a string literal's raw text (what lies
+/// between its quotes, as [`TokenKind::StrLit`] holds it) to `out`, with
+/// its escapes resolved.
+pub(crate) fn unescape_into(raw: &str, out: &mut String) {
+    let mut chars = raw.chars();
+    while let Some(c) = chars.next() {
+        out.push(match c {
+            '\\' => escaped(chars.next().expect("the lexer checked every escape")),
+            c => c,
+        });
+    }
+}
+
+/// The character an escape `\c` stands for.
+fn escaped(c: char) -> char {
+    match c {
+        'n' => '\n',
+        't' => '\t',
+        'r' => '\r',
+        '0' => '\0',
+        other => other,
+    }
+}
+
+/// A cursor over the source's bytes. Every token starts at an ASCII byte,
+/// so a byte index always sits on a character boundary where a token
+/// starts or ends; columns count characters, not bytes.
 struct Lexer<'src> {
-    chars: Vec<char>,
+    src: &'src str,
     pos: usize,
     loc: Loc,
-    #[allow(dead_code)]
-    source: &'src str,
 }
 
 impl<'src> Lexer<'src> {
-    fn new(source: &'src str) -> Self {
+    fn new(src: &'src str) -> Self {
         Lexer {
-            chars: source.chars().collect(),
+            src,
             pos: 0,
             loc: Loc::start(),
-            source,
         }
     }
 
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
+    fn peek(&self) -> Option<u8> {
+        self.src.as_bytes().get(self.pos).copied()
     }
 
-    fn peek2(&self) -> Option<char> {
-        self.chars.get(self.pos + 1).copied()
+    fn peek2(&self) -> Option<u8> {
+        self.src.as_bytes().get(self.pos + 1).copied()
     }
 
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek()?;
+    /// The character at the cursor (which sits on a character boundary).
+    fn peek_char(&self) -> Option<char> {
+        self.src[self.pos..].chars().next()
+    }
+
+    /// Moves past one byte. A UTF-8 continuation byte is no column of its
+    /// own: the character it belongs to was counted at its first byte.
+    fn bump(&mut self) -> Option<u8> {
+        let b = self.peek()?;
         self.pos += 1;
-        if c == '\n' {
+        if b == b'\n' {
             self.loc.line += 1;
             self.loc.col = 1;
-        } else {
+        } else if b & 0xC0 != 0x80 {
             self.loc.col += 1;
+        }
+        Some(b)
+    }
+
+    /// Moves past one character.
+    fn bump_char(&mut self) -> Option<char> {
+        let c = self.peek_char()?;
+        for _ in 0..c.len_utf8() {
+            self.bump();
         }
         Some(c)
     }
 
-    fn run(mut self) -> Result<Vec<Token>, LexError> {
-        let mut out = Vec::new();
+    fn run(mut self) -> Result<Vec<Token<'src>>, LexError> {
+        // About one token per four bytes of C source.
+        let mut out = Vec::with_capacity(self.src.len() / 4 + 1);
         loop {
             self.skip_ws_and_comments()?;
             let start = self.loc;
@@ -69,15 +113,15 @@ impl<'src> Lexer<'src> {
                 });
                 return Ok(out);
             };
-            let kind = if c == '#' {
+            let kind = if c == b'#' {
                 self.lex_preproc()
-            } else if c.is_ascii_alphabetic() || c == '_' {
+            } else if c.is_ascii_alphabetic() || c == b'_' {
                 Ok(self.lex_ident())
             } else if c.is_ascii_digit() {
                 self.lex_number()
-            } else if c == '"' {
+            } else if c == b'"' {
                 self.lex_string()
-            } else if c == '\'' {
+            } else if c == b'\'' {
                 self.lex_char()
             } else {
                 self.lex_punct()
@@ -92,24 +136,27 @@ impl<'src> Lexer<'src> {
     fn skip_ws_and_comments(&mut self) -> Result<(), LexError> {
         loop {
             match self.peek() {
-                Some(c) if c.is_whitespace() => {
+                Some(c) if c < 0x80 && char::from(c).is_whitespace() => {
                     self.bump();
                 }
-                Some('/') if self.peek2() == Some('/') => {
+                Some(c) if c >= 0x80 && self.peek_char().is_some_and(char::is_whitespace) => {
+                    self.bump_char();
+                }
+                Some(b'/') if self.peek2() == Some(b'/') => {
                     while let Some(c) = self.peek() {
-                        if c == '\n' {
+                        if c == b'\n' {
                             break;
                         }
                         self.bump();
                     }
                 }
-                Some('/') if self.peek2() == Some('*') => {
+                Some(b'/') if self.peek2() == Some(b'*') => {
                     let start = self.loc;
                     self.bump();
                     self.bump();
                     loop {
                         match (self.peek(), self.peek2()) {
-                            (Some('*'), Some('/')) => {
+                            (Some(b'*'), Some(b'/')) => {
                                 self.bump();
                                 self.bump();
                                 break;
@@ -128,68 +175,51 @@ impl<'src> Lexer<'src> {
         }
     }
 
-    fn lex_preproc(&mut self) -> Result<TokenKind, LexError> {
-        self.bump(); // '#'
-        let mut line = String::new();
-        while let Some(c) = self.peek() {
-            if c == '\n' {
-                break;
-            }
-            line.push(c);
+    /// Moves past the bytes `pred` accepts and returns the text moved over.
+    fn take_while(&mut self, pred: impl Fn(u8) -> bool) -> &'src str {
+        let from = self.pos;
+        while self.peek().is_some_and(&pred) {
             self.bump();
         }
-        Ok(TokenKind::PreprocLine(line.trim().to_string()))
+        &self.src[from..self.pos]
     }
 
-    fn lex_ident(&mut self) -> TokenKind {
-        let mut s = String::new();
-        while let Some(c) = self.peek() {
-            if c.is_ascii_alphanumeric() || c == '_' {
-                s.push(c);
-                self.bump();
-            } else {
-                break;
-            }
-        }
-        match Keyword::from_str(&s) {
+    fn lex_preproc(&mut self) -> Result<TokenKind<'src>, LexError> {
+        self.bump(); // '#'
+        Ok(TokenKind::PreprocLine(self.take_while(|c| c != b'\n').trim()))
+    }
+
+    fn lex_ident(&mut self) -> TokenKind<'src> {
+        let s = self.take_while(|c| c.is_ascii_alphanumeric() || c == b'_');
+        match Keyword::from_str(s) {
             Some(kw) => TokenKind::Keyword(kw),
             None => TokenKind::Ident(s),
         }
     }
 
-    fn lex_number(&mut self) -> Result<TokenKind, LexError> {
+    fn lex_number(&mut self) -> Result<TokenKind<'src>, LexError> {
         let start = self.loc;
-        let mut s = String::new();
+        let from = self.pos;
         // Hex
-        if self.peek() == Some('0') && matches!(self.peek2(), Some('x') | Some('X')) {
+        if self.peek() == Some(b'0') && matches!(self.peek2(), Some(b'x' | b'X')) {
             self.bump();
             self.bump();
-            while let Some(c) = self.peek() {
-                if c.is_ascii_hexdigit() {
-                    s.push(c);
-                    self.bump();
-                } else {
-                    break;
-                }
-            }
+            let digits = self.take_while(|c| c.is_ascii_hexdigit());
             self.skip_int_suffix();
-            let v = i64::from_str_radix(&s, 16)
+            let v = i64::from_str_radix(digits, 16)
                 .map_err(|_| LexError::new(start, "hex literal out of range"))?;
             return Ok(TokenKind::IntLit(v));
         }
         let mut is_float = false;
         while let Some(c) = self.peek() {
             if c.is_ascii_digit() {
-                s.push(c);
                 self.bump();
-            } else if c == '.' && !is_float && self.peek2().is_some_and(|d| d.is_ascii_digit()) {
+            } else if c == b'.' && !is_float && self.peek2().is_some_and(|d| d.is_ascii_digit()) {
                 is_float = true;
-                s.push(c);
                 self.bump();
-            } else if c == '.' && !is_float {
+            } else if c == b'.' && !is_float {
                 // trailing dot as in `1.`
                 is_float = true;
-                s.push(c);
                 self.bump();
                 break;
             } else {
@@ -197,32 +227,24 @@ impl<'src> Lexer<'src> {
             }
         }
         // Exponent
-        if matches!(self.peek(), Some('e') | Some('E')) {
+        if matches!(self.peek(), Some(b'e' | b'E')) {
             let save_pos = self.pos;
             let save_loc = self.loc;
-            let mut exp = String::from("e");
             self.bump();
-            if matches!(self.peek(), Some('+') | Some('-')) {
-                exp.push(self.bump().unwrap());
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.bump();
             }
             if self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                while let Some(c) = self.peek() {
-                    if c.is_ascii_digit() {
-                        exp.push(c);
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-                s.push_str(&exp);
+                self.take_while(|c| c.is_ascii_digit());
                 is_float = true;
             } else {
                 self.pos = save_pos;
                 self.loc = save_loc;
             }
         }
+        let s = &self.src[from..self.pos];
         if is_float {
-            if matches!(self.peek(), Some('f') | Some('F') | Some('l') | Some('L')) {
+            if matches!(self.peek(), Some(b'f' | b'F' | b'l' | b'L')) {
                 self.bump();
             }
             let v: f64 = s
@@ -244,64 +266,65 @@ impl<'src> Lexer<'src> {
     }
 
     fn skip_int_suffix(&mut self) {
-        while matches!(self.peek(), Some('u') | Some('U') | Some('l') | Some('L')) {
+        while matches!(self.peek(), Some(b'u' | b'U' | b'l' | b'L')) {
             self.bump();
         }
     }
 
     fn lex_escape(&mut self, start: Loc) -> Result<char, LexError> {
         // caller consumed the backslash
-        let c = self
-            .bump()
-            .ok_or_else(|| LexError::new(start, "unterminated escape sequence"))?;
-        Ok(match c {
-            'n' => '\n',
-            't' => '\t',
-            'r' => '\r',
-            '0' => '\0',
-            '\\' => '\\',
-            '\'' => '\'',
-            '"' => '"',
-            other => other,
-        })
+        self.bump_char()
+            .map(escaped)
+            .ok_or_else(|| LexError::new(start, "unterminated escape sequence"))
     }
 
-    fn lex_string(&mut self) -> Result<TokenKind, LexError> {
+    /// A string literal: its raw text, checked here and unescaped by
+    /// [`unescape_into`] when the parser stores it.
+    fn lex_string(&mut self) -> Result<TokenKind<'src>, LexError> {
         let start = self.loc;
         self.bump(); // opening quote
-        let mut s = String::new();
+        let from = self.pos;
         loop {
-            match self.bump() {
-                Some('"') => return Ok(TokenKind::StrLit(s)),
-                Some('\\') => s.push(self.lex_escape(start)?),
-                Some('\n') | None => {
+            match self.peek() {
+                Some(b'"') => {
+                    let raw = &self.src[from..self.pos];
+                    self.bump();
+                    return Ok(TokenKind::StrLit(raw));
+                }
+                Some(b'\\') => {
+                    self.bump();
+                    self.lex_escape(start)?;
+                }
+                Some(b'\n') | None => {
                     return Err(LexError::new(start, "unterminated string literal"))
                 }
-                Some(c) => s.push(c),
+                Some(_) => {
+                    self.bump();
+                }
             }
         }
     }
 
-    fn lex_char(&mut self) -> Result<TokenKind, LexError> {
+    fn lex_char(&mut self) -> Result<TokenKind<'src>, LexError> {
         let start = self.loc;
         self.bump(); // opening quote
-        let c = match self.bump() {
+        let c = match self.bump_char() {
             Some('\\') => self.lex_escape(start)?,
             Some('\'') | None => return Err(LexError::new(start, "empty character literal")),
             Some(c) => c,
         };
         match self.bump() {
-            Some('\'') => Ok(TokenKind::CharLit(c)),
+            Some(b'\'') => Ok(TokenKind::CharLit(c)),
             _ => Err(LexError::new(start, "unterminated character literal")),
         }
     }
 
-    fn lex_punct(&mut self) -> Result<TokenKind, LexError> {
+    fn lex_punct(&mut self) -> Result<TokenKind<'src>, LexError> {
         use Punct::*;
         let start = self.loc;
-        let c = self.bump().expect("peeked before lex_punct");
-        let two = self.peek();
-        let three = |lexer: &Self| lexer.peek2();
+        let c = self.bump_char().expect("peeked before lex_punct");
+        let two = self.peek().map(char::from);
+        let three = |lexer: &Self| lexer.peek2().map(char::from);
         let p = match c {
             '(' => LParen,
             ')' => RParen,
@@ -453,7 +476,7 @@ mod tests {
     use super::*;
     use crate::token::Punct as P;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         lex(src)
             .expect("lex")
             .into_iter()
@@ -468,7 +491,7 @@ mod tests {
             kinds("int x = 42;"),
             vec![
                 TokenKind::Keyword(Keyword::Int),
-                TokenKind::Ident("x".into()),
+                TokenKind::Ident("x"),
                 TokenKind::Punct(P::Eq),
                 TokenKind::IntLit(42),
                 TokenKind::Punct(P::Semi),
@@ -479,8 +502,8 @@ mod tests {
     #[test]
     fn lexes_pthread_identifiers() {
         let k = kinds("pthread_create(&threads[local], NULL, tf, (void *) local);");
-        assert_eq!(k[0], TokenKind::Ident("pthread_create".into()));
-        assert!(k.contains(&TokenKind::Ident("NULL".into())));
+        assert_eq!(k[0], TokenKind::Ident("pthread_create"));
+        assert!(k.contains(&TokenKind::Ident("NULL")));
         assert!(k.contains(&TokenKind::Keyword(Keyword::Void)));
     }
 
@@ -504,10 +527,11 @@ mod tests {
 
     #[test]
     fn lexes_string_with_escapes() {
-        assert_eq!(
-            kinds(r#""Sum Array: %d\n""#),
-            vec![TokenKind::StrLit("Sum Array: %d\n".into())]
-        );
+        let toks = kinds(r#""Sum Array: %d\n""#);
+        assert_eq!(toks, vec![TokenKind::StrLit(r"Sum Array: %d\n")]);
+        let mut s = String::new();
+        unescape_into(r"Sum Array: %d\n", &mut s);
+        assert_eq!(s, "Sum Array: %d\n");
     }
 
     #[test]
@@ -522,15 +546,15 @@ mod tests {
         assert_eq!(
             kinds("a <<= b >>= c += d->e"),
             vec![
-                TokenKind::Ident("a".into()),
+                TokenKind::Ident("a"),
                 TokenKind::Punct(P::ShlEq),
-                TokenKind::Ident("b".into()),
+                TokenKind::Ident("b"),
                 TokenKind::Punct(P::ShrEq),
-                TokenKind::Ident("c".into()),
+                TokenKind::Ident("c"),
                 TokenKind::Punct(P::PlusEq),
-                TokenKind::Ident("d".into()),
+                TokenKind::Ident("d"),
                 TokenKind::Punct(P::Arrow),
-                TokenKind::Ident("e".into()),
+                TokenKind::Ident("e"),
             ]
         );
     }
@@ -539,7 +563,7 @@ mod tests {
     fn skips_line_and_block_comments() {
         assert_eq!(
             kinds("a // comment\n /* multi\nline */ b"),
-            vec![TokenKind::Ident("a".into()), TokenKind::Ident("b".into()),]
+            vec![TokenKind::Ident("a"), TokenKind::Ident("b"),]
         );
     }
 
@@ -548,9 +572,9 @@ mod tests {
         assert_eq!(
             kinds("#include <stdio.h>\nint x;"),
             vec![
-                TokenKind::PreprocLine("include <stdio.h>".into()),
+                TokenKind::PreprocLine("include <stdio.h>"),
                 TokenKind::Keyword(Keyword::Int),
-                TokenKind::Ident("x".into()),
+                TokenKind::Ident("x"),
                 TokenKind::Punct(P::Semi),
             ]
         );
@@ -586,10 +610,10 @@ mod tests {
         assert_eq!(
             kinds("a--->b"),
             vec![
-                TokenKind::Ident("a".into()),
+                TokenKind::Ident("a"),
                 TokenKind::Punct(P::MinusMinus),
                 TokenKind::Punct(P::Arrow),
-                TokenKind::Ident("b".into()),
+                TokenKind::Ident("b"),
             ]
         );
     }

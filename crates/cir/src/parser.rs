@@ -9,7 +9,7 @@
 
 use crate::ast::*;
 use crate::error::ParseError;
-use crate::lexer::lex;
+use crate::lexer::{lex, unescape_into};
 use crate::span::{Loc, Span};
 use crate::token::{Keyword, Punct, Token, TokenKind};
 use crate::types::CType;
@@ -40,33 +40,32 @@ pub fn parse(source: &str) -> Result<TranslationUnit, ParseError> {
     Parser::new(tokens).run()
 }
 
-/// Names treated as type identifiers in addition to keywords.
-fn builtin_type_names() -> HashSet<String> {
-    [
-        "pthread_t",
-        "pthread_attr_t",
-        "pthread_mutex_t",
-        "pthread_mutexattr_t",
-        "pthread_cond_t",
-        "pthread_barrier_t",
-        "pthread_barrierattr_t",
-        "size_t",
-        "ssize_t",
-        "FILE",
-        "int8_t",
-        "int16_t",
-        "int32_t",
-        "int64_t",
-        "uint8_t",
-        "uint16_t",
-        "uint32_t",
-        "uint64_t",
-        "RCCE_FLAG",
-        "RCCE_COMM",
-    ]
-    .into_iter()
-    .map(String::from)
-    .collect()
+/// Library names treated as type identifiers in addition to keywords and
+/// the program's own `typedef`s.
+fn is_builtin_type_name(name: &str) -> bool {
+    matches!(
+        name,
+        "pthread_t"
+            | "pthread_attr_t"
+            | "pthread_mutex_t"
+            | "pthread_mutexattr_t"
+            | "pthread_cond_t"
+            | "pthread_barrier_t"
+            | "pthread_barrierattr_t"
+            | "size_t"
+            | "ssize_t"
+            | "FILE"
+            | "int8_t"
+            | "int16_t"
+            | "int32_t"
+            | "int64_t"
+            | "uint8_t"
+            | "uint16_t"
+            | "uint32_t"
+            | "uint64_t"
+            | "RCCE_FLAG"
+            | "RCCE_COMM"
+    )
 }
 
 /// The deepest nesting of statements and expressions, counted together,
@@ -82,22 +81,23 @@ fn builtin_type_names() -> HashSet<String> {
 /// translation, nest at most 13 levels.
 pub(crate) const MAX_NESTING: usize = 128;
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'src> {
+    tokens: Vec<Token<'src>>,
     pos: usize,
     next_id: u32,
-    type_names: HashSet<String>,
+    /// The names the program's `typedef`s declared.
+    typedefs: HashSet<&'src str>,
     /// Levels of [`MAX_NESTING`] open at `pos`.
     depth: usize,
 }
 
-impl Parser {
-    fn new(tokens: Vec<Token>) -> Self {
+impl<'src> Parser<'src> {
+    fn new(tokens: Vec<Token<'src>>) -> Self {
         Parser {
             tokens,
             pos: 0,
             next_id: 0,
-            type_names: builtin_type_names(),
+            typedefs: HashSet::new(),
             depth: 0,
         }
     }
@@ -121,11 +121,11 @@ impl Parser {
         id
     }
 
-    fn peek(&self) -> &TokenKind {
+    fn peek(&self) -> &TokenKind<'src> {
         &self.tokens[self.pos].kind
     }
 
-    fn peek_at(&self, off: usize) -> &TokenKind {
+    fn peek_at(&self, off: usize) -> &TokenKind<'src> {
         let i = (self.pos + off).min(self.tokens.len() - 1);
         &self.tokens[i].kind
     }
@@ -138,12 +138,16 @@ impl Parser {
         self.tokens[self.pos].span
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
+    /// Moves past the current token (never past [`TokenKind::Eof`]).
+    fn bump(&mut self) {
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        t
+    }
+
+    /// Whether `name` names a type: a library type or a `typedef`.
+    fn is_type_name(&self, name: &str) -> bool {
+        is_builtin_type_name(name) || self.typedefs.contains(name)
     }
 
     fn eat_punct(&mut self, p: Punct) -> bool {
@@ -175,8 +179,8 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self) -> Result<(String, Span), ParseError> {
-        match self.peek().clone() {
+    fn expect_ident(&mut self) -> Result<(&'src str, Span), ParseError> {
+        match *self.peek() {
             TokenKind::Ident(name) => {
                 let span = self.span_here();
                 self.bump();
@@ -195,7 +199,7 @@ impl Parser {
             match self.peek() {
                 TokenKind::Eof => break,
                 TokenKind::PreprocLine(line) => {
-                    tu.preproc.push(line.clone());
+                    tu.preproc.push(line.to_string());
                     self.bump();
                 }
                 _ => {
@@ -235,7 +239,7 @@ impl Parser {
                     | Keyword::Struct
                     | Keyword::Union
             ),
-            TokenKind::Ident(name) => self.type_names.contains(name),
+            TokenKind::Ident(name) => self.is_type_name(name),
             _ => false,
         }
     }
@@ -247,7 +251,7 @@ impl Parser {
         let mut longs = 0u8;
         let mut base: Option<CType> = None;
         loop {
-            match self.peek().clone() {
+            match *self.peek() {
                 TokenKind::Keyword(Keyword::Static) => {
                     storage = Storage::Static;
                     self.bump();
@@ -306,9 +310,9 @@ impl Parser {
                     if base.is_none()
                         && longs == 0
                         && !unsigned
-                        && self.type_names.contains(&name) =>
+                        && self.is_type_name(name) =>
                 {
-                    base = Some(CType::Named(name.clone()));
+                    base = Some(CType::Named(name.to_string()));
                     self.bump();
                 }
                 _ => break,
@@ -328,7 +332,10 @@ impl Parser {
 
     /// Parses a declarator: pointer stars, name, array/function suffixes.
     /// Returns (name, full type, span).
-    fn parse_declarator(&mut self, base: &CType) -> Result<(String, CType, Span), ParseError> {
+    fn parse_declarator(
+        &mut self,
+        base: &CType,
+    ) -> Result<(&'src str, CType, Span), ParseError> {
         let mut stars = 0usize;
         let start = self.loc();
         while self.eat_punct(Punct::Star) {
@@ -384,7 +391,7 @@ impl Parser {
         let (name, ty, _span) = self.parse_declarator(&base)?;
 
         if storage == Storage::Typedef {
-            self.type_names.insert(name.clone());
+            self.typedefs.insert(name);
             self.expect_punct(Punct::Semi)?;
             let id = self.fresh();
             let vid = self.fresh();
@@ -393,7 +400,7 @@ impl Parser {
                 storage,
                 vars: vec![VarDecl {
                     id: vid,
-                    name,
+                    name: name.to_string(),
                     ty,
                     init: None,
                     span: Span::new(start, self.loc()),
@@ -420,7 +427,7 @@ impl Parser {
                     storage,
                     vars: vec![VarDecl {
                         id: vid,
-                        name,
+                        name: name.to_string(),
                         ty: fty,
                         init: None,
                         span: Span::new(start, self.loc()),
@@ -442,7 +449,7 @@ impl Parser {
             let id = self.fresh();
             return Ok(Item::Func(FunctionDef {
                 id,
-                name,
+                name: name.to_string(),
                 ret: ty,
                 params,
                 body,
@@ -474,10 +481,10 @@ impl Parser {
             while self.eat_punct(Punct::Star) {
                 stars += 1;
             }
-            let name = match self.peek().clone() {
+            let name = match *self.peek() {
                 TokenKind::Ident(n) => {
                     self.bump();
-                    n
+                    n.to_string()
                 }
                 _ => String::new(),
             };
@@ -515,7 +522,7 @@ impl Parser {
         start: Loc,
         storage: Storage,
         base: CType,
-        first_name: String,
+        first_name: &'src str,
         first_ty: CType,
     ) -> Result<Declaration, ParseError> {
         let mut vars = Vec::new();
@@ -530,7 +537,7 @@ impl Parser {
             let vid = self.fresh();
             vars.push(VarDecl {
                 id: vid,
-                name,
+                name: name.to_string(),
                 ty,
                 init,
                 span: Span::new(start, self.loc()),
@@ -606,7 +613,7 @@ impl Parser {
 
     fn parse_stmt_kind(&mut self) -> Result<Stmt, ParseError> {
         let start = self.loc();
-        let kind = match self.peek().clone() {
+        let kind = match *self.peek() {
             TokenKind::Punct(Punct::LBrace) => {
                 self.bump();
                 let mut stmts = Vec::new();
@@ -765,7 +772,7 @@ impl Parser {
         let (storage, base) = self.parse_base_type()?;
         let (name, ty, _) = self.parse_declarator(&base)?;
         if storage == Storage::Typedef {
-            self.type_names.insert(name.clone());
+            self.typedefs.insert(name);
         }
         self.finish_declaration(start, storage, base, name, ty)
     }
@@ -1049,7 +1056,7 @@ impl Parser {
                     let id = self.fresh();
                     e = Expr {
                         id,
-                        kind: ExprKind::Member(Box::new(e), field, false),
+                        kind: ExprKind::Member(Box::new(e), field.to_string(), false),
                         span,
                     };
                 }
@@ -1060,7 +1067,7 @@ impl Parser {
                     let id = self.fresh();
                     e = Expr {
                         id,
-                        kind: ExprKind::Member(Box::new(e), field, true),
+                        kind: ExprKind::Member(Box::new(e), field.to_string(), true),
                         span,
                     };
                 }
@@ -1095,7 +1102,7 @@ impl Parser {
     fn parse_primary(&mut self) -> Result<Expr, ParseError> {
         let start = self.loc();
         let span = self.span_here();
-        let kind = match self.peek().clone() {
+        let kind = match *self.peek() {
             TokenKind::IntLit(v) => {
                 self.bump();
                 ExprKind::IntLit(v)
@@ -1108,19 +1115,18 @@ impl Parser {
                 self.bump();
                 ExprKind::CharLit(c)
             }
-            TokenKind::StrLit(s) => {
-                self.bump();
+            TokenKind::StrLit(_) => {
                 // Adjacent string literals concatenate.
-                let mut full = s;
-                while let TokenKind::StrLit(next) = self.peek().clone() {
-                    full.push_str(&next);
+                let mut full = String::new();
+                while let TokenKind::StrLit(raw) = *self.peek() {
+                    unescape_into(raw, &mut full);
                     self.bump();
                 }
                 ExprKind::StrLit(full)
             }
             TokenKind::Ident(name) => {
                 self.bump();
-                ExprKind::Ident(name)
+                ExprKind::Ident(name.to_string())
             }
             TokenKind::Punct(Punct::LParen) => {
                 self.bump();

@@ -3,11 +3,11 @@
 use crate::span::Span;
 use std::fmt;
 
-/// The kind of a lexed token.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum TokenKind {
+/// The kind of a lexed token. Text is borrowed from the source.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum TokenKind<'src> {
     /// An identifier or keyword candidate, e.g. `main`, `pthread_create`.
-    Ident(String),
+    Ident(&'src str),
     /// A reserved keyword, e.g. `int`, `for`, `return`.
     Keyword(Keyword),
     /// An integer literal. Hex (`0x`), octal (`0`) and decimal forms are
@@ -17,11 +17,12 @@ pub(crate) enum TokenKind {
     FloatLit(f64),
     /// A character literal such as `'a'` (escapes resolved).
     CharLit(char),
-    /// A string literal with escapes resolved.
-    StrLit(String),
+    /// A string literal's raw text between its quotes; escapes are
+    /// resolved by [`crate::lexer::unescape_into`].
+    StrLit(&'src str),
     /// A preprocessor line, e.g. `#include <stdio.h>`, kept verbatim
     /// (without the leading `#`).
-    PreprocLine(String),
+    PreprocLine(&'src str),
     /// A punctuation or operator token.
     Punct(Punct),
     /// End of input.
@@ -264,15 +265,15 @@ impl fmt::Display for Punct {
 }
 
 /// A lexed token: a [`TokenKind`] plus its [`Span`] in the source.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct Token {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Token<'src> {
     /// What was lexed.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'src>,
     /// Where it was lexed from.
     pub span: Span,
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TokenKind::Ident(s) => write!(f, "{s}"),
@@ -280,7 +281,11 @@ impl fmt::Display for TokenKind {
             TokenKind::IntLit(v) => write!(f, "{v}"),
             TokenKind::FloatLit(v) => write!(f, "{v}"),
             TokenKind::CharLit(c) => write!(f, "'{c}'"),
-            TokenKind::StrLit(s) => write!(f, "{s:?}"),
+            TokenKind::StrLit(raw) => {
+                let mut s = String::new();
+                crate::lexer::unescape_into(raw, &mut s);
+                write!(f, "{s:?}")
+            }
             TokenKind::PreprocLine(s) => write!(f, "#{s}"),
             TokenKind::Punct(p) => write!(f, "{p}"),
             TokenKind::Eof => write!(f, "<eof>"),

@@ -697,8 +697,8 @@ impl ArtifactCache {
     /// Memoized Stage 5 translation for `key` (a
     /// [`ArtifactKey::Translation`]). The store payload is the emitted
     /// RCCE source; on load it is re-parsed, while `analysis` and `plan`
-    /// (already cached one shelf up) fill the translation's context
-    /// fields.
+    /// (already cached one shelf up) are shared into the translation's
+    /// context fields.
     ///
     /// # Errors
     ///
@@ -706,8 +706,8 @@ impl ArtifactCache {
     pub fn translation_with<E>(
         &self,
         key: ArtifactKey,
-        analysis: &ProgramAnalysis,
-        plan: &PartitionPlan,
+        analysis: &Arc<ProgramAnalysis>,
+        plan: &Arc<PartitionPlan>,
         compute: impl FnOnce() -> Result<Translation, E>,
     ) -> Result<Arc<Translation>, E> {
         debug_assert!(matches!(key, ArtifactKey::Translation { .. }));
@@ -716,7 +716,7 @@ impl ArtifactCache {
             self.store.as_ref(),
             |payload| {
                 let source = std::str::from_utf8(payload).ok()?.to_string();
-                Translation::from_source(source, analysis.clone(), plan.clone()).ok()
+                Translation::from_source(source, Arc::clone(analysis), Arc::clone(plan)).ok()
             },
             |translation| translation.source().as_bytes().to_vec(),
             compute,

@@ -388,8 +388,8 @@ impl Pipeline {
     fn translation_of(
         &self,
         unit: &TranslationUnit,
-        analysis: &ProgramAnalysis,
-        plan: &PartitionPlan,
+        analysis: &Arc<ProgramAnalysis>,
+        plan: &Arc<PartitionPlan>,
     ) -> Result<Arc<Translation>, PipelineError> {
         self.artifacts()
             .translation_with(self.translation_key(), analysis, plan, || {

@@ -49,6 +49,7 @@ use pass::{Driver, PassContext};
 use hsm_analysis::ProgramAnalysis;
 use hsm_cir::{parse, TranslationUnit};
 use hsm_partition::{MemorySpec, PartitionPlan, Policy};
+use std::sync::Arc;
 
 /// Options controlling a translation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,10 +75,10 @@ impl Default for TranslateOptions {
 pub struct Translation {
     /// The rewritten unit.
     pub unit: TranslationUnit,
-    /// The analysis of the original program.
-    pub analysis: ProgramAnalysis,
-    /// The Stage 4 plan that drove allocation placement.
-    pub plan: PartitionPlan,
+    /// The analysis of the original program, shared with whoever made it.
+    pub analysis: Arc<ProgramAnalysis>,
+    /// The Stage 4 plan that drove allocation placement, shared likewise.
+    pub plan: Arc<PartitionPlan>,
     /// `unit` as printed, and checked to re-parse, when the translation
     /// was made. Private, so only this crate's two constructors set it; a
     /// caller that edits `unit` afterwards prints it itself.
@@ -93,8 +94,8 @@ impl Translation {
     /// Returns the parse error when `source` is not valid C in the subset.
     pub fn from_source(
         source: String,
-        analysis: ProgramAnalysis,
-        plan: PartitionPlan,
+        analysis: Arc<ProgramAnalysis>,
+        plan: Arc<PartitionPlan>,
     ) -> Result<Self, hsm_cir::ParseError> {
         Ok(Translation {
             unit: parse(&source)?,
@@ -144,33 +145,34 @@ pub fn translate(
     tu: &TranslationUnit,
     options: TranslateOptions,
 ) -> Result<Translation, TranslateError> {
-    let analysis = ProgramAnalysis::analyze(tu);
+    let analysis = Arc::new(ProgramAnalysis::analyze(tu));
     let shared = hsm_partition::shared_vars_from_analysis(&analysis);
     // The full 48-slice MPB (384 KB) is addressable by any participating
     // core; the partitioner budgets against the whole chip.
     let spec = MemorySpec::scc(48);
-    let plan = hsm_partition::partition(&shared, &spec, options.policy);
+    let plan = Arc::new(hsm_partition::partition(&shared, &spec, options.policy));
     translate_with_plan(tu, &analysis, &plan, options)
 }
 
 /// Translates using a caller-provided analysis and partition plan (used by
-/// the experiment harness to force placements).
+/// the experiment harness to force placements). The [`Translation`] shares
+/// both with the caller instead of copying them.
 ///
 /// # Errors
 ///
 /// Same as [`translate`].
 pub fn translate_with_plan(
     tu: &TranslationUnit,
-    analysis: &ProgramAnalysis,
-    plan: &PartitionPlan,
+    analysis: &Arc<ProgramAnalysis>,
+    plan: &Arc<PartitionPlan>,
     options: TranslateOptions,
 ) -> Result<Translation, TranslateError> {
     let mut ctx = PassContext::new(tu.clone(), analysis, plan, options);
-    let source = standard_driver().run(&mut ctx)?;
+    let source = standard_driver().run(&mut ctx, tu)?;
     Ok(Translation {
         unit: ctx.unit,
-        analysis: analysis.clone(),
-        plan: plan.clone(),
+        analysis: Arc::clone(analysis),
+        plan: Arc::clone(plan),
         source,
     })
 }

@@ -106,20 +106,23 @@ impl Driver {
 
     /// Runs every pass in order, then prints the unit once and re-parses
     /// that text once; the checked text is returned, so no caller has to
-    /// print the unit again.
+    /// print the unit again. `original` is the unit `ctx` held on entry.
     ///
     /// A final IR that fails to re-parse means a pass corrupted it. The
     /// passes are then replayed over a context rebuilt
-    /// ([`PassContext::new`]) from the unit `ctx` held on entry, with the
-    /// check after every pass, and the pipeline aborts with an internal
-    /// error naming the first pass whose output does not re-parse. An
+    /// ([`PassContext::new`]) from a copy of `original`, with the check
+    /// after every pass, and the pipeline aborts with an internal error
+    /// naming the first pass whose output does not re-parse. An
     /// intermediate IR that a later pass repairs is not an error.
     ///
     /// # Errors
     ///
     /// Propagates pass errors and reports IR corruption.
-    pub(crate) fn run(&mut self, ctx: &mut PassContext<'_>) -> Result<String, TranslateError> {
-        let pristine = ctx.unit.clone();
+    pub(crate) fn run(
+        &mut self,
+        ctx: &mut PassContext<'_>,
+        original: &TranslationUnit,
+    ) -> Result<String, TranslateError> {
         for pass in &mut self.passes {
             pass.run(ctx)?;
         }
@@ -127,7 +130,12 @@ impl Driver {
         let Err(final_error) = parse(&printed) else {
             return Ok(printed);
         };
-        let mut replay = PassContext::new(pristine, ctx.analysis, ctx.plan, ctx.options.clone());
+        let mut replay = PassContext::new(
+            original.clone(),
+            ctx.analysis,
+            ctx.plan,
+            ctx.options.clone(),
+        );
         for pass in &mut self.passes {
             pass.run(&mut replay)?;
             if let Err(e) = parse(&print_unit(&replay.unit)) {
@@ -205,18 +213,18 @@ mod tests {
     #[test]
     fn driver_runs_passes_in_order() {
         let (analysis, plan, tu) = ctx_fixture("int main() { return 0; }");
-        let mut ctx = PassContext::new(tu, &analysis, &plan, Default::default());
+        let mut ctx = PassContext::new(tu.clone(), &analysis, &plan, Default::default());
         let mut driver = Driver::new().add(Renamer);
-        driver.run(&mut ctx).expect("pipeline");
+        driver.run(&mut ctx, &tu).expect("pipeline");
         assert!(ctx.unit.function("entry").is_some());
     }
 
     #[test]
     fn driver_detects_ir_corruption() {
         let (analysis, plan, tu) = ctx_fixture("int main() { return 0; }");
-        let mut ctx = PassContext::new(tu, &analysis, &plan, Default::default());
+        let mut ctx = PassContext::new(tu.clone(), &analysis, &plan, Default::default());
         let mut driver = Driver::new().add(Renamer).add(Corruptor);
-        let err = driver.run(&mut ctx).unwrap_err();
+        let err = driver.run(&mut ctx, &tu).unwrap_err();
         assert!(err.to_string().contains("corruptor"), "{err}");
         assert!(err.to_string().contains("inconsistent IR"), "{err}");
     }
@@ -224,13 +232,13 @@ mod tests {
     #[test]
     fn the_first_of_two_corrupting_passes_is_named() {
         let (analysis, plan, tu) = ctx_fixture("int main() { return 0; }");
-        let mut ctx = PassContext::new(tu, &analysis, &plan, Default::default());
+        let mut ctx = PassContext::new(tu.clone(), &analysis, &plan, Default::default());
         let mut driver = Driver::new().add(Renamer).add(Corruptor).add(Rename {
             pass: "second offender",
             from: "bad name",
             to: "worse name",
         });
-        let err = driver.run(&mut ctx).unwrap_err().to_string();
+        let err = driver.run(&mut ctx, &tu).unwrap_err().to_string();
         assert!(err.contains("pass `corruptor`"), "{err}");
         assert!(!err.contains("second offender"), "{err}");
     }
@@ -241,13 +249,13 @@ mod tests {
     #[test]
     fn a_repaired_intermediate_ir_is_not_an_error() {
         let (analysis, plan, tu) = ctx_fixture("int main() { return 0; }");
-        let mut ctx = PassContext::new(tu, &analysis, &plan, Default::default());
+        let mut ctx = PassContext::new(tu.clone(), &analysis, &plan, Default::default());
         let mut driver = Driver::new().add(Renamer).add(Corruptor).add(Rename {
             pass: "repairer",
             from: "bad name",
             to: "entry",
         });
-        let printed = driver.run(&mut ctx).expect("the final IR is consistent");
+        let printed = driver.run(&mut ctx, &tu).expect("the final IR is consistent");
         assert_eq!(printed, print_unit(&ctx.unit));
         assert!(parse(&printed).unwrap().function("entry").is_some());
     }

@@ -27,7 +27,7 @@ use hsm_analysis::trip_count;
 use hsm_cir::CType;
 use hsm_cir::{
     AssignOp, BinaryOp, Expr, ExprKind, ForInit, Item, NodeId, Param, Stmt, StmtKind,
-    TranslationUnit, UnaryOp,
+    TranslationUnit, UnaryOp, VarDecl,
 };
 use hsm_partition::Placement;
 use std::collections::BTreeMap;
@@ -1297,16 +1297,9 @@ impl TransformPass for RemoveTypesPass {
             Item::Func(_) => true,
         });
         for f in ctx.unit.functions_mut() {
-            let mut body = std::mem::take(&mut f.body);
-            map_stmts(&mut body, &mut |s| {
-                if let StmtKind::Decl(d) = &s.kind {
-                    if d.vars.iter().all(|v| v.ty.is_pthread_type()) {
-                        return vec![];
-                    }
-                }
-                vec![s]
+            retain_stmts(&mut f.body, &mut |s| {
+                !matches!(&s.kind, StmtKind::Decl(d) if d.vars.iter().all(|v| v.ty.is_pthread_type()))
             });
-            f.body = body;
         }
         Ok(())
     }
@@ -1326,26 +1319,17 @@ impl TransformPass for RemoveApiPass {
     fn run(&mut self, ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
         let api: std::collections::HashSet<&str> = PTHREAD_API.iter().copied().collect();
         for f in ctx.unit.functions_mut() {
-            let mut body = std::mem::take(&mut f.body);
-            map_stmts(&mut body, &mut |s| {
-                let contains_api = {
-                    let mut found = false;
-                    hsm_cir::walk_exprs_in_stmt(&s, &mut |e| {
-                        if let Some(t) = e.call_target() {
-                            if api.contains(t) || t.starts_with("pthread_") {
-                                found = true;
-                            }
+            retain_stmts(&mut f.body, &mut |s| {
+                let mut contains_api = false;
+                hsm_cir::walk_exprs_in_stmt(s, &mut |e| {
+                    if let Some(t) = e.call_target() {
+                        if api.contains(t) || t.starts_with("pthread_") {
+                            contains_api = true;
                         }
-                    });
-                    found
-                };
-                if contains_api {
-                    vec![]
-                } else {
-                    vec![s]
-                }
+                    }
+                });
+                !contains_api
             });
-            f.body = body;
         }
         Ok(())
     }
@@ -1364,39 +1348,40 @@ impl TransformPass for UnusedLocalsPass {
 
     fn run(&mut self, ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
         for f in ctx.unit.functions_mut() {
-            loop {
-                let mut removed = false;
-                let snapshot = f.body.clone();
-                let mut body = std::mem::take(&mut f.body);
-                map_stmts(&mut body, &mut |s| {
-                    if let StmtKind::Decl(d) = &s.kind {
-                        let all_dead = d.vars.iter().all(|v| {
-                            let pure_init = match &v.init {
-                                None => true,
-                                Some(e) => matches!(
-                                    e.kind,
-                                    ExprKind::IntLit(_)
-                                        | ExprKind::FloatLit(_)
-                                        | ExprKind::CharLit(_)
-                                        | ExprKind::StrLit(_)
-                                ),
-                            };
-                            pure_init && count_refs(&snapshot, &v.name) == 0
-                        });
-                        if all_dead && !d.vars.is_empty() {
-                            removed = true;
-                            return vec![];
-                        }
+            // A local is dead when nothing references it and its
+            // initializer is a literal. Removing such a declaration
+            // removes no reference, so one sweep finds every dead local.
+            let mut dead: Vec<String> = Vec::new();
+            for_each_decl(&f.body, &mut |d| {
+                for v in &d.vars {
+                    if pure_init(v) && count_refs(&f.body, &v.name) == 0 {
+                        dead.push(v.name.clone());
                     }
-                    vec![s]
-                });
-                f.body = body;
-                if !removed {
-                    break;
                 }
-            }
+            });
+            retain_stmts(&mut f.body, &mut |s| match &s.kind {
+                StmtKind::Decl(d) => {
+                    d.vars.is_empty()
+                        || !d
+                            .vars
+                            .iter()
+                            .all(|v| pure_init(v) && dead.contains(&v.name))
+                }
+                _ => true,
+            });
         }
         Ok(())
+    }
+}
+
+/// Whether a declared variable's initializer, if any, is a literal.
+fn pure_init(v: &VarDecl) -> bool {
+    match &v.init {
+        None => true,
+        Some(e) => matches!(
+            e.kind,
+            ExprKind::IntLit(_) | ExprKind::FloatLit(_) | ExprKind::CharLit(_) | ExprKind::StrLit(_)
+        ),
     }
 }
 

@@ -263,35 +263,32 @@ pub(crate) fn subst_ident_stmt(s: &mut Stmt, from: &str, to: &str) {
     }
 }
 
-/// Applies a bottom-up transformation to every statement list in a
-/// function body, letting `f` replace each statement with zero or more
-/// statements.
-pub(crate) fn map_stmts(body: &mut Vec<Stmt>, f: &mut impl FnMut(Stmt) -> Vec<Stmt>) {
-    let old = std::mem::take(body);
-    for mut s in old {
-        // Recurse into nested bodies first.
+/// Keeps, in every statement list of a function body, the statements
+/// `keep` accepts; nested lists are filtered before the statement that
+/// holds them is offered. A nested body that is a single statement
+/// becomes a block, so removing it leaves a well-formed `{}`.
+pub(crate) fn retain_stmts(body: &mut Vec<Stmt>, keep: &mut impl FnMut(&Stmt) -> bool) {
+    body.retain_mut(|s| {
         match &mut s.kind {
-            StmtKind::Block(stmts) => map_stmts(stmts, f),
+            StmtKind::Block(stmts) | StmtKind::Switch(_, stmts) => retain_stmts(stmts, keep),
             StmtKind::If(_, then, els) => {
-                map_boxed(then, f);
+                retain_boxed(then, keep);
                 if let Some(e) = els {
-                    map_boxed(e, f);
+                    retain_boxed(e, keep);
                 }
             }
-            StmtKind::While(_, b) | StmtKind::DoWhile(b, _) => map_boxed(b, f),
-            StmtKind::For(_, _, _, b) => map_boxed(b, f),
-            StmtKind::Switch(_, stmts) => map_stmts(stmts, f),
+            StmtKind::While(_, b) | StmtKind::DoWhile(b, _) | StmtKind::For(_, _, _, b) => {
+                retain_boxed(b, keep)
+            }
             _ => {}
         }
-        body.extend(f(s));
-    }
+        keep(s)
+    });
 }
 
-fn map_boxed(s: &mut Box<Stmt>, f: &mut impl FnMut(Stmt) -> Vec<Stmt>) {
-    // Wrap a single nested statement into a block so replacements with
-    // zero-or-many statements stay well-formed.
+fn retain_boxed(s: &mut Stmt, keep: &mut impl FnMut(&Stmt) -> bool) {
     let inner = std::mem::replace(
-        s.as_mut(),
+        s,
         Stmt {
             id: NodeId(u32::MAX),
             kind: StmtKind::Block(vec![]),
@@ -302,8 +299,28 @@ fn map_boxed(s: &mut Box<Stmt>, f: &mut impl FnMut(Stmt) -> Vec<Stmt>) {
         StmtKind::Block(stmts) => stmts,
         _ => vec![inner],
     };
-    map_stmts(&mut stmts, f);
+    retain_stmts(&mut stmts, keep);
     s.kind = StmtKind::Block(stmts);
+}
+
+/// Calls `f` on every declaration statement in a function body.
+pub(crate) fn for_each_decl<'a>(body: &'a [Stmt], f: &mut impl FnMut(&'a Declaration)) {
+    for s in body {
+        match &s.kind {
+            StmtKind::Decl(d) => f(d),
+            StmtKind::Block(stmts) | StmtKind::Switch(_, stmts) => for_each_decl(stmts, f),
+            StmtKind::If(_, then, els) => {
+                for_each_decl(std::slice::from_ref(&**then), f);
+                if let Some(e) = els {
+                    for_each_decl(std::slice::from_ref(&**e), f);
+                }
+            }
+            StmtKind::While(_, b) | StmtKind::DoWhile(b, _) | StmtKind::For(_, _, _, b) => {
+                for_each_decl(std::slice::from_ref(&**b), f)
+            }
+            _ => {}
+        }
+    }
 }
 
 /// Whether a statement (tree) contains a direct call to `target`.
@@ -365,46 +382,43 @@ mod tests {
     }
 
     #[test]
-    fn map_stmts_can_delete_and_expand() {
-        let mut tu = parse("int main() { int a; a = 1; a = 2; return a; }").unwrap();
+    fn retain_stmts_deletes_and_braces_single_bodies() {
+        let mut tu =
+            parse("int main() { int a; a = 1; a = 2; if (a) a = 1; return a; }").unwrap();
         let main = tu.function_mut("main").unwrap();
-        let mut body = std::mem::take(&mut main.body);
-        map_stmts(&mut body, &mut |s| {
-            // Delete `a = 1;`, duplicate `a = 2;`.
-            match &s.kind {
-                StmtKind::Expr(Some(e)) => {
-                    let printed = hsm_cir::print_expr(e);
-                    if printed == "a = 1" {
-                        vec![]
-                    } else if printed == "a = 2" {
-                        vec![s.clone(), s]
-                    } else {
-                        vec![s]
-                    }
-                }
-                _ => vec![s],
-            }
+        retain_stmts(&mut main.body, &mut |s| {
+            !matches!(&s.kind, StmtKind::Expr(Some(e)) if hsm_cir::print_expr(e) == "a = 1")
         });
-        tu.function_mut("main").unwrap().body = body;
         let out = print_unit(&tu);
         assert!(!out.contains("a = 1"), "{out}");
-        assert_eq!(out.matches("a = 2;").count(), 2, "{out}");
+        assert_eq!(out.matches("a = 2;").count(), 1, "{out}");
+        assert!(out.contains("if (a)\n    {\n    }"), "{out}");
     }
 
     #[test]
-    fn map_stmts_recurses_into_loops() {
+    fn retain_stmts_recurses_into_loops() {
         let mut tu =
             parse("int main() { int i; for (i = 0; i < 3; i++) { i = 9; } return 0; }").unwrap();
         let main = tu.function_mut("main").unwrap();
-        let mut body = std::mem::take(&mut main.body);
         let mut seen = 0;
-        map_stmts(&mut body, &mut |s| {
+        retain_stmts(&mut main.body, &mut |s| {
             if matches!(&s.kind, StmtKind::Expr(Some(e)) if hsm_cir::print_expr(e) == "i = 9") {
                 seen += 1;
             }
-            vec![s]
+            true
         });
         assert_eq!(seen, 1);
+    }
+
+    #[test]
+    fn for_each_decl_finds_nested_declarations() {
+        let tu = parse("int main() { int a; if (a) { int b; while (b) { int c; } } return 0; }")
+            .unwrap();
+        let mut names = Vec::new();
+        for_each_decl(&tu.function("main").unwrap().body, &mut |d| {
+            names.push(d.vars[0].name.as_str())
+        });
+        assert_eq!(names, ["a", "b", "c"]);
     }
 
     #[test]

@@ -11,14 +11,19 @@ use std::hash::{BuildHasherDefault, Hasher};
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 
-/// Hashes a page number with one multiply. The page map is looked up on
-/// every simulated load and store, nothing iterates it, and its keys are
-/// page numbers of the simulated address space rather than attacker-chosen
-/// input, so the default SipHash buys nothing here.
+/// Hashes with one multiply per word: the hasher of every map in this
+/// crate. The page map is looked up on every simulated load and store and
+/// the optimizer's tables on every instruction it scans; nothing iterates
+/// them in an order that reaches an output, and their keys are page
+/// numbers, registers and value numbers rather than attacker-chosen input,
+/// so the default SipHash buys nothing here.
 #[derive(Debug, Clone, Copy, Default)]
-struct PageHasher(u64);
+pub(crate) struct FastHasher(u64);
 
-impl Hasher for PageHasher {
+/// A `HashMap` hashed by [`FastHasher`].
+pub(crate) type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
+
+impl Hasher for FastHasher {
     fn finish(&self) -> u64 {
         self.0
     }
@@ -29,10 +34,34 @@ impl Hasher for PageHasher {
         }
     }
 
-    fn write_u64(&mut self, page: u64) {
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn write_isize(&mut self, n: isize) {
+        self.write_u64(n as u64);
+    }
+
+    fn write_i64(&mut self, n: i64) {
+        self.write_u64(n as u64);
+    }
+
+    fn write_u64(&mut self, word: u64) {
         // Fibonacci hashing; the fold brings the well-mixed high half down
         // to the bits the table indexes with.
-        let h = (self.0 ^ page).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let h = (self.0 ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         self.0 = h ^ (h >> 32);
     }
 }
@@ -40,7 +69,7 @@ impl Hasher for PageHasher {
 /// A sparse byte-addressable memory.
 #[derive(Debug, Clone, Default)]
 pub struct ByteMemory {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>, BuildHasherDefault<PageHasher>>,
+    pages: FastMap<u64, Box<[u8; PAGE_SIZE]>>,
 }
 
 impl ByteMemory {

@@ -43,9 +43,9 @@
 //! argument per pass.
 
 use crate::compile::{FrameVar, Program};
+use crate::data::FastMap;
 use crate::instr::Instr;
 use crate::value::Value;
-use std::collections::HashMap;
 
 /// How aggressively [`optimize`] rewrites a program.
 ///
@@ -125,19 +125,23 @@ pub fn optimize_with_stats(program: &Program, level: OptLevel) -> (Program, OptS
             },
         );
     }
+    let mut scratch = Scratch::default();
     for func in &mut out.funcs {
         let mut code = std::mem::take(&mut func.code);
         let mut n_regs = func.n_regs;
+        let s = &mut scratch;
         for _ in 0..MAX_ROUNDS {
             let mut changed = false;
-            changed |= apply(&mut code, fold_pass);
-            changed |= apply(&mut code, |c, _| jump_pass(c));
-            changed |= apply(&mut code, |c, _| dce_pass(c));
+            changed |= s.apply(&mut code, fold_pass);
+            changed |= s.apply(&mut code, |c, _, p| jump_pass(c, p));
+            changed |= s.apply(&mut code, |c, _, p| dce_pass(c, p));
             if level >= OptLevel::O2 {
-                changed |= apply(&mut code, |c, l| strength_pass(c, l, func.n_params, n_regs));
-                changed |= apply(&mut code, |c, l| cse_pass(c, l, &mut n_regs));
-                changed |= apply(&mut code, |c, l| {
-                    forward_loads_pass(c, l, &func.frame_vars, &mut n_regs)
+                changed |= s.apply(&mut code, |c, l, p| {
+                    strength_pass(c, l, func.n_params, n_regs, p)
+                });
+                changed |= s.apply(&mut code, |c, l, p| cse_pass(c, l, &mut n_regs, p));
+                changed |= s.apply(&mut code, |c, l, p| {
+                    forward_loads_pass(c, l, &func.frame_vars, &mut n_regs, p)
                 });
             }
             if !changed {
@@ -159,28 +163,35 @@ pub fn optimize_with_stats(program: &Program, level: OptLevel) -> (Program, OptS
 
 // ----------------------------------------------------- infrastructure --
 
-/// Per-index replacement plan: `None` keeps the original instruction,
-/// `Some(seq)` substitutes zero or more instructions at that position.
+/// Per-index replacement plan: an index without a plan keeps its
+/// instruction, a planned one is replaced by zero or more instructions.
+#[derive(Default)]
 struct Patch {
-    repl: Vec<Option<Vec<Instr>>>,
+    /// Per index, the range of `seqs` that replaces it, if planned.
+    repl: Vec<Option<(u32, u32)>>,
+    /// Every planned replacement, back to back.
+    seqs: Vec<Instr>,
     changed: bool,
 }
 
 impl Patch {
-    fn new(len: usize) -> Self {
-        Patch {
-            repl: vec![None; len],
-            changed: false,
-        }
+    /// Clears every plan, for a function of `len` instructions.
+    fn reset(&mut self, len: usize) {
+        self.repl.clear();
+        self.repl.resize(len, None);
+        self.seqs.clear();
+        self.changed = false;
     }
 
     /// Plans a replacement. The first plan per index wins; later plans
     /// for an already-claimed index are rejected (returns `false`).
-    fn set(&mut self, i: usize, seq: Vec<Instr>) -> bool {
+    fn set(&mut self, i: usize, seq: &[Instr]) -> bool {
         if self.repl[i].is_some() {
             return false;
         }
-        self.repl[i] = Some(seq);
+        let start = self.seqs.len() as u32;
+        self.seqs.extend_from_slice(seq);
+        self.repl[i] = Some((start, self.seqs.len() as u32));
         self.changed = true;
         true
     }
@@ -188,36 +199,74 @@ impl Patch {
     fn is_set(&self, i: usize) -> bool {
         self.repl[i].is_some()
     }
+
+    /// What replaces index `i`, if it is planned.
+    fn replacement(&self, i: usize) -> Option<&[Instr]> {
+        self.repl[i].map(|(a, b)| &self.seqs[a as usize..b as usize])
+    }
+}
+
+/// The buffers one [`optimize`] call reuses across every pass it runs, so
+/// a pass allocates only what it keeps for itself.
+#[derive(Default)]
+struct Scratch {
+    leaders: Vec<bool>,
+    patch: Patch,
+    new_index: Vec<usize>,
+    /// Where the next rebuilt function body is written; it swaps places
+    /// with the body it replaces.
+    spare: Vec<Instr>,
+}
+
+impl Scratch {
+    /// Runs one pass and applies its patch; returns whether anything
+    /// changed.
+    fn apply(
+        &mut self,
+        code: &mut Vec<Instr>,
+        pass: impl FnOnce(&[Instr], &[bool], &mut Patch),
+    ) -> bool {
+        leaders(code, &mut self.leaders);
+        self.patch.reset(code.len());
+        pass(code, &self.leaders, &mut self.patch);
+        if !self.patch.changed {
+            return false;
+        }
+        apply_patch(code, &self.patch, &mut self.new_index, &mut self.spare);
+        std::mem::swap(code, &mut self.spare);
+        true
+    }
 }
 
 /// Jump-target leader map: `leaders[i]` is true when some jump targets
 /// index `i`. Multi-instruction rewrites must not span a leader, so a
 /// jump can never land in the middle of a replaced pattern.
-fn leaders(code: &[Instr]) -> Vec<bool> {
-    let mut l = vec![false; code.len() + 1];
+fn leaders(code: &[Instr], l: &mut Vec<bool>) {
+    l.clear();
+    l.resize(code.len() + 1, false);
     for ins in code {
         if let Instr::Jump(t) | Instr::JumpIfZero(t) | Instr::JumpIfNotZero(t) = ins {
             l[*t as usize] = true;
         }
     }
-    l
 }
 
-/// Rebuilds `code` under `patch`, remapping every jump target through the
-/// old-index → new-index map. A target whose instruction was deleted maps
-/// to the next surviving position, which preserves semantics because
-/// deletions are always part of a pattern rewrite anchored at the
-/// target's own position.
-fn apply_patch(code: &[Instr], patch: &Patch) -> Vec<Instr> {
-    let mut new_index = Vec::with_capacity(code.len() + 1);
+/// Writes `code` rebuilt under `patch` into `out`, remapping every jump
+/// target through the old-index → new-index map. A target whose
+/// instruction was deleted maps to the next surviving position, which
+/// preserves semantics because deletions are always part of a pattern
+/// rewrite anchored at the target's own position.
+fn apply_patch(code: &[Instr], patch: &Patch, new_index: &mut Vec<usize>, out: &mut Vec<Instr>) {
+    new_index.clear();
     let mut pos = 0usize;
-    for r in &patch.repl {
+    for i in 0..code.len() {
         new_index.push(pos);
-        pos += r.as_ref().map_or(1, Vec::len);
+        pos += patch.replacement(i).map_or(1, <[Instr]>::len);
     }
     new_index.push(pos);
     let remap = |t: u32| new_index[t as usize] as u32;
-    let mut out = Vec::with_capacity(pos);
+    out.clear();
+    out.reserve(pos);
     let mut emit = |ins: Instr| {
         out.push(match ins {
             Instr::Jump(t) => Instr::Jump(remap(t)),
@@ -227,23 +276,11 @@ fn apply_patch(code: &[Instr], patch: &Patch) -> Vec<Instr> {
         });
     };
     for (i, ins) in code.iter().enumerate() {
-        match &patch.repl[i] {
+        match patch.replacement(i) {
             Some(seq) => seq.iter().for_each(|&x| emit(x)),
             None => emit(*ins),
         }
     }
-    out
-}
-
-/// Runs one pass and applies its patch; returns whether anything changed.
-fn apply(code: &mut Vec<Instr>, pass: impl FnOnce(&[Instr], &[bool]) -> Patch) -> bool {
-    let l = leaders(code);
-    let patch = pass(code, &l);
-    if !patch.changed {
-        return false;
-    }
-    *code = apply_patch(code, &patch);
-    true
 }
 
 /// The constant pushed for a folded value.
@@ -383,13 +420,12 @@ fn fold_unary(op: Instr, v: Value) -> Option<Value> {
 
 /// Constant folding + block-local register constant propagation +
 /// constant branches + frame-address folding + `Dup`/`Pop` cancellation.
-fn fold_pass(code: &[Instr], leaders: &[bool]) -> Patch {
-    let mut p = Patch::new(code.len());
+fn fold_pass(code: &[Instr], leaders: &[bool], p: &mut Patch) {
     // Block-local register constants. Registers are strictly per-frame
     // (calls allocate fresh slots and restore on return), so calls do
     // not invalidate the map; only jump targets (unknown predecessors)
     // and non-constant stores do.
-    let mut regs: HashMap<u16, Value> = HashMap::new();
+    let mut regs: FastMap<u16, Value> = FastMap::default();
     let mut i = 0;
     while i < code.len() {
         if leaders[i] {
@@ -402,16 +438,16 @@ fn fold_pass(code: &[Instr], leaders: &[bool]) -> Patch {
         if free3 {
             if let (Some(a), Some(b)) = (const_of(code[i]), const_of(code[i + 1])) {
                 if code[i + 2] == Instr::Swap {
-                    p.set(i, vec![push_const(b)]);
-                    p.set(i + 1, vec![push_const(a)]);
-                    p.set(i + 2, vec![]);
+                    p.set(i, &[push_const(b)]);
+                    p.set(i + 1, &[push_const(a)]);
+                    p.set(i + 2, &[]);
                     i += 3;
                     continue;
                 }
                 if let Some(v) = fold_binary(code[i + 2], a, b) {
-                    p.set(i, vec![push_const(v)]);
-                    p.set(i + 1, vec![]);
-                    p.set(i + 2, vec![]);
+                    p.set(i, &[push_const(v)]);
+                    p.set(i + 1, &[]);
+                    p.set(i + 2, &[]);
                     i += 3;
                     continue;
                 }
@@ -423,9 +459,9 @@ fn fold_pass(code: &[Instr], leaders: &[bool]) -> Patch {
             {
                 let sum = i64::from(off) + c;
                 if (0..=i64::from(u32::MAX)).contains(&sum) {
-                    p.set(i, vec![Instr::LocalMemAddr(sum as u32)]);
-                    p.set(i + 1, vec![]);
-                    p.set(i + 2, vec![]);
+                    p.set(i, &[Instr::LocalMemAddr(sum as u32)]);
+                    p.set(i + 1, &[]);
+                    p.set(i + 2, &[]);
                     i += 3;
                     continue;
                 }
@@ -436,35 +472,23 @@ fn fold_pass(code: &[Instr], leaders: &[bool]) -> Patch {
             // [c, unop] → [folded];  [c, JumpIf*] → [Jump] or nothing.
             if let Some(v) = const_of(code[i]) {
                 if let Some(folded) = fold_unary(code[i + 1], v) {
-                    p.set(i, vec![push_const(folded)]);
-                    p.set(i + 1, vec![]);
+                    p.set(i, &[push_const(folded)]);
+                    p.set(i + 1, &[]);
                     i += 2;
                     continue;
                 }
                 match code[i + 1] {
                     Instr::JumpIfZero(t) => {
-                        p.set(
-                            i,
-                            if v.is_truthy() {
-                                vec![]
-                            } else {
-                                vec![Instr::Jump(t)]
-                            },
-                        );
-                        p.set(i + 1, vec![]);
+                        let jump = [Instr::Jump(t)];
+                        p.set(i, if v.is_truthy() { &[] } else { &jump });
+                        p.set(i + 1, &[]);
                         i += 2;
                         continue;
                     }
                     Instr::JumpIfNotZero(t) => {
-                        p.set(
-                            i,
-                            if v.is_truthy() {
-                                vec![Instr::Jump(t)]
-                            } else {
-                                vec![]
-                            },
-                        );
-                        p.set(i + 1, vec![]);
+                        let jump = [Instr::Jump(t)];
+                        p.set(i, if v.is_truthy() { &jump } else { &[] });
+                        p.set(i + 1, &[]);
                         i += 2;
                         continue;
                     }
@@ -473,8 +497,8 @@ fn fold_pass(code: &[Instr], leaders: &[bool]) -> Patch {
             }
             // [Dup, Pop] and [pure push, Pop] cancel.
             if code[i + 1] == Instr::Pop && (code[i] == Instr::Dup || is_pure_push(code[i])) {
-                p.set(i, vec![]);
-                p.set(i + 1, vec![]);
+                p.set(i, &[]);
+                p.set(i + 1, &[]);
                 i += 2;
                 continue;
             }
@@ -484,7 +508,7 @@ fn fold_pass(code: &[Instr], leaders: &[bool]) -> Patch {
             // A register known to hold a constant reads as that constant.
             Instr::LocalGet(r) => {
                 if let Some(&v) = regs.get(&r) {
-                    p.set(i, vec![push_const(v)]);
+                    p.set(i, &[push_const(v)]);
                 }
                 i += 1;
             }
@@ -505,7 +529,6 @@ fn fold_pass(code: &[Instr], leaders: &[bool]) -> Patch {
             _ => i += 1,
         }
     }
-    p
 }
 
 // -------------------------------------------------------- jump pass (O1) --
@@ -524,47 +547,44 @@ fn chase(code: &[Instr], mut t: u32) -> u32 {
 
 /// Jump threading, jump-to-next deletion, and conditional-jump-to-next →
 /// `Pop` (the condition still has to leave the stack).
-fn jump_pass(code: &[Instr]) -> Patch {
-    let mut p = Patch::new(code.len());
+fn jump_pass(code: &[Instr], p: &mut Patch) {
     for (i, ins) in code.iter().enumerate() {
         let next = (i + 1) as u32;
         match *ins {
             Instr::Jump(t) => {
                 let t2 = chase(code, t);
                 if t2 == next {
-                    p.set(i, vec![]);
+                    p.set(i, &[]);
                 } else if t2 != t {
-                    p.set(i, vec![Instr::Jump(t2)]);
+                    p.set(i, &[Instr::Jump(t2)]);
                 }
             }
             Instr::JumpIfZero(t) => {
                 let t2 = chase(code, t);
                 if t2 == next {
-                    p.set(i, vec![Instr::Pop]);
+                    p.set(i, &[Instr::Pop]);
                 } else if t2 != t {
-                    p.set(i, vec![Instr::JumpIfZero(t2)]);
+                    p.set(i, &[Instr::JumpIfZero(t2)]);
                 }
             }
             Instr::JumpIfNotZero(t) => {
                 let t2 = chase(code, t);
                 if t2 == next {
-                    p.set(i, vec![Instr::Pop]);
+                    p.set(i, &[Instr::Pop]);
                 } else if t2 != t {
-                    p.set(i, vec![Instr::JumpIfNotZero(t2)]);
+                    p.set(i, &[Instr::JumpIfNotZero(t2)]);
                 }
             }
             _ => {}
         }
     }
-    p
 }
 
 // --------------------------------------------------------- DCE pass (O1) --
 
 /// Unreachable-code removal, `Nop` removal, and stores to registers the
 /// function never reads (`LocalSet` → `Pop`, keeping the stack effect).
-fn dce_pass(code: &[Instr]) -> Patch {
-    let mut p = Patch::new(code.len());
+fn dce_pass(code: &[Instr], p: &mut Patch) {
     // Reachability from the entry.
     let mut reachable = vec![false; code.len()];
     let mut work = vec![0usize];
@@ -584,28 +604,31 @@ fn dce_pass(code: &[Instr]) -> Patch {
         }
     }
     // Registers that are ever read.
-    let mut read = std::collections::HashSet::new();
+    let mut read = Vec::new();
     for ins in code {
-        if let Instr::LocalGet(r) = ins {
-            read.insert(*r);
+        if let Instr::LocalGet(r) = *ins {
+            let r = usize::from(r);
+            if r >= read.len() {
+                read.resize(r + 1, false);
+            }
+            read[r] = true;
         }
     }
     for (i, ins) in code.iter().enumerate() {
         if !reachable[i] {
-            p.set(i, vec![]);
+            p.set(i, &[]);
             continue;
         }
         match *ins {
             Instr::Nop => {
-                p.set(i, vec![]);
+                p.set(i, &[]);
             }
-            Instr::LocalSet(r) if !read.contains(&r) => {
-                p.set(i, vec![Instr::Pop]);
+            Instr::LocalSet(r) if !read.get(usize::from(r)).is_some_and(|&b| b) => {
+                p.set(i, &[Instr::Pop]);
             }
             _ => {}
         }
     }
-    p
 }
 
 // -------------------------------------------------- type analysis (O2) --
@@ -755,16 +778,17 @@ fn register_types(code: &[Instr], leaders: &[bool], n_params: u8, n_regs: u16) -
             if leaders[i] {
                 stack.clear();
             }
-            let snapshot = ty.clone();
-            sim_types(*ins, &mut stack, &snapshot, |r, t| {
-                if let Some(slot) = ty.get_mut(r as usize) {
-                    let m = meet(*slot, t);
-                    if m != *slot {
-                        *slot = m;
-                        changed = true;
-                    }
+            // The instruction reads the types it starts with; its store
+            // lands after it.
+            let mut stored = None;
+            sim_types(*ins, &mut stack, &ty, |r, t| stored = Some((r, t)));
+            if let Some(slot) = stored.and_then(|(r, t)| Some((ty.get_mut(r as usize)?, t))) {
+                let m = meet(*slot.0, slot.1);
+                if m != *slot.0 {
+                    *slot.0 = m;
+                    changed = true;
                 }
-            });
+            }
         }
         if !changed {
             return ty;
@@ -781,9 +805,8 @@ fn register_types(code: &[Instr], leaders: &[bool], n_params: u8, n_regs: u16) -
 /// identities are ever applied (`-0.0` and NaN make them unsound), and
 /// division is never turned into a shift (C truncated division of
 /// negative values disagrees with an arithmetic shift).
-fn strength_pass(code: &[Instr], leaders: &[bool], n_params: u8, n_regs: u16) -> Patch {
+fn strength_pass(code: &[Instr], leaders: &[bool], n_params: u8, n_regs: u16, p: &mut Patch) {
     let reg_ty = register_types(code, leaders, n_params, n_regs);
-    let mut p = Patch::new(code.len());
     let mut stack: Vec<Ty> = Vec::new();
     for (i, ins) in code.iter().enumerate() {
         if leaders[i] {
@@ -798,24 +821,24 @@ fn strength_pass(code: &[Instr], leaders: &[bool], n_params: u8, n_regs: u16) ->
                 if left == Ty::Int && !p.is_set(i) && !p.is_set(i + 1) {
                     match code[i + 1] {
                         Instr::Mul if c == 1 => {
-                            p.set(i, vec![]);
-                            p.set(i + 1, vec![]);
+                            p.set(i, &[]);
+                            p.set(i + 1, &[]);
                         }
                         Instr::Mul if c > 1 && (c & (c - 1)) == 0 => {
-                            p.set(i, vec![Instr::PushI(i64::from(c.trailing_zeros()))]);
-                            p.set(i + 1, vec![Instr::Shl]);
+                            p.set(i, &[Instr::PushI(i64::from(c.trailing_zeros()))]);
+                            p.set(i + 1, &[Instr::Shl]);
                         }
                         Instr::Add | Instr::Sub if c == 0 => {
-                            p.set(i, vec![]);
-                            p.set(i + 1, vec![]);
+                            p.set(i, &[]);
+                            p.set(i + 1, &[]);
                         }
                         Instr::Div if c == 1 => {
-                            p.set(i, vec![]);
-                            p.set(i + 1, vec![]);
+                            p.set(i, &[]);
+                            p.set(i + 1, &[]);
                         }
                         Instr::Shl | Instr::Shr if c == 0 => {
-                            p.set(i, vec![]);
-                            p.set(i + 1, vec![]);
+                            p.set(i, &[]);
+                            p.set(i + 1, &[]);
                         }
                         _ => {}
                     }
@@ -826,7 +849,6 @@ fn strength_pass(code: &[Instr], leaders: &[bool], n_params: u8, n_regs: u16) ->
         // type-preserving, so the abstract stack stays accurate.
         sim_types(*ins, &mut stack, &reg_ty, |_, _| {});
     }
-    p
 }
 
 // ------------------------------------------------------------ CSE (O2) --
@@ -885,18 +907,17 @@ fn worth_caching(code: &[Instr], span: (usize, usize)) -> bool {
 /// collapse to `LocalGet scratch`. Register reassignments retire value
 /// numbers through per-register generations; block boundaries clear the
 /// availability table, so the capture dominates every reuse.
-fn cse_pass(code: &[Instr], leaders: &[bool], n_regs: &mut u16) -> Patch {
-    let mut p = Patch::new(code.len());
-    let mut vns: HashMap<VnKey, u32> = HashMap::new();
+fn cse_pass(code: &[Instr], leaders: &[bool], n_regs: &mut u16, p: &mut Patch) {
+    let mut vns: FastMap<VnKey, u32> = FastMap::default();
     let mut next_vn = 0u32;
-    let mut vn_of = |key: VnKey, vns: &mut HashMap<VnKey, u32>| -> u32 {
+    let mut vn_of = |key: VnKey, vns: &mut FastMap<VnKey, u32>| -> u32 {
         *vns.entry(key).or_insert_with(|| {
             next_vn += 1;
             next_vn
         })
     };
-    let mut gen: HashMap<u16, u32> = HashMap::new();
-    let mut avail: HashMap<u32, FirstOcc> = HashMap::new();
+    let mut gen: FastMap<u16, u32> = FastMap::default();
+    let mut avail: FastMap<u32, FirstOcc> = FastMap::default();
     let mut stack: Vec<SymVal> = Vec::new();
 
     for (i, ins) in code.iter().enumerate() {
@@ -1044,16 +1065,16 @@ fn cse_pass(code: &[Instr], leaders: &[bool], n_regs: &mut u16) -> Patch {
                                     *n_regs += 1;
                                     p.set(
                                         first.span.1,
-                                        vec![code[first.span.1], Instr::Dup, Instr::LocalSet(s)],
+                                        &[code[first.span.1], Instr::Dup, Instr::LocalSet(s)],
                                     );
                                     first.scratch = Some(s);
                                     s
                                 }
                             };
                             for k in span.0..span.1 {
-                                p.set(k, vec![]);
+                                p.set(k, &[]);
                             }
-                            p.set(span.1, vec![Instr::LocalGet(scratch)]);
+                            p.set(span.1, &[Instr::LocalGet(scratch)]);
                             // The reuse site no longer owns its span.
                             val.span = None;
                         }
@@ -1072,7 +1093,6 @@ fn cse_pass(code: &[Instr], leaders: &[bool], n_regs: &mut u16) -> Patch {
         }
         stack.push(val);
     }
-    p
 }
 
 // ------------------------------------------------ load forwarding (O2) --
@@ -1242,12 +1262,12 @@ fn forward_loads_pass(
     leaders: &[bool],
     frame_vars: &[FrameVar],
     n_regs: &mut u16,
-) -> Patch {
+    p: &mut Patch,
+) {
     let escaped = escaped_vars(code, leaders, frame_vars);
     let var_key = |off: u32| var_at(frame_vars, off).map_or(off, |v| v.offset);
-    let mut p = Patch::new(code.len());
     // (slot offset, kind discriminator) → live occurrence.
-    let mut avail: HashMap<(u32, crate::value::MemKind), LoadOcc> = HashMap::new();
+    let mut avail: FastMap<(u32, crate::value::MemKind), LoadOcc> = FastMap::default();
     let mut stack: Vec<Tag> = Vec::new();
     for (i, ins) in code.iter().enumerate() {
         if leaders[i] {
@@ -1271,7 +1291,7 @@ fn forward_loads_pass(
                                     *n_regs += 1;
                                     p.set(
                                         occ.load_idx,
-                                        vec![Instr::Load(kind), Instr::Dup, Instr::LocalSet(s)],
+                                        &[Instr::Load(kind), Instr::Dup, Instr::LocalSet(s)],
                                     );
                                     occ.scratch = Some(s);
                                     Some(s)
@@ -1279,8 +1299,8 @@ fn forward_loads_pass(
                                 None => None,
                             };
                             if let Some(s) = scratch {
-                                p.set(i, vec![]);
-                                p.set(i + 1, vec![Instr::LocalGet(s)]);
+                                p.set(i, &[]);
+                                p.set(i + 1, &[Instr::LocalGet(s)]);
                             }
                         }
                         None => {
@@ -1321,7 +1341,6 @@ fn forward_loads_pass(
         }
         sim_tags(*ins, &mut stack);
     }
-    p
 }
 
 /// Tag-stack simulation shared by the forwarding scan (escape analysis
@@ -1421,6 +1440,17 @@ mod tests {
     use crate::instr::Intrinsic;
     use crate::value::MemKind;
     use crate::vm::{StepOutcome, Vm};
+
+    /// Runs one pass over `code` and applies it, as `optimize` does.
+    fn apply(code: &mut Vec<Instr>, pass: impl FnOnce(&[Instr], &[bool], &mut Patch)) -> bool {
+        Scratch::default().apply(code, pass)
+    }
+
+    fn leaders_of(code: &[Instr]) -> Vec<bool> {
+        let mut l = Vec::new();
+        leaders(code, &mut l);
+        l
+    }
 
     /// Runs a single-threaded program to completion, returning its exit
     /// value as i64 (pure-compute corpus for the fixture tests).
@@ -1622,7 +1652,7 @@ mod tests {
             Instr::Ret,
         ];
         let mut c = code;
-        apply(&mut c, |x, _| jump_pass(x));
+        apply(&mut c, |x, _, p| jump_pass(x, p));
         let mut c2 = c.clone();
         // One application threads + deletes; indices remap.
         assert!(c2.iter().all(|i| *i != Instr::Jump(2)));
@@ -1630,7 +1660,7 @@ mod tests {
             matches!(c[0], Instr::JumpIfZero(t) if c[t as usize] == Instr::Ret),
             "{c:?}"
         );
-        while apply(&mut c2, |x, _| jump_pass(x)) {}
+        while apply(&mut c2, |x, _, p| jump_pass(x, p)) {}
     }
 
     #[test]
@@ -1642,7 +1672,7 @@ mod tests {
             Instr::Ret,
         ];
         let mut c = code;
-        apply(&mut c, |x, _| jump_pass(x));
+        apply(&mut c, |x, _, p| jump_pass(x, p));
         assert_eq!(c[1], Instr::Pop);
     }
 
@@ -1659,9 +1689,9 @@ mod tests {
             Instr::Ret,
         ];
         let mut c = code;
-        while apply(&mut c, |x, _| dce_pass(x))
+        while apply(&mut c, |x, _, p| dce_pass(x, p))
             || apply(&mut c, fold_pass)
-            || apply(&mut c, |x, _| jump_pass(x))
+            || apply(&mut c, |x, _, p| jump_pass(x, p))
         {}
         // push 3 + LocalSet→Pop cancel; unreachable push gone.
         assert_eq!(c, vec![Instr::PushI(7), Instr::Ret]);
@@ -1681,7 +1711,7 @@ mod tests {
             Instr::Ret,
         ];
         let mut c = code;
-        apply(&mut c, |x, l| strength_pass(x, l, 0, 1));
+        apply(&mut c, |x, l, p| strength_pass(x, l, 0, 1, p));
         assert!(c.contains(&Instr::Shl), "{c:?}");
         assert!(c.contains(&Instr::PushI(3)), "shift amount: {c:?}");
     }
@@ -1692,7 +1722,7 @@ mod tests {
         // must stay a multiply (a float argument would promote).
         let code = vec![Instr::LocalGet(0), Instr::PushI(8), Instr::Mul, Instr::Ret];
         let mut c = code.clone();
-        assert!(!apply(&mut c, |x, l| strength_pass(x, l, 1, 1)));
+        assert!(!apply(&mut c, |x, l, p| strength_pass(x, l, 1, 1, p)));
         assert_eq!(c, code);
     }
 
@@ -1707,7 +1737,7 @@ mod tests {
             Instr::Ret,
         ];
         let mut c = code.clone();
-        assert!(!apply(&mut c, |x, l| strength_pass(x, l, 0, 1)));
+        assert!(!apply(&mut c, |x, l, p| strength_pass(x, l, 0, 1, p)));
         assert_eq!(c, code);
     }
 
@@ -1724,7 +1754,7 @@ mod tests {
             Instr::Ret,
         ];
         let mut c = code;
-        apply(&mut c, |x, l| strength_pass(x, l, 0, 1));
+        apply(&mut c, |x, l, p| strength_pass(x, l, 0, 1, p));
         assert_eq!(
             c,
             vec![
@@ -1755,11 +1785,11 @@ mod tests {
             Instr::Mul,
             Instr::Ret,
         ];
-        let l = leaders(&code);
+        let l = leaders_of(&code);
         let ty = register_types(&code, &l, 0, 1);
         assert_eq!(ty[0], Ty::Int);
         let mut c = code;
-        apply(&mut c, |x, l| strength_pass(x, l, 0, 1));
+        apply(&mut c, |x, l, p| strength_pass(x, l, 0, 1, p));
         assert!(c.contains(&Instr::Shl), "{c:?}");
     }
 
@@ -1781,7 +1811,7 @@ mod tests {
         code.push(Instr::Ret);
         let mut n_regs = 3u16;
         let mut c = code;
-        assert!(apply(&mut c, |x, l| cse_pass(x, l, &mut n_regs)));
+        assert!(apply(&mut c, |x, l, p| cse_pass(x, l, &mut n_regs, p)));
         assert_eq!(n_regs, 4, "one scratch register allocated");
         assert!(c.contains(&Instr::LocalGet(3)), "{c:?}");
         assert!(c.contains(&Instr::LocalSet(3)), "{c:?}");
@@ -1805,7 +1835,7 @@ mod tests {
             Instr::Ret,
         ];
         let mut c = code.clone();
-        assert!(!apply(&mut c, |x, l| cse_pass(x, l, &mut n_regs)));
+        assert!(!apply(&mut c, |x, l, p| cse_pass(x, l, &mut n_regs, p)));
         assert_eq!(c, code);
     }
 
@@ -1825,7 +1855,7 @@ mod tests {
             Instr::Jump(4),
         ];
         let mut c = code.clone();
-        assert!(!apply(&mut c, |x, l| cse_pass(x, l, &mut n_regs)));
+        assert!(!apply(&mut c, |x, l, p| cse_pass(x, l, &mut n_regs, p)));
         assert_eq!(c, code);
     }
 
@@ -1843,7 +1873,7 @@ mod tests {
             Instr::Ret,
         ];
         let mut c = code.clone();
-        assert!(!apply(&mut c, |x, l| cse_pass(x, l, &mut n_regs)));
+        assert!(!apply(&mut c, |x, l, p| cse_pass(x, l, &mut n_regs, p)));
         assert_eq!(c, code);
         assert_eq!(n_regs, 0);
     }
@@ -1871,11 +1901,12 @@ mod tests {
         ];
         let mut n_regs = 0u16;
         let mut c = code;
-        assert!(apply(&mut c, |x, l| forward_loads_pass(
+        assert!(apply(&mut c, |x, l, p| forward_loads_pass(
             x,
             l,
             &vars,
-            &mut n_regs
+            &mut n_regs,
+            p
         )));
         assert_eq!(
             c,
@@ -1909,11 +1940,12 @@ mod tests {
         ];
         let mut n_regs = 0u16;
         let mut c = code.clone();
-        assert!(!apply(&mut c, |x, l| forward_loads_pass(
+        assert!(!apply(&mut c, |x, l, p| forward_loads_pass(
             x,
             l,
             &vars,
-            &mut n_regs
+            &mut n_regs,
+            p
         )));
         assert_eq!(c, code);
     }
@@ -1934,11 +1966,12 @@ mod tests {
         ];
         let mut n_regs = 0u16;
         let mut c = code.clone();
-        assert!(!apply(&mut c, |x, l| forward_loads_pass(
+        assert!(!apply(&mut c, |x, l, p| forward_loads_pass(
             x,
             l,
             &vars,
-            &mut n_regs
+            &mut n_regs,
+            p
         )));
         assert_eq!(c, code);
     }
@@ -1959,11 +1992,12 @@ mod tests {
         ];
         let mut n_regs = 0u16;
         let mut c = code.clone();
-        assert!(!apply(&mut c, |x, l| forward_loads_pass(
+        assert!(!apply(&mut c, |x, l, p| forward_loads_pass(
             x,
             l,
             &vars,
-            &mut n_regs
+            &mut n_regs,
+            p
         )));
         assert_eq!(c, code);
     }
@@ -1973,7 +2007,7 @@ mod tests {
         let vars = [scalar_var(0, 4), scalar_var(4, 8)];
         // &v0 stored into a register (pointer local): v0 escapes.
         let via_reg = vec![Instr::LocalMemAddr(0), Instr::LocalSet(0), Instr::RetVoid];
-        let l = leaders(&via_reg);
+        let l = leaders_of(&via_reg);
         assert_eq!(escaped_vars(&via_reg, &l, &vars), vec![0]);
         // &v0 stored *as a value* into memory: v0 escapes.
         let via_mem = vec![
@@ -1982,7 +2016,7 @@ mod tests {
             Instr::Store(MemKind::I64, false),
             Instr::RetVoid,
         ];
-        let l = leaders(&via_mem);
+        let l = leaders_of(&via_mem);
         assert_eq!(escaped_vars(&via_mem, &l, &vars), vec![0]);
         // Indexing arithmetic escapes the array var.
         let via_arith = vec![
@@ -1993,7 +2027,7 @@ mod tests {
             Instr::Pop,
             Instr::RetVoid,
         ];
-        let l = leaders(&via_arith);
+        let l = leaders_of(&via_arith);
         assert_eq!(escaped_vars(&via_arith, &l, &vars), vec![4]);
     }
 

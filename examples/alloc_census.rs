@@ -10,7 +10,8 @@
 //! benchmark's `corpus_grid` runs it at, it takes the source to O2
 //! bytecode the way a first-touch HSM point does (parse, Stages 1–3,
 //! the Stage 4 plan, Stage 5 with its print-and-re-parse check, compile,
-//! O2) and prints the allocations and bytes each stage asked the
+//! O2; the analysis and the plan are shared as the artifact cache shares
+//! them) and prints the allocations and bytes each stage asked the
 //! allocator for. An allocation is a call to `alloc`, `alloc_zeroed` or
 //! `realloc`; its bytes are the size it asked for. The count is
 //! deterministic: it does not depend on the host, only on the code.
@@ -24,6 +25,7 @@ use hsm_translate::TranslateOptions;
 use hsm_vm::OptLevel;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::Arc;
 
 /// The system allocator, counting what it is asked for.
 struct Counting;
@@ -82,10 +84,10 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, [u64; 2]) {
 fn census(src: &str, cores: usize) -> [[u64; 2]; 6] {
     let policy = Policy::SizeAscending;
     let (unit, parse) = counted(|| hsm_cir::parse(src).expect("corpus parses"));
-    let (analysis, analyze) = counted(|| ProgramAnalysis::analyze(&unit));
+    let (analysis, analyze) = counted(|| Arc::new(ProgramAnalysis::analyze(&unit)));
     let (plan, plan_cost) = counted(|| {
         let shared = hsm_partition::shared_vars_from_analysis(&analysis);
-        hsm_partition::partition(&shared, &MemorySpec::scc(cores), policy)
+        Arc::new(hsm_partition::partition(&shared, &MemorySpec::scc(cores), policy))
     });
     let (translation, translate) = counted(|| {
         let options = TranslateOptions { cores, policy };
