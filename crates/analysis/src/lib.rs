@@ -51,7 +51,6 @@ mod threads;
 use hsm_cir::SymbolTable;
 use hsm_cir::TranslationUnit;
 use points_to::Propagation;
-use std::collections::BTreeMap;
 
 pub use access::{trip_count, AccessCounts, VarKey};
 pub use interthread::{InterThreadAnalysis, ThreadPresence};
@@ -76,8 +75,9 @@ pub struct ProgramAnalysis {
     pub points_to: PointsToAnalysis,
     /// Final sharing map (after stage 3).
     pub sharing: SharingMap,
-    /// Status snapshots keyed by variable name, one per stage.
-    snapshots: [BTreeMap<String, SharingStatus>; 3],
+    /// Status snapshots, one per stage: the status of each variable of
+    /// `scope.variables`, index for index.
+    snapshots: [Vec<SharingStatus>; 3],
 }
 
 impl ProgramAnalysis {
@@ -121,9 +121,13 @@ impl ProgramAnalysis {
     /// Panics if `stage` is not in `1..=3`.
     pub fn status_after_stage(&self, name: &str, stage: usize) -> SharingStatus {
         assert!((1..=3).contains(&stage), "stage must be 1..=3");
-        self.snapshots[stage - 1]
-            .get(name)
-            .copied()
+        // Statuses are per name, so the first variable of that name speaks
+        // for all of them.
+        self.scope
+            .variables
+            .iter()
+            .position(|v| v.key.name == name)
+            .map(|i| self.snapshots[stage - 1][i])
             .unwrap_or_default()
     }
 
@@ -154,11 +158,11 @@ impl ProgramAnalysis {
     }
 }
 
-fn snapshot(scope: &ScopeAnalysis, sharing: &SharingMap) -> BTreeMap<String, SharingStatus> {
+fn snapshot(scope: &ScopeAnalysis, sharing: &SharingMap) -> Vec<SharingStatus> {
     scope
         .variables
         .iter()
-        .map(|v| (v.key.name.clone(), sharing.status(&v.key.name)))
+        .map(|v| sharing.status(&v.key.name))
         .collect()
 }
 

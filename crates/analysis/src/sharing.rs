@@ -5,7 +5,6 @@
 //! *"the sharing status may be refined from true to false or false to true
 //! once, but it will not revert. Changes from null are always accepted."*
 
-use std::collections::HashMap;
 use std::fmt;
 
 /// Three-valued sharing status of a variable.
@@ -37,16 +36,19 @@ impl fmt::Display for SharingStatus {
     }
 }
 
-/// A variable's status trajectory across the analysis stages.
+/// One variable's status trajectory across the analysis stages.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct StatusHistory {
+struct StatusHistory {
+    var: String,
     /// Status after each recorded stage, in order (stage 1, 2, 3, …).
-    pub stages: Vec<SharingStatus>,
+    stages: Vec<SharingStatus>,
+    /// Whether the status has flipped between `Private` and `Shared`.
+    flipped: bool,
 }
 
 impl StatusHistory {
     /// The latest status (`Unknown` if no stage recorded yet).
-    pub(crate) fn current(&self) -> SharingStatus {
+    fn current(&self) -> SharingStatus {
         self.stages.last().copied().unwrap_or_default()
     }
 }
@@ -58,15 +60,18 @@ impl StatusHistory {
 /// `Unknown` are always accepted.
 #[derive(Debug, Clone, Default)]
 pub struct SharingMap {
-    entries: HashMap<String, StatusHistory>,
-    flipped: HashMap<String, bool>,
-    order: Vec<String>,
+    /// One history per variable name, in first-seen order.
+    entries: Vec<StatusHistory>,
 }
 
 impl SharingMap {
     /// Creates an empty map.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    fn get(&self, var: &str) -> Option<&StatusHistory> {
+        self.entries.iter().find(|h| h.var == var)
     }
 
     /// Records the end-of-stage status for `var`, subject to the update
@@ -84,20 +89,26 @@ impl SharingMap {
     /// assert_eq!(m.status("x"), SharingStatus::Shared);
     /// ```
     pub fn record(&mut self, var: &str, status: SharingStatus) -> SharingStatus {
-        if !self.entries.contains_key(var) {
-            self.order.push(var.to_string());
-        }
-        let hist = self.entries.entry(var.to_string()).or_default();
+        let at = match self.entries.iter().position(|h| h.var == var) {
+            Some(at) => at,
+            None => {
+                self.entries.push(StatusHistory {
+                    var: var.to_string(),
+                    ..StatusHistory::default()
+                });
+                self.entries.len() - 1
+            }
+        };
+        let hist = &mut self.entries[at];
         let prev = hist.current();
-        let flipped = self.flipped.entry(var.to_string()).or_insert(false);
         let accepted = match (prev, status) {
             // From null, always accepted.
             (SharingStatus::Unknown, s) => s,
             // No change.
             (p, s) if p == s => s,
             // First decided-to-decided flip allowed; later ones rejected.
-            (_, s) if !*flipped => {
-                *flipped = true;
+            (_, s) if !hist.flipped => {
+                hist.flipped = true;
                 s
             }
             (p, _) => p,
@@ -108,24 +119,21 @@ impl SharingMap {
 
     /// The current status of `var` (`Unknown` if never recorded).
     pub fn status(&self, var: &str) -> SharingStatus {
-        self.entries
-            .get(var)
-            .map(|h| h.current())
-            .unwrap_or_default()
+        self.get(var).map(StatusHistory::current).unwrap_or_default()
     }
 
     /// Variable names currently marked shared, in first-seen order.
     pub fn shared_variables(&self) -> Vec<&str> {
-        self.order
+        self.entries
             .iter()
-            .filter(|v| self.status(v).is_shared())
-            .map(|s| s.as_str())
+            .filter(|h| h.current().is_shared())
+            .map(|h| h.var.as_str())
             .collect()
     }
 
     /// All recorded variable names in first-seen order.
     pub fn variables(&self) -> impl Iterator<Item = &str> {
-        self.order.iter().map(|s| s.as_str())
+        self.entries.iter().map(|h| h.var.as_str())
     }
 }
 
@@ -217,7 +225,7 @@ mod tests {
             for s in stages {
                 m.record(name, s);
             }
-            assert_eq!(m.entries[name].stages, stages.to_vec(), "{name}");
+            assert_eq!(m.get(name).unwrap().stages, stages.to_vec(), "{name}");
         }
     }
 

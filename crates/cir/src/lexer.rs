@@ -91,6 +91,20 @@ impl<'src> Lexer<'src> {
         Some(b)
     }
 
+    /// Moves the cursor to byte `end`, counting the lines and columns
+    /// of what it moves over.
+    fn skip_to(&mut self, end: usize) {
+        for &b in &self.src.as_bytes()[self.pos..end] {
+            if b == b'\n' {
+                self.loc.line += 1;
+                self.loc.col = 1;
+            } else if b & 0xC0 != 0x80 {
+                self.loc.col += 1;
+            }
+        }
+        self.pos = end;
+    }
+
     /// Moves past one character.
     fn bump_char(&mut self) -> Option<char> {
         let c = self.peek_char()?;
@@ -143,50 +157,38 @@ impl<'src> Lexer<'src> {
                     self.bump_char();
                 }
                 Some(b'/') if self.peek2() == Some(b'/') => {
-                    while let Some(c) = self.peek() {
-                        if c == b'\n' {
-                            break;
-                        }
-                        self.bump();
-                    }
+                    let rest = &self.src[self.pos..];
+                    self.skip_to(self.pos + rest.find('\n').unwrap_or(rest.len()));
                 }
                 Some(b'/') if self.peek2() == Some(b'*') => {
-                    let start = self.loc;
-                    self.bump();
-                    self.bump();
-                    loop {
-                        match (self.peek(), self.peek2()) {
-                            (Some(b'*'), Some(b'/')) => {
-                                self.bump();
-                                self.bump();
-                                break;
-                            }
-                            (Some(_), _) => {
-                                self.bump();
-                            }
-                            (None, _) => {
-                                return Err(LexError::new(start, "unterminated block comment"))
-                            }
-                        }
-                    }
+                    let Some(len) = self.src[self.pos + 2..].find("*/") else {
+                        return Err(LexError::new(self.loc, "unterminated block comment"));
+                    };
+                    self.skip_to(self.pos + 2 + len + 2);
                 }
                 _ => return Ok(()),
             }
         }
     }
 
-    /// Moves past the bytes `pred` accepts and returns the text moved over.
+    /// Moves past the bytes `pred` accepts and returns the text moved
+    /// over. `pred` accepts only ASCII bytes other than a newline, so each
+    /// byte is one column.
     fn take_while(&mut self, pred: impl Fn(u8) -> bool) -> &'src str {
         let from = self.pos;
-        while self.peek().is_some_and(&pred) {
-            self.bump();
-        }
+        let rest = &self.src.as_bytes()[from..];
+        let len = rest.iter().position(|&c| !pred(c)).unwrap_or(rest.len());
+        self.pos += len;
+        self.loc.col += len as u32;
         &self.src[from..self.pos]
     }
 
     fn lex_preproc(&mut self) -> Result<TokenKind<'src>, LexError> {
         self.bump(); // '#'
-        Ok(TokenKind::PreprocLine(self.take_while(|c| c != b'\n').trim()))
+        let from = self.pos;
+        let rest = &self.src[from..];
+        self.skip_to(from + rest.find('\n').unwrap_or(rest.len()));
+        Ok(TokenKind::PreprocLine(self.src[from..self.pos].trim()))
     }
 
     fn lex_ident(&mut self) -> TokenKind<'src> {

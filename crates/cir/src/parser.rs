@@ -307,10 +307,7 @@ impl<'src> Parser<'src> {
                     base = Some(CType::Named(format!("struct {name}")));
                 }
                 TokenKind::Ident(name)
-                    if base.is_none()
-                        && longs == 0
-                        && !unsigned
-                        && self.is_type_name(name) =>
+                    if base.is_none() && longs == 0 && !unsigned && self.is_type_name(name) =>
                 {
                     base = Some(CType::Named(name.to_string()));
                     self.bump();
@@ -332,10 +329,7 @@ impl<'src> Parser<'src> {
 
     /// Parses a declarator: pointer stars, name, array/function suffixes.
     /// Returns (name, full type, span).
-    fn parse_declarator(
-        &mut self,
-        base: &CType,
-    ) -> Result<(&'src str, CType, Span), ParseError> {
+    fn parse_declarator(&mut self, base: &CType) -> Result<(&'src str, CType, Span), ParseError> {
         let mut stars = 0usize;
         let start = self.loc();
         while self.eat_punct(Punct::Star) {

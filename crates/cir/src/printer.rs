@@ -20,6 +20,8 @@ use std::fmt::Write;
 /// ```
 pub fn print_unit(tu: &TranslationUnit) -> String {
     let mut p = Printer::new();
+    // Room for a corpus-sized program, so the text is not regrown piecemeal.
+    p.out.reserve(4096);
     for line in &tu.preproc {
         let _ = writeln!(p.out, "#{line}");
     }
@@ -281,8 +283,13 @@ impl Printer {
             ExprKind::FloatLit(v) => {
                 // A whole value printed bare re-lexes as an integer, and
                 // `1e16 / 3` then divides integers. `{:?}` marks it a
-                // float: `4.0`, and from 1e16 up `1e16`, `1e300`.
-                if v.fract() == 0.0 && v.is_finite() {
+                // float: `4.0`, and from 1e16 up `1e16`, `1e300`. An
+                // infinity (what `1e999` lexes to; a literal is never
+                // negative) would print as `inf`, an identifier: it prints
+                // as a literal that overflows again.
+                if *v == f64::INFINITY {
+                    self.out.push_str("1e999");
+                } else if v.fract() == 0.0 {
                     let _ = write!(self.out, "{v:?}");
                 } else {
                     let _ = write!(self.out, "{v}");
@@ -345,12 +352,16 @@ impl Printer {
             ExprKind::Binary(op, l, r) => {
                 let p = binop_prec(*op);
                 self.expr(l, p);
-                let _ = write!(self.out, " {} ", op.as_str());
+                self.out.push(' ');
+                self.out.push_str(op.as_str());
+                self.out.push(' ');
                 self.expr(r, p + 1);
             }
             ExprKind::Assign(op, l, r) => {
                 self.expr(l, 3);
-                let _ = write!(self.out, " {} ", op.as_str());
+                self.out.push(' ');
+                self.out.push_str(op.as_str());
+                self.out.push(' ');
                 self.expr(r, 2);
             }
             ExprKind::Ternary(c, t, f) => {

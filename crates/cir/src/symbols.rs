@@ -8,7 +8,6 @@
 use crate::ast::{ForInit, FunctionDef, Item, Stmt, StmtKind, Storage, TranslationUnit};
 use crate::span::Span;
 use crate::types::CType;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Where a symbol is defined.
@@ -76,11 +75,10 @@ pub struct Symbol {
 /// same name within its function.
 #[derive(Debug, Clone, Default)]
 pub struct SymbolTable {
-    globals: HashMap<String, Symbol>,
-    /// function name -> (symbol name -> symbol)
-    locals: HashMap<String, HashMap<String, Symbol>>,
-    /// Insertion-ordered names for stable reporting.
-    order: Vec<(Option<String>, String)>,
+    /// One symbol per (function, name), in declaration order; a
+    /// redeclaration replaces the symbol in its first position. A unit
+    /// has a few dozen, so a lookup scans them.
+    symbols: Vec<Symbol>,
 }
 
 impl SymbolTable {
@@ -136,25 +134,28 @@ impl SymbolTable {
         table
     }
 
+    /// The position of the symbol `name` in `func` (`None`: at file
+    /// scope).
+    fn position(&self, func: Option<&str>, name: &str) -> Option<usize> {
+        self.symbols
+            .iter()
+            .position(|s| s.name == name && s.scope.function() == func)
+    }
+
     fn insert_global(&mut self, sym: Symbol) {
-        if !self.globals.contains_key(&sym.name) {
-            self.order.push((None, sym.name.clone()));
-        }
-        // A definition (has_init / function body) wins over a prototype.
-        match self.globals.get(&sym.name) {
-            Some(existing) if existing.has_init && !sym.has_init => {}
-            _ => {
-                self.globals.insert(sym.name.clone(), sym);
-            }
+        match self.position(None, &sym.name) {
+            None => self.symbols.push(sym),
+            // A definition (has_init / function body) wins over a prototype.
+            Some(i) if self.symbols[i].has_init && !sym.has_init => {}
+            Some(i) => self.symbols[i] = sym,
         }
     }
 
     fn insert_local(&mut self, func: &str, sym: Symbol) {
-        let entry = self.locals.entry(func.to_string()).or_default();
-        if !entry.contains_key(&sym.name) {
-            self.order.push((Some(func.to_string()), sym.name.clone()));
+        match self.position(Some(func), &sym.name) {
+            None => self.symbols.push(sym),
+            Some(i) => self.symbols[i] = sym,
         }
-        entry.insert(sym.name.clone(), sym);
     }
 
     fn collect_function(&mut self, f: &FunctionDef) {
@@ -238,34 +239,28 @@ impl SymbolTable {
     /// Looks up `name` as seen from inside `func`: locals and parameters
     /// shadow globals.
     pub fn lookup(&self, func: &str, name: &str) -> Option<&Symbol> {
-        self.locals
-            .get(func)
-            .and_then(|m| m.get(name))
-            .or_else(|| self.globals.get(name))
+        self.position(Some(func), name)
+            .or_else(|| self.position(None, name))
+            .map(|i| &self.symbols[i])
     }
 
     /// Looks up a global symbol by name.
     pub fn global(&self, name: &str) -> Option<&Symbol> {
-        self.globals.get(name)
+        self.position(None, name).map(|i| &self.symbols[i])
     }
 
     /// All global data variables (functions and typedefs excluded), in
     /// declaration order.
     pub fn global_variables(&self) -> Vec<&Symbol> {
-        self.order
+        self.symbols
             .iter()
-            .filter(|(f, _)| f.is_none())
-            .filter_map(|(_, n)| self.globals.get(n))
-            .filter(|s| s.kind == SymbolKind::Variable)
+            .filter(|s| s.scope == Scope::Global && s.kind == SymbolKind::Variable)
             .collect()
     }
 
     /// Every symbol in the unit, in declaration order (globals and locals).
     pub fn iter(&self) -> impl Iterator<Item = &Symbol> {
-        self.order.iter().filter_map(move |(f, n)| match f {
-            None => self.globals.get(n),
-            Some(func) => self.locals.get(func).and_then(|m| m.get(n)),
-        })
+        self.symbols.iter()
     }
 }
 

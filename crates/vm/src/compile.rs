@@ -20,7 +20,7 @@ use hsm_cir::{
     AssignOp, BinaryOp, Declaration, Expr, ExprKind, ForInit, FunctionDef, Stmt, StmtKind, Storage,
     TranslationUnit, UnaryOp,
 };
-use std::collections::{HashMap, HashSet};
+use crate::data::{FastMap, FastSet};
 use std::fmt;
 
 /// Base address of the interned string table (private region).
@@ -163,9 +163,9 @@ enum Slot {
 
 struct Compiler<'a> {
     tu: &'a TranslationUnit,
-    func_index: HashMap<String, u32>,
-    func_sigs: HashMap<String, (CType, Vec<CType>)>,
-    globals: HashMap<String, (u64, CType)>,
+    func_index: FastMap<String, u32>,
+    func_sigs: FastMap<String, (CType, Vec<CType>)>,
+    globals: FastMap<String, (u64, CType)>,
     global_list: Vec<GlobalVar>,
     strings: Vec<(u64, String)>,
     str_next: u64,
@@ -174,8 +174,8 @@ struct Compiler<'a> {
 
 impl<'a> Compiler<'a> {
     fn new(tu: &'a TranslationUnit) -> Result<Self, CompileError> {
-        let mut func_index = HashMap::new();
-        let mut func_sigs = HashMap::new();
+        let mut func_index = FastMap::default();
+        let mut func_sigs = FastMap::default();
         for (i, f) in tu.functions().enumerate() {
             func_index.insert(f.name.clone(), i as u32);
             func_sigs.insert(
@@ -197,7 +197,7 @@ impl<'a> Compiler<'a> {
             }
         }
 
-        let mut globals = HashMap::new();
+        let mut globals = FastMap::default();
         let mut global_list = Vec::new();
         let mut image = Vec::new();
         let mut next = GLOBALS_BASE;
@@ -340,10 +340,10 @@ fn const_init_bytes(init: &Expr, ty: &CType) -> Option<Vec<u8>> {
 struct FnCompiler<'a, 'b> {
     c: &'a mut Compiler<'b>,
     code: Vec<Instr>,
-    scopes: Vec<HashMap<String, Slot>>,
+    scopes: Vec<FastMap<String, Slot>>,
     n_regs: u16,
     mem_off: u32,
-    addr_taken: HashSet<String>,
+    addr_taken: FastSet<String>,
     /// Break/continue scopes: loops accept both, switches only break.
     loops: Vec<BreakScope>,
     ret_ty: CType,
@@ -375,7 +375,7 @@ impl BreakScope {
 
 impl<'a, 'b> FnCompiler<'a, 'b> {
     fn compile(c: &'a mut Compiler<'b>, f: &FunctionDef) -> Result<Function, CompileError> {
-        let mut addr_taken = HashSet::new();
+        let mut addr_taken = FastSet::default();
         for s in &f.body {
             hsm_cir::walk_exprs_in_stmt(s, &mut |e| {
                 if let ExprKind::Unary(UnaryOp::Addr, inner) = &e.kind {
@@ -389,7 +389,7 @@ impl<'a, 'b> FnCompiler<'a, 'b> {
         let mut fc = FnCompiler {
             c,
             code: Vec::new(),
-            scopes: vec![HashMap::new()],
+            scopes: vec![FastMap::default()],
             n_regs: 0,
             mem_off: 0,
             addr_taken,
@@ -473,7 +473,7 @@ impl<'a, 'b> FnCompiler<'a, 'b> {
             }
             StmtKind::Decl(d) => self.decl(d),
             StmtKind::Block(stmts) => {
-                self.scopes.push(HashMap::new());
+                self.scopes.push(FastMap::default());
                 for st in stmts {
                     self.stmt(st)?;
                 }
@@ -530,7 +530,7 @@ impl<'a, 'b> FnCompiler<'a, 'b> {
                 Ok(())
             }
             StmtKind::For(init, cond, step, body) => {
-                self.scopes.push(HashMap::new());
+                self.scopes.push(FastMap::default());
                 match init {
                     Some(ForInit::Decl(d)) => self.decl(d)?,
                     Some(ForInit::Expr(e)) => {
@@ -648,7 +648,7 @@ impl<'a, 'b> FnCompiler<'a, 'b> {
         }
 
         // Body with labels resolved to code positions.
-        self.scopes.push(HashMap::new());
+        self.scopes.push(FastMap::default());
         self.loops.push(BreakScope::switch_scope());
         let mut label_pos: Vec<(usize, u32)> = Vec::new();
         for (i, stmt) in body.iter().enumerate() {

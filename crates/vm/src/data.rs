@@ -5,7 +5,7 @@
 //! space costs nothing until touched.
 
 use crate::value::{MemKind, Value};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 const PAGE_SHIFT: u32 = 12;
@@ -22,6 +22,9 @@ pub(crate) struct FastHasher(u64);
 
 /// A `HashMap` hashed by [`FastHasher`].
 pub(crate) type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
+
+/// A `HashSet` hashed by [`FastHasher`].
+pub(crate) type FastSet<K> = HashSet<K, BuildHasherDefault<FastHasher>>;
 
 impl Hasher for FastHasher {
     fn finish(&self) -> u64 {
