@@ -18,11 +18,11 @@
 //! EXPERIMENTS.md.
 
 use hsm_cir::const_fold;
+use hsm_cir::SymbolTable;
 use hsm_cir::{
     AssignOp, BinaryOp, Declaration, Expr, ExprKind, ForInit, Item, Stmt, StmtKind,
     TranslationUnit, UnaryOp,
 };
-use hsm_cir::SymbolTable;
 
 /// How to weigh accesses inside loops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -119,7 +119,9 @@ impl SharingMap {
 
     /// The current status of `var` (`Unknown` if never recorded).
     pub fn status(&self, var: &str) -> SharingStatus {
-        self.get(var).map(StatusHistory::current).unwrap_or_default()
+        self.get(var)
+            .map(StatusHistory::current)
+            .unwrap_or_default()
     }
 
     /// Variable names currently marked shared, in first-seen order.

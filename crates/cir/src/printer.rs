@@ -595,6 +595,61 @@ int main() {
         assert!(out.contains("0.5"), "got: {out}");
     }
 
+    /// Every value a float literal can hold prints as a literal that
+    /// parses back to the same bits: subnormals, 17-digit values, whole
+    /// values past 2^53, and the infinity an overflowing literal lexes to.
+    #[test]
+    fn every_float_literal_value_reparses_to_its_bits() {
+        let mut values = vec![
+            0.0,
+            0.1,
+            0.5,
+            1.0,
+            4.0,
+            0.30000000000000004,
+            1.2345678901234567,
+            9007199254740993.0,
+            1e16,
+            1e300,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            2.225073858507201e-308,
+            f64::MIN_POSITIVE / 3.0,
+            5e-324,
+            f64::INFINITY,
+        ];
+        // And pseudo-random bit patterns (xorshift), every finite
+        // non-negative one a literal can spell.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        while values.len() < 2000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let v = f64::from_bits(x >> 1);
+            if v.is_finite() {
+                values.push(v);
+            }
+        }
+        for v in values {
+            let mut tu = parse("double x = 0.5;").expect("parse");
+            let Item::Decl(d) = &mut tu.items[0] else {
+                panic!("a declaration")
+            };
+            d.vars[0].init.as_mut().expect("initializer").kind = ExprKind::FloatLit(v);
+            let text = print_unit(&tu);
+            let back = parse(&text).unwrap_or_else(|e| panic!("{e}:\n{text}"));
+            let Item::Decl(d) = &back.items[0] else {
+                panic!("a declaration")
+            };
+            match d.vars[0].init.as_ref().map(|e| &e.kind) {
+                Some(ExprKind::FloatLit(got)) => {
+                    assert_eq!(got.to_bits(), v.to_bits(), "{v:e} printed as {text}")
+                }
+                other => panic!("{v:e} printed as {text} and parsed as {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn prints_multiple_declarators() {
         let out = round_trip("int main() { int a = 1, b = 2; return a + b; }");

@@ -13,7 +13,8 @@
 //!
 //! Shutdown is graceful: a `shutdown` job (or [`ServerHandle::stop`])
 //! stops the accept loop, and [`Server::run`] returns once every
-//! connection thread has drained.
+//! connection thread has drained. The accept loop waits in `accept`; a
+//! stop request sets the flag and then connects once to wake it.
 //!
 //! [`Client`] is the matching blocking client used by `figures --client`
 //! and the integration tests.
@@ -29,13 +30,49 @@ use crate::sweep::{sweep_with, SweepOptions};
 use scc_sim::SccConfig;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// How often blocked reads and the accept loop re-check the stop flag.
+/// How often a connection's blocked read re-checks the stop flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
+
+/// A server's stop flag, and the address that wakes its accept loop.
+#[derive(Debug)]
+struct Stop {
+    requested: AtomicBool,
+    wake: SocketAddr,
+}
+
+impl Stop {
+    /// A flag for a server listening on `addr`; a listener bound to an
+    /// unspecified address is woken over loopback.
+    fn new(addr: SocketAddr) -> Self {
+        let mut wake = addr;
+        if addr.ip().is_unspecified() {
+            wake.set_ip(match addr.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
+        Stop {
+            requested: AtomicBool::new(false),
+            wake,
+        }
+    }
+
+    fn requested(&self) -> bool {
+        self.requested.load(Ordering::SeqCst)
+    }
+
+    /// Sets the flag, then connects once so that an accept loop waiting
+    /// for a client returns and sees it.
+    fn request(&self) {
+        self.requested.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect_timeout(&self.wake, Duration::from_secs(1));
+    }
+}
 
 /// Job-server configuration.
 #[derive(Debug, Clone)]
@@ -63,14 +100,14 @@ impl Default for ServerOptions {
 /// A handle for stopping a running [`Server`] from another thread.
 #[derive(Debug, Clone)]
 pub struct ServerHandle {
-    stop: Arc<AtomicBool>,
+    stop: Arc<Stop>,
 }
 
 impl ServerHandle {
     /// Asks the server to stop accepting connections and return from
     /// [`Server::run`] once active connections drain.
     pub fn stop(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.stop.request();
     }
 }
 
@@ -81,7 +118,7 @@ pub struct Server {
     addr: SocketAddr,
     options: ServerOptions,
     cache: Arc<ArtifactCache>,
-    stop: Arc<AtomicBool>,
+    stop: Arc<Stop>,
 }
 
 impl fmt::Debug for Server {
@@ -99,7 +136,6 @@ impl Server {
     /// Propagates bind and store-directory failures.
     pub fn bind(addr: &str, options: ServerOptions) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let cache = match &options.cache_dir {
             Some(dir) => ArtifactCache::persistent(dir)?,
@@ -110,7 +146,7 @@ impl Server {
             addr,
             options,
             cache,
-            stop: Arc::new(AtomicBool::new(false)),
+            stop: Arc::new(Stop::new(addr)),
         })
     }
 
@@ -136,28 +172,26 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates accept-loop I/O failures (refused polls are retried).
+    /// Propagates accept-loop I/O failures.
     pub fn run(self) -> io::Result<()> {
         let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !self.stop.load(Ordering::SeqCst) {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let cache = Arc::clone(&self.cache);
-                    let options = self.options.clone();
-                    let stop = Arc::clone(&self.stop);
-                    let serve = move || serve_connection(stream, &cache, &options, &stop);
-                    workers.push(
-                        std::thread::Builder::new()
-                            .stack_size(STAGE_STACK_BYTES)
-                            .spawn(serve)
-                            .expect("spawn a connection thread"),
-                    );
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL_INTERVAL);
-                }
-                Err(e) => return Err(e),
+        loop {
+            let (stream, _) = self.listener.accept()?;
+            // A stop request connects to wake this loop; that connection,
+            // and any that raced it, is dropped unserved.
+            if self.stop.requested() {
+                break;
             }
+            let cache = Arc::clone(&self.cache);
+            let options = self.options.clone();
+            let stop = Arc::clone(&self.stop);
+            let serve = move || serve_connection(stream, &cache, &options, &stop);
+            workers.push(
+                std::thread::Builder::new()
+                    .stack_size(STAGE_STACK_BYTES)
+                    .spawn(serve)
+                    .expect("spawn a connection thread"),
+            );
             workers.retain(|w| !w.is_finished());
         }
         for worker in workers {
@@ -196,7 +230,7 @@ fn serve_connection(
     stream: TcpStream,
     cache: &Arc<ArtifactCache>,
     options: &ServerOptions,
-    stop: &Arc<AtomicBool>,
+    stop: &Stop,
 ) {
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
     // Answers are small lines written one `write_all` each; without
@@ -210,7 +244,7 @@ fn serve_connection(
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     loop {
-        if stop.load(Ordering::SeqCst) {
+        if stop.requested() {
             return;
         }
         match read_line_bounded(&mut reader, &mut line) {
@@ -245,7 +279,7 @@ fn handle_line(
     writer: &Mutex<TcpStream>,
     cache: &Arc<ArtifactCache>,
     options: &ServerOptions,
-    stop: &Arc<AtomicBool>,
+    stop: &Stop,
 ) -> bool {
     let job = match parse_job(line) {
         Ok(job) => job,
@@ -272,7 +306,7 @@ fn handle_line(
         JobRequest::Ping => send(writer, job.id, &JobResponse::Pong),
         JobRequest::Shutdown => {
             send(writer, job.id, &JobResponse::ShuttingDown);
-            stop.store(true, Ordering::SeqCst);
+            stop.request();
             return false;
         }
         JobRequest::Translate {

@@ -11,7 +11,7 @@ use hsm_core::api::{
 };
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const TINY_SRC: &str = r#"
 int shared[2];
@@ -512,4 +512,37 @@ fn a_repeated_simulate_job_is_a_lookup() {
     handle.stop();
     run.join().expect("run thread").expect("clean exit");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A fresh server answers its first client as soon as it connects: the
+/// accept loop waits in `accept`, not on a polling timer.
+#[test]
+fn a_fresh_server_answers_its_first_connection_at_once() {
+    let mut waits = Vec::new();
+    for _ in 0..5 {
+        let (addr, server, _cache) = start_server(ServerOptions::default());
+        let handle = server.handle();
+        let run = std::thread::spawn(move || server.run());
+        std::thread::sleep(Duration::from_millis(60));
+        let start = Instant::now();
+        let mut client = Client::connect(&addr).expect("connect");
+        client.ping().expect("pong");
+        waits.push(start.elapsed());
+        drop(client);
+        handle.stop();
+        run.join().expect("run thread").expect("clean exit");
+    }
+    waits.sort();
+    assert!(waits[2] < Duration::from_millis(25), "{waits:?}");
+}
+
+/// `stop()` wakes an accept loop that no client keeps busy.
+#[test]
+fn stop_returns_while_no_client_is_connected() {
+    let (_addr, server, _cache) = start_server(ServerOptions::default());
+    let handle = server.handle();
+    let run = std::thread::spawn(move || server.run());
+    std::thread::sleep(Duration::from_millis(20));
+    handle.stop();
+    run.join().expect("run thread").expect("clean exit");
 }

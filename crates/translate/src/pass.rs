@@ -255,7 +255,9 @@ mod tests {
             from: "bad name",
             to: "entry",
         });
-        let printed = driver.run(&mut ctx, &tu).expect("the final IR is consistent");
+        let printed = driver
+            .run(&mut ctx, &tu)
+            .expect("the final IR is consistent");
         assert_eq!(printed, print_unit(&ctx.unit));
         assert!(parse(&printed).unwrap().function("entry").is_some());
     }

@@ -8,7 +8,8 @@
 //!    `RCCE_finalize` (Algorithms 9 and 10).
 //! 4. [`SharedDataPass`] — shared globals become pointers allocated with
 //!    `RCCE_shmalloc` (off-chip) or `RCCE_malloc` (on-chip MPB) per the
-//!    Stage 4 plan.
+//!    Stage 4 plan, their non-zero initial values stored after the
+//!    allocations.
 //! 5. [`CoreIdPass`] — insert `int myID; myID = RCCE_ue();`.
 //! 6. [`ThreadsToProcsPass`] — Algorithm 4: `pthread_create` launches become
 //!    direct worker calls keyed by core id.
@@ -358,6 +359,14 @@ impl TransformPass for MainConvPass {
 /// Rewrites shared globals per the Stage 4 plan: array and scalar globals
 /// become pointers allocated from shared memory in `RCCE_APP`
 /// (Algorithm 3's "Create on-chip/off-chip malloc call … Insert C in main").
+///
+/// The allocation replaces the global's static initializer, and fresh
+/// shared memory reads as zero. A non-zero initial value is therefore
+/// stored after the allocations, in one block that
+/// [`GuardSharedInitPass`] later confines to core 0 before the launch
+/// barrier; an all-zero initializer is dropped. An initializer that is not
+/// a constant the pass can store element by element (the address of a
+/// global, say) is an unsupported construct.
 pub(crate) struct SharedDataPass;
 
 impl SharedDataPass {
@@ -385,6 +394,7 @@ impl TransformPass for SharedDataPass {
             .collect();
 
         let mut alloc_stmts: Vec<Stmt> = Vec::new();
+        let mut init_stmts: Vec<Stmt> = Vec::new();
         for (name, placement) in planned {
             // Only globals get declarations rewritten; shared locals (like
             // `tmp` in Example 4.1) keep their storage — their sharing is
@@ -405,13 +415,14 @@ impl TransformPass for SharedDataPass {
 
             // 1. Rewrite the declaration to `T *name;` (drop initializer —
             //    the previous "malloc call"/static init is removed, per
-            //    Algorithm 3 lines 8–10).
+            //    Algorithm 3 lines 8–10; step 4 stores what it held).
+            let mut init = None;
             for item in &mut ctx.unit.items {
                 if let Item::Decl(d) = item {
                     for v in &mut d.vars {
                         if v.name == name {
                             v.ty = elem_ty.clone().ptr_to();
-                            v.init = None;
+                            init = v.init.take().or(init);
                         }
                     }
                 }
@@ -432,6 +443,33 @@ impl TransformPass for SharedDataPass {
             let lhs = b.ident(&name);
             let assign = b.assign(lhs, cast);
             alloc_stmts.push(b.expr_stmt(assign));
+
+            // 4. `*name = v;` or `name[i] = v;` per non-zero initial value.
+            let Some(init) = init.filter(|init| !is_zero_init(init)) else {
+                continue;
+            };
+            if info.ty.is_pointer() {
+                return Err(TranslateError::unsupported(format!(
+                    "the initializer of shared pointer `{name}` cannot be kept: \
+                     its global becomes the pointer to its shared copy"
+                )));
+            }
+            let target = if was_scalar {
+                let ident = b.ident(&name);
+                b.deref(ident)
+            } else {
+                b.ident(&name)
+            };
+            initial_stores(&mut b, target, &info.ty, init, &mut init_stmts).map_err(|()| {
+                TranslateError::unsupported(format!(
+                    "the initializer of shared global `{name}` is not a constant \
+                     that can be stored element by element"
+                ))
+            })?;
+        }
+        if !init_stmts.is_empty() {
+            let mut b = Builder::new(&mut ctx.unit);
+            alloc_stmts.push(b.block(init_stmts));
         }
 
         // Insert the allocation statements right after RCCE_init.
@@ -447,6 +485,74 @@ impl TransformPass for SharedDataPass {
             }
         }
         Ok(())
+    }
+}
+
+/// Whether an initializer leaves its object all zero: zero literals
+/// (through casts), `NULL`, and braces holding only those.
+fn is_zero_init(init: &Expr) -> bool {
+    match &init.peel_casts().kind {
+        ExprKind::IntLit(0) | ExprKind::CharLit('\0') => true,
+        ExprKind::FloatLit(v) => *v == 0.0 && v.is_sign_positive(),
+        ExprKind::Ident(name) => name == "NULL",
+        ExprKind::InitList(items) => items.iter().all(is_zero_init),
+        _ => false,
+    }
+}
+
+/// Whether an expression is a constant that evaluates the same on every
+/// core: literals combined by arithmetic, casts and `sizeof(type)`.
+fn is_constant(e: &Expr) -> bool {
+    match &e.kind {
+        ExprKind::IntLit(_)
+        | ExprKind::FloatLit(_)
+        | ExprKind::CharLit(_)
+        | ExprKind::SizeofType(_) => true,
+        ExprKind::Unary(UnaryOp::Neg | UnaryOp::Plus | UnaryOp::Not | UnaryOp::BitNot, inner)
+        | ExprKind::Cast(_, inner) => is_constant(inner),
+        ExprKind::Binary(_, l, r) => is_constant(l) && is_constant(r),
+        _ => false,
+    }
+}
+
+/// Appends `target = v;` for every non-zero constant `v` that `init`
+/// gives the object of type `ty` that `target` names, element by element
+/// through nested braces. `Err` when `init` is not such a constant.
+fn initial_stores(
+    b: &mut Builder<'_>,
+    target: Expr,
+    ty: &CType,
+    init: Expr,
+    out: &mut Vec<Stmt>,
+) -> Result<(), ()> {
+    if is_zero_init(&init) {
+        return Ok(());
+    }
+    match (ty, init.kind) {
+        (CType::Array(elem, len), ExprKind::InitList(items)) => {
+            if len.is_some_and(|n| items.len() > n) {
+                return Err(());
+            }
+            for (i, item) in items.into_iter().enumerate() {
+                let element = b.index(target.clone(), i as i64);
+                initial_stores(b, element, elem, item, out)?;
+            }
+            Ok(())
+        }
+        (CType::Array(..), _) => Err(()),
+        // `int x = {5};`
+        (_, ExprKind::InitList(mut items)) if items.len() == 1 => {
+            initial_stores(b, target, ty, items.remove(0), out)
+        }
+        (_, kind) => {
+            let value = Expr { kind, ..init };
+            if !is_constant(&value) {
+                return Err(());
+            }
+            let store = b.assign(target, value);
+            out.push(b.expr_stmt(store));
+            Ok(())
+        }
     }
 }
 
@@ -1297,9 +1403,10 @@ impl TransformPass for RemoveTypesPass {
             Item::Func(_) => true,
         });
         for f in ctx.unit.functions_mut() {
-            retain_stmts(&mut f.body, &mut |s| {
-                !matches!(&s.kind, StmtKind::Decl(d) if d.vars.iter().all(|v| v.ty.is_pthread_type()))
-            });
+            retain_stmts(
+                &mut f.body,
+                &mut |s| !matches!(&s.kind, StmtKind::Decl(d) if d.vars.iter().all(|v| v.ty.is_pthread_type())),
+            );
         }
         Ok(())
     }
@@ -1380,7 +1487,10 @@ fn pure_init(v: &VarDecl) -> bool {
         None => true,
         Some(e) => matches!(
             e.kind,
-            ExprKind::IntLit(_) | ExprKind::FloatLit(_) | ExprKind::CharLit(_) | ExprKind::StrLit(_)
+            ExprKind::IntLit(_)
+                | ExprKind::FloatLit(_)
+                | ExprKind::CharLit(_)
+                | ExprKind::StrLit(_)
         ),
     }
 }

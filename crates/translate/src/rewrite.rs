@@ -67,6 +67,34 @@ impl<'a> Builder<'a> {
         }
     }
 
+    /// `*inner`
+    pub(crate) fn deref(&mut self, inner: Expr) -> Expr {
+        Expr {
+            id: self.id(),
+            kind: ExprKind::Unary(UnaryOp::Deref, Box::new(inner)),
+            span: Span::default(),
+        }
+    }
+
+    /// `base[idx]`
+    pub(crate) fn index(&mut self, base: Expr, idx: i64) -> Expr {
+        let idx = self.int(idx);
+        Expr {
+            id: self.id(),
+            kind: ExprKind::Index(Box::new(base), Box::new(idx)),
+            span: Span::default(),
+        }
+    }
+
+    /// `{ stmts }`
+    pub(crate) fn block(&mut self, stmts: Vec<Stmt>) -> Stmt {
+        Stmt {
+            id: self.id(),
+            kind: StmtKind::Block(stmts),
+            span: Span::default(),
+        }
+    }
+
     /// `l op r`
     pub(crate) fn binary(&mut self, op: BinaryOp, l: Expr, r: Expr) -> Expr {
         Expr {
@@ -383,12 +411,12 @@ mod tests {
 
     #[test]
     fn retain_stmts_deletes_and_braces_single_bodies() {
-        let mut tu =
-            parse("int main() { int a; a = 1; a = 2; if (a) a = 1; return a; }").unwrap();
+        let mut tu = parse("int main() { int a; a = 1; a = 2; if (a) a = 1; return a; }").unwrap();
         let main = tu.function_mut("main").unwrap();
-        retain_stmts(&mut main.body, &mut |s| {
-            !matches!(&s.kind, StmtKind::Expr(Some(e)) if hsm_cir::print_expr(e) == "a = 1")
-        });
+        retain_stmts(
+            &mut main.body,
+            &mut |s| !matches!(&s.kind, StmtKind::Expr(Some(e)) if hsm_cir::print_expr(e) == "a = 1"),
+        );
         let out = print_unit(&tu);
         assert!(!out.contains("a = 1"), "{out}");
         assert_eq!(out.matches("a = 2;").count(), 1, "{out}");

@@ -13,6 +13,7 @@
 //! * Calls to unknown names resolve to [`Intrinsic`]s; anything else is a
 //!   compile error (no dynamic linking on the SCC).
 
+use crate::data::{FastMap, FastSet};
 use crate::instr::{Instr, Intrinsic};
 use crate::value::MemKind;
 use hsm_cir::CType;
@@ -20,7 +21,6 @@ use hsm_cir::{
     AssignOp, BinaryOp, Declaration, Expr, ExprKind, ForInit, FunctionDef, Stmt, StmtKind, Storage,
     TranslationUnit, UnaryOp,
 };
-use crate::data::{FastMap, FastSet};
 use std::fmt;
 
 /// Base address of the interned string table (private region).

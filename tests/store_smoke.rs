@@ -7,7 +7,7 @@
 //! it that `cargo test -q` at the repository root reaches.
 
 use hsm_cir::print_unit;
-use hsm_core::api::{ArtifactCache, Mode, Pipeline, Stage, StoreStats};
+use hsm_core::api::{ArtifactCache, Mode, OptLevel, Pipeline, Scenario, Stage, StoreStats};
 use hsm_exec::RunResult;
 use hsm_partition::Policy;
 use hsm_workloads::Bench;
@@ -178,5 +178,50 @@ fn a_translation_keeps_the_text_it_was_checked_as() {
             assert_eq!(print_unit(&loaded.unit), print_unit(&saved.unit), "{what}");
         }
     }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// An overflowing float literal lexes to +∞, and the translation stored
+/// on disk must spell it so that it parses back: a cold O0 run and a
+/// disk-warm O2 run of the same source (the second re-parses the stored
+/// translation) exit alike.
+#[test]
+fn an_overflowing_float_literal_survives_the_translate_shelf() {
+    let source = r#"#include <pthread.h>
+int out[2];
+
+void *tf(void *arg) {
+    int id = (int)arg;
+    double big = 1e999;
+    out[id] = big > 1e308;
+    pthread_exit(NULL);
+}
+
+int main() {
+    pthread_t t[2];
+    int i;
+    for (i = 0; i < 2; i++) {
+        pthread_create(&t[i], NULL, tf, (void *)i);
+    }
+    for (i = 0; i < 2; i++) {
+        pthread_join(t[i], NULL);
+    }
+    return out[0] + out[1];
+}
+"#;
+    let dir = temp_dir("overflow");
+    let run = |level: OptLevel| {
+        let cache = ArtifactCache::persistent(&dir).expect("cache_dir opens");
+        Pipeline::new(source)
+            .cores(2)
+            .scenario(Scenario::new(Mode::RcceHsm).opt_level(level))
+            .cache(cache)
+            .run_scenario()
+            .unwrap_or_else(|e| panic!("{level:?}: {e}"))
+            .exit_code
+    };
+    let cold = run(OptLevel::O0);
+    let warm = run(OptLevel::O2);
+    assert_eq!((cold, warm), (2, 2));
     let _ = fs::remove_dir_all(&dir);
 }
