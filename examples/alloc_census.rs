@@ -87,7 +87,11 @@ fn census(src: &str, cores: usize) -> [[u64; 2]; 6] {
     let (analysis, analyze) = counted(|| Arc::new(ProgramAnalysis::analyze(&unit)));
     let (plan, plan_cost) = counted(|| {
         let shared = hsm_partition::shared_vars_from_analysis(&analysis);
-        Arc::new(hsm_partition::partition(&shared, &MemorySpec::scc(cores), policy))
+        Arc::new(hsm_partition::partition(
+            &shared,
+            &MemorySpec::scc(cores),
+            policy,
+        ))
     });
     let (translation, translate) = counted(|| {
         let options = TranslateOptions { cores, policy };

@@ -74,7 +74,7 @@ fn scalar_and_array_initializers_survive_translation() {
 #[test]
 fn partial_initializers_keep_their_zero_tail() {
     let src = program("int part[5] = {7, 0, 9};", "part[id] + part[2] + part[4]");
-    exits_agree("partial", &src, 7 + 9 + 0 + 9);
+    exits_agree("partial", &src, 25);
 }
 
 #[test]
