@@ -1,7 +1,7 @@
 //! Read/write access counting (the Rd/Wr/Use-In/Def-In columns of
 //! Table 4.1).
 //!
-//! Two counting modes are provided:
+//! One pass counts in both modes:
 //!
 //! * [`CountMode::Occurrence`] — each syntactic access site counts once.
 //!   This is what Stage 1's per-variable table reports.
@@ -92,7 +92,8 @@ pub(crate) struct AccessMap<'a> {
 struct Access<'a> {
     name: &'a str,
     owner: Option<&'a str>,
-    counts: AccessCounts,
+    /// Counts per [`CountMode`], by its discriminant.
+    counts: [AccessCounts; 2],
     /// Functions in which the variable is read ("Use In").
     used_in: Vec<&'a str>,
     /// Functions in which the variable is written ("Def In").
@@ -103,15 +104,10 @@ struct Access<'a> {
 
 impl<'a> AccessMap<'a> {
     /// Runs the counting pass over `tu`.
-    pub(crate) fn compute(
-        tu: &'a TranslationUnit,
-        symbols: &'a SymbolTable,
-        mode: CountMode,
-    ) -> Self {
+    pub(crate) fn compute(tu: &'a TranslationUnit, symbols: &'a SymbolTable) -> Self {
         let mut pass = Counter {
             map: AccessMap::default(),
             symbols,
-            mode,
             current_fn: "",
             weight: 1,
         };
@@ -159,9 +155,11 @@ impl<'a> AccessMap<'a> {
         &mut self.vars[at]
     }
 
-    /// Counts for `key` (zero if never accessed).
-    pub(crate) fn counts(&self, key: &VarKey) -> AccessCounts {
-        self.get(key).map(|a| a.counts).unwrap_or_default()
+    /// Counts for `key` in `mode` (zero if never accessed).
+    pub(crate) fn counts(&self, key: &VarKey, mode: CountMode) -> AccessCounts {
+        self.get(key)
+            .map(|a| a.counts[mode as usize])
+            .unwrap_or_default()
     }
 
     /// Functions in which the variable is read, in first-seen order.
@@ -190,8 +188,8 @@ enum Ctx {
 struct Counter<'a> {
     map: AccessMap<'a>,
     symbols: &'a SymbolTable,
-    mode: CountMode,
     current_fn: &'a str,
+    /// The loop weight of the code being counted (1 outside loops).
     weight: u64,
 }
 
@@ -219,14 +217,15 @@ impl<'a> Counter<'a> {
         };
         let (w, current_fn) = (self.weight, self.current_fn);
         let a = self.map.entry(name, owner);
-        let c = &mut a.counts;
-        // A weight saturates past 64 nested loops; so does a count.
-        match ctx {
-            Ctx::Read => c.reads = c.reads.saturating_add(w),
-            Ctx::Write => c.writes = c.writes.saturating_add(w),
-            Ctx::ReadWrite => {
-                c.reads = c.reads.saturating_add(w);
-                c.writes = c.writes.saturating_add(w);
+        for (c, w) in a.counts.iter_mut().zip([1, w]) {
+            // A weight saturates past 64 nested loops; so does a count.
+            match ctx {
+                Ctx::Read => c.reads = c.reads.saturating_add(w),
+                Ctx::Write => c.writes = c.writes.saturating_add(w),
+                Ctx::ReadWrite => {
+                    c.reads = c.reads.saturating_add(w);
+                    c.writes = c.writes.saturating_add(w);
+                }
             }
         }
         if !current_fn.is_empty() {
@@ -266,8 +265,7 @@ impl<'a> Counter<'a> {
                 }
             }
             StmtKind::While(c, body) | StmtKind::DoWhile(body, c) => {
-                let w = self.loop_weight(None);
-                self.with_weight(w, |this| {
+                self.with_weight(UNKNOWN_LOOP_WEIGHT, |this| {
                     this.count_expr(c, Ctx::Read);
                     this.count_stmt(body);
                 });
@@ -279,8 +277,7 @@ impl<'a> Counter<'a> {
                     None => {}
                 }
                 let trips = trip_count(init.as_ref(), cond.as_ref(), step.as_ref());
-                let w = self.loop_weight(trips);
-                self.with_weight(w, |this| {
+                self.with_weight(trips.unwrap_or(UNKNOWN_LOOP_WEIGHT), |this| {
                     if let Some(c) = cond {
                         this.count_expr(c, Ctx::Read);
                     }
@@ -299,13 +296,6 @@ impl<'a> Counter<'a> {
             StmtKind::Case(_) | StmtKind::Default => {}
             StmtKind::Return(Some(e)) => self.count_expr(e, Ctx::Read),
             StmtKind::Return(None) => {}
-        }
-    }
-
-    fn loop_weight(&self, trips: Option<u64>) -> u64 {
-        match self.mode {
-            CountMode::Occurrence => 1,
-            CountMode::LoopWeighted => trips.unwrap_or(UNKNOWN_LOOP_WEIGHT),
         }
     }
 
@@ -445,10 +435,10 @@ mod tests {
     use hsm_cir::parse;
 
     /// The map of `src`, whose unit and symbols live as long as the test.
-    fn analyze(src: &str, mode: CountMode) -> AccessMap<'static> {
+    fn analyze(src: &str) -> AccessMap<'static> {
         let tu: &'static _ = Box::leak(Box::new(parse(src).expect("parse")));
         let symbols: &'static _ = Box::leak(Box::new(SymbolTable::build(tu)));
-        AccessMap::compute(tu, symbols, mode)
+        AccessMap::compute(tu, symbols)
     }
 
     const EXAMPLE_4_1: &str = r#"
@@ -482,52 +472,52 @@ int main() {
 
     #[test]
     fn example_4_1_occurrence_counts() {
-        let map = analyze(EXAMPLE_4_1, CountMode::Occurrence);
+        let map = analyze(EXAMPLE_4_1);
         // global: never accessed.
         assert_eq!(
-            map.counts(&VarKey::global("global")),
+            map.counts(&VarKey::global("global"), CountMode::Occurrence),
             AccessCounts::default()
         );
         // ptr: written once (main), read once (*ptr in tf).
-        let ptr = map.counts(&VarKey::global("ptr"));
+        let ptr = map.counts(&VarKey::global("ptr"), CountMode::Occurrence);
         assert_eq!((ptr.reads, ptr.writes), (1, 1));
         // sum: += twice (rd+wr each) and one read in printf.
-        let sum = map.counts(&VarKey::global("sum"));
+        let sum = map.counts(&VarKey::global("sum"), CountMode::Occurrence);
         assert_eq!((sum.reads, sum.writes), (3, 2));
         // tLocal: 1 decl write; reads: two indices + one operand = 3.
-        let tl = map.counts(&VarKey::local("tf", "tLocal"));
+        let tl = map.counts(&VarKey::local("tf", "tLocal"), CountMode::Occurrence);
         assert_eq!((tl.reads, tl.writes), (3, 1));
         // tid: read once in the cast.
-        let tid = map.counts(&VarKey::local("tf", "tid"));
+        let tid = map.counts(&VarKey::local("tf", "tid"), CountMode::Occurrence);
         assert_eq!((tid.reads, tid.writes), (1, 0));
         // threads: &threads[local] (read) + threads[local] in join (read).
-        let th = map.counts(&VarKey::local("main", "threads"));
+        let th = map.counts(&VarKey::local("main", "threads"), CountMode::Occurrence);
         assert_eq!((th.reads, th.writes), (2, 0));
         // rc: written once syntactically, never read.
-        let rc = map.counts(&VarKey::local("main", "rc"));
+        let rc = map.counts(&VarKey::local("main", "rc"), CountMode::Occurrence);
         assert_eq!((rc.reads, rc.writes), (0, 1));
         // local: 8 reads (2x: cond, step, index, launch-arg), 5 writes
         // (decl init + 2x loop init/step).
-        let local = map.counts(&VarKey::local("main", "local"));
+        let local = map.counts(&VarKey::local("main", "local"), CountMode::Occurrence);
         assert_eq!((local.reads, local.writes), (8, 5));
     }
 
     #[test]
     fn example_4_1_loop_weighted_counts() {
-        let map = analyze(EXAMPLE_4_1, CountMode::LoopWeighted);
+        let map = analyze(EXAMPLE_4_1);
         // rc is written once per iteration of a 3-trip loop: matches the
         // thesis table's Wr = 3.
-        let rc = map.counts(&VarKey::local("main", "rc"));
+        let rc = map.counts(&VarKey::local("main", "rc"), CountMode::LoopWeighted);
         assert_eq!(rc.writes, 3);
         // sum: 2 rw per tf call (not weighted: tf body has no loop) plus
         // 3 printf reads.
-        let sum = map.counts(&VarKey::global("sum"));
+        let sum = map.counts(&VarKey::global("sum"), CountMode::LoopWeighted);
         assert_eq!(sum.reads, 2 + 3);
     }
 
     #[test]
     fn use_def_sets_match_table_4_1() {
-        let map = analyze(EXAMPLE_4_1, CountMode::Occurrence);
+        let map = analyze(EXAMPLE_4_1);
         assert_eq!(map.used_in(&VarKey::global("ptr")), ["tf"]);
         assert_eq!(map.defined_in(&VarKey::global("ptr")), ["main"]);
         assert_eq!(map.used_in(&VarKey::global("sum")), ["tf", "main"]);
@@ -539,7 +529,7 @@ int main() {
 
     #[test]
     fn address_taken_is_tracked() {
-        let map = analyze(EXAMPLE_4_1, CountMode::Occurrence);
+        let map = analyze(EXAMPLE_4_1);
         assert!(map.is_address_taken(&VarKey::local("main", "tmp")));
         assert!(map.is_address_taken(&VarKey::local("main", "threads")));
         assert!(!map.is_address_taken(&VarKey::global("sum")));
@@ -569,8 +559,8 @@ int main() {
     #[test]
     fn unknown_loops_get_default_weight() {
         let src = "int g; int main() { int n; while (n > 0) { g = g + 1; n--; } return 0; }";
-        let map = analyze(src, CountMode::LoopWeighted);
-        let g = map.counts(&VarKey::global("g"));
+        let map = analyze(src);
+        let g = map.counts(&VarKey::global("g"), CountMode::LoopWeighted);
         assert_eq!(g.writes, UNKNOWN_LOOP_WEIGHT);
         assert_eq!(g.reads, UNKNOWN_LOOP_WEIGHT);
     }
@@ -578,30 +568,46 @@ int main() {
     #[test]
     fn nested_loops_multiply() {
         let src = "int g; int main() { int i; int j; for (i = 0; i < 4; i++) { for (j = 0; j < 5; j++) { g = 1; } } return 0; }";
-        let map = analyze(src, CountMode::LoopWeighted);
-        assert_eq!(map.counts(&VarKey::global("g")).writes, 20);
+        let map = analyze(src);
+        assert_eq!(
+            map.counts(&VarKey::global("g"), CountMode::LoopWeighted)
+                .writes,
+            20
+        );
     }
 
     #[test]
     fn shadowing_local_is_counted_separately() {
         let src = "int x; int main() { int x; x = 1; return 0; } int f() { x = 2; return 0; }";
-        let map = analyze(src, CountMode::Occurrence);
-        assert_eq!(map.counts(&VarKey::local("main", "x")).writes, 1);
-        assert_eq!(map.counts(&VarKey::global("x")).writes, 1);
+        let map = analyze(src);
+        assert_eq!(
+            map.counts(&VarKey::local("main", "x"), CountMode::Occurrence)
+                .writes,
+            1
+        );
+        assert_eq!(
+            map.counts(&VarKey::global("x"), CountMode::Occurrence)
+                .writes,
+            1
+        );
     }
 
     #[test]
     fn compound_assign_counts_read_and_write() {
         let src = "int a; int main() { a += 2; return 0; }";
-        let map = analyze(src, CountMode::Occurrence);
-        let a = map.counts(&VarKey::global("a"));
+        let map = analyze(src);
+        let a = map.counts(&VarKey::global("a"), CountMode::Occurrence);
         assert_eq!((a.reads, a.writes), (1, 1));
     }
 
     #[test]
     fn zero_trip_loop_counts_zero_in_weighted_mode() {
         let src = "int g; int main() { int i; for (i = 5; i < 5; i++) { g = 1; } return 0; }";
-        let map = analyze(src, CountMode::LoopWeighted);
-        assert_eq!(map.counts(&VarKey::global("g")).writes, 0);
+        let map = analyze(src);
+        assert_eq!(
+            map.counts(&VarKey::global("g"), CountMode::LoopWeighted)
+                .writes,
+            0
+        );
     }
 }

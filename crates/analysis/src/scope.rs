@@ -46,8 +46,7 @@ pub struct ScopeAnalysis {
 impl ScopeAnalysis {
     /// Runs Stage 1 over `tu`, recording initial statuses into `sharing`.
     pub fn run(tu: &TranslationUnit, symbols: &SymbolTable, sharing: &mut SharingMap) -> Self {
-        let occurrence = AccessMap::compute(tu, symbols, CountMode::Occurrence);
-        let weighted_map = AccessMap::compute(tu, symbols, CountMode::LoopWeighted);
+        let accesses = AccessMap::compute(tu, symbols);
 
         let mut variables = Vec::new();
         let mut weighted = Vec::new();
@@ -61,24 +60,24 @@ impl ScopeAnalysis {
                 Scope::Global => VarKey::global(sym.name.clone()),
                 Scope::Local(f) | Scope::Param(f) => VarKey::local(f.clone(), sym.name.clone()),
             };
-            let counts = occurrence.counts(&key);
+            let counts = accesses.counts(&key, CountMode::Occurrence);
             let info = VariableInfo {
                 ty: sym.ty.clone(),
                 size: sym.ty.count(),
                 mem_size: sym.ty.mem_size(),
                 counts,
-                used_in: occurrence
+                used_in: accesses
                     .used_in(&key)
                     .iter()
                     .map(|f| f.to_string())
                     .collect(),
-                defined_in: occurrence
+                defined_in: accesses
                     .defined_in(&key)
                     .iter()
                     .map(|f| f.to_string())
                     .collect(),
                 is_global: sym.scope == Scope::Global,
-                address_taken: occurrence.is_address_taken(&key),
+                address_taken: accesses.is_address_taken(&key),
                 key: key.clone(),
             };
             // Initial status: globals shared, others null.
@@ -88,7 +87,7 @@ impl ScopeAnalysis {
                 SharingStatus::Unknown
             };
             sharing.record(&info.key.name, status);
-            weighted.push((key, weighted_map.counts(&info.key)));
+            weighted.push((key, accesses.counts(&info.key, CountMode::LoopWeighted)));
             variables.push(info);
         }
         ScopeAnalysis {

@@ -41,31 +41,33 @@ pub fn parse(source: &str) -> Result<TranslationUnit, ParseError> {
 }
 
 /// Library names treated as type identifiers in addition to keywords and
-/// the program's own `typedef`s.
+/// the program's own `typedef`s. Most identifiers are none, and most of
+/// these end in `_t`: that test goes first.
 fn is_builtin_type_name(name: &str) -> bool {
-    matches!(
-        name,
-        "pthread_t"
-            | "pthread_attr_t"
-            | "pthread_mutex_t"
-            | "pthread_mutexattr_t"
-            | "pthread_cond_t"
-            | "pthread_barrier_t"
-            | "pthread_barrierattr_t"
-            | "size_t"
-            | "ssize_t"
-            | "FILE"
-            | "int8_t"
-            | "int16_t"
-            | "int32_t"
-            | "int64_t"
-            | "uint8_t"
-            | "uint16_t"
-            | "uint32_t"
-            | "uint64_t"
-            | "RCCE_FLAG"
-            | "RCCE_COMM"
-    )
+    (name.ends_with("_t") || name.starts_with("RCCE_") || name == "FILE")
+        && matches!(
+            name,
+            "pthread_t"
+                | "pthread_attr_t"
+                | "pthread_mutex_t"
+                | "pthread_mutexattr_t"
+                | "pthread_cond_t"
+                | "pthread_barrier_t"
+                | "pthread_barrierattr_t"
+                | "size_t"
+                | "ssize_t"
+                | "FILE"
+                | "int8_t"
+                | "int16_t"
+                | "int32_t"
+                | "int64_t"
+                | "uint8_t"
+                | "uint16_t"
+                | "uint32_t"
+                | "uint64_t"
+                | "RCCE_FLAG"
+                | "RCCE_COMM"
+        )
 }
 
 /// The deepest nesting of statements and expressions, counted together,

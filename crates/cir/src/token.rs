@@ -66,43 +66,39 @@ pub(crate) enum Keyword {
 }
 
 impl Keyword {
-    /// Looks up a keyword from its source spelling.
+    /// Looks up a keyword from its source spelling: the few keywords of
+    /// its length and first letter, then one comparison each.
     #[allow(clippy::should_implement_trait)] // returns Option, not Result
     pub(crate) fn from_str(s: &str) -> Option<Keyword> {
         use Keyword::*;
-        Some(match s {
-            "void" => Void,
-            "char" => Char,
-            "short" => Short,
-            "int" => Int,
-            "long" => Long,
-            "float" => Float,
-            "double" => Double,
-            "signed" => Signed,
-            "unsigned" => Unsigned,
-            "struct" => Struct,
-            "union" => Union,
-            "enum" => Enum,
-            "typedef" => Typedef,
-            "static" => Static,
-            "extern" => Extern,
-            "const" => Const,
-            "volatile" => Volatile,
-            "if" => If,
-            "else" => Else,
-            "while" => While,
-            "do" => Do,
-            "for" => For,
-            "return" => Return,
-            "break" => Break,
-            "continue" => Continue,
-            "switch" => Switch,
-            "case" => Case,
-            "default" => Default,
-            "goto" => Goto,
-            "sizeof" => Sizeof,
-            _ => return None,
-        })
+        let candidates: &[Keyword] = match (s.len(), *s.as_bytes().first()?) {
+            (2, b'i') => &[If],
+            (2, b'd') => &[Do],
+            (3, b'i') => &[Int],
+            (3, b'f') => &[For],
+            (4, b'v') => &[Void],
+            (4, b'c') => &[Char, Case],
+            (4, b'l') => &[Long],
+            (4, b'e') => &[Enum, Else],
+            (4, b'g') => &[Goto],
+            (5, b's') => &[Short],
+            (5, b'f') => &[Float],
+            (5, b'u') => &[Union],
+            (5, b'c') => &[Const],
+            (5, b'w') => &[While],
+            (5, b'b') => &[Break],
+            (6, b'd') => &[Double],
+            (6, b's') => &[Signed, Struct, Static, Switch, Sizeof],
+            (6, b'e') => &[Extern],
+            (6, b'r') => &[Return],
+            (7, b't') => &[Typedef],
+            (7, b'd') => &[Default],
+            (8, b'u') => &[Unsigned],
+            (8, b'v') => &[Volatile],
+            (8, b'c') => &[Continue],
+            _ => &[],
+        };
+        candidates.iter().copied().find(|k| k.as_str() == s)
     }
 
     /// The source spelling of the keyword.
@@ -299,15 +295,17 @@ mod tests {
 
     #[test]
     fn keyword_round_trips_through_spelling() {
-        for kw in [
-            Keyword::Void,
-            Keyword::Int,
-            Keyword::Double,
-            Keyword::For,
-            Keyword::Sizeof,
-            Keyword::Unsigned,
-        ] {
+        use Keyword::*;
+        let all = [
+            Void, Char, Short, Int, Long, Float, Double, Signed, Unsigned, Struct, Union, Enum,
+            Typedef, Static, Extern, Const, Volatile, If, Else, While, Do, For, Return, Break,
+            Continue, Switch, Case, Default, Goto, Sizeof,
+        ];
+        for kw in all {
             assert_eq!(Keyword::from_str(kw.as_str()), Some(kw));
+            // A longer or shorter word is an identifier.
+            assert_eq!(Keyword::from_str(&format!("{kw}_")), None);
+            assert_eq!(Keyword::from_str(&kw.as_str()[1..]), None);
         }
     }
 

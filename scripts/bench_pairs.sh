@@ -14,8 +14,7 @@
 # Every run is appended to .bench_build/parent.runs.jsonl or
 # .bench_build/change.runs.jsonl, and every pair's `wall_s` and
 # `op_p90_ms` to .bench_build/pairs.tsv; the script ends with the per-pair
-# `wall_s` tally, the `op_p90_ms` tally for `corpus_grid` (its slowest
-# tenth of points are the first-touch ones, which pay the frontend), and
+# `wall_s` tally, the `op_p90_ms` tally for `corpus_grid`, and
 # `benchmark compare` over the two logs, whose exit code it returns. A gain is claimed when the change wins at least nine
 # tenths of the pairs and the medians differ by more than the parent's
 # interquartile spread (both are printed).
@@ -23,7 +22,11 @@
 # Before any timing it prints the deterministic proxy a dispatch change is
 # gated on, `dump_opt paper:all` (dispatch slots per innermost loop of each
 # paper kernel, DESIGN.md §10) for parent and change; a parent whose
-# `dump_opt` predates `paper:all` is asked kernel by kernel.
+# `dump_opt` predates `paper:all` is asked kernel by kernel. Then the
+# proxy a compile-path change is gated on, `alloc_census` (heap
+# allocations from source to O2 bytecode, per stage, for the corpus
+# barrier programs): the change's census program, run against each side's
+# crates.
 #
 # `paper_compute` is ~100 % one function, `hsm_vm::vm::Vm::run_until_event`,
 # and where the linker puts it (any edit to a crate linked before hsm-vm
@@ -98,6 +101,20 @@ echo "dispatch slots per paper-kernel loop (dump_opt paper:all), parent:"
 slot_table "$tree"
 echo "change:"
 slot_table "$root"
+
+# The compile path's allocation census of one side; a parent that
+# predates the census program is given the change's.
+census() { # <checkout>
+    (
+        cd "$1"
+        [ -f examples/alloc_census.rs ] || cp "$root/examples/alloc_census.rs" examples/
+        cargo run --release --offline --quiet --example alloc_census
+    )
+}
+echo "compile-path heap allocations (alloc_census), parent:"
+census "$tree"
+echo "change:"
+census "$root"
 
 # What a benchmark process started from here is told it may use (the
 # affinity mask capped by any cgroup quota, asked of std itself), and
