@@ -46,6 +46,11 @@ fn escaped(c: char) -> char {
     }
 }
 
+/// The ASCII characters `char::is_whitespace` accepts.
+fn is_ascii_space(c: u8) -> bool {
+    matches!(c, b' ' | b'\t' | b'\n' | 0x0B | 0x0C | b'\r')
+}
+
 /// A cursor over the source's bytes. Every token starts at an ASCII byte,
 /// so a byte index always sits on a character boundary where a token
 /// starts or ends; columns count characters, not bytes.
@@ -150,8 +155,10 @@ impl<'src> Lexer<'src> {
     fn skip_ws_and_comments(&mut self) -> Result<(), LexError> {
         loop {
             match self.peek() {
-                Some(c) if c < 0x80 && char::from(c).is_whitespace() => {
-                    self.bump();
+                Some(c) if is_ascii_space(c) => {
+                    let rest = &self.src.as_bytes()[self.pos..];
+                    let len = rest.iter().position(|&c| !is_ascii_space(c));
+                    self.skip_to(self.pos + len.unwrap_or(rest.len()));
                 }
                 Some(c) if c >= 0x80 && self.peek_char().is_some_and(char::is_whitespace) => {
                     self.bump_char();
@@ -324,7 +331,13 @@ impl<'src> Lexer<'src> {
     fn lex_punct(&mut self) -> Result<TokenKind<'src>, LexError> {
         use Punct::*;
         let start = self.loc;
-        let c = self.bump_char().expect("peeked before lex_punct");
+        let c = match self.peek() {
+            Some(b) if b.is_ascii() => {
+                self.bump();
+                char::from(b)
+            }
+            _ => self.bump_char().expect("peeked before lex_punct"),
+        };
         let two = self.peek().map(char::from);
         let three = |lexer: &Self| lexer.peek2().map(char::from);
         let p = match c {
