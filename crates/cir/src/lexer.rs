@@ -82,22 +82,16 @@ impl<'src> Lexer<'src> {
         self.src[self.pos..].chars().next()
     }
 
-    /// Moves past one byte. A UTF-8 continuation byte is no column of its
-    /// own: the character it belongs to was counted at its first byte.
+    /// Moves past one byte.
     fn bump(&mut self) -> Option<u8> {
         let b = self.peek()?;
-        self.pos += 1;
-        if b == b'\n' {
-            self.loc.line += 1;
-            self.loc.col = 1;
-        } else if b & 0xC0 != 0x80 {
-            self.loc.col += 1;
-        }
+        self.skip_to(self.pos + 1);
         Some(b)
     }
 
-    /// Moves the cursor to byte `end`, counting the lines and columns
-    /// of what it moves over.
+    /// Moves the cursor to byte `end`, counting the lines and columns of
+    /// what it moves over. A UTF-8 continuation byte is no column of its
+    /// own: the character it belongs to was counted at its first byte.
     fn skip_to(&mut self, end: usize) {
         for &b in &self.src.as_bytes()[self.pos..end] {
             if b == b'\n' {
@@ -163,10 +157,7 @@ impl<'src> Lexer<'src> {
                 Some(c) if c >= 0x80 && self.peek_char().is_some_and(char::is_whitespace) => {
                     self.bump_char();
                 }
-                Some(b'/') if self.peek2() == Some(b'/') => {
-                    let rest = &self.src[self.pos..];
-                    self.skip_to(self.pos + rest.find('\n').unwrap_or(rest.len()));
-                }
+                Some(b'/') if self.peek2() == Some(b'/') => self.skip_line(),
                 Some(b'/') if self.peek2() == Some(b'*') => {
                     let Some(len) = self.src[self.pos + 2..].find("*/") else {
                         return Err(LexError::new(self.loc, "unterminated block comment"));
@@ -176,6 +167,12 @@ impl<'src> Lexer<'src> {
                 _ => return Ok(()),
             }
         }
+    }
+
+    /// Moves up to the end of the line (the newline stays ahead).
+    fn skip_line(&mut self) {
+        let rest = &self.src[self.pos..];
+        self.skip_to(self.pos + rest.find('\n').unwrap_or(rest.len()));
     }
 
     /// Moves past the bytes `pred` accepts and returns the text moved
@@ -193,8 +190,7 @@ impl<'src> Lexer<'src> {
     fn lex_preproc(&mut self) -> Result<TokenKind<'src>, LexError> {
         self.bump(); // '#'
         let from = self.pos;
-        let rest = &self.src[from..];
-        self.skip_to(from + rest.find('\n').unwrap_or(rest.len()));
+        self.skip_line();
         Ok(TokenKind::PreprocLine(self.src[from..self.pos].trim()))
     }
 
