@@ -21,7 +21,7 @@ use hsm_cir::{
     AssignOp, BinaryOp, Declaration, Expr, ExprKind, ForInit, Item, Stmt, StmtKind,
     TranslationUnit, UnaryOp,
 };
-use hsm_cir::{Scope, SymbolKind, SymbolTable};
+use hsm_cir::{Scope, Symbol, SymbolKind, SymbolTable};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One edge in the relationship map: `pointer` may point at `target`.
@@ -203,27 +203,29 @@ struct Collector<'a> {
     copies: BTreeSet<(VarKey, VarKey, bool)>,
 }
 
-impl Collector<'_> {
-    fn resolve(&self, name: &str) -> Option<(VarKey, hsm_cir::CType)> {
+impl<'a> Collector<'a> {
+    /// The variable `name` names where it is used.
+    fn symbol(&self, name: &str) -> Option<&'a Symbol> {
         let sym = if self.current_fn.is_empty() {
             self.symbols.global(name)?
         } else {
             self.symbols.lookup(&self.current_fn, name)?
         };
-        if sym.kind != SymbolKind::Variable {
-            return None;
-        }
+        (sym.kind == SymbolKind::Variable).then_some(sym)
+    }
+
+    fn resolve(&self, name: &str) -> Option<(VarKey, &'a hsm_cir::CType)> {
+        let sym = self.symbol(name)?;
         let key = match &sym.scope {
             Scope::Global => VarKey::global(name),
             Scope::Local(f) | Scope::Param(f) => VarKey::local(f.clone(), name),
         };
-        Some((key, sym.ty.clone()))
+        Some((key, &sym.ty))
     }
 
     fn is_pointer_var(&self, name: &str) -> bool {
-        self.resolve(name)
-            .map(|(_, ty)| ty.is_pointer() || ty.is_array())
-            .unwrap_or(false)
+        self.symbol(name)
+            .is_some_and(|sym| sym.ty.is_pointer() || sym.ty.is_array())
     }
 
     fn definite(&self) -> bool {
