@@ -13,7 +13,6 @@ use crate::lexer::{lex, unescape_into};
 use crate::span::{Loc, Span};
 use crate::token::{Keyword, Punct, Token, TokenKind};
 use crate::types::CType;
-use std::collections::HashSet;
 
 /// Parses C source text into a [`TranslationUnit`].
 ///
@@ -88,7 +87,7 @@ struct Parser<'src> {
     pos: usize,
     next_id: u32,
     /// The names the program's `typedef`s declared.
-    typedefs: HashSet<&'src str>,
+    typedefs: Vec<&'src str>,
     /// Levels of [`MAX_NESTING`] open at `pos`.
     depth: usize,
 }
@@ -99,7 +98,7 @@ impl<'src> Parser<'src> {
             tokens,
             pos: 0,
             next_id: 0,
-            typedefs: HashSet::new(),
+            typedefs: Vec::new(),
             depth: 0,
         }
     }
@@ -149,7 +148,7 @@ impl<'src> Parser<'src> {
 
     /// Whether `name` names a type: a library type or a `typedef`.
     fn is_type_name(&self, name: &str) -> bool {
-        is_builtin_type_name(name) || self.typedefs.contains(name)
+        is_builtin_type_name(name) || self.typedefs.contains(&name)
     }
 
     fn eat_punct(&mut self, p: Punct) -> bool {
@@ -387,7 +386,7 @@ impl<'src> Parser<'src> {
         let (name, ty, _span) = self.parse_declarator(&base)?;
 
         if storage == Storage::Typedef {
-            self.typedefs.insert(name);
+            self.typedefs.push(name);
             self.expect_punct(Punct::Semi)?;
             let id = self.fresh();
             let vid = self.fresh();
@@ -768,7 +767,7 @@ impl<'src> Parser<'src> {
         let (storage, base) = self.parse_base_type()?;
         let (name, ty, _) = self.parse_declarator(&base)?;
         if storage == Storage::Typedef {
-            self.typedefs.insert(name);
+            self.typedefs.push(name);
         }
         self.finish_declaration(start, storage, base, name, ty)
     }

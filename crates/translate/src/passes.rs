@@ -33,20 +33,6 @@ use hsm_cir::{
 use hsm_partition::Placement;
 use std::collections::BTreeMap;
 
-/// Pthread functions whose *statement* is removed wholesale when it has no
-/// other effect (Algorithm 8's hash table).
-const PTHREAD_API: &[&str] = &[
-    "pthread_create",
-    "pthread_join",
-    "pthread_exit",
-    "pthread_mutex_init",
-    "pthread_mutex_destroy",
-    "pthread_attr_init",
-    "pthread_attr_destroy",
-    "pthread_detach",
-    "pthread_cancel",
-];
-
 // ------------------------------------------------------------------ 1 ----
 
 /// Rewrites the include list: pthread headers out, `RCCE.h` in.
@@ -1415,7 +1401,9 @@ impl TransformPass for RemoveTypesPass {
 // ----------------------------------------------------------------- 10 ----
 
 /// Algorithm 8 — removes every remaining statement that calls a
-/// `pthread_*` API function (the hash-table O(1) lookup of the paper).
+/// `pthread_*` API function. The paper looks the callee up in a hash table
+/// of the API's names; every one of them starts with `pthread_`, so the
+/// prefix is the test.
 pub(crate) struct RemoveApiPass;
 
 impl TransformPass for RemoveApiPass {
@@ -1424,16 +1412,11 @@ impl TransformPass for RemoveApiPass {
     }
 
     fn run(&mut self, ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
-        let api: std::collections::HashSet<&str> = PTHREAD_API.iter().copied().collect();
         for f in ctx.unit.functions_mut() {
             retain_stmts(&mut f.body, &mut |s| {
                 let mut contains_api = false;
                 hsm_cir::walk_exprs_in_stmt(s, &mut |e| {
-                    if let Some(t) = e.call_target() {
-                        if api.contains(t) || t.starts_with("pthread_") {
-                            contains_api = true;
-                        }
-                    }
+                    contains_api |= e.call_target().is_some_and(|t| t.starts_with("pthread_"));
                 });
                 !contains_api
             });
