@@ -3,7 +3,7 @@
 //! of overlapping corpora, a repeated `simulate` job answered from each
 //! cache tier, malformed-line, over-long-line, over-size-program,
 //! over-size-matrix, over-deep-nesting and retired-key handling, per-job
-//! deadlines, and graceful shutdown.
+//! deadlines, graceful shutdown, and a fresh server's first connection.
 
 use hsm_core::api::{
     encode_job, ArtifactCache, Client, Job, JobRequest, Mode, Scenario, Server, ServerOptions,
