@@ -5,9 +5,10 @@
 //! locals from globals; this module supplies that classification to all
 //! later stages.
 
-use crate::ast::{ForInit, FunctionDef, Item, Stmt, StmtKind, Storage, TranslationUnit};
+use crate::ast::{ForInit, FunctionDef, Item, StmtKind, Storage, TranslationUnit};
 use crate::span::Span;
 use crate::types::CType;
+use crate::visit::walk_stmt;
 use std::fmt;
 
 /// Where a symbol is defined.
@@ -176,63 +177,25 @@ impl SymbolTable {
             );
         }
         for s in &f.body {
-            self.collect_stmt(&f.name, s);
-        }
-    }
-
-    fn collect_stmt(&mut self, func: &str, s: &Stmt) {
-        match &s.kind {
-            StmtKind::Decl(d) => {
+            walk_stmt(s, &mut |st| {
+                let d = match &st.kind {
+                    StmtKind::Decl(d) | StmtKind::For(Some(ForInit::Decl(d)), ..) => d,
+                    _ => return,
+                };
                 for v in &d.vars {
                     self.insert_local(
-                        func,
+                        &f.name,
                         Symbol {
                             name: v.name.clone(),
                             ty: v.ty.clone(),
-                            scope: Scope::Local(func.to_string()),
+                            scope: Scope::Local(f.name.clone()),
                             kind: SymbolKind::Variable,
                             span: v.span,
                             has_init: v.init.is_some(),
                         },
                     );
                 }
-            }
-            StmtKind::Block(stmts) => {
-                for st in stmts {
-                    self.collect_stmt(func, st);
-                }
-            }
-            StmtKind::If(_, then, els) => {
-                self.collect_stmt(func, then);
-                if let Some(e) = els {
-                    self.collect_stmt(func, e);
-                }
-            }
-            StmtKind::While(_, body) | StmtKind::DoWhile(body, _) => self.collect_stmt(func, body),
-            StmtKind::Switch(_, body) => {
-                for st in body {
-                    self.collect_stmt(func, st);
-                }
-            }
-            StmtKind::For(init, _, _, body) => {
-                if let Some(ForInit::Decl(d)) = init {
-                    for v in &d.vars {
-                        self.insert_local(
-                            func,
-                            Symbol {
-                                name: v.name.clone(),
-                                ty: v.ty.clone(),
-                                scope: Scope::Local(func.to_string()),
-                                kind: SymbolKind::Variable,
-                                span: v.span,
-                                has_init: v.init.is_some(),
-                            },
-                        );
-                    }
-                }
-                self.collect_stmt(func, body);
-            }
-            _ => {}
+            });
         }
     }
 

@@ -1,6 +1,8 @@
-//! Lightweight AST walkers used by the analysis stages.
+//! Lightweight read-only AST walkers, used by the symbol table, the
+//! analysis stages and the translator's checks (Stage 5's rewrites walk the
+//! same positions mutably, in `hsm-translate`).
 //!
-//! These are closures-based pre-order traversals rather than a full visitor
+//! These are closure-based pre-order traversals rather than a full visitor
 //! trait: every consumer in the pipeline only needs "give me every
 //! expression / statement under this node".
 
@@ -216,6 +218,12 @@ fn collect_calls<'a>(
             }
             collect_calls(body, target, in_function, true, out);
         }
+        StmtKind::Switch(scrutinee, body) => {
+            visit_expr(scrutinee, in_loop, out);
+            for st in body {
+                collect_calls(st, target, in_function, in_loop, out);
+            }
+        }
         StmtKind::Return(Some(e)) => visit_expr(e, in_loop, out),
         _ => {}
     }
@@ -272,6 +280,17 @@ int main() {
         });
         // i (init), i (cond), i (step), i (body) = 4 identifier mentions
         assert_eq!(idents, 4);
+    }
+
+    #[test]
+    fn find_calls_looks_inside_switch() {
+        let src = "void tf(int x) { } int main() { int k; switch (k) { case 1: tf(1); break; } \
+                   for (;;) { switch (k) { default: tf(2); } } return 0; }";
+        let tu = parse(src).unwrap();
+        let calls = find_calls(&tu, "tf");
+        assert_eq!(calls.len(), 2);
+        assert!(!calls[0].in_loop);
+        assert!(calls[1].in_loop);
     }
 
     #[test]

@@ -428,6 +428,79 @@ int main() {
         parse(&out).expect("parses");
     }
 
+    /// The Stage 5 rewrites reach every statement and expression position:
+    /// each `g` becomes `*g` once (not `**g`), `&g` becomes `g`, and the
+    /// `pthread_self()` nested in an index becomes `RCCE_ue()`.
+    #[test]
+    fn rewrites_reach_every_position() {
+        let src = r#"
+#include <pthread.h>
+int g;
+int h[4];
+void use(int *p, int v) { }
+void *tf(void *arg) {
+    int k = g;
+    int a[2] = {g, 1};
+    if (g) k = 1;
+    while (g < 0) k++;
+    do { k--; } while (g > 5);
+    for (int i = g; i < 2; i++) { }
+    for (k = g; g < k; k += g) { }
+    switch (g) { case 0: break; }
+    use(&g, g ? h[g] : (g, a[0]));
+    h[(int)pthread_self() % 4] = g;
+    return (void *)g;
+}
+int main() {
+    pthread_t t[2];
+    int i;
+    for (i = 0; i < 2; i++) pthread_create(&t[i], NULL, tf, (void *)i);
+    for (i = 0; i < 2; i++) pthread_join(t[i], NULL);
+    return g;
+}
+"#;
+        let out = translate_source(src).expect("translate");
+        let tf = &out[out.find("void *tf").unwrap()..out.find("int RCCE_APP").unwrap()];
+        assert_eq!(
+            tf,
+            "void *tf(void *arg)
+{
+    int k = *g;
+    int a[2] = {*g, 1};
+    if (*g)
+    {
+        k = 1;
+    }
+    while (*g < 0)
+    {
+        k++;
+    }
+    do
+    {
+        k--;
+    }
+    while (*g > 5);
+    for (int i = *g; i < 2; i++)
+    {
+    }
+    for (k = *g; *g < k; k += *g)
+    {
+    }
+    switch (*g)
+    {
+    case 0:
+        break;
+    }
+    use(g, *g ? h[*g] : (*g, a[0]));
+    h[(int)RCCE_ue() % 4] = *g;
+    return (void *)*g;
+}
+
+"
+        );
+        assert!(out.contains("    return *g;\n}"), "{out}");
+    }
+
     #[test]
     fn pthread_self_becomes_rcce_ue() {
         let src = r#"

@@ -13,7 +13,6 @@ use crate::error::TranslateError;
 use hsm_analysis::ProgramAnalysis;
 use hsm_cir::{parse, print_unit, TranslationUnit};
 use hsm_partition::PartitionPlan;
-use std::collections::BTreeMap;
 
 /// Shared state threaded through the pass pipeline.
 #[derive(Debug)]
@@ -26,11 +25,6 @@ pub(crate) struct PassContext<'a> {
     pub plan: &'a PartitionPlan,
     /// Options controlling the translation.
     pub options: crate::TranslateOptions,
-    /// The paper's "hash table" of thread-specific functions: worker name →
-    /// assigned core id, for launches that must be isolated to one core.
-    pub core_bound_calls: BTreeMap<String, usize>,
-    /// Mutex variable name → assigned RCCE test-and-set lock id.
-    pub mutex_ids: BTreeMap<String, usize>,
     /// Name of the inserted core-id variable (`myID` in Example Code 4.2).
     pub core_id_var: String,
     /// When the source launches more threads than the target has cores,
@@ -57,8 +51,6 @@ impl<'a> PassContext<'a> {
             analysis,
             plan,
             options,
-            core_bound_calls: BTreeMap::new(),
-            mutex_ids: BTreeMap::new(),
             core_id_var: "myID".to_string(),
             fold_total: None,
             guard_total: None,

@@ -74,34 +74,24 @@ impl TransformPass for MutexPass {
 
     fn run(&mut self, ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
         // Assign ids to every pthread_mutex_t variable, in symbol order.
-        let mutex_names: Vec<String> = ctx
+        let ids: BTreeMap<&str, usize> = ctx
             .analysis
             .scope
             .variables
             .iter()
             .filter(|v| matches!(&v.ty, CType::Named(n) if n == "pthread_mutex_t"))
-            .map(|v| v.key.name.clone())
+            .enumerate()
+            .map(|(i, v)| (v.key.name.as_str(), i))
             .collect();
-        for (i, name) in mutex_names.iter().enumerate() {
-            ctx.mutex_ids.insert(name.clone(), i);
-        }
-        if ctx.mutex_ids.is_empty() {
+        if ids.is_empty() {
             return Ok(());
         }
-        let ids = ctx.mutex_ids.clone();
-        for f in ctx.unit.functions_mut() {
-            for s in &mut f.body {
-                convert_mutex_stmt(s, &ids);
-            }
-        }
+        walk_unit_mut(&mut ctx.unit, &mut |e| {
+            convert_mutex_expr(e, &ids);
+            true
+        });
         Ok(())
     }
-}
-
-/// Rewrites `pthread_mutex_lock(&m)` / `pthread_mutex_unlock(&m)` in place
-/// into `RCCE_acquire_lock(id)` / `RCCE_release_lock(id)`.
-fn convert_mutex_stmt(s: &mut Stmt, ids: &BTreeMap<String, usize>) {
-    walk_mut_exprs_stmt(s, &mut |e| convert_mutex_expr(e, ids));
 }
 
 /// Converts `pthread_barrier_wait(&b)` into
@@ -116,11 +106,10 @@ impl TransformPass for BarrierPass {
     }
 
     fn run(&mut self, ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
-        for f in ctx.unit.functions_mut() {
-            for s in &mut f.body {
-                walk_mut_exprs_stmt(s, &mut convert_barrier_expr);
-            }
-        }
+        walk_unit_mut(&mut ctx.unit, &mut |e| {
+            convert_barrier_expr(e);
+            true
+        });
         Ok(())
     }
 }
@@ -152,19 +141,18 @@ fn convert_barrier_expr(e: &mut Expr) {
     }];
 }
 
-fn convert_mutex_expr(e: &mut Expr, ids: &BTreeMap<String, usize>) {
-    let Some(target) = e.call_target().map(str::to_string) else {
-        return;
-    };
-    let which = match target.as_str() {
-        "pthread_mutex_lock" => "RCCE_acquire_lock",
-        "pthread_mutex_unlock" => "RCCE_release_lock",
+/// Rewrites `pthread_mutex_lock(&m)` / `pthread_mutex_unlock(&m)` in place
+/// into `RCCE_acquire_lock(id)` / `RCCE_release_lock(id)`.
+fn convert_mutex_expr(e: &mut Expr, ids: &BTreeMap<&str, usize>) {
+    let which = match e.call_target() {
+        Some("pthread_mutex_lock") => "RCCE_acquire_lock",
+        Some("pthread_mutex_unlock") => "RCCE_release_lock",
         _ => return,
     };
     let ExprKind::Call(callee, args) = &mut e.kind else {
         return;
     };
-    let Some(mutex) = args
+    let Some(&id) = args
         .first()
         .map(|a| a.peel_casts())
         .and_then(|a| match &a.kind {
@@ -172,11 +160,8 @@ fn convert_mutex_expr(e: &mut Expr, ids: &BTreeMap<String, usize>) {
             ExprKind::Unary(UnaryOp::Addr, inner) => inner.base_variable(),
             _ => a.base_variable(),
         })
-        .map(str::to_string)
+        .and_then(|mutex| ids.get(mutex))
     else {
-        return;
-    };
-    let Some(&id) = ids.get(&mutex) else {
         return;
     };
     if let ExprKind::Ident(name) = &mut callee.kind {
@@ -189,104 +174,6 @@ fn convert_mutex_expr(e: &mut Expr, ids: &BTreeMap<String, usize>) {
         kind: ExprKind::IntLit(id as i64),
         span: arg_span,
     }];
-}
-
-/// Applies `f` to every expression in a statement tree, mutably.
-fn walk_mut_exprs_stmt(s: &mut Stmt, f: &mut impl FnMut(&mut Expr)) {
-    match &mut s.kind {
-        StmtKind::Expr(Some(e)) => walk_mut_expr(e, f),
-        StmtKind::Decl(d) => {
-            for v in &mut d.vars {
-                if let Some(init) = &mut v.init {
-                    walk_mut_expr(init, f);
-                }
-            }
-        }
-        StmtKind::Block(stmts) => {
-            for st in stmts {
-                walk_mut_exprs_stmt(st, f);
-            }
-        }
-        StmtKind::If(c, then, els) => {
-            walk_mut_expr(c, f);
-            walk_mut_exprs_stmt(then, f);
-            if let Some(e) = els {
-                walk_mut_exprs_stmt(e, f);
-            }
-        }
-        StmtKind::While(c, body) => {
-            walk_mut_expr(c, f);
-            walk_mut_exprs_stmt(body, f);
-        }
-        StmtKind::DoWhile(body, c) => {
-            walk_mut_exprs_stmt(body, f);
-            walk_mut_expr(c, f);
-        }
-        StmtKind::For(init, cond, step, body) => {
-            match init {
-                Some(ForInit::Decl(d)) => {
-                    for v in &mut d.vars {
-                        if let Some(i) = &mut v.init {
-                            walk_mut_expr(i, f);
-                        }
-                    }
-                }
-                Some(ForInit::Expr(e)) => walk_mut_expr(e, f),
-                None => {}
-            }
-            if let Some(c) = cond {
-                walk_mut_expr(c, f);
-            }
-            if let Some(st) = step {
-                walk_mut_expr(st, f);
-            }
-            walk_mut_exprs_stmt(body, f);
-        }
-        StmtKind::Switch(scrutinee, body) => {
-            walk_mut_expr(scrutinee, f);
-            for st in body {
-                walk_mut_exprs_stmt(st, f);
-            }
-        }
-        StmtKind::Return(Some(e)) => walk_mut_expr(e, f),
-        _ => {}
-    }
-}
-
-fn walk_mut_expr(e: &mut Expr, f: &mut impl FnMut(&mut Expr)) {
-    f(e);
-    match &mut e.kind {
-        ExprKind::Unary(_, inner)
-        | ExprKind::PostIncDec(inner, _)
-        | ExprKind::Cast(_, inner)
-        | ExprKind::SizeofExpr(inner) => walk_mut_expr(inner, f),
-        ExprKind::Binary(_, l, r) | ExprKind::Assign(_, l, r) | ExprKind::Comma(l, r) => {
-            walk_mut_expr(l, f);
-            walk_mut_expr(r, f);
-        }
-        ExprKind::Ternary(c, t, f2) => {
-            walk_mut_expr(c, f);
-            walk_mut_expr(t, f);
-            walk_mut_expr(f2, f);
-        }
-        ExprKind::Call(callee, args) => {
-            walk_mut_expr(callee, f);
-            for a in args {
-                walk_mut_expr(a, f);
-            }
-        }
-        ExprKind::Index(b, i) => {
-            walk_mut_expr(b, f);
-            walk_mut_expr(i, f);
-        }
-        ExprKind::Member(b, _, _) => walk_mut_expr(b, f),
-        ExprKind::InitList(items) => {
-            for it in items {
-                walk_mut_expr(it, f);
-            }
-        }
-        _ => {}
-    }
 }
 
 // ------------------------------------------------------------------ 3 ----
@@ -543,142 +430,26 @@ fn initial_stores(
 }
 
 /// Rewrites every reference to scalar global `name` as `(*name)` in all
-/// function bodies.
+/// function bodies; `&name` becomes just `name`, since the pointer already
+/// holds the address.
 fn deref_rewrite(unit: &mut TranslationUnit, name: &str) {
-    // Two phases to satisfy the borrow checker: collect ids, then rewrite.
-    let fn_names: Vec<String> = unit.functions().map(|f| f.name.clone()).collect();
-    for fname in fn_names {
-        let mut body = std::mem::take(&mut unit.function_mut(&fname).unwrap().body);
-        for s in &mut body {
-            deref_rewrite_stmt(s, name);
-        }
-        unit.function_mut(&fname).unwrap().body = body;
-    }
-}
-
-fn deref_rewrite_stmt(s: &mut Stmt, name: &str) {
-    match &mut s.kind {
-        StmtKind::Expr(Some(e)) => deref_rewrite_expr(e, name),
-        StmtKind::Decl(d) => {
-            for v in &mut d.vars {
-                if let Some(init) = &mut v.init {
-                    deref_rewrite_expr(init, name);
-                }
+    walk_unit_mut(unit, &mut |e| {
+        match &e.kind {
+            ExprKind::Unary(UnaryOp::Addr, inner) if inner.as_ident() == Some(name) => {
+                e.kind = ExprKind::Ident(name.to_string());
             }
-        }
-        StmtKind::Block(stmts) => {
-            for st in stmts {
-                deref_rewrite_stmt(st, name);
+            ExprKind::Ident(n) if n == name => {
+                let inner = Box::new(Expr {
+                    kind: e.kind.clone(),
+                    ..*e
+                });
+                e.kind = ExprKind::Unary(UnaryOp::Deref, inner);
             }
+            _ => return true,
         }
-        StmtKind::If(c, then, els) => {
-            deref_rewrite_expr(c, name);
-            deref_rewrite_stmt(then, name);
-            if let Some(e) = els {
-                deref_rewrite_stmt(e, name);
-            }
-        }
-        StmtKind::While(c, body) => {
-            deref_rewrite_expr(c, name);
-            deref_rewrite_stmt(body, name);
-        }
-        StmtKind::DoWhile(body, c) => {
-            deref_rewrite_stmt(body, name);
-            deref_rewrite_expr(c, name);
-        }
-        StmtKind::For(init, cond, step, body) => {
-            match init {
-                Some(ForInit::Decl(d)) => {
-                    for v in &mut d.vars {
-                        if let Some(i) = &mut v.init {
-                            deref_rewrite_expr(i, name);
-                        }
-                    }
-                }
-                Some(ForInit::Expr(e)) => deref_rewrite_expr(e, name),
-                None => {}
-            }
-            if let Some(c) = cond {
-                deref_rewrite_expr(c, name);
-            }
-            if let Some(st) = step {
-                deref_rewrite_expr(st, name);
-            }
-            deref_rewrite_stmt(body, name);
-        }
-        StmtKind::Switch(scrutinee, body) => {
-            deref_rewrite_expr(scrutinee, name);
-            for st in body {
-                deref_rewrite_stmt(st, name);
-            }
-        }
-        StmtKind::Return(Some(e)) => deref_rewrite_expr(e, name),
-        _ => {}
-    }
-}
-
-fn deref_rewrite_expr(e: &mut Expr, name: &str) {
-    // `&name` becomes just `name` (the pointer already holds the address);
-    // a bare `name` becomes `(*name)`.
-    if let ExprKind::Unary(UnaryOp::Addr, inner) = &e.kind {
-        if inner.as_ident() == Some(name) {
-            let id = e.id;
-            let span = e.span;
-            *e = Expr {
-                id,
-                kind: ExprKind::Ident(name.to_string()),
-                span,
-            };
-            return;
-        }
-    }
-    if e.as_ident() == Some(name) {
-        let id = e.id;
-        let span = e.span;
-        let inner = Expr {
-            id,
-            kind: ExprKind::Ident(name.to_string()),
-            span,
-        };
-        *e = Expr {
-            id,
-            kind: ExprKind::Unary(UnaryOp::Deref, Box::new(inner)),
-            span,
-        };
-        return;
-    }
-    match &mut e.kind {
-        ExprKind::Unary(_, inner)
-        | ExprKind::PostIncDec(inner, _)
-        | ExprKind::Cast(_, inner)
-        | ExprKind::SizeofExpr(inner) => deref_rewrite_expr(inner, name),
-        ExprKind::Binary(_, l, r) | ExprKind::Assign(_, l, r) | ExprKind::Comma(l, r) => {
-            deref_rewrite_expr(l, name);
-            deref_rewrite_expr(r, name);
-        }
-        ExprKind::Ternary(c, t, f) => {
-            deref_rewrite_expr(c, name);
-            deref_rewrite_expr(t, name);
-            deref_rewrite_expr(f, name);
-        }
-        ExprKind::Call(callee, args) => {
-            deref_rewrite_expr(callee, name);
-            for a in args {
-                deref_rewrite_expr(a, name);
-            }
-        }
-        ExprKind::Index(b, i) => {
-            deref_rewrite_expr(b, name);
-            deref_rewrite_expr(i, name);
-        }
-        ExprKind::Member(b, _, _) => deref_rewrite_expr(b, name),
-        ExprKind::InitList(items) => {
-            for it in items {
-                deref_rewrite_expr(it, name);
-            }
-        }
-        _ => {}
-    }
+        // Not into what was just built: its `name` is already rewritten.
+        false
+    });
 }
 
 // ------------------------------------------------------------------ 5 ----
@@ -856,6 +627,12 @@ fn guard_with_core_zero(unit: &mut TranslationUnit, core_var: &str, stmt: Stmt) 
 ///
 /// Statements that shared the launch loop are hoisted out with the loop
 /// induction variable rewritten to the core id.
+///
+/// A launch is a statement of its own, `pthread_create(..);` or
+/// `rc = pthread_create(..);`, directly in a function body or in a `for`
+/// loop's body. A `pthread_create` anywhere else (under an `if`, in a
+/// `switch` or `while`, in a nested block or a condition) is refused as an
+/// unsupported construct.
 pub(crate) struct ThreadsToProcsPass;
 
 impl TransformPass for ThreadsToProcsPass {
@@ -865,19 +642,13 @@ impl TransformPass for ThreadsToProcsPass {
 
     fn run(&mut self, ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
         let core_var = ctx.core_id_var.clone();
-        let launches = ctx.analysis.threads.launches.clone();
-        if launches.is_empty() {
-            return Ok(());
+        // The paper's hash table of thread-specific tasks: worker name →
+        // the core that runs its launch outside a loop.
+        let mut core_bound = BTreeMap::new();
+        let single = ctx.analysis.threads.launches.iter().filter(|l| !l.in_loop);
+        for (k, l) in single.enumerate() {
+            core_bound.insert(l.entry.as_str(), k);
         }
-        let mut next_core = 0usize;
-        let mut core_bound = std::collections::BTreeMap::new();
-        for l in &launches {
-            if !l.in_loop {
-                core_bound.insert(l.entry.clone(), next_core);
-                next_core += 1;
-            }
-        }
-        ctx.core_bound_calls = core_bound.clone();
 
         let fn_names: Vec<String> = ctx.unit.functions().map(|f| f.name.clone()).collect();
         let mut unit = std::mem::take(&mut ctx.unit);
@@ -885,10 +656,15 @@ impl TransformPass for ThreadsToProcsPass {
             let mut body = std::mem::take(&mut unit.function_mut(&fname).unwrap().body);
             let mut new_body = Vec::with_capacity(body.len());
             for stmt in body.drain(..) {
-                if !stmt_contains_call(&stmt, "pthread_create") {
+                let mut launches = 0;
+                hsm_cir::walk_exprs_in_stmt(&stmt, &mut |e| {
+                    launches += usize::from(e.call_target() == Some("pthread_create"));
+                });
+                if launches == 0 {
                     new_body.push(stmt);
                     continue;
                 }
+                let converted;
                 match stmt.kind {
                     // Launch loop: replace the whole loop.
                     StmtKind::For(init, cond, step, loop_body) => {
@@ -930,24 +706,24 @@ impl TransformPass for ThreadsToProcsPass {
                         let fold_var = "foldID";
                         let call_id_var: &str = if fold.is_some() { fold_var } else { &core_var };
                         for mut inner_stmt in inner {
-                            if stmt_contains_call(&inner_stmt, "pthread_create") {
-                                if let Some(call) = extract_create_call(&inner_stmt) {
-                                    emitted_calls.push(build_worker_call(
-                                        &mut unit,
-                                        &call,
-                                        call_id_var,
-                                        ivar.as_deref(),
-                                    ));
-                                }
-                                // The pthread_create statement itself (and
-                                // any `rc =` wrapper) is dropped.
-                            } else {
+                            // A launch statement becomes the worker call;
+                            // any other statement that launches is left
+                            // unconverted, and so refused below.
+                            if let Some(call) = launch_call(&inner_stmt) {
+                                emitted_calls.push(build_worker_call(
+                                    &mut unit,
+                                    &call,
+                                    call_id_var,
+                                    ivar.as_deref(),
+                                ));
+                            } else if !stmt_contains_call(&inner_stmt, "pthread_create") {
                                 if let Some(iv) = &ivar {
                                     subst_ident_stmt(&mut inner_stmt, iv, call_id_var);
                                 }
                                 hoisted.push(inner_stmt);
                             }
                         }
+                        converted = emitted_calls.len();
                         if let Some(total) = fold {
                             emitted_calls = vec![fold_loop(
                                 &mut unit,
@@ -978,7 +754,6 @@ impl TransformPass for ThreadsToProcsPass {
                                 hoisted = vec![b.lt_guard(&core_var, total as i64, hoisted)];
                             }
                         }
-                        let _ = (cond, step);
                         // In the pthread original, main finished everything
                         // before this loop (data initialization included)
                         // before any thread ran. Each core re-executes that
@@ -1000,11 +775,13 @@ impl TransformPass for ThreadsToProcsPass {
                     }
                     // Single launch statement outside a loop.
                     _ => {
-                        if let Some(call) = extract_create_call(&stmt) {
+                        let call = launch_call(&stmt);
+                        converted = usize::from(call.is_some());
+                        if let Some(call) = call {
                             new_body.push(barrier_stmt(&mut unit));
                             let worker_call = build_worker_call(&mut unit, &call, &core_var, None);
                             // Guard thread-specific single launches.
-                            if let Some(&k) = core_bound.get(&call.entry) {
+                            if let Some(&k) = core_bound.get(call.entry.as_str()) {
                                 let StmtKind::Expr(Some(call_expr)) = worker_call.kind else {
                                     unreachable!("build_worker_call returns expr stmt");
                                 };
@@ -1016,6 +793,15 @@ impl TransformPass for ThreadsToProcsPass {
                             }
                         }
                     }
+                }
+                if converted != launches {
+                    let function = if fname == "RCCE_APP" { "main" } else { &fname };
+                    return Err(TranslateError::unsupported(format!(
+                        "a `pthread_create` in `{function}` is not a launch the translator \
+                         converts: a launch is a statement of its own (`pthread_create(..);` \
+                         or `rc = pthread_create(..);`) in the function body or directly in \
+                         a `for` loop's body"
+                    )));
                 }
             }
             unit.function_mut(&fname).unwrap().body = new_body;
@@ -1042,26 +828,26 @@ fn for_induction_var(init: &Option<ForInit>) -> Option<String> {
     }
 }
 
-fn extract_create_call(stmt: &Stmt) -> Option<CreateCall> {
-    let mut found = None;
-    hsm_cir::walk_exprs_in_stmt(stmt, &mut |e| {
-        if found.is_some() {
-            return;
-        }
-        if e.call_target() == Some("pthread_create") {
-            if let ExprKind::Call(_, args) = &e.kind {
-                if args.len() >= 4 {
-                    if let Some(entry) = args[2].peel_casts().as_ident() {
-                        found = Some(CreateCall {
-                            entry: entry.to_string(),
-                            arg: args[3].clone(),
-                        });
-                    }
-                }
-            }
-        }
-    });
-    found
+/// The launch a statement makes when it is exactly `pthread_create(..);`
+/// or `rc = pthread_create(..);` and names its worker directly.
+fn launch_call(stmt: &Stmt) -> Option<CreateCall> {
+    let StmtKind::Expr(Some(e)) = &stmt.kind else {
+        return None;
+    };
+    let call = match &e.kind {
+        ExprKind::Assign(AssignOp::Assign, _, rhs) => rhs,
+        _ => e,
+    };
+    let ExprKind::Call(_, args) = &call.kind else {
+        return None;
+    };
+    if call.call_target() != Some("pthread_create") || args.len() < 4 {
+        return None;
+    }
+    Some(CreateCall {
+        entry: args[2].peel_casts().as_ident()?.to_string(),
+        arg: args[3].clone(),
+    })
 }
 
 /// Builds `for (fold = myID; fold < total; fold += cores) { body }` —
@@ -1259,115 +1045,18 @@ impl TransformPass for SelfPass {
     }
 
     fn run(&mut self, ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
-        for f in ctx.unit.functions_mut() {
-            for s in &mut f.body {
-                rename_calls_stmt(s, &[("pthread_self", "RCCE_ue"), ("wtime", "RCCE_wtime")]);
+        walk_unit_mut(&mut ctx.unit, &mut |e| {
+            let to = match e.call_target() {
+                Some("pthread_self") => "RCCE_ue",
+                Some("wtime") => "RCCE_wtime",
+                _ => return true,
+            };
+            if let ExprKind::Call(callee, _) = &mut e.kind {
+                callee.kind = ExprKind::Ident(to.to_string());
             }
-        }
+            true
+        });
         Ok(())
-    }
-}
-
-fn rename_calls_stmt(s: &mut Stmt, map: &[(&str, &str)]) {
-    match &mut s.kind {
-        StmtKind::Expr(Some(e)) => rename_calls_expr(e, map),
-        StmtKind::Decl(d) => {
-            for v in &mut d.vars {
-                if let Some(init) = &mut v.init {
-                    rename_calls_expr(init, map);
-                }
-            }
-        }
-        StmtKind::Block(stmts) => {
-            for st in stmts {
-                rename_calls_stmt(st, map);
-            }
-        }
-        StmtKind::If(c, then, els) => {
-            rename_calls_expr(c, map);
-            rename_calls_stmt(then, map);
-            if let Some(e) = els {
-                rename_calls_stmt(e, map);
-            }
-        }
-        StmtKind::While(c, body) => {
-            rename_calls_expr(c, map);
-            rename_calls_stmt(body, map);
-        }
-        StmtKind::DoWhile(body, c) => {
-            rename_calls_stmt(body, map);
-            rename_calls_expr(c, map);
-        }
-        StmtKind::For(init, cond, step, body) => {
-            match init {
-                Some(ForInit::Decl(d)) => {
-                    for v in &mut d.vars {
-                        if let Some(i) = &mut v.init {
-                            rename_calls_expr(i, map);
-                        }
-                    }
-                }
-                Some(ForInit::Expr(e)) => rename_calls_expr(e, map),
-                None => {}
-            }
-            if let Some(c) = cond {
-                rename_calls_expr(c, map);
-            }
-            if let Some(st) = step {
-                rename_calls_expr(st, map);
-            }
-            rename_calls_stmt(body, map);
-        }
-        StmtKind::Switch(scrutinee, body) => {
-            rename_calls_expr(scrutinee, map);
-            for st in body {
-                rename_calls_stmt(st, map);
-            }
-        }
-        StmtKind::Return(Some(e)) => rename_calls_expr(e, map),
-        _ => {}
-    }
-}
-
-fn rename_calls_expr(e: &mut Expr, map: &[(&str, &str)]) {
-    if let ExprKind::Call(callee, args) = &mut e.kind {
-        if let ExprKind::Ident(name) = &mut callee.kind {
-            for (from, to) in map {
-                if name == from {
-                    *name = to.to_string();
-                }
-            }
-        }
-        for a in args {
-            rename_calls_expr(a, map);
-        }
-        return;
-    }
-    match &mut e.kind {
-        ExprKind::Unary(_, inner)
-        | ExprKind::PostIncDec(inner, _)
-        | ExprKind::Cast(_, inner)
-        | ExprKind::SizeofExpr(inner) => rename_calls_expr(inner, map),
-        ExprKind::Binary(_, l, r) | ExprKind::Assign(_, l, r) | ExprKind::Comma(l, r) => {
-            rename_calls_expr(l, map);
-            rename_calls_expr(r, map);
-        }
-        ExprKind::Ternary(c, t, f) => {
-            rename_calls_expr(c, map);
-            rename_calls_expr(t, map);
-            rename_calls_expr(f, map);
-        }
-        ExprKind::Index(b, i) => {
-            rename_calls_expr(b, map);
-            rename_calls_expr(i, map);
-        }
-        ExprKind::Member(b, _, _) => rename_calls_expr(b, map),
-        ExprKind::InitList(items) => {
-            for it in items {
-                rename_calls_expr(it, map);
-            }
-        }
-        _ => {}
     }
 }
 
@@ -1403,7 +1092,9 @@ impl TransformPass for RemoveTypesPass {
 /// Algorithm 8 — removes every remaining statement that calls a
 /// `pthread_*` API function. The paper looks the callee up in a hash table
 /// of the API's names; every one of them starts with `pthread_`, so the
-/// prefix is the test.
+/// prefix is the test. A launch is never among them: [`ThreadsToProcsPass`]
+/// converted or refused every `pthread_create`, so one that is left is an
+/// internal error, not a statement to drop.
 pub(crate) struct RemoveApiPass;
 
 impl TransformPass for RemoveApiPass {
@@ -1413,6 +1104,15 @@ impl TransformPass for RemoveApiPass {
 
     fn run(&mut self, ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
         for f in ctx.unit.functions_mut() {
+            if f.body
+                .iter()
+                .any(|s| stmt_contains_call(s, "pthread_create"))
+            {
+                return Err(TranslateError::internal(format!(
+                    "a `pthread_create` in `{}` was neither converted nor refused",
+                    f.name
+                )));
+            }
             retain_stmts(&mut f.body, &mut |s| {
                 let mut contains_api = false;
                 hsm_cir::walk_exprs_in_stmt(s, &mut |e| {

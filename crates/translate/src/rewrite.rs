@@ -190,105 +190,125 @@ impl<'a> Builder<'a> {
     }
 }
 
-/// Replaces every occurrence of identifier `from` with identifier `to` in
-/// an expression tree.
-pub(crate) fn subst_ident_expr(e: &mut Expr, from: &str, to: &str) {
-    match &mut e.kind {
-        ExprKind::Ident(name) if name == from => *name = to.to_string(),
-        ExprKind::Ident(_) => {}
-        ExprKind::Unary(_, inner)
-        | ExprKind::PostIncDec(inner, _)
-        | ExprKind::Cast(_, inner)
-        | ExprKind::SizeofExpr(inner) => subst_ident_expr(inner, from, to),
-        ExprKind::Binary(_, l, r) | ExprKind::Assign(_, l, r) | ExprKind::Comma(l, r) => {
-            subst_ident_expr(l, from, to);
-            subst_ident_expr(r, from, to);
+/// [`walk_stmt_mut`] over every statement of every function body in `unit`.
+pub(crate) fn walk_unit_mut(unit: &mut TranslationUnit, f: &mut impl FnMut(&mut Expr) -> bool) {
+    for func in unit.functions_mut() {
+        for s in &mut func.body {
+            walk_stmt_mut(s, f);
         }
-        ExprKind::Ternary(c, t, f) => {
-            subst_ident_expr(c, from, to);
-            subst_ident_expr(t, from, to);
-            subst_ident_expr(f, from, to);
-        }
-        ExprKind::Call(callee, args) => {
-            subst_ident_expr(callee, from, to);
-            for a in args {
-                subst_ident_expr(a, from, to);
+    }
+}
+
+/// Calls `f` on every expression in a statement tree, mutably, at the
+/// positions and in the order of [`hsm_cir::walk_exprs_in_stmt`]: a
+/// statement's own expressions before its nested statements, each
+/// expression before its operands. `f` returns whether to descend into
+/// the operands of the expression it was handed (as it left them).
+pub(crate) fn walk_stmt_mut(s: &mut Stmt, f: &mut impl FnMut(&mut Expr) -> bool) {
+    match &mut s.kind {
+        StmtKind::Expr(Some(e)) | StmtKind::Return(Some(e)) => walk_expr_mut(e, f),
+        StmtKind::Decl(d) => walk_inits_mut(d, f),
+        StmtKind::Block(stmts) => {
+            for st in stmts {
+                walk_stmt_mut(st, f);
             }
         }
-        ExprKind::Index(b, i) => {
-            subst_ident_expr(b, from, to);
-            subst_ident_expr(i, from, to);
+        StmtKind::If(c, then, els) => {
+            walk_expr_mut(c, f);
+            walk_stmt_mut(then, f);
+            if let Some(e) = els {
+                walk_stmt_mut(e, f);
+            }
         }
-        ExprKind::Member(b, _, _) => subst_ident_expr(b, from, to),
-        ExprKind::InitList(items) => {
-            for it in items {
-                subst_ident_expr(it, from, to);
+        StmtKind::While(c, body) | StmtKind::DoWhile(body, c) => {
+            walk_expr_mut(c, f);
+            walk_stmt_mut(body, f);
+        }
+        StmtKind::For(init, cond, step, body) => {
+            match init {
+                Some(ForInit::Decl(d)) => walk_inits_mut(d, f),
+                Some(ForInit::Expr(e)) => walk_expr_mut(e, f),
+                None => {}
+            }
+            for e in [cond, step].into_iter().flatten() {
+                walk_expr_mut(e, f);
+            }
+            walk_stmt_mut(body, f);
+        }
+        StmtKind::Switch(scrutinee, body) => {
+            walk_expr_mut(scrutinee, f);
+            for st in body {
+                walk_stmt_mut(st, f);
             }
         }
         _ => {}
     }
 }
 
-/// Replaces identifier `from` with `to` in a statement tree.
-pub(crate) fn subst_ident_stmt(s: &mut Stmt, from: &str, to: &str) {
-    match &mut s.kind {
-        StmtKind::Expr(Some(e)) => subst_ident_expr(e, from, to),
-        StmtKind::Decl(d) => {
-            for v in &mut d.vars {
-                if let Some(init) = &mut v.init {
-                    subst_ident_expr(init, from, to);
-                }
+fn walk_inits_mut(d: &mut Declaration, f: &mut impl FnMut(&mut Expr) -> bool) {
+    for init in d.vars.iter_mut().filter_map(|v| v.init.as_mut()) {
+        walk_expr_mut(init, f);
+    }
+}
+
+/// Calls `f` on `e`, then, when it returns `true`, on its operands.
+pub(crate) fn walk_expr_mut(e: &mut Expr, f: &mut impl FnMut(&mut Expr) -> bool) {
+    if !f(e) {
+        return;
+    }
+    match &mut e.kind {
+        ExprKind::Unary(_, inner)
+        | ExprKind::PostIncDec(inner, _)
+        | ExprKind::Cast(_, inner)
+        | ExprKind::SizeofExpr(inner)
+        | ExprKind::Member(inner, _, _) => walk_expr_mut(inner, f),
+        ExprKind::Binary(_, l, r)
+        | ExprKind::Assign(_, l, r)
+        | ExprKind::Comma(l, r)
+        | ExprKind::Index(l, r) => {
+            walk_expr_mut(l, f);
+            walk_expr_mut(r, f);
+        }
+        ExprKind::Ternary(c, t, e2) => {
+            for x in [c, t, e2] {
+                walk_expr_mut(x, f);
             }
         }
-        StmtKind::Block(stmts) => {
-            for st in stmts {
-                subst_ident_stmt(st, from, to);
+        ExprKind::Call(callee, args) => {
+            walk_expr_mut(callee, f);
+            for a in args {
+                walk_expr_mut(a, f);
             }
         }
-        StmtKind::If(c, then, els) => {
-            subst_ident_expr(c, from, to);
-            subst_ident_stmt(then, from, to);
-            if let Some(e) = els {
-                subst_ident_stmt(e, from, to);
+        ExprKind::InitList(items) => {
+            for it in items {
+                walk_expr_mut(it, f);
             }
         }
-        StmtKind::While(c, body) => {
-            subst_ident_expr(c, from, to);
-            subst_ident_stmt(body, from, to);
-        }
-        StmtKind::DoWhile(body, c) => {
-            subst_ident_stmt(body, from, to);
-            subst_ident_expr(c, from, to);
-        }
-        StmtKind::For(init, cond, step, body) => {
-            match init {
-                Some(ForInit::Decl(d)) => {
-                    for v in &mut d.vars {
-                        if let Some(i) = &mut v.init {
-                            subst_ident_expr(i, from, to);
-                        }
-                    }
-                }
-                Some(ForInit::Expr(e)) => subst_ident_expr(e, from, to),
-                None => {}
-            }
-            if let Some(c) = cond {
-                subst_ident_expr(c, from, to);
-            }
-            if let Some(st) = step {
-                subst_ident_expr(st, from, to);
-            }
-            subst_ident_stmt(body, from, to);
-        }
-        StmtKind::Switch(scrutinee, body) => {
-            subst_ident_expr(scrutinee, from, to);
-            for st in body {
-                subst_ident_stmt(st, from, to);
-            }
-        }
-        StmtKind::Return(Some(e)) => subst_ident_expr(e, from, to),
         _ => {}
     }
+}
+
+/// Replaces every occurrence of identifier `from` with identifier `to`.
+fn subst_ident<'a>(from: &'a str, to: &'a str) -> impl FnMut(&mut Expr) -> bool + 'a {
+    move |e| {
+        if let ExprKind::Ident(name) = &mut e.kind {
+            if name == from {
+                *name = to.to_string();
+            }
+        }
+        true
+    }
+}
+
+/// Replaces identifier `from` with `to` in an expression tree.
+pub(crate) fn subst_ident_expr(e: &mut Expr, from: &str, to: &str) {
+    walk_expr_mut(e, &mut subst_ident(from, to));
+}
+
+/// Replaces identifier `from` with `to` in a statement tree.
+pub(crate) fn subst_ident_stmt(s: &mut Stmt, from: &str, to: &str) {
+    walk_stmt_mut(s, &mut subst_ident(from, to));
 }
 
 /// Keeps, in every statement list of a function body, the statements
