@@ -291,7 +291,6 @@ pub(crate) fn sweep_json(report: &SweepReport, opts: &ManifestOptions) -> Json {
                     ("misses", Json::UInt(s.total_misses())),
                     ("writes", Json::UInt(s.total_writes())),
                     ("corrupt", Json::UInt(s.total_corrupt())),
-                    ("evictions", Json::UInt(s.evictions)),
                     // How many of the sweep's points simulated (`misses`)
                     // and how many were read back (`loads`).
                     (

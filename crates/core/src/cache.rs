@@ -362,8 +362,6 @@ pub struct StoreCounters {
 pub struct StoreStats {
     /// Per-stage counters, in [`Stage::ALL`] order.
     pub stages: [StoreCounters; 7],
-    /// Entries evicted to enforce the store's byte capacity.
-    pub evictions: u64,
 }
 
 impl StoreStats {
@@ -606,16 +604,10 @@ impl ArtifactCache {
     ///
     /// Propagates store-directory creation failures.
     pub fn persistent(dir: impl AsRef<Path>) -> io::Result<Arc<Self>> {
-        Ok(Self::with_store(DiskStore::open(dir.as_ref())?))
-    }
-
-    /// A cache backed by an explicitly configured [`DiskStore`] (e.g.
-    /// one with a byte capacity).
-    pub fn with_store(store: DiskStore) -> Arc<Self> {
-        Arc::new(ArtifactCache {
-            store: Some(store),
+        Ok(Arc::new(ArtifactCache {
+            store: Some(DiskStore::open(dir.as_ref())?),
             ..Self::default()
-        })
+        }))
     }
 
     /// The attached persistent store, when there is one.
@@ -637,9 +629,8 @@ impl ArtifactCache {
         });
         CacheStats {
             stages: shelves.map(|(memory, _)| memory),
-            store: self.store.as_ref().map(|s| StoreStats {
+            store: self.store.is_some().then(|| StoreStats {
                 stages: shelves.map(|(_, disk)| disk),
-                evictions: s.evictions(),
             }),
         }
     }

@@ -32,8 +32,7 @@
 //!
 //! Writes are atomic: the payload lands in a temp file first and is
 //! `rename`d into place, so concurrent readers (other processes, `hsmd`
-//! worker threads) only ever observe complete entries. An optional byte
-//! capacity triggers oldest-first (mtime) eviction after each write.
+//! worker threads) only ever observe complete entries.
 
 use crate::cache::ArtifactKey;
 use crate::metrics::Stage;
@@ -41,7 +40,6 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// On-disk format version: the name of the store's subdirectory and the
 /// first field of every entry header. Bump on any incompatible change —
@@ -78,36 +76,17 @@ pub struct DiskStore {
     outer: PathBuf,
     /// `<root>/v<STORE_FORMAT_VERSION>` — where entries live.
     root: PathBuf,
-    /// Byte budget across all entries (`None` = unbounded).
-    capacity: Option<u64>,
-    evictions: AtomicU64,
-    /// Serializes eviction scans (writes themselves are atomic renames).
-    evict_lock: Mutex<()>,
     tmp_counter: AtomicU64,
 }
 
 impl DiskStore {
-    /// Opens (creating if needed) an unbounded store rooted at `dir`.
+    /// Opens (creating if needed) a store rooted at `dir`.
     ///
     /// # Errors
     ///
     /// Propagates directory-creation failures.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<DiskStore> {
-        Self::build(dir.into(), None)
-    }
-
-    /// Opens a store with a byte capacity; each write that pushes the
-    /// total payload volume past `capacity_bytes` evicts the
-    /// oldest-modified entries until it fits again.
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-creation failures.
-    pub fn with_capacity(dir: impl Into<PathBuf>, capacity_bytes: u64) -> io::Result<DiskStore> {
-        Self::build(dir.into(), Some(capacity_bytes))
-    }
-
-    fn build(outer: PathBuf, capacity: Option<u64>) -> io::Result<DiskStore> {
+        let outer = dir.into();
         let root = outer.join(format!("v{STORE_FORMAT_VERSION}"));
         for stage in Stage::ALL {
             fs::create_dir_all(root.join(stage.label()))?;
@@ -115,9 +94,6 @@ impl DiskStore {
         Ok(DiskStore {
             outer,
             root,
-            capacity,
-            evictions: AtomicU64::new(0),
-            evict_lock: Mutex::new(()),
             tmp_counter: AtomicU64::new(0),
         })
     }
@@ -125,11 +101,6 @@ impl DiskStore {
     /// The directory the store was opened at.
     pub fn dir(&self) -> &Path {
         &self.outer
-    }
-
-    /// Evictions performed by this handle since it was opened.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
     }
 
     /// The absolute path of a key's entry.
@@ -160,7 +131,7 @@ impl DiskStore {
         let _ = fs::remove_file(self.entry_path(key));
     }
 
-    /// Atomically writes a key's entry, then enforces the capacity.
+    /// Atomically writes a key's entry.
     ///
     /// # Errors
     ///
@@ -183,66 +154,7 @@ impl DiskStore {
             self.tmp_counter.fetch_add(1, Ordering::Relaxed)
         ));
         fs::write(&tmp, &entry)?;
-        fs::rename(&tmp, &path)?;
-        if self.capacity.is_some() {
-            self.enforce_capacity();
-        }
-        Ok(())
-    }
-
-    /// All entry files under the version directory (temp files excluded).
-    fn walk_entries(&self) -> io::Result<Vec<PathBuf>> {
-        let mut out = Vec::new();
-        let stages = match fs::read_dir(&self.root) {
-            Ok(rd) => rd,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(out),
-            Err(e) => return Err(e),
-        };
-        for stage in stages {
-            let stage = stage?;
-            if !stage.file_type()?.is_dir() {
-                continue; // stray temp file at the root
-            }
-            for entry in fs::read_dir(stage.path())? {
-                let entry = entry?;
-                if entry.file_type()?.is_file() {
-                    out.push(entry.path());
-                }
-            }
-        }
-        out.sort();
-        Ok(out)
-    }
-
-    /// Removes oldest-modified entries until the total payload volume
-    /// fits the capacity again. Mtime ties break by path order, so the
-    /// victim sequence is deterministic for a given directory state.
-    fn enforce_capacity(&self) {
-        let Some(capacity) = self.capacity else {
-            return;
-        };
-        let _guard = self.evict_lock.lock().expect("evict lock");
-        let Ok(paths) = self.walk_entries() else {
-            return;
-        };
-        let mut entries: Vec<(std::time::SystemTime, PathBuf, u64)> = paths
-            .into_iter()
-            .filter_map(|p| {
-                let meta = fs::metadata(&p).ok()?;
-                Some((meta.modified().ok()?, p, meta.len()))
-            })
-            .collect();
-        let mut total: u64 = entries.iter().map(|(_, _, len)| len).sum();
-        entries.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-        for (_, path, len) in entries {
-            if total <= capacity {
-                break;
-            }
-            if fs::remove_file(&path).is_ok() {
-                total = total.saturating_sub(len);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        fs::rename(&tmp, &path)
     }
 }
 
@@ -285,6 +197,32 @@ mod tests {
         ));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    impl DiskStore {
+        /// All entry files under the version directory (temp files excluded).
+        fn walk_entries(&self) -> io::Result<Vec<PathBuf>> {
+            let mut out = Vec::new();
+            let stages = match fs::read_dir(&self.root) {
+                Ok(rd) => rd,
+                Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(out),
+                Err(e) => return Err(e),
+            };
+            for stage in stages {
+                let stage = stage?;
+                if !stage.file_type()?.is_dir() {
+                    continue; // stray temp file at the root
+                }
+                for entry in fs::read_dir(stage.path())? {
+                    let entry = entry?;
+                    if entry.file_type()?.is_file() {
+                        out.push(entry.path());
+                    }
+                }
+            }
+            out.sort();
+            Ok(out)
+        }
     }
 
     fn key(src: u64) -> ArtifactKey {
@@ -340,31 +278,6 @@ mod tests {
         let text = String::from_utf8(fs::read(&path).expect("read")).expect("utf8");
         fs::write(&path, text.replacen("parse", "compile", 1)).expect("rewrite");
         assert!(matches!(store.load(&k), LoadOutcome::Corrupt));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn capacity_evicts_oldest_entries() {
-        let dir = temp_store_dir("evict");
-        let store = DiskStore::with_capacity(&dir, 256).expect("open");
-        let payload = vec![b'x'; 100];
-        for i in 0..4u64 {
-            store
-                .save(&ArtifactKey::Parse { src: i }, &payload)
-                .expect("save");
-            // Distinct mtimes so the eviction order is age, not ties.
-            std::thread::sleep(std::time::Duration::from_millis(20));
-        }
-        assert!(store.evictions() > 0, "capacity forced evictions");
-        assert!(
-            store.walk_entries().expect("count").len() < 4,
-            "old entries were dropped"
-        );
-        // The most recent entry always survives.
-        assert!(matches!(
-            store.load(&ArtifactKey::Parse { src: 3 }),
-            LoadOutcome::Hit(_)
-        ));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -1,11 +1,10 @@
 //! Integration tests of the persistent artifact store: a cold run
 //! populates the on-disk store, a warm run over the same directory
 //! reloads every persisted artifact — run results included — with zero
-//! store misses, corruption falls back to recompute, capacity eviction
-//! surfaces in the stats, and a different chip never hits another chip's
-//! entries.
+//! store misses, corruption falls back to recompute, and a different chip
+//! never hits another chip's entries.
 
-use hsm_core::api::{ArtifactCache, DiskStore, Mode, Pipeline, Stage};
+use hsm_core::api::{ArtifactCache, Mode, Pipeline, Stage};
 use scc_sim::SccConfig;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -172,17 +171,6 @@ fn corrupted_entry_falls_back_to_recompute() {
     let healed = healed_cache.stats().store.expect("store stats");
     assert_eq!(healed.total_misses(), 0);
     assert_eq!(healed.total_corrupt(), 0);
-}
-
-#[test]
-fn capacity_eviction_surfaces_in_cache_stats() {
-    let dir = temp_store("evict");
-    // A cap far below the combined entry sizes forces evictions.
-    let store = DiskStore::with_capacity(&dir, 256).expect("open store");
-    let cache = ArtifactCache::with_store(store);
-    run_all(&cache);
-    let stats = cache.stats().store.expect("store stats");
-    assert!(stats.evictions > 0, "tiny cap must evict: {stats:?}");
 }
 
 /// Regression: `ArtifactKey::Profile` ignored the chip (and the simulator

@@ -1091,11 +1091,29 @@ impl TransformPass for RemoveTypesPass {
 
 /// Algorithm 8 — removes every remaining statement that calls a
 /// `pthread_*` API function. The paper looks the callee up in a hash table
-/// of the API's names; every one of them starts with `pthread_`, so the
-/// prefix is the test. A launch is never among them: [`ThreadsToProcsPass`]
-/// converted or refused every `pthread_create`, so one that is left is an
-/// internal error, not a statement to drop.
+/// of the API's names: here [`PTHREAD_API`], the calls the VM runs as
+/// pthreads. Any other `pthread_` call has no RCCE counterpart, and
+/// deleting the statement around it would change what the program
+/// computes, so it is refused. A launch is never removed either:
+/// [`ThreadsToProcsPass`] converted or refused every `pthread_create`, so
+/// one that is left is an internal error, not a statement to drop.
 pub(crate) struct RemoveApiPass;
+
+/// The pthread calls Algorithm 8 may remove: those `hsm_vm` knows as
+/// intrinsics.
+const PTHREAD_API: [&str; 11] = [
+    "pthread_create",
+    "pthread_join",
+    "pthread_exit",
+    "pthread_self",
+    "pthread_mutex_init",
+    "pthread_mutex_lock",
+    "pthread_mutex_unlock",
+    "pthread_mutex_destroy",
+    "pthread_barrier_init",
+    "pthread_barrier_wait",
+    "pthread_barrier_destroy",
+];
 
 impl TransformPass for RemoveApiPass {
     fn name(&self) -> &'static str {
@@ -1113,13 +1131,25 @@ impl TransformPass for RemoveApiPass {
                     f.name
                 )));
             }
+            let mut unknown = None;
             retain_stmts(&mut f.body, &mut |s| {
                 let mut contains_api = false;
                 hsm_cir::walk_exprs_in_stmt(s, &mut |e| {
-                    contains_api |= e.call_target().is_some_and(|t| t.starts_with("pthread_"));
+                    if let Some(t) = e.call_target().filter(|t| t.starts_with("pthread_")) {
+                        contains_api = true;
+                        if !PTHREAD_API.contains(&t) {
+                            unknown.get_or_insert_with(|| t.to_string());
+                        }
+                    }
                 });
                 !contains_api
             });
+            if let Some(call) = unknown {
+                return Err(TranslateError::unsupported(format!(
+                    "`{call}` in `{}` has no RCCE counterpart",
+                    f.name
+                )));
+            }
         }
         Ok(())
     }

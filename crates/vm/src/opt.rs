@@ -44,7 +44,7 @@
 
 use crate::compile::{FrameVar, Program};
 use crate::data::FastMap;
-use crate::instr::Instr;
+use crate::instr::{Instr, Op};
 use crate::value::Value;
 
 /// How aggressively [`optimize`] rewrites a program.
@@ -631,6 +631,97 @@ fn dce_pass(code: &[Instr], p: &mut Patch) {
     }
 }
 
+// ------------------------------------------------ the abstract stack --
+
+/// One instruction over an abstract operand stack: the one place the
+/// optimizer spells out an instruction's stack effect. The type, value
+/// number, escape and forwarding scans are each an `eval` over it.
+///
+/// `step` pops the instruction's operands and hands them to `eval`,
+/// deepest first; `missing` stands in for an operand pushed before a jump
+/// target (the scans clear their stacks there). If the instruction leaves
+/// a result, `step` pushes what `eval` returns. `Dup` keeps its operand
+/// and pushes `eval(&[top])`, `Swap` and `Rot3` only reorder, and `Ret`
+/// and `RetVoid` empty the stack.
+#[inline(always)]
+fn step<T: Copy>(ins: Instr, stack: &mut Vec<T>, missing: T, eval: impl FnOnce(&[T]) -> T) {
+    /// Operands taken and whether a result is pushed, per opcode; `Store`
+    /// and the calls carry theirs in the instruction. A table rather than
+    /// a `match`, so that the scans' own `match` is the only dispatch.
+    const SHAPE: [(usize, bool); Op::COUNT] = {
+        const fn shape(op: Op) -> (usize, bool) {
+            match op {
+                Op::PushI | Op::PushF | Op::LocalGet | Op::LocalMemAddr => (0, true),
+                Op::Load | Op::Dup | Op::Neg | Op::Not | Op::BitNot | Op::I2F | Op::F2I => {
+                    (1, true)
+                }
+                Op::Add
+                | Op::Sub
+                | Op::Mul
+                | Op::Div
+                | Op::Rem
+                | Op::Shl
+                | Op::Shr
+                | Op::BitAnd
+                | Op::BitOr
+                | Op::BitXor
+                | Op::CmpLt
+                | Op::CmpLe
+                | Op::CmpGt
+                | Op::CmpGe
+                | Op::CmpEq
+                | Op::CmpNe => (2, true),
+                Op::Swap => (2, false),
+                Op::Rot3 => (3, false),
+                Op::LocalSet | Op::Pop | Op::JumpIfZero | Op::JumpIfNotZero | Op::Ret => (1, false),
+                Op::Jump | Op::Nop | Op::RetVoid => (0, false),
+                Op::Store | Op::Call | Op::CallIntrinsic => (0, false),
+            }
+        }
+        let mut table = [(0, false); Op::COUNT];
+        let mut i = 0;
+        while i < Op::COUNT {
+            table[i] = shape(Op::ALL[i]);
+            i += 1;
+        }
+        table
+    };
+    /// Every entry of a stack shorter than `arity` is an operand, and the
+    /// missing ones are the deepest.
+    #[cold]
+    #[inline(never)]
+    fn pad<T: Copy>(stack: &mut Vec<T>, arity: usize, missing: T) {
+        let short = arity - stack.len();
+        stack.resize(arity, missing);
+        stack.rotate_right(short);
+    }
+
+    let (arity, result) = match ins {
+        Instr::Store(_, keep) => (2, keep),
+        Instr::Call(_, n) | Instr::CallIntrinsic(_, n) => (usize::from(n), true),
+        _ => SHAPE[ins.op() as usize],
+    };
+    if stack.len() < arity {
+        pad(stack, arity, missing);
+    }
+    let base = stack.len() - arity;
+    match ins {
+        Instr::Swap => stack.swap(base, base + 1),
+        Instr::Rot3 => stack[base..].rotate_left(1),
+        _ => {
+            let value = eval(&stack[base..]);
+            match ins {
+                Instr::Dup => {}
+                Instr::Ret | Instr::RetVoid => stack.clear(),
+                _ => stack.truncate(base),
+            }
+            if result {
+                stack.push(value);
+            }
+        }
+    }
+}
+
 // -------------------------------------------------- type analysis (O2) --
 
 /// Abstract value type for the strength-reduction proofs.
@@ -652,113 +743,57 @@ fn meet(a: Ty, b: Ty) -> Ty {
     }
 }
 
-/// Simulates one instruction over the abstract type stack. `set` observes
-/// every `LocalSet`'s stored type.
-fn sim_types(ins: Instr, stack: &mut Vec<Ty>, reg_ty: &[Ty], mut set: impl FnMut(u16, Ty)) {
-    let pop = |stack: &mut Vec<Ty>| stack.pop().unwrap_or(Ty::Unknown);
-    match ins {
-        Instr::PushI(_) | Instr::LocalMemAddr(_) => stack.push(Ty::Int),
-        Instr::PushF(_) => stack.push(Ty::Float),
-        Instr::LocalGet(r) => stack.push(reg_ty.get(r as usize).copied().unwrap_or(Ty::Unknown)),
-        Instr::LocalSet(r) => {
-            let t = pop(stack);
-            set(r, t);
-        }
-        Instr::Load(k) => {
-            pop(stack);
-            stack.push(if k.is_float() { Ty::Float } else { Ty::Int });
-        }
-        Instr::Store(_, keep) => {
-            let v = pop(stack);
-            pop(stack);
-            if keep {
-                // Store(keep) re-pushes the original, pre-narrowing value.
-                stack.push(v);
-            }
-        }
-        Instr::Dup => {
-            let t = stack.last().copied().unwrap_or(Ty::Unknown);
-            stack.push(t);
-        }
-        Instr::Pop => {
-            pop(stack);
-        }
-        Instr::Swap => {
-            let b = pop(stack);
-            let a = pop(stack);
-            stack.push(b);
-            stack.push(a);
-        }
-        Instr::Rot3 => {
-            let c = pop(stack);
-            let b = pop(stack);
-            let a = pop(stack);
-            stack.push(b);
-            stack.push(c);
-            stack.push(a);
-        }
-        Instr::Add | Instr::Sub | Instr::Mul | Instr::Div | Instr::Rem => {
-            let b = pop(stack);
-            let a = pop(stack);
-            stack.push(match (a, b) {
-                (Ty::Float, _) | (_, Ty::Float) => Ty::Float,
-                (Ty::Int, Ty::Int) => Ty::Int,
-                _ => Ty::Unknown,
-            });
-        }
-        Instr::Shl
-        | Instr::Shr
-        | Instr::BitAnd
-        | Instr::BitOr
-        | Instr::BitXor
-        | Instr::CmpLt
-        | Instr::CmpLe
-        | Instr::CmpGt
-        | Instr::CmpGe
-        | Instr::CmpEq
-        | Instr::CmpNe => {
-            pop(stack);
-            pop(stack);
-            stack.push(Ty::Int);
-        }
-        Instr::Not | Instr::BitNot | Instr::F2I => {
-            pop(stack);
-            stack.push(Ty::Int);
-        }
-        Instr::Neg => {
-            let t = pop(stack);
-            stack.push(t);
-        }
-        Instr::I2F => {
-            pop(stack);
-            stack.push(Ty::Float);
-        }
-        Instr::Jump(_) | Instr::Nop => {}
-        Instr::JumpIfZero(_) | Instr::JumpIfNotZero(_) => {
-            pop(stack);
-        }
-        Instr::Call(_, n) => {
-            for _ in 0..n {
-                pop(stack);
-            }
-            stack.push(Ty::Unknown);
-        }
-        Instr::CallIntrinsic(intr, n) => {
-            for _ in 0..n {
-                pop(stack);
-            }
-            stack.push(if intr.is_pure() {
-                Ty::Float
-            } else {
+/// [`step`] over the abstract type stack. Returns the register a
+/// `LocalSet` writes and the type it stores.
+#[inline(always)]
+fn sim_types(ins: Instr, stack: &mut Vec<Ty>, reg_ty: &[Ty]) -> Option<(u16, Ty)> {
+    let mut stored = None;
+    step(
+        ins,
+        stack,
+        Ty::Unknown,
+        // Two scans call `sim_types`, and without the attribute its
+        // `eval` stays a call per instruction of either.
+        #[inline(always)]
+        |ops| match ins {
+            Instr::PushI(_) | Instr::LocalMemAddr(_) => Ty::Int,
+            Instr::PushF(_) | Instr::I2F => Ty::Float,
+            Instr::LocalGet(r) => reg_ty.get(usize::from(r)).copied().unwrap_or(Ty::Unknown),
+            Instr::LocalSet(r) => {
+                stored = Some((r, ops[0]));
                 Ty::Unknown
-            });
-        }
-        Instr::Ret => {
-            pop(stack);
-            stack.clear();
-        }
-        Instr::RetVoid => stack.clear(),
-    }
+            }
+            Instr::Load(k) if k.is_float() => Ty::Float,
+            Instr::Load(_) => Ty::Int,
+            // Store(keep) re-pushes the original, pre-narrowing value.
+            Instr::Store(..) => ops[1],
+            Instr::Dup | Instr::Neg => ops[0],
+            Instr::Add | Instr::Sub | Instr::Mul | Instr::Div | Instr::Rem => {
+                match (ops[0], ops[1]) {
+                    (Ty::Float, _) | (_, Ty::Float) => Ty::Float,
+                    (Ty::Int, Ty::Int) => Ty::Int,
+                    _ => Ty::Unknown,
+                }
+            }
+            Instr::Shl
+            | Instr::Shr
+            | Instr::BitAnd
+            | Instr::BitOr
+            | Instr::BitXor
+            | Instr::CmpLt
+            | Instr::CmpLe
+            | Instr::CmpGt
+            | Instr::CmpGe
+            | Instr::CmpEq
+            | Instr::CmpNe
+            | Instr::Not
+            | Instr::BitNot
+            | Instr::F2I => Ty::Int,
+            Instr::CallIntrinsic(intr, _) if intr.is_pure() => Ty::Float,
+            _ => Ty::Unknown,
+        },
+    );
+    stored
 }
 
 /// Whole-function register typing: a register is `Int` when every value
@@ -771,21 +806,21 @@ fn register_types(code: &[Instr], leaders: &[bool], n_params: u8, n_regs: u16) -
     for slot in ty.iter_mut().take(n_params as usize) {
         *slot = Ty::Unknown;
     }
+    let mut stack: Vec<Ty> = Vec::new();
     loop {
         let mut changed = false;
-        let mut stack: Vec<Ty> = Vec::new();
+        stack.clear();
         for (i, ins) in code.iter().enumerate() {
             if leaders[i] {
                 stack.clear();
             }
             // The instruction reads the types it starts with; its store
             // lands after it.
-            let mut stored = None;
-            sim_types(*ins, &mut stack, &ty, |r, t| stored = Some((r, t)));
-            if let Some(slot) = stored.and_then(|(r, t)| Some((ty.get_mut(r as usize)?, t))) {
-                let m = meet(*slot.0, slot.1);
-                if m != *slot.0 {
-                    *slot.0 = m;
+            let stored = sim_types(*ins, &mut stack, &ty);
+            if let Some((slot, t)) = stored.and_then(|(r, t)| Some((ty.get_mut(r as usize)?, t))) {
+                let m = meet(*slot, t);
+                if m != *slot {
+                    *slot = m;
                     changed = true;
                 }
             }
@@ -806,48 +841,52 @@ fn register_types(code: &[Instr], leaders: &[bool], n_params: u8, n_regs: u16) -
 /// division is never turned into a shift (C truncated division of
 /// negative values disagrees with an arithmetic shift).
 fn strength_pass(code: &[Instr], leaders: &[bool], n_params: u8, n_regs: u16, p: &mut Patch) {
+    let candidate = |i: usize| match code[i] {
+        Instr::PushI(c) => code.get(i + 1).and_then(|&op| reduce(c, op)),
+        _ => None,
+    };
+    // The type analysis is what the pass costs; without a candidate there
+    // is nothing for it to prove.
+    if !(0..code.len()).any(|i| candidate(i).is_some()) {
+        return;
+    }
     let reg_ty = register_types(code, leaders, n_params, n_regs);
     let mut stack: Vec<Ty> = Vec::new();
     for (i, ins) in code.iter().enumerate() {
         if leaders[i] {
             stack.clear();
         }
+        // At this point the abstract stack top is the *left* operand of
+        // the binary op at i+1 (code[i] pushes the right one).
+        let left = stack.last().copied().unwrap_or(Ty::Unknown);
         let free2 = i + 1 < code.len() && !leaders[i + 1];
-        if free2 {
-            // At this point the abstract stack top is the *left* operand
-            // of the binary op at i+1 (code[i] pushes the right one).
-            let left = stack.last().copied().unwrap_or(Ty::Unknown);
-            if let Instr::PushI(c) = *ins {
-                if left == Ty::Int && !p.is_set(i) && !p.is_set(i + 1) {
-                    match code[i + 1] {
-                        Instr::Mul if c == 1 => {
-                            p.set(i, &[]);
-                            p.set(i + 1, &[]);
-                        }
-                        Instr::Mul if c > 1 && (c & (c - 1)) == 0 => {
-                            p.set(i, &[Instr::PushI(i64::from(c.trailing_zeros()))]);
-                            p.set(i + 1, &[Instr::Shl]);
-                        }
-                        Instr::Add | Instr::Sub if c == 0 => {
-                            p.set(i, &[]);
-                            p.set(i + 1, &[]);
-                        }
-                        Instr::Div if c == 1 => {
-                            p.set(i, &[]);
-                            p.set(i + 1, &[]);
-                        }
-                        Instr::Shl | Instr::Shr if c == 0 => {
-                            p.set(i, &[]);
-                            p.set(i + 1, &[]);
-                        }
-                        _ => {}
-                    }
+        if free2 && left == Ty::Int && !p.is_set(i) && !p.is_set(i + 1) {
+            match candidate(i) {
+                Some(Some(k)) => {
+                    p.set(i, &[Instr::PushI(k)]);
+                    p.set(i + 1, &[Instr::Shl]);
                 }
+                Some(None) => {
+                    p.set(i, &[]);
+                    p.set(i + 1, &[]);
+                }
+                None => {}
             }
         }
         // Simulate the *original* instruction: the rewrites above are
         // type-preserving, so the abstract stack stays accurate.
-        sim_types(*ins, &mut stack, &reg_ty, |_, _| {});
+        sim_types(*ins, &mut stack, &reg_ty);
+    }
+}
+
+/// What `PushI c; op` becomes after an integer: `Some(None)` drops both,
+/// `Some(Some(k))` is `PushI k; Shl`, `None` keeps them.
+fn reduce(c: i64, op: Instr) -> Option<Option<i64>> {
+    match op {
+        Instr::Mul if c > 1 && (c & (c - 1)) == 0 => Some(Some(i64::from(c.trailing_zeros()))),
+        Instr::Mul | Instr::Div if c == 1 => Some(None),
+        Instr::Add | Instr::Sub | Instr::Shl | Instr::Shr if c == 0 => Some(None),
+        _ => None,
     }
 }
 
@@ -909,189 +948,125 @@ fn worth_caching(code: &[Instr], span: (usize, usize)) -> bool {
 /// availability table, so the capture dominates every reuse.
 fn cse_pass(code: &[Instr], leaders: &[bool], n_regs: &mut u16, p: &mut Patch) {
     let mut vns: FastMap<VnKey, u32> = FastMap::default();
-    let mut next_vn = 0u32;
-    let mut vn_of = |key: VnKey, vns: &mut FastMap<VnKey, u32>| -> u32 {
-        *vns.entry(key).or_insert_with(|| {
-            next_vn += 1;
-            next_vn
-        })
+    let mut vn_of = |key: VnKey| -> u32 {
+        let next = vns.len() as u32 + 1;
+        *vns.entry(key).or_insert(next)
     };
     let mut gen: FastMap<u16, u32> = FastMap::default();
     let mut avail: FastMap<u32, FirstOcc> = FastMap::default();
     let mut stack: Vec<SymVal> = Vec::new();
 
-    for (i, ins) in code.iter().enumerate() {
+    for (i, &ins) in code.iter().enumerate() {
         if leaders[i] {
             stack.clear();
             avail.clear();
         }
-        let produced: Option<SymVal> = match *ins {
-            Instr::PushI(c) => Some(SymVal {
-                vn: Some(vn_of(VnKey::ConstI(c), &mut vns)),
+        step(ins, &mut stack, SymVal::opaque(), |ops| {
+            let leaf = |vn| SymVal {
+                vn: Some(vn),
                 span: Some((i, i)),
-            }),
-            Instr::PushF(f) => Some(SymVal {
-                vn: Some(vn_of(VnKey::ConstF(f.to_bits()), &mut vns)),
-                span: Some((i, i)),
-            }),
-            Instr::LocalMemAddr(off) => Some(SymVal {
-                vn: Some(vn_of(VnKey::Mem(off), &mut vns)),
-                span: Some((i, i)),
-            }),
-            Instr::LocalGet(r) => Some(SymVal {
-                vn: Some(vn_of(VnKey::Reg(r, *gen.get(&r).unwrap_or(&0)), &mut vns)),
-                span: Some((i, i)),
-            }),
-            Instr::Neg | Instr::Not | Instr::BitNot | Instr::I2F | Instr::F2I => {
-                let a = stack.pop().unwrap_or_else(SymVal::opaque);
-                let vn = a.vn.map(|v| vn_of(VnKey::Un(ins.op(), v), &mut vns));
-                let span = a.span.filter(|&(_, e)| e + 1 == i).map(|(s, _)| (s, i));
-                Some(SymVal { vn, span })
-            }
-            Instr::Add
-            | Instr::Sub
-            | Instr::Mul
-            | Instr::Div
-            | Instr::Rem
-            | Instr::Shl
-            | Instr::Shr
-            | Instr::BitAnd
-            | Instr::BitOr
-            | Instr::BitXor
-            | Instr::CmpLt
-            | Instr::CmpLe
-            | Instr::CmpGt
-            | Instr::CmpGe
-            | Instr::CmpEq
-            | Instr::CmpNe => {
-                let b = stack.pop().unwrap_or_else(SymVal::opaque);
-                let a = stack.pop().unwrap_or_else(SymVal::opaque);
-                let vn = match (a.vn, b.vn) {
-                    (Some(x), Some(y)) => Some(vn_of(VnKey::Bin(ins.op(), x, y), &mut vns)),
-                    _ => None,
-                };
-                // Contiguous only when a's span, b's span and the op abut.
-                let span = match (a.span, b.span) {
-                    (Some((sa, ea)), Some((sb, eb))) if ea + 1 == sb && eb + 1 == i => {
-                        Some((sa, i))
+            };
+            let mut val = match ins {
+                Instr::PushI(c) => leaf(vn_of(VnKey::ConstI(c))),
+                Instr::PushF(f) => leaf(vn_of(VnKey::ConstF(f.to_bits()))),
+                Instr::LocalMemAddr(off) => leaf(vn_of(VnKey::Mem(off))),
+                Instr::LocalGet(r) => leaf(vn_of(VnKey::Reg(r, *gen.get(&r).unwrap_or(&0)))),
+                Instr::Neg | Instr::Not | Instr::BitNot | Instr::I2F | Instr::F2I => SymVal {
+                    vn: ops[0].vn.map(|v| vn_of(VnKey::Un(ins.op(), v))),
+                    span: ops[0]
+                        .span
+                        .filter(|&(_, e)| e + 1 == i)
+                        .map(|(s, _)| (s, i)),
+                },
+                Instr::Add
+                | Instr::Sub
+                | Instr::Mul
+                | Instr::Div
+                | Instr::Rem
+                | Instr::Shl
+                | Instr::Shr
+                | Instr::BitAnd
+                | Instr::BitOr
+                | Instr::BitXor
+                | Instr::CmpLt
+                | Instr::CmpLe
+                | Instr::CmpGt
+                | Instr::CmpGe
+                | Instr::CmpEq
+                | Instr::CmpNe => {
+                    let (a, b) = (ops[0], ops[1]);
+                    SymVal {
+                        vn: match (a.vn, b.vn) {
+                            (Some(x), Some(y)) => Some(vn_of(VnKey::Bin(ins.op(), x, y))),
+                            _ => None,
+                        },
+                        // Contiguous only when a's span, b's span and the
+                        // op abut.
+                        span: match (a.span, b.span) {
+                            (Some((sa, ea)), Some((sb, eb))) if ea + 1 == sb && eb + 1 == i => {
+                                Some((sa, i))
+                            }
+                            _ => None,
+                        },
                     }
-                    _ => None,
-                };
-                Some(SymVal { vn, span })
-            }
-            Instr::LocalSet(r) => {
-                stack.pop();
-                *gen.entry(r).or_insert(0) += 1;
-                None
-            }
-            Instr::Load(_) => {
-                stack.pop();
-                Some(SymVal::opaque())
-            }
-            Instr::Store(_, keep) => {
-                stack.pop();
-                stack.pop();
-                if keep {
-                    Some(SymVal::opaque())
-                } else {
-                    None
                 }
-            }
-            Instr::Dup => {
+                Instr::LocalSet(r) => {
+                    *gen.entry(r).or_insert(0) += 1;
+                    return SymVal::opaque();
+                }
                 // The copy shares the value but not the producing span —
                 // two entries must never both claim the same indices.
-                let top = stack.last().copied().unwrap_or_else(SymVal::opaque);
-                Some(SymVal {
-                    vn: top.vn,
-                    span: None,
-                })
-            }
-            Instr::Pop => {
-                stack.pop();
-                None
-            }
-            Instr::Swap => {
-                let b = stack.pop().unwrap_or_else(SymVal::opaque);
-                let a = stack.pop().unwrap_or_else(SymVal::opaque);
-                stack.push(b);
-                stack.push(a);
-                None
-            }
-            Instr::Rot3 => {
-                let c = stack.pop().unwrap_or_else(SymVal::opaque);
-                let b = stack.pop().unwrap_or_else(SymVal::opaque);
-                let a = stack.pop().unwrap_or_else(SymVal::opaque);
-                stack.push(b);
-                stack.push(c);
-                stack.push(a);
-                None
-            }
-            Instr::Jump(_) | Instr::Nop => None,
-            Instr::JumpIfZero(_) | Instr::JumpIfNotZero(_) => {
-                stack.pop();
-                None
-            }
-            Instr::Call(_, n) => {
-                for _ in 0..n {
-                    stack.pop();
-                }
-                Some(SymVal::opaque())
-            }
-            Instr::CallIntrinsic(_, n) => {
-                for _ in 0..n {
-                    stack.pop();
-                }
-                Some(SymVal::opaque())
-            }
-            Instr::Ret | Instr::RetVoid => {
-                stack.clear();
-                None
-            }
-        };
-        let Some(mut val) = produced else { continue };
-        // A completed pure expression worth caching: capture or reuse.
-        if let (Some(vn), Some(span)) = (val.vn, val.span) {
-            if span.1 == i && worth_caching(code, span) {
-                match avail.get_mut(&vn) {
-                    Some(first) => {
-                        let capture_ok = first.scratch.is_some()
-                            || (!p.is_set(first.span.1) && *n_regs < u16::MAX - 2);
-                        let range_free = (span.0..=span.1).all(|k| !p.is_set(k));
-                        if capture_ok && range_free {
-                            let scratch = match first.scratch {
-                                Some(s) => s,
-                                None => {
-                                    let s = *n_regs;
-                                    *n_regs += 1;
-                                    p.set(
-                                        first.span.1,
-                                        &[code[first.span.1], Instr::Dup, Instr::LocalSet(s)],
-                                    );
-                                    first.scratch = Some(s);
-                                    s
-                                }
-                            };
-                            for k in span.0..span.1 {
-                                p.set(k, &[]);
-                            }
-                            p.set(span.1, &[Instr::LocalGet(scratch)]);
-                            // The reuse site no longer owns its span.
-                            val.span = None;
-                        }
+                Instr::Dup => {
+                    return SymVal {
+                        vn: ops[0].vn,
+                        span: None,
                     }
+                }
+                _ => return SymVal::opaque(),
+            };
+            // A completed pure expression worth caching: capture or reuse.
+            let (Some(vn), Some(span)) = (val.vn, val.span) else {
+                return val;
+            };
+            if !worth_caching(code, span) {
+                return val;
+            }
+            let Some(first) = avail.get_mut(&vn) else {
+                avail.insert(
+                    vn,
+                    FirstOcc {
+                        span,
+                        scratch: None,
+                    },
+                );
+                return val;
+            };
+            let capture_ok =
+                first.scratch.is_some() || (!p.is_set(first.span.1) && *n_regs < u16::MAX - 2);
+            let range_free = (span.0..=span.1).all(|k| !p.is_set(k));
+            if capture_ok && range_free {
+                let scratch = match first.scratch {
+                    Some(s) => s,
                     None => {
-                        avail.insert(
-                            vn,
-                            FirstOcc {
-                                span,
-                                scratch: None,
-                            },
+                        let s = *n_regs;
+                        *n_regs += 1;
+                        p.set(
+                            first.span.1,
+                            &[code[first.span.1], Instr::Dup, Instr::LocalSet(s)],
                         );
+                        first.scratch = Some(s);
+                        s
                     }
+                };
+                for k in span.0..span.1 {
+                    p.set(k, &[]);
                 }
+                p.set(span.1, &[Instr::LocalGet(scratch)]);
+                // The reuse site no longer owns its span.
+                val.span = None;
             }
-        }
-        stack.push(val);
+            val
+        });
     }
 }
 
@@ -1103,6 +1078,16 @@ fn cse_pass(code: &[Instr], leaders: &[bool], n_regs: &mut u16, p: &mut Patch) {
 enum Tag {
     Addr(u32),
     Other,
+}
+
+/// The tag [`step`] pushes for `ins` over operands `ops`: a frame address
+/// is one until something computes with it; `Dup` copies it.
+fn tag_of(ins: Instr, ops: &[Tag]) -> Tag {
+    match ins {
+        Instr::LocalMemAddr(off) => Tag::Addr(off),
+        Instr::Dup => ops[0],
+        _ => Tag::Other,
+    }
 }
 
 /// The frame variable covering `offset` (last match wins, mirroring
@@ -1120,115 +1105,38 @@ pub(crate) fn var_at(frame_vars: &[FrameVar], offset: u32) -> Option<&FrameVar> 
 /// indexing), a register store (pointer locals), a call argument
 /// (`&x` handed to another function or to `pthread_create`), a stored
 /// *value* (a pointer written to memory, visible to other threads), or
-/// surviving to a block boundary. Only non-escaping variables are
-/// eligible for load forwarding: no other thread can possibly hold
-/// their address.
+/// surviving to a block boundary or a return. Only non-escaping
+/// variables are eligible for load forwarding: no other thread can
+/// possibly hold their address.
 fn escaped_vars(code: &[Instr], leaders: &[bool], frame_vars: &[FrameVar]) -> Vec<u32> {
     let mut escaped: Vec<u32> = Vec::new();
-    let mark = |escaped: &mut Vec<u32>, off: u32| {
-        let key = var_at(frame_vars, off).map_or(off, |v| v.offset);
-        if !escaped.contains(&key) {
-            escaped.push(key);
+    let mut mark = |t: Tag| {
+        if let Tag::Addr(off) = t {
+            let key = var_at(frame_vars, off).map_or(off, |v| v.offset);
+            if !escaped.contains(&key) {
+                escaped.push(key);
+            }
         }
     };
     let mut stack: Vec<Tag> = Vec::new();
-    let flush = |stack: &mut Vec<Tag>, escaped: &mut Vec<u32>| {
-        for t in stack.drain(..) {
-            if let Tag::Addr(off) = t {
-                mark(escaped, off);
-            }
+    for (i, &ins) in code.iter().enumerate() {
+        // Entries alive across a block boundary or a return lose tracking.
+        if leaders[i] || matches!(ins, Instr::Ret | Instr::RetVoid) {
+            stack.drain(..).for_each(&mut mark);
         }
-    };
-    for (i, ins) in code.iter().enumerate() {
-        if leaders[i] {
-            // Entries alive across a block boundary lose tracking.
-            flush(&mut stack, &mut escaped);
-        }
-        let pop = |stack: &mut Vec<Tag>| stack.pop().unwrap_or(Tag::Other);
-        let consume = |stack: &mut Vec<Tag>, escaped: &mut Vec<u32>| {
-            if let Tag::Addr(off) = pop(stack) {
-                mark(escaped, off);
-            }
-        };
-        match *ins {
-            Instr::LocalMemAddr(off) => stack.push(Tag::Addr(off)),
-            Instr::PushI(_) | Instr::PushF(_) | Instr::LocalGet(_) => stack.push(Tag::Other),
-            Instr::Load(_) => {
-                pop(&mut stack); // address slot of a direct load: fine
-                stack.push(Tag::Other);
-            }
-            Instr::Store(_, keep) => {
-                // A frame address stored *as the value* escapes.
-                consume(&mut stack, &mut escaped);
-                pop(&mut stack); // address slot of a direct store: fine
-                if keep {
-                    stack.push(Tag::Other);
-                }
-            }
-            Instr::Dup => {
-                let t = stack.last().copied().unwrap_or(Tag::Other);
-                stack.push(t);
-            }
-            Instr::Pop => {
-                pop(&mut stack);
-            }
-            Instr::Swap => {
-                let b = pop(&mut stack);
-                let a = pop(&mut stack);
-                stack.push(b);
-                stack.push(a);
-            }
-            Instr::Rot3 => {
-                let c = pop(&mut stack);
-                let b = pop(&mut stack);
-                let a = pop(&mut stack);
-                stack.push(b);
-                stack.push(c);
-                stack.push(a);
-            }
-            Instr::LocalSet(_) => consume(&mut stack, &mut escaped),
-            Instr::Add
-            | Instr::Sub
-            | Instr::Mul
-            | Instr::Div
-            | Instr::Rem
-            | Instr::Shl
-            | Instr::Shr
-            | Instr::BitAnd
-            | Instr::BitOr
-            | Instr::BitXor
-            | Instr::CmpLt
-            | Instr::CmpLe
-            | Instr::CmpGt
-            | Instr::CmpGe
-            | Instr::CmpEq
-            | Instr::CmpNe => {
-                consume(&mut stack, &mut escaped);
-                consume(&mut stack, &mut escaped);
-                stack.push(Tag::Other);
-            }
-            Instr::Neg | Instr::Not | Instr::BitNot | Instr::I2F | Instr::F2I => {
-                consume(&mut stack, &mut escaped);
-                stack.push(Tag::Other);
-            }
-            Instr::Jump(_) | Instr::Nop => {}
-            Instr::JumpIfZero(_) | Instr::JumpIfNotZero(_) => {
-                consume(&mut stack, &mut escaped);
-            }
-            Instr::Call(_, n) | Instr::CallIntrinsic(_, n) => {
-                for _ in 0..n {
-                    consume(&mut stack, &mut escaped);
-                }
-                stack.push(Tag::Other);
-            }
-            Instr::Ret => {
-                consume(&mut stack, &mut escaped);
-                flush(&mut stack, &mut escaped);
-            }
-            Instr::RetVoid => flush(&mut stack, &mut escaped),
-        }
+        step(ins, &mut stack, Tag::Other, |ops| {
+            let consumed = match ins {
+                // A direct access's address slot, a copy and a discard
+                // do not let an address out.
+                Instr::Load(_) | Instr::Dup | Instr::Pop => &[][..],
+                Instr::Store(..) => &ops[1..],
+                _ => ops,
+            };
+            consumed.iter().copied().for_each(&mut mark);
+            tag_of(ins, ops)
+        });
     }
-    flush(&mut stack, &mut escaped);
+    stack.drain(..).for_each(&mut mark);
     escaped
 }
 
@@ -1264,18 +1172,26 @@ fn forward_loads_pass(
     n_regs: &mut u16,
     p: &mut Patch,
 ) {
+    // The escape analysis is what the pass costs; a function that never
+    // loads a frame slot directly has nothing to forward.
+    if !code
+        .windows(2)
+        .any(|w| matches!(w, [Instr::LocalMemAddr(_), Instr::Load(_)]))
+    {
+        return;
+    }
     let escaped = escaped_vars(code, leaders, frame_vars);
     let var_key = |off: u32| var_at(frame_vars, off).map_or(off, |v| v.offset);
     // (slot offset, kind discriminator) → live occurrence.
     let mut avail: FastMap<(u32, crate::value::MemKind), LoadOcc> = FastMap::default();
     let mut stack: Vec<Tag> = Vec::new();
-    for (i, ins) in code.iter().enumerate() {
+    for (i, &ins) in code.iter().enumerate() {
         if leaders[i] {
             stack.clear();
             avail.clear();
         }
         // Candidate pattern: LocalMemAddr(off) at i, Load(kind) at i+1.
-        if let Instr::LocalMemAddr(off) = *ins {
+        if let Instr::LocalMemAddr(off) = ins {
             if let Some(Instr::Load(kind)) = code.get(i + 1).copied() {
                 let eligible = !leaders[i + 1]
                     && !escaped.contains(&var_key(off))
@@ -1316,108 +1232,22 @@ fn forward_loads_pass(
                 }
             }
         }
-        // Kills, tracked over the same tag stack as the escape scan.
-        match *ins {
-            Instr::Store(_, _) => {
-                // Peek the address slot (below the value) before the
-                // generic simulation pops it.
-                let addr = stack
-                    .len()
-                    .checked_sub(2)
-                    .and_then(|k| stack.get(k))
-                    .copied()
-                    .unwrap_or(Tag::Other);
-                match addr {
+        // Kills: a store by its address operand, calls and sync points.
+        step(ins, &mut stack, Tag::Other, |ops| {
+            match ins {
+                Instr::Store(..) => match ops[0] {
                     Tag::Addr(off) => {
                         let key = var_key(off);
                         avail.retain(|&(o, _), _| var_key(o) != key);
                     }
                     Tag::Other => avail.clear(),
-                }
+                },
+                Instr::Call(..) => avail.clear(),
+                Instr::CallIntrinsic(intr, _) if !intr.is_pure() => avail.clear(),
+                _ => {}
             }
-            Instr::Call(..) => avail.clear(),
-            Instr::CallIntrinsic(intr, _) if !intr.is_pure() => avail.clear(),
-            _ => {}
-        }
-        sim_tags(*ins, &mut stack);
-    }
-}
-
-/// Tag-stack simulation shared by the forwarding scan (escape analysis
-/// runs its own copy because it also marks consumers).
-fn sim_tags(ins: Instr, stack: &mut Vec<Tag>) {
-    let pop = |stack: &mut Vec<Tag>| stack.pop().unwrap_or(Tag::Other);
-    match ins {
-        Instr::LocalMemAddr(off) => stack.push(Tag::Addr(off)),
-        Instr::PushI(_) | Instr::PushF(_) | Instr::LocalGet(_) => stack.push(Tag::Other),
-        Instr::Load(_) => {
-            pop(stack);
-            stack.push(Tag::Other);
-        }
-        Instr::Store(_, keep) => {
-            pop(stack);
-            pop(stack);
-            if keep {
-                stack.push(Tag::Other);
-            }
-        }
-        Instr::Dup => {
-            let t = stack.last().copied().unwrap_or(Tag::Other);
-            stack.push(t);
-        }
-        Instr::Pop | Instr::LocalSet(_) | Instr::JumpIfZero(_) | Instr::JumpIfNotZero(_) => {
-            pop(stack);
-        }
-        Instr::Swap => {
-            let b = pop(stack);
-            let a = pop(stack);
-            stack.push(b);
-            stack.push(a);
-        }
-        Instr::Rot3 => {
-            let c = pop(stack);
-            let b = pop(stack);
-            let a = pop(stack);
-            stack.push(b);
-            stack.push(c);
-            stack.push(a);
-        }
-        Instr::Neg | Instr::Not | Instr::BitNot | Instr::I2F | Instr::F2I => {
-            pop(stack);
-            stack.push(Tag::Other);
-        }
-        Instr::Add
-        | Instr::Sub
-        | Instr::Mul
-        | Instr::Div
-        | Instr::Rem
-        | Instr::Shl
-        | Instr::Shr
-        | Instr::BitAnd
-        | Instr::BitOr
-        | Instr::BitXor
-        | Instr::CmpLt
-        | Instr::CmpLe
-        | Instr::CmpGt
-        | Instr::CmpGe
-        | Instr::CmpEq
-        | Instr::CmpNe => {
-            pop(stack);
-            pop(stack);
-            stack.push(Tag::Other);
-        }
-        Instr::Jump(_) | Instr::Nop => {}
-        Instr::Call(_, n) | Instr::CallIntrinsic(_, n) => {
-            for _ in 0..n {
-                pop(stack);
-            }
-            stack.push(Tag::Other);
-        }
-        Instr::Ret => {
-            pop(stack);
-            stack.clear();
-        }
-        Instr::RetVoid => stack.clear(),
+            tag_of(ins, ops)
+        });
     }
 }
 
@@ -2156,6 +1986,128 @@ int main() {
         let twice = optimize(&once, OptLevel::O2);
         for (a, b) in once.funcs.iter().zip(twice.funcs.iter()) {
             assert_eq!(a.code, b.code, "second optimize must be a no-op");
+        }
+    }
+
+    // ------------------------------------------------ the abstract stack --
+
+    /// `step` over `stack` with an `eval` that records its operands and
+    /// returns 9; 0 stands for a missing operand.
+    fn step_u8(ins: Instr, stack: &[u8]) -> (Vec<u8>, Vec<u8>) {
+        let mut stack = stack.to_vec();
+        let mut operands = Vec::new();
+        step(ins, &mut stack, 0, |ops| {
+            operands = ops.to_vec();
+            9
+        });
+        (stack, operands)
+    }
+
+    #[test]
+    fn step_shapes_the_stack_where_a_plain_pop_and_push_would_not() {
+        // Operands pushed before a jump target are missing, and they are
+        // the deepest: `Swap` over one entry, `Rot3` over two, `Dup` over
+        // none.
+        assert_eq!(step_u8(Instr::Swap, &[1]), (vec![1, 0], vec![]));
+        assert_eq!(step_u8(Instr::Rot3, &[1, 2]), (vec![1, 2, 0], vec![]));
+        assert_eq!(step_u8(Instr::Dup, &[]), (vec![0, 9], vec![0]));
+        assert_eq!(step_u8(Instr::Sub, &[1]), (vec![9], vec![0, 1]));
+        assert_eq!(step_u8(Instr::Swap, &[1, 2, 3]), (vec![1, 3, 2], vec![]));
+        assert_eq!(step_u8(Instr::Rot3, &[1, 2, 3]), (vec![2, 3, 1], vec![]));
+        assert_eq!(step_u8(Instr::Dup, &[1, 2]), (vec![1, 2, 9], vec![2]));
+        // A store hands over address then value; only `keep` pushes.
+        let kept = Instr::Store(MemKind::F64, true);
+        assert_eq!(step_u8(kept, &[5, 1, 2]), (vec![5, 9], vec![1, 2]));
+        let dropped = Instr::Store(MemKind::F64, false);
+        assert_eq!(step_u8(dropped, &[5, 1, 2]), (vec![5], vec![1, 2]));
+        // The type scan's `eval` re-pushes the stored value's type.
+        let mut types = vec![Ty::Int, Ty::Float];
+        sim_types(kept, &mut types, &[]);
+        assert_eq!(types, vec![Ty::Float]);
+        // A return empties the stack.
+        assert_eq!(step_u8(Instr::Ret, &[1, 2, 3]), (vec![], vec![3]));
+        assert_eq!(step_u8(Instr::RetVoid, &[1, 2]), (vec![], vec![]));
+        // A call takes its arguments, deepest first, and pushes a result.
+        assert_eq!(
+            step_u8(Instr::Call(0, 3), &[7, 1, 2, 3]),
+            (vec![7, 9], vec![1, 2, 3])
+        );
+    }
+
+    /// One instruction of each opcode, or `None` where it transfers
+    /// control. A jump to the next instruction does not.
+    fn sample(op: Op) -> Option<Instr> {
+        let next = 5; // after four pushes and the sample itself
+        Some(match op {
+            Op::PushI => Instr::PushI(8),
+            Op::PushF => Instr::PushF(0.5),
+            Op::LocalGet => Instr::LocalGet(0),
+            Op::LocalSet => Instr::LocalSet(0),
+            Op::LocalMemAddr => Instr::LocalMemAddr(0),
+            Op::Load => Instr::Load(MemKind::I32),
+            Op::Store => Instr::Store(MemKind::I32, true),
+            Op::Dup => Instr::Dup,
+            Op::Pop => Instr::Pop,
+            Op::Swap => Instr::Swap,
+            Op::Rot3 => Instr::Rot3,
+            Op::Add => Instr::Add,
+            Op::Sub => Instr::Sub,
+            Op::Mul => Instr::Mul,
+            Op::Div => Instr::Div,
+            Op::Rem => Instr::Rem,
+            Op::Shl => Instr::Shl,
+            Op::Shr => Instr::Shr,
+            Op::BitAnd => Instr::BitAnd,
+            Op::BitOr => Instr::BitOr,
+            Op::BitXor => Instr::BitXor,
+            Op::Neg => Instr::Neg,
+            Op::Not => Instr::Not,
+            Op::BitNot => Instr::BitNot,
+            Op::CmpLt => Instr::CmpLt,
+            Op::CmpLe => Instr::CmpLe,
+            Op::CmpGt => Instr::CmpGt,
+            Op::CmpGe => Instr::CmpGe,
+            Op::CmpEq => Instr::CmpEq,
+            Op::CmpNe => Instr::CmpNe,
+            Op::I2F => Instr::I2F,
+            Op::F2I => Instr::F2I,
+            Op::Jump => Instr::Jump(next),
+            Op::JumpIfZero => Instr::JumpIfZero(next),
+            Op::JumpIfNotZero => Instr::JumpIfNotZero(next),
+            Op::CallIntrinsic => Instr::CallIntrinsic(Intrinsic::Printf, 2),
+            Op::Nop => Instr::Nop,
+            Op::Call | Op::Ret | Op::RetVoid => return None,
+        })
+    }
+
+    #[test]
+    fn step_moves_the_stack_as_the_reference_interpreter_does() {
+        let mut program = compile_src("int main() { int a; a = 1; return a; }");
+        let entry = program.entry as usize;
+        for op in Op::ALL {
+            let Some(ins) = sample(op) else { continue };
+            // Four operands, the sample, then a syscall that takes none:
+            // the VM stops there with the sample's stack.
+            let mut code = vec![Instr::PushI(8); 4];
+            code.extend([ins, Instr::CallIntrinsic(Intrinsic::RcceUe, 0)]);
+            program.funcs[entry].code = code;
+            let mut vm = Vm::new(&program, program.entry, vec![], STACKS_BASE);
+            loop {
+                match vm.run_until_event_matched(&program).expect("runs") {
+                    StepOutcome::Load { .. } => vm.provide_load(Value::I(1)),
+                    StepOutcome::Store { .. } => vm.store_done(),
+                    StepOutcome::Syscall {
+                        intrinsic: Intrinsic::RcceUe,
+                        ..
+                    } => break,
+                    StepOutcome::Syscall { .. } => vm.syscall_return(Value::I(0)),
+                    StepOutcome::Ran { .. } => {}
+                    StepOutcome::Finished { .. } => panic!("{ins:?}: returned"),
+                }
+            }
+            let mut stack = vec![0u8; 4];
+            step(ins, &mut stack, 0, |_| 0);
+            assert_eq!(stack.len(), vm.stack_depth(), "{ins:?}");
         }
     }
 }

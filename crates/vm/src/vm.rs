@@ -986,6 +986,14 @@ mod tests {
     use crate::data::ByteMemory;
     use hsm_cir::parse;
 
+    impl Vm {
+        /// Values on the operand stack (the optimizer's stack-effect test
+        /// holds `opt::step` against it).
+        pub(crate) fn stack_depth(&self) -> usize {
+            self.stack.len()
+        }
+    }
+
     /// A tiny single-threaded harness: resolves loads/stores against one
     /// ByteMemory, fails on syscalls. Returns (exit value, total cycles).
     fn run(src: &str) -> (Value, u64) {
