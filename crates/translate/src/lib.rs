@@ -2,9 +2,10 @@
 //!
 //! Converts a well-defined Pthread program into a multi-process RCCE
 //! program executable on the (simulated) Intel SCC, implementing
-//! Algorithms 4–10 of the paper on top of a CETUS-style pass framework
-//! (a driver that runs fourteen passes in a fixed order, then checks once
-//! that the IR they leave prints to text that re-parses).
+//! Algorithms 4–10 of the paper as an ordered list of eleven passes, each a
+//! plain function over the unit; after the last one, the IR they leave is
+//! checked once to print to text that re-parses. Every pthread call is
+//! converted through one table or refused as an unsupported construct.
 //!
 //! The translation reproduces Example Code 4.2 from Example Code 4.1:
 //! threads become processes keyed by `RCCE_ue()`, shared globals become
@@ -29,7 +30,7 @@
 //! "#)?;
 //! assert!(rcce.contains("RCCE_init"));
 //! assert!(rcce.contains("RCCE_barrier"));
-//! assert!(!rcce.contains("pthread_create"));
+//! assert!(!rcce.contains("pthread"));
 //! # Ok(())
 //! # }
 //! ```
@@ -44,7 +45,7 @@ mod rewrite;
 
 pub use error::TranslateError;
 
-use pass::{Driver, PassContext};
+use pass::{Pass, PassContext};
 
 use hsm_analysis::ProgramAnalysis;
 use hsm_cir::{parse, TranslationUnit};
@@ -116,24 +117,21 @@ impl Translation {
     }
 }
 
-/// Builds the standard Algorithm 4–10 pipeline.
-fn standard_driver() -> Driver {
-    Driver::new()
-        .add(passes::IncludesPass)
-        .add(passes::MutexPass)
-        .add(passes::BarrierPass)
-        .add(passes::MainConvPass)
-        .add(passes::SharedDataPass)
-        .add(passes::CoreIdPass)
-        .add(passes::GuardSharedInitPass)
-        .add(passes::ThreadsToProcsPass)
-        .add(passes::JoinsPass)
-        .add(passes::SelfPass)
-        .add(passes::RemoveTypesPass)
-        .add(passes::RemoveApiPass)
-        .add(passes::UnusedLocalsPass)
-        .add(passes::DropPrivateGlobalsPass)
-}
+/// The Algorithm 4–10 pipeline: each pass with its name, in the order
+/// they run (DESIGN.md §3).
+const PASSES: [(&str, Pass); 11] = [
+    ("includes", passes::includes),
+    ("main-conversion", passes::main_conversion),
+    ("shared-data", passes::shared_data),
+    ("core-id", passes::core_id),
+    ("guard-shared-init", passes::guard_shared_init),
+    ("threads-to-processes", passes::threads_to_processes),
+    ("joins-to-barriers", passes::joins_to_barriers),
+    ("remove-pthread-types", passes::remove_pthread_types),
+    ("pthread-calls", passes::pthread_calls),
+    ("remove-unused-locals", passes::remove_unused_locals),
+    ("drop-private-globals", passes::drop_private_globals),
+];
 
 /// Translates a parsed pthread program with explicit options.
 ///
@@ -168,7 +166,7 @@ pub fn translate_with_plan(
     options: TranslateOptions,
 ) -> Result<Translation, TranslateError> {
     let mut ctx = PassContext::new(tu.clone(), analysis, plan, options);
-    let source = standard_driver().run(&mut ctx, tu)?;
+    let source = pass::run(&PASSES, &mut ctx, tu)?;
     Ok(Translation {
         unit: ctx.unit,
         analysis: Arc::clone(analysis),

@@ -1,13 +1,14 @@
-//! The pass framework: the Rust analogue of CETUS's `AnalysisPass` /
-//! `TransformPass` / `Driver` classes (§5.3 of the paper).
+//! How Stage 5 runs its passes. The paper builds them on CETUS's
+//! `TransformPass` / `Driver` classes (§5.3); none of them keeps state, so
+//! here a pass is a plain function ([`Pass`]) and the pipeline an ordered
+//! list of them.
 //!
-//! Each framework component is a [`TransformPass`]; the [`Driver`] brings
-//! the passes together, executes them in series and checks the result
-//! once: the IR the last pass leaves must print to text that re-parses
-//! (the self-consistency guarantee the paper attributes to the CETUS base
-//! classes, which check after every pass). Only when that check fails
-//! does the driver replay the pipeline with the check after every pass,
-//! to name the first pass that broke the IR.
+//! [`run`] executes the passes in series and checks the result once: the
+//! IR the last pass leaves must print to text that re-parses (the
+//! self-consistency guarantee the paper attributes to the CETUS base
+//! classes, which check after every pass). Only when that check fails does
+//! it replay the pipeline with the check after every pass, to name the
+//! first pass that broke the IR.
 
 use crate::error::TranslateError;
 use hsm_analysis::ProgramAnalysis;
@@ -58,90 +59,60 @@ impl<'a> PassContext<'a> {
     }
 }
 
-/// A single transformation over the IR.
+/// One Stage 5 pass: a transformation over the IR in [`PassContext`].
 ///
 /// A pass must be re-runnable: when the pipeline's output fails its
-/// consistency check, [`Driver::run`] runs every pass a second time over
-/// a fresh [`PassContext`], so `run` must depend on the context it is
-/// handed and not on what an earlier call left in `self`.
-pub(crate) trait TransformPass {
-    /// Human-readable pass name (for errors and tracing).
-    fn name(&self) -> &'static str;
+/// consistency check, [`run`] runs every pass a second time over a fresh
+/// [`PassContext`], so a pass may depend only on the context it is handed.
+///
+/// A pass returns a [`TranslateError`] when the input program uses
+/// constructs it cannot translate.
+pub(crate) type Pass = fn(&mut PassContext<'_>) -> Result<(), TranslateError>;
 
-    /// Applies the transformation.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TranslateError`] when the input program uses constructs
-    /// the pass cannot translate.
-    fn run(&mut self, ctx: &mut PassContext<'_>) -> Result<(), TranslateError>;
-}
-
-/// Executes passes in series and checks the IR they leave behind.
-#[derive(Default)]
-pub(crate) struct Driver {
-    passes: Vec<Box<dyn TransformPass>>,
-}
-
-impl Driver {
-    /// Creates an empty driver.
-    pub(crate) fn new() -> Self {
-        Driver::default()
+/// Runs `passes` in order, then prints the unit once and re-parses that
+/// text once; the checked text is returned, so no caller has to print the
+/// unit again. `original` is the unit `ctx` held on entry.
+///
+/// A final IR that fails to re-parse means a pass corrupted it. The
+/// passes are then replayed over a context rebuilt ([`PassContext::new`])
+/// from a copy of `original`, with the check after every pass, and the
+/// pipeline aborts with an internal error naming the first pass whose
+/// output does not re-parse. An intermediate IR that a later pass repairs
+/// is not an error.
+///
+/// # Errors
+///
+/// Propagates pass errors and reports IR corruption.
+pub(crate) fn run(
+    passes: &[(&'static str, Pass)],
+    ctx: &mut PassContext<'_>,
+    original: &TranslationUnit,
+) -> Result<String, TranslateError> {
+    for (_, pass) in passes {
+        pass(ctx)?;
     }
-
-    /// Appends a pass to the pipeline.
-    #[allow(clippy::should_implement_trait)] // builder-style, not ops::Add
-    pub(crate) fn add(mut self, pass: impl TransformPass + 'static) -> Self {
-        self.passes.push(Box::new(pass));
-        self
-    }
-
-    /// Runs every pass in order, then prints the unit once and re-parses
-    /// that text once; the checked text is returned, so no caller has to
-    /// print the unit again. `original` is the unit `ctx` held on entry.
-    ///
-    /// A final IR that fails to re-parse means a pass corrupted it. The
-    /// passes are then replayed over a context rebuilt
-    /// ([`PassContext::new`]) from a copy of `original`, with the check
-    /// after every pass, and the pipeline aborts with an internal error
-    /// naming the first pass whose output does not re-parse. An
-    /// intermediate IR that a later pass repairs is not an error.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pass errors and reports IR corruption.
-    pub(crate) fn run(
-        &mut self,
-        ctx: &mut PassContext<'_>,
-        original: &TranslationUnit,
-    ) -> Result<String, TranslateError> {
-        for pass in &mut self.passes {
-            pass.run(ctx)?;
+    let printed = print_unit(&ctx.unit);
+    let Err(final_error) = parse(&printed) else {
+        return Ok(printed);
+    };
+    let mut replay = PassContext::new(
+        original.clone(),
+        ctx.analysis,
+        ctx.plan,
+        ctx.options.clone(),
+    );
+    for (name, pass) in passes {
+        pass(&mut replay)?;
+        if let Err(e) = parse(&print_unit(&replay.unit)) {
+            return Err(TranslateError::internal(format!(
+                "pass `{name}` produced an inconsistent IR: {e}"
+            )));
         }
-        let printed = print_unit(&ctx.unit);
-        let Err(final_error) = parse(&printed) else {
-            return Ok(printed);
-        };
-        let mut replay = PassContext::new(
-            original.clone(),
-            ctx.analysis,
-            ctx.plan,
-            ctx.options.clone(),
-        );
-        for pass in &mut self.passes {
-            pass.run(&mut replay)?;
-            if let Err(e) = parse(&print_unit(&replay.unit)) {
-                return Err(TranslateError::internal(format!(
-                    "pass `{}` produced an inconsistent IR: {e}",
-                    pass.name()
-                )));
-            }
-        }
-        // Only a pass that is not re-runnable gets here.
-        Err(TranslateError::internal(format!(
-            "the pass pipeline produced an inconsistent IR: {final_error}"
-        )))
     }
+    // Only a pass that is not re-runnable gets here.
+    Err(TranslateError::internal(format!(
+        "the pass pipeline produced an inconsistent IR: {final_error}"
+    )))
 }
 
 #[cfg(test)]
@@ -149,50 +120,18 @@ mod tests {
     use super::*;
     use hsm_partition::{MemorySpec, Policy};
 
-    struct Renamer;
-    impl TransformPass for Renamer {
-        fn name(&self) -> &'static str {
-            "renamer"
+    /// Renames function `from` to `to`.
+    fn rename(ctx: &mut PassContext<'_>, from: &str, to: &str) -> Result<(), TranslateError> {
+        if let Some(f) = ctx.unit.function_mut(from) {
+            f.name = to.to_string();
         }
-        fn run(&mut self, ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
-            if let Some(f) = ctx.unit.function_mut("main") {
-                f.name = "entry".to_string();
-            }
-            Ok(())
-        }
+        Ok(())
     }
 
-    struct Corruptor;
-    impl TransformPass for Corruptor {
-        fn name(&self) -> &'static str {
-            "corruptor"
-        }
-        fn run(&mut self, ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
-            if let Some(f) = ctx.unit.function_mut("entry") {
-                // An identifier with a space cannot re-lex: corruption.
-                f.name = "bad name".to_string();
-            }
-            Ok(())
-        }
-    }
+    const RENAMER: (&str, Pass) = ("renamer", |ctx| rename(ctx, "main", "entry"));
 
-    /// Renames function `from` to `to`, under pass name `pass`.
-    struct Rename {
-        pass: &'static str,
-        from: &'static str,
-        to: &'static str,
-    }
-    impl TransformPass for Rename {
-        fn name(&self) -> &'static str {
-            self.pass
-        }
-        fn run(&mut self, ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
-            if let Some(f) = ctx.unit.function_mut(self.from) {
-                f.name = self.to.to_string();
-            }
-            Ok(())
-        }
-    }
+    // An identifier with a space cannot re-lex: corruption.
+    const CORRUPTOR: (&str, Pass) = ("corruptor", |ctx| rename(ctx, "entry", "bad name"));
 
     fn ctx_fixture(src: &str) -> (ProgramAnalysis, PartitionPlan, TranslationUnit) {
         let tu = parse(src).unwrap();
@@ -206,8 +145,7 @@ mod tests {
     fn driver_runs_passes_in_order() {
         let (analysis, plan, tu) = ctx_fixture("int main() { return 0; }");
         let mut ctx = PassContext::new(tu.clone(), &analysis, &plan, Default::default());
-        let mut driver = Driver::new().add(Renamer);
-        driver.run(&mut ctx, &tu).expect("pipeline");
+        run(&[RENAMER], &mut ctx, &tu).expect("pipeline");
         assert!(ctx.unit.function("entry").is_some());
     }
 
@@ -215,8 +153,7 @@ mod tests {
     fn driver_detects_ir_corruption() {
         let (analysis, plan, tu) = ctx_fixture("int main() { return 0; }");
         let mut ctx = PassContext::new(tu.clone(), &analysis, &plan, Default::default());
-        let mut driver = Driver::new().add(Renamer).add(Corruptor);
-        let err = driver.run(&mut ctx, &tu).unwrap_err();
+        let err = run(&[RENAMER, CORRUPTOR], &mut ctx, &tu).unwrap_err();
         assert!(err.to_string().contains("corruptor"), "{err}");
         assert!(err.to_string().contains("inconsistent IR"), "{err}");
     }
@@ -225,12 +162,12 @@ mod tests {
     fn the_first_of_two_corrupting_passes_is_named() {
         let (analysis, plan, tu) = ctx_fixture("int main() { return 0; }");
         let mut ctx = PassContext::new(tu.clone(), &analysis, &plan, Default::default());
-        let mut driver = Driver::new().add(Renamer).add(Corruptor).add(Rename {
-            pass: "second offender",
-            from: "bad name",
-            to: "worse name",
+        let second: (&str, Pass) = ("second offender", |ctx| {
+            rename(ctx, "bad name", "worse name")
         });
-        let err = driver.run(&mut ctx, &tu).unwrap_err().to_string();
+        let err = run(&[RENAMER, CORRUPTOR, second], &mut ctx, &tu)
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("pass `corruptor`"), "{err}");
         assert!(!err.contains("second offender"), "{err}");
     }
@@ -242,13 +179,8 @@ mod tests {
     fn a_repaired_intermediate_ir_is_not_an_error() {
         let (analysis, plan, tu) = ctx_fixture("int main() { return 0; }");
         let mut ctx = PassContext::new(tu.clone(), &analysis, &plan, Default::default());
-        let mut driver = Driver::new().add(Renamer).add(Corruptor).add(Rename {
-            pass: "repairer",
-            from: "bad name",
-            to: "entry",
-        });
-        let printed = driver
-            .run(&mut ctx, &tu)
+        let repairer: (&str, Pass) = ("repairer", |ctx| rename(ctx, "bad name", "entry"));
+        let printed = run(&[RENAMER, CORRUPTOR, repairer], &mut ctx, &tu)
             .expect("the final IR is consistent");
         assert_eq!(printed, print_unit(&ctx.unit));
         assert!(parse(&printed).unwrap().function("entry").is_some());

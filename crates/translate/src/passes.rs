@@ -1,233 +1,104 @@
-//! The Stage 5 transformation passes (Algorithms 4–10 of the paper).
+//! The Stage 5 passes (Algorithms 4–10 of the paper), each a plain
+//! function over the [`PassContext`].
 //!
-//! Pipeline order (see [`crate::standard_driver`]):
+//! Pipeline order (see `PASSES` in `lib.rs`):
 //!
-//! 1. [`IncludesPass`] — `<pthread.h>` → `"RCCE.h"`.
-//! 2. [`MutexPass`] — pthread mutexes → RCCE test-and-set locks.
-//! 3. [`MainConvPass`] — `main` → `RCCE_APP`, insert `RCCE_init` /
+//! 1. [`includes`] — `<pthread.h>` → `"RCCE.h"`.
+//! 2. [`main_conversion`] — `main` → `RCCE_APP`, insert `RCCE_init` /
 //!    `RCCE_finalize` (Algorithms 9 and 10).
-//! 4. [`SharedDataPass`] — shared globals become pointers allocated with
+//! 3. [`shared_data`] — shared globals become pointers allocated with
 //!    `RCCE_shmalloc` (off-chip) or `RCCE_malloc` (on-chip MPB) per the
 //!    Stage 4 plan, their non-zero initial values stored after the
 //!    allocations.
-//! 5. [`CoreIdPass`] — insert `int myID; myID = RCCE_ue();`.
-//! 6. [`ThreadsToProcsPass`] — Algorithm 4: `pthread_create` launches become
-//!    direct worker calls keyed by core id.
-//! 7. [`JoinsPass`] — Algorithm 5: join loops become `RCCE_barrier`.
-//! 8. [`SelfPass`] — Algorithm 6: `pthread_self()` → `RCCE_ue()` (plus
-//!    `wtime()` → `RCCE_wtime()` for the benchmark timing protocol).
-//! 9. [`RemoveTypesPass`] — Algorithm 7: drop pthread-typed declarations.
-//! 10. [`RemoveApiPass`] — Algorithm 8: drop remaining `pthread_*` calls.
-//! 11. [`UnusedLocalsPass`] — drop locals orphaned by the conversion.
-//! 12. [`DropPrivateGlobalsPass`] — drop private, entirely-unused globals.
+//! 4. [`core_id`] — insert `int myID; myID = RCCE_ue();`.
+//! 5. [`guard_shared_init`] — confine pre-launch stores into shared memory
+//!    to core 0.
+//! 6. [`threads_to_processes`] — Algorithm 4: `pthread_create` launches
+//!    become direct worker calls keyed by core id.
+//! 7. [`joins_to_barriers`] — Algorithm 5: joins become `RCCE_barrier`.
+//! 8. [`remove_pthread_types`] — Algorithm 7: drop pthread-typed
+//!    declarations.
+//! 9. [`pthread_calls`] — Algorithms 6 and 8 and the synchronization
+//!    calls: every other pthread call is converted through one table,
+//!    [`PTHREAD_CALLS`], or refused.
+//! 10. [`remove_unused_locals`] — drop locals orphaned by the conversion.
+//! 11. [`drop_private_globals`] — drop private, entirely-unused globals.
 
 use crate::error::TranslateError;
-use crate::pass::{PassContext, TransformPass};
+use crate::pass::PassContext;
 use crate::rewrite::*;
 use hsm_analysis::trip_count;
 use hsm_cir::CType;
 use hsm_cir::{
-    AssignOp, BinaryOp, Expr, ExprKind, ForInit, Item, NodeId, Param, Stmt, StmtKind,
-    TranslationUnit, UnaryOp, VarDecl,
+    AssignOp, BinaryOp, Expr, ExprKind, ForInit, Item, Param, Stmt, StmtKind, TranslationUnit,
+    UnaryOp, VarDecl,
 };
 use hsm_partition::Placement;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 // ------------------------------------------------------------------ 1 ----
 
 /// Rewrites the include list: pthread headers out, `RCCE.h` in.
-pub(crate) struct IncludesPass;
-
-impl TransformPass for IncludesPass {
-    fn name(&self) -> &'static str {
-        "includes"
-    }
-
-    fn run(&mut self, ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
-        let mut saw_rcce = false;
-        ctx.unit.preproc.retain(|line| {
-            if line.contains("pthread.h") {
-                false
-            } else {
-                saw_rcce |= line.contains("RCCE.h");
-                true
-            }
-        });
-        if !saw_rcce {
-            ctx.unit.preproc.push("include \"RCCE.h\"".to_string());
+pub(crate) fn includes(ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
+    let mut saw_rcce = false;
+    ctx.unit.preproc.retain(|line| {
+        if line.contains("pthread.h") {
+            false
+        } else {
+            saw_rcce |= line.contains("RCCE.h");
+            true
         }
-        Ok(())
+    });
+    if !saw_rcce {
+        ctx.unit.preproc.push("include \"RCCE.h\"".to_string());
     }
+    Ok(())
 }
 
 // ------------------------------------------------------------------ 2 ----
-
-/// Converts pthread mutexes to RCCE test-and-set locks: each mutex variable
-/// is assigned a lock id; `pthread_mutex_lock(&m)` becomes
-/// `RCCE_acquire_lock(id)` and unlock becomes `RCCE_release_lock(id)`.
-pub(crate) struct MutexPass;
-
-impl TransformPass for MutexPass {
-    fn name(&self) -> &'static str {
-        "mutex"
-    }
-
-    fn run(&mut self, ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
-        // Assign ids to every pthread_mutex_t variable, in symbol order.
-        let ids: BTreeMap<&str, usize> = ctx
-            .analysis
-            .scope
-            .variables
-            .iter()
-            .filter(|v| matches!(&v.ty, CType::Named(n) if n == "pthread_mutex_t"))
-            .enumerate()
-            .map(|(i, v)| (v.key.name.as_str(), i))
-            .collect();
-        if ids.is_empty() {
-            return Ok(());
-        }
-        walk_unit_mut(&mut ctx.unit, &mut |e| {
-            convert_mutex_expr(e, &ids);
-            true
-        });
-        Ok(())
-    }
-}
-
-/// Converts `pthread_barrier_wait(&b)` into
-/// `RCCE_barrier(&RCCE_COMM_WORLD)` — the only barrier the target
-/// architecture offers spans all UEs. `pthread_barrier_init`/`destroy`
-/// statements are removed later by [`RemoveApiPass`].
-pub(crate) struct BarrierPass;
-
-impl TransformPass for BarrierPass {
-    fn name(&self) -> &'static str {
-        "pthread-barriers"
-    }
-
-    fn run(&mut self, ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
-        walk_unit_mut(&mut ctx.unit, &mut |e| {
-            convert_barrier_expr(e);
-            true
-        });
-        Ok(())
-    }
-}
-
-fn convert_barrier_expr(e: &mut Expr) {
-    if e.call_target() != Some("pthread_barrier_wait") {
-        return;
-    }
-    let ExprKind::Call(callee, args) = &mut e.kind else {
-        return;
-    };
-    let ExprKind::Ident(name) = &mut callee.kind else {
-        return;
-    };
-    *name = "RCCE_barrier".to_string();
-    let (id, span) = args
-        .first()
-        .map(|a| (a.id, a.span))
-        .unwrap_or((NodeId(u32::MAX), hsm_cir::Span::default()));
-    let comm = Expr {
-        id,
-        kind: ExprKind::Ident("RCCE_COMM_WORLD".to_string()),
-        span,
-    };
-    *args = vec![Expr {
-        id,
-        kind: ExprKind::Unary(UnaryOp::Addr, Box::new(comm)),
-        span,
-    }];
-}
-
-/// Rewrites `pthread_mutex_lock(&m)` / `pthread_mutex_unlock(&m)` in place
-/// into `RCCE_acquire_lock(id)` / `RCCE_release_lock(id)`.
-fn convert_mutex_expr(e: &mut Expr, ids: &BTreeMap<&str, usize>) {
-    let which = match e.call_target() {
-        Some("pthread_mutex_lock") => "RCCE_acquire_lock",
-        Some("pthread_mutex_unlock") => "RCCE_release_lock",
-        _ => return,
-    };
-    let ExprKind::Call(callee, args) = &mut e.kind else {
-        return;
-    };
-    let Some(&id) = args
-        .first()
-        .map(|a| a.peel_casts())
-        .and_then(|a| match &a.kind {
-            // `&m` — the common form.
-            ExprKind::Unary(UnaryOp::Addr, inner) => inner.base_variable(),
-            _ => a.base_variable(),
-        })
-        .and_then(|mutex| ids.get(mutex))
-    else {
-        return;
-    };
-    if let ExprKind::Ident(name) = &mut callee.kind {
-        *name = which.to_string();
-    }
-    let arg_id = args[0].id;
-    let arg_span = args[0].span;
-    *args = vec![Expr {
-        id: arg_id,
-        kind: ExprKind::IntLit(id as i64),
-        span: arg_span,
-    }];
-}
-
-// ------------------------------------------------------------------ 3 ----
 
 /// Algorithm 9 + 10 + the `RCCE_APP` renaming: `main` becomes
 /// `int RCCE_APP(int *argc, char *argv[])`, `RCCE_init(&argc, &argv)` is
 /// inserted as the first statement and `RCCE_finalize()` just before the
 /// final return.
-pub(crate) struct MainConvPass;
+pub(crate) fn main_conversion(ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
+    let Some(_) = ctx.unit.function("main") else {
+        return Err(TranslateError::unsupported("program has no main function"));
+    };
+    let mut b = Builder::new(&mut ctx.unit);
+    let argc = b.ident("argc");
+    let argc_addr = b.addr_of(argc);
+    let argv = b.ident("argv");
+    let argv_addr = b.addr_of(argv);
+    let init = b.call("RCCE_init", vec![argc_addr, argv_addr]);
+    let init_stmt = b.expr_stmt(init);
+    let fin = b.call("RCCE_finalize", vec![]);
+    let fin_stmt = b.expr_stmt(fin);
 
-impl TransformPass for MainConvPass {
-    fn name(&self) -> &'static str {
-        "main-conversion"
-    }
-
-    fn run(&mut self, ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
-        let Some(_) = ctx.unit.function("main") else {
-            return Err(TranslateError::unsupported("program has no main function"));
-        };
-        let mut b = Builder::new(&mut ctx.unit);
-        let argc = b.ident("argc");
-        let argc_addr = b.addr_of(argc);
-        let argv = b.ident("argv");
-        let argv_addr = b.addr_of(argv);
-        let init = b.call("RCCE_init", vec![argc_addr, argv_addr]);
-        let init_stmt = b.expr_stmt(init);
-        let fin = b.call("RCCE_finalize", vec![]);
-        let fin_stmt = b.expr_stmt(fin);
-
-        let main = ctx.unit.function_mut("main").expect("checked above");
-        main.name = "RCCE_APP".to_string();
-        main.params = vec![
-            Param {
-                name: "argc".to_string(),
-                ty: CType::Int.ptr_to(),
-            },
-            Param {
-                name: "argv".to_string(),
-                ty: CType::Char.ptr_to().ptr_to(),
-            },
-        ];
-        main.body.insert(0, init_stmt);
-        // Insert finalize before the trailing return (or at the end).
-        let pos = main
-            .body
-            .iter()
-            .rposition(|s| matches!(s.kind, StmtKind::Return(_)))
-            .unwrap_or(main.body.len());
-        main.body.insert(pos, fin_stmt);
-        Ok(())
-    }
+    let main = ctx.unit.function_mut("main").expect("checked above");
+    main.name = "RCCE_APP".to_string();
+    main.params = vec![
+        Param {
+            name: "argc".to_string(),
+            ty: CType::Int.ptr_to(),
+        },
+        Param {
+            name: "argv".to_string(),
+            ty: CType::Char.ptr_to().ptr_to(),
+        },
+    ];
+    main.body.insert(0, init_stmt);
+    // Insert finalize before the trailing return (or at the end).
+    let pos = main
+        .body
+        .iter()
+        .rposition(|s| matches!(s.kind, StmtKind::Return(_)))
+        .unwrap_or(main.body.len());
+    main.body.insert(pos, fin_stmt);
+    Ok(())
 }
 
-// ------------------------------------------------------------------ 4 ----
+// ------------------------------------------------------------------ 3 ----
 
 /// Rewrites shared globals per the Stage 4 plan: array and scalar globals
 /// become pointers allocated from shared memory in `RCCE_APP`
@@ -236,129 +107,116 @@ impl TransformPass for MainConvPass {
 /// The allocation replaces the global's static initializer, and fresh
 /// shared memory reads as zero. A non-zero initial value is therefore
 /// stored after the allocations, in one block that
-/// [`GuardSharedInitPass`] later confines to core 0 before the launch
+/// [`guard_shared_init`] later confines to core 0 before the launch
 /// barrier; an all-zero initializer is dropped. An initializer that is not
 /// a constant the pass can store element by element (the address of a
 /// global, say) is an unsupported construct.
-pub(crate) struct SharedDataPass;
+pub(crate) fn shared_data(ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
+    // Work over globals in the plan, in plan order so the shmalloc
+    // statements appear deterministically.
+    let planned: Vec<(String, Placement)> = ctx
+        .plan
+        .placements
+        .iter()
+        .map(|p| (p.var.name.clone(), p.placement))
+        .collect();
 
-impl SharedDataPass {
-    fn alloc_fn(placement: Placement) -> &'static str {
-        match placement {
-            Placement::OnChip => "RCCE_malloc",
-            Placement::OffChip => "RCCE_shmalloc",
-        }
-    }
-}
+    let mut alloc_stmts: Vec<Stmt> = Vec::new();
+    let mut init_stmts: Vec<Stmt> = Vec::new();
+    for (name, placement) in planned {
+        // Only globals get declarations rewritten; shared locals (like
+        // `tmp` in Example 4.1) keep their storage — their sharing is
+        // realized through the pointer that exposes them.
+        let Some(info) = ctx
+            .analysis
+            .scope
+            .variable(&hsm_analysis::VarKey::global(name.clone()))
+        else {
+            continue;
+        };
+        let (elem_ty, count) = match &info.ty {
+            CType::Array(inner, len) => ((**inner).clone(), len.unwrap_or(1)),
+            CType::Pointer(inner) => ((**inner).clone(), 1),
+            scalar => (scalar.clone(), 1),
+        };
+        let was_scalar = !info.ty.is_array() && !info.ty.is_pointer();
 
-impl TransformPass for SharedDataPass {
-    fn name(&self) -> &'static str {
-        "shared-data"
-    }
-
-    fn run(&mut self, ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
-        // Work over globals in the plan, in plan order so the shmalloc
-        // statements appear deterministically.
-        let planned: Vec<(String, Placement)> = ctx
-            .plan
-            .placements
-            .iter()
-            .map(|p| (p.var.name.clone(), p.placement))
-            .collect();
-
-        let mut alloc_stmts: Vec<Stmt> = Vec::new();
-        let mut init_stmts: Vec<Stmt> = Vec::new();
-        for (name, placement) in planned {
-            // Only globals get declarations rewritten; shared locals (like
-            // `tmp` in Example 4.1) keep their storage — their sharing is
-            // realized through the pointer that exposes them.
-            let Some(info) = ctx
-                .analysis
-                .scope
-                .variable(&hsm_analysis::VarKey::global(name.clone()))
-            else {
-                continue;
-            };
-            let (elem_ty, count) = match &info.ty {
-                CType::Array(inner, len) => ((**inner).clone(), len.unwrap_or(1)),
-                CType::Pointer(inner) => ((**inner).clone(), 1),
-                scalar => (scalar.clone(), 1),
-            };
-            let was_scalar = !info.ty.is_array() && !info.ty.is_pointer();
-
-            // 1. Rewrite the declaration to `T *name;` (drop initializer —
-            //    the previous "malloc call"/static init is removed, per
-            //    Algorithm 3 lines 8–10; step 4 stores what it held).
-            let mut init = None;
-            for item in &mut ctx.unit.items {
-                if let Item::Decl(d) = item {
-                    for v in &mut d.vars {
-                        if v.name == name {
-                            v.ty = elem_ty.clone().ptr_to();
-                            init = v.init.take().or(init);
-                        }
+        // 1. Rewrite the declaration to `T *name;` (drop initializer —
+        //    the previous "malloc call"/static init is removed, per
+        //    Algorithm 3 lines 8–10; step 4 stores what it held).
+        let mut init = None;
+        for item in &mut ctx.unit.items {
+            if let Item::Decl(d) = item {
+                for v in &mut d.vars {
+                    if v.name == name {
+                        v.ty = elem_ty.clone().ptr_to();
+                        init = v.init.take().or(init);
                     }
                 }
             }
-
-            // 2. Scalars: rewrite every use `name` → `(*name)`.
-            if was_scalar {
-                deref_rewrite(&mut ctx.unit, &name);
-            }
-
-            // 3. Build `name = (T *)ALLOC(sizeof(T) * count);`
-            let mut b = Builder::new(&mut ctx.unit);
-            let sizeof = b.sizeof(elem_ty.clone());
-            let n = b.int(count as i64);
-            let bytes = b.binary(BinaryOp::Mul, sizeof, n);
-            let call = b.call(Self::alloc_fn(placement), vec![bytes]);
-            let cast = b.cast(elem_ty.ptr_to(), call);
-            let lhs = b.ident(&name);
-            let assign = b.assign(lhs, cast);
-            alloc_stmts.push(b.expr_stmt(assign));
-
-            // 4. `*name = v;` or `name[i] = v;` per non-zero initial value.
-            let Some(init) = init.filter(|init| !is_zero_init(init)) else {
-                continue;
-            };
-            if info.ty.is_pointer() {
-                return Err(TranslateError::unsupported(format!(
-                    "the initializer of shared pointer `{name}` cannot be kept: \
-                     its global becomes the pointer to its shared copy"
-                )));
-            }
-            let target = if was_scalar {
-                let ident = b.ident(&name);
-                b.deref(ident)
-            } else {
-                b.ident(&name)
-            };
-            initial_stores(&mut b, target, &info.ty, init, &mut init_stmts).map_err(|()| {
-                TranslateError::unsupported(format!(
-                    "the initializer of shared global `{name}` is not a constant \
-                     that can be stored element by element"
-                ))
-            })?;
-        }
-        if !init_stmts.is_empty() {
-            let mut b = Builder::new(&mut ctx.unit);
-            alloc_stmts.push(b.block(init_stmts));
         }
 
-        // Insert the allocation statements right after RCCE_init.
-        if let Some(main) = ctx.unit.function_mut("RCCE_APP") {
-            let pos = main
-                .body
-                .iter()
-                .position(|s| stmt_contains_call(s, "RCCE_init"))
-                .map(|i| i + 1)
-                .unwrap_or(0);
-            for (i, s) in alloc_stmts.into_iter().enumerate() {
-                main.body.insert(pos + i, s);
-            }
+        // 2. Scalars: rewrite every use `name` → `(*name)`.
+        if was_scalar {
+            deref_rewrite(&mut ctx.unit, &name);
         }
-        Ok(())
+
+        // 3. Build `name = (T *)ALLOC(sizeof(T) * count);`
+        let mut b = Builder::new(&mut ctx.unit);
+        let sizeof = b.sizeof(elem_ty.clone());
+        let n = b.int(count as i64);
+        let bytes = b.binary(BinaryOp::Mul, sizeof, n);
+        let alloc = match placement {
+            Placement::OnChip => "RCCE_malloc",
+            Placement::OffChip => "RCCE_shmalloc",
+        };
+        let call = b.call(alloc, vec![bytes]);
+        let cast = b.cast(elem_ty.ptr_to(), call);
+        let lhs = b.ident(&name);
+        let assign = b.assign(lhs, cast);
+        alloc_stmts.push(b.expr_stmt(assign));
+
+        // 4. `*name = v;` or `name[i] = v;` per non-zero initial value.
+        let Some(init) = init.filter(|init| !is_zero_init(init)) else {
+            continue;
+        };
+        if info.ty.is_pointer() {
+            return Err(TranslateError::unsupported(format!(
+                "the initializer of shared pointer `{name}` cannot be kept: \
+                 its global becomes the pointer to its shared copy"
+            )));
+        }
+        let target = if was_scalar {
+            let ident = b.ident(&name);
+            b.deref(ident)
+        } else {
+            b.ident(&name)
+        };
+        initial_stores(&mut b, target, &info.ty, init, &mut init_stmts).map_err(|()| {
+            TranslateError::unsupported(format!(
+                "the initializer of shared global `{name}` is not a constant \
+                 that can be stored element by element"
+            ))
+        })?;
     }
+    if !init_stmts.is_empty() {
+        let mut b = Builder::new(&mut ctx.unit);
+        alloc_stmts.push(b.block(init_stmts));
+    }
+
+    // Insert the allocation statements right after RCCE_init.
+    if let Some(main) = ctx.unit.function_mut("RCCE_APP") {
+        let pos = main
+            .body
+            .iter()
+            .position(|s| stmt_contains_call(s, "RCCE_init"))
+            .map(|i| i + 1)
+            .unwrap_or(0);
+        for (i, s) in alloc_stmts.into_iter().enumerate() {
+            main.body.insert(pos + i, s);
+        }
+    }
+    Ok(())
 }
 
 /// Whether an initializer leaves its object all zero: zero literals
@@ -452,49 +310,41 @@ fn deref_rewrite(unit: &mut TranslationUnit, name: &str) {
     });
 }
 
-// ------------------------------------------------------------------ 5 ----
+// ------------------------------------------------------------------ 4 ----
 
 /// Inserts `int myID; myID = RCCE_ue();` after the allocation block.
-pub(crate) struct CoreIdPass;
+pub(crate) fn core_id(ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
+    let var = ctx.core_id_var.clone();
+    let mut b = Builder::new(&mut ctx.unit);
+    let decl = b.decl_stmt(&var, CType::Int);
+    let lhs = b.ident(&var);
+    let call = b.call("RCCE_ue", vec![]);
+    let assign = b.assign(lhs, call);
+    let assign_stmt = b.expr_stmt(assign);
 
-impl TransformPass for CoreIdPass {
-    fn name(&self) -> &'static str {
-        "core-id"
-    }
-
-    fn run(&mut self, ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
-        let var = ctx.core_id_var.clone();
-        let mut b = Builder::new(&mut ctx.unit);
-        let decl = b.decl_stmt(&var, CType::Int);
-        let lhs = b.ident(&var);
-        let call = b.call("RCCE_ue", vec![]);
-        let assign = b.assign(lhs, call);
-        let assign_stmt = b.expr_stmt(assign);
-
-        let Some(main) = ctx.unit.function_mut("RCCE_APP") else {
-            return Err(TranslateError::internal("RCCE_APP missing (pass order)"));
-        };
-        // After the last allocation call, else after RCCE_init, else at top.
-        let pos = main
-            .body
-            .iter()
-            .rposition(|s| {
-                stmt_contains_call(s, "RCCE_shmalloc") || stmt_contains_call(s, "RCCE_malloc")
-            })
-            .or_else(|| {
-                main.body
-                    .iter()
-                    .position(|s| stmt_contains_call(s, "RCCE_init"))
-            })
-            .map(|i| i + 1)
-            .unwrap_or(0);
-        main.body.insert(pos, decl);
-        main.body.insert(pos + 1, assign_stmt);
-        Ok(())
-    }
+    let Some(main) = ctx.unit.function_mut("RCCE_APP") else {
+        return Err(TranslateError::internal("RCCE_APP missing (pass order)"));
+    };
+    // After the last allocation call, else after RCCE_init, else at top.
+    let pos = main
+        .body
+        .iter()
+        .rposition(|s| {
+            stmt_contains_call(s, "RCCE_shmalloc") || stmt_contains_call(s, "RCCE_malloc")
+        })
+        .or_else(|| {
+            main.body
+                .iter()
+                .position(|s| stmt_contains_call(s, "RCCE_init"))
+        })
+        .map(|i| i + 1)
+        .unwrap_or(0);
+    main.body.insert(pos, decl);
+    main.body.insert(pos + 1, assign_stmt);
+    Ok(())
 }
 
-// ----------------------------------------------------------------- 5b ----
+// ------------------------------------------------------------------ 5 ----
 
 /// Guards pre-launch writes to shared memory with `if (myID == 0)`.
 ///
@@ -507,72 +357,54 @@ impl TransformPass for CoreIdPass {
 /// point (writes to per-core variables, including the shared-pointer cells
 /// themselves, still run everywhere), and the barrier inserted before the
 /// worker call publishes the initialized data to all cores.
-pub(crate) struct GuardSharedInitPass;
-
-impl TransformPass for GuardSharedInitPass {
-    fn name(&self) -> &'static str {
-        "guard-shared-init"
-    }
-
-    fn run(&mut self, ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
-        let core_var = ctx.core_id_var.clone();
-        let shared: std::collections::BTreeSet<String> = ctx
-            .plan
-            .placements
+pub(crate) fn guard_shared_init(ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
+    let core_var = ctx.core_id_var.clone();
+    let shared: BTreeSet<String> = ctx
+        .plan
+        .placements
+        .iter()
+        .map(|p| p.var.name.clone())
+        .collect();
+    // Only `main` launches threads (`threads_to_processes` refuses the
+    // rest), and `main_conversion` has renamed it.
+    let mut unit = std::mem::take(&mut ctx.unit);
+    if let Some(main) = unit.function_mut("RCCE_APP") {
+        let body = std::mem::take(&mut main.body);
+        let launch_at = body
             .iter()
-            .map(|p| p.var.name.clone())
-            .collect();
-        let launch_fns: std::collections::BTreeSet<String> = ctx
-            .analysis
-            .threads
-            .launches
-            .iter()
-            .map(|l| l.in_function.clone())
-            .collect();
-        let mut unit = std::mem::take(&mut ctx.unit);
-        for fname in launch_fns {
-            // `main` was already renamed by MainConvPass.
-            let fname = if fname == "main" && unit.function(&fname).is_none() {
-                "RCCE_APP".to_string()
+            .position(|s| count_calls(s, Conversion::Launch) > 0)
+            .unwrap_or(0);
+        let mut guarded = Vec::with_capacity(body.len());
+        for (i, stmt) in body.into_iter().enumerate() {
+            if i < launch_at && stmt_writes_shared_memory(&stmt, &shared) {
+                let mut b = Builder::new(&mut unit);
+                guarded.push(b.guard(&core_var, BinaryOp::Eq, 0, vec![stmt]));
             } else {
-                fname
-            };
-            let Some(f) = unit.function_mut(&fname) else {
-                continue;
-            };
-            let mut body = std::mem::take(&mut f.body);
-            let launch_at = body
-                .iter()
-                .position(|s| stmt_contains_call(s, "pthread_create"))
-                .unwrap_or(body.len());
-            let mut new_body: Vec<Stmt> = Vec::with_capacity(body.len());
-            for (i, stmt) in body.drain(..).enumerate() {
-                if i < launch_at && stmt_writes_shared_memory(&stmt, &shared) {
-                    let guarded = guard_with_core_zero(&mut unit, &core_var, stmt);
-                    new_body.push(guarded);
-                } else {
-                    new_body.push(stmt);
-                }
+                guarded.push(stmt);
             }
-            unit.function_mut(&fname).expect("function exists").body = new_body;
         }
-        ctx.unit = unit;
-        Ok(())
+        unit.function_mut("RCCE_APP").expect("function exists").body = guarded;
+    }
+    ctx.unit = unit;
+    Ok(())
+}
+
+/// What an assignment or increment writes: its destination operand.
+fn write_target(e: &Expr) -> Option<&Expr> {
+    match &e.kind {
+        ExprKind::Assign(_, lhs, _) => Some(lhs),
+        ExprKind::PostIncDec(inner, _) => Some(inner),
+        ExprKind::Unary(UnaryOp::PreInc | UnaryOp::PreDec, inner) => Some(inner),
+        _ => None,
     }
 }
 
 /// Whether a statement stores through a shared pointer/array (an `Index`
 /// or `Deref` destination whose base variable is in the shared set).
-fn stmt_writes_shared_memory(s: &Stmt, shared: &std::collections::BTreeSet<String>) -> bool {
+fn stmt_writes_shared_memory(s: &Stmt, shared: &BTreeSet<String>) -> bool {
     let mut found = false;
     hsm_cir::walk_exprs_in_stmt(s, &mut |e| {
-        let dest = match &e.kind {
-            ExprKind::Assign(_, lhs, _) => Some(lhs.as_ref()),
-            ExprKind::PostIncDec(inner, _) => Some(inner.as_ref()),
-            ExprKind::Unary(UnaryOp::PreInc | UnaryOp::PreDec, inner) => Some(inner.as_ref()),
-            _ => None,
-        };
-        if let Some(dest) = dest {
+        if let Some(dest) = write_target(e) {
             let indirect = matches!(
                 dest.peel_casts().kind,
                 ExprKind::Index(..) | ExprKind::Unary(UnaryOp::Deref, _)
@@ -589,30 +421,6 @@ fn stmt_writes_shared_memory(s: &Stmt, shared: &std::collections::BTreeSet<Strin
     found
 }
 
-/// Wraps `stmt` in `if (myID == 0) { stmt }`.
-fn guard_with_core_zero(unit: &mut TranslationUnit, core_var: &str, stmt: Stmt) -> Stmt {
-    let mut b = Builder::new(unit);
-    let lhs = b.ident(core_var);
-    let zero = b.int(0);
-    let cond = b.binary(BinaryOp::Eq, lhs, zero);
-    let block_id = unit.fresh_id();
-    let if_id = unit.fresh_id();
-    let span = stmt.span;
-    Stmt {
-        id: if_id,
-        kind: StmtKind::If(
-            cond,
-            Box::new(Stmt {
-                id: block_id,
-                kind: StmtKind::Block(vec![stmt]),
-                span,
-            }),
-            None,
-        ),
-        span,
-    }
-}
-
 // ------------------------------------------------------------------ 6 ----
 
 /// Algorithm 4 — Threads to Processes.
@@ -626,195 +434,134 @@ fn guard_with_core_zero(unit: &mut TranslationUnit, core_var: &str, stmt: Stmt) 
 ///   thread-specific tasks).
 ///
 /// Statements that shared the launch loop are hoisted out with the loop
-/// induction variable rewritten to the core id.
+/// induction variable rewritten to the core id ([`convert_loop`]).
 ///
 /// A launch is a statement of its own, `pthread_create(..);` or
 /// `rc = pthread_create(..);`, directly in a function body or in a `for`
 /// loop's body. A `pthread_create` anywhere else (under an `if`, in a
 /// `switch` or `while`, in a nested block or a condition) is refused as an
 /// unsupported construct.
-pub(crate) struct ThreadsToProcsPass;
-
-impl TransformPass for ThreadsToProcsPass {
-    fn name(&self) -> &'static str {
-        "threads-to-processes"
+pub(crate) fn threads_to_processes(ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
+    let core_var = ctx.core_id_var.clone();
+    let cores = ctx.options.cores;
+    // The paper's hash table of thread-specific tasks: worker name →
+    // the core that runs its launch outside a loop.
+    let mut core_bound = BTreeMap::new();
+    let single = ctx.analysis.threads.launches.iter().filter(|l| !l.in_loop);
+    for (k, l) in single.enumerate() {
+        core_bound.insert(l.entry.as_str(), k);
     }
 
-    fn run(&mut self, ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
-        let core_var = ctx.core_id_var.clone();
-        // The paper's hash table of thread-specific tasks: worker name →
-        // the core that runs its launch outside a loop.
-        let mut core_bound = BTreeMap::new();
-        let single = ctx.analysis.threads.launches.iter().filter(|l| !l.in_loop);
-        for (k, l) in single.enumerate() {
-            core_bound.insert(l.entry.as_str(), k);
-        }
-
-        let fn_names: Vec<String> = ctx.unit.functions().map(|f| f.name.clone()).collect();
-        let mut unit = std::mem::take(&mut ctx.unit);
-        for fname in fn_names {
-            let mut body = std::mem::take(&mut unit.function_mut(&fname).unwrap().body);
-            let mut new_body = Vec::with_capacity(body.len());
-            for stmt in body.drain(..) {
-                let mut launches = 0;
-                hsm_cir::walk_exprs_in_stmt(&stmt, &mut |e| {
-                    launches += usize::from(e.call_target() == Some("pthread_create"));
-                });
-                if launches == 0 {
-                    new_body.push(stmt);
-                    continue;
-                }
-                let converted;
-                match stmt.kind {
-                    // Launch loop: replace the whole loop.
-                    StmtKind::For(init, cond, step, loop_body) => {
-                        let ivar = for_induction_var(&init);
-                        // §7.2 many-to-one mapping: when the loop launches
-                        // more threads than the target has cores, each
-                        // core runs the worker for every folded thread id
-                        // congruent to its own.
-                        let trips = trip_count(init.as_ref(), cond.as_ref(), step.as_ref());
-                        let fold = match trips {
-                            Some(t) if (t as usize) > ctx.options.cores => Some(t as usize),
-                            _ => None,
-                        };
-                        if fold.is_some() {
-                            ctx.fold_total = fold;
-                        }
-                        // The dual of folding: with more cores than
-                        // threads, the surplus cores must not run the
-                        // worker at all (they would compute out-of-range
-                        // thread ids and trample shared data). Guard the
-                        // worker region with `if (myID < total)`.
-                        let guard = match trips {
-                            Some(t) if (t as usize) < ctx.options.cores => Some(t as usize),
-                            _ => None,
-                        };
-                        if guard.is_some() {
-                            ctx.guard_total = guard;
-                        }
-                        let mut emitted_calls = Vec::new();
-                        let mut hoisted = Vec::new();
-                        let inner: Vec<Stmt> = match loop_body.kind {
-                            StmtKind::Block(stmts) => stmts,
-                            other => vec![Stmt {
-                                id: loop_body.id,
-                                kind: other,
-                                span: loop_body.span,
-                            }],
-                        };
-                        let fold_var = "foldID";
-                        let call_id_var: &str = if fold.is_some() { fold_var } else { &core_var };
-                        for mut inner_stmt in inner {
-                            // A launch statement becomes the worker call;
-                            // any other statement that launches is left
-                            // unconverted, and so refused below.
-                            if let Some(call) = launch_call(&inner_stmt) {
-                                emitted_calls.push(build_worker_call(
-                                    &mut unit,
-                                    &call,
-                                    call_id_var,
-                                    ivar.as_deref(),
-                                ));
-                            } else if !stmt_contains_call(&inner_stmt, "pthread_create") {
-                                if let Some(iv) = &ivar {
-                                    subst_ident_stmt(&mut inner_stmt, iv, call_id_var);
-                                }
-                                hoisted.push(inner_stmt);
-                            }
-                        }
-                        converted = emitted_calls.len();
-                        if let Some(total) = fold {
-                            emitted_calls = vec![fold_loop(
-                                &mut unit,
-                                fold_var,
-                                &core_var,
-                                total,
-                                ctx.options.cores,
-                                emitted_calls,
-                            )];
-                            if !hoisted.is_empty() {
-                                hoisted = vec![fold_loop(
-                                    &mut unit,
-                                    fold_var,
-                                    &core_var,
-                                    total,
-                                    ctx.options.cores,
-                                    hoisted,
-                                )];
-                            }
-                        } else if let Some(total) = guard {
-                            if !emitted_calls.is_empty() {
-                                let mut b = Builder::new(&mut unit);
-                                emitted_calls =
-                                    vec![b.lt_guard(&core_var, total as i64, emitted_calls)];
-                            }
-                            if !hoisted.is_empty() {
-                                let mut b = Builder::new(&mut unit);
-                                hoisted = vec![b.lt_guard(&core_var, total as i64, hoisted)];
-                            }
-                        }
-                        // In the pthread original, main finished everything
-                        // before this loop (data initialization included)
-                        // before any thread ran. Each core re-executes that
-                        // prologue and may write *shared* data, so a barrier
-                        // must separate initialization from work. It goes
-                        // before any immediately-preceding `wtime()`
-                        // timestamps so the measured region still covers
-                        // only the parallel section (§5.2's protocol).
-                        if !emitted_calls.is_empty() {
-                            let barrier = barrier_stmt(&mut unit);
-                            let mut at = new_body.len();
-                            while at > 0 && is_wtime_stmt(&new_body[at - 1]) {
-                                at -= 1;
-                            }
-                            new_body.insert(at, barrier);
-                        }
-                        new_body.extend(emitted_calls);
-                        new_body.extend(hoisted);
-                    }
-                    // Single launch statement outside a loop.
-                    _ => {
-                        let call = launch_call(&stmt);
-                        converted = usize::from(call.is_some());
-                        if let Some(call) = call {
-                            new_body.push(barrier_stmt(&mut unit));
-                            let worker_call = build_worker_call(&mut unit, &call, &core_var, None);
-                            // Guard thread-specific single launches.
-                            if let Some(&k) = core_bound.get(call.entry.as_str()) {
-                                let StmtKind::Expr(Some(call_expr)) = worker_call.kind else {
-                                    unreachable!("build_worker_call returns expr stmt");
-                                };
-                                let mut b = Builder::new(&mut unit);
-                                let guarded = b.guarded_call(&core_var, k as i64, call_expr);
-                                new_body.push(guarded);
-                            } else {
-                                new_body.push(worker_call);
-                            }
-                        }
-                    }
-                }
-                if converted != launches {
-                    let function = if fname == "RCCE_APP" { "main" } else { &fname };
-                    return Err(TranslateError::unsupported(format!(
-                        "a `pthread_create` in `{function}` is not a launch the translator \
-                         converts: a launch is a statement of its own (`pthread_create(..);` \
-                         or `rc = pthread_create(..);`) in the function body or directly in \
-                         a `for` loop's body"
-                    )));
-                }
+    let mut unit = std::mem::take(&mut ctx.unit);
+    for fname in function_names(&unit) {
+        let body = std::mem::take(&mut unit.function_mut(&fname).unwrap().body);
+        let mut new_body = Vec::with_capacity(body.len());
+        for stmt in body {
+            let launches = count_calls(&stmt, Conversion::Launch);
+            if launches == 0 {
+                new_body.push(stmt);
+                continue;
             }
-            unit.function_mut(&fname).unwrap().body = new_body;
+            if fname != "RCCE_APP" {
+                // The core id that keys a worker call exists only there.
+                return Err(TranslateError::unsupported(format!(
+                    "a `{}` in `{fname}` is not a launch the translator converts: only \
+                     `main` launches threads",
+                    api_name(Conversion::Launch)
+                )));
+            }
+            let single = launch_call(&stmt);
+            let converted = match stmt.kind {
+                StmtKind::For(init, cond, step, loop_body) => {
+                    let trips =
+                        trip_count(init.as_ref(), cond.as_ref(), step.as_ref()).map(|t| t as usize);
+                    // §7.2 many-to-one mapping: when the loop launches more
+                    // threads than the target has cores, each core runs the
+                    // worker for every folded thread id congruent to its own.
+                    let fold = trips.filter(|&t| t > cores);
+                    // The dual of folding: with more cores than threads, the
+                    // surplus cores must not run the worker at all (they
+                    // would compute out-of-range thread ids and trample
+                    // shared data). Guard the worker region with
+                    // `if (myID < total)`.
+                    let guard = trips.filter(|&t| t < cores);
+                    ctx.fold_total = fold.or(ctx.fold_total);
+                    ctx.guard_total = guard.or(ctx.guard_total);
+                    let launch_loop = convert_loop(
+                        ctx,
+                        &mut unit,
+                        (&fname, Conversion::Launch),
+                        (&init, *loop_body),
+                        (fold, guard),
+                        |unit, s, id_var, ivar| {
+                            let call = launch_call(s)?;
+                            let worker = worker_call(unit, &call, id_var, ivar);
+                            Some(vec![Builder::new(unit).expr_stmt(worker)])
+                        },
+                    )?;
+                    // In the pthread original, main finished everything
+                    // before this loop (data initialization included) before
+                    // any thread ran. Each core re-executes that prologue and
+                    // may write *shared* data, so a barrier must separate
+                    // initialization from work. It goes before any
+                    // immediately-preceding `wtime()` timestamps so the
+                    // measured region still covers only the parallel section
+                    // (§5.2's protocol).
+                    if !launch_loop.calls.is_empty() {
+                        let barrier = barrier_stmt(&mut unit);
+                        let mut at = new_body.len();
+                        while at > 0 && is_wtime_stmt(&new_body[at - 1]) {
+                            at -= 1;
+                        }
+                        new_body.insert(at, barrier);
+                    }
+                    new_body.extend(launch_loop.calls);
+                    new_body.extend(launch_loop.hoisted);
+                    launch_loop.converted
+                }
+                // Single launch statement outside a loop.
+                _ => match single {
+                    Some(call) => {
+                        new_body.push(barrier_stmt(&mut unit));
+                        let worker = worker_call(&mut unit, &call, &core_var, None);
+                        let mut b = Builder::new(&mut unit);
+                        // Guard thread-specific single launches.
+                        new_body.push(match core_bound.get(call.entry.as_str()) {
+                            Some(&k) => b.guarded_call(&core_var, k as i64, worker),
+                            None => b.expr_stmt(worker),
+                        });
+                        1
+                    }
+                    None => 0,
+                },
+            };
+            if converted != launches {
+                return Err(not_converted(Conversion::Launch, &fname));
+            }
         }
-        ctx.unit = unit;
-        Ok(())
+        unit.function_mut(&fname).unwrap().body = new_body;
     }
+    ctx.unit = unit;
+    Ok(())
 }
 
 /// A decomposed `pthread_create` call.
 struct CreateCall {
     entry: String,
     arg: Expr,
+}
+
+fn function_names(unit: &TranslationUnit) -> Vec<String> {
+    unit.functions().map(|f| f.name.clone()).collect()
+}
+
+/// The function's name in the source: `main` was renamed `RCCE_APP`.
+fn source_name(function: &str) -> &str {
+    if function == "RCCE_APP" {
+        "main"
+    } else {
+        function
+    }
 }
 
 fn for_induction_var(init: &Option<ForInit>) -> Option<String> {
@@ -828,9 +575,10 @@ fn for_induction_var(init: &Option<ForInit>) -> Option<String> {
     }
 }
 
-/// The launch a statement makes when it is exactly `pthread_create(..);`
-/// or `rc = pthread_create(..);` and names its worker directly.
-fn launch_call(stmt: &Stmt) -> Option<CreateCall> {
+/// The call a statement makes when it is exactly `f(..);` or `x = f(..);`:
+/// the one shape in which Stage 5 converts a launch, a join or a dropped
+/// call.
+fn call_statement(stmt: &Stmt) -> Option<&Expr> {
     let StmtKind::Expr(Some(e)) = &stmt.kind else {
         return None;
     };
@@ -838,10 +586,22 @@ fn launch_call(stmt: &Stmt) -> Option<CreateCall> {
         ExprKind::Assign(AssignOp::Assign, _, rhs) => rhs,
         _ => e,
     };
+    matches!(call.kind, ExprKind::Call(..)).then_some(call)
+}
+
+/// Whether a statement is a call statement ([`call_statement`]) of `kind`.
+fn is_call_statement(stmt: &Stmt, kind: Conversion) -> bool {
+    call_statement(stmt).and_then(conversion) == Some(kind)
+}
+
+/// The launch a statement makes when it is exactly `pthread_create(..);`
+/// or `rc = pthread_create(..);` and names its worker directly.
+fn launch_call(stmt: &Stmt) -> Option<CreateCall> {
+    let call = call_statement(stmt)?;
     let ExprKind::Call(_, args) = &call.kind else {
         return None;
     };
-    if call.call_target() != Some("pthread_create") || args.len() < 4 {
+    if conversion(call) != Some(Conversion::Launch) || args.len() < 4 {
         return None;
     }
     Some(CreateCall {
@@ -850,179 +610,255 @@ fn launch_call(stmt: &Stmt) -> Option<CreateCall> {
     })
 }
 
-/// Builds `for (fold = myID; fold < total; fold += cores) { body }` —
-/// the §7.2 many-to-one worker loop.
+/// The variable that counts the thread ids a core runs when launches are
+/// folded onto fewer cores.
+const FOLD_VAR: &str = "foldID";
+
+/// Builds `for (foldID = myID; foldID < total; foldID = foldID + cores)
+/// { body }` — the §7.2 many-to-one worker loop.
 fn fold_loop(
     unit: &mut TranslationUnit,
-    fold_var: &str,
     core_var: &str,
     total: usize,
     cores: usize,
     body: Vec<Stmt>,
 ) -> Stmt {
     let mut b = Builder::new(unit);
-    let lhs = b.ident(fold_var);
-    let rhs = b.ident(core_var);
-    let init_expr = b.assign(lhs, rhs);
-    let cond_l = b.ident(fold_var);
-    let cond_r = b.int(total as i64);
-    let cond = b.binary(BinaryOp::Lt, cond_l, cond_r);
-    // step: fold = fold + cores
-    let sl = b.ident(fold_var);
-    let sr1 = b.ident(fold_var);
-    let sr2 = b.int(cores as i64);
-    let sum = b.binary(BinaryOp::Add, sr1, sr2);
-    let step = b.assign(sl, sum);
-    let body_id = unit.fresh_id();
-    let for_id = unit.fresh_id();
-    let block = Stmt {
-        id: body_id,
-        kind: StmtKind::Block(body),
-        span: hsm_cir::Span::default(),
-    };
-    let decl = {
-        let mut b = Builder::new(unit);
-        b.decl_stmt(fold_var, CType::Int)
-    };
-    let for_stmt = Stmt {
-        id: for_id,
-        kind: StmtKind::For(
-            Some(ForInit::Expr(init_expr)),
-            Some(cond),
-            Some(step),
-            Box::new(block),
-        ),
-        span: hsm_cir::Span::default(),
-    };
-    let wrap_id = unit.fresh_id();
-    Stmt {
-        id: wrap_id,
-        kind: StmtKind::Block(vec![decl, for_stmt]),
-        span: hsm_cir::Span::default(),
-    }
+    let (fold, core) = (b.ident(FOLD_VAR), b.ident(core_var));
+    let init = b.assign(fold, core);
+    let cond = b.var_op(FOLD_VAR, BinaryOp::Lt, total as i64);
+    let (fold, next) = (
+        b.ident(FOLD_VAR),
+        b.var_op(FOLD_VAR, BinaryOp::Add, cores as i64),
+    );
+    let step = b.assign(fold, next);
+    let block = b.block(body);
+    let decl = b.decl_stmt(FOLD_VAR, CType::Int);
+    let for_stmt = b.stmt(StmtKind::For(
+        Some(ForInit::Expr(init)),
+        Some(cond),
+        Some(step),
+        Box::new(block),
+    ));
+    b.block(vec![decl, for_stmt])
 }
 
 /// Builds `entry(arg')` where the thread-id variable (the loop induction
 /// variable) inside `arg` is replaced by the core id variable.
-fn build_worker_call(
+fn worker_call(
     unit: &mut TranslationUnit,
     call: &CreateCall,
     core_var: &str,
     ivar: Option<&str>,
-) -> Stmt {
+) -> Expr {
     let mut arg = call.arg.clone();
     if let Some(iv) = ivar {
         subst_ident_expr(&mut arg, iv, core_var);
     }
-    // Refresh ids on the cloned expression by leaving them as-is: node ids
-    // need not be unique for printing, and analyses re-run after printing.
-    let mut b = Builder::new(unit);
-    let worker = b.call(&call.entry, vec![arg]);
-    b.expr_stmt(worker)
+    // Node ids need not be unique for printing, and analyses re-run after
+    // printing, so the cloned expression keeps its ids.
+    Builder::new(unit).call(&call.entry, vec![arg])
+}
+
+/// A launch or join loop as [`convert_loop`] leaves it.
+struct ConvertedLoop {
+    /// What the call statements became, wrapped like `hoisted`.
+    calls: Vec<Stmt>,
+    /// The other statements of the body, run once per thread id.
+    hoisted: Vec<Stmt>,
+    /// How many call statements were converted.
+    converted: usize,
+}
+
+/// Converts a `for` loop that launches or joins threads (`kind`, in
+/// `function`) — Algorithms 4 and 5 share it.
+///
+/// Each statement of the body that `convert` accepts becomes what it
+/// returns; `convert` is handed the variable standing for the thread id
+/// and the loop's induction variable. A statement that makes a `kind` call
+/// in any other shape is left out, so the caller's count refuses it. Every
+/// other statement is hoisted out of the loop with the induction variable
+/// rewritten to the thread id. Both lists run inside the §7.2 many-to-one
+/// loop when `fold` is set, or under `if (myID < total)` when `guard` is.
+///
+/// A hoisted statement runs once per thread id, on the core that runs that
+/// id, not once per iteration in one thread. That is exact only for a
+/// write each thread id owns: a variable declared in the loop body, or an
+/// element of a shared array indexed by the induction variable. Any other
+/// write (`sum = sum + part[i]`, say) is refused.
+fn convert_loop(
+    ctx: &PassContext<'_>,
+    unit: &mut TranslationUnit,
+    (function, kind): (&str, Conversion),
+    (init, body): (&Option<ForInit>, Stmt),
+    (fold, guard): (Option<usize>, Option<usize>),
+    convert: impl Fn(&mut TranslationUnit, &Stmt, &str, Option<&str>) -> Option<Vec<Stmt>>,
+) -> Result<ConvertedLoop, TranslateError> {
+    let ivar = for_induction_var(init);
+    let core_var = ctx.core_id_var.as_str();
+    let id_var = if fold.is_some() { FOLD_VAR } else { core_var };
+    let inner = match body.kind {
+        StmtKind::Block(stmts) => stmts,
+        other => vec![Stmt {
+            kind: other,
+            ..body
+        }],
+    };
+    let mut locals = Vec::new();
+    for_each_decl(&inner, &mut |d| {
+        locals.extend(d.vars.iter().map(|v| &v.name))
+    });
+    let owned = |dest: &Expr| match &dest.kind {
+        ExprKind::Ident(name) => locals.contains(&name),
+        ExprKind::Index(base, index) => {
+            index.as_ident().is_some_and(|i| Some(i) == ivar.as_deref())
+                && base
+                    .as_ident()
+                    .is_some_and(|array| ctx.plan.placements.iter().any(|p| p.var.name == array))
+        }
+        _ => false,
+    };
+    for stmt in inner.iter().filter(|s| count_calls(s, kind) == 0) {
+        let mut foreign = None;
+        hsm_cir::walk_exprs_in_stmt(stmt, &mut |e| {
+            if foreign.is_none() {
+                foreign = write_target(e).filter(|d| !owned(d)).map(|d| {
+                    d.base_variable()
+                        .map_or_else(|| hsm_cir::print_expr(d), str::to_string)
+                });
+            }
+        });
+        if let Some(dest) = foreign {
+            return Err(TranslateError::unsupported(format!(
+                "the `{}` loop in `{}` cannot hoist the write to `{dest}`: a statement \
+                 hoisted out of a launch or join loop may write only variables declared \
+                 in the loop body and elements of shared arrays indexed by the \
+                 induction variable",
+                api_name(kind),
+                source_name(function),
+            )));
+        }
+    }
+    let mut hoisted = Vec::new();
+    let mut calls = Vec::new();
+    let mut converted = 0;
+    for stmt in inner {
+        if let Some(made) = convert(unit, &stmt, id_var, ivar.as_deref()) {
+            calls.extend(made);
+            converted += 1;
+        } else if count_calls(&stmt, kind) == 0 {
+            hoisted.push(stmt);
+        }
+    }
+    if let Some(iv) = &ivar {
+        for stmt in &mut hoisted {
+            subst_ident_stmt(stmt, iv, id_var);
+        }
+    }
+    let mut wrap = |stmts: Vec<Stmt>| match (fold, guard) {
+        _ if stmts.is_empty() => stmts,
+        (Some(total), _) => vec![fold_loop(unit, core_var, total, ctx.options.cores, stmts)],
+        (None, Some(total)) => {
+            vec![Builder::new(unit).guard(core_var, BinaryOp::Lt, total as i64, stmts)]
+        }
+        (None, None) => stmts,
+    };
+    Ok(ConvertedLoop {
+        calls: wrap(calls),
+        hoisted: wrap(hoisted),
+        converted,
+    })
+}
+
+/// The refusal of a `kind` call (a launch or a join) in `function` that is
+/// not a call statement where Stage 5 converts one.
+fn not_converted(kind: Conversion, function: &str) -> TranslateError {
+    let call = api_name(kind);
+    let noun = if kind == Conversion::Launch {
+        "launch"
+    } else {
+        "join"
+    };
+    TranslateError::unsupported(format!(
+        "a `{call}` in `{}` is not a {noun} the translator converts: a {noun} is a \
+         statement of its own (`{call}(..);` or `rc = {call}(..);`) in the function body \
+         or directly in a `for` loop's body",
+        source_name(function)
+    ))
 }
 
 // ------------------------------------------------------------------ 7 ----
 
 /// Algorithm 5 — pthread_join removal.
 ///
-/// A join inside a loop removes the loop and replaces the joins with one
-/// `RCCE_barrier(&RCCE_COMM_WORLD)`; other statements in the loop are
+/// A join loop is removed, its joins replaced with one
+/// `RCCE_barrier(&RCCE_COMM_WORLD)`; the other statements in the loop are
 /// hoisted with the induction variable rewritten to the core id (that is
 /// how `printf(..., sum[local])` becomes `printf(..., sum[myID])` in
-/// Example Code 4.2). A standalone join becomes a barrier.
-pub(crate) struct JoinsPass;
-
-impl TransformPass for JoinsPass {
-    fn name(&self) -> &'static str {
-        "joins-to-barriers"
-    }
-
-    fn run(&mut self, ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
-        let core_var = ctx.core_id_var.clone();
-        let fn_names: Vec<String> = ctx.unit.functions().map(|f| f.name.clone()).collect();
-        let mut unit = std::mem::take(&mut ctx.unit);
-        for fname in fn_names {
-            let mut body = std::mem::take(&mut unit.function_mut(&fname).unwrap().body);
-            let mut new_body = Vec::with_capacity(body.len());
-            for stmt in body.drain(..) {
-                if !stmt_contains_call(&stmt, "pthread_join") {
-                    new_body.push(stmt);
-                    continue;
-                }
-                match stmt.kind {
-                    StmtKind::For(init, _, _, loop_body) => {
-                        let ivar = for_induction_var(&init);
-                        new_body.push(barrier_stmt(&mut unit));
-                        let inner: Vec<Stmt> = match loop_body.kind {
-                            StmtKind::Block(stmts) => stmts,
-                            other => vec![Stmt {
-                                id: loop_body.id,
-                                kind: other,
-                                span: loop_body.span,
-                            }],
-                        };
-                        let fold = ctx.fold_total;
-                        let id_var: &str = if fold.is_some() { "foldID" } else { &core_var };
-                        let mut hoisted = Vec::new();
-                        for mut inner_stmt in inner {
-                            if stmt_contains_call(&inner_stmt, "pthread_join") {
-                                continue;
-                            }
-                            if let Some(iv) = &ivar {
-                                subst_ident_stmt(&mut inner_stmt, iv, id_var);
-                            }
-                            hoisted.push(inner_stmt);
-                        }
-                        if let (Some(total), false) = (fold, hoisted.is_empty()) {
-                            new_body.push(fold_loop(
-                                &mut unit,
-                                "foldID",
-                                &core_var,
-                                total,
-                                ctx.options.cores,
-                                hoisted,
-                            ));
-                        } else if let (Some(total), false) = (ctx.guard_total, hoisted.is_empty()) {
-                            // Idle cores beyond the thread count must also
-                            // skip the per-thread epilogue (e.g. a printf
-                            // indexed by myID would read out of bounds).
-                            let mut b = Builder::new(&mut unit);
-                            new_body.push(b.lt_guard(&core_var, total as i64, hoisted));
-                        } else {
-                            new_body.extend(hoisted);
-                        }
-                    }
-                    _ => {
-                        new_body.push(barrier_stmt(&mut unit));
-                    }
-                }
+/// Example Code 4.2). A join statement outside a loop becomes a barrier.
+///
+/// Joins convert where launches do ([`threads_to_processes`]): a statement
+/// of its own, directly in a function body or in a `for` loop's body. A
+/// join anywhere else is refused, and so is a loop statement whose hoisted
+/// copy would not be exact ([`convert_loop`]).
+pub(crate) fn joins_to_barriers(ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
+    let mut unit = std::mem::take(&mut ctx.unit);
+    for fname in function_names(&unit) {
+        let body = std::mem::take(&mut unit.function_mut(&fname).unwrap().body);
+        let mut new_body = Vec::with_capacity(body.len());
+        for stmt in body {
+            let joins = count_calls(&stmt, Conversion::Join);
+            if joins == 0 {
+                new_body.push(stmt);
+                continue;
             }
-            unit.function_mut(&fname).unwrap().body = new_body;
+            let single = is_call_statement(&stmt, Conversion::Join);
+            let converted = match stmt.kind {
+                StmtKind::For(init, _, _, loop_body) => {
+                    new_body.push(barrier_stmt(&mut unit));
+                    let join_loop = convert_loop(
+                        ctx,
+                        &mut unit,
+                        (&fname, Conversion::Join),
+                        (&init, *loop_body),
+                        (ctx.fold_total, ctx.guard_total),
+                        |_, s, _, _| is_call_statement(s, Conversion::Join).then(Vec::new),
+                    )?;
+                    // Idle cores beyond the thread count skip the hoisted
+                    // epilogue too (a printf indexed by myID would read out
+                    // of bounds).
+                    new_body.extend(join_loop.hoisted);
+                    join_loop.converted
+                }
+                _ if single => {
+                    new_body.push(barrier_stmt(&mut unit));
+                    1
+                }
+                _ => 0,
+            };
+            if converted != joins {
+                return Err(not_converted(Conversion::Join, &fname));
+            }
         }
-        ctx.unit = unit;
-        Ok(())
+        unit.function_mut(&fname).unwrap().body = new_body;
     }
+    ctx.unit = unit;
+    Ok(())
 }
 
 /// Whether a statement only takes a timestamp (`double t0 = wtime();` or
 /// `t0 = RCCE_wtime();`).
 fn is_wtime_stmt(s: &Stmt) -> bool {
-    let mut only_wtime = false;
+    let is_wtime = |e: &Expr| matches!(e.call_target(), Some("wtime" | "RCCE_wtime"));
     match &s.kind {
         StmtKind::Decl(d) => {
-            only_wtime = d.vars.iter().all(|v| match &v.init {
-                Some(e) => matches!(e.call_target(), Some("wtime") | Some("RCCE_wtime")),
-                None => false,
-            }) && !d.vars.is_empty();
+            !d.vars.is_empty() && d.vars.iter().all(|v| v.init.as_ref().is_some_and(is_wtime))
         }
         StmtKind::Expr(Some(e)) => {
-            if let ExprKind::Assign(AssignOp::Assign, _, rhs) = &e.kind {
-                only_wtime = matches!(rhs.call_target(), Some("wtime") | Some("RCCE_wtime"));
-            }
+            matches!(&e.kind, ExprKind::Assign(AssignOp::Assign, _, rhs) if is_wtime(rhs))
         }
-        _ => {}
+        _ => false,
     }
-    only_wtime
 }
 
 fn barrier_stmt(unit: &mut TranslationUnit) -> Stmt {
@@ -1035,163 +871,253 @@ fn barrier_stmt(unit: &mut TranslationUnit) -> Stmt {
 
 // ------------------------------------------------------------------ 8 ----
 
-/// Algorithm 6 — `pthread_self()` → `RCCE_ue()`; also maps the benchmark
-/// timing call `wtime()` to `RCCE_wtime()`.
-pub(crate) struct SelfPass;
-
-impl TransformPass for SelfPass {
-    fn name(&self) -> &'static str {
-        "pthread-self"
+/// Algorithm 7 — removes declarations whose specifier is a pthread data
+/// type (`pthread_t threads[3];`, `pthread_mutex_t m;`, …), globally and
+/// locally.
+pub(crate) fn remove_pthread_types(ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
+    ctx.unit.items.retain(|item| match item {
+        Item::Decl(d) => !d.vars.iter().all(|v| v.ty.is_pthread_type()),
+        Item::Func(_) => true,
+    });
+    for f in ctx.unit.functions_mut() {
+        retain_stmts(
+            &mut f.body,
+            &mut |s| !matches!(&s.kind, StmtKind::Decl(d) if d.vars.iter().all(|v| v.ty.is_pthread_type())),
+        );
     }
-
-    fn run(&mut self, ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
-        walk_unit_mut(&mut ctx.unit, &mut |e| {
-            let to = match e.call_target() {
-                Some("pthread_self") => "RCCE_ue",
-                Some("wtime") => "RCCE_wtime",
-                _ => return true,
-            };
-            if let ExprKind::Call(callee, _) = &mut e.kind {
-                callee.kind = ExprKind::Ident(to.to_string());
-            }
-            true
-        });
-        Ok(())
-    }
+    Ok(())
 }
 
 // ------------------------------------------------------------------ 9 ----
 
-/// Algorithm 7 — removes declarations whose specifier is a pthread data
-/// type (`pthread_t threads[3];`, `pthread_mutex_t m;`, …), globally and
-/// locally.
-pub(crate) struct RemoveTypesPass;
+/// What Stage 5 makes of a call into the pthread API.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Conversion {
+    /// A launch: [`threads_to_processes`] converts or refuses every one.
+    Launch,
+    /// A join: [`joins_to_barriers`] converts or refuses every one.
+    Join,
+    /// Algorithm 6: the callee is renamed, in any position.
+    Rename(&'static str),
+    /// A mutex operation: the callee is renamed and its argument replaced
+    /// by the mutex's lock id.
+    Lock(&'static str),
+    /// `RCCE_barrier(&RCCE_COMM_WORLD)`, the only barrier the target offers:
+    /// it spans all UEs.
+    Barrier,
+    /// Algorithm 8: a call statement of its own is removed.
+    Drop,
+    /// Removed only as the last statement of a function a launch names as
+    /// its entry, where returning does what the exit did.
+    Exit,
+}
 
-impl TransformPass for RemoveTypesPass {
-    fn name(&self) -> &'static str {
-        "remove-pthread-types"
-    }
+/// The paper's hash table of the API's names: every call `hsm_vm` runs as
+/// a pthread intrinsic, plus the benchmark timing call `wtime`, with what
+/// Stage 5 makes of it. Any other `pthread_` call has no RCCE counterpart.
+const PTHREAD_CALLS: [(&str, Conversion); 12] = [
+    ("pthread_create", Conversion::Launch),
+    ("pthread_join", Conversion::Join),
+    ("pthread_exit", Conversion::Exit),
+    ("pthread_self", Conversion::Rename("RCCE_ue")),
+    ("pthread_mutex_init", Conversion::Drop),
+    ("pthread_mutex_lock", Conversion::Lock("RCCE_acquire_lock")),
+    (
+        "pthread_mutex_unlock",
+        Conversion::Lock("RCCE_release_lock"),
+    ),
+    ("pthread_mutex_destroy", Conversion::Drop),
+    ("pthread_barrier_init", Conversion::Drop),
+    ("pthread_barrier_wait", Conversion::Barrier),
+    ("pthread_barrier_destroy", Conversion::Drop),
+    ("wtime", Conversion::Rename("RCCE_wtime")),
+];
 
-    fn run(&mut self, ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
-        ctx.unit.items.retain(|item| match item {
-            Item::Decl(d) => !d.vars.iter().all(|v| v.ty.is_pthread_type()),
-            Item::Func(_) => true,
-        });
-        for f in ctx.unit.functions_mut() {
-            retain_stmts(
-                &mut f.body,
-                &mut |s| !matches!(&s.kind, StmtKind::Decl(d) if d.vars.iter().all(|v| v.ty.is_pthread_type())),
-            );
+/// What the table makes of a call expression, if it calls into the table.
+fn conversion(e: &Expr) -> Option<Conversion> {
+    let target = e.call_target()?;
+    let (_, kind) = PTHREAD_CALLS.iter().find(|(name, _)| *name == target)?;
+    Some(*kind)
+}
+
+/// The name of the (first) call the table converts as `kind`.
+fn api_name(kind: Conversion) -> &'static str {
+    PTHREAD_CALLS
+        .iter()
+        .find(|(_, k)| *k == kind)
+        .map_or("", |(name, _)| name)
+}
+
+/// How many `kind` calls a statement (tree) makes.
+fn count_calls(s: &Stmt, kind: Conversion) -> usize {
+    let mut n = 0;
+    hsm_cir::walk_exprs_in_stmt(s, &mut |e| n += usize::from(conversion(e) == Some(kind)));
+    n
+}
+
+/// Algorithms 6 and 8 and the synchronization calls: converts every
+/// pthread call left after launches and joins through [`PTHREAD_CALLS`].
+///
+/// A `Drop` call statement is removed wherever it stands, and a thread's
+/// final `pthread_exit` with it; then one walk over each body renames,
+/// numbers the locks (each `pthread_mutex_t` variable gets an id, in
+/// symbol order) and converts the barriers. A dropped call anywhere else,
+/// a lock whose argument names no numbered mutex, and any `pthread_` call
+/// outside the table would change what the program computes if deleted,
+/// so each is refused. A launch or join left over is an internal error:
+/// the passes before this one converted or refused every one.
+pub(crate) fn pthread_calls(ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
+    let lock_ids: BTreeMap<&str, usize> = ctx
+        .analysis
+        .scope
+        .variables
+        .iter()
+        .filter(|v| matches!(&v.ty, CType::Named(n) if n == "pthread_mutex_t"))
+        .enumerate()
+        .map(|(i, v)| (v.key.name.as_str(), i))
+        .collect();
+    let entries: BTreeSet<&str> = ctx
+        .analysis
+        .threads
+        .launches
+        .iter()
+        .map(|l| l.entry.as_str())
+        .collect();
+    for f in ctx.unit.functions_mut() {
+        if entries.contains(f.name.as_str())
+            && f.body
+                .last()
+                .is_some_and(|s| is_call_statement(s, Conversion::Exit))
+        {
+            f.body.pop();
         }
-        Ok(())
+        retain_stmts(&mut f.body, &mut |s| {
+            !is_call_statement(s, Conversion::Drop)
+        });
+        let function = source_name(&f.name).to_string();
+        let mut refusal = None;
+        for s in &mut f.body {
+            walk_stmt_mut(s, &mut |e| {
+                if refusal.is_some() {
+                    return false;
+                }
+                match conversion(e) {
+                    Some(kind) => refusal = convert_call(e, kind, &lock_ids, &function).err(),
+                    None => {
+                        if let Some(call) = e.call_target().filter(|t| t.starts_with("pthread_")) {
+                            refusal = Some(TranslateError::unsupported(format!(
+                                "`{call}` in `{function}` has no RCCE counterpart"
+                            )));
+                        }
+                    }
+                }
+                true
+            });
+        }
+        if let Some(err) = refusal {
+            return Err(err);
+        }
     }
+    Ok(())
+}
+
+/// Converts, in place, one call `e` in `function` that the table makes
+/// `kind` of, or refuses it where converting it would not be exact.
+fn convert_call(
+    e: &mut Expr,
+    kind: Conversion,
+    lock_ids: &BTreeMap<&str, usize>,
+    function: &str,
+) -> Result<(), TranslateError> {
+    let call = e.call_target().unwrap_or_default();
+    let refuse = |rule: &str| {
+        Err(TranslateError::unsupported(format!(
+            "`{call}` in `{function}` {rule}"
+        )))
+    };
+    let first = match &e.kind {
+        ExprKind::Call(_, args) => args.first(),
+        _ => None,
+    };
+    let like = |kind: ExprKind| Expr {
+        kind,
+        ..*first.unwrap_or(e)
+    };
+    let (to, arg) = match kind {
+        Conversion::Rename(to) => (to, None),
+        Conversion::Lock(to) => {
+            let mutex = first.map(Expr::peel_casts).and_then(|a| match &a.kind {
+                // `&m` — the common form.
+                ExprKind::Unary(UnaryOp::Addr, inner) => inner.base_variable(),
+                _ => a.base_variable(),
+            });
+            let Some(&id) = mutex.and_then(|m| lock_ids.get(m)) else {
+                return refuse(
+                    "does not lock a mutex the translator numbers: its argument must be \
+                     `&m` for a `pthread_mutex_t m`",
+                );
+            };
+            (to, Some(like(ExprKind::IntLit(id as i64))))
+        }
+        Conversion::Barrier => {
+            let comm = like(ExprKind::Ident("RCCE_COMM_WORLD".to_string()));
+            let arg = like(ExprKind::Unary(UnaryOp::Addr, Box::new(comm)));
+            ("RCCE_barrier", Some(arg))
+        }
+        Conversion::Drop => {
+            return refuse(&format!(
+                "is removed only as a statement of its own (`{call}(..);` or \
+                 `rc = {call}(..);`)"
+            ))
+        }
+        Conversion::Exit => {
+            return refuse("is removed only as the last statement of a thread's entry function")
+        }
+        Conversion::Launch | Conversion::Join => {
+            return Err(TranslateError::internal(format!(
+                "a `{call}` in `{function}` was neither converted nor refused"
+            )))
+        }
+    };
+    let ExprKind::Call(callee, args) = &mut e.kind else {
+        return Ok(());
+    };
+    callee.kind = ExprKind::Ident(to.to_string());
+    if let Some(arg) = arg {
+        *args = vec![arg];
+    }
+    Ok(())
 }
 
 // ----------------------------------------------------------------- 10 ----
 
-/// Algorithm 8 — removes every remaining statement that calls a
-/// `pthread_*` API function. The paper looks the callee up in a hash table
-/// of the API's names: here [`PTHREAD_API`], the calls the VM runs as
-/// pthreads. Any other `pthread_` call has no RCCE counterpart, and
-/// deleting the statement around it would change what the program
-/// computes, so it is refused. A launch is never removed either:
-/// [`ThreadsToProcsPass`] converted or refused every `pthread_create`, so
-/// one that is left is an internal error, not a statement to drop.
-pub(crate) struct RemoveApiPass;
-
-/// The pthread calls Algorithm 8 may remove: those `hsm_vm` knows as
-/// intrinsics.
-const PTHREAD_API: [&str; 11] = [
-    "pthread_create",
-    "pthread_join",
-    "pthread_exit",
-    "pthread_self",
-    "pthread_mutex_init",
-    "pthread_mutex_lock",
-    "pthread_mutex_unlock",
-    "pthread_mutex_destroy",
-    "pthread_barrier_init",
-    "pthread_barrier_wait",
-    "pthread_barrier_destroy",
-];
-
-impl TransformPass for RemoveApiPass {
-    fn name(&self) -> &'static str {
-        "remove-pthread-api"
-    }
-
-    fn run(&mut self, ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
-        for f in ctx.unit.functions_mut() {
-            if f.body
-                .iter()
-                .any(|s| stmt_contains_call(s, "pthread_create"))
-            {
-                return Err(TranslateError::internal(format!(
-                    "a `pthread_create` in `{}` was neither converted nor refused",
-                    f.name
-                )));
-            }
-            let mut unknown = None;
-            retain_stmts(&mut f.body, &mut |s| {
-                let mut contains_api = false;
-                hsm_cir::walk_exprs_in_stmt(s, &mut |e| {
-                    if let Some(t) = e.call_target().filter(|t| t.starts_with("pthread_")) {
-                        contains_api = true;
-                        if !PTHREAD_API.contains(&t) {
-                            unknown.get_or_insert_with(|| t.to_string());
-                        }
-                    }
-                });
-                !contains_api
-            });
-            if let Some(call) = unknown {
-                return Err(TranslateError::unsupported(format!(
-                    "`{call}` in `{}` has no RCCE counterpart",
-                    f.name
-                )));
-            }
-        }
-        Ok(())
-    }
-}
-
-// ----------------------------------------------------------------- 11 ----
-
 /// Removes local declarations orphaned by the conversion: zero remaining
 /// references and a side-effect-free initializer.
-pub(crate) struct UnusedLocalsPass;
-
-impl TransformPass for UnusedLocalsPass {
-    fn name(&self) -> &'static str {
-        "remove-unused-locals"
-    }
-
-    fn run(&mut self, ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
-        for f in ctx.unit.functions_mut() {
-            // A local is dead when nothing references it and its
-            // initializer is a literal. Removing such a declaration
-            // removes no reference, so one sweep finds every dead local.
-            let mut dead: Vec<String> = Vec::new();
-            for_each_decl(&f.body, &mut |d| {
-                for v in &d.vars {
-                    if pure_init(v) && count_refs(&f.body, &v.name) == 0 {
-                        dead.push(v.name.clone());
-                    }
+pub(crate) fn remove_unused_locals(ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
+    for f in ctx.unit.functions_mut() {
+        // A local is dead when nothing references it and its
+        // initializer is a literal. Removing such a declaration
+        // removes no reference, so one sweep finds every dead local.
+        let mut dead: Vec<String> = Vec::new();
+        for_each_decl(&f.body, &mut |d| {
+            for v in &d.vars {
+                if pure_init(v) && count_refs(&f.body, &v.name) == 0 {
+                    dead.push(v.name.clone());
                 }
-            });
-            retain_stmts(&mut f.body, &mut |s| match &s.kind {
-                StmtKind::Decl(d) => {
-                    d.vars.is_empty()
-                        || !d
-                            .vars
-                            .iter()
-                            .all(|v| pure_init(v) && dead.contains(&v.name))
-                }
-                _ => true,
-            });
-        }
-        Ok(())
+            }
+        });
+        retain_stmts(&mut f.body, &mut |s| match &s.kind {
+            StmtKind::Decl(d) => {
+                d.vars.is_empty()
+                    || !d
+                        .vars
+                        .iter()
+                        .all(|v| pure_init(v) && dead.contains(&v.name))
+            }
+            _ => true,
+        });
     }
+    Ok(())
 }
 
 /// Whether a declared variable's initializer, if any, is a literal.
@@ -1208,29 +1134,21 @@ fn pure_init(v: &VarDecl) -> bool {
     }
 }
 
-// ----------------------------------------------------------------- 12 ----
+// ----------------------------------------------------------------- 11 ----
 
 /// Drops private, entirely-unused globals (the post-Stage-3 cleanup that
 /// removes `global` from Example Code 4.2).
-pub(crate) struct DropPrivateGlobalsPass;
-
-impl TransformPass for DropPrivateGlobalsPass {
-    fn name(&self) -> &'static str {
-        "drop-private-globals"
-    }
-
-    fn run(&mut self, ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
-        let analysis = ctx.analysis;
-        ctx.unit.items.retain(|item| match item {
-            Item::Decl(d) => !d.vars.iter().all(|v| {
-                let key = hsm_analysis::VarKey::global(v.name.clone());
-                matches!(analysis.scope.variable(&key), Some(info)
-                    if info.counts.total() == 0
-                        && !analysis.final_status(&v.name).is_shared()
-                        && !matches!(v.ty, CType::Function { .. }))
-            }),
-            Item::Func(_) => true,
-        });
-        Ok(())
-    }
+pub(crate) fn drop_private_globals(ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
+    let analysis = ctx.analysis;
+    ctx.unit.items.retain(|item| match item {
+        Item::Decl(d) => !d.vars.iter().all(|v| {
+            let key = hsm_analysis::VarKey::global(v.name.clone());
+            matches!(analysis.scope.variable(&key), Some(info)
+                if info.counts.total() == 0
+                    && !analysis.final_status(&v.name).is_shared()
+                    && !matches!(v.ty, CType::Function { .. }))
+        }),
+        Item::Func(_) => true,
+    });
+    Ok(())
 }

@@ -18,175 +18,128 @@ impl<'a> Builder<'a> {
         Builder { unit }
     }
 
-    fn id(&mut self) -> NodeId {
-        self.unit.fresh_id()
+    /// An expression node of `kind`.
+    fn expr(&mut self, kind: ExprKind) -> Expr {
+        Expr {
+            id: self.unit.fresh_id(),
+            kind,
+            span: Span::default(),
+        }
+    }
+
+    /// A statement node of `kind`.
+    pub(crate) fn stmt(&mut self, kind: StmtKind) -> Stmt {
+        Stmt {
+            id: self.unit.fresh_id(),
+            kind,
+            span: Span::default(),
+        }
     }
 
     /// `name`
     pub(crate) fn ident(&mut self, name: &str) -> Expr {
-        Expr {
-            id: self.id(),
-            kind: ExprKind::Ident(name.to_string()),
-            span: Span::default(),
-        }
+        self.expr(ExprKind::Ident(name.to_string()))
     }
 
     /// An integer literal.
     pub(crate) fn int(&mut self, v: i64) -> Expr {
-        Expr {
-            id: self.id(),
-            kind: ExprKind::IntLit(v),
-            span: Span::default(),
-        }
+        self.expr(ExprKind::IntLit(v))
     }
 
     /// `&inner`
     pub(crate) fn addr_of(&mut self, inner: Expr) -> Expr {
-        Expr {
-            id: self.id(),
-            kind: ExprKind::Unary(UnaryOp::Addr, Box::new(inner)),
-            span: Span::default(),
-        }
+        self.expr(ExprKind::Unary(UnaryOp::Addr, Box::new(inner)))
     }
 
     /// `(ty)inner`
     pub(crate) fn cast(&mut self, ty: CType, inner: Expr) -> Expr {
-        Expr {
-            id: self.id(),
-            kind: ExprKind::Cast(ty, Box::new(inner)),
-            span: Span::default(),
-        }
+        self.expr(ExprKind::Cast(ty, Box::new(inner)))
     }
 
     /// `sizeof(ty)`
     pub(crate) fn sizeof(&mut self, ty: CType) -> Expr {
-        Expr {
-            id: self.id(),
-            kind: ExprKind::SizeofType(ty),
-            span: Span::default(),
-        }
+        self.expr(ExprKind::SizeofType(ty))
     }
 
     /// `*inner`
     pub(crate) fn deref(&mut self, inner: Expr) -> Expr {
-        Expr {
-            id: self.id(),
-            kind: ExprKind::Unary(UnaryOp::Deref, Box::new(inner)),
-            span: Span::default(),
-        }
+        self.expr(ExprKind::Unary(UnaryOp::Deref, Box::new(inner)))
     }
 
     /// `base[idx]`
     pub(crate) fn index(&mut self, base: Expr, idx: i64) -> Expr {
         let idx = self.int(idx);
-        Expr {
-            id: self.id(),
-            kind: ExprKind::Index(Box::new(base), Box::new(idx)),
-            span: Span::default(),
-        }
+        self.expr(ExprKind::Index(Box::new(base), Box::new(idx)))
     }
 
     /// `{ stmts }`
     pub(crate) fn block(&mut self, stmts: Vec<Stmt>) -> Stmt {
-        Stmt {
-            id: self.id(),
-            kind: StmtKind::Block(stmts),
-            span: Span::default(),
-        }
+        self.stmt(StmtKind::Block(stmts))
     }
 
     /// `l op r`
     pub(crate) fn binary(&mut self, op: BinaryOp, l: Expr, r: Expr) -> Expr {
-        Expr {
-            id: self.id(),
-            kind: ExprKind::Binary(op, Box::new(l), Box::new(r)),
-            span: Span::default(),
-        }
+        self.expr(ExprKind::Binary(op, Box::new(l), Box::new(r)))
+    }
+
+    /// `var op k`
+    pub(crate) fn var_op(&mut self, var: &str, op: BinaryOp, k: i64) -> Expr {
+        let (var, k) = (self.ident(var), self.int(k));
+        self.binary(op, var, k)
     }
 
     /// `callee(args...)`
     pub(crate) fn call(&mut self, callee: &str, args: Vec<Expr>) -> Expr {
         let callee = self.ident(callee);
-        Expr {
-            id: self.id(),
-            kind: ExprKind::Call(Box::new(callee), args),
-            span: Span::default(),
-        }
+        self.expr(ExprKind::Call(Box::new(callee), args))
     }
 
     /// `lhs = rhs`
     pub(crate) fn assign(&mut self, lhs: Expr, rhs: Expr) -> Expr {
-        Expr {
-            id: self.id(),
-            kind: ExprKind::Assign(AssignOp::Assign, Box::new(lhs), Box::new(rhs)),
-            span: Span::default(),
-        }
+        self.expr(ExprKind::Assign(
+            AssignOp::Assign,
+            Box::new(lhs),
+            Box::new(rhs),
+        ))
     }
 
     /// `expr;`
     pub(crate) fn expr_stmt(&mut self, e: Expr) -> Stmt {
-        Stmt {
-            id: self.id(),
-            kind: StmtKind::Expr(Some(e)),
-            span: Span::default(),
-        }
+        self.stmt(StmtKind::Expr(Some(e)))
     }
 
     /// `ty name;` (no initializer)
     pub(crate) fn decl_stmt(&mut self, name: &str, ty: CType) -> Stmt {
-        let vid = self.id();
-        let did = self.id();
-        let sid = self.id();
-        Stmt {
-            id: sid,
-            kind: StmtKind::Decl(Declaration {
-                id: did,
-                storage: Storage::None,
-                vars: vec![VarDecl {
-                    id: vid,
-                    name: name.to_string(),
-                    ty,
-                    init: None,
-                    span: Span::default(),
-                }],
-                span: Span::default(),
-            }),
+        let var = VarDecl {
+            id: self.unit.fresh_id(),
+            name: name.to_string(),
+            ty,
+            init: None,
             span: Span::default(),
-        }
+        };
+        let decl = Declaration {
+            id: self.unit.fresh_id(),
+            storage: Storage::None,
+            vars: vec![var],
+            span: Span::default(),
+        };
+        self.stmt(StmtKind::Decl(decl))
     }
 
     /// `if (var == k) { call; }`
     pub(crate) fn guarded_call(&mut self, var: &str, k: i64, call: Expr) -> Stmt {
-        let lhs = self.ident(var);
-        let rhs = self.int(k);
-        let cond = self.binary(BinaryOp::Eq, lhs, rhs);
+        let cond = self.var_op(var, BinaryOp::Eq, k);
         let body = self.expr_stmt(call);
-        let sid = self.id();
-        Stmt {
-            id: sid,
-            kind: StmtKind::If(cond, Box::new(body), None),
-            span: Span::default(),
-        }
+        self.stmt(StmtKind::If(cond, Box::new(body), None))
     }
 
-    /// `if (var < upper) { body }` — the idle-core guard used when the
-    /// target has more cores than the source has threads.
-    pub(crate) fn lt_guard(&mut self, var: &str, upper: i64, body: Vec<Stmt>) -> Stmt {
-        let lhs = self.ident(var);
-        let rhs = self.int(upper);
-        let cond = self.binary(BinaryOp::Lt, lhs, rhs);
-        let bid = self.id();
-        let block = Stmt {
-            id: bid,
-            kind: StmtKind::Block(body),
-            span: Span::default(),
-        };
-        let sid = self.id();
-        Stmt {
-            id: sid,
-            kind: StmtKind::If(cond, Box::new(block), None),
-            span: Span::default(),
-        }
+    /// `if (var op k) { body }` — the guard that confines statements to
+    /// some cores: `myID == 0`, or `myID < total` when the target has more
+    /// cores than the source has threads.
+    pub(crate) fn guard(&mut self, var: &str, op: BinaryOp, k: i64, body: Vec<Stmt>) -> Stmt {
+        let cond = self.var_op(var, op, k);
+        let block = self.block(body);
+        self.stmt(StmtKind::If(cond, Box::new(block), None))
     }
 }
 

@@ -1,8 +1,12 @@
-//! Stage 5 converts a `pthread_create` only where it is a statement of its
-//! own, in a function body or directly in a `for` loop's body. A launch
-//! anywhere else runs as pthreads and is refused by the translator with an
-//! `unsupported construct` error, instead of being dropped or replaced by
-//! one worker call together with the statement around it.
+//! Stage 5 converts a `pthread_create` or a `pthread_join` only where it is
+//! a statement of its own, in a function body or directly in a `for` loop's
+//! body. A launch or join anywhere else runs as pthreads and is refused by
+//! the translator with an `unsupported construct` error, instead of being
+//! dropped or replaced by one worker call or barrier together with the
+//! statement around it. So is a statement of a launch or join loop that
+//! would not be exact once hoisted out of the loop: it may write only
+//! variables declared in the loop body and elements of shared arrays
+//! indexed by the induction variable.
 
 use hsm_core::api::{Mode, Pipeline};
 
@@ -32,9 +36,13 @@ int main() {{
     )
 }
 
+/// The refusal of a launch in `main` that is not a statement of its own.
+const LAUNCH: &str = "unsupported construct: a `pthread_create` in `main`";
+
 /// Runs `main_body` as pthreads, expecting `exit`, then checks that
-/// translating it is a typed translate-stage refusal naming `main`.
-fn runs_then_is_refused(shape: &str, main_body: &str, exit: i64) {
+/// translating it is a typed translate-stage refusal whose message
+/// contains `expected`.
+fn runs_then_is_refused(shape: &str, main_body: &str, exit: i64, expected: &str) {
     let src = program(main_body);
     let session = Pipeline::new(src.as_str()).cores(4);
     let run = session
@@ -49,10 +57,7 @@ fn runs_then_is_refused(shape: &str, main_body: &str, exit: i64) {
     };
     assert_eq!(err.stage(), "translate", "{shape}: {err}");
     let message = err.to_string();
-    assert!(
-        message.contains("unsupported construct: a `pthread_create` in `main`"),
-        "{shape}: {message}"
-    );
+    assert!(message.contains(expected), "{shape}: {message}");
 }
 
 #[test]
@@ -69,7 +74,7 @@ fn a_launch_in_an_if_else_is_refused() {
         pthread_join(t[i], NULL);
     }
     return out[0] + out[1] + out[2] + out[3];";
-    runs_then_is_refused("if/else", body, 1 + 2 + 200 + 300);
+    runs_then_is_refused("if/else", body, 1 + 2 + 200 + 300, LAUNCH);
 }
 
 #[test]
@@ -85,7 +90,7 @@ fn a_launch_in_a_switch_is_refused() {
     }
     pthread_join(t, NULL);
     return out[2];";
-    runs_then_is_refused("switch", body, 3);
+    runs_then_is_refused("switch", body, 3, LAUNCH);
 }
 
 #[test]
@@ -101,7 +106,7 @@ fn a_while_launch_loop_is_refused() {
         pthread_join(t[i], NULL);
     }
     return out[0] + out[1] + out[2] + out[3] + 13;";
-    runs_then_is_refused("while", body, 23);
+    runs_then_is_refused("while", body, 23, LAUNCH);
 }
 
 #[test]
@@ -113,7 +118,7 @@ fn a_launch_in_a_nested_block_is_refused() {
     }
     pthread_join(t, NULL);
     return out[0] + out[1];";
-    runs_then_is_refused("block", body, 9);
+    runs_then_is_refused("block", body, 9, LAUNCH);
 }
 
 #[test]
@@ -129,5 +134,77 @@ fn a_checked_launch_is_refused() {
         pthread_join(t[i], NULL);
     }
     return out[0] + out[1];";
-    runs_then_is_refused("checked", body, 3);
+    runs_then_is_refused("checked", body, 3, LAUNCH);
+}
+
+/// The commonest pthread reduction: each join is followed by a read of the
+/// joined thread's slot. Hoisted out of the loop, `sum = sum + out[i]` ran
+/// once per core on that core's slot, so the translation exited with one
+/// core's share instead of the total.
+#[test]
+fn a_join_loop_reduction_is_refused() {
+    let body = "    pthread_t t[4];
+    int i;
+    int sum = 0;
+    for (i = 0; i < 4; i++) {
+        pthread_create(&t[i], NULL, tf, (void *)i);
+    }
+    for (i = 0; i < 4; i++) {
+        pthread_join(t[i], NULL);
+        sum = sum + out[i];
+    }
+    return sum;";
+    runs_then_is_refused(
+        "join-loop reduction",
+        body,
+        1 + 2 + 3 + 4,
+        "unsupported construct: the `pthread_join` loop in `main` cannot hoist the write to `sum`",
+    );
+}
+
+/// A count kept beside the launches ran once per core instead of once per
+/// launch.
+#[test]
+fn a_launch_loop_that_counts_is_refused() {
+    let body = "    pthread_t t[4];
+    int i;
+    int extra = 10;
+    for (i = 0; i < 4; i++) {
+        pthread_create(&t[i], NULL, tf, (void *)i);
+        extra = extra + 1;
+    }
+    for (i = 0; i < 4; i++) {
+        pthread_join(t[i], NULL);
+    }
+    return extra;";
+    runs_then_is_refused(
+        "counting launch loop",
+        body,
+        14,
+        "unsupported construct: the `pthread_create` loop in `main` cannot hoist the write to `extra`",
+    );
+}
+
+/// Each join in a `while` loop was replaced, with the loop around it, by
+/// one barrier: the loop's own counting vanished.
+#[test]
+fn a_while_join_loop_is_refused() {
+    let body = "    pthread_t t[4];
+    int i;
+    int k;
+    for (i = 0; i < 4; i++) {
+        pthread_create(&t[i], NULL, tf, (void *)i);
+    }
+    k = 0;
+    while (k < 4) {
+        pthread_join(t[k], NULL);
+        k = k + 1;
+    }
+    return 10 * k + 4;";
+    runs_then_is_refused(
+        "while join loop",
+        body,
+        44,
+        "unsupported construct: a `pthread_join` in `main` is not a join the translator converts",
+    );
 }
