@@ -30,7 +30,7 @@
 //! "#)?;
 //! assert!(rcce.contains("RCCE_init"));
 //! assert!(rcce.contains("RCCE_barrier"));
-//! assert!(!rcce.contains("pthread"));
+//! assert!(!rcce.contains("pthread_create"));
 //! # Ok(())
 //! # }
 //! ```
