@@ -182,7 +182,7 @@ pub enum ArtifactKey {
     /// Bytecode of the translated RCCE program: the full translation key
     /// plus the [`OptLevel`], so artifacts for different levels coexist
     /// in one cache (an `O0`-vs-`O2` sweep shares every stage up to
-    /// translation and only compiles twice).
+    /// translation, compiles once and optimizes the O0 entry for O2).
     TranslatedProgram {
         /// [`source_hash`] of the program.
         src: u64,
@@ -714,11 +714,13 @@ impl ArtifactCache {
         )
     }
 
-    /// Memoized bytecode compilation for `key` (a
-    /// [`ArtifactKey::BaselineProgram`] or
-    /// [`ArtifactKey::TranslatedProgram`]). The store payload is the
+    /// Memoized bytecode for `key` (a [`ArtifactKey::BaselineProgram`]
+    /// or [`ArtifactKey::TranslatedProgram`]): at O0 `compute` compiles;
+    /// at any other level the caller has looked the O0 entry up here
+    /// first, and `compute` optimizes it. The store payload is the
     /// versioned [`hsm_vm::serial`] text format — an exact round-trip,
-    /// so a warm run executes bit-identical bytecode.
+    /// so a warm run executes bit-identical bytecode and a loaded O0
+    /// entry optimizes as a compiled one would.
     ///
     /// # Errors
     ///

@@ -347,6 +347,8 @@ impl Pipeline {
     // private `*_of` helpers take their dependencies as arguments instead
     // of re-resolving them, so the hit/miss counters read as "how many
     // operations reused this artifact", not as internal call chatter.
+    // The one exception is a level above O0, which looks up the O0 entry
+    // it optimizes before its own (`compiled`).
 
     /// The parsed translation unit (memoized per source). Every other
     /// stage starts here, so this is where a session on cores its chip
@@ -405,42 +407,48 @@ impl Pipeline {
             })
     }
 
-    /// Bytecode of an already-computed translation (one `compile` lookup).
+    /// Bytecode of an already-computed translation.
     fn program_of(&self, translation: &Translation) -> Result<Arc<hsm_vm::Program>, PipelineError> {
-        let level = self.opt_level;
-        let key = ArtifactKey::TranslatedProgram {
+        self.compiled(&translation.unit, |opt| ArtifactKey::TranslatedProgram {
             src: self.src_hash,
             cores: self.cores,
             policy: self.policy,
             spec: self.effective_spec(),
-            opt: level,
-        };
-        self.artifacts().program_with(key, || {
-            let program = hsm_vm::compile(&translation.unit)?;
-            Ok(match level {
-                OptLevel::O0 => program,
-                _ => hsm_vm::optimize(&program, level),
-            })
+            opt,
         })
     }
 
-    /// Baseline bytecode of an already-parsed unit (one `compile` lookup).
+    /// Baseline bytecode of an already-parsed unit.
     fn baseline_program_of(
         &self,
         unit: &TranslationUnit,
     ) -> Result<Arc<hsm_vm::Program>, PipelineError> {
-        let level = self.opt_level;
-        let key = ArtifactKey::BaselineProgram {
+        self.compiled(unit, |opt| ArtifactKey::BaselineProgram {
             src: self.src_hash,
-            opt: level,
-        };
-        self.artifacts().program_with(key, || {
-            let program = hsm_vm::compile(unit)?;
-            Ok(match level {
-                OptLevel::O0 => program,
-                _ => hsm_vm::optimize(&program, level),
-            })
+            opt,
         })
+    }
+
+    /// `unit` compiled at the session's level, `key(level)` being its
+    /// `compile` entry. Only O0 compiles: any other level looks the O0
+    /// entry up first and optimizes it, so a program is compiled once
+    /// whichever levels are asked for. The O0 lookup comes first even
+    /// when the level's own entry is cached or stored, so the shelf's
+    /// counters never depend on what the store holds, and no slot is
+    /// locked while another is taken.
+    fn compiled(
+        &self,
+        unit: &TranslationUnit,
+        key: impl Fn(OptLevel) -> ArtifactKey,
+    ) -> Result<Arc<hsm_vm::Program>, PipelineError> {
+        let cache = self.artifacts();
+        let o0 = cache.program_with(key(OptLevel::O0), || {
+            Ok::<_, PipelineError>(hsm_vm::compile(unit)?)
+        })?;
+        match self.opt_level {
+            OptLevel::O0 => Ok(o0),
+            level => cache.program_with(key(level), || Ok(hsm_vm::optimize(&o0, level))),
+        }
     }
 
     /// The Stage 1–3 analysis (memoized per source).
@@ -499,11 +507,12 @@ impl Pipeline {
 
     // ----------------------------------------------------------- runs --
     //
-    // A run is (program, scenario, sink). `simulate` is the one place
-    // that hands a compiled program to an `hsm_exec` entry point;
-    // `run_traced` is that call on the configured mode's program, and
-    // everything else is `run_traced` with a different sink attached —
-    // or, for `run_scenario`, the memoized result of it.
+    // A run is (program, scenario, sink). `mode_program` is the one place
+    // that picks the program a mode runs, and `simulate` the one place
+    // that hands it to an `hsm_exec` entry point. `run_traced` is the two
+    // together with a sink, `profile` memoizes it with a collector,
+    // `check_sharing` is the two with the oracle (which reads the program
+    // before the run) and `run_scenario` is the memoized plain run.
 
     /// The compiled program the configured mode executes: the baseline
     /// bytecode for the pthread and task modes (which run the source
@@ -594,44 +603,30 @@ impl Pipeline {
     ///   the task runtime emits: a task program whose in/out annotations
     ///   cover its sharing is clean, undeclared sharing is a data race.
     ///
-    /// The oracle reads the program's symbol tables before the run
-    /// starts, so a check looks its program up once more than a plain
-    /// run does (a cache hit).
-    ///
     /// # Errors
     ///
     /// Propagates failures from any stage.
     pub fn check_sharing(&self) -> Result<SharingCheck, PipelineError> {
-        let (oracle_mode, manifest, program) = match self.mode {
+        let (oracle_mode, manifest) = match self.mode {
             Mode::PthreadBaseline => {
-                let unit = self.unit()?;
-                let analysis = self.analysis_of(&unit)?;
+                let analysis = self.analysis()?;
                 let mut manifest = ClassificationManifest::from_analysis(&analysis);
                 hsm_partition::annotate_manifest(&*self.plan_of(&analysis)?, &mut manifest);
-                (
-                    OracleMode::Pthread,
-                    manifest,
-                    self.baseline_program_of(&unit)?,
-                )
+                (OracleMode::Pthread, manifest)
             }
-            Mode::RcceOffChip | Mode::RcceHsm => (
-                OracleMode::Rcce,
-                ClassificationManifest::empty(),
-                self.program()?,
-            ),
-            Mode::TaskDataflow => (
-                OracleMode::Pthread,
-                ClassificationManifest::empty(),
-                self.baseline_program()?,
-            ),
+            Mode::RcceOffChip | Mode::RcceHsm => {
+                (OracleMode::Rcce, ClassificationManifest::empty())
+            }
+            Mode::TaskDataflow => (OracleMode::Pthread, ClassificationManifest::empty()),
         };
+        let program = self.mode_program()?;
         let mut oracle = Oracle::new(
             &program,
             manifest.clone(),
             oracle_mode,
             self.config.line_bytes,
         );
-        let result = self.run_traced(&mut oracle)?;
+        let result = self.simulate(&program, &mut oracle)?;
         Ok(SharingCheck {
             manifest,
             report: oracle.finish(),

@@ -4,7 +4,7 @@
 //! store misses, corruption falls back to recompute, and a different chip
 //! never hits another chip's entries.
 
-use hsm_core::api::{ArtifactCache, Mode, Pipeline, Stage};
+use hsm_core::api::{ArtifactCache, Mode, OptLevel, Pipeline, Scenario, Stage};
 use scc_sim::SccConfig;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -124,6 +124,63 @@ fn warm_programs_are_bit_identical_to_cold() {
         store[Stage::Compile].loads >= 1,
         "the program came from disk"
     );
+}
+
+/// A level above O0 optimizes the O0 entry, so a store that holds only
+/// that entry serves an O2 session without a compile: the O0 program
+/// loads from disk, and optimizing what `hsm_vm::serial` carried gives
+/// the bytes optimizing a compiled program gives.
+#[test]
+fn o2_optimizes_a_stored_o0_entry() {
+    let dir = temp_store("o0");
+    let session = Pipeline::new(SRC).cores(2);
+    let o2 = Scenario::new(Mode::RcceHsm).opt_level(OptLevel::O2);
+    session
+        .clone()
+        .cache(ArtifactCache::persistent(&dir).expect("open store"))
+        .program()
+        .expect("O0 program");
+
+    let cache = ArtifactCache::persistent(&dir).expect("reopen store");
+    let warm = session
+        .clone()
+        .cache(Arc::clone(&cache))
+        .scenario(o2)
+        .program()
+        .expect("O2 over the stored O0 entry");
+    let store = cache.stats().store.expect("store stats");
+    assert_eq!(
+        store[Stage::Compile].loads,
+        1,
+        "the O0 entry came from disk"
+    );
+    assert_eq!(store[Stage::Compile].writes, 1, "only the O2 entry is new");
+    let fresh = session.scenario(o2).program().expect("O2 with no store");
+    assert_eq!(
+        hsm_vm::serialize_program(&warm),
+        hsm_vm::serialize_program(&fresh)
+    );
+}
+
+/// The O0 lookup an O2 session makes comes first whether or not the O2
+/// entry is stored, so its in-memory counters are the same cold and
+/// warm, as they are at O0.
+#[test]
+fn o2_counters_do_not_depend_on_the_store() {
+    let dir = temp_store("o2stats");
+    let stats = || {
+        let cache = ArtifactCache::persistent(&dir).expect("open store");
+        Pipeline::new(SRC)
+            .cores(2)
+            .cache(Arc::clone(&cache))
+            .scenario(Scenario::new(Mode::RcceHsm).opt_level(OptLevel::O2))
+            .run_scenario()
+            .expect("O2 run");
+        cache.stats()
+    };
+    let (cold, warm) = (stats(), stats());
+    assert_eq!(warm.store.expect("store stats")[Stage::Compile].loads, 2);
+    assert_eq!(cold.stages, warm.stages);
 }
 
 #[test]

@@ -173,7 +173,7 @@ mod tests {
     }
 
     /// DESIGN.md §17: "an intermediate IR that fails to re-parse but is
-    /// repaired by a later pass is no longer an error" — the check is on
+    /// repaired by a later pass is not an error" — the check is on
     /// what the pipeline hands on, and that is what is returned.
     #[test]
     fn a_repaired_intermediate_ir_is_not_an_error() {

@@ -9,7 +9,7 @@
 //! contract. This suite is the optimizer's safety net; `exec_models.rs`
 //! is its template on the model axis.
 
-use hsm_core::api::{ExecModel, Mode, OptLevel, Pipeline, Scenario, Stage};
+use hsm_core::api::{ArtifactCache, ExecModel, Mode, OptLevel, Pipeline, Scenario, Stage};
 use hsm_exec::{SyncEvent, TraceEvent, TraceSink};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -305,11 +305,59 @@ fn multi_level_sweep_shares_artifacts_up_to_translation() {
         "one translation for both levels"
     );
     assert_eq!(c[Stage::Translate].hits, 1, "O2 reuses the O0 translation");
-    assert_eq!(
-        c[Stage::Compile].misses,
-        2,
-        "levels compile separately: {c:?}"
+    assert_eq!(c[Stage::Compile].misses, 2, "one entry per level: {c:?}");
+    assert!(
+        c[Stage::Compile].hits >= 1,
+        "O2 optimizes the O0 entry instead of compiling again: {c:?}"
     );
+}
+
+/// A program is compiled once whichever levels its sessions ask for: on
+/// one fresh cache O2 compiles the O0 entry and optimizes it, O0 hits
+/// that entry and O1 optimizes it again — three entries, one compile.
+/// Each level's program is the one a session on a fresh cache builds.
+#[test]
+fn levels_optimize_the_one_compiled_program() {
+    let (src, cores) = (read("example_4_1.c"), 3);
+    let levels = [OptLevel::O2, OptLevel::O0, OptLevel::O1];
+    for mode in [Mode::PthreadBaseline, Mode::RcceHsm] {
+        let program = |session: Pipeline| match mode {
+            Mode::PthreadBaseline => session.baseline_program(),
+            _ => session.program(),
+        };
+        let at_level = |level| Scenario::new(mode).opt_level(level);
+        let cache = ArtifactCache::shared();
+        let shared = Pipeline::new(src.as_str())
+            .cores(cores)
+            .cache(Arc::clone(&cache));
+        for level in levels {
+            shared
+                .clone()
+                .scenario(at_level(level))
+                .run_scenario()
+                .unwrap_or_else(|e| panic!("{mode:?} {level}: {e}"));
+        }
+        let c = cache.stats()[Stage::Compile];
+        assert_eq!(
+            (c.misses, c.hits),
+            (3, 2),
+            "{mode:?}: one compile, O1 and O2 optimize the O0 entry"
+        );
+        for level in levels {
+            let cached = program(shared.clone().scenario(at_level(level))).expect("cached");
+            let fresh = program(
+                Pipeline::new(src.as_str())
+                    .cores(cores)
+                    .scenario(at_level(level)),
+            )
+            .expect("fresh");
+            assert_eq!(
+                hsm_vm::serialize_program(&cached),
+                hsm_vm::serialize_program(&fresh),
+                "{mode:?} {level}: the cached program is the one a fresh cache builds"
+            );
+        }
+    }
 }
 
 /// Property test: random corpus program × random core count × random
