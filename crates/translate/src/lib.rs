@@ -2,7 +2,7 @@
 //!
 //! Converts a well-defined Pthread program into a multi-process RCCE
 //! program executable on the (simulated) Intel SCC, implementing
-//! Algorithms 4–10 of the paper as an ordered list of eleven passes, each a
+//! Algorithms 4–10 of the paper as an ordered list of nine passes, each a
 //! plain function over the unit; after the last one, the IR they leave is
 //! checked once to print to text that re-parses. Every pthread call is
 //! converted through one table or refused as an unsupported construct.
@@ -10,7 +10,9 @@
 //! The translation reproduces Example Code 4.2 from Example Code 4.1:
 //! threads become processes keyed by `RCCE_ue()`, shared globals become
 //! `RCCE_shmalloc`/`RCCE_malloc` allocations, `pthread_join` loops become
-//! `RCCE_barrier`, and all pthread vestiges are stripped.
+//! `RCCE_barrier`, and all pthread vestiges are stripped. Every core runs
+//! all of `main`, so the shared writes and mutex operations of its serial
+//! code, before the first launch and after the last join, run on core 0.
 //!
 //! ```
 //! # fn main() -> Result<(), hsm_translate::TranslateError> {
@@ -119,14 +121,12 @@ impl Translation {
 
 /// The Algorithm 4–10 pipeline: each pass with its name, in the order
 /// they run (DESIGN.md §3).
-const PASSES: [(&str, Pass); 11] = [
+const PASSES: [(&str, Pass); 9] = [
     ("includes", passes::includes),
     ("main-conversion", passes::main_conversion),
     ("shared-data", passes::shared_data),
     ("core-id", passes::core_id),
-    ("guard-shared-init", passes::guard_shared_init),
-    ("threads-to-processes", passes::threads_to_processes),
-    ("joins-to-barriers", passes::joins_to_barriers),
+    ("parallel-region", passes::parallel_region),
     ("remove-pthread-types", passes::remove_pthread_types),
     ("pthread-calls", passes::pthread_calls),
     ("remove-unused-locals", passes::remove_unused_locals),
@@ -165,7 +165,12 @@ pub fn translate_with_plan(
     plan: &Arc<PartitionPlan>,
     options: TranslateOptions,
 ) -> Result<Translation, TranslateError> {
-    let mut ctx = PassContext::new(tu.clone(), analysis, plan, options);
+    let mut ctx = PassContext {
+        unit: tu.clone(),
+        analysis,
+        plan,
+        options,
+    };
     let source = pass::run(&PASSES, &mut ctx, tu)?;
     Ok(Translation {
         unit: ctx.unit,

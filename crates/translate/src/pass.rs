@@ -15,7 +15,7 @@ use hsm_analysis::ProgramAnalysis;
 use hsm_cir::{parse, print_unit, TranslationUnit};
 use hsm_partition::PartitionPlan;
 
-/// Shared state threaded through the pass pipeline.
+/// What every pass is handed: the unit it rewrites and the inputs it reads.
 #[derive(Debug)]
 pub(crate) struct PassContext<'a> {
     /// The unit being rewritten (mutated in place by passes).
@@ -26,37 +26,6 @@ pub(crate) struct PassContext<'a> {
     pub plan: &'a PartitionPlan,
     /// Options controlling the translation.
     pub options: crate::TranslateOptions,
-    /// Name of the inserted core-id variable (`myID` in Example Code 4.2).
-    pub core_id_var: String,
-    /// When the source launches more threads than the target has cores,
-    /// the total thread count being folded onto the cores (§7.2's
-    /// many-to-one mapping); `None` for the 1:1 case.
-    pub fold_total: Option<usize>,
-    /// When the source launches *fewer* threads than the target has cores,
-    /// the thread count guarding the worker region (`if (myID < total)`),
-    /// so idle cores skip worker calls and hoisted per-thread statements;
-    /// `None` when every core has work.
-    pub guard_total: Option<usize>,
-}
-
-impl<'a> PassContext<'a> {
-    /// Creates the context for one translation run.
-    pub(crate) fn new(
-        unit: TranslationUnit,
-        analysis: &'a ProgramAnalysis,
-        plan: &'a PartitionPlan,
-        options: crate::TranslateOptions,
-    ) -> Self {
-        PassContext {
-            unit,
-            analysis,
-            plan,
-            options,
-            core_id_var: "myID".to_string(),
-            fold_total: None,
-            guard_total: None,
-        }
-    }
 }
 
 /// One Stage 5 pass: a transformation over the IR in [`PassContext`].
@@ -74,8 +43,8 @@ pub(crate) type Pass = fn(&mut PassContext<'_>) -> Result<(), TranslateError>;
 /// unit again. `original` is the unit `ctx` held on entry.
 ///
 /// A final IR that fails to re-parse means a pass corrupted it. The
-/// passes are then replayed over a context rebuilt ([`PassContext::new`])
-/// from a copy of `original`, with the check after every pass, and the
+/// passes are then replayed over a context rebuilt from a copy of
+/// `original`, with the check after every pass, and the
 /// pipeline aborts with an internal error naming the first pass whose
 /// output does not re-parse. An intermediate IR that a later pass repairs
 /// is not an error.
@@ -95,12 +64,11 @@ pub(crate) fn run(
     let Err(final_error) = parse(&printed) else {
         return Ok(printed);
     };
-    let mut replay = PassContext::new(
-        original.clone(),
-        ctx.analysis,
-        ctx.plan,
-        ctx.options.clone(),
-    );
+    let mut replay = PassContext {
+        unit: original.clone(),
+        options: ctx.options.clone(),
+        ..*ctx
+    };
     for (name, pass) in passes {
         pass(&mut replay)?;
         if let Err(e) = parse(&print_unit(&replay.unit)) {
@@ -141,10 +109,24 @@ mod tests {
         (analysis, plan, tu)
     }
 
+    /// The context `translate` would start from.
+    fn context<'a>(
+        tu: &TranslationUnit,
+        analysis: &'a ProgramAnalysis,
+        plan: &'a PartitionPlan,
+    ) -> PassContext<'a> {
+        PassContext {
+            unit: tu.clone(),
+            analysis,
+            plan,
+            options: Default::default(),
+        }
+    }
+
     #[test]
     fn driver_runs_passes_in_order() {
         let (analysis, plan, tu) = ctx_fixture("int main() { return 0; }");
-        let mut ctx = PassContext::new(tu.clone(), &analysis, &plan, Default::default());
+        let mut ctx = context(&tu, &analysis, &plan);
         run(&[RENAMER], &mut ctx, &tu).expect("pipeline");
         assert!(ctx.unit.function("entry").is_some());
     }
@@ -152,7 +134,7 @@ mod tests {
     #[test]
     fn driver_detects_ir_corruption() {
         let (analysis, plan, tu) = ctx_fixture("int main() { return 0; }");
-        let mut ctx = PassContext::new(tu.clone(), &analysis, &plan, Default::default());
+        let mut ctx = context(&tu, &analysis, &plan);
         let err = run(&[RENAMER, CORRUPTOR], &mut ctx, &tu).unwrap_err();
         assert!(err.to_string().contains("corruptor"), "{err}");
         assert!(err.to_string().contains("inconsistent IR"), "{err}");
@@ -161,7 +143,7 @@ mod tests {
     #[test]
     fn the_first_of_two_corrupting_passes_is_named() {
         let (analysis, plan, tu) = ctx_fixture("int main() { return 0; }");
-        let mut ctx = PassContext::new(tu.clone(), &analysis, &plan, Default::default());
+        let mut ctx = context(&tu, &analysis, &plan);
         let second: (&str, Pass) = ("second offender", |ctx| {
             rename(ctx, "bad name", "worse name")
         });
@@ -178,7 +160,7 @@ mod tests {
     #[test]
     fn a_repaired_intermediate_ir_is_not_an_error() {
         let (analysis, plan, tu) = ctx_fixture("int main() { return 0; }");
-        let mut ctx = PassContext::new(tu.clone(), &analysis, &plan, Default::default());
+        let mut ctx = context(&tu, &analysis, &plan);
         let repairer: (&str, Pass) = ("repairer", |ctx| rename(ctx, "bad name", "entry"));
         let printed = run(&[RENAMER, CORRUPTOR, repairer], &mut ctx, &tu)
             .expect("the final IR is consistent");

@@ -11,18 +11,17 @@
 //!    Stage 4 plan, their non-zero initial values stored after the
 //!    allocations.
 //! 4. [`core_id`] — insert `int myID; myID = RCCE_ue();`.
-//! 5. [`guard_shared_init`] — confine pre-launch stores into shared memory
-//!    to core 0.
-//! 6. [`threads_to_processes`] — Algorithm 4: `pthread_create` launches
-//!    become direct worker calls keyed by core id.
-//! 7. [`joins_to_barriers`] — Algorithm 5: joins become `RCCE_barrier`.
-//! 8. [`remove_pthread_types`] — Algorithm 7: drop pthread-typed
+//! 5. [`parallel_region`] — Algorithms 4 and 5: `pthread_create` launches
+//!    become direct worker calls keyed by core id, joins become
+//!    `RCCE_barrier`, and `main`'s shared writes and mutex operations before
+//!    the first launch and after the last join run on core 0 alone.
+//! 6. [`remove_pthread_types`] — Algorithm 7: drop pthread-typed
 //!    declarations.
-//! 9. [`pthread_calls`] — Algorithms 6 and 8 and the synchronization
+//! 7. [`pthread_calls`] — Algorithms 6 and 8 and the synchronization
 //!    calls: every other pthread call is converted through one table,
 //!    [`PTHREAD_CALLS`], or refused.
-//! 10. [`remove_unused_locals`] — drop locals orphaned by the conversion.
-//! 11. [`drop_private_globals`] — drop private, entirely-unused globals.
+//! 8. [`remove_unused_locals`] — drop locals orphaned by the conversion.
+//! 9. [`drop_private_globals`] — drop private, entirely-unused globals.
 
 use crate::error::TranslateError;
 use crate::pass::PassContext;
@@ -107,7 +106,7 @@ pub(crate) fn main_conversion(ctx: &mut PassContext<'_>) -> Result<(), Translate
 /// The allocation replaces the global's static initializer, and fresh
 /// shared memory reads as zero. A non-zero initial value is therefore
 /// stored after the allocations, in one block that
-/// [`guard_shared_init`] later confines to core 0 before the launch
+/// [`parallel_region`] later confines to core 0 before the launch
 /// barrier; an all-zero initializer is dropped. An initializer that is not
 /// a constant the pass can store element by element (the address of a
 /// global, say) is an unsupported construct.
@@ -314,10 +313,9 @@ fn deref_rewrite(unit: &mut TranslationUnit, name: &str) {
 
 /// Inserts `int myID; myID = RCCE_ue();` after the allocation block.
 pub(crate) fn core_id(ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
-    let var = ctx.core_id_var.clone();
     let mut b = Builder::new(&mut ctx.unit);
-    let decl = b.decl_stmt(&var, CType::Int);
-    let lhs = b.ident(&var);
+    let decl = b.decl_stmt(CORE_ID, CType::Int);
+    let lhs = b.ident(CORE_ID);
     let call = b.call("RCCE_ue", vec![]);
     let assign = b.assign(lhs, call);
     let assign_stmt = b.expr_stmt(assign);
@@ -346,86 +344,17 @@ pub(crate) fn core_id(ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
 
 // ------------------------------------------------------------------ 5 ----
 
-/// Guards pre-launch writes to shared memory with `if (myID == 0)`.
+/// The core-id variable [`core_id`] inserts (`myID` in Example Code 4.2).
+const CORE_ID: &str = "myID";
+
+/// Algorithms 4 and 5, and `main`'s serial code around them. Every core
+/// runs all of `main`: its launches become worker calls after a barrier,
+/// its joins become barriers, and what `main` runs once before the first
+/// launch and after the last join, core 0 runs alone. One walk over each
+/// function's statements does all three.
 ///
-/// In the pthread original, `main` initializes shared data exactly once
-/// before launching threads. After conversion every core re-executes that
-/// prologue; plain stores are idempotent, but read-modify-write
-/// initialization (`mats[i] = mats[i] + n;`) is not — concurrent cores
-/// double-apply it. The fix mirrors what the original program guaranteed:
-/// only one core performs stores *into shared memory* before the launch
-/// point (writes to per-core variables, including the shared-pointer cells
-/// themselves, still run everywhere), and the barrier inserted before the
-/// worker call publishes the initialized data to all cores.
-pub(crate) fn guard_shared_init(ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
-    let core_var = ctx.core_id_var.clone();
-    let shared: BTreeSet<String> = ctx
-        .plan
-        .placements
-        .iter()
-        .map(|p| p.var.name.clone())
-        .collect();
-    // Only `main` launches threads (`threads_to_processes` refuses the
-    // rest), and `main_conversion` has renamed it.
-    let mut unit = std::mem::take(&mut ctx.unit);
-    if let Some(main) = unit.function_mut("RCCE_APP") {
-        let body = std::mem::take(&mut main.body);
-        let launch_at = body
-            .iter()
-            .position(|s| count_calls(s, Conversion::Launch) > 0)
-            .unwrap_or(0);
-        let mut guarded = Vec::with_capacity(body.len());
-        for (i, stmt) in body.into_iter().enumerate() {
-            if i < launch_at && stmt_writes_shared_memory(&stmt, &shared) {
-                let mut b = Builder::new(&mut unit);
-                guarded.push(b.guard(&core_var, BinaryOp::Eq, 0, vec![stmt]));
-            } else {
-                guarded.push(stmt);
-            }
-        }
-        unit.function_mut("RCCE_APP").expect("function exists").body = guarded;
-    }
-    ctx.unit = unit;
-    Ok(())
-}
-
-/// What an assignment or increment writes: its destination operand.
-fn write_target(e: &Expr) -> Option<&Expr> {
-    match &e.kind {
-        ExprKind::Assign(_, lhs, _) => Some(lhs),
-        ExprKind::PostIncDec(inner, _) => Some(inner),
-        ExprKind::Unary(UnaryOp::PreInc | UnaryOp::PreDec, inner) => Some(inner),
-        _ => None,
-    }
-}
-
-/// Whether a statement stores through a shared pointer/array (an `Index`
-/// or `Deref` destination whose base variable is in the shared set).
-fn stmt_writes_shared_memory(s: &Stmt, shared: &BTreeSet<String>) -> bool {
-    let mut found = false;
-    hsm_cir::walk_exprs_in_stmt(s, &mut |e| {
-        if let Some(dest) = write_target(e) {
-            let indirect = matches!(
-                dest.peel_casts().kind,
-                ExprKind::Index(..) | ExprKind::Unary(UnaryOp::Deref, _)
-            );
-            if indirect {
-                if let Some(base) = dest.base_variable() {
-                    if shared.contains(base) {
-                        found = true;
-                    }
-                }
-            }
-        }
-    });
-    found
-}
-
-// ------------------------------------------------------------------ 6 ----
-
-/// Algorithm 4 — Threads to Processes.
-///
-/// Every `pthread_create` launch becomes a direct call of the worker:
+/// *Launches* (Algorithm 4). Every `pthread_create` becomes a direct call
+/// of the worker:
 ///
 /// * launched in a loop with a thread-id argument → one unguarded call with
 ///   the argument rewritten to the core id (every core runs the worker);
@@ -436,33 +365,87 @@ fn stmt_writes_shared_memory(s: &Stmt, shared: &BTreeSet<String>) -> bool {
 /// Statements that shared the launch loop are hoisted out with the loop
 /// induction variable rewritten to the core id ([`convert_loop`]).
 ///
-/// A launch is a statement of its own, `pthread_create(..);` or
-/// `rc = pthread_create(..);`, directly in a function body or in a `for`
-/// loop's body. A `pthread_create` anywhere else (under an `if`, in a
-/// `switch` or `while`, in a nested block or a condition) is refused as an
-/// unsupported construct.
-pub(crate) fn threads_to_processes(ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
-    let core_var = ctx.core_id_var.clone();
+/// *Joins* (Algorithm 5, [`join`]). A join loop is removed, its joins
+/// replaced with one `RCCE_barrier(&RCCE_COMM_WORLD)`, and the rest of its
+/// body hoisted like a launch loop's (that is how `printf(..., sum[local])`
+/// becomes `printf(..., sum[myID])` in Example Code 4.2). A join outside a
+/// loop becomes a barrier.
+///
+/// A launch or join is a statement of its own, `f(..);` or `rc = f(..);`,
+/// directly in a function body or in a `for` loop's body, and only `main`
+/// launches. A launch or join anywhere else (under an `if`, in a `switch`
+/// or `while`, in a nested block or a condition) is refused as an
+/// unsupported construct, and so is a loop statement whose hoisted copy
+/// would not be exact.
+///
+/// *Serial code* ([`on_core_zero`]). A statement of `main` before its first
+/// launch or after its last join that writes shared memory or calls a mutex
+/// operation runs under `if (myID == 0)`. Before the launches the launch
+/// barrier publishes what core 0 wrote; after the joins one barrier follows
+/// each run of such statements.
+pub(crate) fn parallel_region(ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
+    let (analysis, plan) = (ctx.analysis, ctx.plan);
     let cores = ctx.options.cores;
     // The paper's hash table of thread-specific tasks: worker name →
     // the core that runs its launch outside a loop.
     let mut core_bound = BTreeMap::new();
-    let single = ctx.analysis.threads.launches.iter().filter(|l| !l.in_loop);
+    let single = analysis.threads.launches.iter().filter(|l| !l.in_loop);
     for (k, l) in single.enumerate() {
         core_bound.insert(l.entry.as_str(), k);
     }
+    let shared: BTreeSet<&str> = plan
+        .placements
+        .iter()
+        .map(|p| p.var.name.as_str())
+        .collect();
 
     let mut unit = std::mem::take(&mut ctx.unit);
-    for fname in function_names(&unit) {
+    // Join loops hoist under the last launch loop's fold or guard, in
+    // whichever function they stand.
+    let mut totals = (None, None);
+    for s in unit.function("RCCE_APP").map_or(&[][..], |f| &f.body) {
+        if count_calls(s, Conversion::Launch) > 0 {
+            let (fold, guard) = launch_totals(s, cores);
+            totals = (fold.or(totals.0), guard.or(totals.1));
+        }
+    }
+    let names: Vec<String> = unit.functions().map(|f| f.name.clone()).collect();
+    for fname in names {
         let body = std::mem::take(&mut unit.function_mut(&fname).unwrap().body);
+        let in_main = fname == "RCCE_APP";
+        let first_launch = body
+            .iter()
+            .position(|s| count_calls(s, Conversion::Launch) > 0);
+        let last_join = body
+            .iter()
+            .rposition(|s| count_calls(s, Conversion::Join) > 0);
         let mut new_body = Vec::with_capacity(body.len());
-        for stmt in body {
+        // Whether core 0 ran statements after the joins that no barrier
+        // has published yet.
+        let mut unpublished = false;
+        for (i, stmt) in body.into_iter().enumerate() {
             let launches = count_calls(&stmt, Conversion::Launch);
-            if launches == 0 {
-                new_body.push(stmt);
+            let after_joins = last_join.is_some_and(|at| i > at);
+            let serial = after_joins || first_launch.is_some_and(|at| i < at);
+            let alone = in_main
+                && serial
+                && launches + count_calls(&stmt, Conversion::Join) == 0
+                && on_core_zero(&stmt, &shared)?;
+            if unpublished && !alone {
+                new_body.push(barrier_stmt(&mut unit));
+                unpublished = false;
+            }
+            if alone {
+                unpublished = after_joins;
+                let mut b = Builder::new(&mut unit);
+                new_body.push(b.guard(CORE_ID, BinaryOp::Eq, 0, vec![stmt]));
                 continue;
             }
-            if fname != "RCCE_APP" {
+            if launches == 0 {
+                join(ctx, &mut unit, &fname, stmt, totals, &mut new_body)?;
+                continue;
+            }
+            if !in_main {
                 // The core id that keys a worker call exists only there.
                 return Err(TranslateError::unsupported(format!(
                     "a `{}` in `{fname}` is not a launch the translator converts: only \
@@ -471,22 +454,9 @@ pub(crate) fn threads_to_processes(ctx: &mut PassContext<'_>) -> Result<(), Tran
                 )));
             }
             let single = launch_call(&stmt);
+            let (fold, guard) = launch_totals(&stmt, cores);
             let converted = match stmt.kind {
-                StmtKind::For(init, cond, step, loop_body) => {
-                    let trips =
-                        trip_count(init.as_ref(), cond.as_ref(), step.as_ref()).map(|t| t as usize);
-                    // §7.2 many-to-one mapping: when the loop launches more
-                    // threads than the target has cores, each core runs the
-                    // worker for every folded thread id congruent to its own.
-                    let fold = trips.filter(|&t| t > cores);
-                    // The dual of folding: with more cores than threads, the
-                    // surplus cores must not run the worker at all (they
-                    // would compute out-of-range thread ids and trample
-                    // shared data). Guard the worker region with
-                    // `if (myID < total)`.
-                    let guard = trips.filter(|&t| t < cores);
-                    ctx.fold_total = fold.or(ctx.fold_total);
-                    ctx.guard_total = guard.or(ctx.guard_total);
+                StmtKind::For(init, _, _, loop_body) => {
                     let launch_loop = convert_loop(
                         ctx,
                         &mut unit,
@@ -516,19 +486,24 @@ pub(crate) fn threads_to_processes(ctx: &mut PassContext<'_>) -> Result<(), Tran
                         new_body.insert(at, barrier);
                     }
                     new_body.extend(launch_loop.calls);
-                    new_body.extend(launch_loop.hoisted);
+                    // A loop that launches and joins each thread hoists its
+                    // joins.
+                    for s in launch_loop.hoisted {
+                        join(ctx, &mut unit, &fname, s, totals, &mut new_body)?;
+                    }
                     launch_loop.converted
                 }
                 // Single launch statement outside a loop.
                 _ => match single {
                     Some(call) => {
                         new_body.push(barrier_stmt(&mut unit));
-                        let worker = worker_call(&mut unit, &call, &core_var, None);
+                        let worker = worker_call(&mut unit, &call, CORE_ID, None);
                         let mut b = Builder::new(&mut unit);
+                        let worker = b.expr_stmt(worker);
                         // Guard thread-specific single launches.
                         new_body.push(match core_bound.get(call.entry.as_str()) {
-                            Some(&k) => b.guarded_call(&core_var, k as i64, worker),
-                            None => b.expr_stmt(worker),
+                            Some(&k) => b.guard(CORE_ID, BinaryOp::Eq, k as i64, vec![worker]),
+                            None => worker,
                         });
                         1
                     }
@@ -539,9 +514,131 @@ pub(crate) fn threads_to_processes(ctx: &mut PassContext<'_>) -> Result<(), Tran
                 return Err(not_converted(Conversion::Launch, &fname));
             }
         }
+        if unpublished {
+            new_body.push(barrier_stmt(&mut unit));
+        }
         unit.function_mut(&fname).unwrap().body = new_body;
     }
     ctx.unit = unit;
+    Ok(())
+}
+
+/// The thread counts a launch loop wraps its worker region in: the total
+/// folded onto the cores when it launches more threads than there are
+/// cores (§7.2's many-to-one mapping), and the total guarding the region
+/// (`if (myID < total)`) when it launches fewer, so that the surplus cores
+/// neither compute out-of-range thread ids nor trample shared data.
+fn launch_totals(s: &Stmt, cores: usize) -> (Option<usize>, Option<usize>) {
+    let StmtKind::For(init, cond, step, _) = &s.kind else {
+        return (None, None);
+    };
+    let trips = trip_count(init.as_ref(), cond.as_ref(), step.as_ref()).map(|t| t as usize);
+    (trips.filter(|&t| t > cores), trips.filter(|&t| t < cores))
+}
+
+/// Whether a statement of `main`'s serial code, before its first launch or
+/// after its last join, runs on core 0 alone: it writes shared memory or
+/// calls a mutex operation. The pthread original ran it once, and every
+/// core runs `main`: a read-modify-write of shared data (`total = total +
+/// part[i]`) would be applied once per core, and a lock `main` holds when
+/// it returns would stall the other cores. Writes to per-core variables,
+/// the shared-pointer cells among them, still run everywhere.
+///
+/// Core 0 must be able to run the statement while the other cores go on to
+/// the next barrier, so one that declares a variable (the name would leave
+/// scope), returns or waits at a barrier is refused.
+fn on_core_zero(s: &Stmt, shared: &BTreeSet<&str>) -> Result<bool, TranslateError> {
+    let (mut acts, mut barrier, mut returns) = (false, false, false);
+    hsm_cir::walk_exprs_in_stmt(s, &mut |e| {
+        acts |=
+            writes_shared_memory(e, shared) || matches!(conversion(e), Some(Conversion::Lock(_)));
+        barrier |= conversion(e) == Some(Conversion::Barrier);
+    });
+    if !acts {
+        return Ok(false);
+    }
+    for_each_stmt(std::slice::from_ref(s), &mut |s| {
+        returns |= matches!(s.kind, StmtKind::Return(_))
+    });
+    let why = match s.kind {
+        StmtKind::Decl(_) => "declares a variable",
+        _ if returns => "returns",
+        _ if barrier => "waits at a barrier",
+        _ => return Ok(true),
+    };
+    Err(TranslateError::unsupported(format!(
+        "a statement of `main` before its first launch or after its last join writes \
+         shared memory or calls a mutex operation, so core 0 runs it alone, but it {why}"
+    )))
+}
+
+/// What an assignment or increment writes: its destination operand.
+fn write_target(e: &Expr) -> Option<&Expr> {
+    match &e.kind {
+        ExprKind::Assign(_, lhs, _) => Some(lhs),
+        ExprKind::PostIncDec(inner, _) => Some(inner),
+        ExprKind::Unary(UnaryOp::PreInc | UnaryOp::PreDec, inner) => Some(inner),
+        _ => None,
+    }
+}
+
+/// Whether an expression stores through a shared pointer or array: an
+/// `Index` or `Deref` destination whose base variable is shared.
+fn writes_shared_memory(e: &Expr, shared: &BTreeSet<&str>) -> bool {
+    write_target(e).is_some_and(|dest| {
+        matches!(
+            dest.peel_casts().kind,
+            ExprKind::Index(..) | ExprKind::Unary(UnaryOp::Deref, _)
+        ) && dest
+            .base_variable()
+            .is_some_and(|base| shared.contains(base))
+    })
+}
+
+/// Algorithm 5 for one statement of `function`: a join loop becomes a
+/// barrier and the rest of its body, hoisted under the launch loops' fold
+/// or guard (`totals`); a join statement becomes a barrier; a statement
+/// without joins is kept. The statement goes to `out`.
+fn join(
+    ctx: &PassContext<'_>,
+    unit: &mut TranslationUnit,
+    function: &str,
+    stmt: Stmt,
+    totals: (Option<usize>, Option<usize>),
+    out: &mut Vec<Stmt>,
+) -> Result<(), TranslateError> {
+    let joins = count_calls(&stmt, Conversion::Join);
+    if joins == 0 {
+        out.push(stmt);
+        return Ok(());
+    }
+    let single = is_call_statement(&stmt, Conversion::Join);
+    let converted = match stmt.kind {
+        StmtKind::For(init, _, _, loop_body) => {
+            out.push(barrier_stmt(unit));
+            let join_loop = convert_loop(
+                ctx,
+                unit,
+                (function, Conversion::Join),
+                (&init, *loop_body),
+                totals,
+                |_, s, _, _| is_call_statement(s, Conversion::Join).then(Vec::new),
+            )?;
+            // Idle cores beyond the thread count skip the hoisted
+            // statements too (a printf indexed by myID would read out of
+            // bounds).
+            out.extend(join_loop.hoisted);
+            join_loop.converted
+        }
+        _ if single => {
+            out.push(barrier_stmt(unit));
+            1
+        }
+        _ => 0,
+    };
+    if converted != joins {
+        return Err(not_converted(Conversion::Join, function));
+    }
     Ok(())
 }
 
@@ -549,10 +646,6 @@ pub(crate) fn threads_to_processes(ctx: &mut PassContext<'_>) -> Result<(), Tran
 struct CreateCall {
     entry: String,
     arg: Expr,
-}
-
-fn function_names(unit: &TranslationUnit) -> Vec<String> {
-    unit.functions().map(|f| f.name.clone()).collect()
 }
 
 /// The function's name in the source: `main` was renamed `RCCE_APP`.
@@ -616,15 +709,9 @@ const FOLD_VAR: &str = "foldID";
 
 /// Builds `for (foldID = myID; foldID < total; foldID = foldID + cores)
 /// { body }` — the §7.2 many-to-one worker loop.
-fn fold_loop(
-    unit: &mut TranslationUnit,
-    core_var: &str,
-    total: usize,
-    cores: usize,
-    body: Vec<Stmt>,
-) -> Stmt {
+fn fold_loop(unit: &mut TranslationUnit, total: usize, cores: usize, body: Vec<Stmt>) -> Stmt {
     let mut b = Builder::new(unit);
-    let (fold, core) = (b.ident(FOLD_VAR), b.ident(core_var));
+    let (fold, core) = (b.ident(FOLD_VAR), b.ident(CORE_ID));
     let init = b.assign(fold, core);
     let cond = b.var_op(FOLD_VAR, BinaryOp::Lt, total as i64);
     let (fold, next) = (
@@ -695,8 +782,7 @@ fn convert_loop(
     convert: impl Fn(&mut TranslationUnit, &Stmt, &str, Option<&str>) -> Option<Vec<Stmt>>,
 ) -> Result<ConvertedLoop, TranslateError> {
     let ivar = for_induction_var(init);
-    let core_var = ctx.core_id_var.as_str();
-    let id_var = if fold.is_some() { FOLD_VAR } else { core_var };
+    let id_var = if fold.is_some() { FOLD_VAR } else { CORE_ID };
     let inner = match body.kind {
         StmtKind::Block(stmts) => stmts,
         other => vec![Stmt {
@@ -705,8 +791,10 @@ fn convert_loop(
         }],
     };
     let mut locals = Vec::new();
-    for_each_decl(&inner, &mut |d| {
-        locals.extend(d.vars.iter().map(|v| &v.name))
+    for_each_stmt(&inner, &mut |s| {
+        if let StmtKind::Decl(d) = &s.kind {
+            locals.extend(d.vars.iter().map(|v| &v.name))
+        }
     });
     let owned = |dest: &Expr| match &dest.kind {
         ExprKind::Ident(name) => locals.contains(&name),
@@ -757,9 +845,9 @@ fn convert_loop(
     }
     let mut wrap = |stmts: Vec<Stmt>| match (fold, guard) {
         _ if stmts.is_empty() => stmts,
-        (Some(total), _) => vec![fold_loop(unit, core_var, total, ctx.options.cores, stmts)],
+        (Some(total), _) => vec![fold_loop(unit, total, ctx.options.cores, stmts)],
         (None, Some(total)) => {
-            vec![Builder::new(unit).guard(core_var, BinaryOp::Lt, total as i64, stmts)]
+            vec![Builder::new(unit).guard(CORE_ID, BinaryOp::Lt, total as i64, stmts)]
         }
         (None, None) => stmts,
     };
@@ -787,65 +875,6 @@ fn not_converted(kind: Conversion, function: &str) -> TranslateError {
     ))
 }
 
-// ------------------------------------------------------------------ 7 ----
-
-/// Algorithm 5 — pthread_join removal.
-///
-/// A join loop is removed, its joins replaced with one
-/// `RCCE_barrier(&RCCE_COMM_WORLD)`; the other statements in the loop are
-/// hoisted with the induction variable rewritten to the core id (that is
-/// how `printf(..., sum[local])` becomes `printf(..., sum[myID])` in
-/// Example Code 4.2). A join statement outside a loop becomes a barrier.
-///
-/// Joins convert where launches do ([`threads_to_processes`]): a statement
-/// of its own, directly in a function body or in a `for` loop's body. A
-/// join anywhere else is refused, and so is a loop statement whose hoisted
-/// copy would not be exact ([`convert_loop`]).
-pub(crate) fn joins_to_barriers(ctx: &mut PassContext<'_>) -> Result<(), TranslateError> {
-    let mut unit = std::mem::take(&mut ctx.unit);
-    for fname in function_names(&unit) {
-        let body = std::mem::take(&mut unit.function_mut(&fname).unwrap().body);
-        let mut new_body = Vec::with_capacity(body.len());
-        for stmt in body {
-            let joins = count_calls(&stmt, Conversion::Join);
-            if joins == 0 {
-                new_body.push(stmt);
-                continue;
-            }
-            let single = is_call_statement(&stmt, Conversion::Join);
-            let converted = match stmt.kind {
-                StmtKind::For(init, _, _, loop_body) => {
-                    new_body.push(barrier_stmt(&mut unit));
-                    let join_loop = convert_loop(
-                        ctx,
-                        &mut unit,
-                        (&fname, Conversion::Join),
-                        (&init, *loop_body),
-                        (ctx.fold_total, ctx.guard_total),
-                        |_, s, _, _| is_call_statement(s, Conversion::Join).then(Vec::new),
-                    )?;
-                    // Idle cores beyond the thread count skip the hoisted
-                    // epilogue too (a printf indexed by myID would read out
-                    // of bounds).
-                    new_body.extend(join_loop.hoisted);
-                    join_loop.converted
-                }
-                _ if single => {
-                    new_body.push(barrier_stmt(&mut unit));
-                    1
-                }
-                _ => 0,
-            };
-            if converted != joins {
-                return Err(not_converted(Conversion::Join, &fname));
-            }
-        }
-        unit.function_mut(&fname).unwrap().body = new_body;
-    }
-    ctx.unit = unit;
-    Ok(())
-}
-
 /// Whether a statement only takes a timestamp (`double t0 = wtime();` or
 /// `t0 = RCCE_wtime();`).
 fn is_wtime_stmt(s: &Stmt) -> bool {
@@ -869,7 +898,7 @@ fn barrier_stmt(unit: &mut TranslationUnit) -> Stmt {
     b.expr_stmt(call)
 }
 
-// ------------------------------------------------------------------ 8 ----
+// ------------------------------------------------------------------ 6 ----
 
 /// Algorithm 7 — removes declarations whose specifier is a pthread data
 /// type (`pthread_t threads[3];`, `pthread_mutex_t m;`, …), globally and
@@ -888,14 +917,14 @@ pub(crate) fn remove_pthread_types(ctx: &mut PassContext<'_>) -> Result<(), Tran
     Ok(())
 }
 
-// ------------------------------------------------------------------ 9 ----
+// ------------------------------------------------------------------ 7 ----
 
 /// What Stage 5 makes of a call into the pthread API.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Conversion {
-    /// A launch: [`threads_to_processes`] converts or refuses every one.
+    /// A launch: [`parallel_region`] converts or refuses every one.
     Launch,
-    /// A join: [`joins_to_barriers`] converts or refuses every one.
+    /// A join: [`parallel_region`] converts or refuses every one.
     Join,
     /// Algorithm 6: the callee is renamed, in any position.
     Rename(&'static str),
@@ -1089,7 +1118,7 @@ fn convert_call(
     Ok(())
 }
 
-// ----------------------------------------------------------------- 10 ----
+// ------------------------------------------------------------------ 8 ----
 
 /// Removes local declarations orphaned by the conversion: zero remaining
 /// references and a side-effect-free initializer.
@@ -1099,7 +1128,8 @@ pub(crate) fn remove_unused_locals(ctx: &mut PassContext<'_>) -> Result<(), Tran
         // initializer is a literal. Removing such a declaration
         // removes no reference, so one sweep finds every dead local.
         let mut dead: Vec<String> = Vec::new();
-        for_each_decl(&f.body, &mut |d| {
+        for_each_stmt(&f.body, &mut |s| {
+            let StmtKind::Decl(d) = &s.kind else { return };
             for v in &d.vars {
                 if pure_init(v) && count_refs(&f.body, &v.name) == 0 {
                     dead.push(v.name.clone());
@@ -1134,7 +1164,7 @@ fn pure_init(v: &VarDecl) -> bool {
     }
 }
 
-// ----------------------------------------------------------------- 11 ----
+// ------------------------------------------------------------------ 9 ----
 
 /// Drops private, entirely-unused globals (the post-Stage-3 cleanup that
 /// removes `global` from Example Code 4.2).

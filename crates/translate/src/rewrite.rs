@@ -126,13 +126,6 @@ impl<'a> Builder<'a> {
         self.stmt(StmtKind::Decl(decl))
     }
 
-    /// `if (var == k) { call; }`
-    pub(crate) fn guarded_call(&mut self, var: &str, k: i64, call: Expr) -> Stmt {
-        let cond = self.var_op(var, BinaryOp::Eq, k);
-        let body = self.expr_stmt(call);
-        self.stmt(StmtKind::If(cond, Box::new(body), None))
-    }
-
     /// `if (var op k) { body }` — the guard that confines statements to
     /// some cores: `myID == 0`, or `myID < total` when the target has more
     /// cores than the source has threads.
@@ -304,20 +297,21 @@ fn retain_boxed(s: &mut Stmt, keep: &mut impl FnMut(&Stmt) -> bool) {
     s.kind = StmtKind::Block(stmts);
 }
 
-/// Calls `f` on every declaration statement in a function body.
-pub(crate) fn for_each_decl<'a>(body: &'a [Stmt], f: &mut impl FnMut(&'a Declaration)) {
+/// Calls `f` on every statement in a function body, nested ones included,
+/// pre-order.
+pub(crate) fn for_each_stmt<'a>(body: &'a [Stmt], f: &mut impl FnMut(&'a Stmt)) {
     for s in body {
+        f(s);
         match &s.kind {
-            StmtKind::Decl(d) => f(d),
-            StmtKind::Block(stmts) | StmtKind::Switch(_, stmts) => for_each_decl(stmts, f),
+            StmtKind::Block(stmts) | StmtKind::Switch(_, stmts) => for_each_stmt(stmts, f),
             StmtKind::If(_, then, els) => {
-                for_each_decl(std::slice::from_ref(&**then), f);
+                for_each_stmt(std::slice::from_ref(&**then), f);
                 if let Some(e) = els {
-                    for_each_decl(std::slice::from_ref(&**e), f);
+                    for_each_stmt(std::slice::from_ref(&**e), f);
                 }
             }
             StmtKind::While(_, b) | StmtKind::DoWhile(b, _) | StmtKind::For(_, _, _, b) => {
-                for_each_decl(std::slice::from_ref(&**b), f)
+                for_each_stmt(std::slice::from_ref(&**b), f)
             }
             _ => {}
         }
@@ -412,12 +406,14 @@ mod tests {
     }
 
     #[test]
-    fn for_each_decl_finds_nested_declarations() {
+    fn for_each_stmt_finds_nested_declarations() {
         let tu = parse("int main() { int a; if (a) { int b; while (b) { int c; } } return 0; }")
             .unwrap();
         let mut names = Vec::new();
-        for_each_decl(&tu.function("main").unwrap().body, &mut |d| {
-            names.push(d.vars[0].name.as_str())
+        for_each_stmt(&tu.function("main").unwrap().body, &mut |s| {
+            if let StmtKind::Decl(d) = &s.kind {
+                names.push(d.vars[0].name.as_str())
+            }
         });
         assert_eq!(names, ["a", "b", "c"]);
     }
@@ -431,12 +427,13 @@ mod tests {
     }
 
     #[test]
-    fn guarded_call_renders_if() {
+    fn guard_renders_if() {
         let mut tu = parse("void w(int x) { } int main() { return 0; }").unwrap();
         let mut b = Builder::new(&mut tu);
         let arg = b.int(0);
         let call = b.call("w", vec![arg]);
-        let stmt = b.guarded_call("myID", 2, call);
+        let body = b.expr_stmt(call);
+        let stmt = b.guard("myID", BinaryOp::Eq, 2, vec![body]);
         tu.function_mut("main").unwrap().body.insert(0, stmt);
         let out = print_unit(&tu);
         assert!(out.contains("if (myID == 2)"), "{out}");

@@ -1,9 +1,13 @@
 //! Stage 5 keeps the initial values of shared globals: a global that two
 //! threads read starts, after translation, with the value its declaration
 //! gave it, whether the program runs off-chip or under HSM and under every
-//! execution model.
+//! execution model. Core 0 stores those values, so the translation passes
+//! the sharing referee.
+
+mod referee;
 
 use hsm_core::api::{ExecModel, Mode, Pipeline, Scenario};
+use referee::sharing_referee;
 
 /// A pthread program whose two threads read the shared globals `decls`
 /// declares; each thread stores `expr` (which may use `id`, its thread
@@ -36,9 +40,10 @@ int main() {{
 }
 
 /// Runs `src` as pthreads, then translated off-chip and under HSM with
-/// every execution model, and checks every exit against `expected`. The
-/// pthread reference runs coherent: on write-back caches that nothing
-/// flushes, an unmodified pthread program reads stale shared data.
+/// every execution model, and checks every exit against `expected` and
+/// the translation with the sharing referee. The pthread reference runs
+/// coherent: on write-back caches that nothing flushes, an unmodified
+/// pthread program reads stale shared data.
 fn exits_agree(name: &str, src: &str, expected: i64) {
     let session = Pipeline::new(src).cores(2);
     let exit = |scenario: Scenario| {
@@ -60,6 +65,7 @@ fn exits_agree(name: &str, src: &str, expected: i64) {
             assert_eq!(exit(scenario), expected, "{name}: {mode:?} under {model:?}");
         }
     }
+    sharing_referee(src).unwrap_or_else(|e| panic!("{name}: {e}"));
 }
 
 #[test]
